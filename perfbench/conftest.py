@@ -1,0 +1,6 @@
+"""Import noisecycle from the checkout's sources when the benchmark tests run."""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
