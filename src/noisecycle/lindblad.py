@@ -1,10 +1,11 @@
 """Numerical dynamics of the truncated generators.
 
 Steady states from the null space of the sparse generator, time evolution by
-matrix-exponential action, phase-space circulation through the adjoint
-generator, the time-reversed generator and the detailed-balance residual,
-steady-state reconstruction from conserved quantities, and a displaced-parity
-quasiprobability evaluator used as an oracle against the closed forms.
+a dense exponential on each invariant block of the generator, phase-space
+circulation through the adjoint generator, the time-reversed generator and
+the detailed-balance residual, steady-state reconstruction from conserved
+quantities, and a displaced-parity quasiprobability evaluator used as an
+oracle against the closed forms.
 """
 
 from __future__ import annotations
@@ -15,7 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import expm_multiply, splu
+from scipy.linalg import expm
+from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import splu
 from scipy.sparse.linalg import norm as sparse_norm
 
 from .fock import (
@@ -254,12 +257,31 @@ def steady_states(L: sp.spmatrix, block_size: int = 6, tol: float = 1e-10,
 # ---------------------------------------------------------------------------
 
 def evolve(rho0: np.ndarray, L: sp.spmatrix, t: float) -> np.ndarray:
-    """Propagate rho0 to time t by the action of the generator exponential."""
+    """Propagate rho0 to time t under the generator L.
+
+    L is split into the weakly connected components of its sparsity pattern,
+    on which it is exactly block-diagonal.  Both models commute with the
+    phase rotation, so each coherence order m = n' - n is one block, split
+    further by the parity of n under two-photon exchange.  A component on
+    which vec(rho0) is zero stays zero and is skipped; every other component
+    is propagated by the dense exponential of its block.  The decomposition
+    reads only the pattern, so a generator without the symmetry is handled as
+    one component.
+    """
     if t < 0:
         raise ValueError("evolution time must be nonnegative")
     if t == 0:
         return rho0.copy()
-    vec_t = expm_multiply(L.tocsr() * t, vectorize(rho0))
+    L = L.tocsr()
+    vec0 = vectorize(rho0).astype(complex)
+    n_blocks, labels = connected_components(L.astype(bool), connection="weak")
+    stops = np.cumsum(np.bincount(labels, minlength=n_blocks))[:-1]
+    vec_t = np.zeros_like(vec0)
+    for idx in np.split(np.argsort(labels, kind="stable"), stops):
+        if not vec0[idx].any():
+            continue
+        block = L[idx][:, idx].toarray()
+        vec_t[idx] = expm(t * block) @ vec0[idx]
     rho_t = devectorize(vec_t)
     if not np.all(np.isfinite(rho_t)):
         raise StiffnessError(

@@ -124,12 +124,16 @@ class DriftGapReport:
 
 @dataclass(frozen=True)
 class DetailedBalanceReport:
-    """Grid diagnostics of the stationary flux decomposition."""
+    """Grid diagnostics of the stationary flux decomposition.
+
+    ``order_divergence`` is None when the rotational divergence is exactly
+    zero on both grids (omega0 = 0), where no order can be observed.
+    """
 
     max_irreversible_flux: float
     max_reversible_divergence: float
     order_irreversible: float
-    order_divergence: float
+    order_divergence: float | None
     diffusion_time_reversal_exact: bool
     spacing: float
 
@@ -437,8 +441,10 @@ def classical_detailed_balance(cfg: SdeConfig, extent: float | None = None,
 
     The irreversible flux and the divergence of the rotational flux both
     vanish analytically on the Gaussian stationary density; on the grid they
-    shrink at second order.  The diffusion matrix depends only on x^2 + y^2,
-    so its time-reversal symmetry is exact.
+    shrink at second order.  Without rotation (omega0 = 0) the rotational
+    divergence is exactly zero on both grids and ``order_divergence`` is
+    None.  The diffusion matrix depends only on x^2 + y^2, so its
+    time-reversal symmetry is exact.
     """
     if extent is None:
         extent = 8.0 * math.sqrt(cfg.kappa / cfg.delta)
@@ -455,7 +461,7 @@ def classical_detailed_balance(cfg: SdeConfig, extent: float | None = None,
         max_irreversible_flux=irr_c,
         max_reversible_divergence=div_c,
         order_irreversible=math.log2(irr_c / irr_f),
-        order_divergence=math.log2(div_c / div_f),
+        order_divergence=None if div_c == div_f == 0.0 else math.log2(div_c / div_f),
         diffusion_time_reversal_exact=bool(np.array_equal(d_entry, d_reversed)),
         spacing=h,
     )

@@ -142,6 +142,18 @@ def test_evolve_reports_steady_convergence(tmp_path):
     assert abs(report["parity_final"] - report["parity_initial"]) < 1e-9
 
 
+def test_evolve_near_saturated_ratio_default_dim(tmp_path):
+    # k = 0.8 needs dim 248: a 61504-dimensional superoperator
+    out = tmp_path / "ev"
+    code = main(["evolve", "--out", str(out), "--k-ratio", "0.8", "--t", "60",
+                 "--initial", "vacuum"])
+    assert code == 0
+    report = json.loads((out / "summary.json").read_text())
+    assert report["distance_to_predicted_steady"] < 1e-9
+    assert abs(report["trace_final"] - 1.0) < 1e-10
+    assert abs(report["parity_final"] - report["parity_initial"]) < 1e-9
+
+
 # ---------------------------------------------------------------------------
 # sde
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from noisecycle.fock import (
     liouvillian,
     number_op,
     parity_op,
+    quadrature_x,
     rotation_super,
     sandwich,
     vectorize,
@@ -210,6 +211,24 @@ def test_weak_rotation_symmetry(params):
         rot = rotation_super(phi, dim)
         comm = rot @ gen - gen @ rot
         assert sp.linalg.norm(comm) < 1e-10 * sp.linalg.norm(gen)
+
+
+def cross_order_nonzeros(gen: sp.spmatrix, dim: int) -> int:
+    """Stored nonzeros linking different coherence orders m = col - row."""
+    coo = gen.tocoo()
+    order = np.arange(dim * dim) // dim - np.arange(dim * dim) % dim
+    return int(np.count_nonzero((coo.data != 0) & (order[coo.row] != order[coo.col])))
+
+
+@pytest.mark.parametrize("params", [
+    ModelParams(omega0=1.3, kappa_down=1.0, kappa_up2=0.4),
+    ModelParams(omega0=1.3, kappa_down=1.0, kappa_up1=0.4, kind=ModelKind.CONVENTIONAL),
+])
+def test_liouvillian_block_diagonal_in_coherence_order(params):
+    dim = 12
+    assert cross_order_nonzeros(liouvillian(params, dim), dim) == 0
+    # a phase-breaking channel does couple orders, so the count can see it
+    assert cross_order_nonzeros(dissipator(quadrature_x(dim)), dim) > 0
 
 
 # ---------------------------------------------------------------------------

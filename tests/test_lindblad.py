@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import expm_multiply
 
 from noisecycle.analytic import rho_ss_analytic
 from noisecycle.fock import (
@@ -12,7 +14,9 @@ from noisecycle.fock import (
     ModelParams,
     build_ladder,
     coherent_state,
+    dissipator,
     fock_state,
+    hamiltonian_term,
     liouvillian,
     number_op,
     parity_op,
@@ -138,6 +142,43 @@ def test_evolve_parity_drifts_conventional():
     rho0 = fock_state(dim, 1)
     out = evolve(rho0, liouvillian(CONV, dim), 3.0)
     assert abs(parity_expectation(out) - parity_expectation(rho0)) > 0.1
+
+
+def reference_evolve(rho0, gen, t):
+    """Matrix-exponential action on the full superoperator."""
+    rho_t = devectorize(expm_multiply(gen.tocsr() * t, vectorize(rho0)))
+    return (rho_t + rho_t.conj().T) / 2
+
+
+def phase_breaking_generator(dim):
+    """Two-photon loss plus an x-quadrature channel and drive: no phase symmetry."""
+    a, _ = build_ladder(dim)
+    return (dissipator(a @ a) + 0.3 * dissipator(quadrature_x(dim))
+            + hamiltonian_term(number_op(dim) + 0.5 * quadrature_y(dim))).tocsr()
+
+
+@pytest.mark.parametrize("make_gen,phase_symmetric", [
+    (lambda dim: liouvillian(ModelParams(omega0=1.0, kappa_down=1.0), dim), True),
+    (lambda dim: liouvillian(ModelParams(omega0=1.0, kappa_down=1.0, kappa_up2=0.4), dim), True),
+    (lambda dim: liouvillian(CONV, dim), True),
+    (phase_breaking_generator, False),
+], ids=["noise-induced-k0", "noise-induced-k0.4", "conventional", "no-phase-symmetry"])
+def test_evolve_matches_full_exponential_action(make_gen, phase_symmetric):
+    dim = 24
+    gen = make_gen(dim)
+    # without the symmetry the sparsity pattern is one block
+    n_blocks, _ = connected_components(gen.astype(bool), connection="weak")
+    assert (n_blocks > 1) == phase_symmetric
+    seeds = [
+        fock_state(dim, 0),
+        fock_state(dim, 3),
+        coherent_state(dim, 1.1 + 0.4j),
+        random_density_matrix(dim, rng=np.random.default_rng(7)),
+    ]
+    for rho0 in seeds:
+        for t in (0.3, 2.0):
+            gap = np.abs(evolve(rho0, gen, t) - reference_evolve(rho0, gen, t)).max()
+            assert gap < 1e-11
 
 
 def test_evolve_rejects_negative_time():

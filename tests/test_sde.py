@@ -255,3 +255,12 @@ def test_classical_detailed_balance_orders():
     assert report.diffusion_time_reversal_exact
     assert report.max_irreversible_flux < 1e-3
     assert report.max_reversible_divergence < 1e-3
+
+
+def test_classical_detailed_balance_without_rotation():
+    # omega0 defaults to 0: the rotational flux vanishes identically, so no
+    # divergence order exists
+    report = classical_detailed_balance(SdeConfig(kappa=1.0, delta=1.0), h=0.1)
+    assert report.max_reversible_divergence == 0.0
+    assert report.order_divergence is None
+    assert 1.7 <= report.order_irreversible <= 2.3
