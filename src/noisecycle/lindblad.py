@@ -1,24 +1,24 @@
 """Numerical dynamics of the truncated generators.
 
-Steady states from the null space of the sparse generator, time evolution by
-a dense exponential on each invariant block of the generator, phase-space
-circulation through the adjoint generator, the time-reversed generator and
-the detailed-balance residual, steady-state reconstruction from conserved
-quantities, and a displaced-parity quasiprobability evaluator used as an
-oracle against the closed forms.
+Steady states from the null spaces and time evolution by the dense
+exponentials of the generator's invariant blocks (the weakly connected
+components of its sparsity pattern), phase-space circulation through the
+adjoint generator, the time-reversed generator and the detailed-balance
+residual, steady-state reconstruction from conserved quantities, and a
+displaced-parity quasiprobability evaluator used as an oracle against the
+closed forms.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import expm
 from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import splu
 from scipy.sparse.linalg import norm as sparse_norm
 
 from .fock import (
@@ -59,13 +59,12 @@ class StiffnessError(LindbladError):
 
 @dataclass(frozen=True)
 class SteadyStateResult:
-    """Extremal steady states spanning the null space of a generator."""
+    """Extremal steady states of a generator."""
 
     kernel_dim: int
     states: list[np.ndarray]
     rho_plus: np.ndarray | None = None
     rho_minus: np.ndarray | None = None
-    coherence_dropped: bool = False
 
     def combine(self, wp_plus: float) -> np.ndarray:
         if self.rho_plus is None or self.rho_minus is None:
@@ -150,106 +149,71 @@ def random_density_matrix(dim: int, rank: int | None = None, support: int | None
 # steady states
 # ---------------------------------------------------------------------------
 
-def steady_states(L: sp.spmatrix, block_size: int = 6, tol: float = 1e-10,
-                  iterations: int = 3, seed: int = 2024) -> SteadyStateResult:
-    """Null-space basis of a generator via block inverse iteration with sparse LU.
+def _invariant_blocks(L: sp.csr_matrix) -> list[np.ndarray]:
+    """Index sets of the weakly connected components of L's sparsity pattern.
 
-    The Hermitian span of the null vectors is projected onto the photon-number
-    parity sectors: a two-dimensional kernel yields the even/odd extremal pair
-    plus the ``combine`` mixer, a one-dimensional kernel the unique state.
-    Coherence-sector null directions (zero-temperature corner) are dropped;
-    anything else raises ``DegenerateSpectrumError``.
+    L is exactly block-diagonal on these sets.  Both models commute with the
+    phase rotation, so each coherence order m = n' - n is one block, split
+    further by the parity of n under two-photon exchange.  The split reads
+    only the pattern, so a generator without the symmetry gives fewer,
+    larger blocks (at worst one).
+    """
+    n_blocks, labels = connected_components(L.astype(bool), connection="weak")
+    stops = np.cumsum(np.bincount(labels, minlength=n_blocks))[:-1]
+    return np.split(np.argsort(labels, kind="stable"), stops)
+
+
+# a singular value at most this fraction of its block's largest, or the trace
+# of a unit null vector at most this size, counts as zero
+_NULL_RTOL = 1e-10
+
+
+def steady_states(L: sp.spmatrix) -> SteadyStateResult:
+    """Steady states of a generator from the null spaces of its invariant blocks.
+
+    Only blocks that hold a population index i (dim + 1) can carry a state; a
+    block of coherences alone is skipped even when it has a kernel (the
+    |0><1| block at omega0 = k = 0), so ``kernel_dim`` counts states.  Each
+    remaining block gets a dense SVD, and each null vector (singular value
+    at most ``_NULL_RTOL`` times the block's largest) is scaled to unit
+    trace and symmetrized.  One state is the unique result; two states must
+    be an even- and an odd-supported pair, returned as ``rho_plus`` and
+    ``rho_minus`` with the ``combine`` mixer.  Any other count or pair, or
+    a trace-free null vector, raises ``DegenerateSpectrumError``.
     """
     L = L.tocsr()
     n = L.shape[0]
     dim = math.isqrt(n)
     if dim * dim != n:
         raise FockError(f"superoperator size {n} is not a perfect square")
-    block_size = min(block_size, n - 2)
-    l_norm = sparse_norm(L)
-    diag_scale = max(np.abs(L.diagonal()).max(), 1.0)
-
-    lu = None
-    for rel_shift in (1e-12, 1e-9, 1e-6):
-        shifted = (L - rel_shift * diag_scale * sp.identity(n, dtype=complex, format="csr")).tocsc()
-        try:
-            lu = splu(shifted)
-            break
-        except RuntimeError:
+    null_vecs = []
+    for idx in _invariant_blocks(L):
+        if not np.any(idx % (dim + 1) == 0):
             continue
-    if lu is None:
-        raise LindbladError("sparse factorization failed at every shift")
+        _, s, vh = np.linalg.svd(L[idx][:, idx].toarray())
+        for v in vh[s <= _NULL_RTOL * s[0]].conj():
+            vec = np.zeros(n, dtype=complex)
+            vec[idx] = v
+            null_vecs.append(vec)
+    count = len(null_vecs)
+    if count not in (1, 2):
+        raise DegenerateSpectrumError(count)
 
-    rng = np.random.default_rng(seed)
-    basis = rng.standard_normal((n, block_size)) + 1j * rng.standard_normal((n, block_size))
-    basis, _ = np.linalg.qr(basis)
-    for _ in range(iterations):
-        basis = lu.solve(basis)
-        basis, _ = np.linalg.qr(basis)
+    states = []
+    for vec in null_vecs:
+        rho = devectorize(vec)
+        tr = np.trace(rho)
+        if abs(tr) <= _NULL_RTOL:
+            raise DegenerateSpectrumError(count)
+        rho = rho / tr
+        states.append((rho + rho.conj().T) / 2)
+    if count == 1:
+        return SteadyStateResult(kernel_dim=1, states=states)
 
-    # Rayleigh-Ritz on the converged block, then keep vectors the generator kills
-    small = basis.conj().T @ (L @ basis)
-    _, ritz = np.linalg.eig(small)
-    candidates = basis @ ritz
-    candidates /= np.linalg.norm(candidates, axis=0, keepdims=True)
-    residuals = np.linalg.norm(L @ candidates, axis=0)
-    kept = candidates[:, residuals < tol * l_norm]
-    if kept.shape[1] == 0:
-        raise DegenerateSpectrumError(0)
-
-    # Hermitian span of the kernel (the kernel is closed under conjugation)
-    herm_vecs = []
-    for i in range(kept.shape[1]):
-        x = devectorize(kept[:, i])
-        scale = np.linalg.norm(x)
-        for h in ((x + x.conj().T) / 2, (x - x.conj().T) / 2j):
-            if np.linalg.norm(h) > 1e-8 * scale:
-                herm_vecs.append(vectorize(h))
-    stack = np.column_stack(herm_vecs)
-    u_svd, s_svd, _ = np.linalg.svd(stack, full_matrices=False)
-    rank = int(np.sum(s_svd > 1e-8 * s_svd[0]))
-    kernel = [devectorize(u_svd[:, i]) for i in range(rank)]
-
-    coherence_dropped = False
-    if rank not in (1, 2):
-        diags = np.column_stack([np.diag(h).real for h in kernel])
-        diag_rank = np.linalg.matrix_rank(diags, tol=1e-8 * np.abs(diags).max())
-        if diag_rank not in (1, 2):
-            raise DegenerateSpectrumError(rank)
-        coherence_dropped = True
-
-    if rank == 1 and not coherence_dropped:
-        state = kernel[0]
-        tr = np.trace(state).real
-        if abs(tr) < 1e-10:
-            raise DegenerateSpectrumError(rank)
-        state = (state + state.conj().T) / (2 * tr)
-        return SteadyStateResult(kernel_dim=1, states=[state])
-
-    # split the kernel span along photon-number parity
-    even = np.arange(dim) % 2 == 0
-    even_mask = np.outer(even, even)
-    odd_mask = np.outer(~even, ~even)
-    best = {"plus": (0.0, None), "minus": (0.0, None)}
-    for h in kernel:
-        for name, mask in (("plus", even_mask), ("minus", odd_mask)):
-            proj = np.where(mask, h, 0.0)
-            tr = abs(np.trace(proj).real)
-            if tr > best[name][0]:
-                best[name] = (tr, proj)
-    states = {}
-    for name in ("plus", "minus"):
-        tr, proj = best[name]
-        if proj is None or tr < 1e-10:
-            raise DegenerateSpectrumError(rank)
-        states[name] = (proj + proj.conj().T) / (2 * np.trace(proj).real)
-    return SteadyStateResult(
-        kernel_dim=rank,
-        states=[states["plus"], states["minus"]],
-        rho_plus=states["plus"],
-        rho_minus=states["minus"],
-        coherence_dropped=coherence_dropped,
-    )
+    plus, minus = states if not states[0][1::2].any() else states[::-1]
+    if plus[1::2].any() or minus[::2].any():
+        raise DegenerateSpectrumError(count)
+    return SteadyStateResult(kernel_dim=2, states=[plus, minus], rho_plus=plus, rho_minus=minus)
 
 
 # ---------------------------------------------------------------------------
@@ -259,14 +223,9 @@ def steady_states(L: sp.spmatrix, block_size: int = 6, tol: float = 1e-10,
 def evolve(rho0: np.ndarray, L: sp.spmatrix, t: float) -> np.ndarray:
     """Propagate rho0 to time t under the generator L.
 
-    L is split into the weakly connected components of its sparsity pattern,
-    on which it is exactly block-diagonal.  Both models commute with the
-    phase rotation, so each coherence order m = n' - n is one block, split
-    further by the parity of n under two-photon exchange.  A component on
-    which vec(rho0) is zero stays zero and is skipped; every other component
-    is propagated by the dense exponential of its block.  The decomposition
-    reads only the pattern, so a generator without the symmetry is handled as
-    one component.
+    L is split into its invariant blocks (see ``_invariant_blocks``).  A
+    block on which vec(rho0) is zero stays zero and is skipped; every other
+    block is propagated by its dense exponential.
     """
     if t < 0:
         raise ValueError("evolution time must be nonnegative")
@@ -274,10 +233,8 @@ def evolve(rho0: np.ndarray, L: sp.spmatrix, t: float) -> np.ndarray:
         return rho0.copy()
     L = L.tocsr()
     vec0 = vectorize(rho0).astype(complex)
-    n_blocks, labels = connected_components(L.astype(bool), connection="weak")
-    stops = np.cumsum(np.bincount(labels, minlength=n_blocks))[:-1]
     vec_t = np.zeros_like(vec0)
-    for idx in np.split(np.argsort(labels, kind="stable"), stops):
+    for idx in _invariant_blocks(L):
         if not vec0[idx].any():
             continue
         block = L[idx][:, idx].toarray()

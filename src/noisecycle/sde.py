@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .wignerflux import _dx, _dxx
+
 THREADS_ENV = "NOISECYCLE_THREADS"
 _BLOCK_PATHS = 4096
 
@@ -265,41 +267,19 @@ def circulation_classical(cfg: SdeConfig, result: SdeEnsembleResult) -> tuple[fl
 # Fokker-Planck grid residuals
 # ---------------------------------------------------------------------------
 
-def _d1(values: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
-    out = np.zeros_like(values)
-    sl = [slice(None)] * values.ndim
-    lo, mid, hi = slice(None, -2), slice(1, -1), slice(2, None)
-    sl_lo, sl_mid, sl_hi = list(sl), list(sl), list(sl)
-    sl_lo[axis], sl_mid[axis], sl_hi[axis] = lo, mid, hi
-    out[tuple(sl_mid)] = (values[tuple(sl_hi)] - values[tuple(sl_lo)]) / (2.0 * h)
-    return out
-
-
-def _d2(values: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
-    out = np.zeros_like(values)
-    sl = [slice(None)] * values.ndim
-    lo, mid, hi = slice(None, -2), slice(1, -1), slice(2, None)
-    sl_lo, sl_mid, sl_hi = list(sl), list(sl), list(sl)
-    sl_lo[axis], sl_mid[axis], sl_hi[axis] = lo, mid, hi
-    out[tuple(sl_mid)] = (
-        values[tuple(sl_hi)] - 2.0 * values[tuple(sl_mid)] + values[tuple(sl_lo)]
-    ) / h ** 2
-    return out
-
-
 def _radial_residual(cfg: SdeConfig, grid: np.ndarray) -> float:
     h = grid[1] - grid[0]
     p = analytic_pdfs(cfg).radial(grid)
     drift = (3.0 * cfg.kappa * grid - cfg.delta * grid ** 3) * p
     diff = cfg.kappa * grid ** 2 * p
-    res = -_d1(drift, h) + _d2(diff, h)
+    res = -_dx(drift, h, 0) + _dxx(diff, h, 0)
     return float(np.abs(res[2:-2]).max())
 
 
 def _phase_residual(cfg: SdeConfig, grid: np.ndarray) -> float:
     h = grid[1] - grid[0]
     p = analytic_pdfs(cfg).phase(grid)
-    res = cfg.omega0 * _d1(p, h) + cfg.kappa * _d2(p, h)
+    res = cfg.omega0 * _dx(p, h, 0) + cfg.kappa * _dxx(p, h, 0)
     return float(np.abs(res[2:-2]).max())
 
 
@@ -312,7 +292,7 @@ def _cartesian_residual(cfg: SdeConfig, grid: tuple[np.ndarray, np.ndarray]) -> 
     ax = (cfg.omega0 * Y + 2.0 * cfg.kappa * X - 0.25 * cfg.delta * s * X) * p
     ay = (-cfg.omega0 * X + 2.0 * cfg.kappa * Y - 0.25 * cfg.delta * s * Y) * p
     diff = cfg.kappa * s * p
-    res = -_d1(ax, h, 0) - _d1(ay, h, 1) + _d2(diff, h, 0) + _d2(diff, h, 1)
+    res = -_dx(ax, h, 0) - _dx(ay, h, 1) + _dxx(diff, h, 0) + _dxx(diff, h, 1)
     return float(np.abs(res[2:-2, 2:-2]).max())
 
 
@@ -424,11 +404,11 @@ def _balance_fields(cfg: SdeConfig, xs: np.ndarray, ys: np.ndarray):
     s = X ** 2 + Y ** 2
     p = analytic_pdfs(cfg).plane(X, Y)
     # irreversible drift: the time-reversal-even part (position even, momentum odd)
-    irr_x = (2.0 * cfg.kappa * X - 0.25 * cfg.delta * s * X) * p - cfg.kappa * _d1(s * p, h, 0)
-    irr_y = (2.0 * cfg.kappa * Y - 0.25 * cfg.delta * s * Y) * p - cfg.kappa * _d1(s * p, h, 1)
+    irr_x = (2.0 * cfg.kappa * X - 0.25 * cfg.delta * s * X) * p - cfg.kappa * _dx(s * p, h, 0)
+    irr_y = (2.0 * cfg.kappa * Y - 0.25 * cfg.delta * s * Y) * p - cfg.kappa * _dx(s * p, h, 1)
     rev_x = cfg.omega0 * Y * p
     rev_y = -cfg.omega0 * X * p
-    div_rev = _d1(rev_x, h, 0) + _d1(rev_y, h, 1)
+    div_rev = _dx(rev_x, h, 0) + _dx(rev_y, h, 1)
     interior = (slice(2, -2), slice(2, -2))
     max_irr = float(np.hypot(irr_x, irr_y)[interior].max())
     max_div = float(np.abs(div_rev)[interior].max())

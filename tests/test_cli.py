@@ -128,6 +128,17 @@ def test_steady_report_zero_ratio_skips_reconstruction(tmp_path):
     assert "skipped" in report["checks"]["conserved_reconstruction_gap"]
 
 
+@pytest.mark.parametrize("k_ratio", ["0.3", "0"])
+def test_steady_report_without_rotation(tmp_path, k_ratio):
+    # the circulation closed form is exactly zero at omega0 = 0
+    out = tmp_path / "steady"
+    code = main(["steady", "--out", str(out), "--omega0", "0", "--k-ratio", k_ratio])
+    assert code == 0
+    report = json.loads((out / "summary.json").read_text())
+    assert report["all_pass"]
+    assert report["kernel_dim"] == 2
+
+
 # ---------------------------------------------------------------------------
 # evolve
 # ---------------------------------------------------------------------------

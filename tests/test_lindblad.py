@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import null_space
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import expm_multiply
 
@@ -14,6 +15,7 @@ from noisecycle.fock import (
     ModelParams,
     build_ladder,
     coherent_state,
+    default_dim,
     dissipator,
     fock_state,
     hamiltonian_term,
@@ -108,6 +110,51 @@ def test_degenerate_kernel_raises_with_dimension():
     with pytest.raises(DegenerateSpectrumError) as err:
         steady_states(gen)
     assert err.value.kernel_dim > 2
+
+
+@pytest.mark.parametrize("make_gen", [
+    pytest.param(lambda: liouvillian(ModelParams(omega0=1.0, kappa_down=1.0, kappa_up2=0.4), 12),
+                 id="noise-induced"),
+    pytest.param(lambda: liouvillian(CONV, 12), id="conventional"),
+    pytest.param(lambda: liouvillian(ModelParams(omega0=1.0, kappa_down=1.0,
+                                                 kind=ModelKind.CONVENTIONAL), 12),
+                 id="conventional-without-gain"),
+    # x-quadrature loss couples coherence orders m and m +/- 2
+    pytest.param(lambda: liouvillian(CONV, 12) + 0.2 * dissipator(quadrature_x(12)),
+                 id="without-phase-symmetry"),
+    # the y-quadrature drive also couples m and m +/- 1: one block
+    pytest.param(lambda: phase_breaking_generator(12), id="single-block"),
+])
+def test_steady_states_span_dense_null_space(make_gen):
+    # reference independent of the block split: the dense kernel of the whole generator
+    gen = make_gen()
+    kernel = null_space(gen.toarray())
+    result = steady_states(gen)
+    assert result.kernel_dim == len(result.states) == kernel.shape[1]
+    for rho in result.states:
+        vec = vectorize(rho)
+        residual = np.linalg.norm(vec - kernel @ (kernel.conj().T @ vec)) / np.linalg.norm(vec)
+        assert residual < 1e-10
+        assert np.array_equal(rho, rho.conj().T)
+        assert abs(np.trace(rho) - 1.0) < 1e-12
+
+
+def test_steady_state_zero_rotation_zero_ratio_counts_states():
+    # the |0><1| coherence is stationary as well, but its block carries no state
+    gen = liouvillian(ModelParams(omega0=0.0, kappa_down=1.0), 20)
+    assert null_space(gen.toarray()).shape[1] == 4
+    result = steady_states(gen)
+    assert result.kernel_dim == 2
+    assert np.allclose(result.rho_plus, fock_state(20, 0), atol=1e-10)
+    assert np.allclose(result.rho_minus, fock_state(20, 1), atol=1e-10)
+
+
+def test_steady_state_near_saturated_ratio_default_dim():
+    params = ModelParams(omega0=1.0, kappa_down=1.0, kappa_up2=0.9)
+    dim = default_dim(params)
+    assert dim >= 400
+    result = steady_states(liouvillian(params, dim))
+    assert trace_distance(result.combine(0.55), rho_ss_analytic(0.9, 0.55, dim)) < 1e-8
 
 
 # ---------------------------------------------------------------------------
