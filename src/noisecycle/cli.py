@@ -8,7 +8,6 @@ summary.  CSV numbers carry 17 significant digits.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -18,7 +17,7 @@ from pathlib import Path
 import numpy as np
 from scipy.stats import kstest
 
-from . import analytic, sde, verify, wignerflux
+from . import analytic, csvio, sde, verify, wignerflux
 from .fock import ModelKind, ModelParams, coherent_state, default_dim, fock_state, liouvillian
 from .lindblad import (
     circulation,
@@ -30,13 +29,6 @@ from .lindblad import (
     steady_states,
     trace_distance,
 )
-
-_FMT = "%.17g"
-
-
-def _fmt(value: float) -> str:
-    return _FMT % value
-
 
 def _merge_config(args: argparse.Namespace, keys: list[str]) -> dict:
     """Flags override JSON config fields; unset fields fall back to parser defaults."""
@@ -60,13 +52,10 @@ def _prepare_out(args: argparse.Namespace, command: str, cfg: dict) -> Path:
     return out
 
 
-def _write_csv(path: Path, header: list[str], rows, cfg: dict, command: str) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# config: {json.dumps({'command': command, **cfg}, sort_keys=True)}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([v if isinstance(v, str) else _fmt(v) for v in row])
+def _write_csv(path: Path, header: list[str], fmt: str, rows, cfg: dict, command: str) -> None:
+    comment = f"config: {json.dumps({'command': command, **cfg}, sort_keys=True)}"
+    with csvio.open_csv(path, header, [comment]) as fh:
+        csvio.write_rows(fh, fmt, rows)
 
 
 def _write_summary(out: Path, summary: dict) -> None:
@@ -118,8 +107,8 @@ def cmd_phase_diagram(args: argparse.Namespace) -> int:
                  float(analytic.sigmoid(point.q_ss)), point.phase.value)
             )
     _write_csv(out / "phase_diagram.csv",
-               ["K", "wp_plus", "r_star", "w0", "q_ss", "s_q", "phase"], rows, cfg,
-               "phase-diagram")
+               ["K", "wp_plus", "r_star", "w0", "q_ss", "s_q", "phase"],
+               csvio.row_format(*[csvio.NUMBER] * 6, csvio.TEXT), rows, cfg, "phase-diagram")
     _write_summary(out, {"rows": len(rows)})
     print(f"wrote {len(rows)} rows to {out/'phase_diagram.csv'}")
     return 0
@@ -275,7 +264,8 @@ def cmd_sde(args: argparse.Namespace) -> int:
     cap = int(cfg["dump_samples"])
     if cap > 0:
         rows = zip(result.r[:cap], result.phi[:cap], result.x[:cap], result.y[:cap])
-        _write_csv(out / "samples.csv", ["r", "phi", "x", "y"], rows, cfg, "sde")
+        _write_csv(out / "samples.csv", ["r", "phi", "x", "y"],
+                   csvio.row_format(*[csvio.NUMBER] * 4), rows, cfg, "sde")
     _write_summary(out, summary)
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0

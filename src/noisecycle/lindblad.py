@@ -370,14 +370,17 @@ def wigner_numeric(rho: np.ndarray, points: np.ndarray) -> np.ndarray:
     """W(x, y) from displaced-parity expectations, vacuum-calibrated to 1/(2 pi).
 
     ``points`` is an (m, 2) array of quadrature coordinates; the displacement
-    amplitude is alpha = (x + iy)/2 and each displacement operator exponential
-    is built from the eigendecomposition of its anti-Hermitian generator,
-    independent of any closed form.
+    amplitude is alpha = (x + iy)/2 = r e^{i theta}.  One eigendecomposition
+    i(a^dag - a) = V diag(lam) V^dag per call gives D(r) = V e^{-i r lam} V^dag
+    on the real axis, and the rotation R = diag(e^{i theta n}) turns it into
+    D(alpha) = R D(r) R^dag; no closed form enters.  The value is
+    Tr[rho D P D^dag] = sum_k (-1)^k (D^dag rho D)_kk, with P the parity.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     dim = rho.shape[0]
     a, ad = build_ladder(dim)
-    signs = (-1.0) ** np.arange(dim)
+    n = np.arange(dim)
+    signs = (-1.0) ** n
 
     pops = np.diag(rho).real
     tail = np.cumsum(pops[::-1])[::-1]
@@ -390,14 +393,14 @@ def wigner_numeric(rho: np.ndarray, points: np.ndarray) -> np.ndarray:
             stacklevel=2,
         )
 
+    evals, vecs = np.linalg.eigh(1j * (ad - a))
     values = np.empty(points.shape[0])
     for i, (x, y) in enumerate(points):
-        alpha = 0.5 * (x + 1j * y)
-        herm = 1j * (alpha * ad - np.conj(alpha) * a)
-        evals, vecs = np.linalg.eigh(herm)
-        disp = (vecs * np.exp(-1j * evals)) @ vecs.conj().T
-        displaced_parity = (disp * signs) @ disp.conj().T
-        values[i] = np.trace(rho @ displaced_parity).real / (2.0 * math.pi)
+        radius, angle = 0.5 * math.hypot(x, y), math.atan2(y, x)
+        rot = np.exp(1j * angle * n)
+        disp = (vecs * np.exp(-1j * radius * evals)) @ vecs.conj().T
+        disp = rot[:, None] * disp * rot.conj()
+        values[i] = ((disp.conj() * (rho @ disp)) @ signs).sum().real / (2.0 * math.pi)
     return values
 
 

@@ -9,12 +9,12 @@ which vanishes on the steady state at the discretization order.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import csvio
 from .analytic import mean_n_ss, wigner_ss
 from .fock import ModelKind, ModelParams
 
@@ -229,20 +229,18 @@ def max_flux_norm(jx: np.ndarray, jy: np.ndarray, cells: int = EDGE_CELLS) -> fl
 
 def field_to_csv(path, field: WignerField, jx: np.ndarray, jy: np.ndarray,
                  decomp: FluxDecomposition, header_lines: list[str] | None = None) -> None:
-    """Dump (x, y, w, jx, jy, j_irr_x, j_irr_y) rows for external plotting."""
-    with open(path, "w", newline="") as fh:
-        for line in header_lines or []:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "w", "jx", "jy", "j_irr_x", "j_irr_y"])
-        for i, xv in enumerate(field.x):
-            for j, yv in enumerate(field.y):
-                writer.writerow(
-                    [
-                        f"{v:.17g}"
-                        for v in (
-                            xv, yv, field.w[i, j], jx[i, j], jy[i, j],
-                            decomp.j_irr_x[i, j], decomp.j_irr_y[i, j],
-                        )
-                    ]
-                )
+    """Dump (x, y, w, jx, jy, j_irr_x, j_irr_y) rows for external plotting.
+
+    The rows go out in blocks, one per x value: x is formatted once per
+    block, and the block's ny rows share one row format filled from row
+    slices of the arrays.  Numbers carry 17 significant digits and rows end
+    in ``\\r\\n`` (the layout of :mod:`noisecycle.csvio`).
+    """
+    header = ["x", "y", "w", "jx", "jy", "j_irr_x", "j_irr_y"]
+    columns = (field.w, jx, jy, decomp.j_irr_x, decomp.j_irr_y)
+    y = field.y.tolist()
+    block_tail = "," + csvio.row_format(*[csvio.NUMBER] * (len(header) - 1))
+    with csvio.open_csv(path, header, header_lines or []) as fh:
+        for i, xv in enumerate(field.x.tolist()):
+            rows = zip(y, *(col[i].tolist() for col in columns))
+            csvio.write_rows(fh, csvio.NUMBER % xv + block_tail, rows)

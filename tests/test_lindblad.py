@@ -430,6 +430,36 @@ def test_wigner_numeric_matches_closed_form_grid():
     assert np.abs(numeric - wigner_ss(X, Y, k, wp)).max() < 1e-6
 
 
+def reference_wigner_numeric(rho, points):
+    """Displaced parity with one eigendecomposition of the generator per point."""
+    dim = rho.shape[0]
+    a, ad = build_ladder(dim)
+    signs = (-1.0) ** np.arange(dim)
+    values = np.empty(len(points))
+    for i, (x, y) in enumerate(points):
+        alpha = 0.5 * (x + 1j * y)
+        evals, vecs = np.linalg.eigh(1j * (alpha * ad - np.conj(alpha) * a))
+        disp = (vecs * np.exp(-1j * evals)) @ vecs.conj().T
+        values[i] = np.trace(rho @ (disp * signs) @ disp.conj().T).real / (2.0 * math.pi)
+    return values
+
+
+def test_wigner_numeric_coherent_state_with_phase():
+    # coherences make the value depend on the rotation's sign, unlike diagonal states
+    alpha = 0.8 * np.exp(0.7j)
+    pts = np.random.default_rng(11).uniform(-3.0, 3.0, size=(50, 2))
+    closed = np.exp(-((pts[:, 0] - 2 * alpha.real) ** 2
+                      + (pts[:, 1] - 2 * alpha.imag) ** 2) / 2) / (2 * math.pi)
+    assert np.abs(wigner_numeric(coherent_state(40, alpha), pts) - closed).max() < 1e-12
+
+
+def test_wigner_numeric_matches_per_point_reference():
+    rng = np.random.default_rng(5)
+    rho = random_density_matrix(24, support=8, rng=rng)
+    pts = rng.uniform(-1.5, 1.5, size=(40, 2))
+    assert np.abs(wigner_numeric(rho, pts) - reference_wigner_numeric(rho, pts)).max() < 1e-12
+
+
 def test_wigner_numeric_warns_beyond_safe_radius():
     with pytest.warns(UserWarning):
         wigner_numeric(coherent_state(16, 2.0), np.array([[6.0, 0.0]]))
