@@ -9,51 +9,63 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import kstest
 
 from . import analytic, csvio, sde, verify, wignerflux
 from .fock import ModelKind, ModelParams, coherent_state, default_dim, fock_state, liouvillian
-from .lindblad import (
-    circulation,
-    conserved_reconstruction,
-    detailed_balance_residual,
-    evolve,
-    parity_expectation,
-    parity_weights,
-    steady_states,
-    trace_distance,
-)
+from .lindblad import evolve, parity_expectation, parity_weights, trace_distance
 
-def _merge_config(args: argparse.Namespace, keys: list[str]) -> dict:
-    """Flags override JSON config fields; unset fields fall back to parser defaults."""
-    file_cfg = {}
-    if getattr(args, "config", None):
-        file_cfg = json.loads(Path(args.config).read_text())
+# Each command's fields and their defaults.  The flags, the config-file keys
+# and the echoed config all come from this table; a ``dim`` or ``extent`` of
+# 0 means "work it out from the other fields".
+FIELDS = {
+    "phase-diagram": {"k_min": 0.02, "k_max": 0.98, "k_count": 50,
+                      "wp_min": 0.0, "wp_max": 1.0, "wp_count": 50},
+    "steady": {"k_ratio": 0.5, "wp_plus": 0.55, "omega0": 1.0, "kappa_down": 1.0,
+               "kappa_up1": 0.0, "kind": ModelKind.NOISE_INDUCED.value, "dim": 0},
+    "evolve": {"k_ratio": 0.5, "omega0": 1.0, "kappa_down": 1.0, "dim": 0,
+               "t": 10.0, "initial": "vacuum"},
+    "sde": {"kappa": 1.0, "delta": 1.0, "omega0": 10.0, "dt": 0.002, "n_steps": 200,
+            "burn_in": 3000, "n_paths": 20000, "seed": 0, "coordinates": "polar",
+            "dump_samples": 10000},
+    "wigner": {"k_ratio": 0.5, "wp_plus": 0.55, "omega0": 1.0, "kappa_down": 1.0,
+               "h": 0.05, "extent": 0.0, "boundary_tol": 1e-2},
+}
+
+# argparse settings of the flags that take more than a typed value
+_FLAG_EXTRAS = {
+    "kind": {"choices": [k.value for k in ModelKind]},
+    "coordinates": {"choices": ["polar", "cartesian"]},
+    "initial": {"help": "vacuum | fock:n | coherent:alpha"},
+}
+
+
+def _merge_config(args: argparse.Namespace) -> dict:
+    """Flags override JSON config fields; unset fields take the table default."""
+    file_cfg = json.loads(Path(args.config).read_text()) if args.config else {}
     merged = {}
-    for key in keys:
+    for key, default in FIELDS[args.command].items():
         flag_value = getattr(args, key)
-        if flag_value is not None:
-            merged[key] = flag_value
-        elif key in file_cfg:
-            merged[key] = file_cfg[key]
+        merged[key] = flag_value if flag_value is not None else file_cfg.get(key, default)
     return merged
 
 
-def _prepare_out(args: argparse.Namespace, command: str, cfg: dict) -> Path:
-    out = Path(args.out or f"{command}-out")
+def _prepare_out(args: argparse.Namespace, cfg: dict) -> Path:
+    out = Path(args.out or f"{args.command}-out")
     out.mkdir(parents=True, exist_ok=True)
-    (out / "config.json").write_text(json.dumps({"command": command, **cfg}, indent=2) + "\n")
+    (out / "config.json").write_text(json.dumps({"command": args.command, **cfg}, indent=2) + "\n")
     return out
 
 
-def _write_csv(path: Path, header: list[str], fmt: str, rows, cfg: dict, command: str) -> None:
-    comment = f"config: {json.dumps({'command': command, **cfg}, sort_keys=True)}"
+def _config_comment(args: argparse.Namespace, cfg: dict) -> str:
+    return f"config: {json.dumps({'command': args.command, **cfg}, sort_keys=True)}"
+
+
+def _write_csv(path: Path, header: list[str], fmt: str, rows, comment: str) -> None:
     with csvio.open_csv(path, header, [comment]) as fh:
         csvio.write_rows(fh, fmt, rows)
 
@@ -63,19 +75,12 @@ def _write_summary(out: Path, summary: dict) -> None:
 
 
 def _model_from_cfg(cfg: dict) -> ModelParams:
-    kind = ModelKind(cfg.get("kind", "noise-induced"))
-    if kind is ModelKind.NOISE_INDUCED:
-        return ModelParams(
-            omega0=cfg.get("omega0", 1.0),
-            kappa_down=cfg.get("kappa_down", 1.0),
-            kappa_up2=cfg.get("k_ratio", 0.5) * cfg.get("kappa_down", 1.0),
-        )
-    return ModelParams(
-        omega0=cfg.get("omega0", 1.0),
-        kappa_down=cfg.get("kappa_down", 1.0),
-        kappa_up1=cfg.get("kappa_up1", 0.0),
-        kind=kind,
-    )
+    """The model a command's fields describe; without ``kind`` it is noise-induced."""
+    if cfg.get("kind") == ModelKind.CONVENTIONAL.value:
+        return ModelParams(omega0=cfg["omega0"], kappa_down=cfg["kappa_down"],
+                           kappa_up1=cfg["kappa_up1"], kind=ModelKind.CONVENTIONAL)
+    return ModelParams(omega0=cfg["omega0"], kappa_down=cfg["kappa_down"],
+                       kappa_up2=cfg["k_ratio"] * cfg["kappa_down"])
 
 
 # ---------------------------------------------------------------------------
@@ -83,21 +88,12 @@ def _model_from_cfg(cfg: dict) -> ModelParams:
 # ---------------------------------------------------------------------------
 
 def cmd_phase_diagram(args: argparse.Namespace) -> int:
-    keys = ["k_min", "k_max", "k_count", "wp_min", "wp_max", "wp_count"]
-    cfg = _merge_config(args, keys)
-    cfg = {
-        "k_min": cfg.get("k_min", 0.02),
-        "k_max": cfg.get("k_max", 0.98),
-        "k_count": cfg.get("k_count", 50),
-        "wp_min": cfg.get("wp_min", 0.0),
-        "wp_max": cfg.get("wp_max", 1.0),
-        "wp_count": cfg.get("wp_count", 50),
-    }
+    cfg = _merge_config(args)
     if not (0.0 < cfg["k_min"] <= cfg["k_max"] < 1.0):
         raise SystemExit(f"config error at k_min/k_max: need 0 < k_min <= k_max < 1, got {cfg}")
     if not (0.0 <= cfg["wp_min"] <= cfg["wp_max"] <= 1.0):
         raise SystemExit(f"config error at wp_min/wp_max: need range inside [0, 1], got {cfg}")
-    out = _prepare_out(args, "phase-diagram", cfg)
+    out = _prepare_out(args, cfg)
     rows = []
     for k in np.linspace(cfg["k_min"], cfg["k_max"], cfg["k_count"]):
         for wp in np.linspace(cfg["wp_min"], cfg["wp_max"], cfg["wp_count"]):
@@ -108,96 +104,31 @@ def cmd_phase_diagram(args: argparse.Namespace) -> int:
             )
     _write_csv(out / "phase_diagram.csv",
                ["K", "wp_plus", "r_star", "w0", "q_ss", "s_q", "phase"],
-               csvio.row_format(*[csvio.NUMBER] * 6, csvio.TEXT), rows, cfg, "phase-diagram")
+               csvio.row_format(*[csvio.NUMBER] * 6, csvio.TEXT), rows,
+               _config_comment(args, cfg))
     _write_summary(out, {"rows": len(rows)})
     print(f"wrote {len(rows)} rows to {out/'phase_diagram.csv'}")
     return 0
 
 
 def cmd_steady(args: argparse.Namespace) -> int:
-    keys = ["k_ratio", "wp_plus", "omega0", "kappa_down", "kappa_up1", "kind", "dim"]
-    cfg = _merge_config(args, keys)
-    cfg.setdefault("k_ratio", 0.5)
-    cfg.setdefault("wp_plus", 0.55)
-    cfg.setdefault("omega0", 1.0)
-    cfg.setdefault("kappa_down", 1.0)
-    cfg.setdefault("kind", "noise-induced")
+    cfg = _merge_config(args)
     params = _model_from_cfg(cfg)
-    dim = cfg.get("dim") or default_dim(params)
-    cfg["dim"] = dim
-    out = _prepare_out(args, "steady", cfg)
-
-    gen = liouvillian(params, dim)
-    solved = steady_states(gen)
-    checks = {}
-    if params.kind is ModelKind.NOISE_INDUCED:
-        k, wp = params.k_ratio, cfg["wp_plus"]
-        rho = solved.combine(wp)
-        dist = trace_distance(rho, analytic.rho_ss_analytic(k, wp, dim))
-        checks["steady_trace_distance"] = {"value": dist, "tol": 1e-8, "pass": dist < 1e-8}
-
-        circ = circulation(rho, params)
-        # without rotation (omega0 = 0) the closed form is zero: compare absolutely
-        circ_gap = abs(circ.phi - circ.phi_formula) / (abs(circ.phi_formula) or 1.0)
-        checks["circulation_rel_gap"] = {"value": circ_gap, "tol": 1e-8, "pass": circ_gap < 1e-8}
-
-        n = np.arange(dim, dtype=float)
-        pops = np.diag(rho).real
-        mean = float(n @ pops)
-        q_moments = (float(n ** 2 @ pops) - mean ** 2) / mean - 1.0
-        q_gap = abs(q_moments - analytic.mandel_q(k, wp))
-        # the truncated tail biases the second moment; allow for it explicitly
-        q_tol = 1e-10 + 4.0 * dim ** 2 * k ** (dim / 2) / max(mean, 0.1)
-        checks["mandel_q_gap"] = {"value": q_gap, "tol": q_tol, "pass": q_gap < q_tol}
-
-        residual = detailed_balance_residual(params, rho)
-        checks["detailed_balance_residual"] = {"value": residual, "tol": 1e-10,
-                                               "pass": residual < 1e-10}
-
-        if k > 0:
-            gap = float(np.abs(conserved_reconstruction(rho, k)
-                               - (wp * solved.rho_plus + (1 - wp) * solved.rho_minus)).max())
-            checks["conserved_reconstruction_gap"] = {"value": gap, "tol": 1e-10,
-                                                      "pass": gap < 1e-10}
-        else:
-            checks["conserved_reconstruction_gap"] = {
-                "skipped": "zero gain ratio conserves an extra coherence; reconstruction not defined"
-            }
-    else:
-        rho = solved.states[0]
-        residual = detailed_balance_residual(params, rho)
-        checks["detailed_balance_residual"] = {
-            "value": residual,
-            "expected": "fail (> 1e-3): the one-photon-gain model breaks detailed balance",
-            "pass": residual > 1e-3,
-        }
-        circ = circulation(rho, params)
-        checks["circulation"] = {"value": circ.phi, "mean_n": circ.mean_n, "pass": True}
-
-    summary = {
-        "kernel_dim": solved.kernel_dim,
-        "checks": checks,
-        "all_pass": all(c.get("pass", True) for c in checks.values()),
-    }
+    cfg["dim"] = cfg["dim"] or default_dim(params)
+    out = _prepare_out(args, cfg)
+    summary = verify.steady_report(params, cfg["dim"], cfg["wp_plus"])
     _write_summary(out, summary)
-    for name, c in checks.items():
+    for name, c in summary["checks"].items():
         status = "SKIP" if "skipped" in c else ("PASS" if c.get("pass") else "FAIL")
         print(f"{status}  {name}  {c}")
     return 0 if summary["all_pass"] else 1
 
 
 def cmd_evolve(args: argparse.Namespace) -> int:
-    keys = ["k_ratio", "omega0", "kappa_down", "dim", "t", "initial"]
-    cfg = _merge_config(args, keys)
-    cfg.setdefault("k_ratio", 0.5)
-    cfg.setdefault("omega0", 1.0)
-    cfg.setdefault("kappa_down", 1.0)
-    cfg.setdefault("t", 10.0)
-    cfg.setdefault("initial", "vacuum")
+    cfg = _merge_config(args)
     params = _model_from_cfg(cfg)
-    dim = cfg.get("dim") or default_dim(params)
-    cfg["dim"] = dim
-    out = _prepare_out(args, "evolve", cfg)
+    dim = cfg["dim"] = cfg["dim"] or default_dim(params)
+    out = _prepare_out(args, cfg)
 
     spec = cfg["initial"]
     if spec == "vacuum":
@@ -209,8 +140,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     else:
         raise SystemExit(f"config error at initial: unknown state {spec!r}")
 
-    gen = liouvillian(params, dim)
-    rho_t = evolve(rho0, gen, cfg["t"])
+    rho_t = evolve(rho0, liouvillian(params, dim), cfg["t"])
     wp0, _ = parity_weights(rho0)
     target = analytic.rho_ss_analytic(params.k_ratio, wp0, dim)
     summary = {
@@ -226,71 +156,34 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 
 
 def cmd_sde(args: argparse.Namespace) -> int:
-    keys = ["kappa", "delta", "omega0", "dt", "n_steps", "burn_in", "n_paths",
-            "seed", "coordinates", "dump_samples"]
-    cfg = _merge_config(args, keys)
-    cfg = {
-        "kappa": cfg.get("kappa", 1.0),
-        "delta": cfg.get("delta", 1.0),
-        "omega0": cfg.get("omega0", 10.0),
-        "dt": cfg.get("dt", 0.002),
-        "n_steps": cfg.get("n_steps", 200),
-        "burn_in": cfg.get("burn_in", 3000),
-        "n_paths": cfg.get("n_paths", 20000),
-        "seed": cfg.get("seed", 0),
-        "coordinates": cfg.get("coordinates", "polar"),
-        "dump_samples": cfg.get("dump_samples", 10000),
-    }
-    out = _prepare_out(args, "sde", cfg)
+    cfg = _merge_config(args)
+    out = _prepare_out(args, cfg)
     run_cfg = sde.SdeConfig(**{k: v for k, v in cfg.items() if k != "dump_samples"})
     result = sde.simulate_ensemble(run_cfg)
-    empirical, formula = sde.circulation_classical(run_cfg, result)
-    pdfs = sde.analytic_pdfs(run_cfg)
-    ks_r = kstest(result.r, lambda r: 1.0 - np.exp(-run_cfg.delta * r ** 2 / (2 * run_cfg.kappa)))
-    ks_phi = kstest(result.phi / (2.0 * math.pi), "uniform")
-    summary = {
-        "mean_r": result.mean_r,
-        "mean_r_expected": math.sqrt(math.pi * run_cfg.kappa / (2.0 * run_cfg.delta)),
-        "var_r": result.var_r,
-        "var_r_expected": (4.0 - math.pi) * run_cfg.kappa / (2.0 * run_cfg.delta),
-        "radial_mode_expected": pdfs.radial_mode,
-        "ks_r_pvalue": float(ks_r.pvalue),
-        "ks_phi_pvalue": float(ks_phi.pvalue),
-        "circulation_empirical": empirical,
-        "circulation_formula": formula,
-        "n_diverged": result.n_diverged,
-        "n_total": result.n_total,
-    }
+    summary = verify.ensemble_report(run_cfg, result)
     cap = int(cfg["dump_samples"])
     if cap > 0:
         rows = zip(result.r[:cap], result.phi[:cap], result.x[:cap], result.y[:cap])
         _write_csv(out / "samples.csv", ["r", "phi", "x", "y"],
-                   csvio.row_format(*[csvio.NUMBER] * 4), rows, cfg, "sde")
+                   csvio.row_format(*[csvio.NUMBER] * 4), rows, _config_comment(args, cfg))
     _write_summary(out, summary)
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0
 
 
 def cmd_wigner(args: argparse.Namespace) -> int:
-    keys = ["k_ratio", "wp_plus", "omega0", "kappa_down", "h", "extent", "boundary_tol"]
-    cfg = _merge_config(args, keys)
-    cfg.setdefault("k_ratio", 0.5)
-    cfg.setdefault("wp_plus", 0.55)
-    cfg.setdefault("omega0", 1.0)
-    cfg.setdefault("kappa_down", 1.0)
-    cfg.setdefault("h", 0.05)
-    cfg.setdefault("extent", wignerflux.default_extent(cfg["k_ratio"], cfg["wp_plus"]))
-    cfg.setdefault("boundary_tol", 1e-2)
+    cfg = _merge_config(args)
+    cfg["extent"] = cfg["extent"] or wignerflux.default_extent(cfg["k_ratio"], cfg["wp_plus"])
     params = _model_from_cfg(cfg)
-    out = _prepare_out(args, "wigner", cfg)
+    out = _prepare_out(args, cfg)
 
     field = wignerflux.sample_steady_field(cfg["k_ratio"], cfg["wp_plus"],
                                            extent=cfg["extent"], h=cfg["h"])
     residual = wignerflux.wigner_generator_apply(field, params, boundary_tol=cfg["boundary_tol"])
     jx, jy = wignerflux.wigner_current(field, params, boundary_tol=cfg["boundary_tol"])
     decomp = wignerflux.flux_decompose(field, jx, jy, params)
-    header = [f"config: {json.dumps({'command': 'wigner', **cfg}, sort_keys=True)}"]
-    wignerflux.field_to_csv(out / "field.csv", field, jx, jy, decomp, header_lines=header)
+    wignerflux.field_to_csv(out / "field.csv", field, jx, jy, decomp,
+                            header_lines=[_config_comment(args, cfg)])
     summary = {
         "mass": field.mass(),
         "max_generator_residual": float(np.abs(wignerflux.interior(residual)).max()),
@@ -306,8 +199,7 @@ def cmd_wigner(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     only = args.only.split(",") if args.only else None
     mutations = tuple(args.mutate.split(",")) if args.mutate else ()
-    cfg = {"only": only, "mutations": list(mutations)}
-    out = _prepare_out(args, "verify", cfg)
+    out = _prepare_out(args, {"only": only, "mutations": list(mutations)})
     start = time.time()
     results = verify.run_checks(only=only, mutations=mutations)
     report = {
@@ -333,11 +225,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="JSON config file; flags override its fields")
-    sub.add_argument("--out", help="output directory (created if missing)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="noisecycle",
@@ -345,68 +232,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("phase-diagram", help="sweep the (ratio, even-weight) square to CSV")
-    _add_common(p)
-    p.add_argument("--k-min", dest="k_min", type=float)
-    p.add_argument("--k-max", dest="k_max", type=float)
-    p.add_argument("--k-count", dest="k_count", type=int)
-    p.add_argument("--wp-min", dest="wp_min", type=float)
-    p.add_argument("--wp-max", dest="wp_max", type=float)
-    p.add_argument("--wp-count", dest="wp_count", type=int)
-    p.set_defaults(func=cmd_phase_diagram)
+    def subcommand(name: str, func, help_text: str) -> argparse.ArgumentParser:
+        p = subs.add_parser(name, help=help_text)
+        p.add_argument("--config", help="JSON config file; flags override its fields")
+        p.add_argument("--out", help="output directory (created if missing)")
+        for key, default in FIELDS.get(name, {}).items():
+            p.add_argument("--" + key.replace("_", "-"), dest=key, type=type(default),
+                           **_FLAG_EXTRAS.get(key, {}))
+        p.set_defaults(func=func)
+        return p
 
-    p = subs.add_parser("steady", help="cross-checked steady-state report")
-    _add_common(p)
-    p.add_argument("--k-ratio", dest="k_ratio", type=float)
-    p.add_argument("--wp-plus", dest="wp_plus", type=float)
-    p.add_argument("--omega0", type=float)
-    p.add_argument("--kappa-down", dest="kappa_down", type=float)
-    p.add_argument("--kappa-up1", dest="kappa_up1", type=float)
-    p.add_argument("--kind", choices=[k.value for k in ModelKind])
-    p.add_argument("--dim", type=int)
-    p.set_defaults(func=cmd_steady)
-
-    p = subs.add_parser("evolve", help="propagate an initial state and report")
-    _add_common(p)
-    p.add_argument("--k-ratio", dest="k_ratio", type=float)
-    p.add_argument("--omega0", type=float)
-    p.add_argument("--kappa-down", dest="kappa_down", type=float)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--t", type=float)
-    p.add_argument("--initial", help="vacuum | fock:n | coherent:alpha")
-    p.set_defaults(func=cmd_evolve)
-
-    p = subs.add_parser("sde", help="classical ensemble with summary statistics")
-    _add_common(p)
-    p.add_argument("--kappa", type=float)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--omega0", type=float)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--n-steps", dest="n_steps", type=int)
-    p.add_argument("--burn-in", dest="burn_in", type=int)
-    p.add_argument("--n-paths", dest="n_paths", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--coordinates", choices=["polar", "cartesian"])
-    p.add_argument("--dump-samples", dest="dump_samples", type=int)
-    p.set_defaults(func=cmd_sde)
-
-    p = subs.add_parser("wigner", help="steady field, current, and flux decomposition")
-    _add_common(p)
-    p.add_argument("--k-ratio", dest="k_ratio", type=float)
-    p.add_argument("--wp-plus", dest="wp_plus", type=float)
-    p.add_argument("--omega0", type=float)
-    p.add_argument("--kappa-down", dest="kappa_down", type=float)
-    p.add_argument("--h", type=float)
-    p.add_argument("--extent", type=float)
-    p.add_argument("--boundary-tol", dest="boundary_tol", type=float)
-    p.set_defaults(func=cmd_wigner)
-
-    p = subs.add_parser("verify", help="run the acceptance checks")
-    _add_common(p)
+    subcommand("phase-diagram", cmd_phase_diagram, "sweep the (ratio, even-weight) square to CSV")
+    subcommand("steady", cmd_steady, "cross-checked steady-state report")
+    subcommand("evolve", cmd_evolve, "propagate an initial state and report")
+    subcommand("sde", cmd_sde, "classical ensemble with summary statistics")
+    subcommand("wigner", cmd_wigner, "steady field, current, and flux decomposition")
+    p = subcommand("verify", cmd_verify, "run the acceptance checks")
     p.add_argument("--only", help="comma-separated check names")
     p.add_argument("--mutate", help="comma-separated fault injections (self-test)")
-    p.set_defaults(func=cmd_verify)
-
     return parser
 
 

@@ -26,8 +26,10 @@ from .fock import (
     ModelKind,
     ModelParams,
     adjoint_liouvillian,
+    adjoint_super,
     build_ladder,
     devectorize,
+    left_mult,
     liouvillian,
     number_op,
     parity_op,
@@ -319,11 +321,10 @@ def detailed_balance_residual(params: ModelParams, rho_ss: np.ndarray) -> float:
             f"state is not stationary: ||L vec(rho)|| = {stationarity:.3e}"
         )
     reversed_L = time_reversed_liouvillian(params, dim)
-    adjoint = L.conjugate().transpose().tocsr()
     trimmed = rho_ss.copy()
     trimmed[np.abs(trimmed) < 1e-15 * np.abs(trimmed).max()] = 0.0
-    mult_left = sp.kron(sp.identity(dim, dtype=complex), sp.csr_matrix(trimmed), format="csr")
-    residual = mult_left @ adjoint - reversed_L @ mult_left
+    mult_left = left_mult(trimmed)
+    residual = mult_left @ adjoint_super(L) - reversed_L @ mult_left
     return float(sparse_norm(residual) / sparse_norm(L))
 
 

@@ -82,7 +82,6 @@ class SdeEnsembleResult:
     mean_r: float
     var_r: float
     mean_x2_plus_y2: float
-    circulation_empirical: float
     n_diverged: int
     n_total: int
 
@@ -157,22 +156,24 @@ def step_polar(state, cfg: SdeConfig, noise):
     return np.abs(r_new), phi_new
 
 
+def _cartesian_drift(x, y, cfg: SdeConfig):
+    s = x ** 2 + y ** 2
+    return (
+        cfg.omega0 * y + 2.0 * cfg.kappa * x - 0.25 * cfg.delta * s * x,
+        -cfg.omega0 * x + 2.0 * cfg.kappa * y - 0.25 * cfg.delta * s * y,
+    )
+
+
+def _cartesian_noise(x, y, d_x, d_y):
+    return 0.5 * (x * d_x + y * d_y), 0.5 * (x * d_y - y * d_x)
+
+
 def step_cartesian(state, cfg: SdeConfig, noise):
     """Euler-Maruyama update of (x, y) with the mixed multiplicative noise."""
     x, y = state
-    d_x, d_y = noise
-    s = x ** 2 + y ** 2
-    x_new = (
-        x
-        + (cfg.omega0 * y + 2.0 * cfg.kappa * x - 0.25 * cfg.delta * s * x) * cfg.dt
-        + 0.5 * (x * d_x + y * d_y)
-    )
-    y_new = (
-        y
-        + (-cfg.omega0 * x + 2.0 * cfg.kappa * y - 0.25 * cfg.delta * s * y) * cfg.dt
-        + 0.5 * (x * d_y - y * d_x)
-    )
-    return x_new, y_new
+    a_x, a_y = _cartesian_drift(x, y, cfg)
+    n_x, n_y = _cartesian_noise(x, y, *noise)
+    return x + a_x * cfg.dt + n_x, y + a_y * cfg.dt + n_y
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +238,6 @@ def simulate_ensemble(cfg: SdeConfig) -> SdeEnsembleResult:
         r = 0.5 * np.hypot(x, y)
         phi = np.mod(np.arctan2(y, x), 2.0 * math.pi)
 
-    mean_sq = float(np.mean(x ** 2 + y ** 2))
     return SdeEnsembleResult(
         r=r,
         phi=phi,
@@ -245,8 +245,7 @@ def simulate_ensemble(cfg: SdeConfig) -> SdeEnsembleResult:
         y=y,
         mean_r=float(np.mean(r)),
         var_r=float(np.var(r)),
-        mean_x2_plus_y2=mean_sq,
-        circulation_empirical=abs(cfg.omega0) * mean_sq,
+        mean_x2_plus_y2=float(np.mean(x ** 2 + y ** 2)),
         n_diverged=n_diverged,
         n_total=cfg.n_paths,
     )
@@ -287,12 +286,10 @@ def _cartesian_residual(cfg: SdeConfig, grid: tuple[np.ndarray, np.ndarray]) -> 
     xs, ys = grid
     h = xs[1] - xs[0]
     X, Y = np.meshgrid(xs, ys, indexing="ij")
-    s = X ** 2 + Y ** 2
     p = analytic_pdfs(cfg).plane(X, Y)
-    ax = (cfg.omega0 * Y + 2.0 * cfg.kappa * X - 0.25 * cfg.delta * s * X) * p
-    ay = (-cfg.omega0 * X + 2.0 * cfg.kappa * Y - 0.25 * cfg.delta * s * Y) * p
-    diff = cfg.kappa * s * p
-    res = -_dx(ax, h, 0) - _dx(ay, h, 1) + _dxx(diff, h, 0) + _dxx(diff, h, 1)
+    a_x, a_y = _cartesian_drift(X, Y, cfg)
+    diff = cfg.kappa * (X ** 2 + Y ** 2) * p
+    res = -_dx(a_x * p, h, 0) - _dx(a_y * p, h, 1) + _dxx(diff, h, 0) + _dxx(diff, h, 1)
     return float(np.abs(res[2:-2, 2:-2]).max())
 
 
@@ -335,18 +332,6 @@ def fokker_planck_residual(which: str, cfg: SdeConfig, grid) -> float:
 # ---------------------------------------------------------------------------
 # Stratonovich vs Ito drift conversion
 # ---------------------------------------------------------------------------
-
-def _cartesian_drift(x, y, cfg: SdeConfig):
-    s = x ** 2 + y ** 2
-    return (
-        cfg.omega0 * y + 2.0 * cfg.kappa * x - 0.25 * cfg.delta * s * x,
-        -cfg.omega0 * x + 2.0 * cfg.kappa * y - 0.25 * cfg.delta * s * y,
-    )
-
-
-def _cartesian_noise(x, y, d_x, d_y):
-    return 0.5 * (x * d_x + y * d_y), 0.5 * (x * d_y - y * d_x)
-
 
 def noise_induced_drift_check(
     cfg: SdeConfig,

@@ -3,10 +3,15 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import noisecycle
 from noisecycle.cli import main
 
 
@@ -84,15 +89,51 @@ def test_phase_diagram_rejects_bad_range(tmp_path):
     assert "k_min" in str(err.value)
 
 
-def test_config_file_with_flag_override(tmp_path):
+# command, config-file fields, a flag overriding one of them, fields left unset
+# with their defaults, and part of the expected summary
+CONFIG_CASES = [
+    ("phase-diagram", {"k_count": 3, "wp_count": 3, "k_min": 0.2, "k_max": 0.8},
+     {"wp_count": 2}, {"wp_min": 0.0, "wp_max": 1.0},
+     {"rows": 6}),  # 3 from the file x 2 from the overriding flag
+    ("steady", {"kind": "conventional", "kappa_up1": 0.2, "dim": 12},
+     {"kappa_up1": 0.3}, {"omega0": 1.0, "kappa_down": 1.0},
+     {"kernel_dim": 1, "all_pass": True}),
+    ("evolve", {"k_ratio": 0.3, "dim": 30, "t": 5.0, "initial": "fock:2"},
+     {"t": 2.0}, {"omega0": 1.0, "kappa_down": 1.0},
+     {"t": 2.0}),
+    ("sde", {"n_paths": 300, "burn_in": 20, "n_steps": 5, "seed": 3, "dump_samples": 50},
+     {"seed": 4}, {"kappa": 1.0, "coordinates": "polar"},
+     {"n_total": 300}),
+    ("wigner", {"h": 0.4, "extent": 8.0, "wp_plus": 0.9},
+     {"wp_plus": 0.55}, {"k_ratio": 0.5, "boundary_tol": 0.01},
+     {}),
+]
+
+
+def as_flags(fields):
+    return [arg for key, value in fields.items()
+            for arg in ("--" + key.replace("_", "-"), str(value))]
+
+
+@pytest.mark.parametrize("command, from_file, override, unset, summary",
+                         CONFIG_CASES, ids=[case[0] for case in CONFIG_CASES])
+def test_config_file_with_flag_override(tmp_path, command, from_file, override, unset,
+                                        summary):
     cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"k_count": 3, "wp_count": 3, "k_min": 0.2, "k_max": 0.8}))
-    out = tmp_path / "pd"
-    main(["phase-diagram", "--config", str(cfg), "--out", str(out), "--wp-count", "2"])
-    _, _, rows = read_csv(out / "phase_diagram.csv")
-    assert len(rows) == 6  # 3 from file x 2 from the overriding flag
-    echoed = json.loads((out / "config.json").read_text())
-    assert echoed["wp_count"] == 2 and echoed["k_count"] == 3
+    cfg.write_text(json.dumps(from_file))
+    merged, direct = tmp_path / "merged", tmp_path / "direct"
+    assert main([command, "--config", str(cfg), "--out", str(merged), *as_flags(override)]) == 0
+    echoed = json.loads((merged / "config.json").read_text())
+    expected = {"command": command, **from_file, **override, **unset}
+    assert {key: echoed.get(key) for key in expected} == expected
+    report = json.loads((merged / "summary.json").read_text())
+    assert {key: report.get(key) for key in summary} == summary
+    # the file's fields are used: the run matches one given every field as a flag
+    assert main([command, "--out", str(direct), *as_flags({**from_file, **override})]) == 0
+    files = sorted(p.name for p in merged.iterdir())
+    assert files == sorted(p.name for p in direct.iterdir())
+    for name in files:
+        assert (merged / name).read_bytes() == (direct / name).read_bytes(), name
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +260,12 @@ def test_verify_unknown_check_rejected(tmp_path):
         main(["verify", "--out", str(tmp_path / "v"), "--only", "no-such-check"])
 
 
+def test_verify_unknown_mutation_rejected(tmp_path):
+    with pytest.raises(KeyError):
+        main(["verify", "--out", str(tmp_path / "v"), "--only", "circulation",
+              "--mutate", "typo"])
+
+
 def test_verify_mutation_mode_fails_circulation(tmp_path):
     out = tmp_path / "v"
     code = main(["verify", "--out", str(out), "--only", "circulation",
@@ -226,3 +273,19 @@ def test_verify_mutation_mode_fails_circulation(tmp_path):
     assert code == 1
     report = json.loads((out / "report.json").read_text())
     assert not report["checks"]["circulation"]["passed"]
+
+
+# ---------------------------------------------------------------------------
+# import cost
+# ---------------------------------------------------------------------------
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # every command pays for what the CLI module imports; only the ensemble
+    # report needs scipy.stats, and it imports it when it runs
+    src = str(Path(noisecycle.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = "import sys, noisecycle.cli; print('scipy.stats' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    assert done.stdout.strip() == "False"
