@@ -373,9 +373,11 @@ def wigner_numeric(rho: np.ndarray, points: np.ndarray) -> np.ndarray:
     ``points`` is an (m, 2) array of quadrature coordinates; the displacement
     amplitude is alpha = (x + iy)/2 = r e^{i theta}.  One eigendecomposition
     i(a^dag - a) = V diag(lam) V^dag per call gives D(r) = V e^{-i r lam} V^dag
-    on the real axis, and the rotation R = diag(e^{i theta n}) turns it into
-    D(alpha) = R D(r) R^dag; no closed form enters.  The value is
-    Tr[rho D P D^dag] = sum_k (-1)^k (D^dag rho D)_kk, with P the parity.
+    on the real axis, built once per distinct radius, and the rotation
+    R = diag(e^{i theta n}) turns it into D(alpha) = R D(r) R^dag; no closed
+    form enters.  With P the parity, the value is
+    Tr[rho D(alpha) P D(alpha)^dag] = sum_jk rho_jk (R D(r) P D(r)^dag R^dag)_kj,
+    so each point of a radius costs one product with its diagonal rotation.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     dim = rho.shape[0]
@@ -387,21 +389,23 @@ def wigner_numeric(rho: np.ndarray, points: np.ndarray) -> np.ndarray:
     tail = np.cumsum(pops[::-1])[::-1]
     occupied = np.nonzero(tail > 1e-9)[0]
     n_cov = int(occupied[-1]) if occupied.size else 0
-    alpha_max = 0.5 * np.sqrt((points ** 2).sum(axis=1)).max()
-    if (alpha_max + math.sqrt(n_cov + 1.0)) ** 2 > dim - 2:
+    radii, group = np.unique(0.5 * np.hypot(points[:, 0], points[:, 1]), return_inverse=True)
+    if (radii[-1] + math.sqrt(n_cov + 1.0)) ** 2 > dim - 2:
         warnings.warn(
             "grid reaches beyond the safe displacement radius for this truncation",
             stacklevel=2,
         )
 
     evals, vecs = np.linalg.eigh(1j * (ad - a))
+    angles = np.arctan2(points[:, 1], points[:, 0])
     values = np.empty(points.shape[0])
-    for i, (x, y) in enumerate(points):
-        radius, angle = 0.5 * math.hypot(x, y), math.atan2(y, x)
-        rot = np.exp(1j * angle * n)
+    for j, radius in enumerate(radii):
         disp = (vecs * np.exp(-1j * radius * evals)) @ vecs.conj().T
-        disp = rot[:, None] * disp * rot.conj()
-        values[i] = ((disp.conj() * (rho @ disp)) @ signs).sum().real / (2.0 * math.pi)
+        # rho_jk (D P D^dag)_kj: the value at angle theta is rot^dag kernel rot
+        kernel = rho * ((disp * signs) @ disp.conj().T).T
+        members = np.flatnonzero(group == j)
+        rot = np.exp(1j * np.outer(angles[members], n))
+        values[members] = ((rot.conj() @ kernel) * rot).sum(axis=1).real / (2.0 * math.pi)
     return values
 
 

@@ -460,6 +460,16 @@ def test_wigner_numeric_matches_per_point_reference():
     assert np.abs(wigner_numeric(rho, pts) - reference_wigner_numeric(rho, pts)).max() < 1e-12
 
 
+def test_wigner_numeric_square_grid_matches_per_point_reference():
+    # the mirror images of each point share its radius
+    rng = np.random.default_rng(6)
+    rho = random_density_matrix(24, support=8, rng=rng)
+    xs = np.linspace(-1.5, 1.5, 9)
+    pts = np.array([(x, y) for x in xs for y in xs])
+    assert np.unique(np.hypot(pts[:, 0], pts[:, 1])).size < len(pts) // 4
+    assert np.abs(wigner_numeric(rho, pts) - reference_wigner_numeric(rho, pts)).max() < 1e-12
+
+
 def test_wigner_numeric_warns_beyond_safe_radius():
     with pytest.warns(UserWarning):
         wigner_numeric(coherent_state(16, 2.0), np.array([[6.0, 0.0]]))

@@ -1,6 +1,7 @@
 """Classical ensemble statistics, grid operators, drift conversion, detailed balance."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from noisecycle.sde import (
     GridRefinementError,
     SdeConfig,
     SdeError,
+    THREADS_ENV,
+    _block_rng,
     analytic_pdfs,
     circulation_classical,
     classical_detailed_balance,
@@ -114,14 +117,54 @@ def test_divergence_budget():
         simulate_ensemble(cfg)
 
 
-def test_thread_count_does_not_change_results(polar_ensemble, monkeypatch):
-    cfg, result = polar_ensemble
-    from noisecycle.sde import THREADS_ENV
-
+@pytest.mark.parametrize("coordinates", ["polar", "cartesian"])
+def test_thread_count_does_not_change_results(coordinates, monkeypatch):
+    # two full blocks and a one-path remainder
+    cfg = SdeConfig(kappa=1.0, delta=1.0, omega0=10.0, dt=0.002, n_steps=10,
+                    burn_in=100, n_paths=2 * 4096 + 1, seed=7, coordinates=coordinates)
+    monkeypatch.setenv(THREADS_ENV, "1")
+    serial = simulate_ensemble(cfg)
     monkeypatch.setenv(THREADS_ENV, "4")
     threaded = simulate_ensemble(cfg)
-    assert np.array_equal(result.r, threaded.r)
-    assert np.array_equal(result.phi, threaded.phi)
+    for name in ("r", "phi", "x", "y"):
+        assert np.array_equal(getattr(serial, name), getattr(threaded, name))
+
+
+@pytest.mark.parametrize("coordinates", ["polar", "cartesian"])
+def test_ensemble_matches_reference_step(coordinates):
+    # the block's own stream fed through the public Euler step at omega0 = 0,
+    # then rotated by -omega0 T; in polar the phase is one draw after the loop
+    cfg = SdeConfig(kappa=0.7, delta=1.3, omega0=3.0, dt=2e-3, n_steps=5, burn_in=20,
+                    n_paths=300, seed=5, coordinates=coordinates)
+    still = replace(cfg, omega0=0.0)
+    rng = _block_rng(cfg.seed, 0)
+    n, total = cfg.n_paths, cfg.burn_in + cfg.n_steps
+    angle = cfg.omega0 * total * cfg.dt
+    if coordinates == "polar":
+        r = np.full(n, math.sqrt(2.0 * cfg.kappa / cfg.delta))
+        for _ in range(total):
+            r, _ = step_polar((r, 0.0), still, (cfg.noise_std * rng.standard_normal(n), 0.0))
+        phi = math.sqrt(2.0 * cfg.kappa * total * cfg.dt) * rng.standard_normal(n) - angle
+        x, y = 2.0 * r * np.cos(phi), 2.0 * r * np.sin(phi)
+    else:
+        x, y = np.full(n, 2.0 * math.sqrt(cfg.kappa / cfg.delta)), np.zeros(n)
+        for _ in range(total):
+            x, y = step_cartesian((x, y), still, cfg.noise_std * rng.standard_normal((2, n)))
+        x, y = math.cos(angle) * x + math.sin(angle) * y, math.cos(angle) * y - math.sin(angle) * x
+    result = simulate_ensemble(cfg)
+    assert result.n_diverged == 0
+    assert np.all(np.hypot(result.x - x, result.y - y) <= 1e-12 * np.hypot(x, y))
+
+
+def test_cartesian_fast_rotation_leaves_radius_unbiased():
+    # an Euler step of the rotation itself inflates the radius by O(omega0^2 dt):
+    # about 14 standard errors at this step
+    cfg = SdeConfig(kappa=0.5, delta=2.0, omega0=10.0, dt=0.004, n_steps=200, burn_in=3000,
+                    n_paths=4096, coordinates="cartesian")
+    result = simulate_ensemble(cfg)
+    scale_sq = cfg.kappa / cfg.delta
+    std_error = math.sqrt((4.0 - math.pi) / 2.0 * scale_sq / result.r.size)
+    assert abs(result.mean_r - math.sqrt(math.pi * scale_sq / 2.0)) < 3.0 * std_error
 
 
 def test_phase_uniformity(polar_ensemble):
