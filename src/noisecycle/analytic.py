@@ -108,10 +108,7 @@ def rho_ss_analytic(k_ratio: float, wp_plus: float, dim: int) -> np.ndarray:
     Truncated to ``dim`` levels and renormalized; the trace deficit before
     renormalization is below k_ratio**(dim/2).
     """
-    if not 0.0 <= k_ratio < 1.0:
-        raise AnalyticError(f"gain/loss ratio must lie in [0, 1), got {k_ratio}")
-    if not 0.0 <= wp_plus <= 1.0:
-        raise AnalyticError(f"even weight must lie in [0, 1], got {wp_plus}")
+    WignerClosedForm(k_ratio, wp_plus)  # validates both arguments
     n = np.arange(dim)
     geom = (1.0 - k_ratio) * k_ratio ** (n // 2).astype(float)
     pops = np.where(n % 2 == 0, wp_plus * geom, (1.0 - wp_plus) * geom)
@@ -186,8 +183,6 @@ def wigner_minus(x, y, k_ratio: float):
 
 def wigner_ss(x, y, k_ratio: float, wp_plus: float):
     """Steady quasiprobability W(x, y), normalized to unit integral over the plane."""
-    if not 0.0 <= k_ratio < 1.0:
-        raise AnalyticError(f"gain/loss ratio must lie in [0, 1), got {k_ratio}")
     return wp_plus * wigner_plus(x, y, k_ratio) + (1.0 - wp_plus) * wigner_minus(
         x, y, k_ratio
     )

@@ -27,6 +27,7 @@ from .fock import (
     ModelParams,
     adjoint_liouvillian,
     adjoint_super,
+    apply_super,
     build_ladder,
     devectorize,
     left_mult,
@@ -270,8 +271,8 @@ def circulation(rho: np.ndarray, params: ModelParams) -> CirculationResult:
     adj = adjoint_liouvillian(params, dim)
     x = quadrature_x(dim)
     y = quadrature_y(dim)
-    adj_y = devectorize(adj @ vectorize(y))
-    adj_x = devectorize(adj @ vectorize(x))
+    adj_y = apply_super(adj, y)
+    adj_x = apply_super(adj, x)
     observable = x @ adj_y - y @ adj_x
     phi = abs(float(np.trace(rho @ observable).real))
     mean_n = float(np.trace(rho @ number_op(dim)).real)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .wignerflux import _dx, _dxx
+from .wignerflux import _dx, _dxx, interior, make_grid
 
 THREADS_ENV = "NOISECYCLE_THREADS"
 _BLOCK_PATHS = 4096
@@ -317,14 +317,14 @@ def _radial_residual(cfg: SdeConfig, grid: np.ndarray) -> float:
     drift = (3.0 * cfg.kappa * grid - cfg.delta * grid ** 3) * p
     diff = cfg.kappa * grid ** 2 * p
     res = -_dx(drift, h, 0) + _dxx(diff, h, 0)
-    return float(np.abs(res[2:-2]).max())
+    return float(np.abs(interior(res, 2)).max())
 
 
 def _phase_residual(cfg: SdeConfig, grid: np.ndarray) -> float:
     h = grid[1] - grid[0]
     p = analytic_pdfs(cfg).phase(grid)
     res = cfg.omega0 * _dx(p, h, 0) + cfg.kappa * _dxx(p, h, 0)
-    return float(np.abs(res[2:-2]).max())
+    return float(np.abs(interior(res, 2)).max())
 
 
 def _cartesian_residual(cfg: SdeConfig, grid: tuple[np.ndarray, np.ndarray]) -> float:
@@ -335,7 +335,7 @@ def _cartesian_residual(cfg: SdeConfig, grid: tuple[np.ndarray, np.ndarray]) -> 
     a_x, a_y = _cartesian_drift(X, Y, cfg)
     diff = cfg.kappa * (X ** 2 + Y ** 2) * p
     res = -_dx(a_x * p, h, 0) - _dx(a_y * p, h, 1) + _dxx(diff, h, 0) + _dxx(diff, h, 1)
-    return float(np.abs(res[2:-2, 2:-2]).max())
+    return float(np.abs(interior(res, 2)).max())
 
 
 def _refine(grid: np.ndarray) -> np.ndarray:
@@ -439,9 +439,8 @@ def _balance_fields(cfg: SdeConfig, xs: np.ndarray, ys: np.ndarray):
     rev_x = cfg.omega0 * Y * p
     rev_y = -cfg.omega0 * X * p
     div_rev = _dx(rev_x, h, 0) + _dx(rev_y, h, 1)
-    interior = (slice(2, -2), slice(2, -2))
-    max_irr = float(np.hypot(irr_x, irr_y)[interior].max())
-    max_div = float(np.abs(div_rev)[interior].max())
+    max_irr = float(interior(np.hypot(irr_x, irr_y), 2).max())
+    max_div = float(np.abs(interior(div_rev, 2)).max())
     return max_irr, max_div
 
 
@@ -458,9 +457,8 @@ def classical_detailed_balance(cfg: SdeConfig, extent: float | None = None,
     """
     if extent is None:
         extent = 8.0 * math.sqrt(cfg.kappa / cfg.delta)
-    n = int(round(2.0 * extent / h)) + 1
-    xs = np.linspace(-extent, extent, n)
-    fine = np.linspace(-extent, extent, 2 * (n - 1) + 1)
+    xs = make_grid(extent, h)
+    fine = _refine(xs)
     irr_c, div_c = _balance_fields(cfg, xs, xs)
     irr_f, div_f = _balance_fields(cfg, fine, fine)
 

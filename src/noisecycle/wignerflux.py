@@ -85,7 +85,7 @@ def sample_steady_field(k_ratio: float, wp_plus: float, extent: float | None = N
 
 
 def interior(values: np.ndarray, cells: int = EDGE_CELLS) -> np.ndarray:
-    return values[cells:-cells, cells:-cells]
+    return values[(slice(cells, -cells),) * values.ndim]
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ half of that check passes and is asserted separately in the analytic tests.
 
 import pytest
 
+from noisecycle import verify
 from noisecycle.verify import run_check
 
 
@@ -81,3 +82,28 @@ def test_criterion_11_wigner_flux():
 def test_criterion_12_classical_mode():
     """Classical stationary density peaks at the origin for every rate pair."""
     _drive("classical-mode")
+
+
+# ---------------------------------------------------------------------------
+# the checks have teeth
+# ---------------------------------------------------------------------------
+
+def _failing_rows(result) -> list[str]:
+    return [k for k, v in result.details.items() if isinstance(v, dict) and not v["pass"]]
+
+
+@pytest.mark.parametrize("mutation, check", sorted(verify.MUTATIONS.items()))
+def test_mutation_fails_its_check(mutation, check):
+    result = run_check(check, mutations=(mutation,))
+    print(result.summary())
+    assert "error" not in result.details, result.summary()
+    assert _failing_rows(result), result.summary()
+    assert not result.passed
+
+
+def test_runtime_budget_fails_a_slow_check(monkeypatch):
+    monkeypatch.setitem(verify.RUNTIME_BUDGETS_S, "wigner-oracle", 0.0)
+    result = run_check("wigner-oracle")
+    assert _failing_rows(result) == ["runtime"], result.summary()
+    assert result.details["runtime"]["value"] == result.duration
+    assert not result.passed

@@ -255,6 +255,23 @@ def test_verify_single_check(tmp_path):
     assert report["checks"]["detailed-balance"]["passed"]
 
 
+def test_verify_report_rows(tmp_path):
+    out = tmp_path / "v"
+    code = main(["verify", "--out", str(out), "--only", "detailed-balance,hopf-scaling"])
+    assert code == 1
+    checks = json.loads((out / "report.json").read_text())["checks"]
+    assert list(checks) == ["detailed-balance", "hopf-scaling"]
+    for name, details in checks.items():
+        rows = {k: v for k, v in details.items() if isinstance(v, dict)}
+        assert rows, name
+        assert all({"value", "pass"} <= row.keys() for row in rows.values()), name
+        assert details["passed"] == all(row["pass"] for row in rows.values()), name
+    hopf = checks["hopf-scaling"]
+    # the exponent rows pass; the prefactor rows fail against the quoted constants (README)
+    assert hopf["slope_wp_gap"]["pass"] and hopf["slope_k_gap"]["pass"]
+    assert not hopf["coefficient_wp_gap"]["pass"] and not hopf["coefficient_k_gap"]["pass"]
+
+
 def test_verify_unknown_check_rejected(tmp_path):
     with pytest.raises(KeyError):
         main(["verify", "--out", str(tmp_path / "v"), "--only", "no-such-check"])
