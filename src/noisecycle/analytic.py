@@ -170,11 +170,10 @@ def wigner_minus(x, y, k_ratio: float):
     The closed form is a 0/0 expression at zero ratio; its limit is the
     single-excitation quasiprobability (s - 1) e^{-s/2} / (2 pi).
     """
+    form = WignerClosedForm(k_ratio, 0.0)
     s = np.asarray(x) ** 2 + np.asarray(y) ** 2
     if k_ratio < _SMALL_RATIO:
-        gamma = (1.0 - k_ratio) / (4.0 * math.pi)
-        return 2.0 * gamma * (s - 1.0) * np.exp(-0.5 * s)
-    form = WignerClosedForm(k_ratio, 0.0)
+        return 2.0 * form.gamma * (s - 1.0) * np.exp(-0.5 * s)
     u = math.sqrt(k_ratio)
     t_narrow = np.exp(-(0.5 + form.eta) * s) / (1.0 - u)
     t_wide = np.exp(-(0.5 - form.lam) * s) / (1.0 + u)
@@ -183,6 +182,7 @@ def wigner_minus(x, y, k_ratio: float):
 
 def wigner_ss(x, y, k_ratio: float, wp_plus: float):
     """Steady quasiprobability W(x, y), normalized to unit integral over the plane."""
+    WignerClosedForm(k_ratio, wp_plus)  # validates both arguments
     return wp_plus * wigner_plus(x, y, k_ratio) + (1.0 - wp_plus) * wigner_minus(
         x, y, k_ratio
     )
@@ -334,7 +334,8 @@ def coherent_thresholds(alpha_sq: float, k_ratio: float) -> tuple[float, bool]:
 
 def tail_gaussian(k_ratio: float, wp_plus: float) -> TailGaussian:
     """Gaussian asymptote of the steady quasiprobability and its total area."""
-    if not 0.0 < k_ratio < 1.0:
+    WignerClosedForm(k_ratio, wp_plus)  # validates both arguments
+    if k_ratio == 0.0:
         raise AnalyticError(f"ratio must lie in (0, 1), got {k_ratio}")
     u = math.sqrt(k_ratio)
     amplitude = (1.0 - u) * (1.0 - (1.0 - u) * wp_plus) / (4.0 * math.pi * u)

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .wignerflux import _dx, _dxx, interior, make_grid
+from .wignerflux import (divergence, dx, dxx, interior, make_grid, max_flux_norm,
+                         observed_order, refine)
 
 THREADS_ENV = "NOISECYCLE_THREADS"
 _BLOCK_PATHS = 4096
@@ -136,7 +137,7 @@ class DetailedBalanceReport:
 
     max_irreversible_flux: float
     max_reversible_divergence: float
-    order_irreversible: float
+    order_irreversible: float | None
     order_divergence: float | None
     diffusion_time_reversal_exact: bool
     spacing: float
@@ -311,35 +312,32 @@ def circulation_classical(cfg: SdeConfig, result: SdeEnsembleResult) -> tuple[fl
 # Fokker-Planck grid residuals
 # ---------------------------------------------------------------------------
 
-def _radial_residual(cfg: SdeConfig, grid: np.ndarray) -> float:
-    h = grid[1] - grid[0]
-    p = analytic_pdfs(cfg).radial(grid)
-    drift = (3.0 * cfg.kappa * grid - cfg.delta * grid ** 3) * p
-    diff = cfg.kappa * grid ** 2 * p
-    res = -_dx(drift, h, 0) + _dxx(diff, h, 0)
-    return float(np.abs(interior(res, 2)).max())
+def _radial_residual(cfg: SdeConfig, r: np.ndarray) -> np.ndarray:
+    h = r[1] - r[0]
+    p = analytic_pdfs(cfg).radial(r)
+    drift = (3.0 * cfg.kappa * r - cfg.delta * r ** 3) * p
+    diff = cfg.kappa * r ** 2 * p
+    return -dx(drift, h, 0) + dxx(diff, h, 0)
 
 
-def _phase_residual(cfg: SdeConfig, grid: np.ndarray) -> float:
-    h = grid[1] - grid[0]
-    p = analytic_pdfs(cfg).phase(grid)
-    res = cfg.omega0 * _dx(p, h, 0) + cfg.kappa * _dxx(p, h, 0)
-    return float(np.abs(interior(res, 2)).max())
+def _phase_residual(cfg: SdeConfig, phi: np.ndarray) -> np.ndarray:
+    h = phi[1] - phi[0]
+    p = analytic_pdfs(cfg).phase(phi)
+    return cfg.omega0 * dx(p, h, 0) + cfg.kappa * dxx(p, h, 0)
 
 
-def _cartesian_residual(cfg: SdeConfig, grid: tuple[np.ndarray, np.ndarray]) -> float:
-    xs, ys = grid
-    h = xs[1] - xs[0]
+def _cartesian_residual(cfg: SdeConfig, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    hx, hy = xs[1] - xs[0], ys[1] - ys[0]
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     p = analytic_pdfs(cfg).plane(X, Y)
     a_x, a_y = _cartesian_drift(X, Y, cfg)
     diff = cfg.kappa * (X ** 2 + Y ** 2) * p
-    res = -_dx(a_x * p, h, 0) - _dx(a_y * p, h, 1) + _dxx(diff, h, 0) + _dxx(diff, h, 1)
-    return float(np.abs(interior(res, 2)).max())
+    return -dx(a_x * p, hx, 0) - dx(a_y * p, hy, 1) + dxx(diff, hx, 0) + dxx(diff, hy, 1)
 
 
-def _refine(grid: np.ndarray) -> np.ndarray:
-    return np.linspace(grid[0], grid[-1], 2 * (grid.size - 1) + 1)
+# each operator and its residual field on grid axes (one axis, or the pair for cartesian)
+_RESIDUALS = {"radial": _radial_residual, "phase": _phase_residual,
+              "cartesian": _cartesian_residual}
 
 
 def fokker_planck_residual(which: str, cfg: SdeConfig, grid) -> float:
@@ -349,24 +347,17 @@ def fokker_planck_residual(which: str, cfg: SdeConfig, grid) -> float:
     convergence order must land in [1.7, 2.3] (a residual at rounding level on
     both grids, e.g. the phase operator on the uniform density, also passes).
     """
-    if which == "radial":
-        fn, g = _radial_residual, np.asarray(grid, dtype=float)
-        fine = _refine(g)
-    elif which == "phase":
-        fn, g = _phase_residual, np.asarray(grid, dtype=float)
-        fine = _refine(g)
-    elif which == "cartesian":
-        xs, ys = (np.asarray(grid[0], dtype=float), np.asarray(grid[1], dtype=float))
-        fn, g = _cartesian_residual, (xs, ys)
-        fine = (_refine(xs), _refine(ys))
-    else:
+    if which not in _RESIDUALS:
         raise SdeError(f"unknown operator {which!r}")
-    coarse_res = fn(cfg, g)
-    fine_res = fn(cfg, fine)
+    axes = [np.asarray(a, dtype=float) for a in (grid if which == "cartesian" else [grid])]
+    coarse_res, fine_res = (
+        float(np.abs(interior(_RESIDUALS[which](cfg, *g), 2)).max())
+        for g in (axes, [refine(a) for a in axes])
+    )
     scale = cfg.kappa + cfg.delta
     if coarse_res < 1e-13 * scale and fine_res < 1e-13 * scale:
         return coarse_res
-    order = math.log2(coarse_res / fine_res)
+    order = observed_order(coarse_res, fine_res)
     if not 1.7 <= order <= 2.3:
         raise GridRefinementError(
             f"observed order {order:.2f} outside [1.7, 2.3]; refine the grid"
@@ -378,24 +369,18 @@ def fokker_planck_residual(which: str, cfg: SdeConfig, grid) -> float:
 # Stratonovich vs Ito drift conversion
 # ---------------------------------------------------------------------------
 
-def noise_induced_drift_check(
-    cfg: SdeConfig,
-    state: tuple[float, float] = (1.0, 0.0),
-    dts: np.ndarray | None = None,
-    n_draws: int = 400_000,
-) -> DriftGapReport:
+def noise_induced_drift_check(cfg: SdeConfig, state: tuple[float, float] = (1.0, 0.0),
+                              n_draws: int = 400_000) -> DriftGapReport:
     """Mean one-step gap between midpoint-noise (Stratonovich) and Ito updates.
 
     Both discretizations consume the same standard-normal draws and share the
     Euler drift; only the noise product is midpoint-averaged in the
     Stratonovich variant, so at zero noise the two updates coincide exactly.
-    The gap per unit time converges to 2 kappa (x, y) as dt shrinks, the
-    drift the multiplicative noise induces.
+    The gap per unit time converges to 2 kappa (x, y) as dt halves from 4e-3
+    to 1e-3, the drift the multiplicative noise induces.
     """
     x0, y0 = state
-    if dts is None:
-        dts = np.array([4e-3, 2e-3, 1e-3])
-    dts = np.asarray(dts, dtype=float)
+    dts = np.array([4e-3, 2e-3, 1e-3])
     rng = np.random.default_rng(cfg.seed)
     z = rng.standard_normal((2, n_draws))
     gaps = np.empty((dts.size, 2))
@@ -428,39 +413,33 @@ def noise_induced_drift_check(
 # classical detailed balance
 # ---------------------------------------------------------------------------
 
-def _balance_fields(cfg: SdeConfig, xs: np.ndarray, ys: np.ndarray):
+def _balance_fields(cfg: SdeConfig, xs: np.ndarray):
     h = xs[1] - xs[0]
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
     s = X ** 2 + Y ** 2
     p = analytic_pdfs(cfg).plane(X, Y)
     # irreversible drift: the time-reversal-even part (position even, momentum odd)
-    irr_x = (2.0 * cfg.kappa * X - 0.25 * cfg.delta * s * X) * p - cfg.kappa * _dx(s * p, h, 0)
-    irr_y = (2.0 * cfg.kappa * Y - 0.25 * cfg.delta * s * Y) * p - cfg.kappa * _dx(s * p, h, 1)
-    rev_x = cfg.omega0 * Y * p
-    rev_y = -cfg.omega0 * X * p
-    div_rev = _dx(rev_x, h, 0) + _dx(rev_y, h, 1)
-    max_irr = float(interior(np.hypot(irr_x, irr_y), 2).max())
-    max_div = float(np.abs(interior(div_rev, 2)).max())
-    return max_irr, max_div
+    irr_x = (2.0 * cfg.kappa * X - 0.25 * cfg.delta * s * X) * p - cfg.kappa * dx(s * p, h, 0)
+    irr_y = (2.0 * cfg.kappa * Y - 0.25 * cfg.delta * s * Y) * p - cfg.kappa * dx(s * p, h, 1)
+    div_rev = divergence(cfg.omega0 * Y * p, -cfg.omega0 * X * p, h)
+    return max_flux_norm(irr_x, irr_y, 2), float(np.abs(interior(div_rev, 2)).max())
 
 
-def classical_detailed_balance(cfg: SdeConfig, extent: float | None = None,
-                               h: float = 0.1) -> DetailedBalanceReport:
+def classical_detailed_balance(cfg: SdeConfig) -> DetailedBalanceReport:
     """Grid check that the stationary flux is reversible and divergence-free.
 
     The irreversible flux and the divergence of the rotational flux both
-    vanish analytically on the Gaussian stationary density; on the grid they
-    shrink at second order.  Without rotation (omega0 = 0) the rotational
-    divergence is exactly zero on both grids and ``order_divergence`` is
-    None.  The diffusion matrix depends only on x^2 + y^2, so its
-    time-reversal symmetry is exact.
+    vanish analytically on the Gaussian stationary density; on a grid of
+    spacing 0.1 over |x|, |y| <= 8 sqrt(kappa / delta) (four standard
+    deviations) and on its refinement they shrink at second order.  Without
+    rotation (omega0 = 0) the rotational divergence is exactly zero on both
+    grids and ``order_divergence`` is None.  The diffusion matrix depends only
+    on x^2 + y^2, so its time-reversal symmetry is exact.
     """
-    if extent is None:
-        extent = 8.0 * math.sqrt(cfg.kappa / cfg.delta)
-    xs = make_grid(extent, h)
-    fine = _refine(xs)
-    irr_c, div_c = _balance_fields(cfg, xs, xs)
-    irr_f, div_f = _balance_fields(cfg, fine, fine)
+    h = 0.1
+    xs = make_grid(8.0 * math.sqrt(cfg.kappa / cfg.delta), h)
+    irr_c, div_c = _balance_fields(cfg, xs)
+    irr_f, div_f = _balance_fields(cfg, refine(xs))
 
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     d_entry = 2.0 * cfg.kappa * (X ** 2 + Y ** 2)
@@ -468,8 +447,8 @@ def classical_detailed_balance(cfg: SdeConfig, extent: float | None = None,
     return DetailedBalanceReport(
         max_irreversible_flux=irr_c,
         max_reversible_divergence=div_c,
-        order_irreversible=math.log2(irr_c / irr_f),
-        order_divergence=None if div_c == div_f == 0.0 else math.log2(div_c / div_f),
+        order_irreversible=observed_order(irr_c, irr_f),
+        order_divergence=observed_order(div_c, div_f),
         diffusion_time_reversal_exact=bool(np.array_equal(d_entry, d_reversed)),
         spacing=h,
     )

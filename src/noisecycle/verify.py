@@ -66,7 +66,7 @@ def _fmt(v):
 # ---------------------------------------------------------------------------
 
 CLOSED_FORM_TOL = 1e-8      # trace distance of a steady state to the closed form
-CONVENTIONAL_FLOOR = 1e-3   # the conventional model's balance residual must exceed this
+CONVENTIONAL_FLOOR = 1e-3   # conventional balance floor, times min(1, kappa_up1 / kappa_down)
 MANDEL_TOL = 1e-10          # Mandel Q from moments vs the closed form
 
 
@@ -104,12 +104,10 @@ def balance_row(params: ModelParams, rho: np.ndarray) -> dict:
     residual = detailed_balance_residual(params, rho)
     if params.kind is ModelKind.NOISE_INDUCED:
         return _below(residual, 1e-10)
-    floor = np.format_float_scientific(CONVENTIONAL_FLOOR, trim="-", exp_digits=1)
-    return {
-        "value": residual,
-        "expected": f"fail (> {floor}): the one-photon-gain model breaks detailed balance",
-        "pass": residual > CONVENTIONAL_FLOOR,
-    }
+    # the residual scales with the one-photon gain (about 1e-2 of kappa_up1 / kappa_down)
+    floor = CONVENTIONAL_FLOOR * min(1.0, params.kappa_up1 / params.kappa_down)
+    return {**_above(residual, floor),
+            "expected": "fail: the one-photon-gain model breaks detailed balance"}
 
 
 def mandel_moments(pops: np.ndarray) -> tuple[float, float]:
@@ -310,7 +308,7 @@ def check_circulation(mutations=()) -> dict:
 
 
 def check_detailed_balance(mutations=()) -> dict:
-    """Residual dichotomy: noise-induced < 1e-10, conventional > 1e-3."""
+    """Residual dichotomy: noise-induced < 1e-10, conventional above a gain-scaled floor."""
     ni_params = ModelParams(omega0=1.0, kappa_down=1.0, kappa_up2=0.5)
     ni = balance_row(ni_params, analytic.rho_ss_analytic(0.5, 0.55, dim_for_tail(0.5)))
     conv_params = ModelParams(
@@ -403,8 +401,8 @@ def check_wigner_flux(mutations=()) -> dict:
             "res": float(np.abs(wignerflux.interior(residual)).max()),
         }
     ratio = stats[0.05]["irr"] / stats[0.05]["rev"]
-    flux_order = math.log2(stats[0.05]["irr"] / stats[0.025]["irr"])
-    residual_order = math.log2(stats[0.05]["res"] / stats[0.025]["res"])
+    flux_order = wignerflux.observed_order(stats[0.05]["irr"], stats[0.025]["irr"])
+    residual_order = wignerflux.observed_order(stats[0.05]["res"], stats[0.025]["res"])
     return {
         "irr_over_rev_at_h05": _below(ratio, 1e-3),
         "flux_order": _within(flux_order, 1.7, 2.3),

@@ -75,6 +75,18 @@ def make_grid(extent: float, h: float) -> np.ndarray:
     return np.linspace(-extent, extent, n)
 
 
+def refine(grid: np.ndarray) -> np.ndarray:
+    """The same interval with every spacing halved."""
+    return np.linspace(grid[0], grid[-1], 2 * (grid.size - 1) + 1)
+
+
+def observed_order(coarse: float, fine: float) -> float | None:
+    """Observed order log2(e_h / e_{h/2}) of an error; None when both errors are exactly 0."""
+    if coarse == fine == 0.0:
+        return None
+    return math.log2(coarse / fine)
+
+
 def sample_steady_field(k_ratio: float, wp_plus: float, extent: float | None = None,
                         h: float = 0.05) -> WignerField:
     if extent is None:
@@ -92,40 +104,33 @@ def interior(values: np.ndarray, cells: int = EDGE_CELLS) -> np.ndarray:
 # stencils (second-order central; third derivatives use the fourth-order form)
 # ---------------------------------------------------------------------------
 
-def _dx(f: np.ndarray, h: float, axis: int) -> np.ndarray:
+def _stencil(f: np.ndarray, axis: int, width: int, formula) -> np.ndarray:
+    """``formula`` along ``axis`` at cells ``width`` or more from either end; zero elsewhere."""
     out = np.zeros_like(f)
-    src = np.moveaxis(f, axis, 0)
-    dst = np.moveaxis(out, axis, 0)
-    dst[1:-1] = (src[2:] - src[:-2]) / (2.0 * h)
+    np.moveaxis(out, axis, 0)[width:-width] = formula(np.moveaxis(f, axis, 0))
     return out
 
 
-def _dxx(f: np.ndarray, h: float, axis: int) -> np.ndarray:
-    out = np.zeros_like(f)
-    src = np.moveaxis(f, axis, 0)
-    dst = np.moveaxis(out, axis, 0)
-    dst[1:-1] = (src[2:] - 2.0 * src[1:-1] + src[:-2]) / h ** 2
-    return out
+def dx(f: np.ndarray, h: float, axis: int) -> np.ndarray:
+    return _stencil(f, axis, 1, lambda s: (s[2:] - s[:-2]) / (2.0 * h))
+
+
+def dxx(f: np.ndarray, h: float, axis: int) -> np.ndarray:
+    return _stencil(f, axis, 1, lambda s: (s[2:] - 2.0 * s[1:-1] + s[:-2]) / h ** 2)
 
 
 def _dx4(f: np.ndarray, h: float, axis: int) -> np.ndarray:
     # fourth-order first derivative; used where the truncation constant is largest
-    out = np.zeros_like(f)
-    src = np.moveaxis(f, axis, 0)
-    dst = np.moveaxis(out, axis, 0)
-    dst[2:-2] = (src[:-4] - 8.0 * src[1:-3] + 8.0 * src[3:-1] - src[4:]) / (12.0 * h)
-    return out
+    return _stencil(f, axis, 2, lambda s: (
+        s[:-4] - 8.0 * s[1:-3] + 8.0 * s[3:-1] - s[4:]
+    ) / (12.0 * h))
 
 
 def _dxxx(f: np.ndarray, h: float, axis: int) -> np.ndarray:
-    out = np.zeros_like(f)
-    src = np.moveaxis(f, axis, 0)
-    dst = np.moveaxis(out, axis, 0)
-    dst[3:-3] = (
-        src[:-6] - 8.0 * src[1:-5] + 13.0 * src[2:-4]
-        - 13.0 * src[4:-2] + 8.0 * src[5:-1] - src[6:]
-    ) / (8.0 * h ** 3)
-    return out
+    return _stencil(f, axis, 3, lambda s: (
+        s[:-6] - 8.0 * s[1:-5] + 13.0 * s[2:-4]
+        - 13.0 * s[4:-2] + 8.0 * s[5:-1] - s[6:]
+    ) / (8.0 * h ** 3))
 
 
 def _zero_edges(f: np.ndarray, cells: int) -> np.ndarray:
@@ -134,20 +139,6 @@ def _zero_edges(f: np.ndarray, cells: int) -> np.ndarray:
     f[:, :cells] = 0.0
     f[:, -cells:] = 0.0
     return f
-
-
-def _coefficients(field: WignerField, params: ModelParams):
-    if params.kind is not ModelKind.NOISE_INDUCED:
-        raise WignerGridError("the phase-space generator is built for the noise-induced model")
-    kd, ku = params.kappa_down, params.kappa_up2
-    X, Y = field.mesh()
-    s = X ** 2 + Y ** 2
-    drift_x = -params.omega0 * Y - (ku + kd) * X + 0.25 * (kd - ku) * s * X
-    drift_y = params.omega0 * X - (ku + kd) * Y + 0.25 * (kd - ku) * s * Y
-    diff = 0.5 * (kd + ku) * s - (kd - ku)
-    third_x = 0.25 * (kd - ku) * X
-    third_y = 0.25 * (kd - ku) * Y
-    return drift_x, drift_y, diff, third_x, third_y
 
 
 def _check_boundary(field: WignerField, boundary_tol: float) -> None:
@@ -161,6 +152,23 @@ def _check_boundary(field: WignerField, boundary_tol: float) -> None:
         )
 
 
+def _weighted_terms(field: WignerField, params: ModelParams, boundary_tol: float):
+    """Drift, diffusion and third-derivative coefficients times w, each formed once."""
+    _check_boundary(field, boundary_tol)
+    if params.kind is not ModelKind.NOISE_INDUCED:
+        raise WignerGridError("the phase-space generator is built for the noise-induced model")
+    kd, ku = params.kappa_down, params.kappa_up2
+    X, Y = field.mesh()
+    s = X ** 2 + Y ** 2
+    drift_x = -params.omega0 * Y - (ku + kd) * X + 0.25 * (kd - ku) * s * X
+    drift_y = params.omega0 * X - (ku + kd) * Y + 0.25 * (kd - ku) * s * Y
+    diff = 0.5 * (kd + ku) * s - (kd - ku)
+    third_x = 0.25 * (kd - ku) * X
+    third_y = 0.25 * (kd - ku) * Y
+    w = field.w
+    return drift_x * w, drift_y * w, diff * w, third_x * w, third_y * w
+
+
 def wigner_generator_apply(field: WignerField, params: ModelParams,
                            boundary_tol: float = 1e-8) -> np.ndarray:
     """Apply the discretized phase-space generator to the sampled field.
@@ -170,18 +178,17 @@ def wigner_generator_apply(field: WignerField, params: ModelParams,
     third-derivative terms.  Pure third derivatives use 4th-order stencils;
     the outer EDGE_CELLS ring is zeroed.
     """
-    _check_boundary(field, boundary_tol)
-    drift_x, drift_y, diff, third_x, third_y = _coefficients(field, params)
-    w, h = field.w, field.h
+    drift_x, drift_y, diff, third_x, third_y = _weighted_terms(field, params, boundary_tol)
+    h = field.h
     res = (
-        _dx(drift_x * w, h, 0)
-        + _dx(drift_y * w, h, 1)
-        + _dxx(diff * w, h, 0)
-        + _dxx(diff * w, h, 1)
-        + _dx(_dxx(third_x * w, h, 1), h, 0)
-        + _dxxx(third_x * w, h, 0)
-        + _dx(_dxx(third_y * w, h, 0), h, 1)
-        + _dxxx(third_y * w, h, 1)
+        dx(drift_x, h, 0)
+        + dx(drift_y, h, 1)
+        + dxx(diff, h, 0)
+        + dxx(diff, h, 1)
+        + dx(dxx(third_x, h, 1), h, 0)
+        + _dxxx(third_x, h, 0)
+        + dx(dxx(third_y, h, 0), h, 1)
+        + _dxxx(third_y, h, 1)
     )
     return _zero_edges(res, EDGE_CELLS)
 
@@ -197,16 +204,15 @@ def wigner_current(field: WignerField, params: ModelParams,
     the 4th-order stencil; the remaining 2nd-order terms set the observed
     refinement order.
     """
-    _check_boundary(field, boundary_tol)
-    drift_x, drift_y, diff, third_x, third_y = _coefficients(field, params)
-    w, h = field.w, field.h
-    jx = -(drift_x * w + _dx4(diff * w, h, 0) + _dxx(third_x * w, h, 0) + _dxx(third_x * w, h, 1))
-    jy = -(drift_y * w + _dx4(diff * w, h, 1) + _dxx(third_y * w, h, 1) + _dxx(third_y * w, h, 0))
+    drift_x, drift_y, diff, third_x, third_y = _weighted_terms(field, params, boundary_tol)
+    h = field.h
+    jx = -(drift_x + _dx4(diff, h, 0) + dxx(third_x, h, 0) + dxx(third_x, h, 1))
+    jy = -(drift_y + _dx4(diff, h, 1) + dxx(third_y, h, 1) + dxx(third_y, h, 0))
     return _zero_edges(jx, EDGE_CELLS), _zero_edges(jy, EDGE_CELLS)
 
 
 def divergence(jx: np.ndarray, jy: np.ndarray, h: float) -> np.ndarray:
-    return _dx(jx, h, 0) + _dx(jy, h, 1)
+    return dx(jx, h, 0) + dx(jy, h, 1)
 
 
 def flux_decompose(field: WignerField, jx: np.ndarray, jy: np.ndarray,

@@ -24,6 +24,7 @@ from noisecycle.analytic import (
     scan_radius,
     sigmoid,
     tail_gaussian,
+    wigner_minus,
     wigner_origin,
     wigner_radial,
     wigner_ss,
@@ -65,6 +66,19 @@ def test_rho_ss_rejects_saturated_ratio():
 # ---------------------------------------------------------------------------
 # quasiprobability
 # ---------------------------------------------------------------------------
+
+def test_closed_forms_validate_before_computing():
+    # each call names a weight or ratio outside its range and must not return a number
+    calls = [
+        lambda: wigner_ss(0.0, 0.0, 0.5, 1.2),
+        lambda: wigner_ss(0.0, 0.0, 0.5, -3.0),
+        lambda: wigner_minus(0.5, 0.0, -0.5),  # below the series-limit threshold
+        lambda: tail_gaussian(0.5, 2.0),
+    ]
+    for call in calls:
+        with pytest.raises(AnalyticError):
+            call()
+
 
 def test_closed_form_constants_positive():
     form = WignerClosedForm(0.36, 0.5)

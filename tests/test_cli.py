@@ -161,6 +161,18 @@ def test_steady_report_conventional_expected_failure(tmp_path):
     assert "fail" in db["expected"]
 
 
+@pytest.mark.parametrize("kappa_up1, code", [("0.05", 0), ("0", 1)])
+def test_conventional_balance_floor_scales_with_gain(tmp_path, kappa_up1, code):
+    # the conventional residual is about 1e-2 kappa_up1 / kappa_down; without
+    # gain it is exactly zero and the model must fail the row
+    out = tmp_path / "steady"
+    assert main(["steady", "--out", str(out), "--kind", "conventional",
+                 "--kappa-up1", kappa_up1, "--dim", "20"]) == code
+    db = json.loads((out / "summary.json").read_text())["checks"]["detailed_balance_residual"]
+    assert db["floor"] == 1e-3 * float(kappa_up1)
+    assert db["pass"] == (code == 0)
+
+
 def test_steady_report_zero_ratio_skips_reconstruction(tmp_path):
     out = tmp_path / "steady"
     code = main(["steady", "--out", str(out), "--k-ratio", "0.0", "--dim", "20"])

@@ -1,0 +1,91 @@
+"""Generator invariants as properties over random rates, ratios and dimensions.
+
+Both models, any rotation rate, loss rate and gain ratio k in [0, 0.9), and
+dimensions 6-16: the generator preserves trace and Hermiticity, the
+noise-induced one commutes with parity, no entry couples different coherence
+orders m - n, and ``evolve`` keeps states positive.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from noisecycle.fock import ModelKind, ModelParams, apply_super, liouvillian, parity_op
+from noisecycle.lindblad import evolve, random_density_matrix
+
+SETTINGS = settings(derandomize=True, deadline=None, max_examples=25)
+
+
+@st.composite
+def models(draw, kinds=tuple(ModelKind)):
+    """A model, a dimension, and a seed for the states it is applied to."""
+    kind = draw(st.sampled_from(kinds))
+    omega0 = draw(st.floats(-5.0, 5.0))
+    kappa_down = draw(st.floats(0.05, 5.0))
+    gain = kappa_down * draw(st.floats(0.0, 0.9, exclude_max=True))
+    if kind is ModelKind.NOISE_INDUCED:
+        params = ModelParams(omega0=omega0, kappa_down=kappa_down, kappa_up2=gain)
+    else:
+        params = ModelParams(omega0=omega0, kappa_down=kappa_down, kappa_up1=gain, kind=kind)
+    return params, draw(st.integers(6, 16)), draw(st.integers(0, 2 ** 32 - 1))
+
+
+def random_matrix(dim, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+
+
+def scale(params, dim):
+    # entries of the generator grow like rate * dim^2
+    return (abs(params.omega0) + params.kappa_down) * dim ** 2
+
+
+@SETTINGS
+@given(models())
+def test_trace_preserved(model):
+    params, dim, seed = model
+    out = apply_super(liouvillian(params, dim), random_matrix(dim, seed))
+    assert abs(np.trace(out)) < 1e-12 * scale(params, dim)
+
+
+@SETTINGS
+@given(models())
+def test_hermiticity_preserved(model):
+    params, dim, seed = model
+    gen = liouvillian(params, dim)
+    rho = random_matrix(dim, seed)
+    gap = apply_super(gen, rho.conj().T) - apply_super(gen, rho).conj().T
+    assert np.abs(gap).max() < 1e-12 * scale(params, dim)
+
+
+@SETTINGS
+@given(models(kinds=(ModelKind.NOISE_INDUCED,)))
+def test_parity_commutes_with_noise_induced_generator(model):
+    params, dim, seed = model
+    gen = liouvillian(params, dim)
+    parity = parity_op(dim)
+    rho = random_matrix(dim, seed)
+    gap = (parity @ apply_super(gen, rho) @ parity
+           - apply_super(gen, parity @ rho @ parity))
+    assert np.abs(gap).max() < 1e-12 * scale(params, dim)
+
+
+@SETTINGS
+@given(models())
+def test_no_entry_couples_coherence_orders(model):
+    params, dim, _ = model
+    gen = liouvillian(params, dim).tocoo()
+    # column stacking: vec index m + n dim holds rho[m, n], of coherence order m - n
+    order = np.arange(dim * dim) % dim - np.arange(dim * dim) // dim
+    coupled = order[gen.row] != order[gen.col]
+    assert not gen.data[coupled].any()
+
+
+@SETTINGS
+@given(models(), st.floats(0.05, 3.0))
+def test_evolve_keeps_states_positive(model, t):
+    params, dim, seed = model
+    rho0 = random_density_matrix(dim, rng=np.random.default_rng(seed))
+    rho_t = evolve(rho0, liouvillian(params, dim), t)
+    assert np.linalg.eigvalsh(rho_t).min() >= -1e-10
+    assert abs(np.trace(rho_t) - 1.0) < 1e-10

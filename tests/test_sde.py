@@ -250,6 +250,15 @@ def test_cartesian_residual_second_order():
     assert residual < 1e-3
 
 
+def test_cartesian_residual_on_unequal_spacings():
+    # each axis is differentiated with its own spacing
+    cfg = SdeConfig(kappa=1.0, delta=1.0, omega0=2.0, seed=0)
+    square = fokker_planck_residual("cartesian", cfg, (np.linspace(-8, 8, 161),) * 2)
+    wide = fokker_planck_residual(
+        "cartesian", cfg, (np.linspace(-8, 8, 161), np.linspace(-8, 8, 121)))
+    assert square < wide < 2.0 * square
+
+
 def test_too_coarse_grid_raises():
     cfg = SdeConfig(kappa=1.0, delta=1.0, seed=0)
     with pytest.raises(GridRefinementError):
@@ -292,7 +301,7 @@ def test_drift_gap_independent_of_nonlinearity():
 
 def test_classical_detailed_balance_orders():
     cfg = SdeConfig(kappa=1.0, delta=1.0, omega0=2.0, seed=0)
-    report = classical_detailed_balance(cfg, h=0.1)
+    report = classical_detailed_balance(cfg)
     assert 1.7 <= report.order_irreversible <= 2.3
     assert 1.7 <= report.order_divergence <= 2.3
     assert report.diffusion_time_reversal_exact
@@ -303,7 +312,7 @@ def test_classical_detailed_balance_orders():
 def test_classical_detailed_balance_without_rotation():
     # omega0 defaults to 0: the rotational flux vanishes identically, so no
     # divergence order exists
-    report = classical_detailed_balance(SdeConfig(kappa=1.0, delta=1.0), h=0.1)
+    report = classical_detailed_balance(SdeConfig(kappa=1.0, delta=1.0))
     assert report.max_reversible_divergence == 0.0
     assert report.order_divergence is None
     assert 1.7 <= report.order_irreversible <= 2.3

@@ -10,11 +10,15 @@ from noisecycle.fock import ModelKind, ModelParams, fock_state, liouvillian
 from noisecycle.lindblad import evolve, wigner_numeric
 from noisecycle.wignerflux import (
     BoundaryContaminationError,
+    _dx4,
+    _dxxx,
     FluxDecomposition,
     WignerField,
     WignerGridError,
     default_extent,
     divergence,
+    dx,
+    dxx,
     field_to_csv,
     flux_decompose,
     interior,
@@ -71,6 +75,30 @@ def test_generator_requires_noise_induced_params():
     conv = ModelParams(omega0=1.0, kappa_down=1.0, kappa_up1=0.2, kind=ModelKind.CONVENTIONAL)
     with pytest.raises(WignerGridError):
         wigner_generator_apply(gaussian_field(), conv, boundary_tol=1.0)
+
+
+# ---------------------------------------------------------------------------
+# stencils
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("stencil, derivative, degree, ring", [
+    (dx, 1, 2, 1), (dxx, 2, 3, 1), (_dx4, 1, 4, 2), (_dxxx, 3, 6, 3),
+], ids=["dx", "dxx", "dx4", "dxxx"])
+def test_stencil_exact_on_polynomials(stencil, derivative, degree, ring):
+    # exact up to rounding on polynomials up to the stencil's degree, not one
+    # degree higher, along either axis; the outer ring along that axis is zero
+    h = 0.25
+    t = make_grid(2.0, h)
+    other = np.linspace(0.5, 1.5, 11)
+    for axis in (0, 1):
+        for deg, exact in ((degree, True), (degree + 1, False)):
+            poly = np.polynomial.Polynomial(np.arange(1.0, deg + 2.0))
+            f = np.moveaxis(np.multiply.outer(poly(t), other), 0, axis)
+            got = np.moveaxis(stencil(f, h, axis), axis, 0)
+            want = np.multiply.outer(poly.deriv(derivative)(t), other)
+            assert not got[:ring].any() and not got[-ring:].any()
+            gap = np.abs(got - want)[ring:-ring].max()
+            assert (gap <= 1e-9 * np.abs(want).max()) == exact
 
 
 # ---------------------------------------------------------------------------
