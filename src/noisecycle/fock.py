@@ -139,13 +139,14 @@ def fock_state(dim: int, n: int) -> np.ndarray:
 
 
 def coherent_state(dim: int, alpha: complex) -> np.ndarray:
-    """Projector onto the truncated coherent state of amplitude alpha, renormalized."""
-    n = np.arange(dim)
-    log_fact = np.cumsum(np.log(np.maximum(n, 1)))
-    amp = np.exp(n * np.log(complex(alpha)) - 0.5 * log_fact) if alpha != 0 else np.eye(dim)[0].astype(complex)
-    if alpha != 0:
-        amp = amp * math.exp(-0.5 * abs(alpha) ** 2)
-    amp = amp / np.linalg.norm(amp)
+    """Projector onto the truncated coherent state of amplitude alpha, renormalized.
+
+    The amplitudes alpha^n / sqrt(n!) come from one cumulative product; the
+    normalization absorbs the exp(-|alpha|^2 / 2) factor.
+    """
+    amp = np.ones(dim, dtype=complex)
+    amp[1:] = np.cumprod(complex(alpha) / np.sqrt(np.arange(1, dim)))
+    amp /= np.linalg.norm(amp)
     return np.outer(amp, amp.conj())
 
 

@@ -300,10 +300,11 @@ def time_reverse_operator(op: np.ndarray) -> np.ndarray:
 def time_reversed_liouvillian(params: ModelParams, dim: int | None = None) -> sp.csr_matrix:
     """Generator satisfying T(L A) = T(L) T(A).
 
-    Both dissipators are even under time reversal; only the free rotation
-    flips sign.
+    In the real Fock basis time reversal is complex conjugation: both
+    dissipators are real and even, and only the free rotation flips sign, so
+    this equals ``liouvillian(params.rotation_reversed(), dim)``.
     """
-    return liouvillian(params.rotation_reversed(), dim)
+    return liouvillian(params, dim).conj()
 
 
 def detailed_balance_residual(params: ModelParams, rho_ss: np.ndarray) -> float:
@@ -321,7 +322,7 @@ def detailed_balance_residual(params: ModelParams, rho_ss: np.ndarray) -> float:
         raise StationarityError(
             f"state is not stationary: ||L vec(rho)|| = {stationarity:.3e}"
         )
-    reversed_L = time_reversed_liouvillian(params, dim)
+    reversed_L = L.conj()  # time reversal: complex conjugation in the real Fock basis
     trimmed = rho_ss.copy()
     trimmed[np.abs(trimmed) < 1e-15 * np.abs(trimmed).max()] = 0.0
     mult_left = left_mult(trimmed)

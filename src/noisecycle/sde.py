@@ -2,11 +2,12 @@
 
 Ito ensembles in polar and Cartesian coordinates, simulated in the frame
 that rotates with omega0 (the rotation commutes with the rest of the
-generator, so each path is rotated once at the end, and the polar phase is
-one normal draw per path); the closed-form stationary densities (Rayleigh
-radius, uniform phase, Gaussian plane), grid Fokker-Planck residuals,
-classical circulation, the Stratonovich/Ito drift conversion check, and the
-classical detailed-balance flux decomposition.
+generator, so every path ends as quadratures (x, y) rotated once at one
+shared site, and the polar phase is one normal draw per path); the
+closed-form stationary densities (Rayleigh radius, uniform phase, Gaussian
+plane), grid Fokker-Planck residuals, classical circulation, the
+Stratonovich/Ito drift conversion check (one noise evaluation per draw),
+and the classical detailed-balance flux decomposition.
 """
 
 from __future__ import annotations
@@ -189,15 +190,14 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
 
 
 def _run_block(cfg: SdeConfig, block: int, size: int):
-    """One block of paths in the rotating frame (see ``simulate_ensemble``).
+    """Quadratures (x, y) of one block of paths (see ``simulate_ensemble``).
 
-    The steps run in place on preallocated buffers; the polar phase comes
-    from the block's own stream after the loop, so a block's result does not
-    depend on the thread count.
+    The omega0 = 0 steps run in place on preallocated buffers.  A polar path
+    ends at (2 r cos psi, 2 r sin psi), psi = sqrt(2 kappa T) z drawn from the
+    block's own stream, and both coordinate systems share one rotation.
     """
     rng = _block_rng(cfg.seed, block)
     total = cfg.burn_in + cfg.n_steps
-    angle = cfg.omega0 * total * cfg.dt
     half_std = 0.5 * cfg.noise_std
     # diverged paths run to inf/nan and are counted afterwards
     with np.errstate(over="ignore", invalid="ignore"):
@@ -214,33 +214,35 @@ def _run_block(cfg: SdeConfig, block: int, size: int):
                 g += z
                 np.abs(g, out=g)
                 r *= g
-            phi = math.sqrt(2.0 * cfg.kappa * total * cfg.dt) * rng.standard_normal(size) - angle
-            return r, phi
-        x = np.full(size, 2.0 * math.sqrt(cfg.kappa / cfg.delta))
-        y = np.zeros(size)
-        z = np.empty((2, size))
-        a, b = z
-        g, u, v = np.empty(size), np.empty(size), np.empty(size)
-        for _ in range(total):
-            # with g = 1 + 2 kappa dt - delta dt (x^2 + y^2) / 4 and (a, b) = (dX, dY) / 2:
-            # x <- x (g + a) + y b,  y <- y (g - a) + x b
-            rng.standard_normal((2, size), out=z)
-            z *= half_std
-            np.multiply(x, x, out=g)
-            np.multiply(y, y, out=u)
-            g += u
-            g *= -0.25 * cfg.delta * cfg.dt
-            g += 1.0 + 2.0 * cfg.kappa * cfg.dt
-            np.add(g, a, out=u)
-            u *= x
-            np.multiply(y, b, out=v)
-            u += v
-            np.subtract(g, a, out=v)
-            v *= y
-            np.multiply(x, b, out=g)
-            v += g
-            x, u = u, x
-            y, v = v, y
+            psi = math.sqrt(2.0 * cfg.kappa * total * cfg.dt) * rng.standard_normal(size)
+            x, y = 2.0 * r * np.cos(psi), 2.0 * r * np.sin(psi)
+        else:
+            x = np.full(size, 2.0 * math.sqrt(cfg.kappa / cfg.delta))
+            y = np.zeros(size)
+            z = np.empty((2, size))
+            a, b = z
+            g, u, v = np.empty(size), np.empty(size), np.empty(size)
+            for _ in range(total):
+                # with g = 1 + 2 kappa dt - delta dt (x^2 + y^2) / 4 and (a, b) = (dX, dY) / 2:
+                # x <- x (g + a) + y b,  y <- y (g - a) + x b
+                rng.standard_normal((2, size), out=z)
+                z *= half_std
+                np.multiply(x, x, out=g)
+                np.multiply(y, y, out=u)
+                g += u
+                g *= -0.25 * cfg.delta * cfg.dt
+                g += 1.0 + 2.0 * cfg.kappa * cfg.dt
+                np.add(g, a, out=u)
+                u *= x
+                np.multiply(y, b, out=v)
+                u += v
+                np.subtract(g, a, out=v)
+                v *= y
+                np.multiply(x, b, out=g)
+                v += g
+                x, u = u, x
+                y, v = v, y
+        angle = cfg.omega0 * total * cfg.dt
         cos, sin = math.cos(angle), math.sin(angle)
         return cos * x + sin * y, cos * y - sin * x
 
@@ -252,37 +254,31 @@ def simulate_ensemble(cfg: SdeConfig) -> SdeEnsembleResult:
     ``step_cartesian`` for burn_in + n_steps steps of dt and is then rotated
     by -omega0 T, T = (burn_in + n_steps) dt, which is exact because the
     rotation commutes with the rest of the generator.  The polar phase is
-    drawn once per path as -omega0 T + sqrt(2 kappa T) z, the law of its Euler
-    sum.  Diverged paths are excluded and counted; above 1% the run fails.
-    Identical configs give bit-identical results regardless of thread count.
+    drawn once per path, sqrt(2 kappa T) z before that rotation, the law of
+    its Euler sum.  Diverged paths are excluded and counted; above 1% the run
+    fails.  Blocks run on ``NOISECYCLE_THREADS`` threads (unset or empty: 1);
+    identical configs give bit-identical results for any thread count.
     """
-    sizes = [_BLOCK_PATHS] * (cfg.n_paths // _BLOCK_PATHS)
-    if cfg.n_paths % _BLOCK_PATHS:
-        sizes.append(cfg.n_paths % _BLOCK_PATHS)
-    workers = int(os.environ.get(THREADS_ENV, "1") or "1")
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(lambda b: _run_block(cfg, b[0], b[1]), enumerate(sizes)))
-    else:
-        blocks = [_run_block(cfg, b, size) for b, size in enumerate(sizes)]
-    first = np.concatenate([b[0] for b in blocks])
-    second = np.concatenate([b[1] for b in blocks])
+    raw = os.environ.get(THREADS_ENV) or "1"
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise SdeError(f"{THREADS_ENV} must be an integer >= 1, got {raw!r}")
+    sizes = [min(_BLOCK_PATHS, cfg.n_paths - s) for s in range(0, cfg.n_paths, _BLOCK_PATHS)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        blocks = list(pool.map(lambda b: _run_block(cfg, *b), enumerate(sizes)))
+    x = np.concatenate([b[0] for b in blocks])
+    y = np.concatenate([b[1] for b in blocks])
 
-    finite = np.isfinite(first) & np.isfinite(second)
+    finite = np.isfinite(x) & np.isfinite(y)
     n_diverged = int((~finite).sum())
     if n_diverged > 0.01 * cfg.n_paths:
-        raise DivergenceError(
-            f"{n_diverged} of {cfg.n_paths} paths diverged; reduce dt"
-        )
-    first, second = first[finite], second[finite]
-
-    if cfg.coordinates == "polar":
-        r, phi = first, np.mod(second, 2.0 * math.pi)
-        x, y = 2.0 * r * np.cos(phi), 2.0 * r * np.sin(phi)
-    else:
-        x, y = first, second
-        r = 0.5 * np.hypot(x, y)
-        phi = np.mod(np.arctan2(y, x), 2.0 * math.pi)
+        raise DivergenceError(f"{n_diverged} of {cfg.n_paths} paths diverged; reduce dt")
+    x, y = x[finite], y[finite]
+    r = 0.5 * np.hypot(x, y)
+    phi = np.mod(np.arctan2(y, x), 2.0 * math.pi)
 
     return SdeEnsembleResult(
         r=r,
@@ -373,11 +369,12 @@ def noise_induced_drift_check(cfg: SdeConfig, state: tuple[float, float] = (1.0,
                               n_draws: int = 400_000) -> DriftGapReport:
     """Mean one-step gap between midpoint-noise (Stratonovich) and Ito updates.
 
-    Both discretizations consume the same standard-normal draws and share the
-    Euler drift; only the noise product is midpoint-averaged in the
-    Stratonovich variant, so at zero noise the two updates coincide exactly.
-    The gap per unit time converges to 2 kappa (x, y) as dt halves from 4e-3
-    to 1e-3, the drift the multiplicative noise induces.
+    Both updates consume the same draws and share the Euler drift; only the
+    noise coefficient is averaged over the Euler predictor.  It is linear in
+    the state, so the gap is half the noise at the Ito increment, one
+    evaluation per draw (the b b'/2 term, Kloeden & Platen 1992), and zero at
+    zero noise.  Per unit time it converges to 2 kappa (x, y) as dt halves
+    from 4e-3 to 1e-3, the drift the multiplicative noise induces.
     """
     x0, y0 = state
     dts = np.array([4e-3, 2e-3, 1e-3])
@@ -389,18 +386,9 @@ def noise_induced_drift_check(cfg: SdeConfig, state: tuple[float, float] = (1.0,
         std = math.sqrt(8.0 * cfg.kappa * dt)
         d_x, d_y = std * z[0], std * z[1]
         nx0, ny0 = _cartesian_noise(x0, y0, d_x, d_y)
-        # Ito (Euler-Maruyama) increment
-        ito_x = ax0 * dt + nx0
-        ito_y = ay0 * dt + ny0
-        # same drift, noise coefficient averaged over the predictor point
-        xb, yb = x0 + ito_x, y0 + ito_y
-        nxb, nyb = _cartesian_noise(xb, yb, d_x, d_y)
-        strat_x = ax0 * dt + 0.5 * (nx0 + nxb)
-        strat_y = ay0 * dt + 0.5 * (ny0 + nyb)
-        gaps[i] = [
-            float(np.mean(strat_x - ito_x)) / dt,
-            float(np.mean(strat_y - ito_y)) / dt,
-        ]
+        # noise coefficient at the Ito (Euler-Maruyama) increment
+        gap_x, gap_y = _cartesian_noise(ax0 * dt + nx0, ay0 * dt + ny0, d_x, d_y)
+        gaps[i] = [0.5 * float(np.mean(gap_x)) / dt, 0.5 * float(np.mean(gap_y)) / dt]
     return DriftGapReport(
         state=state,
         dts=dts,
@@ -425,6 +413,12 @@ def _balance_fields(cfg: SdeConfig, xs: np.ndarray):
     return max_flux_norm(irr_x, irr_y, 2), float(np.abs(interior(div_rev, 2)).max())
 
 
+def _diffusion_matrix(x, y) -> np.ndarray:
+    """D = B B^T, shape (2, 2, ...); B's columns are the noise of unit dX and dY."""
+    b = np.array([_cartesian_noise(x, y, 1.0, 0.0), _cartesian_noise(x, y, 0.0, 1.0)])
+    return np.einsum("ji...,jk...->ik...", b, b)
+
+
 def classical_detailed_balance(cfg: SdeConfig) -> DetailedBalanceReport:
     """Grid check that the stationary flux is reversible and divergence-free.
 
@@ -433,8 +427,10 @@ def classical_detailed_balance(cfg: SdeConfig) -> DetailedBalanceReport:
     spacing 0.1 over |x|, |y| <= 8 sqrt(kappa / delta) (four standard
     deviations) and on its refinement they shrink at second order.  Without
     rotation (omega0 = 0) the rotational divergence is exactly zero on both
-    grids and ``order_divergence`` is None.  The diffusion matrix depends only
-    on x^2 + y^2, so its time-reversal symmetry is exact.
+    grids and ``order_divergence`` is None.  Time reversal keeps x and flips
+    y, so the diffusion matrix must obey D(x, y) = eps D(x, -y) eps with
+    eps = diag(1, -1); ``diffusion_time_reversal_exact`` reports whether it
+    does, exactly, on the grid.
     """
     h = 0.1
     xs = make_grid(8.0 * math.sqrt(cfg.kappa / cfg.delta), h)
@@ -442,13 +438,14 @@ def classical_detailed_balance(cfg: SdeConfig) -> DetailedBalanceReport:
     irr_f, div_f = _balance_fields(cfg, refine(xs))
 
     X, Y = np.meshgrid(xs, xs, indexing="ij")
-    d_entry = 2.0 * cfg.kappa * (X ** 2 + Y ** 2)
-    d_reversed = 2.0 * cfg.kappa * (X ** 2 + (-Y) ** 2)
+    eps = np.diag([1.0, -1.0])
+    d_reversed = np.einsum("ij,jk...,kl->il...", eps, _diffusion_matrix(X, -Y), eps)
+    exact = bool(np.array_equal(_diffusion_matrix(X, Y), d_reversed))
     return DetailedBalanceReport(
         max_irreversible_flux=irr_c,
         max_reversible_divergence=div_c,
         order_irreversible=observed_order(irr_c, irr_f),
         order_divergence=observed_order(div_c, div_f),
-        diffusion_time_reversal_exact=bool(np.array_equal(d_entry, d_reversed)),
+        diffusion_time_reversal_exact=exact,
         spacing=h,
     )

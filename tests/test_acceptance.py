@@ -55,7 +55,7 @@ def test_criterion_06_circulation():
 
 
 def test_criterion_07_detailed_balance():
-    """Residual dichotomy: < 1e-10 noise-induced, > 1e-3 conventional."""
+    """Residual dichotomy: < 1e-10 noise-induced, conventional above a gain-scaled floor."""
     _drive("detailed-balance")
 
 

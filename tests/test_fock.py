@@ -1,5 +1,7 @@
 """Operator algebra, superoperator assembly, and generator symmetries."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -14,6 +16,7 @@ from noisecycle.fock import (
     adjoint_liouvillian,
     apply_super,
     build_ladder,
+    coherent_state,
     default_dim,
     devectorize,
     dim_for_tail,
@@ -96,6 +99,26 @@ def test_truncation_rule():
 # ---------------------------------------------------------------------------
 # vectorization
 # ---------------------------------------------------------------------------
+
+def test_coherent_state_vacuum_is_exact():
+    expected = np.zeros((12, 12), dtype=complex)
+    expected[0, 0] = 1.0
+    assert np.array_equal(coherent_state(12, 0), expected)
+
+
+def test_coherent_state_matches_poisson_amplitudes():
+    # |alpha> = exp(-|alpha|^2 / 2) sum_n alpha^n / sqrt(n!) |n>; the tail past
+    # n = 39 is far below rounding at |alpha| = 0.8
+    alpha = 0.8 * np.exp(0.7j)
+    rho = coherent_state(40, alpha)
+    n = np.arange(40)
+    pops = np.exp(-abs(alpha) ** 2) * abs(alpha) ** (2 * n) / np.array(
+        [math.factorial(k) for k in n], dtype=float)
+    assert np.abs(np.diag(rho).real - pops).max() < 1e-14
+    # phases: rho_{n0} = |c_n| |c_0| e^{i 0.7 n}
+    expected = np.sqrt(pops * pops[0]) * np.exp(0.7j * n)
+    assert np.abs(rho[:, 0] - expected).max() < 1e-14
+
 
 def test_vectorize_identity_column_stacking():
     assert np.array_equal(vectorize(np.eye(2)), np.array([1, 0, 0, 1], dtype=complex))

@@ -8,8 +8,10 @@ import pytest
 from scipy.integrate import dblquad, quad
 from scipy.stats import ks_2samp, kstest
 
+import noisecycle.sde as sde_module
 from noisecycle.sde import (
     AnalyticPdfs,
+    DivergenceError,
     GridRefinementError,
     SdeConfig,
     SdeError,
@@ -115,6 +117,32 @@ def test_divergence_budget():
 
     with pytest.raises(DivergenceError):
         simulate_ensemble(cfg)
+
+
+@pytest.mark.parametrize("coordinates", ["polar", "cartesian"])
+def test_diverging_ensemble_is_quiet(coordinates):
+    # inf/nan paths, and their rotation, stay inside the block's errstate
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        cfg = SdeConfig(kappa=1.0, delta=1.0, dt=0.5, n_steps=10, burn_in=300,
+                        n_paths=500, seed=3, coordinates=coordinates)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DivergenceError):
+            simulate_ensemble(cfg)
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "two"])
+def test_bad_thread_count_is_rejected(value, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("an executor was built")
+
+    monkeypatch.setattr(sde_module, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setenv(THREADS_ENV, value)
+    with pytest.raises(SdeError, match=f"{THREADS_ENV}.*{value!r}"):
+        simulate_ensemble(SdeConfig(kappa=1.0, delta=1.0, n_paths=10, burn_in=1))
 
 
 @pytest.mark.parametrize("coordinates", ["polar", "cartesian"])
@@ -316,3 +344,16 @@ def test_classical_detailed_balance_without_rotation():
     assert report.max_reversible_divergence == 0.0
     assert report.order_divergence is None
     assert 1.7 <= report.order_irreversible <= 2.3
+
+
+def test_diffusion_time_reversal_check_can_fail(monkeypatch):
+    # an extra c y dX term in the x noise makes D_xx depend on the sign of y
+    noise = sde_module._cartesian_noise
+
+    def skewed(x, y, d_x, d_y):
+        n_x, n_y = noise(x, y, d_x, d_y)
+        return n_x + 0.3 * y * d_x, n_y
+
+    monkeypatch.setattr(sde_module, "_cartesian_noise", skewed)
+    report = classical_detailed_balance(SdeConfig(kappa=1.0, delta=1.0, omega0=2.0))
+    assert not report.diffusion_time_reversal_exact
