@@ -169,20 +169,12 @@ def devectorize(vec: np.ndarray) -> np.ndarray:
     return vec.reshape((dim, dim), order="F")
 
 
-def left_mult(op: np.ndarray) -> sp.csr_matrix:
-    """Superoperator for rho -> op @ rho."""
-    dim = op.shape[0]
-    return sp.kron(sp.identity(dim, dtype=complex), sp.csr_matrix(op), format="csr")
+def sandwich(left_op, right_op) -> sp.csr_matrix:
+    """Superoperator for rho -> left_op @ rho @ right_op; dense or sparse operands.
 
-
-def right_mult(op: np.ndarray) -> sp.csr_matrix:
-    """Superoperator for rho -> rho @ op."""
-    dim = op.shape[0]
-    return sp.kron(sp.csr_matrix(op).T, sp.identity(dim, dtype=complex), format="csr")
-
-
-def sandwich(left_op: np.ndarray, right_op: np.ndarray) -> sp.csr_matrix:
-    """Superoperator for rho -> left_op @ rho @ right_op."""
+    The one Kronecker site of the package: one-sided products are
+    ``sandwich(op, eye)`` and ``sandwich(eye, op)`` with a sparse identity.
+    """
     return sp.kron(sp.csr_matrix(right_op).T, sp.csr_matrix(left_op), format="csr")
 
 
@@ -199,25 +191,38 @@ def apply_super(superop: sp.spmatrix, rho: np.ndarray) -> np.ndarray:
 # generators
 # ---------------------------------------------------------------------------
 
-def dissipator(c: np.ndarray) -> sp.csr_matrix:
-    """Matrix form of rho -> c rho c^dag - (c^dag c rho + rho c^dag c)/2."""
-    c = np.asarray(c, dtype=complex)
-    if c.ndim != 2 or c.shape[0] != c.shape[1]:
-        raise FockError(f"Lindblad operator must be square, got shape {c.shape}")
-    cdc = c.conj().T @ c
-    return (sandwich(c, c.conj().T) - 0.5 * left_mult(cdc) - 0.5 * right_mult(cdc)).tocsr()
+def dissipator(c) -> sp.csr_matrix:
+    """Matrix form of rho -> c rho c^dag - (c^dag c rho + rho c^dag c)/2.
+
+    ``c`` may be dense or sparse; the products run on its sparse form, so a
+    banded operator costs only its nonzeros.
+    """
+    shape = np.shape(c)
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise FockError(f"Lindblad operator must be square, got shape {shape}")
+    c = sp.csr_matrix(c, dtype=complex)
+    cd = c.conj().T
+    cdc = cd @ c
+    eye = sp.identity(shape[0], dtype=complex, format="csr")
+    return (sandwich(c, cd) - 0.5 * sandwich(cdc, eye) - 0.5 * sandwich(eye, cdc)).tocsr()
 
 
-def hamiltonian_term(h: np.ndarray) -> sp.csr_matrix:
+def hamiltonian_term(h) -> sp.csr_matrix:
     """Matrix form of rho -> -i [h, rho]."""
-    return (-1j * (left_mult(h) - right_mult(h))).tocsr()
+    eye = sp.identity(h.shape[0], dtype=complex, format="csr")
+    return (-1j * (sandwich(h, eye) - sandwich(eye, h))).tocsr()
 
 
 def liouvillian(params: ModelParams, dim: int | None = None) -> sp.csr_matrix:
-    """Generator of the selected model on a dim-level Fock space."""
+    """Generator of the selected model on a dim-level Fock space.
+
+    The ladder operators and their products stay sparse (banded), so no
+    step of the build costs a dense O(dim^3) product.
+    """
     if dim is None:
         dim = default_dim(params)
-    a, ad = build_ladder(dim)
+    a = sp.csr_matrix(build_ladder(dim)[0])
+    ad = a.conj().T.tocsr()
     gen = params.omega0 * hamiltonian_term(ad @ a) + params.kappa_down * dissipator(a @ a)
     if params.kind is ModelKind.NOISE_INDUCED:
         if params.kappa_up2 > 0:
@@ -237,9 +242,3 @@ def adjoint_super(superop: sp.spmatrix) -> sp.csr_matrix:
     """Adjoint of a superoperator with respect to the Hilbert-Schmidt inner product."""
     return superop.conjugate().transpose().tocsr()
 
-
-def rotation_super(phi: float, dim: int) -> sp.csr_matrix:
-    """Superoperator of the phase-space rotation rho -> e^{-i phi n} rho e^{i phi n}."""
-    p = np.exp(-1j * phi * np.arange(dim))
-    rot = np.diag(p)
-    return sandwich(rot, rot.conj().T)

@@ -21,6 +21,7 @@ from scipy.linalg import expm
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import norm as sparse_norm
 
+from .analytic import mean_n_ss
 from .fock import (
     FockError,
     ModelKind,
@@ -30,12 +31,12 @@ from .fock import (
     apply_super,
     build_ladder,
     devectorize,
-    left_mult,
     liouvillian,
     number_op,
     parity_op,
     quadrature_x,
     quadrature_y,
+    sandwich,
     vectorize,
 )
 
@@ -106,15 +107,6 @@ class CirculationResult:
 # ---------------------------------------------------------------------------
 # density-matrix helpers
 # ---------------------------------------------------------------------------
-
-def check_density_matrix(rho: np.ndarray, herm_tol=1e-12, trace_tol=1e-12, eig_floor=-1e-10):
-    if np.linalg.norm(rho - rho.conj().T) > herm_tol:
-        raise LindbladError("state is not Hermitian within tolerance")
-    if abs(np.trace(rho).real - 1.0) > trace_tol or abs(np.trace(rho).imag) > trace_tol:
-        raise LindbladError("state trace differs from 1")
-    if np.linalg.eigvalsh((rho + rho.conj().T) / 2).min() < eig_floor:
-        raise LindbladError("state has a significantly negative eigenvalue")
-
 
 def trace_distance(rho1: np.ndarray, rho2: np.ndarray) -> float:
     diff = rho1 - rho2
@@ -258,8 +250,9 @@ def circulation(rho: np.ndarray, params: ModelParams) -> CirculationResult:
     """Phase-space angular-momentum magnitude |Re <x L'y - y L'x>|.
 
     For the noise-induced model this equals omega0 <x^2 + y^2>; at steady
-    state the closed form 4 omega0 (2k/(1-k) + odd weight + 1/2) applies and
-    is reported alongside (None for the conventional model).
+    state the closed form 4 omega0 (<n>_ss + 1/2), with <n>_ss from
+    ``analytic.mean_n_ss``, applies and is reported alongside (None for the
+    conventional model).
     """
     dim = rho.shape[0]
     edge = np.diag(rho).real[-2:].sum()
@@ -278,9 +271,8 @@ def circulation(rho: np.ndarray, params: ModelParams) -> CirculationResult:
     mean_n = float(np.trace(rho @ number_op(dim)).real)
     phi_formula = None
     if params.kind is ModelKind.NOISE_INDUCED:
-        _, wp_minus = parity_weights(rho)
-        k = params.k_ratio
-        phi_formula = 4.0 * abs(params.omega0) * (2.0 * k / (1.0 - k) + wp_minus + 0.5)
+        wp_plus, _ = parity_weights(rho)
+        phi_formula = 4.0 * abs(params.omega0) * (mean_n_ss(params.k_ratio, wp_plus) + 0.5)
     return CirculationResult(phi=phi, phi_formula=phi_formula, mean_n=mean_n)
 
 
@@ -310,10 +302,11 @@ def time_reversed_liouvillian(params: ModelParams, dim: int | None = None) -> sp
 def detailed_balance_residual(params: ModelParams, rho_ss: np.ndarray) -> float:
     """Norm gap of the stationary time-reversal condition, relative to the generator.
 
-    Composes left-multiplication by the steady state with the adjoint
-    generator and compares against the time-reversed generator composed the
-    other way round.  Zero is detailed balance; the conventional model
-    violates it by orders of magnitude.
+    Composes left-multiplication by the steady state, ``sandwich(rho_ss, eye)``,
+    with the adjoint generator and compares against the time-reversed
+    generator composed the other way round.  The state enters as it is: the
+    sparse form stores its nonzeros and nothing is zeroed.  Zero is detailed
+    balance; the conventional model violates it by orders of magnitude.
     """
     dim = rho_ss.shape[0]
     L = liouvillian(params, dim)
@@ -323,9 +316,7 @@ def detailed_balance_residual(params: ModelParams, rho_ss: np.ndarray) -> float:
             f"state is not stationary: ||L vec(rho)|| = {stationarity:.3e}"
         )
     reversed_L = L.conj()  # time reversal: complex conjugation in the real Fock basis
-    trimmed = rho_ss.copy()
-    trimmed[np.abs(trimmed) < 1e-15 * np.abs(trimmed).max()] = 0.0
-    mult_left = left_mult(trimmed)
+    mult_left = sandwich(rho_ss, sp.identity(dim, dtype=complex, format="csr"))
     residual = mult_left @ adjoint_super(L) - reversed_L @ mult_left
     return float(sparse_norm(residual) / sparse_norm(L))
 
@@ -413,5 +404,5 @@ def wigner_numeric(rho: np.ndarray, points: np.ndarray) -> np.ndarray:
 
 def wigner_numeric_grid(rho: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Displaced-parity values on the tensor grid xs x ys, indexed [ix, iy]."""
-    pts = np.array([(x, y) for x in xs for y in ys])
+    pts = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
     return wigner_numeric(rho, pts).reshape(len(xs), len(ys))

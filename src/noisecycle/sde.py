@@ -279,6 +279,7 @@ def simulate_ensemble(cfg: SdeConfig) -> SdeEnsembleResult:
     x, y = x[finite], y[finite]
     r = 0.5 * np.hypot(x, y)
     phi = np.mod(np.arctan2(y, x), 2.0 * math.pi)
+    phi[phi == 2.0 * math.pi] = 0.0  # mod rounds a tiny negative angle up to 2 pi
 
     return SdeEnsembleResult(
         r=r,

@@ -36,7 +36,7 @@ from .lindblad import (
     random_density_matrix,
     steady_states,
     trace_distance,
-    wigner_numeric,
+    wigner_numeric_grid,
 )
 
 
@@ -199,10 +199,10 @@ def check_wigner_oracle(mutations=()) -> dict:
     dim = 128  # corner displacements reach |alpha| ~ 4.6 and need the headroom
     extent = wignerflux.default_extent(k_ratio, wp)
     axis = np.linspace(-extent, extent, 41)
-    pts = np.array([(x, y) for x in axis for y in axis])
     rho = analytic.rho_ss_analytic(k_ratio, wp, dim)
-    numeric = wigner_numeric(rho, pts)
-    closed = analytic.wigner_ss(pts[:, 0], pts[:, 1], k_ratio, wp)
+    numeric = wigner_numeric_grid(rho, axis, axis)
+    xs, ys = np.meshgrid(axis, axis, indexing="ij")
+    closed = analytic.wigner_ss(xs, ys, k_ratio, wp)
     gap = float(np.abs(numeric - closed).max())
     return {"max_abs_gap": _below(gap, 1e-6), "grid": "41x41"}
 

@@ -1,6 +1,7 @@
 """Operator algebra, superoperator assembly, and generator symmetries."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,7 +27,6 @@ from noisecycle.fock import (
     number_op,
     parity_op,
     quadrature_x,
-    rotation_super,
     sandwich,
     vectorize,
 )
@@ -178,6 +178,25 @@ def test_dissipator_traceless_hermitian_output():
     assert np.linalg.norm(out - out.conj().T) < 1e-12 * np.abs(out).max()
 
 
+@pytest.mark.parametrize("make_op", [
+    pytest.param(lambda: build_ladder(12)[0] @ build_ladder(12)[0], id="two-photon-loss"),
+    pytest.param(lambda: quadrature_x(12), id="x-quadrature"),
+])
+def test_dissipator_accepts_sparse_operator(make_op):
+    op = make_op()
+    dense, sparse = dissipator(op), dissipator(sp.csr_matrix(op))
+    assert np.array_equal(dense.indptr, sparse.indptr)
+    assert np.array_equal(dense.indices, sparse.indices)
+    assert dense.data.tobytes() == sparse.data.tobytes()
+
+
+def test_dissipator_rejects_non_square_operator():
+    with pytest.raises(FockError):
+        dissipator(np.zeros((3, 4)))
+    with pytest.raises(FockError):
+        dissipator(sp.csr_matrix(np.zeros((3, 4))))
+
+
 def test_apply_super_dimension_mismatch():
     d = dissipator(np.zeros((4, 4)))
     with pytest.raises(FockError):
@@ -187,6 +206,43 @@ def test_apply_super_dimension_mismatch():
 # ---------------------------------------------------------------------------
 # generators
 # ---------------------------------------------------------------------------
+
+def reference_liouvillian(params: ModelParams, dim: int) -> sp.csr_matrix:
+    """The generator from dense ladder products and one sp.kron per term."""
+    a, ad = build_ladder(dim)
+    eye = sp.identity(dim, dtype=complex)
+
+    def left(op):
+        return sp.kron(eye, sp.csr_matrix(op), format="csr")
+
+    def right(op):
+        return sp.kron(sp.csr_matrix(op).T, eye, format="csr")
+
+    def dense_dissipator(c):
+        cdc = c.conj().T @ c
+        both = sp.kron(sp.csr_matrix(c.conj().T).T, sp.csr_matrix(c), format="csr")
+        return (both - 0.5 * left(cdc) - 0.5 * right(cdc)).tocsr()
+
+    rotation = (-1j * (left(ad @ a) - right(ad @ a))).tocsr()
+    gen = params.omega0 * rotation + params.kappa_down * dense_dissipator(a @ a)
+    if params.kappa_up2 > 0:
+        gen = gen + params.kappa_up2 * dense_dissipator(ad @ ad)
+    if params.kappa_up1 > 0:
+        gen = gen + params.kappa_up1 * dense_dissipator(ad)
+    return gen.tocsr()
+
+
+@pytest.mark.parametrize("dim", [6, 20, 46])
+@pytest.mark.parametrize("omega0", [0.0, 2.7])
+@pytest.mark.parametrize("params", [NI, CONV], ids=["noise-induced", "conventional"])
+def test_liouvillian_equals_dense_product_reference(params, omega0, dim):
+    params = replace(params, omega0=omega0)
+    got = liouvillian(params, dim).sorted_indices()
+    ref = reference_liouvillian(params, dim).sorted_indices()
+    assert np.array_equal(got.indptr, ref.indptr)
+    assert np.array_equal(got.indices, ref.indices)
+    assert got.data.tobytes() == ref.data.tobytes()
+
 
 def test_pure_rotation_annihilates_vacuum():
     p = ModelParams(omega0=2.0, kappa_down=1e-300)  # loss must be positive; make it negligible
@@ -223,6 +279,13 @@ def test_strong_symmetry_exact():
     P = parity_op(32)
     assert np.abs(P @ (a @ a) - (a @ a) @ P).max() == 0.0
     assert np.abs(P @ (ad @ ad) - (ad @ ad) @ P).max() == 0.0
+
+
+def rotation_super(phi: float, dim: int) -> sp.csr_matrix:
+    """Superoperator of the phase-space rotation rho -> e^{-i phi n} rho e^{i phi n}."""
+    p = np.exp(-1j * phi * np.arange(dim))
+    rot = np.diag(p)
+    return sandwich(rot, rot.conj().T)
 
 
 @pytest.mark.parametrize("params", [NI, CONV])

@@ -30,7 +30,6 @@ from noisecycle.fock import (
 from noisecycle.lindblad import (
     DegenerateSpectrumError,
     StationarityError,
-    check_density_matrix,
     circulation,
     conserved_decomposition,
     conserved_reconstruction,
@@ -50,6 +49,15 @@ from noisecycle.analytic import wigner_ss
 
 NI = ModelParams(omega0=1.0, kappa_down=1.0, kappa_up2=0.5)
 CONV = ModelParams(omega0=1.0, kappa_down=1.0, kappa_up1=0.3, kind=ModelKind.CONVENTIONAL)
+
+
+def check_density_matrix(rho: np.ndarray, herm_tol=1e-12, trace_tol=1e-12, eig_floor=-1e-10):
+    """Hermitian, unit trace and no significantly negative eigenvalue."""
+    assert np.linalg.norm(rho - rho.conj().T) <= herm_tol, "state is not Hermitian"
+    assert abs(np.trace(rho).real - 1.0) <= trace_tol, "state trace differs from 1"
+    assert abs(np.trace(rho).imag) <= trace_tol, "state trace differs from 1"
+    assert np.linalg.eigvalsh((rho + rho.conj().T) / 2).min() >= eig_floor, (
+        "state has a significantly negative eigenvalue")
 
 
 # ---------------------------------------------------------------------------

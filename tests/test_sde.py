@@ -145,6 +145,14 @@ def test_bad_thread_count_is_rejected(value, monkeypatch):
         simulate_ensemble(SdeConfig(kappa=1.0, delta=1.0, n_paths=10, burn_in=1))
 
 
+def test_phi_of_a_tiny_negative_angle_is_zero(monkeypatch):
+    # mod(arctan2(-1e-20, 1), 2 pi) rounds up to exactly 2 pi, outside [0, 2 pi)
+    monkeypatch.setattr(sde_module, "_run_block",
+                        lambda cfg, block, size: (np.array([1.0]), np.array([-1e-20])))
+    result = simulate_ensemble(SdeConfig(kappa=1.0, delta=1.0, n_paths=1, seed=0))
+    assert result.phi.tolist() == [0.0]
+
+
 @pytest.mark.parametrize("coordinates", ["polar", "cartesian"])
 def test_thread_count_does_not_change_results(coordinates, monkeypatch):
     # two full blocks and a one-path remainder
