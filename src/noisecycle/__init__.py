@@ -37,7 +37,6 @@ from .fock import (
     ModelKind,
     ModelParams,
     NoStationaryStateError,
-    adjoint_liouvillian,
     build_ladder,
     coherent_state,
     default_dim,
@@ -65,8 +64,6 @@ from .lindblad import (
     parity_expectation,
     parity_weights,
     steady_states,
-    time_reverse_operator,
-    time_reversed_liouvillian,
     trace_distance,
     wigner_numeric,
     wigner_numeric_grid,

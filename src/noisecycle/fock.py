@@ -1,7 +1,9 @@
 """Truncated Fock-space operators, model parameters, and superoperator assembly.
 
 Superoperators act on column-stacked (Fortran-order) vectorizations of
-density matrices, so that vec(A rho B) = kron(B.T, A) vec(rho).
+density matrices, so that vec(A rho B) = kron(B.T, A) vec(rho).  Only the
+forward generator is built: an adjoint action enters through the
+Hilbert-Schmidt duality Tr[A^dag L'(B)] = Tr[(L A)^dag B].
 """
 
 from __future__ import annotations
@@ -231,14 +233,4 @@ def liouvillian(params: ModelParams, dim: int | None = None) -> sp.csr_matrix:
         if params.kappa_up1 > 0:
             gen = gen + params.kappa_up1 * dissipator(ad)
     return gen.tocsr()
-
-
-def adjoint_liouvillian(params: ModelParams, dim: int | None = None) -> sp.csr_matrix:
-    """Hilbert-Schmidt adjoint: Tr[(L A)^dag B] = Tr[A^dag L^dag B]."""
-    return adjoint_super(liouvillian(params, dim))
-
-
-def adjoint_super(superop: sp.spmatrix) -> sp.csr_matrix:
-    """Adjoint of a superoperator with respect to the Hilbert-Schmidt inner product."""
-    return superop.conjugate().transpose().tocsr()
 

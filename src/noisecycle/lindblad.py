@@ -2,11 +2,11 @@
 
 Steady states from the null spaces and time evolution by the dense
 exponentials of the generator's invariant blocks (the weakly connected
-components of its sparsity pattern), phase-space circulation through the
-adjoint generator, the time-reversed generator and the detailed-balance
-residual, steady-state reconstruction from conserved quantities, and a
-displaced-parity quasiprobability evaluator used as an oracle against the
-closed forms.
+components of its sparsity pattern), phase-space circulation and the
+detailed-balance residual from the forward generator alone (no adjoint or
+time-reversed copy is built), steady-state reconstruction from conserved
+quantities, and a displaced-parity quasiprobability evaluator used as an
+oracle against the closed forms.
 """
 
 from __future__ import annotations
@@ -26,16 +26,11 @@ from .fock import (
     FockError,
     ModelKind,
     ModelParams,
-    adjoint_liouvillian,
-    adjoint_super,
     apply_super,
     build_ladder,
     devectorize,
     liouvillian,
-    number_op,
     parity_op,
-    quadrature_x,
-    quadrature_y,
     sandwich,
     vectorize,
 )
@@ -59,6 +54,14 @@ class StationarityError(LindbladError):
 
 class StiffnessError(LindbladError):
     """Propagation produced non-finite entries; enlarge the truncation or shorten t."""
+
+
+class NormalizationError(LindbladError):
+    """State's populations do not sum to 1, or a parity weight leaves [0, 1]."""
+
+
+class DisplacementRangeError(LindbladError):
+    """Displacement grid reaches beyond what the truncation resolves."""
 
 
 @dataclass(frozen=True)
@@ -86,9 +89,8 @@ class ConservedDecomposition:
     m1: np.ndarray
 
     def weights(self, rho0: np.ndarray) -> tuple[float, float]:
-        w0 = np.trace(self.c0.conj().T @ rho0)
-        w1 = np.trace(self.c1.conj().T @ rho0)
-        return float(w0.real), float(w1.real)
+        # Tr[c^dag rho0] is the entrywise sum of conj(c) rho0
+        return float(np.vdot(self.c0, rho0).real), float(np.vdot(self.c1, rho0).real)
 
     def reconstruct(self, rho0: np.ndarray) -> np.ndarray:
         w0, w1 = self.weights(rho0)
@@ -115,9 +117,19 @@ def trace_distance(rho1: np.ndarray, rho2: np.ndarray) -> float:
 
 
 def parity_weights(rho0: np.ndarray) -> tuple[float, float]:
-    """Total population of even and of odd levels."""
+    """Total population of even and of odd levels.
+
+    Raises ``NormalizationError`` when the populations miss a sum of 1 by
+    more than 1e-10 or the even weight leaves [0, 1] by more than 1e-12; an
+    excursion within 1e-12 is rounding and is clipped.
+    """
     pops = np.diag(rho0).real
+    total = float(pops.sum())
+    if abs(total - 1.0) > 1e-10:
+        raise NormalizationError(f"populations sum to {total!r}, not 1")
     wp = float(pops[::2].sum())
+    if not -1e-12 <= wp <= 1.0 + 1e-12:
+        raise NormalizationError(f"even-parity weight {wp!r} lies outside [0, 1]")
     wp = min(max(wp, 0.0), 1.0)
     return wp, 1.0 - wp
 
@@ -249,10 +261,13 @@ def evolve(rho0: np.ndarray, L: sp.spmatrix, t: float) -> np.ndarray:
 def circulation(rho: np.ndarray, params: ModelParams) -> CirculationResult:
     """Phase-space angular-momentum magnitude |Re <x L'y - y L'x>|.
 
-    For the noise-induced model this equals omega0 <x^2 + y^2>; at steady
-    state the closed form 4 omega0 (<n>_ss + 1/2), with <n>_ss from
-    ``analytic.mean_n_ss``, applies and is reported alongside (None for the
-    conventional model).
+    The adjoint L' is never built: for Hermitian rho, x and y, duality gives
+    Tr[rho x L'(y)] = conj Tr[y L(x rho)], so the magnitude is
+    |Re(Tr[y L(x rho)] - Tr[x L(y rho)])|, two forward products with the
+    tridiagonal quadratures.  For the noise-induced model this equals
+    omega0 <x^2 + y^2>; at steady state the closed form
+    4 omega0 (<n>_ss + 1/2), with <n>_ss from ``analytic.mean_n_ss``,
+    applies and is reported alongside (None for the conventional model).
     """
     dim = rho.shape[0]
     edge = np.diag(rho).real[-2:].sum()
@@ -261,14 +276,15 @@ def circulation(rho: np.ndarray, params: ModelParams) -> CirculationResult:
             f"top Fock levels carry population {edge:.2e}; circulation may be unreliable",
             stacklevel=2,
         )
-    adj = adjoint_liouvillian(params, dim)
-    x = quadrature_x(dim)
-    y = quadrature_y(dim)
-    adj_y = apply_super(adj, y)
-    adj_x = apply_super(adj, x)
-    observable = x @ adj_y - y @ adj_x
-    phi = abs(float(np.trace(rho @ observable).real))
-    mean_n = float(np.trace(rho @ number_op(dim)).real)
+    gen = liouvillian(params, dim)
+    a = sp.csr_matrix(build_ladder(dim)[0])
+    x = a + a.conj().T
+    y = -1j * (a - a.conj().T)
+    # Tr[q M] sums q * M^T entrywise, O(dim) on the tridiagonal q
+    moved_x = apply_super(gen, x @ rho)
+    moved_y = apply_super(gen, y @ rho)
+    phi = abs(float((y.multiply(moved_x.T).sum() - x.multiply(moved_y.T).sum()).real))
+    mean_n = float(np.arange(dim) @ np.diag(rho).real)
     phi_formula = None
     if params.kind is ModelKind.NOISE_INDUCED:
         wp_plus, _ = parity_weights(rho)
@@ -277,36 +293,21 @@ def circulation(rho: np.ndarray, params: ModelParams) -> CirculationResult:
 
 
 # ---------------------------------------------------------------------------
-# time reversal and detailed balance
+# detailed balance
 # ---------------------------------------------------------------------------
-
-def time_reverse_operator(op: np.ndarray) -> np.ndarray:
-    """Antilinear time reversal in the Fock basis, T|n> = |n>.
-
-    On matrices this is transposition (equivalently entrywise conjugation for
-    Hermitian operators); it swaps the ladder operators.
-    """
-    return np.asarray(op).T.copy()
-
-
-def time_reversed_liouvillian(params: ModelParams, dim: int | None = None) -> sp.csr_matrix:
-    """Generator satisfying T(L A) = T(L) T(A).
-
-    In the real Fock basis time reversal is complex conjugation: both
-    dissipators are real and even, and only the free rotation flips sign, so
-    this equals ``liouvillian(params.rotation_reversed(), dim)``.
-    """
-    return liouvillian(params, dim).conj()
-
 
 def detailed_balance_residual(params: ModelParams, rho_ss: np.ndarray) -> float:
     """Norm gap of the stationary time-reversal condition, relative to the generator.
 
     Composes left-multiplication by the steady state, ``sandwich(rho_ss, eye)``,
     with the adjoint generator and compares against the time-reversed
-    generator composed the other way round.  The state enters as it is: the
-    sparse form stores its nonzeros and nothing is zeroed.  Zero is detailed
-    balance; the conventional model violates it by orders of magnitude.
+    generator composed the other way round.  In the real Fock basis time
+    reversal is complex conjugation (both dissipators are real and even,
+    only the free rotation flips sign), so the time-reversed generator is
+    conj(L) and the adjoint is its transpose; no further copy is built.  The
+    state enters as it is: the sparse form stores its nonzeros and nothing
+    is zeroed.  Zero is detailed balance; the conventional model violates it
+    by orders of magnitude.
     """
     dim = rho_ss.shape[0]
     L = liouvillian(params, dim)
@@ -315,9 +316,9 @@ def detailed_balance_residual(params: ModelParams, rho_ss: np.ndarray) -> float:
         raise StationarityError(
             f"state is not stationary: ||L vec(rho)|| = {stationarity:.3e}"
         )
-    reversed_L = L.conj()  # time reversal: complex conjugation in the real Fock basis
+    reversed_L = L.conj()
     mult_left = sandwich(rho_ss, sp.identity(dim, dtype=complex, format="csr"))
-    residual = mult_left @ adjoint_super(L) - reversed_L @ mult_left
+    residual = mult_left @ reversed_L.T - reversed_L @ mult_left
     return float(sparse_norm(residual) / sparse_norm(L))
 
 
@@ -371,6 +372,8 @@ def wigner_numeric(rho: np.ndarray, points: np.ndarray) -> np.ndarray:
     form enters.  With P the parity, the value is
     Tr[rho D(alpha) P D(alpha)^dag] = sum_jk rho_jk (R D(r) P D(r)^dag R^dag)_kj,
     so each point of a radius costs one product with its diagonal rotation.
+    Raises ``DisplacementRangeError`` when the grid reaches past the radius
+    the truncation resolves for the occupied levels.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     dim = rho.shape[0]
@@ -384,9 +387,9 @@ def wigner_numeric(rho: np.ndarray, points: np.ndarray) -> np.ndarray:
     n_cov = int(occupied[-1]) if occupied.size else 0
     radii, group = np.unique(0.5 * np.hypot(points[:, 0], points[:, 1]), return_inverse=True)
     if (radii[-1] + math.sqrt(n_cov + 1.0)) ** 2 > dim - 2:
-        warnings.warn(
-            "grid reaches beyond the safe displacement radius for this truncation",
-            stacklevel=2,
+        raise DisplacementRangeError(
+            f"grid radius {radii[-1]:.3g} reaches beyond the safe displacement radius "
+            f"for dim {dim} with levels up to {n_cov} occupied"
         )
 
     evals, vecs = np.linalg.eigh(1j * (ad - a))

