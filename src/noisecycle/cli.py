@@ -128,17 +128,19 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
     params = _model_from_cfg(cfg)
     dim = cfg["dim"] = cfg["dim"] or default_dim(params)
-    out = _prepare_out(args, cfg)
-
     spec = cfg["initial"]
-    if spec == "vacuum":
-        rho0 = fock_state(dim, 0)
-    elif spec.startswith("fock:"):
-        rho0 = fock_state(dim, int(spec.split(":", 1)[1]))
-    elif spec.startswith("coherent:"):
-        rho0 = coherent_state(dim, complex(spec.split(":", 1)[1]))
-    else:
-        raise SystemExit(f"config error at initial: unknown state {spec!r}")
+    try:
+        if spec == "vacuum":
+            rho0 = fock_state(dim, 0)
+        elif spec.startswith("fock:"):
+            rho0 = fock_state(dim, int(spec.split(":", 1)[1]))
+        elif spec.startswith("coherent:"):
+            rho0 = coherent_state(dim, complex(spec.split(":", 1)[1]))
+        else:
+            raise SystemExit(f"config error at initial: unknown state {spec!r}")
+    except ValueError as exc:  # a malformed number, or a level outside the truncation
+        raise SystemExit(f"config error at initial: bad state {spec!r} ({exc})") from None
+    out = _prepare_out(args, cfg)
 
     rho_t = evolve(rho0, liouvillian(params, dim), cfg["t"])
     wp0, _ = parity_weights(rho0)

@@ -2,11 +2,15 @@
 
 Steady states from the null spaces and time evolution by the dense
 exponentials of the generator's invariant blocks (the weakly connected
-components of its sparsity pattern), phase-space circulation and the
-detailed-balance residual from the forward generator alone (no adjoint or
-time-reversed copy is built), steady-state reconstruction from conserved
-quantities, and a displaced-parity quasiprobability evaluator used as an
-oracle against the closed forms.
+components of its sparsity pattern).  Both take their blocks from one
+gather that scatters the generator's stored entries into dense arrays.
+Evolution assumes a Hermitian initial state and a Hermiticity-preserving
+generator, so of two blocks that are each other's Hermitian mirror only one
+is exponentiated and the other is filled by conjugation.  Also here:
+phase-space circulation and the detailed-balance residual from the forward
+generator alone (no adjoint or time-reversed copy is built), steady-state
+reconstruction from conserved quantities, and a displaced-parity
+quasiprobability evaluator used as an oracle against the closed forms.
 """
 
 from __future__ import annotations
@@ -153,22 +157,57 @@ def random_density_matrix(dim: int, rank: int | None = None, support: int | None
 
 
 # ---------------------------------------------------------------------------
-# steady states
+# invariant blocks
 # ---------------------------------------------------------------------------
 
-def _invariant_blocks(L: sp.csr_matrix) -> list[np.ndarray]:
-    """Index sets of the weakly connected components of L's sparsity pattern.
+def _block_labels(L: sp.csr_matrix) -> tuple[int, np.ndarray]:
+    """Block count and the block label of every vec index.
 
-    L is exactly block-diagonal on these sets.  Both models commute with the
+    The blocks are the weakly connected components of L's sparsity pattern,
+    and L is exactly block-diagonal on them.  Both models commute with the
     phase rotation, so each coherence order m = n' - n is one block, split
     further by the parity of n under two-photon exchange.  The split reads
     only the pattern, so a generator without the symmetry gives fewer,
     larger blocks (at worst one).
     """
-    n_blocks, labels = connected_components(L.astype(bool), connection="weak")
-    stops = np.cumsum(np.bincount(labels, minlength=n_blocks))[:-1]
-    return np.split(np.argsort(labels, kind="stable"), stops)
+    return connected_components(L.astype(bool), connection="weak")
 
+
+def _gather_blocks(L: sp.csr_matrix, labels: np.ndarray,
+                   chosen: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Vec indices (ascending) and dense block of each chosen label, in one scatter.
+
+    Each index gets its position inside its block, each chosen block one
+    square slab of a flat buffer, and the rows of the canonical CSR that lie
+    in chosen blocks are taken in one row gather and written into their
+    slabs at once.  Every stored entry, an explicit zero too, joins its row
+    and column into one component, so both lie in the row's block.
+    """
+    if not L.has_canonical_format:
+        L = L.copy()
+        L.sum_duplicates()
+    sizes = np.bincount(labels)
+    members = np.argsort(labels, kind="stable")
+    starts = np.cumsum(sizes) - sizes
+    position = np.empty_like(members)
+    position[members] = np.arange(labels.size) - np.repeat(starts, sizes)
+    area = np.zeros_like(sizes)
+    area[chosen] = sizes[chosen] ** 2
+    offset = np.cumsum(area) - area
+    rows = np.flatnonzero(area[labels])
+    picked = L[rows]
+    rows = np.repeat(rows, np.diff(picked.indptr))
+    owner = labels[rows]
+    flat = np.zeros(area.sum(), dtype=L.dtype)
+    flat[offset[owner] + position[rows] * sizes[owner] + position[picked.indices]] = picked.data
+    return [(members[starts[b]:starts[b] + sizes[b]],
+             flat[offset[b]:offset[b] + area[b]].reshape(sizes[b], sizes[b]))
+            for b in chosen]
+
+
+# ---------------------------------------------------------------------------
+# steady states
+# ---------------------------------------------------------------------------
 
 # a singular value at most this fraction of its block's largest, or the trace
 # of a unit null vector at most this size, counts as zero
@@ -180,24 +219,25 @@ def steady_states(L: sp.spmatrix) -> SteadyStateResult:
 
     Only blocks that hold a population index i (dim + 1) can carry a state; a
     block of coherences alone is skipped even when it has a kernel (the
-    |0><1| block at omega0 = k = 0), so ``kernel_dim`` counts states.  Each
-    remaining block gets a dense SVD, and each null vector (singular value
-    at most ``_NULL_RTOL`` times the block's largest) is scaled to unit
-    trace and symmetrized.  One state is the unique result; two states must
-    be an even- and an odd-supported pair, returned as ``rho_plus`` and
-    ``rho_minus`` with the ``combine`` mixer.  Any other count or pair, or
-    a trace-free null vector, raises ``DegenerateSpectrumError``.
+    |0><1| block at omega0 = k = 0), so ``kernel_dim`` counts states.  These
+    population blocks, the labels of those indices, come out of one gather
+    (see ``_gather_blocks``).  Each gets a dense SVD, and each null vector
+    (singular value at most ``_NULL_RTOL`` times the block's largest) is
+    scaled to unit trace and symmetrized.  One state is the unique result;
+    two states must be an even- and an odd-supported pair, returned as
+    ``rho_plus`` and ``rho_minus`` with the ``combine`` mixer.  Any other
+    count or pair, or a trace-free null vector, raises
+    ``DegenerateSpectrumError``.
     """
     L = L.tocsr()
     n = L.shape[0]
     dim = math.isqrt(n)
     if dim * dim != n:
         raise FockError(f"superoperator size {n} is not a perfect square")
+    _, labels = _block_labels(L)
     null_vecs = []
-    for idx in _invariant_blocks(L):
-        if not np.any(idx % (dim + 1) == 0):
-            continue
-        _, s, vh = np.linalg.svd(L[idx][:, idx].toarray())
+    for idx, block in _gather_blocks(L, labels, np.unique(labels[::dim + 1])):
+        _, s, vh = np.linalg.svd(block)
         for v in vh[s <= _NULL_RTOL * s[0]].conj():
             vec = np.zeros(n, dtype=complex)
             vec[idx] = v
@@ -227,25 +267,50 @@ def steady_states(L: sp.spmatrix) -> SteadyStateResult:
 # time evolution
 # ---------------------------------------------------------------------------
 
+# an initial state further than this from its adjoint, entrywise, is rejected
+_HERMITIAN_ATOL = 1e-12
+
+
 def evolve(rho0: np.ndarray, L: sp.spmatrix, t: float) -> np.ndarray:
     """Propagate rho0 to time t under the generator L.
 
-    L is split into its invariant blocks (see ``_invariant_blocks``).  A
-    block on which vec(rho0) is zero stays zero and is skipped; every other
-    block is propagated by its dense exponential.
+    rho0 must be Hermitian (``ValueError`` past 1e-12 entrywise) and L is
+    assumed to preserve Hermiticity, as every Lindblad generator does.  The
+    invariant blocks (see ``_block_labels``) that vec(rho0) touches come out
+    of one gather (see ``_gather_blocks``), and each is propagated by its
+    dense exponential; a block vec(rho0) leaves zero stays zero.  Under
+    both assumptions the entry at the transposed vec index is the conjugate,
+    so the block holding those indices, the mirror, is never exponentiated
+    twice: a block is exponentiated when its mirror's label is at least its
+    own (orders m and -m cost one), and the others are filled with the
+    conjugates of their mirror's entries.  Population blocks, and the single
+    block of a generator without phase symmetry, are their own mirrors.
     """
     if t < 0:
         raise ValueError("evolution time must be nonnegative")
+    skew = float(np.abs(rho0 - rho0.conj().T).max())
+    if skew > _HERMITIAN_ATOL:
+        raise ValueError(f"initial state is not Hermitian: max|rho0 - rho0^dag| = {skew:.3e}")
     if t == 0:
         return rho0.copy()
     L = L.tocsr()
     vec0 = vectorize(rho0).astype(complex)
+    n_blocks, labels = _block_labels(L)
+    # vec index of each entry's transpose, and the block label found there
+    transposed = vectorize(devectorize(np.arange(vec0.size)).T)
+    mirror = np.empty(n_blocks, dtype=labels.dtype)
+    mirror[labels] = labels[transposed]
+    touched = np.zeros(n_blocks, dtype=bool)
+    touched[labels[vec0 != 0]] = True
+    # rho0 is Hermitian only to within the tolerance: a zero entry may face a
+    # tiny nonzero one, and the pair of blocks must still be propagated
+    touched |= touched[mirror]
+    own = np.arange(n_blocks)
     vec_t = np.zeros_like(vec0)
-    for idx in _invariant_blocks(L):
-        if not vec0[idx].any():
-            continue
-        block = L[idx][:, idx].toarray()
+    for idx, block in _gather_blocks(L, labels, np.flatnonzero(touched & (mirror >= own))):
         vec_t[idx] = expm(t * block) @ vec0[idx]
+    filled = (touched & (mirror < own))[labels]
+    vec_t[filled] = vec_t[transposed[filled]].conj()
     rho_t = devectorize(vec_t)
     if not np.all(np.isfinite(rho_t)):
         raise StiffnessError(

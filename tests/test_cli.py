@@ -218,6 +218,15 @@ def test_evolve_near_saturated_ratio_default_dim(tmp_path):
     assert abs(report["parity_final"] - report["parity_initial"]) < 1e-9
 
 
+@pytest.mark.parametrize("spec", ["coherent:abc", "fock:x", "fock:99"])
+def test_evolve_rejects_malformed_initial_state(tmp_path, spec):
+    with pytest.raises(SystemExit) as err:
+        main(["evolve", "--out", str(tmp_path / "ev"), "--dim", "20", "--initial", spec])
+    assert str(err.value).startswith("config error at initial: ")
+    assert repr(spec) in str(err.value)
+    assert not (tmp_path / "ev").exists()  # no config echo for a run that never started
+
+
 # ---------------------------------------------------------------------------
 # sde
 # ---------------------------------------------------------------------------

@@ -5,10 +5,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.linalg import null_space
+from scipy.linalg import expm, null_space
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import expm_multiply
 
+from noisecycle import lindblad
 from noisecycle.analytic import rho_ss_analytic
 from noisecycle.fock import (
     FockError,
@@ -213,12 +214,19 @@ def phase_breaking_generator(dim):
             + hamiltonian_term(number_op(dim) + 0.5 * quadrature_y(dim))).tocsr()
 
 
-@pytest.mark.parametrize("make_gen,phase_symmetric", [
-    (lambda dim: liouvillian(ModelParams(omega0=1.0, kappa_down=1.0), dim), True),
-    (lambda dim: liouvillian(ModelParams(omega0=1.0, kappa_down=1.0, kappa_up2=0.4), dim), True),
-    (lambda dim: liouvillian(CONV, dim), True),
-    (phase_breaking_generator, False),
-], ids=["noise-induced-k0", "noise-induced-k0.4", "conventional", "no-phase-symmetry"])
+# generator makers by dim, each with whether its model has phase symmetry
+GENERATORS = {
+    "noise-induced-k0": (lambda dim: liouvillian(ModelParams(omega0=1.0, kappa_down=1.0), dim),
+                         True),
+    "noise-induced-k0.4": (lambda dim: liouvillian(
+        ModelParams(omega0=1.0, kappa_down=1.0, kappa_up2=0.4), dim), True),
+    "conventional": (lambda dim: liouvillian(CONV, dim), True),
+    "no-phase-symmetry": (phase_breaking_generator, False),
+}
+
+
+@pytest.mark.parametrize("make_gen,phase_symmetric", list(GENERATORS.values()),
+                         ids=list(GENERATORS))
 def test_evolve_matches_full_exponential_action(make_gen, phase_symmetric):
     dim = 24
     gen = make_gen(dim)
@@ -240,6 +248,57 @@ def test_evolve_matches_full_exponential_action(make_gen, phase_symmetric):
 def test_evolve_rejects_negative_time():
     with pytest.raises(ValueError):
         evolve(fock_state(10, 0), liouvillian(NI, 10), -1.0)
+
+
+def test_evolve_rejects_non_hermitian_state():
+    rho0 = fock_state(20, 0)
+    rho0[0, 1] = 0.1
+    for t in (0.0, 1.0):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            evolve(rho0, liouvillian(NI, 20), t)
+
+
+@pytest.mark.parametrize("make_gen", [make for make, _ in GENERATORS.values()],
+                         ids=list(GENERATORS))
+def test_gathered_blocks_equal_slices(make_gen):
+    gen = make_gen(24).tocsr()
+    n_blocks, labels = connected_components(gen.astype(bool), connection="weak")
+    blocks = lindblad._gather_blocks(gen, labels, np.arange(n_blocks))
+    assert len(blocks) == n_blocks
+    for label, (idx, block) in enumerate(blocks):
+        assert np.array_equal(idx, np.flatnonzero(labels == label))
+        reference = gen[idx][:, idx].toarray()
+        assert block.dtype == reference.dtype
+        assert block.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("name", ["noise-induced-k0.4", "conventional", "no-phase-symmetry"])
+def test_evolve_exponentiates_each_mirror_pair_once(monkeypatch, name):
+    make_gen, phase_symmetric = GENERATORS[name]
+    dim = 24
+    gen = make_gen(dim)
+    shapes = []
+
+    def counting_expm(a):
+        shapes.append(a.shape)
+        return expm(a)
+
+    monkeypatch.setattr(lindblad, "expm", counting_expm)
+    rho0 = coherent_state(dim, 1.1 + 0.4j)
+    rho_t = evolve(rho0, gen, 0.3)
+    assert np.array_equal(rho_t, rho_t.conj().T)
+
+    # the mirror of a block holds the transposed vec indices of its members
+    _, labels = connected_components(gen.astype(bool), connection="weak")
+    index = np.arange(dim * dim)
+    mirror = dict(zip(labels, labels[(index % dim) * dim + index // dim]))
+    touched = set(labels[vectorize(rho0) != 0])
+    expected = sum(mirror[label] >= label for label in touched)
+    assert len(shapes) == expected
+    if phase_symmetric:
+        assert expected < len(touched)
+    else:
+        assert expected == len(touched) == 1
 
 
 # ---------------------------------------------------------------------------
