@@ -277,10 +277,10 @@ def test_evolve_exponentiates_each_mirror_pair_once(monkeypatch, name):
     make_gen, phase_symmetric = GENERATORS[name]
     dim = 24
     gen = make_gen(dim)
-    shapes = []
+    calls = []
 
     def counting_expm(a):
-        shapes.append(a.shape)
+        calls.append(a.shape)
         return expm(a)
 
     monkeypatch.setattr(lindblad, "expm", counting_expm)
@@ -294,7 +294,7 @@ def test_evolve_exponentiates_each_mirror_pair_once(monkeypatch, name):
     mirror = dict(zip(labels, labels[(index % dim) * dim + index // dim]))
     touched = set(labels[vectorize(rho0) != 0])
     expected = sum(mirror[label] >= label for label in touched)
-    assert len(shapes) == expected
+    assert len(calls) == expected
     if phase_symmetric:
         assert expected < len(touched)
     else:
