@@ -74,6 +74,14 @@ def _write_summary(out: Path, summary: dict) -> None:
     (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
 
+def _fock_dim(cfg: dict, params: ModelParams) -> int:
+    """The ``dim`` field, or the model's default truncation where it is 0."""
+    dim = cfg["dim"] or default_dim(params)
+    if dim < 2:
+        raise SystemExit(f"config error at dim: need 0 (the default) or at least 2, got {dim}")
+    return dim
+
+
 def _model_from_cfg(cfg: dict) -> ModelParams:
     """The model a command's fields describe; without ``kind`` it is noise-induced."""
     if cfg.get("kind") == ModelKind.CONVENTIONAL.value:
@@ -114,7 +122,7 @@ def cmd_phase_diagram(args: argparse.Namespace) -> int:
 def cmd_steady(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
     params = _model_from_cfg(cfg)
-    cfg["dim"] = cfg["dim"] or default_dim(params)
+    cfg["dim"] = _fock_dim(cfg, params)
     out = _prepare_out(args, cfg)
     summary = verify.steady_report(params, cfg["dim"], cfg["wp_plus"])
     _write_summary(out, summary)
@@ -127,7 +135,9 @@ def cmd_steady(args: argparse.Namespace) -> int:
 def cmd_evolve(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
     params = _model_from_cfg(cfg)
-    dim = cfg["dim"] = cfg["dim"] or default_dim(params)
+    dim = cfg["dim"] = _fock_dim(cfg, params)
+    if not cfg["t"] >= 0:
+        raise SystemExit(f"config error at t: need a time >= 0, got {cfg['t']}")
     spec = cfg["initial"]
     try:
         if spec == "vacuum":

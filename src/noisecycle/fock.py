@@ -4,6 +4,13 @@ Superoperators act on column-stacked (Fortran-order) vectorizations of
 density matrices, so that vec(A rho B) = kron(B.T, A) vec(rho).  Only the
 forward generator is built: an adjoint action enters through the
 Hilbert-Schmidt duality Tr[A^dag L'(B)] = Tr[(L A)^dag B].
+
+Every operator of the two models (a, a^dag, their products, the identity)
+has a single nonzero diagonal, so ``liouvillian`` assembles its CSR from
+one diagonal of the vec space per term, with numpy and no ``kron``.
+``sandwich`` and ``dissipator`` take any operand and serve the rest: the
+tests' quadrature channels and the left multiplication by a steady state in
+``lindblad.detailed_balance_residual``.
 """
 
 from __future__ import annotations
@@ -174,8 +181,9 @@ def devectorize(vec: np.ndarray) -> np.ndarray:
 def sandwich(left_op, right_op) -> sp.csr_matrix:
     """Superoperator for rho -> left_op @ rho @ right_op; dense or sparse operands.
 
-    The one Kronecker site of the package: one-sided products are
+    The package's one ``kron``, for general operands; one-sided products are
     ``sandwich(op, eye)`` and ``sandwich(eye, op)`` with a sparse identity.
+    ``liouvillian`` does not use it: its operators have one diagonal each.
     """
     return sp.kron(sp.csr_matrix(right_op).T, sp.csr_matrix(left_op), format="csr")
 
@@ -197,7 +205,8 @@ def dissipator(c) -> sp.csr_matrix:
     """Matrix form of rho -> c rho c^dag - (c^dag c rho + rho c^dag c)/2.
 
     ``c`` may be dense or sparse; the products run on its sparse form, so a
-    banded operator costs only its nonzeros.
+    banded operator costs only its nonzeros.  ``liouvillian`` builds its own
+    dissipators on one-diagonal operators, with this operation tree.
     """
     shape = np.shape(c)
     if len(shape) != 2 or shape[0] != shape[1]:
@@ -209,28 +218,150 @@ def dissipator(c) -> sp.csr_matrix:
     return (sandwich(c, cd) - 0.5 * sandwich(cdc, eye) - 0.5 * sandwich(eye, cdc)).tocsr()
 
 
-def hamiltonian_term(h) -> sp.csr_matrix:
-    """Matrix form of rho -> -i [h, rho]."""
-    eye = sp.identity(h.shape[0], dtype=complex, format="csr")
-    return (-1j * (sandwich(h, eye) - sandwich(eye, h))).tocsr()
+def _shifted(values: np.ndarray, shift: int) -> np.ndarray:
+    """out[i] = values[i - shift], and 0 where i - shift falls outside."""
+    out = np.zeros_like(values)
+    n = values.size
+    if shift >= 0:
+        out[shift:] = values[:max(n - shift, 0)]
+    else:
+        out[:shift] = values[-shift:]
+    return out
+
+
+@dataclass(frozen=True)
+class _Band:
+    """Operator with one nonzero diagonal: ``values[i] = op[i, i + offset]``.
+
+    Positions outside the matrix hold 0, and sparse storage holds exactly the
+    nonzero entries, as it does for the ladder and its products.
+    """
+
+    offset: int
+    values: np.ndarray
+
+    def dag(self) -> "_Band":
+        # op^dag[j, j - k] = conj(op[j - k, j])
+        return _Band(-self.offset, np.conj(self.column_values()))
+
+    def __matmul__(self, other: "_Band") -> "_Band":
+        # (A B)[i, i + ka + kb] = A[i, i + ka] B[i + ka, i + ka + kb], accumulated
+        # onto 0 as the sparse product does
+        return _Band(self.offset + other.offset,
+                     0j + self.values * _shifted(other.values, -self.offset))
+
+    def column_values(self) -> np.ndarray:
+        """op[j - offset, j] at position j."""
+        return _shifted(self.values, self.offset)
+
+
+class _Diagonals:
+    """Superoperator held as {offset row - col: (values, stored)} over the vec rows.
+
+    Arithmetic follows scipy's CSR operations entry for entry: scaling
+    multiplies the stored values; a sum or difference meets a one-sided
+    entry with 0 and drops every exactly-zero result.  Rows off a diagonal's
+    stored pattern hold +0, which is the 0 a one-sided entry meets.
+    """
+
+    def __init__(self, diagonals: dict[int, tuple[np.ndarray, np.ndarray]]):
+        self.diagonals = diagonals
+
+    @classmethod
+    def sandwich(cls, left: _Band, right: _Band) -> "_Diagonals":
+        """rho -> left rho right: the single diagonal row - col = k_R dim - k_L.
+
+        Vec row p + q dim takes left[p, p + k_L] right[q - k_R, q] from vec
+        column (p + k_L) + (q - k_R) dim, so the values are one outer product
+        over the (q, p) grid, right factor first as in ``kron``.
+        """
+        dim = left.values.size
+        r, l = right.column_values(), left.values
+        stored = np.logical_and.outer(r != 0, l != 0).reshape(-1)
+        values = np.multiply.outer(r, l).reshape(-1)
+        values[~stored] = 0
+        return cls({right.offset * dim - left.offset: (values, stored)})
+
+    def __rmul__(self, scalar) -> "_Diagonals":
+        out = {}
+        for o, (values, stored) in self.diagonals.items():
+            values = values * scalar
+            values[~stored] = 0
+            out[o] = (values, stored)
+        return _Diagonals(out)
+
+    def _merged(self, op, other: "_Diagonals") -> "_Diagonals":
+        out = {}
+        for o in self.diagonals.keys() | other.diagonals.keys():
+            x, x_stored = self.diagonals.get(o, (0j, False))
+            y, y_stored = other.diagonals.get(o, (0j, False))
+            values = op(x, y)
+            stored = (x_stored | y_stored) & (values != 0)
+            values[~stored] = 0
+            out[o] = (values, stored)
+        return _Diagonals(out)
+
+    def __add__(self, other: "_Diagonals") -> "_Diagonals":
+        return self._merged(np.add, other)
+
+    def __sub__(self, other: "_Diagonals") -> "_Diagonals":
+        return self._merged(np.subtract, other)
+
+    def tocsr(self) -> sp.csr_matrix:
+        """CSR written diagonal by diagonal, without a sort.
+
+        Row r holds column r - o of diagonal o, so visiting the offsets in
+        descending order leaves every row's columns sorted.
+        """
+        n = next(iter(self.diagonals.values()))[1].size
+        # nnz is at most one entry per row and diagonal
+        index = np.int32 if len(self.diagonals) * n < 2 ** 31 else np.int64
+        indptr = np.zeros(n + 1, dtype=index)
+        for _, stored in self.diagonals.values():
+            indptr[1:] += stored
+        np.cumsum(indptr, out=indptr)
+        data = np.empty(indptr[-1], dtype=complex)
+        indices = np.empty(indptr[-1], dtype=index)
+        fill = indptr[:-1].copy()  # next free slot of each row
+        for o, (values, stored) in sorted(self.diagonals.items(), reverse=True):
+            at = fill[stored]
+            data[at] = values[stored]
+            indices[at] = np.flatnonzero(stored) - o
+            fill += stored
+        return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+
+
+def _band_dissipator(c: _Band, eye: _Band) -> _Diagonals:
+    """``dissipator(c)`` of a one-diagonal operator, with its operation tree."""
+    cd = c.dag()
+    cdc = cd @ c
+    return (_Diagonals.sandwich(c, cd) - 0.5 * _Diagonals.sandwich(cdc, eye)
+            - 0.5 * _Diagonals.sandwich(eye, cdc))
 
 
 def liouvillian(params: ModelParams, dim: int | None = None) -> sp.csr_matrix:
     """Generator of the selected model on a dim-level Fock space.
 
-    The ladder operators and their products stay sparse (banded), so no
-    step of the build costs a dense O(dim^3) product.
+    Each term is one outer product on one diagonal of the vec space.  The
+    terms combine per diagonal along the operation tree of
+    ``omega0 * (-1j * (sandwich(h, eye) - sandwich(eye, h)))
+    + kappa_down * dissipator(a a) + ...`` with scipy's CSR arithmetic, so
+    the result equals that sparse build byte for byte.
     """
     if dim is None:
         dim = default_dim(params)
-    a = sp.csr_matrix(build_ladder(dim)[0])
-    ad = a.conj().T.tocsr()
-    gen = params.omega0 * hamiltonian_term(ad @ a) + params.kappa_down * dissipator(a @ a)
+    if dim < 2:
+        raise FockError(f"Fock dimension must be >= 2, got {dim}")
+    a = _Band(1, np.append(np.sqrt(np.arange(1, dim)), 0.0).astype(complex))
+    ad = a.dag()
+    eye = _Band(0, np.ones(dim, dtype=complex))
+    h = ad @ a
+    gen = (params.omega0 * (-1j * (_Diagonals.sandwich(h, eye) - _Diagonals.sandwich(eye, h)))
+           + params.kappa_down * _band_dissipator(a @ a, eye))
     if params.kind is ModelKind.NOISE_INDUCED:
         if params.kappa_up2 > 0:
-            gen = gen + params.kappa_up2 * dissipator(ad @ ad)
+            gen = gen + params.kappa_up2 * _band_dissipator(ad @ ad, eye)
     else:
         if params.kappa_up1 > 0:
-            gen = gen + params.kappa_up1 * dissipator(ad)
+            gen = gen + params.kappa_up1 * _band_dissipator(ad, eye)
     return gen.tocsr()
-

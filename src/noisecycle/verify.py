@@ -182,10 +182,12 @@ def ensemble_report(cfg: sde.SdeConfig, result: sde.SdeEnsembleResult) -> dict:
 
 def check_steady_state_oracle(mutations=()) -> dict:
     """Null-space steady states match the geometric closed form (dist < 1e-8)."""
+    # a wrongly assembled generator: the loss rate doubled, so its ratio is k / 2
+    kappa_down = 2.0 if "generator-loss-rate" in mutations else 1.0
     distances = []
     for k_ratio in (0.1, 0.5, 0.8):
         dim = dim_for_tail(k_ratio)
-        params = ModelParams(omega0=1.0, kappa_down=1.0, kappa_up2=k_ratio)
+        params = ModelParams(omega0=1.0, kappa_down=kappa_down, kappa_up2=k_ratio)
         result = steady_states(liouvillian(params, dim))
         distances += [closed_form_row(result.combine(wp), k_ratio, wp)["value"]
                       for wp in (0.3, 0.55, 0.9)]
@@ -427,7 +429,7 @@ def check_classical_mode(mutations=()) -> dict:
 
 
 # each fault injection and the check it must make fail; any other name is rejected
-MUTATIONS = {"circulation-sign": "circulation"}
+MUTATIONS = {"circulation-sign": "circulation", "generator-loss-rate": "steady-state-oracle"}
 
 # wall-time budget of the checks that have one, in seconds
 RUNTIME_BUDGETS_S = {"steady-state-oracle": 30.0, "wigner-oracle": 120.0, "classical-sde": 300.0}

@@ -227,6 +227,18 @@ def test_evolve_rejects_malformed_initial_state(tmp_path, spec):
     assert not (tmp_path / "ev").exists()  # no config echo for a run that never started
 
 
+@pytest.mark.parametrize("argv, field", [
+    pytest.param(["steady", "--dim", "1"], "dim", id="steady-dim-1"),
+    pytest.param(["evolve", "--dim", "1"], "dim", id="evolve-dim-1"),
+    pytest.param(["evolve", "--t", "-1"], "t", id="evolve-negative-t"),
+])
+def test_invalid_dim_or_time_is_a_config_error(tmp_path, argv, field):
+    with pytest.raises(SystemExit) as err:
+        main([*argv, "--out", str(tmp_path / "run")])
+    assert str(err.value).startswith(f"config error at {field}: ")
+    assert not (tmp_path / "run").exists()
+
+
 # ---------------------------------------------------------------------------
 # sde
 # ---------------------------------------------------------------------------

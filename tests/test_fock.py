@@ -60,6 +60,8 @@ def test_commutator_truncation_artifact():
 def test_ladder_rejects_tiny_dimension():
     with pytest.raises(FockError):
         build_ladder(1)
+    with pytest.raises(FockError):
+        liouvillian(NI, 1)
 
 
 def test_parity_is_involutive():
@@ -231,9 +233,16 @@ def reference_liouvillian(params: ModelParams, dim: int) -> sp.csr_matrix:
     return gen.tocsr()
 
 
-@pytest.mark.parametrize("dim", [6, 20, 46])
-@pytest.mark.parametrize("omega0", [0.0, 2.7])
-@pytest.mark.parametrize("params", [NI, CONV], ids=["noise-induced", "conventional"])
+# dims 2 and 3 put the two-photon terms' diagonals +-2(dim + 1) outside the vec space
+@pytest.mark.parametrize("dim", [2, 3, 6, 20, 46, 80])
+@pytest.mark.parametrize("omega0", [0.0, 2.7, -0.3])
+@pytest.mark.parametrize("params", [
+    pytest.param(NI, id="noise-induced"),
+    pytest.param(replace(NI, kappa_up2=0.0), id="noise-induced-k0"),
+    pytest.param(replace(NI, kappa_up2=0.95), id="noise-induced-k0.95"),
+    pytest.param(CONV, id="conventional"),
+    pytest.param(replace(CONV, kappa_up1=0.0), id="conventional-no-gain"),
+])
 def test_liouvillian_equals_dense_product_reference(params, omega0, dim):
     params = replace(params, omega0=omega0)
     got = liouvillian(params, dim).sorted_indices()

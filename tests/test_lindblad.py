@@ -20,12 +20,12 @@ from noisecycle.fock import (
     default_dim,
     dissipator,
     fock_state,
-    hamiltonian_term,
     liouvillian,
     number_op,
     parity_op,
     quadrature_x,
     quadrature_y,
+    sandwich,
     vectorize,
     devectorize,
 )
@@ -210,8 +210,10 @@ def reference_evolve(rho0, gen, t):
 def phase_breaking_generator(dim):
     """Two-photon loss plus an x-quadrature channel and drive: no phase symmetry."""
     a, _ = build_ladder(dim)
+    h = number_op(dim) + 0.5 * quadrature_y(dim)
+    eye = np.eye(dim)
     return (dissipator(a @ a) + 0.3 * dissipator(quadrature_x(dim))
-            + hamiltonian_term(number_op(dim) + 0.5 * quadrature_y(dim))).tocsr()
+            - 1j * (sandwich(h, eye) - sandwich(eye, h))).tocsr()
 
 
 # generator makers by dim, each with whether its model has phase symmetry
