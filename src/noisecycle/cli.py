@@ -16,7 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from . import analytic, csvio, sde, verify, wignerflux
-from .fock import ModelKind, ModelParams, coherent_state, default_dim, fock_state, liouvillian
+from .fock import (FockError, ModelKind, ModelParams, coherent_state, default_dim, fock_state,
+                   liouvillian)
 from .lindblad import evolve, parity_expectation, parity_weights, trace_distance
 
 # Each command's fields and their defaults.  The flags, the config-file keys
@@ -83,12 +84,20 @@ def _fock_dim(cfg: dict, params: ModelParams) -> int:
 
 
 def _model_from_cfg(cfg: dict) -> ModelParams:
-    """The model a command's fields describe; without ``kind`` it is noise-induced."""
-    if cfg.get("kind") == ModelKind.CONVENTIONAL.value:
+    """The model a command's fields describe; without ``kind`` it is noise-induced.
+
+    Fields that build no model are a config error at the field at fault; the
+    noise-induced gain rate kappa_up2 is k_ratio * kappa_down.
+    """
+    try:
+        if cfg.get("kind") == ModelKind.CONVENTIONAL.value:
+            return ModelParams(omega0=cfg["omega0"], kappa_down=cfg["kappa_down"],
+                               kappa_up1=cfg["kappa_up1"], kind=ModelKind.CONVENTIONAL)
         return ModelParams(omega0=cfg["omega0"], kappa_down=cfg["kappa_down"],
-                           kappa_up1=cfg["kappa_up1"], kind=ModelKind.CONVENTIONAL)
-    return ModelParams(omega0=cfg["omega0"], kappa_down=cfg["kappa_down"],
-                       kappa_up2=cfg["k_ratio"] * cfg["kappa_down"])
+                           kappa_up2=cfg["k_ratio"] * cfg["kappa_down"])
+    except FockError as exc:
+        field = "k_ratio" if exc.field == "kappa_up2" else exc.field
+        raise SystemExit(f"config error at {field}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -169,8 +178,11 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 
 def cmd_sde(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
+    try:
+        run_cfg = sde.SdeConfig(**{k: v for k, v in cfg.items() if k != "dump_samples"})
+    except sde.SdeError as exc:
+        raise SystemExit(f"config error at {exc.field}: {exc}") from None
     out = _prepare_out(args, cfg)
-    run_cfg = sde.SdeConfig(**{k: v for k, v in cfg.items() if k != "dump_samples"})
     result = sde.simulate_ensemble(run_cfg)
     summary = verify.ensemble_report(run_cfg, result)
     cap = int(cfg["dump_samples"])
@@ -185,8 +197,8 @@ def cmd_sde(args: argparse.Namespace) -> int:
 
 def cmd_wigner(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
-    cfg["extent"] = cfg["extent"] or wignerflux.default_extent(cfg["k_ratio"], cfg["wp_plus"])
     params = _model_from_cfg(cfg)
+    cfg["extent"] = cfg["extent"] or wignerflux.default_extent(cfg["k_ratio"], cfg["wp_plus"])
     out = _prepare_out(args, cfg)
 
     field = wignerflux.sample_steady_field(cfg["k_ratio"], cfg["wp_plus"],

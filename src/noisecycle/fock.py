@@ -6,8 +6,9 @@ forward generator is built: an adjoint action enters through the
 Hilbert-Schmidt duality Tr[A^dag L'(B)] = Tr[(L A)^dag B].
 
 Every operator of the two models (a, a^dag, their products, the identity)
-has a single nonzero diagonal, so ``liouvillian`` assembles its CSR from
-one diagonal of the vec space per term, with numpy and no ``kron``.
+has a single nonzero diagonal, so each term of ``liouvillian`` is one numpy
+array on one diagonal of the vec space; the terms combine per diagonal as
+plain arrays and the zeros are dropped when the CSR is written, without ``kron``.
 ``sandwich`` and ``dissipator`` take any operand and serve the rest: the
 tests' quadrature channels and the left multiplication by a steady state in
 ``lindblad.detailed_balance_residual``.
@@ -27,7 +28,11 @@ MAX_DIM = 400
 
 
 class FockError(ValueError):
-    """Invalid Fock-space construction request."""
+    """Invalid Fock-space construction request; ``field`` names a bad ``ModelParams`` field."""
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 class NoStationaryStateError(FockError):
@@ -56,20 +61,21 @@ class ModelParams:
     kind: ModelKind = ModelKind.NOISE_INDUCED
 
     def __post_init__(self) -> None:
+        # liouvillian's per-diagonal sums are exact only for finite rates (0 * inf is NaN)
+        for name in ("omega0", "kappa_down", "kappa_up2", "kappa_up1"):
+            if not math.isfinite(getattr(self, name)):
+                raise FockError(f"{name} must be finite, got {getattr(self, name)}", name)
         if self.kappa_down <= 0:
-            raise FockError("two-photon loss rate kappa_down must be positive")
-        if self.kappa_up2 < 0 or self.kappa_up1 < 0:
-            raise FockError("gain rates must be nonnegative")
-        if self.kind is ModelKind.NOISE_INDUCED:
-            if self.kappa_up1 != 0:
-                raise FockError("noise-induced model has no one-photon gain channel")
-            if self.k_ratio >= 1:
-                raise NoStationaryStateError(
-                    f"gain/loss ratio {self.k_ratio} >= 1: stationary state not normalizable"
-                )
-        else:
-            if self.kappa_up2 != 0:
-                raise FockError("conventional model has no two-photon gain channel")
+            raise FockError("two-photon loss rate kappa_down must be positive", "kappa_down")
+        for name in ("kappa_up2", "kappa_up1"):
+            if getattr(self, name) < 0:
+                raise FockError(f"gain rate {name} must be nonnegative", name)
+        absent = "kappa_up1" if self.kind is ModelKind.NOISE_INDUCED else "kappa_up2"
+        if getattr(self, absent) != 0:
+            raise FockError(f"the {self.kind.value} model has no {absent} gain channel", absent)
+        if self.k_ratio >= 1:
+            raise NoStationaryStateError(
+                f"gain/loss ratio {self.k_ratio} >= 1: no normalizable stationary state", "kappa_up2")
 
     @property
     def k_ratio(self) -> float:
@@ -97,6 +103,8 @@ def default_dim(params: ModelParams) -> int:
 
 def dim_for_tail(k_ratio: float, decades: float = 12.0) -> int:
     """Smallest even dimension with k_ratio**(dim/2) below 10**-decades."""
+    if not math.isfinite(k_ratio):
+        raise FockError(f"gain/loss ratio must be finite, got {k_ratio}")
     if k_ratio <= 0.0:
         return MIN_DIM
     if k_ratio >= 1.0:
@@ -153,6 +161,8 @@ def coherent_state(dim: int, alpha: complex) -> np.ndarray:
     The amplitudes alpha^n / sqrt(n!) come from one cumulative product; the
     normalization absorbs the exp(-|alpha|^2 / 2) factor.
     """
+    if not np.isfinite(alpha):
+        raise FockError(f"coherent amplitude must be finite, got {alpha}")
     amp = np.ones(dim, dtype=complex)
     amp[1:] = np.cumprod(complex(alpha) / np.sqrt(np.arange(1, dim)))
     amp /= np.linalg.norm(amp)
@@ -231,11 +241,7 @@ def _shifted(values: np.ndarray, shift: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Band:
-    """Operator with one nonzero diagonal: ``values[i] = op[i, i + offset]``.
-
-    Positions outside the matrix hold 0, and sparse storage holds exactly the
-    nonzero entries, as it does for the ladder and its products.
-    """
+    """Operator with one nonzero diagonal: ``values[i] = op[i, i + offset]``, 0 off the matrix."""
 
     offset: int
     values: np.ndarray
@@ -245,27 +251,23 @@ class _Band:
         return _Band(-self.offset, np.conj(self.column_values()))
 
     def __matmul__(self, other: "_Band") -> "_Band":
-        # (A B)[i, i + ka + kb] = A[i, i + ka] B[i + ka, i + ka + kb], accumulated
-        # onto 0 as the sparse product does
+        # (A B)[i, i + ka + kb] = A[i, i + ka] B[i + ka, i + ka + kb]
         return _Band(self.offset + other.offset,
-                     0j + self.values * _shifted(other.values, -self.offset))
+                     self.values * _shifted(other.values, -self.offset))
 
     def column_values(self) -> np.ndarray:
         """op[j - offset, j] at position j."""
         return _shifted(self.values, self.offset)
 
 
-class _Diagonals:
-    """Superoperator held as {offset row - col: (values, stored)} over the vec rows.
+class _Diagonals(dict):
+    """Superoperator held as {offset row - col: values over the vec rows}.
 
-    Arithmetic follows scipy's CSR operations entry for entry: scaling
-    multiplies the stored values; a sum or difference meets a one-sided
-    entry with 0 and drops every exactly-zero result.  Rows off a diagonal's
-    stored pattern hold +0, which is the 0 a one-sided entry meets.
+    Scaling, sums and differences act on whole diagonals, with 0 standing in
+    for a missing one, and ``tocsr`` drops the zeros.  With finite rates a
+    position off a term's pattern holds an exact zero, so the result equals
+    scipy's CSR arithmetic on the same terms entry for entry.
     """
-
-    def __init__(self, diagonals: dict[int, tuple[np.ndarray, np.ndarray]]):
-        self.diagonals = diagonals
 
     @classmethod
     def sandwich(cls, left: _Band, right: _Band) -> "_Diagonals":
@@ -276,54 +278,38 @@ class _Diagonals:
         over the (q, p) grid, right factor first as in ``kron``.
         """
         dim = left.values.size
-        r, l = right.column_values(), left.values
-        stored = np.logical_and.outer(r != 0, l != 0).reshape(-1)
-        values = np.multiply.outer(r, l).reshape(-1)
-        values[~stored] = 0
-        return cls({right.offset * dim - left.offset: (values, stored)})
+        return cls({right.offset * dim - left.offset:
+                    np.multiply.outer(right.column_values(), left.values).reshape(-1)})
 
     def __rmul__(self, scalar) -> "_Diagonals":
-        out = {}
-        for o, (values, stored) in self.diagonals.items():
-            values = values * scalar
-            values[~stored] = 0
-            out[o] = (values, stored)
-        return _Diagonals(out)
-
-    def _merged(self, op, other: "_Diagonals") -> "_Diagonals":
-        out = {}
-        for o in self.diagonals.keys() | other.diagonals.keys():
-            x, x_stored = self.diagonals.get(o, (0j, False))
-            y, y_stored = other.diagonals.get(o, (0j, False))
-            values = op(x, y)
-            stored = (x_stored | y_stored) & (values != 0)
-            values[~stored] = 0
-            out[o] = (values, stored)
-        return _Diagonals(out)
+        return _Diagonals({o: values * scalar for o, values in self.items()})
 
     def __add__(self, other: "_Diagonals") -> "_Diagonals":
-        return self._merged(np.add, other)
+        return _Diagonals({o: self.get(o, 0j) + other.get(o, 0j)
+                           for o in self.keys() | other.keys()})
 
     def __sub__(self, other: "_Diagonals") -> "_Diagonals":
-        return self._merged(np.subtract, other)
+        return _Diagonals({o: self.get(o, 0j) - other.get(o, 0j)
+                           for o in self.keys() | other.keys()})
 
     def tocsr(self) -> sp.csr_matrix:
-        """CSR written diagonal by diagonal, without a sort.
+        """CSR written diagonal by diagonal, without a sort; zeros are not stored.
 
         Row r holds column r - o of diagonal o, so visiting the offsets in
         descending order leaves every row's columns sorted.
         """
-        n = next(iter(self.diagonals.values()))[1].size
+        n = next(iter(self.values())).size
         # nnz is at most one entry per row and diagonal
-        index = np.int32 if len(self.diagonals) * n < 2 ** 31 else np.int64
+        index = np.int32 if len(self) * n < 2 ** 31 else np.int64
         indptr = np.zeros(n + 1, dtype=index)
-        for _, stored in self.diagonals.values():
-            indptr[1:] += stored
+        for values in self.values():
+            indptr[1:] += values != 0
         np.cumsum(indptr, out=indptr)
         data = np.empty(indptr[-1], dtype=complex)
         indices = np.empty(indptr[-1], dtype=index)
         fill = indptr[:-1].copy()  # next free slot of each row
-        for o, (values, stored) in sorted(self.diagonals.items(), reverse=True):
+        for o, values in sorted(self.items(), reverse=True):
+            stored = values != 0
             at = fill[stored]
             data[at] = values[stored]
             indices[at] = np.flatnonzero(stored) - o
@@ -343,10 +329,10 @@ def liouvillian(params: ModelParams, dim: int | None = None) -> sp.csr_matrix:
     """Generator of the selected model on a dim-level Fock space.
 
     Each term is one outer product on one diagonal of the vec space.  The
-    terms combine per diagonal along the operation tree of
+    terms combine per diagonal, as plain arrays, along the operation tree of
     ``omega0 * (-1j * (sandwich(h, eye) - sandwich(eye, h)))
-    + kappa_down * dissipator(a a) + ...`` with scipy's CSR arithmetic, so
-    the result equals that sparse build byte for byte.
+    + kappa_down * dissipator(a a) + ...``, and the zeros are dropped at
+    ``tocsr``; with finite rates the result equals that sparse build byte for byte.
     """
     if dim is None:
         dim = default_dim(params)
@@ -358,10 +344,9 @@ def liouvillian(params: ModelParams, dim: int | None = None) -> sp.csr_matrix:
     h = ad @ a
     gen = (params.omega0 * (-1j * (_Diagonals.sandwich(h, eye) - _Diagonals.sandwich(eye, h)))
            + params.kappa_down * _band_dissipator(a @ a, eye))
-    if params.kind is ModelKind.NOISE_INDUCED:
-        if params.kappa_up2 > 0:
-            gen = gen + params.kappa_up2 * _band_dissipator(ad @ ad, eye)
-    else:
-        if params.kappa_up1 > 0:
-            gen = gen + params.kappa_up1 * _band_dissipator(ad, eye)
+    # ModelParams leaves at most one gain rate nonzero, the one its kind selects
+    if params.kappa_up2 > 0:
+        gen = gen + params.kappa_up2 * _band_dissipator(ad @ ad, eye)
+    if params.kappa_up1 > 0:
+        gen = gen + params.kappa_up1 * _band_dissipator(ad, eye)
     return gen.tocsr()

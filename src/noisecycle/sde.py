@@ -28,7 +28,11 @@ _BLOCK_PATHS = 4096
 
 
 class SdeError(RuntimeError):
-    pass
+    """Bad ensemble settings or a failed ensemble; ``field`` names a bad ``SdeConfig`` field."""
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 class DivergenceError(SdeError):
@@ -59,12 +63,19 @@ class SdeConfig:
     coordinates: str = "polar"
 
     def __post_init__(self) -> None:
-        if self.kappa <= 0 or self.delta <= 0:
-            raise SdeError("kappa and delta must be positive")
-        if self.dt <= 0 or self.n_steps < 1 or self.burn_in < 0 or self.n_paths < 1:
-            raise SdeError("dt, n_steps, n_paths must be positive; burn_in nonnegative")
+        for name in ("kappa", "delta", "omega0", "dt"):
+            if not math.isfinite(getattr(self, name)):
+                raise SdeError(f"{name} must be finite, got {getattr(self, name)}", name)
+        for name in ("kappa", "delta", "dt"):
+            if getattr(self, name) <= 0:
+                raise SdeError(f"{name} must be positive, got {getattr(self, name)}", name)
+        for name in ("n_steps", "n_paths"):
+            if getattr(self, name) < 1:
+                raise SdeError(f"{name} must be at least 1, got {getattr(self, name)}", name)
+        if self.burn_in < 0:
+            raise SdeError(f"burn_in must be nonnegative, got {self.burn_in}", "burn_in")
         if self.coordinates not in ("polar", "cartesian"):
-            raise SdeError(f"unknown coordinates {self.coordinates!r}")
+            raise SdeError(f"unknown coordinates {self.coordinates!r}", "coordinates")
         # explicit-scheme guard: drift stiffness over the bulk of the radial range
         r_max_sq = 6.0 * self.kappa / self.delta
         if self.dt * (3.0 * self.kappa + self.delta * r_max_sq) > 0.05:

@@ -231,6 +231,14 @@ def test_evolve_rejects_malformed_initial_state(tmp_path, spec):
     pytest.param(["steady", "--dim", "1"], "dim", id="steady-dim-1"),
     pytest.param(["evolve", "--dim", "1"], "dim", id="evolve-dim-1"),
     pytest.param(["evolve", "--t", "-1"], "t", id="evolve-negative-t"),
+    pytest.param(["steady", "--k-ratio", "1.2"], "k_ratio", id="steady-saturated-gain"),
+    pytest.param(["steady", "--omega0", "nan"], "omega0", id="steady-nan-omega0"),
+    pytest.param(["evolve", "--kappa-down", "0"], "kappa_down", id="evolve-no-loss"),
+    pytest.param(["evolve", "--omega0", "inf"], "omega0", id="evolve-inf-omega0"),
+    pytest.param(["evolve", "--initial", "coherent:nan"], "initial", id="evolve-nan-amplitude"),
+    pytest.param(["wigner", "--k-ratio", "1.2"], "k_ratio", id="wigner-saturated-gain"),
+    pytest.param(["sde", "--kappa", "nan"], "kappa", id="sde-nan-kappa"),
+    pytest.param(["sde", "--dt", "inf"], "dt", id="sde-inf-dt"),
 ])
 def test_invalid_dim_or_time_is_a_config_error(tmp_path, argv, field):
     with pytest.raises(SystemExit) as err:

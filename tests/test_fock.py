@@ -86,6 +86,17 @@ def test_params_reject_saturated_gain():
         ModelParams(omega0=1.0, kappa_down=1.0, kappa_up2=1.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["omega0", "kappa_down", "kappa_up2", "kappa_up1"])
+@pytest.mark.parametrize("base", [pytest.param(NI, id="noise-induced"),
+                                  pytest.param(CONV, id="conventional")])
+def test_params_reject_non_finite_rates(base, field, value):
+    # liouvillian's per-diagonal arithmetic is exact only for finite rates
+    with pytest.raises(FockError) as err:
+        replace(base, **{field: value})
+    assert err.value.field == field
+
+
 def test_truncation_rule():
     assert dim_for_tail(0.5) == 80
     assert dim_for_tail(0.0) == MIN_DIM
@@ -95,6 +106,16 @@ def test_truncation_rule():
     # dropped tail mass is bounded as designed
     k = 0.5
     assert k ** (dim_for_tail(k) / 2) < 1e-12
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_ratio_and_amplitude_are_rejected(value):
+    with pytest.raises(FockError):
+        dim_for_tail(value)
+    with pytest.raises(FockError):
+        coherent_state(12, complex(value, 0.0))
+    with pytest.raises(FockError):
+        coherent_state(12, complex(0.0, value))
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,14 @@ def test_config_validation():
         SdeConfig(kappa=1.0, delta=1.0, coordinates="spherical")
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["kappa", "delta", "omega0", "dt"])
+def test_config_rejects_non_finite_rates(field, value):
+    with pytest.raises(SdeError) as err:
+        SdeConfig(**{"kappa": 1.0, "delta": 1.0, field: value})
+    assert err.value.field == field
+
+
 def test_config_warns_on_big_step():
     with pytest.warns(UserWarning):
         SdeConfig(kappa=1.0, delta=1.0, dt=0.05)
