@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -75,9 +76,28 @@ def _write_summary(out: Path, summary: dict) -> None:
     (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
 
+def _require(cfg: dict, key: str, ok, need: str) -> None:
+    """Config error at ``key`` unless ``ok(value)``; NaN fails every comparison."""
+    if not ok(cfg[key]):
+        raise SystemExit(f"config error at {key}: need {need}, got {cfg[key]}")
+
+
+def _config_error(exc: FockError) -> SystemExit:
+    """A model the fields cannot build, reported at the field at fault.
+
+    The noise-induced gain rate kappa_up2 is k_ratio * kappa_down, so it
+    reports as k_ratio.
+    """
+    field = "k_ratio" if exc.field == "kappa_up2" else exc.field
+    return SystemExit(f"config error at {field}: {exc}")
+
+
 def _fock_dim(cfg: dict, params: ModelParams) -> int:
     """The ``dim`` field, or the model's default truncation where it is 0."""
-    dim = cfg["dim"] or default_dim(params)
+    try:
+        dim = cfg["dim"] or default_dim(params)
+    except FockError as exc:
+        raise _config_error(exc) from None
     if dim < 2:
         raise SystemExit(f"config error at dim: need 0 (the default) or at least 2, got {dim}")
     return dim
@@ -86,8 +106,7 @@ def _fock_dim(cfg: dict, params: ModelParams) -> int:
 def _model_from_cfg(cfg: dict) -> ModelParams:
     """The model a command's fields describe; without ``kind`` it is noise-induced.
 
-    Fields that build no model are a config error at the field at fault; the
-    noise-induced gain rate kappa_up2 is k_ratio * kappa_down.
+    Fields that build no model are a config error (see ``_config_error``).
     """
     try:
         if cfg.get("kind") == ModelKind.CONVENTIONAL.value:
@@ -96,8 +115,11 @@ def _model_from_cfg(cfg: dict) -> ModelParams:
         return ModelParams(omega0=cfg["omega0"], kappa_down=cfg["kappa_down"],
                            kappa_up2=cfg["k_ratio"] * cfg["kappa_down"])
     except FockError as exc:
-        field = "k_ratio" if exc.field == "kappa_up2" else exc.field
-        raise SystemExit(f"config error at {field}: {exc}") from None
+        raise _config_error(exc) from None
+
+
+def _require_weight(cfg: dict) -> None:
+    _require(cfg, "wp_plus", lambda v: 0.0 <= v <= 1.0, "an even-parity weight in [0, 1]")
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +154,7 @@ def cmd_steady(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
     params = _model_from_cfg(cfg)
     cfg["dim"] = _fock_dim(cfg, params)
+    _require_weight(cfg)
     out = _prepare_out(args, cfg)
     summary = verify.steady_report(params, cfg["dim"], cfg["wp_plus"])
     _write_summary(out, summary)
@@ -145,8 +168,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
     params = _model_from_cfg(cfg)
     dim = cfg["dim"] = _fock_dim(cfg, params)
-    if not cfg["t"] >= 0:
-        raise SystemExit(f"config error at t: need a time >= 0, got {cfg['t']}")
+    _require(cfg, "t", lambda v: v >= 0, "a time >= 0")
     spec = cfg["initial"]
     try:
         if spec == "vacuum":
@@ -198,6 +220,11 @@ def cmd_sde(args: argparse.Namespace) -> int:
 def cmd_wigner(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
     params = _model_from_cfg(cfg)
+    _require_weight(cfg)
+    _require(cfg, "h", lambda v: 0.0 < v < math.inf, "a finite grid step > 0")
+    _require(cfg, "extent", lambda v: 0.0 <= v < math.inf,
+             "a finite half-width > 0, or 0 (the default)")
+    _require(cfg, "boundary_tol", lambda v: 0.0 < v < math.inf, "a finite tolerance > 0")
     cfg["extent"] = cfg["extent"] or wignerflux.default_extent(cfg["k_ratio"], cfg["wp_plus"])
     out = _prepare_out(args, cfg)
 

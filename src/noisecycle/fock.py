@@ -19,9 +19,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
+
+# scipy is imported inside the routines that build sparse matrices, so the
+# commands that never build one (phase-diagram, wigner, sde) start without it
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 MIN_DIM = 20
 MAX_DIM = 400
@@ -93,11 +98,16 @@ def default_dim(params: ModelParams) -> int:
     Even-parity populations decay geometrically with the gain/loss ratio, so an
     even dimension with ratio**(dim/2) < 1e-12 bounds the dropped mass; clamped
     to [MIN_DIM, MAX_DIM].  The conventional model relaxes to within a few
-    photons of vacuum, so its default scales with sqrt(gain/loss).
+    photons of vacuum, so its default scales with sqrt(gain/loss); a ratio
+    that overflows raises ``FockError`` at ``kappa_up1``.
     """
     if params.kind is ModelKind.NOISE_INDUCED:
         return dim_for_tail(params.k_ratio)
-    n = 2 * math.ceil(4.0 * math.sqrt(params.kappa_up1 / params.kappa_down) + 6.0)
+    ratio = params.kappa_up1 / params.kappa_down
+    if not math.isfinite(ratio):
+        raise FockError(f"gain/loss ratio kappa_up1/kappa_down = {params.kappa_up1}/"
+                        f"{params.kappa_down} overflows", "kappa_up1")
+    n = 2 * math.ceil(4.0 * math.sqrt(ratio) + 6.0)
     return min(max(n, MIN_DIM), MAX_DIM)
 
 
@@ -195,6 +205,8 @@ def sandwich(left_op, right_op) -> sp.csr_matrix:
     ``sandwich(op, eye)`` and ``sandwich(eye, op)`` with a sparse identity.
     ``liouvillian`` does not use it: its operators have one diagonal each.
     """
+    import scipy.sparse as sp
+
     return sp.kron(sp.csr_matrix(right_op).T, sp.csr_matrix(left_op), format="csr")
 
 
@@ -221,6 +233,8 @@ def dissipator(c) -> sp.csr_matrix:
     shape = np.shape(c)
     if len(shape) != 2 or shape[0] != shape[1]:
         raise FockError(f"Lindblad operator must be square, got shape {shape}")
+    import scipy.sparse as sp
+
     c = sp.csr_matrix(c, dtype=complex)
     cd = c.conj().T
     cdc = cd @ c
@@ -298,6 +312,8 @@ class _Diagonals(dict):
         Row r holds column r - o of diagonal o, so visiting the offsets in
         descending order leaves every row's columns sorted.
         """
+        import scipy.sparse as sp
+
         n = next(iter(self.values())).size
         # nnz is at most one entry per row and diagonal
         index = np.int32 if len(self) * n < 2 ** 31 else np.int64

@@ -18,12 +18,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import expm
-from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import norm as sparse_norm
 
 from .analytic import mean_n_ss
 from .fock import (
@@ -38,6 +35,18 @@ from .fock import (
     sandwich,
     vectorize,
 )
+
+# scipy is imported inside the routines that use it, so that importing the
+# package (and the commands without a generator) does not load it
+if TYPE_CHECKING:
+    import scipy.sparse as sp
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """``scipy.linalg.expm``, imported when called; a module-level name tests can replace."""
+    from scipy.linalg import expm as scipy_expm
+
+    return scipy_expm(a)
 
 
 class LindbladError(RuntimeError):
@@ -170,6 +179,8 @@ def _block_labels(L: sp.csr_matrix) -> tuple[int, np.ndarray]:
     only the pattern, so a generator without the symmetry gives fewer,
     larger blocks (at worst one).
     """
+    from scipy.sparse.csgraph import connected_components
+
     return connected_components(L.astype(bool), connection="weak")
 
 
@@ -341,6 +352,8 @@ def circulation(rho: np.ndarray, params: ModelParams) -> CirculationResult:
             f"top Fock levels carry population {edge:.2e}; circulation may be unreliable",
             stacklevel=2,
         )
+    import scipy.sparse as sp
+
     gen = liouvillian(params, dim)
     a = sp.csr_matrix(build_ladder(dim)[0])
     x = a + a.conj().T
@@ -374,6 +387,9 @@ def detailed_balance_residual(params: ModelParams, rho_ss: np.ndarray) -> float:
     is zeroed.  Zero is detailed balance; the conventional model violates it
     by orders of magnitude.
     """
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import norm as sparse_norm
+
     dim = rho_ss.shape[0]
     L = liouvillian(params, dim)
     stationarity = np.linalg.norm(L @ vectorize(rho_ss))

@@ -239,6 +239,13 @@ def test_evolve_rejects_malformed_initial_state(tmp_path, spec):
     pytest.param(["wigner", "--k-ratio", "1.2"], "k_ratio", id="wigner-saturated-gain"),
     pytest.param(["sde", "--kappa", "nan"], "kappa", id="sde-nan-kappa"),
     pytest.param(["sde", "--dt", "inf"], "dt", id="sde-inf-dt"),
+    pytest.param(["steady", "--wp-plus", "nan"], "wp_plus", id="steady-nan-weight"),
+    pytest.param(["wigner", "--wp-plus", "1.5"], "wp_plus", id="wigner-weight-above-1"),
+    pytest.param(["wigner", "--h", "nan"], "h", id="wigner-nan-step"),
+    pytest.param(["wigner", "--extent", "-1"], "extent", id="wigner-negative-extent"),
+    pytest.param(["wigner", "--boundary-tol", "nan"], "boundary_tol", id="wigner-nan-tolerance"),
+    pytest.param(["steady", "--kind", "conventional", "--kappa-up1", "1e300",
+                  "--kappa-down", "1e-300"], "kappa_up1", id="steady-overflowing-gain-ratio"),
 ])
 def test_invalid_dim_or_time_is_a_config_error(tmp_path, argv, field):
     with pytest.raises(SystemExit) as err:

@@ -108,6 +108,17 @@ def test_truncation_rule():
     assert k ** (dim_for_tail(k) / 2) < 1e-12
 
 
+def test_default_dim_of_an_overflowing_gain_ratio_is_a_fock_error():
+    # both rates are finite, their ratio is not
+    params = ModelParams(omega0=1.0, kappa_down=1e-300, kappa_up1=1e300,
+                         kind=ModelKind.CONVENTIONAL)
+    with pytest.raises(FockError) as err:
+        default_dim(params)
+    assert err.value.field == "kappa_up1"
+    # a large finite ratio still takes the documented clamp
+    assert default_dim(replace(params, kappa_down=1.0)) == MAX_DIM
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_non_finite_ratio_and_amplitude_are_rejected(value):
     with pytest.raises(FockError):
