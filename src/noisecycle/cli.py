@@ -132,6 +132,9 @@ def cmd_phase_diagram(args: argparse.Namespace) -> int:
         raise SystemExit(f"config error at k_min/k_max: need 0 < k_min <= k_max < 1, got {cfg}")
     if not (0.0 <= cfg["wp_min"] <= cfg["wp_max"] <= 1.0):
         raise SystemExit(f"config error at wp_min/wp_max: need range inside [0, 1], got {cfg}")
+    for key in ("k_count", "wp_count"):
+        # a JSON config can give a float or a bool, which np.linspace cannot count with
+        _require(cfg, key, lambda v: type(v) is int and v >= 1, "an integer >= 1")
     out = _prepare_out(args, cfg)
     rows = []
     for k in np.linspace(cfg["k_min"], cfg["k_max"], cfg["k_count"]):
@@ -168,7 +171,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
     params = _model_from_cfg(cfg)
     dim = cfg["dim"] = _fock_dim(cfg, params)
-    _require(cfg, "t", lambda v: v >= 0, "a time >= 0")
+    _require(cfg, "t", lambda v: 0.0 <= v < math.inf, "a finite time >= 0")
     spec = cfg["initial"]
     try:
         if spec == "vacuum":

@@ -6,8 +6,8 @@ generator, so every path ends as quadratures (x, y) rotated once at one
 shared site, and the polar phase is one normal draw per path); the
 closed-form stationary densities (Rayleigh radius, uniform phase, Gaussian
 plane), grid Fokker-Planck residuals, classical circulation, the
-Stratonovich/Ito drift conversion check (one noise evaluation per draw),
-and the classical detailed-balance flux decomposition.
+Stratonovich/Ito drift conversion check (a closed form in three sample
+moments of its draws), and the classical detailed-balance flux decomposition.
 """
 
 from __future__ import annotations
@@ -216,15 +216,17 @@ def _run_block(cfg: SdeConfig, block: int, size: int):
             r = np.full(size, math.sqrt(2.0 * cfg.kappa / cfg.delta))
             z, g = np.empty(size), np.empty(size)
             for _ in range(total):
-                # r <- |r (1 + 3 kappa dt - delta dt r^2 + dW / 2)| = r |...| as r >= 0
+                # r <- r (1 + 3 kappa dt - delta dt r^2 + dW / 2); the factor sees only r^2
+                # and |a b| = |a| |b| exactly, so taking |r| once below equals step_polar's
+                # per-step reflection bit for bit
                 rng.standard_normal(size, out=z)
                 np.multiply(r, r, out=g)
                 g *= -cfg.delta * cfg.dt
                 g += 1.0 + 3.0 * cfg.kappa * cfg.dt
                 z *= half_std
                 g += z
-                np.abs(g, out=g)
                 r *= g
+            np.abs(r, out=r)
             psi = math.sqrt(2.0 * cfg.kappa * total * cfg.dt) * rng.standard_normal(size)
             x, y = 2.0 * r * np.cos(psi), 2.0 * r * np.sin(psi)
         else:
@@ -383,24 +385,32 @@ def noise_induced_drift_check(cfg: SdeConfig, state: tuple[float, float] = (1.0,
 
     Both updates consume the same draws and share the Euler drift; only the
     noise coefficient is averaged over the Euler predictor.  It is linear in
-    the state, so the gap is half the noise at the Ito increment, one
-    evaluation per draw (the b b'/2 term, Kloeden & Platen 1992), and zero at
-    zero noise.  Per unit time it converges to 2 kappa (x, y) as dt halves
+    the state, so the gap is half the noise at the Ito increment (the b b'/2
+    term, Kloeden & Platen 1992), and zero at zero noise.  That noise is
+    bilinear in the predictor and the draws, so its mean is a closed form in
+    three sample moments of the draws z: m0 = <z0>, m1 = <z1> and
+    m2 = <z0^2 + z1^2>; the draws are reduced once and no per-draw value is
+    formed.  Per unit time the gap converges to 2 kappa (x, y) as dt halves
     from 4e-3 to 1e-3, the drift the multiplicative noise induces.
     """
+    if n_draws < 1:
+        raise SdeError(f"n_draws must be at least 1, got {n_draws}")
     x0, y0 = state
     dts = np.array([4e-3, 2e-3, 1e-3])
     rng = np.random.default_rng(cfg.seed)
     z = rng.standard_normal((2, n_draws))
+    m0, m1 = z.mean(axis=1)
+    # einsum, unlike a BLAS dot, sums in one order whatever the thread count
+    m2 = float(np.einsum("ij,ij->", z, z)) / n_draws
     gaps = np.empty((dts.size, 2))
     ax0, ay0 = _cartesian_drift(x0, y0, cfg)
     for i, dt in enumerate(dts):
         std = math.sqrt(8.0 * cfg.kappa * dt)
-        d_x, d_y = std * z[0], std * z[1]
-        nx0, ny0 = _cartesian_noise(x0, y0, d_x, d_y)
-        # noise coefficient at the Ito (Euler-Maruyama) increment
-        gap_x, gap_y = _cartesian_noise(ax0 * dt + nx0, ay0 * dt + ny0, d_x, d_y)
-        gaps[i] = [0.5 * float(np.mean(gap_x)) / dt, 0.5 * float(np.mean(gap_y)) / dt]
+        # mean noise at the Ito increment, d = std z: the drift part pairs with
+        # the first moments; the noise part's cross terms cancel, leaving m2
+        gap_x = 0.5 * (dt * std * (ax0 * m0 + ay0 * m1) + 0.5 * x0 * std ** 2 * m2)
+        gap_y = 0.5 * (dt * std * (ax0 * m1 - ay0 * m0) + 0.5 * y0 * std ** 2 * m2)
+        gaps[i] = [0.5 * gap_x / dt, 0.5 * gap_y / dt]
     return DriftGapReport(
         state=state,
         dts=dts,

@@ -61,6 +61,16 @@ def test_phase_diagram_single_point_phase_two(tmp_path):
     assert rows[0][6] == "II"
 
 
+@pytest.mark.parametrize("value", [2.5, 3.0, True])
+def test_phase_diagram_count_from_a_config_file_must_be_an_integer(tmp_path, value):
+    cfg = tmp_path / "pd.json"
+    cfg.write_text(json.dumps({"wp_count": value}))
+    with pytest.raises(SystemExit) as err:
+        main(["phase-diagram", "--config", str(cfg), "--out", str(tmp_path / "pd")])
+    assert str(err.value).startswith("config error at wp_count: ")
+    assert not (tmp_path / "pd").exists()
+
+
 def test_phase_diagram_sigmoid_column(tmp_path):
     out = tmp_path / "pd"
     main(["phase-diagram", "--out", str(out), "--k-count", "5", "--wp-count", "5"])
@@ -231,6 +241,14 @@ def test_evolve_rejects_malformed_initial_state(tmp_path, spec):
     pytest.param(["steady", "--dim", "1"], "dim", id="steady-dim-1"),
     pytest.param(["evolve", "--dim", "1"], "dim", id="evolve-dim-1"),
     pytest.param(["evolve", "--t", "-1"], "t", id="evolve-negative-t"),
+    pytest.param(["evolve", "--t", "inf"], "t", id="evolve-inf-t"),
+    pytest.param(["evolve", "--t", "nan"], "t", id="evolve-nan-t"),
+    pytest.param(["phase-diagram", "--k-count", "-1"], "k_count",
+                 id="phase-diagram-negative-k-count"),
+    pytest.param(["phase-diagram", "--k-count", "0"], "k_count", id="phase-diagram-no-k-points"),
+    pytest.param(["phase-diagram", "--wp-count", "-1"], "wp_count",
+                 id="phase-diagram-negative-wp-count"),
+    pytest.param(["phase-diagram", "--wp-count", "0"], "wp_count", id="phase-diagram-no-wp-points"),
     pytest.param(["steady", "--k-ratio", "1.2"], "k_ratio", id="steady-saturated-gain"),
     pytest.param(["steady", "--omega0", "nan"], "omega0", id="steady-nan-omega0"),
     pytest.param(["evolve", "--kappa-down", "0"], "kappa_down", id="evolve-no-loss"),

@@ -174,30 +174,57 @@ def test_thread_count_does_not_change_results(coordinates, monkeypatch):
         assert np.array_equal(getattr(serial, name), getattr(threaded, name))
 
 
-@pytest.mark.parametrize("coordinates", ["polar", "cartesian"])
-def test_ensemble_matches_reference_step(coordinates):
-    # the block's own stream fed through the public Euler step at omega0 = 0,
-    # then rotated by -omega0 T; in polar the phase is one draw after the loop
-    cfg = SdeConfig(kappa=0.7, delta=1.3, omega0=3.0, dt=2e-3, n_steps=5, burn_in=20,
-                    n_paths=300, seed=5, coordinates=coordinates)
+def _reference_paths(cfg):
+    """The block's own stream fed through the public Euler step at omega0 = 0,
+    then rotated by -omega0 T; in polar the phase is one draw after the loop.
+
+    Also returns how many polar factors 1 + (3 kappa - delta r^2) dt + dW / 2
+    were negative, i.e. how often ``step_polar`` reflected a radius.
+    """
     still = replace(cfg, omega0=0.0)
     rng = _block_rng(cfg.seed, 0)
     n, total = cfg.n_paths, cfg.burn_in + cfg.n_steps
     angle = cfg.omega0 * total * cfg.dt
-    if coordinates == "polar":
+    negative_factors = 0
+    if cfg.coordinates == "polar":
         r = np.full(n, math.sqrt(2.0 * cfg.kappa / cfg.delta))
         for _ in range(total):
-            r, _ = step_polar((r, 0.0), still, (cfg.noise_std * rng.standard_normal(n), 0.0))
+            d_r = cfg.noise_std * rng.standard_normal(n)
+            factor = 1.0 + (3.0 * cfg.kappa - cfg.delta * r ** 2) * cfg.dt + 0.5 * d_r
+            negative_factors += int(np.count_nonzero(factor < 0.0))
+            r, _ = step_polar((r, 0.0), still, (d_r, 0.0))
         phi = math.sqrt(2.0 * cfg.kappa * total * cfg.dt) * rng.standard_normal(n) - angle
-        x, y = 2.0 * r * np.cos(phi), 2.0 * r * np.sin(phi)
-    else:
-        x, y = np.full(n, 2.0 * math.sqrt(cfg.kappa / cfg.delta)), np.zeros(n)
-        for _ in range(total):
-            x, y = step_cartesian((x, y), still, cfg.noise_std * rng.standard_normal((2, n)))
-        x, y = math.cos(angle) * x + math.sin(angle) * y, math.cos(angle) * y - math.sin(angle) * x
+        return 2.0 * r * np.cos(phi), 2.0 * r * np.sin(phi), negative_factors
+    x, y = np.full(n, 2.0 * math.sqrt(cfg.kappa / cfg.delta)), np.zeros(n)
+    for _ in range(total):
+        x, y = step_cartesian((x, y), still, cfg.noise_std * rng.standard_normal((2, n)))
+    return (math.cos(angle) * x + math.sin(angle) * y,
+            math.cos(angle) * y - math.sin(angle) * x, negative_factors)
+
+
+@pytest.mark.parametrize("coordinates", ["polar", "cartesian"])
+def test_ensemble_matches_reference_step(coordinates):
+    cfg = SdeConfig(kappa=0.7, delta=1.3, omega0=3.0, dt=2e-3, n_steps=5, burn_in=20,
+                    n_paths=300, seed=5, coordinates=coordinates)
+    x, y, _ = _reference_paths(cfg)
     result = simulate_ensemble(cfg)
     assert result.n_diverged == 0
     assert np.all(np.hypot(result.x - x, result.y - y) <= 1e-12 * np.hypot(x, y))
+
+
+def test_polar_radius_sign_dropped_once_matches_per_step_reflection():
+    # the ensemble takes |r| once after the loop; at this coarse step the
+    # reference reflects a radius several times along the way (the reference
+    # rebuilds the config, which warns again)
+    with pytest.warns(UserWarning, match="time step is large"):
+        cfg = SdeConfig(kappa=1.0, delta=1.0, omega0=3.0, dt=0.05, n_steps=5, burn_in=20,
+                        n_paths=300, seed=5, coordinates="polar")
+        x, y, negative_factors = _reference_paths(cfg)
+    assert negative_factors > 0
+    result = simulate_ensemble(cfg)
+    assert result.n_diverged == 0
+    assert np.all(np.hypot(result.x - x, result.y - y) <= 1e-12 * np.hypot(x, y))
+    assert result.r.min() >= 0.0
 
 
 def test_cartesian_fast_rotation_leaves_radius_unbiased():
@@ -330,6 +357,43 @@ def test_drift_gap_vanishes_without_noise():
     cfg = SdeConfig(kappa=1e-12, delta=1.0, omega0=3.0, seed=4)
     report = noise_induced_drift_check(cfg, state=(1.0, 0.5), n_draws=2_000)
     assert np.abs(report.gaps).max() < 1e-8
+
+
+def _drift_gaps_per_draw(cfg, state, n_draws):
+    """The drift check evaluated draw by draw: noise at the Ito increment, averaged."""
+    x0, y0 = state
+    z = np.random.default_rng(cfg.seed).standard_normal((2, n_draws))
+    a_x, a_y = sde_module._cartesian_drift(x0, y0, cfg)
+    gaps = []
+    for dt in (4e-3, 2e-3, 1e-3):
+        d_x, d_y = math.sqrt(8.0 * cfg.kappa * dt) * z
+        n_x, n_y = sde_module._cartesian_noise(x0, y0, d_x, d_y)
+        gap_x, gap_y = sde_module._cartesian_noise(a_x * dt + n_x, a_y * dt + n_y, d_x, d_y)
+        gaps.append([0.5 * np.mean(gap_x) / dt, 0.5 * np.mean(gap_y) / dt])
+    return np.array(gaps)
+
+
+@pytest.mark.parametrize("kappa, delta, omega0, seed, state", [
+    (0.5, 1.0, 3.0, 11, (1.0, 0.5)),
+    (1e-12, 1.0, 3.0, 4, (1.0, 0.5)),
+    (0.7, 2.0, -1.0, 2, (-0.8, 1.3)),
+    (2.0, 0.5, 0.0, 9, (0.3, -2.0)),
+])
+def test_drift_gap_moments_match_per_draw_evaluation(kappa, delta, omega0, seed, state):
+    cfg = SdeConfig(kappa=kappa, delta=delta, omega0=omega0, seed=seed)
+    report = noise_induced_drift_check(cfg, state=state, n_draws=50_000)
+    np.testing.assert_allclose(report.gaps, _drift_gaps_per_draw(cfg, state, 50_000),
+                               rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("n_draws", [0, -3])
+def test_drift_check_needs_a_draw(n_draws, monkeypatch):
+    def no_rng(*args, **kwargs):
+        raise AssertionError("a generator was built")
+
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    with pytest.raises(SdeError, match=f"n_draws.*{n_draws}"):
+        noise_induced_drift_check(SdeConfig(kappa=1.0, delta=1.0), n_draws=n_draws)
 
 
 def test_drift_gap_independent_of_nonlinearity():
