@@ -14,7 +14,6 @@ from .analytic import (
     WignerClosedForm,
     coherent_cycle_threshold,
     coherent_even_weight,
-    coherent_thresholds,
     hopf_scaling,
     limit_cycle_radius,
     mandel_q,
@@ -29,8 +28,6 @@ from .analytic import (
     wigner_origin,
     wigner_radial,
     wigner_ss,
-    wigner_ss_complex,
-    wigner_ss_polar,
 )
 from .fock import (
     FockError,
@@ -47,8 +44,6 @@ from .fock import (
     liouvillian,
     number_op,
     parity_op,
-    quadrature_x,
-    quadrature_y,
     vectorize,
 )
 from .lindblad import (

@@ -188,18 +188,6 @@ def wigner_ss(x, y, k_ratio: float, wp_plus: float):
     )
 
 
-def wigner_ss_complex(alpha, k_ratio: float, wp_plus: float):
-    """Same state over the complex plane, alpha = (x + iy)/2; equals 4 W(x, y)."""
-    alpha = np.asarray(alpha, dtype=complex)
-    return 4.0 * wigner_ss(2.0 * alpha.real, 2.0 * alpha.imag, k_ratio, wp_plus)
-
-
-def wigner_ss_polar(r, phi, k_ratio: float, wp_plus: float):
-    """Polar measure r * Wbar(r e^{i phi}); integrates to 1 over dr dphi."""
-    r = np.asarray(r, dtype=float)
-    return r * wigner_radial(r, k_ratio, wp_plus)
-
-
 def wigner_radial(r, k_ratio: float, wp_plus: float):
     """Radial profile W(r) = Wbar(|alpha| = r), the object whose mode locates the cycle."""
     r = np.asarray(r, dtype=float)
@@ -320,16 +308,6 @@ def coherent_cycle_threshold(k_ratio: float) -> float:
     if not 0.0 < k_ratio < 1.0:
         raise AnalyticError(f"ratio must lie in (0, 1), got {k_ratio}")
     return 0.5 * math.log(2.0 * (1.0 + k_ratio) / (1.0 - k_ratio))
-
-
-def coherent_thresholds(alpha_sq: float, k_ratio: float) -> tuple[float, bool]:
-    """Even weight of a coherent seed and whether it lands on the cycle side.
-
-    Coherent states always have even weight above 1/2, so the
-    negative-quasiprobability phase is unreachable from them.
-    """
-    wp = coherent_even_weight(alpha_sq)
-    return wp, alpha_sq > coherent_cycle_threshold(k_ratio)
 
 
 def tail_gaussian(k_ratio: float, wp_plus: float) -> TailGaussian:

@@ -67,11 +67,6 @@ def _config_comment(args: argparse.Namespace, cfg: dict) -> str:
     return f"config: {json.dumps({'command': args.command, **cfg}, sort_keys=True)}"
 
 
-def _write_csv(path: Path, header: list[str], fmt: str, rows, comment: str) -> None:
-    with csvio.open_csv(path, header, [comment]) as fh:
-        csvio.write_rows(fh, fmt, rows)
-
-
 def _write_summary(out: Path, summary: dict) -> None:
     (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
@@ -144,10 +139,11 @@ def cmd_phase_diagram(args: argparse.Namespace) -> int:
                 (k, wp, point.r_star, point.w0, point.q_ss,
                  float(analytic.sigmoid(point.q_ss)), point.phase.value)
             )
-    _write_csv(out / "phase_diagram.csv",
-               ["K", "wp_plus", "r_star", "w0", "q_ss", "s_q", "phase"],
-               csvio.row_format(*[csvio.NUMBER] * 6, csvio.TEXT), rows,
-               _config_comment(args, cfg))
+    *numbers, phases = zip(*rows)
+    csvio.write_csv(out / "phase_diagram.csv",
+                    ["K", "wp_plus", "r_star", "w0", "q_ss", "s_q", "phase"],
+                    [*map(np.array, numbers), np.array(phases, dtype="S")],
+                    [_config_comment(args, cfg)])
     _write_summary(out, {"rows": len(rows)})
     print(f"wrote {len(rows)} rows to {out/'phase_diagram.csv'}")
     return 0
@@ -212,9 +208,9 @@ def cmd_sde(args: argparse.Namespace) -> int:
     summary = verify.ensemble_report(run_cfg, result)
     cap = int(cfg["dump_samples"])
     if cap > 0:
-        rows = zip(result.r[:cap], result.phi[:cap], result.x[:cap], result.y[:cap])
-        _write_csv(out / "samples.csv", ["r", "phi", "x", "y"],
-                   csvio.row_format(*[csvio.NUMBER] * 4), rows, _config_comment(args, cfg))
+        csvio.write_csv(out / "samples.csv", ["r", "phi", "x", "y"],
+                        [result.r[:cap], result.phi[:cap], result.x[:cap], result.y[:cap]],
+                        [_config_comment(args, cfg)])
     _write_summary(out, summary)
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0

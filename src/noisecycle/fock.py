@@ -146,16 +146,6 @@ def parity_op(dim: int) -> np.ndarray:
     return np.diag((-1.0) ** np.arange(dim)).astype(complex)
 
 
-def quadrature_x(dim: int) -> np.ndarray:
-    a, ad = build_ladder(dim)
-    return a + ad
-
-
-def quadrature_y(dim: int) -> np.ndarray:
-    a, ad = build_ladder(dim)
-    return -1j * (a - ad)
-
-
 def fock_state(dim: int, n: int) -> np.ndarray:
     """Projector |n><n|."""
     if not 0 <= n < dim:

@@ -13,6 +13,7 @@ moments of its draws), and the classical detailed-balance flux decomposition.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -74,6 +75,11 @@ class SdeConfig:
                 raise SdeError(f"{name} must be at least 1, got {getattr(self, name)}", name)
         if self.burn_in < 0:
             raise SdeError(f"burn_in must be nonnegative, got {self.burn_in}", "burn_in")
+        # a JSON config can give a float, a bool or a negative number, which
+        # numpy's seeding rejects only once the run has started
+        if (isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral)
+                or self.seed < 0):
+            raise SdeError(f"seed must be a nonnegative integer, got {self.seed!r}", "seed")
         if self.coordinates not in ("polar", "cartesian"):
             raise SdeError(f"unknown coordinates {self.coordinates!r}", "coordinates")
         # explicit-scheme guard: drift stiffness over the bulk of the radial range

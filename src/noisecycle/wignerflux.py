@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import csvio
 from .analytic import mean_n_ss, wigner_ss
 from .fock import ModelKind, ModelParams
 
@@ -237,16 +236,14 @@ def field_to_csv(path, field: WignerField, jx: np.ndarray, jy: np.ndarray,
                  decomp: FluxDecomposition, header_lines: list[str] | None = None) -> None:
     """Dump (x, y, w, jx, jy, j_irr_x, j_irr_y) rows for external plotting.
 
-    The rows go out in blocks, one per x value: x is formatted once per
-    block, and the block's ny rows share one row format filled from row
-    slices of the arrays.  Numbers carry 17 significant digits and rows end
-    in ``\\r\\n`` (the layout of :mod:`noisecycle.csvio`).
+    One row per grid point, x-major, written by :func:`noisecycle.csvio.write_csv`
+    from the grid arrays as they are, the x and y axes broadcast over the
+    grid: numbers carry 17 significant digits (``%.17g``) and rows end in
+    ``\\r\\n``.
     """
+    from . import csvio  # on first use: importing noisecycle leaves the encoder unloaded
+
     header = ["x", "y", "w", "jx", "jy", "j_irr_x", "j_irr_y"]
-    columns = (field.w, jx, jy, decomp.j_irr_x, decomp.j_irr_y)
-    y = field.y.tolist()
-    block_tail = "," + csvio.row_format(*[csvio.NUMBER] * (len(header) - 1))
-    with csvio.open_csv(path, header, header_lines or []) as fh:
-        for i, xv in enumerate(field.x.tolist()):
-            rows = zip(y, *(col[i].tolist() for col in columns))
-            csvio.write_rows(fh, csvio.NUMBER % xv + block_tail, rows)
+    columns = [field.x[:, None], field.y[None, :], field.w, jx, jy,
+               decomp.j_irr_x, decomp.j_irr_y]
+    csvio.write_csv(path, header, columns, header_lines or [])

@@ -12,7 +12,6 @@ from noisecycle.analytic import (
     WignerClosedForm,
     coherent_cycle_threshold,
     coherent_even_weight,
-    coherent_thresholds,
     hopf_scaling,
     limit_cycle_radius,
     mandel_q,
@@ -28,9 +27,29 @@ from noisecycle.analytic import (
     wigner_origin,
     wigner_radial,
     wigner_ss,
-    wigner_ss_complex,
-    wigner_ss_polar,
 )
+
+
+def wigner_ss_complex(alpha, k_ratio: float, wp_plus: float):
+    """Same state over the complex plane, alpha = (x + iy)/2; equals 4 W(x, y)."""
+    alpha = np.asarray(alpha, dtype=complex)
+    return 4.0 * wigner_ss(2.0 * alpha.real, 2.0 * alpha.imag, k_ratio, wp_plus)
+
+
+def wigner_ss_polar(r, phi, k_ratio: float, wp_plus: float):
+    """Polar measure r * Wbar(r e^{i phi}); integrates to 1 over dr dphi."""
+    r = np.asarray(r, dtype=float)
+    return r * wigner_radial(r, k_ratio, wp_plus)
+
+
+def coherent_thresholds(alpha_sq: float, k_ratio: float) -> tuple[float, bool]:
+    """Even weight of a coherent seed and whether it lands on the cycle side.
+
+    Coherent states always have even weight above 1/2, so the
+    negative-quasiprobability phase is unreachable from them.
+    """
+    wp = coherent_even_weight(alpha_sq)
+    return wp, alpha_sq > coherent_cycle_threshold(k_ratio)
 
 
 # ---------------------------------------------------------------------------

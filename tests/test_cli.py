@@ -257,6 +257,9 @@ def test_evolve_rejects_malformed_initial_state(tmp_path, spec):
     pytest.param(["wigner", "--k-ratio", "1.2"], "k_ratio", id="wigner-saturated-gain"),
     pytest.param(["sde", "--kappa", "nan"], "kappa", id="sde-nan-kappa"),
     pytest.param(["sde", "--dt", "inf"], "dt", id="sde-inf-dt"),
+    pytest.param(["sde", "--seed", "-1"], "seed", id="sde-negative-seed"),
+    pytest.param(["sde", {"seed": 1.5}], "seed", id="sde-config-float-seed"),
+    pytest.param(["sde", {"seed": True}], "seed", id="sde-config-bool-seed"),
     pytest.param(["steady", "--wp-plus", "nan"], "wp_plus", id="steady-nan-weight"),
     pytest.param(["wigner", "--wp-plus", "1.5"], "wp_plus", id="wigner-weight-above-1"),
     pytest.param(["wigner", "--h", "nan"], "h", id="wigner-nan-step"),
@@ -266,6 +269,10 @@ def test_evolve_rejects_malformed_initial_state(tmp_path, spec):
                   "--kappa-down", "1e-300"], "kappa_up1", id="steady-overflowing-gain-ratio"),
 ])
 def test_invalid_dim_or_time_is_a_config_error(tmp_path, argv, field):
+    if isinstance(argv[-1], dict):  # fields given in a config file
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(argv[-1]))
+        argv = [*argv[:-1], "--config", str(config)]
     with pytest.raises(SystemExit) as err:
         main([*argv, "--out", str(tmp_path / "run")])
     assert str(err.value).startswith(f"config error at {field}: ")

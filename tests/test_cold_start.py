@@ -1,9 +1,11 @@
 """Start-up cost: commands that never build a generator run without scipy.
 
-Each case runs in a fresh interpreter, because this process may already hold
-scipy.  A case that loads a module it should not is run again under
-``-X importtime``, and the failure names the import chain that reached it
-and the line of the package that made the import.
+They also run without ``fractions`` and ``decimal``: the CSV encoder builds
+its tables from plain ints, on first use.  Each case runs in a fresh
+interpreter, because this process may already hold these modules.  A case
+that loads a module it should not is run again under ``-X importtime``, and
+the failure names the import chain that reached it and the line of the
+package that made the import.
 """
 
 import json
@@ -15,7 +17,8 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-HEAVY = ("scipy.sparse", "scipy.linalg", "scipy.stats")
+HEAVY = ("scipy.sparse", "scipy.linalg", "scipy.stats", "fractions", "decimal")
+HEAVY_PACKAGES = {name.split(".")[0] for name in HEAVY}
 
 # imports the package and its CLI, runs the command in argv (if any) with its
 # output sent to stderr, and prints which of HEAVY are loaded
@@ -61,8 +64,9 @@ def import_chain(importtime_log: str) -> str:
 
     ``-X importtime`` logs a module once its import finishes, indented two
     spaces per level of nesting, so the modules that imported it are the
-    next lines at each smaller depth.  The chain stops at the first scipy
-    module; one that starts with scipy was imported by a call at run time.
+    next lines at each smaller depth.  The chain stops at the first module
+    of a package in HEAVY (scipy, fractions, decimal); one that starts there
+    was imported by a call at run time.
     """
     entries = []
     for line in importtime_log.splitlines():
@@ -71,13 +75,13 @@ def import_chain(importtime_log: str) -> str:
             entries.append(((len(name) - len(name.lstrip()) - 1) // 2, name.strip()))
     first = next((i for i, (_, name) in enumerate(entries) if _is_heavy(name)), None)
     if first is None:
-        return "no scipy module in the -X importtime log"
+        return "no module of HEAVY in the -X importtime log"
     depth, chain = entries[first][0], [entries[first][1]]
     for level, name in entries[first + 1:]:
         if level < depth:
             depth = level
             chain.insert(0, name)
-    top = next(i for i, name in enumerate(chain) if name.startswith("scipy"))
+    top = next(i for i, name in enumerate(chain) if name.split(".")[0] in HEAVY_PACKAGES)
     return " -> ".join(chain[:top + 1])
 
 

@@ -3,15 +3,18 @@
 The reference is the row-by-row path: ``csv.writer`` with each number
 formatted by ``f"{v:.17g}"``.  The package writes through ``noisecycle.csvio``
 instead, so each file is compared byte for byte with what the reference
-writes from the same data.
+writes from the same data.  The encoder itself is held to ``"%.17g" % v``
+over raw 64-bit patterns, edge values and exact decimal ties.
 """
 
 import csv
 import json
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from noisecycle import analytic, sde, wignerflux
+from noisecycle import analytic, csvio, sde, wignerflux
 from noisecycle.cli import main
 from noisecycle.fock import ModelParams
 from noisecycle.wignerflux import FluxDecomposition, WignerField, field_to_csv
@@ -115,3 +118,86 @@ def test_samples_csv_bytes_match_reference(tmp_path):
     reference_table_csv(ref, ["r", "phi", "x", "y"], rows, cfg)
     assert (out / "samples.csv").read_bytes() == ref.read_bytes()
 
+
+
+# ---------------------------------------------------------------------------
+# the encoder against "%.17g"
+# ---------------------------------------------------------------------------
+
+def encoded(values):
+    return b"".join(csvio.encode_rows([np.asarray(values, dtype=np.float64)]))
+
+
+def formatted(values):
+    return "".join("%.17g\r\n" % v for v in values).encode()
+
+
+# raw patterns, and the patterns of hypothesis' floats, which favour round
+# decimals, powers of two and the ends of each range
+PATTERNS = st.integers(0, 2 ** 64 - 1) | st.floats().map(
+    lambda v: int(np.float64(v).view(np.uint64)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.lists(PATTERNS, min_size=1, max_size=40))
+def test_encoder_matches_percent_17g_on_raw_patterns(patterns):
+    values = np.array(patterns, dtype=np.uint64).view(np.float64)
+    assert encoded(values) == formatted(values.tolist())
+
+
+def exact_ties():
+    """Dyadic j / 2^s whose 18th significant digit is an exact 5.
+
+    Their 18 digits are N = j 5^s, an odd multiple of 5 in [1e17, 1e18), so
+    17 digits round half to even.  Each s from 3 to 25 gives the smallest
+    and the largest such j below 2^53.
+    """
+    ties = []
+    for s in range(3, 26):
+        low, high = -(-10 ** 17 // 5 ** s) | 1, min(10 ** 18 // 5 ** s, 2 ** 53) - 1
+        for j in (low, high - (1 - high % 2)):
+            assert j % 2 == 1 and 10 ** 17 <= j * 5 ** s < 10 ** 18
+            ties.append(j / 2 ** s)
+    return ties
+
+
+def test_encoder_matches_percent_17g_on_edge_values():
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    values = [
+        0.0, -0.0, np.uint64(0xFFF8000000000001).view(np.float64), np.inf, -np.inf,
+        5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+        1e16, 1e17, 99999999999999999.0, 0.0001, 9.9999999999999991e-5,
+        *powers, *np.nextafter(powers, 0.0), *np.nextafter(powers, np.inf), *-powers,
+        *exact_ties(),
+    ]
+    assert encoded(values) == formatted(values)
+    assert encoded([-np.nan, -0.0]) == b"nan\r\n-0\r\n"
+    assert encoded([560639462230231.875]) == b"560639462230231.88\r\n"
+
+
+def test_tables_longer_than_one_chunk_match_reference(tmp_path):
+    rng = np.random.default_rng(5)
+    n = 3 * csvio.CHUNK_ROWS + 7
+    values = rng.lognormal(0.0, 20.0, size=(n, 3)) * rng.choice([-1.0, 1.0], size=(n, 3))
+    values[::5, 1] = values[::5, 0]  # repeats within a chunk
+    specials = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1.0, 0.1]
+    values[::7, 2] = np.resize(specials, values[::7, 2].shape)
+    labels = rng.choice(["I", "II", "III"], size=n)
+    rows = [(*map(float, v), label) for v, label in zip(values, labels)]
+    cfg = {"command": "test", "rows": n}
+    header = ["a", "b", "c", "phase"]
+    out, ref = tmp_path / "table.csv", tmp_path / "ref.csv"
+    csvio.write_csv(out, header, [*values.T, labels.astype("S")],
+                    [f"config: {json.dumps(cfg, sort_keys=True)}"])
+    reference_table_csv(ref, header, rows, cfg)
+    assert out.read_bytes() == ref.read_bytes()
+
+    # a grid of several chunks of whole lines, whose lines do not divide a chunk
+    grid = np.linspace(-3.0, 3.0, 47)
+    w = rng.standard_normal((47, 47))
+    decomp = FluxDecomposition(j_rev_x=w, j_rev_y=w, j_irr_x=-w, j_irr_y=w ** 3)
+    field = WignerField(x=grid, y=grid + 0.25, w=w)
+    assert w.size > 2 * csvio.CHUNK_ROWS and csvio.CHUNK_ROWS % 47
+    field_to_csv(out, field, 2 * w, w / 3, decomp, header_lines=["grid"])
+    reference_field_csv(ref, field, 2 * w, w / 3, decomp, ["grid"])
+    assert out.read_bytes() == ref.read_bytes()

@@ -25,7 +25,6 @@ from noisecycle.fock import (
     liouvillian,
     number_op,
     parity_op,
-    quadrature_x,
     sandwich,
     vectorize,
 )
@@ -33,6 +32,11 @@ from noisecycle.analytic import rho_ss_analytic
 
 NI = ModelParams(omega0=1.0, kappa_down=1.0, kappa_up2=0.5)
 CONV = ModelParams(omega0=1.0, kappa_down=1.0, kappa_up1=0.3, kind=ModelKind.CONVENTIONAL)
+
+
+def quadrature_x(dim: int) -> np.ndarray:
+    a, ad = build_ladder(dim)
+    return a + ad
 
 
 def test_ladder_two_levels():

@@ -23,8 +23,6 @@ from noisecycle.fock import (
     liouvillian,
     number_op,
     parity_op,
-    quadrature_x,
-    quadrature_y,
     sandwich,
     vectorize,
     devectorize,
@@ -48,9 +46,15 @@ from noisecycle.lindblad import (
     wigner_numeric_grid,
 )
 from noisecycle.analytic import wigner_ss
+from test_fock import quadrature_x
 
 NI = ModelParams(omega0=1.0, kappa_down=1.0, kappa_up2=0.5)
 CONV = ModelParams(omega0=1.0, kappa_down=1.0, kappa_up1=0.3, kind=ModelKind.CONVENTIONAL)
+
+
+def quadrature_y(dim: int) -> np.ndarray:
+    a, ad = build_ladder(dim)
+    return -1j * (a - ad)
 
 
 def check_density_matrix(rho: np.ndarray, herm_tol=1e-12, trace_tol=1e-12, eig_floor=-1e-10):
