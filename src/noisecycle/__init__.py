@@ -39,8 +39,8 @@ from .fock import (
     default_dim,
     devectorize,
     dim_for_tail,
-    dissipator,
     fock_state,
+    generator_diagonals,
     liouvillian,
     number_op,
     parity_op,

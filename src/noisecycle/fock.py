@@ -6,12 +6,11 @@ forward generator is built: an adjoint action enters through the
 Hilbert-Schmidt duality Tr[A^dag L'(B)] = Tr[(L A)^dag B].
 
 Every operator of the two models (a, a^dag, their products, the identity)
-has a single nonzero diagonal, so each term of ``liouvillian`` is one numpy
+has a single nonzero diagonal, so each term of the generator is one numpy
 array on one diagonal of the vec space; the terms combine per diagonal as
-plain arrays and the zeros are dropped when the CSR is written, without ``kron``.
-``sandwich`` and ``dissipator`` take any operand and serve the rest: the
-tests' quadrature channels and the left multiplication by a steady state in
-``lindblad.detailed_balance_residual``.
+plain arrays, without ``kron``.  ``generator_diagonals`` returns that
+per-diagonal form, which applies itself to a vector; ``liouvillian`` writes
+it as a CSR matrix with the zeros dropped.
 """
 
 from __future__ import annotations
@@ -188,49 +187,9 @@ def devectorize(vec: np.ndarray) -> np.ndarray:
     return vec.reshape((dim, dim), order="F")
 
 
-def sandwich(left_op, right_op) -> sp.csr_matrix:
-    """Superoperator for rho -> left_op @ rho @ right_op; dense or sparse operands.
-
-    The package's one ``kron``, for general operands; one-sided products are
-    ``sandwich(op, eye)`` and ``sandwich(eye, op)`` with a sparse identity.
-    ``liouvillian`` does not use it: its operators have one diagonal each.
-    """
-    import scipy.sparse as sp
-
-    return sp.kron(sp.csr_matrix(right_op).T, sp.csr_matrix(left_op), format="csr")
-
-
-def apply_super(superop: sp.spmatrix, rho: np.ndarray) -> np.ndarray:
-    dim = rho.shape[0]
-    if superop.shape[1] != dim * dim:
-        raise FockError(
-            f"superoperator of size {superop.shape[1]} cannot act on a {dim}x{dim} matrix"
-        )
-    return devectorize(superop @ vectorize(rho))
-
-
 # ---------------------------------------------------------------------------
 # generators
 # ---------------------------------------------------------------------------
-
-def dissipator(c) -> sp.csr_matrix:
-    """Matrix form of rho -> c rho c^dag - (c^dag c rho + rho c^dag c)/2.
-
-    ``c`` may be dense or sparse; the products run on its sparse form, so a
-    banded operator costs only its nonzeros.  ``liouvillian`` builds its own
-    dissipators on one-diagonal operators, with this operation tree.
-    """
-    shape = np.shape(c)
-    if len(shape) != 2 or shape[0] != shape[1]:
-        raise FockError(f"Lindblad operator must be square, got shape {shape}")
-    import scipy.sparse as sp
-
-    c = sp.csr_matrix(c, dtype=complex)
-    cd = c.conj().T
-    cdc = cd @ c
-    eye = sp.identity(shape[0], dtype=complex, format="csr")
-    return (sandwich(c, cd) - 0.5 * sandwich(cdc, eye) - 0.5 * sandwich(eye, cdc)).tocsr()
-
 
 def _shifted(values: np.ndarray, shift: int) -> np.ndarray:
     """out[i] = values[i - shift], and 0 where i - shift falls outside."""
@@ -268,7 +227,8 @@ class _Diagonals(dict):
     """Superoperator held as {offset row - col: values over the vec rows}.
 
     Scaling, sums and differences act on whole diagonals, with 0 standing in
-    for a missing one, and ``tocsr`` drops the zeros.  With finite rates a
+    for a missing one, ``@`` applies the operator to a vector, and ``tocsr``
+    drops the zeros.  With finite rates a
     position off a term's pattern holds an exact zero, so the result equals
     scipy's CSR arithmetic on the same terms entry for entry.
     """
@@ -295,6 +255,21 @@ class _Diagonals(dict):
     def __sub__(self, other: "_Diagonals") -> "_Diagonals":
         return _Diagonals({o: self.get(o, 0j) - other.get(o, 0j)
                            for o in self.keys() | other.keys()})
+
+    def __matmul__(self, vec: np.ndarray) -> np.ndarray:
+        """Product with a vec-space vector: out[r] = sum over o of values_o[r] vec[r - o].
+
+        The offsets are visited in descending order, the column order of a
+        row of ``tocsr``.  A position whose column r - o lies outside the vec
+        space holds 0 and is skipped, as is a diagonal that lies outside.
+        """
+        n = vec.size
+        out = np.zeros(n, dtype=np.result_type(vec, complex))
+        for o, values in sorted(self.items(), reverse=True):
+            if abs(o) < n:
+                lo, hi = max(o, 0), n + min(o, 0)
+                out[lo:hi] += values[lo:hi] * vec[lo - o:hi - o]
+        return out
 
     def tocsr(self) -> sp.csr_matrix:
         """CSR written diagonal by diagonal, without a sort; zeros are not stored.
@@ -324,21 +299,21 @@ class _Diagonals(dict):
 
 
 def _band_dissipator(c: _Band, eye: _Band) -> _Diagonals:
-    """``dissipator(c)`` of a one-diagonal operator, with its operation tree."""
+    """rho -> c rho c^dag - (c^dag c rho + rho c^dag c)/2 of a one-diagonal operator c."""
     cd = c.dag()
     cdc = cd @ c
     return (_Diagonals.sandwich(c, cd) - 0.5 * _Diagonals.sandwich(cdc, eye)
             - 0.5 * _Diagonals.sandwich(eye, cdc))
 
 
-def liouvillian(params: ModelParams, dim: int | None = None) -> sp.csr_matrix:
-    """Generator of the selected model on a dim-level Fock space.
+def generator_diagonals(params: ModelParams, dim: int | None = None) -> _Diagonals:
+    """Generator of the selected model on a dim-level Fock space, one array per diagonal.
 
     Each term is one outer product on one diagonal of the vec space.  The
     terms combine per diagonal, as plain arrays, along the operation tree of
     ``omega0 * (-1j * (sandwich(h, eye) - sandwich(eye, h)))
-    + kappa_down * dissipator(a a) + ...``, and the zeros are dropped at
-    ``tocsr``; with finite rates the result equals that sparse build byte for byte.
+    + kappa_down * dissipator(a a) + ...``.  ``values_o[r]`` is the entry
+    L[r, r - o]; the result applies itself to a vector with ``@``.
     """
     if dim is None:
         dim = default_dim(params)
@@ -355,4 +330,13 @@ def liouvillian(params: ModelParams, dim: int | None = None) -> sp.csr_matrix:
         gen = gen + params.kappa_up2 * _band_dissipator(ad @ ad, eye)
     if params.kappa_up1 > 0:
         gen = gen + params.kappa_up1 * _band_dissipator(ad, eye)
-    return gen.tocsr()
+    return gen
+
+
+def liouvillian(params: ModelParams, dim: int | None = None) -> sp.csr_matrix:
+    """Generator of the selected model as a CSR matrix: ``generator_diagonals`` written out.
+
+    The zeros are dropped at ``tocsr``; with finite rates the result equals
+    the sparse sum of Kronecker-product terms byte for byte.
+    """
+    return generator_diagonals(params, dim).tocsr()

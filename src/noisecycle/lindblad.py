@@ -6,11 +6,17 @@ components of its sparsity pattern).  Both take their blocks from one
 gather that scatters the generator's stored entries into dense arrays.
 Evolution assumes a Hermitian initial state and a Hermiticity-preserving
 generator, so of two blocks that are each other's Hermitian mirror only one
-is exponentiated and the other is filled by conjugation.  Also here:
-phase-space circulation and the detailed-balance residual from the forward
-generator alone (no adjoint or time-reversed copy is built), steady-state
-reconstruction from conserved quantities, and a displaced-parity
-quasiprobability evaluator used as an oracle against the closed forms.
+is exponentiated and the other is filled by conjugation.
+
+The steady-report quantities work on the generator's diagonals
+(``fock.generator_diagonals``) and on the structure of the states, never on
+a dim^2 x dim^2 product: phase-space circulation applies the generator from
+its diagonals to the two quadrature products; the detailed-balance residual
+of a diagonal steady state is summed one vec diagonal at a time; the trace
+distance of a diagonal difference is read off the diagonal; and the
+displaced-parity quasiprobability evaluator, the oracle against the closed
+forms, needs one matrix product per radius, none for a diagonal state.
+Also here: steady-state reconstruction from conserved quantities.
 """
 
 from __future__ import annotations
@@ -27,12 +33,10 @@ from .fock import (
     FockError,
     ModelKind,
     ModelParams,
-    apply_super,
     build_ladder,
     devectorize,
-    liouvillian,
+    generator_diagonals,
     parity_op,
-    sandwich,
     vectorize,
 )
 
@@ -63,6 +67,10 @@ class DegenerateSpectrumError(LindbladError):
 
 class StationarityError(LindbladError):
     """State handed in as stationary is not annihilated by the generator."""
+
+
+class OffDiagonalStateError(LindbladError):
+    """Stationary state with coherences, handed to a check that takes a diagonal state."""
 
 
 class StiffnessError(LindbladError):
@@ -123,8 +131,22 @@ class CirculationResult:
 # density-matrix helpers
 # ---------------------------------------------------------------------------
 
+def _is_diagonal(mat: np.ndarray) -> bool:
+    """Whether every entry off the main diagonal is exactly zero."""
+    return np.count_nonzero(mat) == np.count_nonzero(np.diagonal(mat))
+
+
 def trace_distance(rho1: np.ndarray, rho2: np.ndarray) -> float:
+    """Half the trace norm of the Hermitian part of rho1 - rho2.
+
+    A diagonal difference, as two diagonal states (the steady states of
+    both models) give, has the real parts of its diagonal as eigenvalues,
+    so the value is half their l1 norm, exactly; any other difference goes
+    to ``eigvalsh``.
+    """
     diff = rho1 - rho2
+    if _is_diagonal(diff):
+        return 0.5 * float(np.abs(np.diagonal(diff).real).sum())
     diff = (diff + diff.conj().T) / 2
     return 0.5 * float(np.abs(np.linalg.eigvalsh(diff)).sum())
 
@@ -339,8 +361,11 @@ def circulation(rho: np.ndarray, params: ModelParams) -> CirculationResult:
 
     The adjoint L' is never built: for Hermitian rho, x and y, duality gives
     Tr[rho x L'(y)] = conj Tr[y L(x rho)], so the magnitude is
-    |Re(Tr[y L(x rho)] - Tr[x L(y rho)])|, two forward products with the
-    tridiagonal quadratures.  For the noise-induced model this equals
+    |Re(Tr[y L(x rho)] - Tr[x L(y rho)])|.  The quadratures x = a + a^dag
+    and y = -i(a - a^dag) enter through the ladder's one diagonal: x rho and
+    y rho are two row shifts of rho, the generator acts from its diagonals
+    (``fock.generator_diagonals``), and each trace reads the two diagonals
+    next to the main one.  For the noise-induced model this equals
     omega0 <x^2 + y^2>; at steady state the closed form
     4 omega0 (<n>_ss + 1/2), with <n>_ss from ``analytic.mean_n_ss``,
     applies and is reported alongside (None for the conventional model).
@@ -352,16 +377,18 @@ def circulation(rho: np.ndarray, params: ModelParams) -> CirculationResult:
             f"top Fock levels carry population {edge:.2e}; circulation may be unreliable",
             stacklevel=2,
         )
-    import scipy.sparse as sp
-
-    gen = liouvillian(params, dim)
-    a = sp.csr_matrix(build_ladder(dim)[0])
-    x = a + a.conj().T
-    y = -1j * (a - a.conj().T)
-    # Tr[q M] sums q * M^T entrywise, O(dim) on the tridiagonal q
-    moved_x = apply_super(gen, x @ rho)
-    moved_y = apply_super(gen, y @ rho)
-    phi = abs(float((y.multiply(moved_x.T).sum() - x.multiply(moved_y.T).sum()).real))
+    gen = generator_diagonals(params, dim)
+    root = np.sqrt(np.arange(1.0, dim))  # a[n - 1, n] = sqrt(n)
+    lowered = np.zeros(rho.shape, dtype=np.result_type(rho, complex))  # a rho
+    lowered[:-1] = root[:, None] * rho[1:]
+    raised = np.zeros_like(lowered)  # a^dag rho
+    raised[1:] = root[:, None] * rho[:-1]
+    moved_x = devectorize(gen @ vectorize(lowered + raised))
+    moved_y = devectorize(gen @ vectorize(-1j * (lowered - raised)))
+    # Tr[q M] = sum_ij q_ij M_ji with q on the first off-diagonals
+    trace_y = 1j * (root @ (np.diagonal(moved_x, 1) - np.diagonal(moved_x, -1)))
+    trace_x = root @ (np.diagonal(moved_y, 1) + np.diagonal(moved_y, -1))
+    phi = abs(float((trace_y - trace_x).real))
     mean_n = float(np.arange(dim) @ np.diag(rho).real)
     phi_formula = None
     if params.kind is ModelKind.NOISE_INDUCED:
@@ -377,30 +404,50 @@ def circulation(rho: np.ndarray, params: ModelParams) -> CirculationResult:
 def detailed_balance_residual(params: ModelParams, rho_ss: np.ndarray) -> float:
     """Norm gap of the stationary time-reversal condition, relative to the generator.
 
-    Composes left-multiplication by the steady state, ``sandwich(rho_ss, eye)``,
-    with the adjoint generator and compares against the time-reversed
-    generator composed the other way round.  In the real Fock basis time
-    reversal is complex conjugation (both dissipators are real and even,
-    only the free rotation flips sign), so the time-reversed generator is
-    conj(L) and the adjoint is its transpose; no further copy is built.  The
-    state enters as it is: the sparse form stores its nonzeros and nothing
-    is zeroed.  Zero is detailed balance; the conventional model violates it
-    by orders of magnitude.
-    """
-    import scipy.sparse as sp
-    from scipy.sparse.linalg import norm as sparse_norm
+    The condition compares left-multiplication by the steady state, M,
+    composed with the adjoint generator against the time-reversed generator
+    composed the other way round: R = M conj(L)^T - conj(L) M.  In the real
+    Fock basis time reversal is complex conjugation (both dissipators are
+    real and even, only the free rotation flips sign), so the time-reversed
+    generator is conj(L) and the adjoint is its transpose.
 
+    Everything comes from the generator's diagonals
+    (``fock.generator_diagonals``), with values_o[i] = L[i, i - o].  First
+    ||L vec(rho_ss)|| past 1e-8 raises ``StationarityError``.  Then rho_ss
+    must be diagonal, as the steady states of both phase-symmetric models
+    are: a stationary state with any nonzero coherence raises
+    ``OffDiagonalStateError`` rather than losing that mass.  M is then the
+    diagonal m = tile(diag rho_ss, dim), and on vec diagonal o the residual
+    is m_i conj(L[i - o, i]) - conj(L[i, i - o]) m_{i - o}.  Its squares are
+    summed over every stored offset and its negation, since the transpose
+    of a one-sided diagonal lies on the other side.  Zero is detailed
+    balance; the conventional model violates it by orders of magnitude.
+    """
     dim = rho_ss.shape[0]
-    L = liouvillian(params, dim)
-    stationarity = np.linalg.norm(L @ vectorize(rho_ss))
+    gen = generator_diagonals(params, dim)
+    stationarity = np.linalg.norm(gen @ vectorize(rho_ss))
     if stationarity > 1e-8:
         raise StationarityError(
             f"state is not stationary: ||L vec(rho)|| = {stationarity:.3e}"
         )
-    reversed_L = L.conj()
-    mult_left = sandwich(rho_ss, sp.identity(dim, dtype=complex, format="csr"))
-    residual = mult_left @ reversed_L.T - reversed_L @ mult_left
-    return float(sparse_norm(residual) / sparse_norm(L))
+    if not _is_diagonal(rho_ss):
+        raise OffDiagonalStateError(
+            "the detailed-balance residual takes a diagonal steady state; "
+            "this one has nonzero coherences"
+        )
+    n = dim * dim
+    mult = np.tile(np.diagonal(rho_ss), dim)
+    absent = np.zeros(n, dtype=complex)
+    residual_sq = 0.0
+    for o in gen.keys() | {-o for o in gen}:
+        if abs(o) < n:
+            lo, hi = max(o, 0), n + min(o, 0)
+            forward = gen.get(o, absent)[lo:hi]  # L[i, i - o]
+            backward = gen.get(-o, absent)[lo - o:hi - o]  # L[i - o, i]
+            term = mult[lo:hi] * backward.conj() - forward.conj() * mult[lo - o:hi - o]
+            residual_sq += np.vdot(term, term).real
+    gen_sq = sum(np.vdot(values, values).real for values in gen.values())
+    return math.sqrt(residual_sq / gen_sq)
 
 
 # ---------------------------------------------------------------------------
@@ -446,15 +493,20 @@ def wigner_numeric(rho: np.ndarray, points: np.ndarray) -> np.ndarray:
     """W(x, y) from displaced-parity expectations, vacuum-calibrated to 1/(2 pi).
 
     ``points`` is an (m, 2) array of quadrature coordinates; the displacement
-    amplitude is alpha = (x + iy)/2 = r e^{i theta}.  One eigendecomposition
-    i(a^dag - a) = V diag(lam) V^dag per call gives D(r) = V e^{-i r lam} V^dag
-    on the real axis, built once per distinct radius, and the rotation
-    R = diag(e^{i theta n}) turns it into D(alpha) = R D(r) R^dag; no closed
-    form enters.  With P the parity, the value is
-    Tr[rho D(alpha) P D(alpha)^dag] = sum_jk rho_jk (R D(r) P D(r)^dag R^dag)_kj,
-    so each point of a radius costs one product with its diagonal rotation.
-    Raises ``DisplacementRangeError`` when the grid reaches past the radius
-    the truncation resolves for the occupied levels.
+    amplitude is alpha = (x + iy)/2 = r e^{i theta}, and the value is
+    Tr[rho D(alpha) P D(alpha)^dag] with P the parity (Royer, Phys. Rev. A
+    15, 449, 1977).  One eigendecomposition G = i(a^dag - a) = V diag(lam) V^dag
+    per call gives D(r) = V e^{-i r lam} V^dag on the real axis, and the
+    rotation R = diag(e^{i theta n}) turns it into D(alpha) = R D(r) R^dag;
+    no closed form enters.  The truncated G has P G P = -G exactly, so
+    D(r) P D(r)^dag = D(2r) P = (V e^{-2i r lam}) (V^dag P), one product per
+    distinct radius, and the value at angle theta is
+    sum_jk rho_jk (R D(2r) P R^dag)_kj, one product with the diagonal rotation
+    per point.  A diagonal rho gives a radial W,
+    sum_n rho_nn (-1)^n sum_k |V_nk|^2 e^{-2i r lam_k}, so all radii come from
+    one product with the phases and no rotation enters.  Raises
+    ``DisplacementRangeError``, before either path, when the grid reaches
+    past the radius the truncation resolves for the occupied levels.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     dim = rho.shape[0]
@@ -474,12 +526,16 @@ def wigner_numeric(rho: np.ndarray, points: np.ndarray) -> np.ndarray:
         )
 
     evals, vecs = np.linalg.eigh(1j * (ad - a))
+    phases = np.exp(-2j * np.multiply.outer(evals, radii))  # e^{-2i r lam_k}, one column per radius
+    if _is_diagonal(rho):
+        weights = (np.diagonal(rho) * signs) @ (vecs.real ** 2 + vecs.imag ** 2)
+        return (weights @ phases).real[group] / (2.0 * math.pi)
+    parity_rows = vecs.conj().T * signs  # V^dag P
     angles = np.arctan2(points[:, 1], points[:, 0])
     values = np.empty(points.shape[0])
-    for j, radius in enumerate(radii):
-        disp = (vecs * np.exp(-1j * radius * evals)) @ vecs.conj().T
-        # rho_jk (D P D^dag)_kj: the value at angle theta is rot^dag kernel rot
-        kernel = rho * ((disp * signs) @ disp.conj().T).T
+    for j in range(radii.size):
+        # rho_jk (D(2r) P)_kj: the value at angle theta is rot^dag kernel rot
+        kernel = rho * ((vecs * phases[:, j]) @ parity_rows).T
         members = np.flatnonzero(group == j)
         rot = np.exp(1j * np.outer(angles[members], n))
         values[members] = ((rot.conj() @ kernel) * rot).sum(axis=1).real / (2.0 * math.pi)

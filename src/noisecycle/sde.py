@@ -70,16 +70,14 @@ class SdeConfig:
         for name in ("kappa", "delta", "dt"):
             if getattr(self, name) <= 0:
                 raise SdeError(f"{name} must be positive, got {getattr(self, name)}", name)
-        for name in ("n_steps", "n_paths"):
-            if getattr(self, name) < 1:
-                raise SdeError(f"{name} must be at least 1, got {getattr(self, name)}", name)
-        if self.burn_in < 0:
-            raise SdeError(f"burn_in must be nonnegative, got {self.burn_in}", "burn_in")
-        # a JSON config can give a float, a bool or a negative number, which
-        # numpy's seeding rejects only once the run has started
-        if (isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral)
-                or self.seed < 0):
-            raise SdeError(f"seed must be a nonnegative integer, got {self.seed!r}", "seed")
+        # a JSON config can give a float or a bool, which the ensemble loop and
+        # numpy's seeding reject only once the run has started
+        for name, least in (("n_steps", 1), ("n_paths", 1), ("burn_in", 0), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise SdeError(f"{name} must be an integer, got {value!r}", name)
+            if value < least:
+                raise SdeError(f"{name} must be at least {least}, got {value}", name)
         if self.coordinates not in ("polar", "cartesian"):
             raise SdeError(f"unknown coordinates {self.coordinates!r}", "coordinates")
         # explicit-scheme guard: drift stiffness over the bulk of the radial range

@@ -260,6 +260,9 @@ def test_evolve_rejects_malformed_initial_state(tmp_path, spec):
     pytest.param(["sde", "--seed", "-1"], "seed", id="sde-negative-seed"),
     pytest.param(["sde", {"seed": 1.5}], "seed", id="sde-config-float-seed"),
     pytest.param(["sde", {"seed": True}], "seed", id="sde-config-bool-seed"),
+    pytest.param(["sde", {"n_paths": 100.5}], "n_paths", id="sde-config-float-paths"),
+    pytest.param(["sde", {"n_steps": 2.5}], "n_steps", id="sde-config-float-steps"),
+    pytest.param(["sde", {"burn_in": True}], "burn_in", id="sde-config-bool-burn-in"),
     pytest.param(["steady", "--wp-plus", "nan"], "wp_plus", id="steady-nan-weight"),
     pytest.param(["wigner", "--wp-plus", "1.5"], "wp_plus", id="wigner-weight-above-1"),
     pytest.param(["wigner", "--h", "nan"], "h", id="wigner-nan-step"),

@@ -14,18 +14,16 @@ from noisecycle.fock import (
     ModelKind,
     ModelParams,
     NoStationaryStateError,
-    apply_super,
     build_ladder,
     coherent_state,
     default_dim,
     devectorize,
     dim_for_tail,
-    dissipator,
     fock_state,
+    generator_diagonals,
     liouvillian,
     number_op,
     parity_op,
-    sandwich,
     vectorize,
 )
 from noisecycle.analytic import rho_ss_analytic
@@ -244,6 +242,43 @@ def test_apply_super_dimension_mismatch():
 # generators
 # ---------------------------------------------------------------------------
 
+# general-operand superoperators, one sp.kron per product: the references for
+# the per-diagonal assembly and for the detailed-balance residual
+
+def sandwich(left_op, right_op) -> sp.csr_matrix:
+    """Superoperator for rho -> left_op @ rho @ right_op; dense or sparse operands.
+
+    One-sided products are ``sandwich(op, eye)`` and ``sandwich(eye, op)``
+    with a sparse identity.
+    """
+    return sp.kron(sp.csr_matrix(right_op).T, sp.csr_matrix(left_op), format="csr")
+
+
+def apply_super(superop: sp.spmatrix, rho: np.ndarray) -> np.ndarray:
+    dim = rho.shape[0]
+    if superop.shape[1] != dim * dim:
+        raise FockError(
+            f"superoperator of size {superop.shape[1]} cannot act on a {dim}x{dim} matrix"
+        )
+    return devectorize(superop @ vectorize(rho))
+
+
+def dissipator(c) -> sp.csr_matrix:
+    """Matrix form of rho -> c rho c^dag - (c^dag c rho + rho c^dag c)/2.
+
+    ``c`` may be dense or sparse; the products run on its sparse form, so a
+    banded operator costs only its nonzeros.
+    """
+    shape = np.shape(c)
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise FockError(f"Lindblad operator must be square, got shape {shape}")
+    c = sp.csr_matrix(c, dtype=complex)
+    cd = c.conj().T
+    cdc = cd @ c
+    eye = sp.identity(shape[0], dtype=complex, format="csr")
+    return (sandwich(c, cd) - 0.5 * sandwich(cdc, eye) - 0.5 * sandwich(eye, cdc)).tocsr()
+
+
 def reference_liouvillian(params: ModelParams, dim: int) -> sp.csr_matrix:
     """The generator from dense ladder products and one sp.kron per term."""
     a, ad = build_ladder(dim)
@@ -286,6 +321,26 @@ def test_liouvillian_equals_dense_product_reference(params, omega0, dim):
     assert np.array_equal(got.indptr, ref.indptr)
     assert np.array_equal(got.indices, ref.indices)
     assert got.data.tobytes() == ref.data.tobytes()
+
+
+# dims 2 and 3 also put the two-photon diagonals outside the vec space here
+@pytest.mark.parametrize("dim", [2, 3, 6, 20, 46])
+@pytest.mark.parametrize("omega0", [0.0, 2.7])
+@pytest.mark.parametrize("params", [
+    pytest.param(NI, id="noise-induced"),
+    pytest.param(replace(NI, kappa_up2=0.95), id="noise-induced-k0.95"),
+    pytest.param(CONV, id="conventional"),
+])
+def test_generator_diagonals_apply_as_the_csr_generator(params, omega0, dim):
+    params = replace(params, omega0=omega0)
+    gen = liouvillian(params, dim)
+    rng = np.random.default_rng(dim)
+    vec = rng.standard_normal(dim * dim) + 1j * rng.standard_normal(dim * dim)
+    got = generator_diagonals(params, dim) @ vec
+    # the same products summed in the same order; a fused multiply-add in
+    # either one can move a complex product by an ulp
+    bound = 1e-15 * (abs(gen) @ np.abs(vec))
+    assert np.all(np.abs(got - gen @ vec) <= bound)
 
 
 def test_pure_rotation_annihilates_vacuum():

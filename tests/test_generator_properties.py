@@ -11,9 +11,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noisecycle.fock import ModelKind, ModelParams, apply_super, liouvillian, parity_op
+from noisecycle.fock import ModelKind, ModelParams, liouvillian, parity_op
 from noisecycle.lindblad import evolve, random_density_matrix
-from test_fock import reference_liouvillian
+from test_fock import apply_super, reference_liouvillian
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=25)
 

@@ -5,11 +5,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.linalg import expm, null_space
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import expm_multiply
+from scipy.sparse.linalg import norm as sparse_norm
 
-from noisecycle import lindblad
+from noisecycle import fock, lindblad
 from noisecycle.analytic import rho_ss_analytic
 from noisecycle.fock import (
     FockError,
@@ -18,12 +20,10 @@ from noisecycle.fock import (
     build_ladder,
     coherent_state,
     default_dim,
-    dissipator,
     fock_state,
     liouvillian,
     number_op,
     parity_op,
-    sandwich,
     vectorize,
     devectorize,
 )
@@ -31,6 +31,7 @@ from noisecycle.lindblad import (
     DegenerateSpectrumError,
     DisplacementRangeError,
     NormalizationError,
+    OffDiagonalStateError,
     StationarityError,
     circulation,
     conserved_decomposition,
@@ -46,7 +47,7 @@ from noisecycle.lindblad import (
     wigner_numeric_grid,
 )
 from noisecycle.analytic import wigner_ss
-from test_fock import quadrature_x
+from test_fock import dissipator, quadrature_x, sandwich
 
 NI = ModelParams(omega0=1.0, kappa_down=1.0, kappa_up2=0.5)
 CONV = ModelParams(omega0=1.0, kappa_down=1.0, kappa_up1=0.3, kind=ModelKind.CONVENTIONAL)
@@ -118,8 +119,6 @@ def test_combine_unavailable_for_unique_state():
 
 def test_degenerate_kernel_raises_with_dimension():
     # pure dephasing conserves every population: the null space is huge
-    from noisecycle.fock import dissipator, number_op
-
     gen = dissipator(number_op(6)).tocsr()
     with pytest.raises(DegenerateSpectrumError) as err:
         steady_states(gen)
@@ -465,6 +464,71 @@ def test_detailed_balance_requires_stationary_state():
         detailed_balance_residual(NI, coherent_state(40, 1.0))
 
 
+def reference_detailed_balance_residual(params, rho_ss):
+    """The sparse composition M conj(L)^T - conj(L) M, with M = sandwich(rho_ss, eye)."""
+    dim = rho_ss.shape[0]
+    gen = liouvillian(params, dim)
+    reversed_gen = gen.conj()
+    mult_left = sandwich(rho_ss, sp.identity(dim, dtype=complex, format="csr"))
+    residual = mult_left @ reversed_gen.T - reversed_gen @ mult_left
+    return float(sparse_norm(residual) / sparse_norm(gen))
+
+
+def balance_cases():
+    """Diagonal steady states of both models: (id, params, state)."""
+    for omega0 in (0.0, 1.0, -2.7):
+        for k, dim in ((0.0, 20), (0.3, 46), (0.95, 80)):
+            params = ModelParams(omega0=omega0, kappa_down=1.0, kappa_up2=k)
+            yield (f"noise-induced-w{omega0}-k{k}", params,
+                   lambda params=params, dim=dim: steady_states(
+                       liouvillian(params, dim)).combine(0.55))
+    # at 0.1216 the residual, 1.1e-3, sits just above the 1e-3 floor; leaving
+    # out the negations of the one-sided diagonals would drop it below
+    for gain in (0.05, 0.1216, 3.0):
+        params = replace(CONV, kappa_up1=gain)
+        yield (f"conventional-{gain}", params,
+               lambda params=params: steady_states(
+                   liouvillian(params, default_dim(params))).states[0])
+
+
+@pytest.mark.parametrize("params,make_state", [case[1:] for case in balance_cases()],
+                         ids=[case[0] for case in balance_cases()])
+def test_detailed_balance_matches_sparse_composition(params, make_state):
+    rho = make_state()
+    assert lindblad._is_diagonal(rho)
+    got = detailed_balance_residual(params, rho)
+    reference = reference_detailed_balance_residual(params, rho)
+    assert abs(got - reference) <= 1e-12 * reference
+
+
+def test_detailed_balance_rejects_stationary_coherence():
+    # at omega0 = k = 0 the |0><1| coherence is stationary too
+    params = ModelParams(omega0=0.0, kappa_down=1.0)
+    rho = 0.5 * (fock_state(20, 0) + fock_state(20, 1))
+    rho[0, 1] = rho[1, 0] = 0.2
+    assert np.linalg.norm(liouvillian(params, 20) @ vectorize(rho)) == 0.0
+    with pytest.raises(OffDiagonalStateError):
+        detailed_balance_residual(params, rho)
+
+
+def test_steady_checks_build_no_csr_generator(monkeypatch):
+    # the checks of a diagonal steady state work on the generator's diagonals:
+    # neither a CSR build nor a Kronecker product may enter them
+    dim = 60
+    rho = rho_ss_analytic(0.4, 0.6, dim)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a steady-report check built a dim^2 x dim^2 matrix")
+
+    monkeypatch.setattr(fock._Diagonals, "tocsr", refuse)
+    monkeypatch.setattr(fock, "liouvillian", refuse)
+    monkeypatch.setattr(sp, "kron", refuse)
+    params = ModelParams(omega0=1.0, kappa_down=1.0, kappa_up2=0.4)
+    circ = circulation(rho, params)
+    assert circ.phi == pytest.approx(circ.phi_formula, rel=1e-8)
+    assert detailed_balance_residual(params, rho) < 1e-10
+
+
 # ---------------------------------------------------------------------------
 # conserved-quantity reconstruction
 # ---------------------------------------------------------------------------
@@ -571,6 +635,35 @@ def test_wigner_numeric_square_grid_matches_per_point_reference():
     pts = np.array([(x, y) for x in xs for y in xs])
     assert np.unique(np.hypot(pts[:, 0], pts[:, 1])).size < len(pts) // 4
     assert np.abs(wigner_numeric(rho, pts) - reference_wigner_numeric(rho, pts)).max() < 1e-12
+
+
+@pytest.mark.parametrize("make_state", [
+    pytest.param(lambda: fock_state(40, 0), id="fock-0"),
+    pytest.param(lambda: fock_state(40, 1), id="fock-1"),
+    pytest.param(lambda: fock_state(40, 4), id="fock-4"),
+    pytest.param(lambda: rho_ss_analytic(0.0, 0.55, 40), id="steady-k0"),
+    pytest.param(lambda: rho_ss_analytic(0.3, 0.55, 60), id="steady-k0.3"),
+    pytest.param(lambda: rho_ss_analytic(0.5, 0.3, 100), id="steady-k0.5"),
+])
+def test_wigner_numeric_radial_path_matches_general_path(monkeypatch, make_state):
+    rho = make_state()
+    xs = np.linspace(-2.0, 2.0, 9)
+    pts = np.array([(x, y) for x in xs for y in xs])
+    radial = wigner_numeric(rho, pts)
+    monkeypatch.setattr(lindblad, "_is_diagonal", lambda mat: False)
+    general = wigner_numeric(rho, pts)
+    assert np.abs(radial - general).max() < 1e-13
+
+
+def test_trace_distance_of_diagonal_states_matches_eigvalsh(monkeypatch):
+    pairs = [(rho_ss_analytic(0.3, 0.55, 46), rho_ss_analytic(0.3, 0.2, 46)),
+             (fock_state(30, 0), fock_state(30, 3)),
+             (steady_states(liouvillian(CONV, 24)).states[0], fock_state(24, 0))]
+    diagonal = [trace_distance(r1, r2) for r1, r2 in pairs]
+    monkeypatch.setattr(lindblad, "_is_diagonal", lambda mat: False)
+    for (r1, r2), value in zip(pairs, diagonal):
+        assert abs(value - trace_distance(r1, r2)) < 1e-15
+    assert diagonal[1] == 1.0
 
 
 def test_wigner_numeric_raises_beyond_safe_radius():
