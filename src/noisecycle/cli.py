@@ -2,7 +2,9 @@
 
 Every run takes an optional JSON config (flags override its fields) and
 writes one output directory holding the echoed config, CSV data, and a JSON
-summary.  CSV numbers carry 17 significant digits.
+summary.  CSV numbers carry 17 significant digits.  Flag and file values pass
+one check, ``_merge_config`` against ``FIELDS`` and ``RULES``, before any
+output; a bad input exits with ``config error at <field>: …``.
 """
 
 from __future__ import annotations
@@ -38,27 +40,62 @@ FIELDS = {
                "h": 0.05, "extent": 0.0, "boundary_tol": 1e-2},
 }
 
-# argparse settings of the flags that take more than a typed value
-_FLAG_EXTRAS = {
-    "kind": {"choices": [k.value for k in ModelKind]},
-    "coordinates": {"choices": ["polar", "cartesian"]},
-    "initial": {"help": "vacuum | fock:n | coherent:alpha"},
+# The rule of each field that has one: a test of its typed value and the text
+# of what it needs, which is also the flag's --help.  NaN fails every
+# comparison, so each range rule rejects it.
+RULES = {
+    "k_count": (lambda v: v >= 1, "an integer >= 1"),
+    "wp_count": (lambda v: v >= 1, "an integer >= 1"),
+    "wp_plus": (lambda v: 0.0 <= v <= 1.0, "an even-parity weight in [0, 1]"),
+    "kind": (lambda v: v in [k.value for k in ModelKind], " | ".join(k.value for k in ModelKind)),
+    "coordinates": (lambda v: v in ("polar", "cartesian"), "polar | cartesian"),
+    "dim": (lambda v: v == 0 or v >= 2, "0 (the default) or at least 2"),
+    "t": (lambda v: 0.0 <= v < math.inf, "a finite time >= 0"),
+    "h": (lambda v: 0.0 < v < math.inf, "a finite grid step > 0"),
+    "extent": (lambda v: 0.0 <= v < math.inf, "a finite half-width > 0, or 0 (the default)"),
+    "boundary_tol": (lambda v: 0.0 < v < math.inf, "a finite tolerance > 0"),
+    "initial": (lambda v: v == "vacuum" or v.startswith(("fock:", "coherent:")),
+                "vacuum | fock:n | coherent:alpha"),
 }
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
-    """Flags override JSON config fields; unset fields take the table default."""
-    file_cfg = json.loads(Path(args.config).read_text()) if args.config else {}
+    """Flags override JSON config fields; unset fields take the table default.
+
+    Every value must have its default's type (an int serves for a float, a
+    bool never does) and pass its rule, and the file may hold no other key.
+    """
+    fields = FIELDS[args.command]
+    try:
+        file_cfg = json.loads(Path(args.config).read_text()) if args.config else {}
+    except (OSError, ValueError) as exc:  # a missing or unreadable file, or malformed JSON
+        raise SystemExit(f"config error at config: {exc}") from None
+    if not isinstance(file_cfg, dict):
+        raise SystemExit(f"config error at config: need a JSON object, got {file_cfg!r}")
+    if file_cfg.get("command", args.command) != args.command:
+        raise SystemExit(f"config error at command: need {args.command!r}, "
+                         f"got {file_cfg['command']!r}")
+    for key in file_cfg:
+        if key not in fields and key != "command":
+            raise SystemExit(f"config error at {key}: {args.command} has no field {key}")
     merged = {}
-    for key, default in FIELDS[args.command].items():
+    for key, default in fields.items():
         flag_value = getattr(args, key)
-        merged[key] = flag_value if flag_value is not None else file_cfg.get(key, default)
+        value = merged[key] = flag_value if flag_value is not None else file_cfg.get(key, default)
+        types = (int, float) if type(default) is float else (type(default),)
+        if type(value) not in types:
+            raise SystemExit(f"config error at {key}: need {type(default).__name__}, got {value!r}")
+        if key in RULES and not RULES[key][0](value):
+            raise SystemExit(f"config error at {key}: need {RULES[key][1]}, got {value!r}")
     return merged
 
 
 def _prepare_out(args: argparse.Namespace, cfg: dict) -> Path:
     out = Path(args.out or f"{args.command}-out")
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # e.g. a file of that name
+        raise SystemExit(f"config error at out: {exc}") from None
     (out / "config.json").write_text(json.dumps({"command": args.command, **cfg}, indent=2) + "\n")
     return out
 
@@ -69,12 +106,6 @@ def _config_comment(args: argparse.Namespace, cfg: dict) -> str:
 
 def _write_summary(out: Path, summary: dict) -> None:
     (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-
-
-def _require(cfg: dict, key: str, ok, need: str) -> None:
-    """Config error at ``key`` unless ``ok(value)``; NaN fails every comparison."""
-    if not ok(cfg[key]):
-        raise SystemExit(f"config error at {key}: need {need}, got {cfg[key]}")
 
 
 def _config_error(exc: FockError) -> SystemExit:
@@ -90,12 +121,9 @@ def _config_error(exc: FockError) -> SystemExit:
 def _fock_dim(cfg: dict, params: ModelParams) -> int:
     """The ``dim`` field, or the model's default truncation where it is 0."""
     try:
-        dim = cfg["dim"] or default_dim(params)
+        return cfg["dim"] or default_dim(params)
     except FockError as exc:
         raise _config_error(exc) from None
-    if dim < 2:
-        raise SystemExit(f"config error at dim: need 0 (the default) or at least 2, got {dim}")
-    return dim
 
 
 def _model_from_cfg(cfg: dict) -> ModelParams:
@@ -103,18 +131,13 @@ def _model_from_cfg(cfg: dict) -> ModelParams:
 
     Fields that build no model are a config error (see ``_config_error``).
     """
+    kind = ModelKind(cfg.get("kind", ModelKind.NOISE_INDUCED.value))
+    gain2 = cfg["k_ratio"] * cfg["kappa_down"] if kind is ModelKind.NOISE_INDUCED else 0.0
     try:
-        if cfg.get("kind") == ModelKind.CONVENTIONAL.value:
-            return ModelParams(omega0=cfg["omega0"], kappa_down=cfg["kappa_down"],
-                               kappa_up1=cfg["kappa_up1"], kind=ModelKind.CONVENTIONAL)
-        return ModelParams(omega0=cfg["omega0"], kappa_down=cfg["kappa_down"],
-                           kappa_up2=cfg["k_ratio"] * cfg["kappa_down"])
+        return ModelParams(omega0=cfg["omega0"], kappa_down=cfg["kappa_down"], kappa_up2=gain2,
+                           kappa_up1=cfg.get("kappa_up1", 0.0), kind=kind)
     except FockError as exc:
         raise _config_error(exc) from None
-
-
-def _require_weight(cfg: dict) -> None:
-    _require(cfg, "wp_plus", lambda v: 0.0 <= v <= 1.0, "an even-parity weight in [0, 1]")
 
 
 # ---------------------------------------------------------------------------
@@ -127,9 +150,6 @@ def cmd_phase_diagram(args: argparse.Namespace) -> int:
         raise SystemExit(f"config error at k_min/k_max: need 0 < k_min <= k_max < 1, got {cfg}")
     if not (0.0 <= cfg["wp_min"] <= cfg["wp_max"] <= 1.0):
         raise SystemExit(f"config error at wp_min/wp_max: need range inside [0, 1], got {cfg}")
-    for key in ("k_count", "wp_count"):
-        # a JSON config can give a float or a bool, which np.linspace cannot count with
-        _require(cfg, key, lambda v: type(v) is int and v >= 1, "an integer >= 1")
     out = _prepare_out(args, cfg)
     rows = []
     for k in np.linspace(cfg["k_min"], cfg["k_max"], cfg["k_count"]):
@@ -153,7 +173,6 @@ def cmd_steady(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
     params = _model_from_cfg(cfg)
     cfg["dim"] = _fock_dim(cfg, params)
-    _require_weight(cfg)
     out = _prepare_out(args, cfg)
     summary = verify.steady_report(params, cfg["dim"], cfg["wp_plus"])
     _write_summary(out, summary)
@@ -167,17 +186,14 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
     params = _model_from_cfg(cfg)
     dim = cfg["dim"] = _fock_dim(cfg, params)
-    _require(cfg, "t", lambda v: 0.0 <= v < math.inf, "a finite time >= 0")
     spec = cfg["initial"]
     try:
         if spec == "vacuum":
             rho0 = fock_state(dim, 0)
         elif spec.startswith("fock:"):
             rho0 = fock_state(dim, int(spec.split(":", 1)[1]))
-        elif spec.startswith("coherent:"):
-            rho0 = coherent_state(dim, complex(spec.split(":", 1)[1]))
         else:
-            raise SystemExit(f"config error at initial: unknown state {spec!r}")
+            rho0 = coherent_state(dim, complex(spec.split(":", 1)[1]))
     except ValueError as exc:  # a malformed number, or a level outside the truncation
         raise SystemExit(f"config error at initial: bad state {spec!r} ({exc})") from None
     out = _prepare_out(args, cfg)
@@ -206,7 +222,7 @@ def cmd_sde(args: argparse.Namespace) -> int:
     out = _prepare_out(args, cfg)
     result = sde.simulate_ensemble(run_cfg)
     summary = verify.ensemble_report(run_cfg, result)
-    cap = int(cfg["dump_samples"])
+    cap = cfg["dump_samples"]
     if cap > 0:
         csvio.write_csv(out / "samples.csv", ["r", "phi", "x", "y"],
                         [result.r[:cap], result.phi[:cap], result.x[:cap], result.y[:cap]],
@@ -219,12 +235,11 @@ def cmd_sde(args: argparse.Namespace) -> int:
 def cmd_wigner(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
     params = _model_from_cfg(cfg)
-    _require_weight(cfg)
-    _require(cfg, "h", lambda v: 0.0 < v < math.inf, "a finite grid step > 0")
-    _require(cfg, "extent", lambda v: 0.0 <= v < math.inf,
-             "a finite half-width > 0, or 0 (the default)")
-    _require(cfg, "boundary_tol", lambda v: 0.0 < v < math.inf, "a finite tolerance > 0")
     cfg["extent"] = cfg["extent"] or wignerflux.default_extent(cfg["k_ratio"], cfg["wp_plus"])
+    points = wignerflux.make_grid(cfg["extent"], cfg["h"]).size
+    if points <= 2 * wignerflux.EDGE_CELLS:  # the stencils would leave no interior cell
+        raise SystemExit(f"config error at h: need more than {2 * wignerflux.EDGE_CELLS} "
+                         f"grid points across 2 * extent = {2 * cfg['extent']}, got {points}")
     out = _prepare_out(args, cfg)
 
     field = wignerflux.sample_steady_field(cfg["k_ratio"], cfg["wp_plus"],
@@ -288,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output directory (created if missing)")
         for key, default in FIELDS.get(name, {}).items():
             p.add_argument("--" + key.replace("_", "-"), dest=key, type=type(default),
-                           **_FLAG_EXTRAS.get(key, {}))
+                           help=RULES.get(key, (None, None))[1])
         p.set_defaults(func=func)
         return p
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import noisecycle
-from noisecycle.cli import main
+from noisecycle.cli import FIELDS, RULES, main
 
 
 def read_csv(path):
@@ -146,6 +146,31 @@ def test_config_file_with_flag_override(tmp_path, command, from_file, override, 
         assert (merged / name).read_bytes() == (direct / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("command, from_file", [case[:2] for case in CONFIG_CASES],
+                         ids=[case[0] for case in CONFIG_CASES])
+def test_echoed_config_reruns_the_same(tmp_path, command, from_file):
+    # the echo holds a "command" key and every worked-out field
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(from_file))
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert main([command, "--config", str(cfg), "--out", str(first)]) == 0
+    assert main([command, "--config", str(first / "config.json"), "--out", str(again)]) == 0
+    for name in ("config.json", "summary.json"):
+        assert (again / name).read_bytes() == (first / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("command", [*FIELDS, "verify"])
+def test_help_shows_the_need_of_each_checked_field(monkeypatch, capsys, command):
+    # argparse %-formats help strings, so a stray "%" would break --help alone
+    monkeypatch.setenv("COLUMNS", "1000")  # one line per flag
+    with pytest.raises(SystemExit) as err:
+        main([command, "--help"])
+    assert err.value.code == 0
+    shown = capsys.readouterr().out
+    for key in FIELDS.get(command, {}).keys() & RULES.keys():
+        assert RULES[key][1] in shown, key
+
+
 # ---------------------------------------------------------------------------
 # steady report
 # ---------------------------------------------------------------------------
@@ -270,16 +295,40 @@ def test_evolve_rejects_malformed_initial_state(tmp_path, spec):
     pytest.param(["wigner", "--boundary-tol", "nan"], "boundary_tol", id="wigner-nan-tolerance"),
     pytest.param(["steady", "--kind", "conventional", "--kappa-up1", "1e300",
                   "--kappa-down", "1e-300"], "kappa_up1", id="steady-overflowing-gain-ratio"),
+    pytest.param(["evolve", {"dim": 2.5}], "dim", id="evolve-config-float-dim"),
+    pytest.param(["evolve", {"k_ratio": "0.3"}], "k_ratio", id="evolve-config-string-ratio"),
+    pytest.param(["evolve", {"t": "5"}], "t", id="evolve-config-string-time"),
+    pytest.param(["evolve", {"initial": 3}], "initial", id="evolve-config-number-initial"),
+    pytest.param(["steady", {"kind": "other"}], "kind", id="steady-config-unknown-kind"),
+    pytest.param(["steady", {"h": 0.1}], "h", id="steady-config-unknown-field"),
+    pytest.param(["steady", {"wp_plus": None}], "wp_plus", id="steady-config-null-weight"),
+    pytest.param(["phase-diagram", {"k_min": "0.1"}], "k_min", id="phase-diagram-config-string-k"),
+    pytest.param(["sde", {"dump_samples": "all"}], "dump_samples", id="sde-config-string-dump"),
+    pytest.param(["steady", "--kind", "bogus"], "kind", id="steady-unknown-kind"),
+    pytest.param(["steady", {"command": "evolve"}], "command", id="steady-config-of-evolve"),
+    pytest.param(["steady", None], "config", id="steady-missing-config"),
+    pytest.param(["steady", b"{"], "config", id="steady-malformed-config"),
+    pytest.param(["steady", [1, 2]], "config", id="steady-config-not-an-object"),
+    pytest.param(["steady"], "out", id="steady-out-names-a-file"),
+    pytest.param(["steady", "--kappa-up1", "0.3"], "kappa_up1",
+                 id="steady-one-photon-gain-without-kind"),
+    pytest.param(["wigner", "--h", "100"], "h", id="wigner-one-point-grid"),
+    pytest.param(["wigner", "--h", "3"], "h", id="wigner-no-interior-cell"),
 ])
 def test_invalid_dim_or_time_is_a_config_error(tmp_path, argv, field):
-    if isinstance(argv[-1], dict):  # fields given in a config file
+    if not isinstance(argv[-1], str):  # the config file's JSON, raw bytes, or None for no file
         config = tmp_path / "config.json"
-        config.write_text(json.dumps(argv[-1]))
+        if argv[-1] is not None:
+            text = argv[-1] if isinstance(argv[-1], bytes) else json.dumps(argv[-1]).encode()
+            config.write_bytes(text)
         argv = [*argv[:-1], "--config", str(config)]
+    run = tmp_path / "run"
+    if field == "out":
+        run.write_text("")  # a file takes the output directory's name
     with pytest.raises(SystemExit) as err:
-        main([*argv, "--out", str(tmp_path / "run")])
+        main([*argv, "--out", str(run)])
     assert str(err.value).startswith(f"config error at {field}: ")
-    assert not (tmp_path / "run").exists()
+    assert run.is_file() if field == "out" else not run.exists()
 
 
 # ---------------------------------------------------------------------------
