@@ -31,6 +31,7 @@ from .analytic import (
 )
 from .fock import (
     FockError,
+    Generator,
     ModelKind,
     ModelParams,
     NoStationaryStateError,
@@ -40,7 +41,7 @@ from .fock import (
     devectorize,
     dim_for_tail,
     fock_state,
-    generator_diagonals,
+    generator,
     liouvillian,
     number_op,
     parity_op,

@@ -264,6 +264,11 @@ def cmd_wigner(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     only = args.only.split(",") if args.only else None
     mutations = tuple(args.mutate.split(",")) if args.mutate else ()
+    for field, given, known in (("only", only or (), verify.CHECKS),
+                                ("mutate", mutations, verify.MUTATIONS)):
+        if unknown := sorted(set(given) - set(known)):
+            raise SystemExit(f"config error at {field}: need names from {', '.join(known)}, "
+                             f"got {', '.join(unknown)}")
     out = _prepare_out(args, {"only": only, "mutations": list(mutations)})
     start = time.time()
     results = verify.run_checks(only=only, mutations=mutations)
@@ -299,7 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def subcommand(name: str, func, help_text: str) -> argparse.ArgumentParser:
         p = subs.add_parser(name, help=help_text)
-        p.add_argument("--config", help="JSON config file; flags override its fields")
+        if name in FIELDS:
+            p.add_argument("--config", help="JSON config file; flags override its fields")
         p.add_argument("--out", help="output directory (created if missing)")
         for key, default in FIELDS.get(name, {}).items():
             p.add_argument("--" + key.replace("_", "-"), dest=key, type=type(default),

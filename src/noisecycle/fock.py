@@ -1,16 +1,16 @@
-"""Truncated Fock-space operators, model parameters, and superoperator assembly.
+"""Truncated Fock-space operators, model parameters, and the model generators.
 
-Superoperators act on column-stacked (Fortran-order) vectorizations of
-density matrices, so that vec(A rho B) = kron(B.T, A) vec(rho).  Only the
-forward generator is built: an adjoint action enters through the
+Both models are phase covariant: each channel (two-photon loss a a, two-photon
+gain a^dag a^dag, one-photon gain a^dag) moves a fixed number k of photons, so
+the generator maps rho to
+
+    L(rho)[p, q] = diag[p, q] rho[p, q] + sum over k of jumps[k][p, q] rho[p + k, q + k].
+
+``generator`` returns these grids as a ``Generator``, which applies itself to
+a density matrix and writes itself as a CSR matrix (``liouvillian``) on
+column-stacked (Fortran-order) vectorizations, vec(A rho B) = kron(B.T, A) vec(rho).
+Only the forward generator is built: an adjoint action enters through the
 Hilbert-Schmidt duality Tr[A^dag L'(B)] = Tr[(L A)^dag B].
-
-Every operator of the two models (a, a^dag, their products, the identity)
-has a single nonzero diagonal, so each term of the generator is one numpy
-array on one diagonal of the vec space; the terms combine per diagonal as
-plain arrays, without ``kron``.  ``generator_diagonals`` returns that
-per-diagonal form, which applies itself to a vector; ``liouvillian`` writes
-it as a CSR matrix with the zeros dropped.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ class ModelParams:
     kind: ModelKind = ModelKind.NOISE_INDUCED
 
     def __post_init__(self) -> None:
-        # liouvillian's per-diagonal sums are exact only for finite rates (0 * inf is NaN)
+        # the grids hold exact zeros off each channel's reach only for finite rates (0 * inf is NaN)
         for name in ("omega0", "kappa_down", "kappa_up2", "kappa_up1"):
             if not math.isfinite(getattr(self, name)):
                 raise FockError(f"{name} must be finite, got {getattr(self, name)}", name)
@@ -191,152 +191,97 @@ def devectorize(vec: np.ndarray) -> np.ndarray:
 # generators
 # ---------------------------------------------------------------------------
 
-def _shifted(values: np.ndarray, shift: int) -> np.ndarray:
-    """out[i] = values[i - shift], and 0 where i - shift falls outside."""
-    out = np.zeros_like(values)
-    n = values.size
-    if shift >= 0:
-        out[shift:] = values[:max(n - shift, 0)]
-    else:
-        out[:shift] = values[-shift:]
-    return out
-
-
 @dataclass(frozen=True)
-class _Band:
-    """Operator with one nonzero diagonal: ``values[i] = op[i, i + offset]``, 0 off the matrix."""
+class Generator:
+    """A model generator as its grids over the density-matrix entries (see the module).
 
-    offset: int
-    values: np.ndarray
-
-    def dag(self) -> "_Band":
-        # op^dag[j, j - k] = conj(op[j - k, j])
-        return _Band(-self.offset, np.conj(self.column_values()))
-
-    def __matmul__(self, other: "_Band") -> "_Band":
-        # (A B)[i, i + ka + kb] = A[i, i + ka] B[i + ka, i + ka + kb]
-        return _Band(self.offset + other.offset,
-                     self.values * _shifted(other.values, -self.offset))
-
-    def column_values(self) -> np.ndarray:
-        """op[j - offset, j] at position j."""
-        return _shifted(self.values, self.offset)
-
-
-class _Diagonals(dict):
-    """Superoperator held as {offset row - col: values over the vec rows}.
-
-    Scaling, sums and differences act on whole diagonals, with 0 standing in
-    for a missing one, ``@`` applies the operator to a vector, and ``tocsr``
-    drops the zeros.  With finite rates a
-    position off a term's pattern holds an exact zero, so the result equals
-    scipy's CSR arithmetic on the same terms entry for entry.
+    ``jumps[k]`` is 0 wherever p + k or q + k falls off the truncation.
     """
 
-    @classmethod
-    def sandwich(cls, left: _Band, right: _Band) -> "_Diagonals":
-        """rho -> left rho right: the single diagonal row - col = k_R dim - k_L.
+    diag: np.ndarray
+    jumps: dict[int, np.ndarray]
 
-        Vec row p + q dim takes left[p, p + k_L] right[q - k_R, q] from vec
-        column (p + k_L) + (q - k_R) dim, so the values are one outer product
-        over the (q, p) grid, right factor first as in ``kron``.
-        """
-        dim = left.values.size
-        return cls({right.offset * dim - left.offset:
-                    np.multiply.outer(right.column_values(), left.values).reshape(-1)})
+    def reach(self, k: int) -> tuple[slice, slice]:
+        """The rows (and columns) that jump k writes, and the ones k above that it reads."""
+        dim = self.diag.shape[0]
+        return slice(max(-k, 0), dim - max(k, 0)), slice(max(k, 0), dim + min(k, 0))
 
-    def __rmul__(self, scalar) -> "_Diagonals":
-        return _Diagonals({o: values * scalar for o, values in self.items()})
-
-    def __add__(self, other: "_Diagonals") -> "_Diagonals":
-        return _Diagonals({o: self.get(o, 0j) + other.get(o, 0j)
-                           for o in self.keys() | other.keys()})
-
-    def __sub__(self, other: "_Diagonals") -> "_Diagonals":
-        return _Diagonals({o: self.get(o, 0j) - other.get(o, 0j)
-                           for o in self.keys() | other.keys()})
-
-    def __matmul__(self, vec: np.ndarray) -> np.ndarray:
-        """Product with a vec-space vector: out[r] = sum over o of values_o[r] vec[r - o].
-
-        The offsets are visited in descending order, the column order of a
-        row of ``tocsr``.  A position whose column r - o lies outside the vec
-        space holds 0 and is skipped, as is a diagonal that lies outside.
-        """
-        n = vec.size
-        out = np.zeros(n, dtype=np.result_type(vec, complex))
-        for o, values in sorted(self.items(), reverse=True):
-            if abs(o) < n:
-                lo, hi = max(o, 0), n + min(o, 0)
-                out[lo:hi] += values[lo:hi] * vec[lo - o:hi - o]
+    def apply(self, rho: np.ndarray) -> np.ndarray:
+        """L(rho) from the grids, one shifted product per jump."""
+        out = self.diag * rho
+        for k, jump in self.jumps.items():
+            to, src = self.reach(k)
+            out[to, to] += jump[to, to] * rho[src, src]
         return out
 
     def tocsr(self) -> sp.csr_matrix:
-        """CSR written diagonal by diagonal, without a sort; zeros are not stored.
+        """CSR on column-stacked vectors, written diagonal by diagonal; zeros are not stored.
 
-        Row r holds column r - o of diagonal o, so visiting the offsets in
-        descending order leaves every row's columns sorted.
+        Vec row r = p + q dim holds grid entry [p, q], so a transposed grid
+        read in C order runs over the rows, and jump k lies on the vec
+        diagonal whose column is r + k (dim + 1).  Visiting the jumps in
+        ascending k, with the diagonal as k = 0, leaves every row's columns
+        sorted, without a sort.
         """
         import scipy.sparse as sp
 
-        n = next(iter(self.values())).size
-        # nnz is at most one entry per row and diagonal
-        index = np.int32 if len(self) * n < 2 ** 31 else np.int64
+        dim = self.diag.shape[0]
+        n = dim * dim
+        bands = [(k, grid.T) for k, grid in sorted({0: self.diag, **self.jumps}.items())]
+        stored = [(grid != 0).reshape(-1) for _, grid in bands]
+        # nnz is at most one entry per row and band
+        index = np.int32 if len(bands) * n < 2 ** 31 else np.int64
         indptr = np.zeros(n + 1, dtype=index)
-        for values in self.values():
-            indptr[1:] += values != 0
-        np.cumsum(indptr, out=indptr)
+        np.cumsum(sum(stored), out=indptr[1:])
         data = np.empty(indptr[-1], dtype=complex)
         indices = np.empty(indptr[-1], dtype=index)
         fill = indptr[:-1].copy()  # next free slot of each row
-        for o, values in sorted(self.items(), reverse=True):
-            stored = values != 0
-            at = fill[stored]
-            data[at] = values[stored]
-            indices[at] = np.flatnonzero(stored) - o
-            fill += stored
+        for (k, grid), mask in zip(bands, stored):
+            at = fill[mask]
+            data[at] = grid[mask.reshape(grid.shape)]
+            indices[at] = np.flatnonzero(mask) + k * (dim + 1)
+            fill += mask
         return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
-def _band_dissipator(c: _Band, eye: _Band) -> _Diagonals:
-    """rho -> c rho c^dag - (c^dag c rho + rho c^dag c)/2 of a one-diagonal operator c."""
-    cd = c.dag()
-    cdc = cd @ c
-    return (_Diagonals.sandwich(c, cd) - 0.5 * _Diagonals.sandwich(cdc, eye)
-            - 0.5 * _Diagonals.sandwich(eye, cdc))
+def generator(params: ModelParams, dim: int | None = None) -> Generator:
+    """Generator of the selected model on a dim-level Fock space, as grids.
 
-
-def generator_diagonals(params: ModelParams, dim: int | None = None) -> _Diagonals:
-    """Generator of the selected model on a dim-level Fock space, one array per diagonal.
-
-    Each term is one outer product on one diagonal of the vec space.  The
-    terms combine per diagonal, as plain arrays, along the operation tree of
-    ``omega0 * (-1j * (sandwich(h, eye) - sandwich(eye, h)))
-    + kappa_down * dissipator(a a) + ...``.  ``values_o[r]`` is the entry
-    L[r, r - o]; the result applies itself to a vector with ``@``.
+    A channel c with c[n, n + k] = A_n gives the jump grid rate A_p A_q and
+    the diagonal -rate (N_p + N_q) / 2 with N_n = (c^dag c)[n, n] = A_{n - k}^2;
+    the free rotation adds -i omega0 (p - q).  The ladder values and the
+    terms combine in the order of the sum of Kronecker-product terms (the
+    rotation, then kappa_down D[a^2], then the gain channel), so the grids
+    hold its values bit for bit.
     """
     if dim is None:
         dim = default_dim(params)
     if dim < 2:
         raise FockError(f"Fock dimension must be >= 2, got {dim}")
-    a = _Band(1, np.append(np.sqrt(np.arange(1, dim)), 0.0).astype(complex))
-    ad = a.dag()
-    eye = _Band(0, np.ones(dim, dtype=complex))
-    h = ad @ a
-    gen = (params.omega0 * (-1j * (_Diagonals.sandwich(h, eye) - _Diagonals.sandwich(eye, h)))
-           + params.kappa_down * _band_dissipator(a @ a, eye))
-    # ModelParams leaves at most one gain rate nonzero, the one its kind selects
-    if params.kappa_up2 > 0:
-        gen = gen + params.kappa_up2 * _band_dissipator(ad @ ad, eye)
-    if params.kappa_up1 > 0:
-        gen = gen + params.kappa_up1 * _band_dissipator(ad, eye)
-    return gen
+    root = np.sqrt(np.arange(dim, dtype=float))  # a[n - 1, n] = sqrt(n)
+    lower = np.append(root[1:], 0.0)  # a[n, n + 1]
+    # rate, k and c[n, n + k] of a a, a^dag a^dag and a^dag; ModelParams leaves
+    # at most one gain rate nonzero, and a channel without rate adds no term
+    channels = [(params.kappa_down, 2, lower * np.append(lower[1:], 0.0)),
+                (params.kappa_up2, -2, root * np.append(0.0, root[:-1])),
+                (params.kappa_up1, -1, root)]
+    number = root * root
+    diag = params.omega0 * (-1j * (number[:, None] - number))
+    jumps = {}
+    for rate, k, amp in (channel for channel in channels if channel[0] > 0):
+        # amp vanishes where n + k falls off, so the roll wraps in zeros only
+        cdc = np.roll(amp * amp, k)
+        # 0j - x, not -x: the reference subtracts from an empty diagonal, and
+        # the signs of zeros must agree too
+        diag += rate * ((0j - 0.5 * cdc[:, None]) - 0.5 * cdc)
+        jumps[k] = rate * np.multiply.outer(amp, amp)
+    return Generator(diag, jumps)
 
 
 def liouvillian(params: ModelParams, dim: int | None = None) -> sp.csr_matrix:
-    """Generator of the selected model as a CSR matrix: ``generator_diagonals`` written out.
+    """Generator of the selected model as a CSR matrix: ``generator(params, dim).tocsr()``.
 
-    The zeros are dropped at ``tocsr``; with finite rates the result equals
-    the sparse sum of Kronecker-product terms byte for byte.
+    With finite rates the result equals the sparse sum of Kronecker-product
+    terms byte for byte.
     """
-    return generator_diagonals(params, dim).tocsr()
+    return generator(params, dim).tocsr()

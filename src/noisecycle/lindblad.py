@@ -8,11 +8,11 @@ Evolution assumes a Hermitian initial state and a Hermiticity-preserving
 generator, so of two blocks that are each other's Hermitian mirror only one
 is exponentiated and the other is filled by conjugation.
 
-The steady-report quantities work on the generator's diagonals
-(``fock.generator_diagonals``) and on the structure of the states, never on
-a dim^2 x dim^2 product: phase-space circulation applies the generator from
-its diagonals to the two quadrature products; the detailed-balance residual
-of a diagonal steady state is summed one vec diagonal at a time; the trace
+The steady-report quantities work on the generator's grids over the
+density-matrix entries (``fock.generator``) and on the structure of the
+states, never on a dim^2 x dim^2 product: phase-space circulation applies
+the grids to the two quadrature products; the detailed-balance residual of a
+diagonal steady state sums each jump grid against its mirror; the trace
 distance of a diagonal difference is read off the diagonal; and the
 displaced-parity quasiprobability evaluator, the oracle against the closed
 forms, needs one matrix product per radius, none for a diagonal state.
@@ -35,7 +35,7 @@ from .fock import (
     ModelParams,
     build_ladder,
     devectorize,
-    generator_diagonals,
+    generator,
     parity_op,
     vectorize,
 )
@@ -363,8 +363,8 @@ def circulation(rho: np.ndarray, params: ModelParams) -> CirculationResult:
     Tr[rho x L'(y)] = conj Tr[y L(x rho)], so the magnitude is
     |Re(Tr[y L(x rho)] - Tr[x L(y rho)])|.  The quadratures x = a + a^dag
     and y = -i(a - a^dag) enter through the ladder's one diagonal: x rho and
-    y rho are two row shifts of rho, the generator acts from its diagonals
-    (``fock.generator_diagonals``), and each trace reads the two diagonals
+    y rho are two row shifts of rho, the generator's grids
+    (``fock.generator``) act on them, and each trace reads the two diagonals
     next to the main one.  For the noise-induced model this equals
     omega0 <x^2 + y^2>; at steady state the closed form
     4 omega0 (<n>_ss + 1/2), with <n>_ss from ``analytic.mean_n_ss``,
@@ -377,14 +377,14 @@ def circulation(rho: np.ndarray, params: ModelParams) -> CirculationResult:
             f"top Fock levels carry population {edge:.2e}; circulation may be unreliable",
             stacklevel=2,
         )
-    gen = generator_diagonals(params, dim)
+    gen = generator(params, dim)
     root = np.sqrt(np.arange(1.0, dim))  # a[n - 1, n] = sqrt(n)
     lowered = np.zeros(rho.shape, dtype=np.result_type(rho, complex))  # a rho
     lowered[:-1] = root[:, None] * rho[1:]
     raised = np.zeros_like(lowered)  # a^dag rho
     raised[1:] = root[:, None] * rho[:-1]
-    moved_x = devectorize(gen @ vectorize(lowered + raised))
-    moved_y = devectorize(gen @ vectorize(-1j * (lowered - raised)))
+    moved_x = gen.apply(lowered + raised)
+    moved_y = gen.apply(-1j * (lowered - raised))
     # Tr[q M] = sum_ij q_ij M_ji with q on the first off-diagonals
     trace_y = 1j * (root @ (np.diagonal(moved_x, 1) - np.diagonal(moved_x, -1)))
     trace_x = root @ (np.diagonal(moved_y, 1) + np.diagonal(moved_y, -1))
@@ -411,42 +411,40 @@ def detailed_balance_residual(params: ModelParams, rho_ss: np.ndarray) -> float:
     real and even, only the free rotation flips sign), so the time-reversed
     generator is conj(L) and the adjoint is its transpose.
 
-    Everything comes from the generator's diagonals
-    (``fock.generator_diagonals``), with values_o[i] = L[i, i - o].  First
-    ||L vec(rho_ss)|| past 1e-8 raises ``StationarityError``.  Then rho_ss
-    must be diagonal, as the steady states of both phase-symmetric models
-    are: a stationary state with any nonzero coherence raises
-    ``OffDiagonalStateError`` rather than losing that mass.  M is then the
-    diagonal m = tile(diag rho_ss, dim), and on vec diagonal o the residual
-    is m_i conj(L[i - o, i]) - conj(L[i, i - o]) m_{i - o}.  Its squares are
-    summed over every stored offset and its negation, since the transpose
-    of a one-sided diagonal lies on the other side.  Zero is detailed
-    balance; the conventional model violates it by orders of magnitude.
+    Everything comes from the generator's grids (``fock.generator``).
+    First ||L(rho_ss)||_F past 1e-8 raises ``StationarityError``.  Then
+    rho_ss must be diagonal, as the steady states of both phase-symmetric
+    models are: a stationary state with any nonzero coherence raises
+    ``OffDiagonalStateError`` rather than losing that mass.  M then scales
+    entry [p, q] by pi_p = rho_ss[p, p], so the diagonal grid cancels
+    exactly, and jump k, which takes entry [p + k, q + k] to [p, q], leaves
+    pi_p conj(J_{-k}[p + k, q + k]) - conj(J_k[p, q]) pi_{p + k} against
+    its mirror jump -k.  The squares are summed over every jump and every
+    mirror, a missing jump being 0.
+    Zero is detailed balance; the conventional model violates it by orders
+    of magnitude.
     """
     dim = rho_ss.shape[0]
-    gen = generator_diagonals(params, dim)
-    stationarity = np.linalg.norm(gen @ vectorize(rho_ss))
+    gen = generator(params, dim)
+    stationarity = np.linalg.norm(gen.apply(rho_ss))
     if stationarity > 1e-8:
         raise StationarityError(
-            f"state is not stationary: ||L vec(rho)|| = {stationarity:.3e}"
+            f"state is not stationary: ||L(rho)||_F = {stationarity:.3e}"
         )
     if not _is_diagonal(rho_ss):
         raise OffDiagonalStateError(
             "the detailed-balance residual takes a diagonal steady state; "
             "this one has nonzero coherences"
         )
-    n = dim * dim
-    mult = np.tile(np.diagonal(rho_ss), dim)
-    absent = np.zeros(n, dtype=complex)
+    pops = np.diagonal(rho_ss)[:, None]
+    absent = np.zeros((dim, dim))
     residual_sq = 0.0
-    for o in gen.keys() | {-o for o in gen}:
-        if abs(o) < n:
-            lo, hi = max(o, 0), n + min(o, 0)
-            forward = gen.get(o, absent)[lo:hi]  # L[i, i - o]
-            backward = gen.get(-o, absent)[lo - o:hi - o]  # L[i - o, i]
-            term = mult[lo:hi] * backward.conj() - forward.conj() * mult[lo - o:hi - o]
-            residual_sq += np.vdot(term, term).real
-    gen_sq = sum(np.vdot(values, values).real for values in gen.values())
+    for k in gen.jumps.keys() | {-k for k in gen.jumps}:
+        to, src = gen.reach(k)
+        term = (pops[to] * gen.jumps.get(-k, absent)[src, src].conj()
+                - gen.jumps.get(k, absent)[to, to].conj() * pops[src])
+        residual_sq += np.vdot(term, term).real
+    gen_sq = np.vdot(gen.diag, gen.diag).real + sum(np.vdot(j, j).real for j in gen.jumps.values())
     return math.sqrt(residual_sq / gen_sq)
 
 

@@ -1,9 +1,11 @@
 """Command-line driver: outputs, config echo, formatting, and the verify gate."""
 
+import ast
 import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -398,14 +400,25 @@ def test_verify_report_rows(tmp_path):
 
 
 def test_verify_unknown_check_rejected(tmp_path):
-    with pytest.raises(KeyError):
+    with pytest.raises(SystemExit, match="config error at only: .*no-such-check"):
         main(["verify", "--out", str(tmp_path / "v"), "--only", "no-such-check"])
+    assert not (tmp_path / "v").exists()
 
 
 def test_verify_unknown_mutation_rejected(tmp_path):
-    with pytest.raises(KeyError):
+    with pytest.raises(SystemExit, match="config error at mutate: .*typo"):
         main(["verify", "--out", str(tmp_path / "v"), "--only", "circulation",
               "--mutate", "typo"])
+    assert not (tmp_path / "v").exists()
+
+
+def test_verify_takes_no_config_file(tmp_path, capsys):
+    # verify has no fields, so a config file would be read by nothing
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "--config", str(tmp_path / "none.json"), "--out", str(tmp_path / "v")])
+    assert err.value.code == 2
+    assert "--config" in capsys.readouterr().err
+    assert not (tmp_path / "v").exists()
 
 
 def test_verify_mutation_mode_fails_circulation(tmp_path):
@@ -431,3 +444,21 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True, timeout=120)
     assert done.stdout.strip() == "False"
+
+
+# ---------------------------------------------------------------------------
+# package docs
+# ---------------------------------------------------------------------------
+
+def test_readme_api_list_matches_the_package_exports():
+    root = Path(__file__).resolve().parents[1]
+    init = ast.parse((root / "src" / "noisecycle" / "__init__.py").read_text())
+    exported = {node.module: [alias.name for alias in node.names]
+                for node in init.body if isinstance(node, ast.ImportFrom)}
+    readme = (root / "README.md").read_text()
+    section = readme.split("## Package API", 1)[1].split("\n## ", 1)[0]
+    listed = {}
+    for item in section.split("\n- ")[1:]:
+        module, names = item.split(":", 1)
+        listed[module.strip("`")] = re.findall(r"`(\w+)`", names)
+    assert listed == exported

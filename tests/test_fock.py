@@ -20,7 +20,7 @@ from noisecycle.fock import (
     devectorize,
     dim_for_tail,
     fock_state,
-    generator_diagonals,
+    generator,
     liouvillian,
     number_op,
     parity_op,
@@ -335,12 +335,59 @@ def test_generator_diagonals_apply_as_the_csr_generator(params, omega0, dim):
     params = replace(params, omega0=omega0)
     gen = liouvillian(params, dim)
     rng = np.random.default_rng(dim)
-    vec = rng.standard_normal(dim * dim) + 1j * rng.standard_normal(dim * dim)
-    got = generator_diagonals(params, dim) @ vec
-    # the same products summed in the same order; a fused multiply-add in
+    rho = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    got = vectorize(generator(params, dim).apply(rho))
+    # the same products summed in another order; a fused multiply-add in
     # either one can move a complex product by an ulp
-    bound = 1e-15 * (abs(gen) @ np.abs(vec))
-    assert np.all(np.abs(got - gen @ vec) <= bound)
+    bound = 1e-15 * (abs(gen) @ np.abs(vectorize(rho)))
+    assert np.all(np.abs(got - gen @ vectorize(rho)) <= bound)
+
+
+def closed_form_grids(params: ModelParams, dim: int):
+    """The generator's grids written out from each channel's matrix elements.
+
+    Channel c moves k photons, c[n, n + k] = A_n: a a with k = 2 and
+    A_n = sqrt((n + 1)(n + 2)), a^dag a^dag with k = -2 and A_n = sqrt(n (n - 1)),
+    a^dag with k = -1 and A_n = sqrt(n); A_n is 0 where n + k falls off.  Its
+    jump grid is rate A_p A_q, and it adds -rate (N_p + N_q) / 2 to the
+    diagonal with N_n = (c^dag c)[n, n]: n (n - 1), (n + 1)(n + 2) and n + 1,
+    each 0 where the gain would leave the truncation.
+    """
+    n = np.arange(dim, dtype=float)
+
+    def on_grid(levels):
+        return (levels >= 0) & (levels < dim)
+
+    amps = {2: np.sqrt((n + 1) * (n + 2)), -2: np.sqrt(n * (n - 1)), -1: np.sqrt(n)}
+    counts = {2: n * (n - 1), -2: (n + 1) * (n + 2), -1: n + 1}
+    rates = {2: params.kappa_down, -2: params.kappa_up2, -1: params.kappa_up1}
+    diag = -1j * params.omega0 * (n[:, None] - n)
+    jumps = {}
+    for k, rate in rates.items():
+        amp = np.where(on_grid(n + k), amps[k], 0.0)
+        count = np.where(on_grid(n - k), counts[k], 0.0)
+        diag = diag - 0.5 * rate * (count[:, None] + count)
+        if rate > 0:
+            jumps[k] = rate * np.outer(amp, amp)
+    return diag, jumps
+
+
+# at dim 2 the two-photon jumps lie wholly off the grid, at dim 3 all but one entry
+@pytest.mark.parametrize("dim", [2, 3, 20, 80])
+@pytest.mark.parametrize("omega0", [1.0, -0.3])
+@pytest.mark.parametrize("params", [
+    pytest.param(NI, id="noise-induced"),
+    pytest.param(replace(NI, kappa_up2=0.0), id="noise-induced-k0"),
+    pytest.param(CONV, id="conventional"),
+])
+def test_generator_grids_match_the_closed_form(params, omega0, dim):
+    params = replace(params, omega0=omega0)
+    gen = generator(params, dim)
+    diag, jumps = closed_form_grids(params, dim)
+    assert gen.jumps.keys() == jumps.keys()
+    np.testing.assert_allclose(gen.diag, diag, rtol=1e-14, atol=0)
+    for k, jump in jumps.items():
+        np.testing.assert_allclose(gen.jumps[k], jump, rtol=1e-14, atol=0)
 
 
 def test_pure_rotation_annihilates_vacuum():

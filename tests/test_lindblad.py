@@ -512,7 +512,7 @@ def test_detailed_balance_rejects_stationary_coherence():
 
 
 def test_steady_checks_build_no_csr_generator(monkeypatch):
-    # the checks of a diagonal steady state work on the generator's diagonals:
+    # the checks of a diagonal steady state work on the generator's grids:
     # neither a CSR build nor a Kronecker product may enter them
     dim = 60
     rho = rho_ss_analytic(0.4, 0.6, dim)
@@ -520,7 +520,7 @@ def test_steady_checks_build_no_csr_generator(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a steady-report check built a dim^2 x dim^2 matrix")
 
-    monkeypatch.setattr(fock._Diagonals, "tocsr", refuse)
+    monkeypatch.setattr(fock.Generator, "tocsr", refuse)
     monkeypatch.setattr(fock, "liouvillian", refuse)
     monkeypatch.setattr(sp, "kron", refuse)
     params = ModelParams(omega0=1.0, kappa_down=1.0, kappa_up2=0.4)
