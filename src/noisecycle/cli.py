@@ -3,8 +3,8 @@
 Every run takes an optional JSON config (flags override its fields) and
 writes one output directory holding the echoed config, CSV data, and a JSON
 summary.  CSV numbers carry 17 significant digits.  Flag and file values pass
-one check, ``_merge_config`` against ``FIELDS`` and ``RULES``, before any
-output; a bad input exits with ``config error at <field>: …``.
+one check, ``_merge_config`` against ``FIELDS``, ``RULES`` and ``UNUSED``,
+before any output; a bad input exits with ``config error at <field>: …``.
 """
 
 from __future__ import annotations
@@ -58,6 +58,10 @@ RULES = {
                 "vacuum | fock:n | coherent:alpha"),
 }
 
+# The fields a model kind does not read.  Setting one is a config error, and
+# the echoed config leaves it out.
+UNUSED = {ModelKind.CONVENTIONAL.value: ("k_ratio",)}
+
 
 def _merge_config(args: argparse.Namespace) -> dict:
     """Flags override JSON config fields; unset fields take the table default.
@@ -87,6 +91,10 @@ def _merge_config(args: argparse.Namespace) -> dict:
             raise SystemExit(f"config error at {key}: need {type(default).__name__}, got {value!r}")
         if key in RULES and not RULES[key][0](value):
             raise SystemExit(f"config error at {key}: need {RULES[key][1]}, got {value!r}")
+    for key in UNUSED.get(merged.get("kind"), ()):
+        if getattr(args, key) is not None or key in file_cfg:
+            raise SystemExit(f"config error at {key}: the {merged['kind']} model has no {key}")
+        del merged[key]
     return merged
 
 
@@ -240,12 +248,15 @@ def cmd_wigner(args: argparse.Namespace) -> int:
     if points <= 2 * wignerflux.EDGE_CELLS:  # the stencils would leave no interior cell
         raise SystemExit(f"config error at h: need more than {2 * wignerflux.EDGE_CELLS} "
                          f"grid points across 2 * extent = {2 * cfg['extent']}, got {points}")
-    out = _prepare_out(args, cfg)
-
     field = wignerflux.sample_steady_field(cfg["k_ratio"], cfg["wp_plus"],
                                            extent=cfg["extent"], h=cfg["h"])
+    try:
+        jx, jy = wignerflux.wigner_current(field, params, boundary_tol=cfg["boundary_tol"])
+    except wignerflux.BoundaryContaminationError as exc:  # the grid cuts off the field
+        raise SystemExit(f"config error at extent: {exc}") from None
+    out = _prepare_out(args, cfg)
+
     residual = wignerflux.wigner_generator_apply(field, params, boundary_tol=cfg["boundary_tol"])
-    jx, jy = wignerflux.wigner_current(field, params, boundary_tol=cfg["boundary_tol"])
     decomp = wignerflux.flux_decompose(field, jx, jy, params)
     wignerflux.field_to_csv(out / "field.csv", field, jx, jy, decomp,
                             header_lines=[_config_comment(args, cfg)])

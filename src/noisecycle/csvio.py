@@ -7,18 +7,18 @@ their text is byte-identical to ``"%.17g" % v``, so every float64 reads back
 exactly.  No field is quoted: numbers and the phase labels never hold a
 comma, a quote or a line break.
 
-Numbers are encoded by numpy, ``CHUNK_ROWS`` rows at a time, each distinct
-bit pattern of a chunk once.  Write |v| = m 2^q with m in [2^52, 2^53), and
-its 17 digits as D 10^(E-16) with D in [10^16, 10^17).  A table holds, per
-q, the double-double of 2^q 10^(16-E) at the two exponents E a binade can
-take, so X = m 2^q 10^(16-E) is formed by Dekker's exact product with an
-error near 1e-14, and D = round(X).  Zeros, subnormals, infinities, NaNs and
-the values whose X lies within ``_TIE_BAND`` of a half-integer (the exact
-ties, which round half to even, among them) are formatted by ``%.17g``
-itself.  A cell is a row of byte slots: sign, the ``0.000`` prefix, 17
-digits each followed by a point slot, and the exponent suffix.  A dropped
-slot holds NUL, and one ``bytes.translate`` pass deletes the NULs of a whole
-chunk.
+Numbers are encoded by numpy, ``CHUNK_ROWS`` rows at a time; a column
+broadcast along an axis (``x[:, None]``) is encoded once and gathered per
+row.  Write |v| = m 2^q with m in [2^52, 2^53), and its 17 digits as
+D 10^(E-16) with D in [10^16, 10^17).  A table holds, per q, the
+double-double of 2^q 10^(16-E) at the two exponents E a binade can take, so
+X = m 2^q 10^(16-E) is formed by Dekker's exact product with an error near
+1e-14, and D = round(X).  Subnormals, infinities, NaNs and the values whose
+X lies within ``_TIE_BAND`` of a half-integer (the exact ties, which round
+half to even, among them) are formatted by ``%.17g`` itself.  A cell is four
+little-endian 64-bit words: sign, ``0.000`` prefix, lead digit and point; 8
+digits; 8 digits; exponent suffix and separator.  A dropped byte is NUL, and
+one ``bytes.translate`` pass deletes the NULs of a whole chunk.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator, Sequence
 from functools import cache
-from typing import NamedTuple
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -41,51 +41,21 @@ _EXPONENT = 0x7FF
 _FRACTION = (1 << 52) - 1
 _VELTKAMP = 2.0 ** 27 + 1.0
 _SMALLEST_E = -308  # decimal exponent of the smallest normal float64
-
-# A cell: sign; prefix "0.000"; the lead digit and the 16 digits of four
-# 4-digit limbs, each digit followed by a point slot; suffix "e+308".
-_CELL_SLOTS = np.dtype([("sign", "u1"), ("prefix", "u1", 5), ("lead", "<u2"),
-                        ("limbs", "<u8", 4), ("suffix", "u1", 5)])
-_CELL = _CELL_SLOTS.itemsize
-_DIGITS = slice(_CELL_SLOTS.fields["lead"][1], _CELL_SLOTS.fields["suffix"][1])
+_WORDS, _WORD = 4, np.dtype("<u8")  # a number cell is 4 little-endian 64-bit words
+_LEAD, _POINT = 48, 56  # bit offsets of the lead digit and its point in the first word
 
 
-class _Tables(NamedTuple):
-    # per 4-digit limb value i
-    octets: np.ndarray    # "%04d" % i with 0xFF in each point slot
-    trailing: np.ndarray  # trailing zeros of "%04d" % i
-    # per 17 before_point + shown digits: 0xFF at each digit slot kept, "." at the point
-    masks: np.ndarray
-    # per exponent field: m >= m_cut puts |v| a decade above the binade's low end
-    m_cut: np.ndarray
-    # per row 2 field + k: E = e0 + k, and 2^q 10^(16-E) as c_hi + c_lo with
-    # c_hi = c_top + c_bottom split in halves
-    exp10: np.ndarray
-    c_hi: np.ndarray
-    c_top: np.ndarray
-    c_bottom: np.ndarray
-    c_lo: np.ndarray
-    # per E - _SMALLEST_E
-    prefix: np.ndarray
-    suffix: np.ndarray
+def _words(texts: Iterable[bytes]) -> np.ndarray:
+    """Each text of at most 8 bytes as one little-endian word, NUL-padded."""
+    return np.array([int.from_bytes(t, "little") for t in texts], dtype=np.uint64)
 
 
 @cache
-def _tables() -> _Tables:
-    """Every table of the encoder, built from Python ints on first use.
-
-    ``int / int`` is correctly rounded, so each c_hi and the residual c_lo
-    below it are exact to the last bit.
+def _tables() -> SimpleNamespace:
+    """Every table of the encoder, built from Python ints on first use: ``int / int``
+    is correctly rounded, so each c_hi and the residual c_lo below it are exact to the bit.
     """
     text = [b"%04d" % i for i in range(10000)]
-    octets = np.full((10000, 8), 0xFF, dtype=np.uint8)
-    octets[:, ::2] = np.array(text).view(np.uint8).reshape(10000, 4)
-    masks = np.zeros((18, 18, 34), dtype=np.uint8)
-    for before_point in range(18):
-        for shown in range(18):
-            masks[before_point, shown, :2 * max(before_point, shown):2] = 0xFF
-            if 1 <= before_point < shown:
-                masks[before_point, shown, 2 * before_point - 1] = ord(".")
     e0, m_cut, hi, lo = [], [], [], []
     for field in range(_EXPONENT + 1):
         # fields 0 and 0x7FF never reach the output; they copy their neighbours
@@ -107,27 +77,41 @@ def _tables() -> _Tables:
     spread = c_hi * _VELTKAMP
     c_top = spread - (spread - c_hi)
     exps = range(_SMALLEST_E, -_SMALLEST_E + 1)
-    tables = _Tables(
-        octets=octets.view("<u8")[:, 0],
+    tables = SimpleNamespace(
+        # per 4-digit group i: "%04d" % i as the low half of a word, the high half,
+        # and the high half without its trailing zeros; and its trailing zeros
+        low=_words(text),
+        high=_words(b"\0" * 4 + t for t in text),
+        last=_words(b"\0" * 4 + t.rstrip(b"0") for t in text),
         trailing=np.array([4] + [4 - len(t.rstrip(b"0")) for t in text[1:]], dtype=np.intp),
-        masks=masks.reshape(18 * 18, 34),
+        # per top 12 bits of a float64: its exponent field is 0 or 0x7FF
+        abnormal=np.isin(np.arange(4096) & _EXPONENT, [0, _EXPONENT]),
+        # per 2 digits shown + (no point shown): the bytes the first three words keep
+        keep=np.array([[(1 << _POINT) - 1 | (0xFF << _POINT if shown > 1 and not no_point else 0),
+                        (1 << 8 * min(max(shown - 1, 0), 8)) - 1,
+                        (1 << 8 * min(max(shown - 9, 0), 8)) - 1]
+                       for shown in range(18) for no_point in (0, 1)], dtype=np.uint64),
+        # per E: the byte order that moves the point E digits on
+        rotation=np.array([[*range(7), *range(8, 8 + e), 7, *range(8 + e, 32)] for e in range(17)]),
+        # per exponent field: m >= m_cut puts |v| a decade above the binade's low end
         m_cut=np.array(m_cut, dtype=np.int64),
+        # per row 2 field + k: E = e0 + k, and 2^q 10^(16-E) as c_hi + c_lo with
+        # c_hi = c_top + c_bottom split in halves
         exp10=np.repeat(e0, 2) + np.tile([0, 1], len(e0)),
         c_hi=c_hi, c_top=c_top, c_bottom=c_hi - c_top, c_lo=np.array(lo),
-        prefix=_text_slots(b"0." + b"0" * (-e - 1) if -4 <= e < 0 else b"" for e in exps),
-        suffix=_text_slots(b"" if -4 <= e < 17 else b"e%+03d" % e for e in exps),
+        # per E - _SMALLEST_E: the first word without sign and digits, the
+        # suffix, and whether fixed notation puts the point among the digits
+        head=_words(b"\0" + (b"0." + b"0" * (-e - 1) if -4 <= e < 0 else b"").ljust(5, b"\0")
+                    + (b"0" if -4 <= e < 0 else b"0.") for e in exps),
+        suffix=_words(b"" if -4 <= e < 17 else b"e%+03d" % e for e in exps),
+        moves=np.array([1 <= e <= 16 for e in exps]),
     )
-    for table in tables:  # shared by every call
+    for table in vars(tables).values():  # shared by every call
         table.flags.writeable = False
     return tables
 
 
-def _text_slots(texts: Iterable[bytes]) -> np.ndarray:
-    """One NUL-padded row of 5 byte slots per text."""
-    return np.array(list(texts), dtype="S5").view(np.uint8).reshape(-1, 5)
-
-
-def _significands(bits: np.ndarray, t: _Tables):
+def _significands(bits: np.ndarray, t: SimpleNamespace):
     """(D, E, exact) of float64 bit patterns: a normal |v| rounds to D 10^(E-16).
 
     ``exact`` is False where X sits too near a half-integer to round safely.
@@ -155,42 +139,59 @@ def _significands(bits: np.ndarray, t: _Tables):
     return sig, exp10, np.abs(frac - 0.5) >= _TIE_BAND
 
 
-def _layout(sig: np.ndarray, exp10: np.ndarray, negative: np.ndarray, t: _Tables) -> np.ndarray:
-    """Cells of the ``%.17g`` text of a sign, 17 digits ``sig`` and exponent ``exp10``."""
-    n = sig.size
-    lead, rest = np.divmod(sig, 10 ** 16)
-    upper, lower = np.divmod(rest, 10 ** 8)
-    limbs = np.empty((n, 4), dtype=np.intp)
-    limbs[:, 0], limbs[:, 1] = np.divmod(upper, 10 ** 4)
-    limbs[:, 2], limbs[:, 3] = np.divmod(lower, 10 ** 4)
-    zeros = t.trailing[limbs[:, 0]]
-    for j in (1, 2, 3):
-        zeros = np.where(limbs[:, j] == 0, zeros + 4, t.trailing[limbs[:, j]])
-    # fixed notation for -4 <= E < 17 keeps its integer part in full
-    before_point = np.where((exp10 >= -4) & (exp10 < 17), exp10 + 1, 1).clip(0)
-    frame = exp10 - _SMALLEST_E
-    cells = np.empty((n, _CELL), dtype=np.uint8)
-    slots = cells.view(_CELL_SLOTS)[:, 0]
-    slots["sign"] = negative.view(np.uint8) * ord("-")
-    slots["prefix"] = np.take(t.prefix, frame, axis=0)
-    slots["lead"] = lead + (0xFF00 + ord("0"))
-    slots["limbs"] = np.take(t.octets, limbs)
-    slots["suffix"] = np.take(t.suffix, frame, axis=0)
-    cells[:, _DIGITS] &= np.take(t.masks, 18 * before_point + 17 - zeros, axis=0)
-    return cells
+def _formatted(values: np.ndarray) -> list[bytes]:
+    """``"%.17g" % v`` of each value: the encoder's fallback."""
+    return [b"%.17g" % v for v in values.tolist()]
 
 
-def _number_cells(values: np.ndarray) -> np.ndarray:
-    """One NUL-padded cell of ``%.17g`` text per float64 of the 1-D ``values``."""
+def _number_cells(values: np.ndarray, separators) -> np.ndarray:
+    """The (n, 4) cells of the 1-D float64 ``values``, each closed by its word of ``separators``."""
     t = _tables()
     bits = values.view(np.int64)
     sig, exp10, exact = _significands(bits, t)
-    cells = _layout(sig, exp10, bits < 0, t)
-    field = (bits >> 52) & _EXPONENT
-    slow = np.flatnonzero(~exact | (field == 0) | (field == _EXPONENT))
-    cells[slow] = np.array([b"%.17g" % v for v in values[slow].tolist()],
-                           dtype=f"S{_CELL}").view(np.uint8).reshape(-1, _CELL)
+    top = bits.view(np.uint64) >> 52
+    rare = np.flatnonzero(np.take(t.abnormal, top) | ~exact)
+    exp10[rare] = 0  # no suffix, no point to move
+    is_zero = (bits[rare] << 1) == 0
+    sig[rare[is_zero]] = 0  # ±0 shows the one digit 0
+    # D = lead g1 g2 g3 g4 in 4-digit groups
+    upper = sig // 10 ** 8
+    g34 = sig - upper * 10 ** 8
+    g01 = upper // 10 ** 4
+    lead = g01 // 10 ** 4
+    g1, g2 = g01 - lead * 10 ** 4, upper - g01 * 10 ** 4
+    g3 = g34 // 10 ** 4
+    g4 = g34 - g3 * 10 ** 4
+    frame = exp10 - _SMALLEST_E
+    cells = np.empty((values.size, _WORDS), dtype=_WORD)
+    lead = lead.astype(np.uint64) << _LEAD
+    cells[:, 0] = np.take(t.head, frame) | (top >> 11) * ord("-") | lead
+    cells[:, 1] = np.take(t.low, g1) | np.take(t.high, g2)
+    cells[:, 2] = np.take(t.low, g3) | np.take(t.last, g4)
+    cells[:, 3] = np.take(t.suffix, frame) | separators
+    # redo the cells whose zeros reach past g4, or whose point falls among the digits
+    if (redo := np.flatnonzero((g4 == 0) | np.take(t.moves, frame))).size:
+        g1, g2, g3, g4, e = g1[redo], g2[redo], g3[redo], g4[redo], exp10[redo]
+        shown = 17 - np.where(g4, t.trailing[g4], np.where(g3, 4 + t.trailing[g3], np.where(
+            g2, 8 + t.trailing[g2], np.where(g1, 12 + t.trailing[g1], 16))))
+        # fixed notation keeps its integer part of E + 1 digits in full
+        before = np.where(t.moves[frame[redo]], e + 1, 0)
+        cells[redo, 2] = t.low[g3] | t.high[g4]
+        cells[redo, :3] &= t.keep[2 * np.maximum(shown, before) + (shown <= before)]
+        if (moved := redo[before > 0]).size:
+            octets = cells[moved].view(np.uint8)
+            cells[moved] = np.take_along_axis(octets, t.rotation[exp10[moved]], 1).view(_WORD)
+    slow = rare[~is_zero]
+    cells[slow, :3] = np.array(_formatted(values[slow]), dtype="S24").view(_WORD).reshape(-1, 3)
     return cells
+
+
+def _whole_cells(column: np.ndarray, end: bytes, separator: np.uint64) -> np.ndarray:
+    """The cells of a whole column, each closed by ``end``: shape ``column.shape + (words,)``."""
+    if column.dtype.kind != "S":
+        return _number_cells(column.reshape(-1), separator).reshape(*column.shape, _WORDS)
+    text = np.char.add(column, end)  # its NUL padding is deleted with the rest
+    return text.astype(f"S{-(-text.itemsize // 8) * 8}").view(_WORD).reshape(*column.shape, -1)
 
 
 def encode_rows(columns: Sequence[np.ndarray]) -> Iterator[bytes]:
@@ -204,33 +205,32 @@ def encode_rows(columns: Sequence[np.ndarray]) -> Iterator[bytes]:
     columns = [c if c.dtype.kind == "S" else c.astype(np.float64, copy=False)
                for c in map(np.asarray, columns)]
     shape = np.broadcast_shapes(*(c.shape for c in columns))
-    columns = [np.broadcast_to(c, shape) for c in columns]
-    numbers = [i for i, c in enumerate(columns) if c.dtype.kind != "S"]
-    width = max(_CELL, *(c.itemsize for c in columns)) + len(ROW_END)
-    step = max(1, CHUNK_ROWS // max(1, math.prod(shape[1:])))
+    ends = [b","] * (len(columns) - 1) + [ROW_END]
+    # each end as the last word of a number cell, after the 5 suffix bytes
+    separators = np.array([int.from_bytes(end, "little") << 40 for end in ends], dtype=np.uint64)
+    # text and the columns smaller than the table are encoded once; the other
+    # numbers a chunk at a time, in one pass
+    whole = [_whole_cells(c, end, sep) if c.dtype.kind == "S" or c.size < math.prod(shape)
+             else None for c, end, sep in zip(columns, ends, separators)]
+    slots = np.cumsum([0, *(_WORDS if w is None else w.shape[-1] for w in whole)])
+    line = math.prod(shape[1:])
+    chunked = [(np.broadcast_to(c, shape).reshape(shape[0], line), lo)
+               for c, w, lo in zip(columns, whole, slots) if w is None]
+    separators = separators[[w is None for w in whole]]
+    gathered = [(np.broadcast_to(w, (*shape, w.shape[-1])), lo, hi)
+                for w, lo, hi in zip(whole, slots, slots[1:]) if w is not None]
+    step = max(1, CHUNK_ROWS // max(1, line))
     for start in range(0, shape[0], step):
-        block = [c[start:start + step].reshape(-1) for c in columns]
-        rows = block[0].size
-        bits = np.empty((rows, len(numbers)), dtype=np.int64)
-        for j, i in enumerate(numbers):
-            bits[:, j] = block[i].view(np.int64)
-        unique, inverse = np.unique(bits, return_inverse=True)
-        # each cell of the chunk is a row of the pool, picked by ``index``
-        parts = [_number_cells(unique.view(np.float64))]
-        index = np.empty((rows, len(block)), dtype=np.intp)
-        index[:, numbers] = inverse.reshape(bits.shape)
-        for i, column in enumerate(block):
-            if i not in numbers:
-                index[:, i] = sum(map(len, parts)) + np.arange(rows)
-                parts.append(column.view(np.uint8).reshape(rows, -1))
-        pool = np.zeros((sum(map(len, parts)), width), dtype=np.uint8)
-        filled = 0
-        for part in parts:
-            pool[filled:filled + len(part), :part.shape[1]] = part
-            filled += len(part)
-        pool[:, -len(ROW_END)] = ord(",")
-        table = np.take(pool, index, axis=0)
-        table[:, -1, -len(ROW_END):] = np.frombuffer(ROW_END, dtype=np.uint8)
+        lines = min(step, shape[0] - start)
+        table = np.empty((lines * line, slots[-1]), dtype=_WORD)
+        if chunked:
+            values = np.concatenate([c[start:start + lines].reshape(-1) for c, _ in chunked])
+            cells = _number_cells(values, np.repeat(separators, len(table)))
+            for part, (_, lo) in zip(cells.reshape(len(chunked), -1, _WORDS), chunked):
+                table[:, lo:lo + _WORDS] = part
+        grid = table.reshape(lines, *shape[1:], slots[-1])
+        for cells, lo, hi in gathered:
+            grid[..., lo:hi] = cells[start:start + lines]
         yield table.tobytes().translate(None, b"\0")
 
 

@@ -146,8 +146,8 @@ def _check_boundary(field: WignerField, boundary_tol: float) -> None:
     worst = np.abs(edge).max()
     if worst > boundary_tol * peak:
         raise BoundaryContaminationError(
-            f"boundary magnitude {worst:.3e} exceeds {boundary_tol:.0e} of the peak {peak:.3e}; "
-            "enlarge the grid extent"
+            f"edge-to-peak ratio {worst / peak:.3e} (edge {worst:.3e}, peak {peak:.3e}) exceeds "
+            f"boundary_tol = {boundary_tol:.3g}; enlarge the grid extent"
         )
 
 
@@ -237,9 +237,9 @@ def field_to_csv(path, field: WignerField, jx: np.ndarray, jy: np.ndarray,
     """Dump (x, y, w, jx, jy, j_irr_x, j_irr_y) rows for external plotting.
 
     One row per grid point, x-major, written by :func:`noisecycle.csvio.write_csv`
-    from the grid arrays as they are, the x and y axes broadcast over the
-    grid: numbers carry 17 significant digits (``%.17g``) and rows end in
-    ``\\r\\n``.
+    from the grid arrays as they are: each axis is encoded once and gathered
+    per row, the five grids a chunk of rows at a time, each number a 32-byte
+    cell of its 17 significant digits (``%.17g``); rows end in ``\\r\\n``.
     """
     from . import csvio  # on first use: importing noisecycle leaves the encoder unloaded
 

@@ -196,6 +196,7 @@ def test_steady_report_conventional_expected_failure(tmp_path):
     db = report["checks"]["detailed_balance_residual"]
     assert db["pass"] and db["value"] > 1e-3
     assert "fail" in db["expected"]
+    assert "k_ratio" not in json.loads((out / "config.json").read_text())  # a field it ignores
 
 
 @pytest.mark.parametrize("kappa_up1, code", [("0.05", 0), ("0", 1)])
@@ -316,6 +317,12 @@ def test_evolve_rejects_malformed_initial_state(tmp_path, spec):
                  id="steady-one-photon-gain-without-kind"),
     pytest.param(["wigner", "--h", "100"], "h", id="wigner-one-point-grid"),
     pytest.param(["wigner", "--h", "3"], "h", id="wigner-no-interior-cell"),
+    pytest.param(["wigner", "--k-ratio", "0.55", "--wp-plus", "0.545"], "extent",
+                 id="wigner-field-cut-by-the-grid-edge"),
+    pytest.param(["steady", "--kind", "conventional", "--kappa-up1", "0.3", "--dim", "20",
+                  "--k-ratio", "0.9"], "k_ratio", id="steady-conventional-ratio-flag"),
+    pytest.param(["steady", {"kind": "conventional", "kappa_up1": 0.3, "dim": 20,
+                             "k_ratio": 0.9}], "k_ratio", id="steady-conventional-ratio-in-config"),
 ])
 def test_invalid_dim_or_time_is_a_config_error(tmp_path, argv, field):
     if not isinstance(argv[-1], str):  # the config file's JSON, raw bytes, or None for no file
@@ -331,6 +338,14 @@ def test_invalid_dim_or_time_is_a_config_error(tmp_path, argv, field):
         main([*argv, "--out", str(run)])
     assert str(err.value).startswith(f"config error at {field}: ")
     assert run.is_file() if field == "out" else not run.exists()
+
+
+def test_wigner_grid_edge_error_names_the_ratio_and_tolerance(tmp_path):
+    with pytest.raises(SystemExit) as err:
+        main(["wigner", "--k-ratio", "0.55", "--wp-plus", "0.545", "--boundary-tol", "0.005",
+              "--out", str(tmp_path / "w")])
+    assert "edge-to-peak ratio 1.025e-02" in str(err.value)
+    assert "boundary_tol = 0.005" in str(err.value)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import csv
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +19,19 @@ from noisecycle import analytic, csvio, sde, wignerflux
 from noisecycle.cli import main
 from noisecycle.fock import ModelParams
 from noisecycle.wignerflux import FluxDecomposition, WignerField, field_to_csv
+
+
+def assert_same_bytes(got: bytes, want: bytes) -> None:
+    """Equal bytes, or a failure that shows the first line that differs, both ways."""
+    if got == want:
+        return
+    got_lines, want_lines = got.splitlines(keepends=True), want.splitlines(keepends=True)
+    first = next((i for i, (g, w) in enumerate(zip(got_lines, want_lines)) if g != w),
+                 min(len(got_lines), len(want_lines)))
+    shown = [lines[first] if first < len(lines) else b"<end of file>"
+             for lines in (got_lines, want_lines)]
+    pytest.fail(f"first difference at line {first + 1}:\n  got:  {shown[0]!r}\n"
+                f"  want: {shown[1]!r}", pytrace=False)
 
 
 def reference_field_csv(path, field, jx, jy, decomp, header_lines):
@@ -64,7 +78,7 @@ def test_field_csv_bytes_match_reference(tmp_path):
     ref = tmp_path / "ref.csv"
     reference_field_csv(ref, field, jx, jy, decomp,
                         [f"config: {json.dumps(cfg, sort_keys=True)}"])
-    assert (out / "field.csv").read_bytes() == ref.read_bytes()
+    assert_same_bytes((out / "field.csv").read_bytes(), ref.read_bytes())
 
 
 def test_field_csv_extreme_values_match_reference(tmp_path):
@@ -81,7 +95,7 @@ def test_field_csv_extreme_values_match_reference(tmp_path):
     out, ref = tmp_path / "field.csv", tmp_path / "ref.csv"
     field_to_csv(out, field, jx, jy, decomp, header_lines=["edge values", "second line"])
     reference_field_csv(ref, field, jx, jy, decomp, ["edge values", "second line"])
-    assert out.read_bytes() == ref.read_bytes()
+    assert_same_bytes(out.read_bytes(), ref.read_bytes())
     assert b",-0," in out.read_bytes() and b"4.9406564584124654e-324" in out.read_bytes()
 
 
@@ -101,7 +115,7 @@ def test_phase_diagram_csv_bytes_match_reference(tmp_path):
     assert {row[-1] for row in rows} == {"I", "II", "III"}
     ref = tmp_path / "ref.csv"
     reference_table_csv(ref, ["K", "wp_plus", "r_star", "w0", "q_ss", "s_q", "phase"], rows, cfg)
-    assert (out / "phase_diagram.csv").read_bytes() == ref.read_bytes()
+    assert_same_bytes((out / "phase_diagram.csv").read_bytes(), ref.read_bytes())
 
 
 def test_samples_csv_bytes_match_reference(tmp_path):
@@ -116,7 +130,7 @@ def test_samples_csv_bytes_match_reference(tmp_path):
     rows = zip(result.r[:cap], result.phi[:cap], result.x[:cap], result.y[:cap])
     ref = tmp_path / "ref.csv"
     reference_table_csv(ref, ["r", "phi", "x", "y"], rows, cfg)
-    assert (out / "samples.csv").read_bytes() == ref.read_bytes()
+    assert_same_bytes((out / "samples.csv").read_bytes(), ref.read_bytes())
 
 
 
@@ -142,7 +156,13 @@ PATTERNS = st.integers(0, 2 ** 64 - 1) | st.floats().map(
 @given(st.lists(PATTERNS, min_size=1, max_size=40))
 def test_encoder_matches_percent_17g_on_raw_patterns(patterns):
     values = np.array(patterns, dtype=np.uint64).view(np.float64)
-    assert encoded(values) == formatted(values.tolist())
+    assert_same_bytes(encoded(values), formatted(values.tolist()))
+    # a 3-column table: an axis column broadcast over a grid, the grid, a row
+    grid = np.stack([values, values[::-1]], axis=1)
+    table = b"".join(csvio.encode_rows([values[:, None], grid, values[None, -2:]]))
+    rows = [(a, b, c) for a, line in zip(values.tolist(), grid.tolist())
+            for b, c in zip(line, np.resize(values[-2:], 2).tolist())]
+    assert_same_bytes(table, "".join("%.17g,%.17g,%.17g\r\n" % row for row in rows).encode())
 
 
 def exact_ties():
@@ -167,10 +187,12 @@ def test_encoder_matches_percent_17g_on_edge_values():
         0.0, -0.0, np.uint64(0xFFF8000000000001).view(np.float64), np.inf, -np.inf,
         5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
         1e16, 1e17, 99999999999999999.0, 0.0001, 9.9999999999999991e-5,
+        # fixed notation whose trailing zeros reach the integer part
+        10.0, 120.0, 1e15, 1234.5, 12345678901234568.0, 99999999999999984.0,
         *powers, *np.nextafter(powers, 0.0), *np.nextafter(powers, np.inf), *-powers,
         *exact_ties(),
     ]
-    assert encoded(values) == formatted(values)
+    assert_same_bytes(encoded(values), formatted(values))
     assert encoded([-np.nan, -0.0]) == b"nan\r\n-0\r\n"
     assert encoded([560639462230231.875]) == b"560639462230231.88\r\n"
 
@@ -190,7 +212,7 @@ def test_tables_longer_than_one_chunk_match_reference(tmp_path):
     csvio.write_csv(out, header, [*values.T, labels.astype("S")],
                     [f"config: {json.dumps(cfg, sort_keys=True)}"])
     reference_table_csv(ref, header, rows, cfg)
-    assert out.read_bytes() == ref.read_bytes()
+    assert_same_bytes(out.read_bytes(), ref.read_bytes())
 
     # a grid of several chunks of whole lines, whose lines do not divide a chunk
     grid = np.linspace(-3.0, 3.0, 47)
@@ -200,4 +222,50 @@ def test_tables_longer_than_one_chunk_match_reference(tmp_path):
     assert w.size > 2 * csvio.CHUNK_ROWS and csvio.CHUNK_ROWS % 47
     field_to_csv(out, field, 2 * w, w / 3, decomp, header_lines=["grid"])
     reference_field_csv(ref, field, 2 * w, w / 3, decomp, ["grid"])
-    assert out.read_bytes() == ref.read_bytes()
+    assert_same_bytes(out.read_bytes(), ref.read_bytes())
+
+    # the same grid with a zeroed edge ring, so every chunk holds runs of 0 and -0
+    w[[0, 1, -2, -1]] = 0.0
+    w[:, [0, 1, -2, -1]] = -0.0
+    decomp = FluxDecomposition(j_rev_x=w, j_rev_y=w, j_irr_x=-w, j_irr_y=w * 0.0)
+    field_to_csv(out, field, w, -w, decomp, header_lines=["ring"])
+    reference_field_csv(ref, field, w, -w, decomp, ["ring"])
+    assert_same_bytes(out.read_bytes(), ref.read_bytes())
+    assert out.read_bytes().count(b"-0,") > 4 * 47
+
+    # a text column wider than a number cell, between two number columns
+    wide = np.array([f"label-{i:05d}-" + "x" * (i % 40) for i in range(n)], dtype="S")
+    assert wide.itemsize > 32
+    csvio.write_csv(out, ["a", "label", "b"], [values[:, 0], wide, values[:, 1]],
+                    [f"config: {json.dumps(cfg, sort_keys=True)}"])
+    reference_table_csv(ref, ["a", "label", "b"],
+                        [(a, label.decode(), b) for a, label, b in
+                         zip(values[:, 0].tolist(), wide, values[:, 1].tolist())], cfg)
+    assert_same_bytes(out.read_bytes(), ref.read_bytes())
+
+
+def test_field_encoding_sorts_nothing_and_formats_few_values_itself(tmp_path, monkeypatch):
+    # x and y are encoded once per axis and gathered, not deduplicated per
+    # chunk; 0 and -0 are encoded like any number; only near-ties reach "%.17g"
+    k, wp = 0.3, 0.5
+    field = wignerflux.sample_steady_field(k, wp, h=0.1)
+    assert field.w.shape == (137, 137)
+    params = ModelParams(omega0=1.0, kappa_down=1.0, kappa_up2=k)
+    jx, jy = wignerflux.wigner_current(field, params, boundary_tol=1e-2)
+    decomp = wignerflux.flux_decompose(field, jx, jy, params)
+    assert not jx[0].any()  # the zeroed edge ring
+
+    def no_unique(*args, **kwargs):
+        raise AssertionError("numpy.unique called while writing a CSV")
+
+    sent = []
+    fallback = csvio._formatted
+    monkeypatch.setattr(np, "unique", no_unique)
+    monkeypatch.setattr(csvio, "_formatted", lambda values: sent.extend(values) or fallback(values))
+    out, ref = tmp_path / "field.csv", tmp_path / "ref.csv"
+    field_to_csv(out, field, jx, jy, decomp, header_lines=["guard"])
+    monkeypatch.undo()
+    assert 0.0 not in sent
+    assert len(sent) <= 3, sent
+    reference_field_csv(ref, field, jx, jy, decomp, ["guard"])
+    assert_same_bytes(out.read_bytes(), ref.read_bytes())
