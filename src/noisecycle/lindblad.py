@@ -1,12 +1,26 @@
 """Numerical dynamics of the truncated generators.
 
-Steady states from the null spaces and time evolution by the dense
-exponentials of the generator's invariant blocks (the weakly connected
-components of its sparsity pattern).  Both take their blocks from one
-gather that scatters the generator's stored entries into dense arrays.
-Evolution assumes a Hermitian initial state and a Hermiticity-preserving
-generator, so of two blocks that are each other's Hermitian mirror only one
-is exponentiated and the other is filled by conjugation.
+Steady states and time evolution take one of two paths, chosen from the
+exact structure of the CSR generator they are given.  The noise-induced
+model at k > 0 is a chain generator: phase covariance and conserved parity
+split it into birth-death chains rho[p, q] -> rho[p + 2, q + 2], one per
+coherence order m = q - p and parity of p, each tridiagonal with positive
+links and so symmetrized by a diagonal similarity D (Gardiner, *Handbook of
+Stochastic Methods*; Simaan & Loudon, J. Phys. A 8, 539, 1975).  Its
+chains are solved by batched real ``eigh``, one call per chain length, with
+no scipy.linalg and no block search.  The chain path needs every chain it
+solves to have a span max D / min D within ``_SPAN_MAX`` (1e8; rounding
+grows with the span), and, for evolution, t times the spread of a chain's
+imaginary diagonal, which bounds the error of its one phase, within
+``_PHASE_ATOL`` (1e-11).  Every other generator (the conventional model,
+k = 0, a generator without phase symmetry), and a call that would solve a
+chain past a bound, takes the dense path: the exponentials, or the SVDs,
+of the generator's invariant blocks (the weakly connected components of
+its sparsity pattern), taken from one gather that scatters the
+generator's stored entries into dense arrays.  Evolution assumes a Hermitian initial state and
+a Hermiticity-preserving generator, so on both paths only orders m >= 0
+(or one block of two Hermitian mirrors) are solved and the rest is filled
+by conjugation.
 
 The steady-report quantities work on the generator's grids over the
 density-matrix entries (``fock.generator``) and on the structure of the
@@ -53,6 +67,11 @@ def expm(a: np.ndarray) -> np.ndarray:
     return scipy_expm(a)
 
 
+def eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``numpy.linalg.eigh`` on a stack of chains; a module-level name tests can replace."""
+    return np.linalg.eigh(a)
+
+
 class LindbladError(RuntimeError):
     """Numerical failure in a generator-level routine."""
 
@@ -95,8 +114,11 @@ class SteadyStateResult:
     rho_minus: np.ndarray | None = None
 
     def combine(self, wp_plus: float) -> np.ndarray:
+        """The steady state of even-parity weight wp_plus; ``NormalizationError`` outside [0, 1]."""
         if self.rho_plus is None or self.rho_minus is None:
             raise LindbladError("no parity-sector basis available to combine")
+        if not 0.0 <= wp_plus <= 1.0:  # NaN fails too
+            raise NormalizationError(f"even-parity weight {wp_plus!r} lies outside [0, 1]")
         return wp_plus * self.rho_plus + (1.0 - wp_plus) * self.rho_minus
 
 
@@ -239,11 +261,125 @@ def _gather_blocks(L: sp.csr_matrix, labels: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
+# (order, parity) chains
+# ---------------------------------------------------------------------------
+
+# The rounding of a chain solve grows with the span of its similarity, max D
+# / min D (see ``_chains``): against the dense exponentials at k = 0.3,
+# the largest entry gap is 4.5e-13 at a span of 7.0e7, 2.0e-12 at 7.7e8 and
+# 2.1e-11 at 5.8e11.  A call that would solve a chain past this span takes
+# the dense path; the tail-rule dims keep spans near 1e6.
+_SPAN_MAX = 1e8
+# evolution takes the chain path only while t times the largest spread of a
+# chain's imaginary diagonal, which bounds the error of applying one phase
+# per chain, stays at most this.  At k = 0.8, dim 248 and omega0 = -2.7 the
+# spread is 3.4e-13, and the largest entry gap to the dense exponentials is
+# 9.2e-13 at t = 3 and 4.6e-12 at t = 30, where t times the spread is 1.0e-11.
+_PHASE_ATOL = 1e-11
+
+
+def _chain_grids(L: sp.csr_matrix, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The diagonal, down and up grids of a chain generator, or None for any other L.
+
+    A chain generator has its nonzero entries only on the vec diagonals 0
+    and +/-2(dim + 1), and there only on the links of the chains
+    rho[p, q] -> rho[p + 2, q + 2], each of them real and positive:
+
+        L(rho)[p, q] = diag[p, q] rho[p, q] + down[p, q] rho[p + 2, q + 2]
+                       + up[p - 2, q - 2] rho[p - 2, q - 2].
+
+    With column stacking, rho[p, q] sits at p + q dim, so down[p, q] is
+    L[r, r + 2(dim + 1)] and up[p, q] is L[r + 2(dim + 1), r] at r = p + q dim.
+    An entry of those diagonals at p >= dim - 2 would wrap to another
+    column of rho and is no link.  Every stored nonzero must be one of the
+    grids' nonzeros, so a CSR with duplicate entries takes the dense path.
+    """
+    n = dim * dim
+
+    def grid(k: int) -> np.ndarray:
+        flat = np.zeros(n, dtype=complex)
+        flat[:max(n - abs(k), 0)] = L.diagonal(k)
+        return flat.reshape(dim, dim, order="F")
+
+    diag, down, up = grid(0), grid(2 * (dim + 1)), grid(-2 * (dim + 1))
+    if np.count_nonzero(L.data) != sum(map(np.count_nonzero, (diag, down, up))):
+        return None
+    for links in (down, up):
+        inside = links[:dim - 2, :dim - 2]
+        if links[dim - 2:].any() or inside.imag.any() or not np.all(inside.real > 0):
+            return None
+    return diag, down.real, up.real
+
+
+@dataclass(frozen=True)
+class _Chains:
+    """Chains of orders m >= 0, sorted by length and padded to the longest.
+
+    Chain c holds rho[rows[c, j], cols[c, j]] for j < lengths[c], with rows
+    p0 + 2 j and cols p0 + 2 j + m; past its length it repeats its last
+    entry, with ``link`` 0 and ``log_scale`` constant there.
+    """
+
+    lengths: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    diag: np.ndarray       # the generator's diagonal along each chain
+    link: np.ndarray       # symmetric off-diagonals sqrt(down up)
+    log_scale: np.ndarray  # log D, 0 at the first entry
+
+    def groups(self):
+        """(chains, length) of each run of chains of one length, as a slice and an int."""
+        edges = np.flatnonzero(np.diff(self.lengths, prepend=0, append=0)).tolist()
+        for start, stop in zip(edges[:-1], edges[1:]):
+            yield slice(start, stop), int(self.lengths[start])
+
+    def symmetric(self, chains: slice, length: int) -> np.ndarray:
+        """D T D^-1 without the imaginary part of the diagonal, one matrix per chain."""
+        out = np.zeros((chains.stop - chains.start, length, length))
+        flat = out.reshape(len(out), -1)
+        flat[:, ::length + 1] = self.diag[chains, :length].real
+        flat[:, 1::length + 1] = flat[:, length::length + 1] = self.link[chains, :length - 1]
+        return out
+
+    def within_span(self) -> bool:
+        return np.ptp(self.log_scale, axis=1).max(initial=0.0) <= math.log(_SPAN_MAX)
+
+
+def _chains(grids: tuple[np.ndarray, np.ndarray, np.ndarray], orders: np.ndarray,
+            starts: np.ndarray) -> _Chains:
+    """The chains of orders m >= 0 starting at p0 in {0, 1}.
+
+    On a chain the generator is a tridiagonal T with T[j, j + 1] = down and
+    T[j + 1, j] = up at entry j.  D with D[j + 1] / D[j] = sqrt(down / up)
+    makes D T D^-1 symmetric, with off-diagonals sqrt(down up); its real part
+    then has an orthogonal eigenbasis, and the imaginary part of the
+    diagonal, omega0 m for the models, adds a phase.  Undoing D multiplies
+    rounding by up to max D / min D, the span.
+    """
+    diag, down, up = grids
+    lengths = (diag.shape[0] - orders - starts + 1) // 2
+    order = np.argsort(lengths, kind="stable")
+    order = order[lengths[order] > 0]
+    lengths = lengths[order]
+    width = int(lengths.max(initial=1))
+    entry = np.minimum(np.arange(width), lengths[:, None] - 1)
+    rows = starts[order, None] + 2 * entry
+    cols = rows + orders[order, None]
+    inside = np.arange(width - 1) < lengths[:, None] - 1
+    link_down = np.where(inside, down[rows[:, :-1], cols[:, :-1]], 1.0)
+    link_up = np.where(inside, up[rows[:, :-1], cols[:, :-1]], 1.0)
+    log_scale = np.zeros(rows.shape)
+    np.cumsum(0.5 * (np.log(link_down) - np.log(link_up)), axis=1, out=log_scale[:, 1:])
+    link = np.where(inside, np.sqrt(link_down * link_up), 0.0)
+    return _Chains(lengths, rows, cols, diag[rows, cols], link, log_scale)
+
+
+# ---------------------------------------------------------------------------
 # steady states
 # ---------------------------------------------------------------------------
 
-# a singular value at most this fraction of its block's largest, or the trace
-# of a unit null vector at most this size, counts as zero
+# an eigen- or singular value at most this fraction of its block's largest,
+# or the trace of a unit null vector at most this size, counts as zero
 _NULL_RTOL = 1e-10
 
 
@@ -252,36 +388,41 @@ def steady_states(L: sp.spmatrix) -> SteadyStateResult:
 
     Only blocks that hold a population index i (dim + 1) can carry a state; a
     block of coherences alone is skipped even when it has a kernel (the
-    |0><1| block at omega0 = k = 0), so ``kernel_dim`` counts states.  These
-    population blocks, the labels of those indices, come out of one gather
-    (see ``_gather_blocks``).  Each gets a dense SVD, and each null vector
-    (singular value at most ``_NULL_RTOL`` times the block's largest) is
-    scaled to unit trace and symmetrized.  One state is the unique result;
-    two states must be an even- and an odd-supported pair, returned as
-    ``rho_plus`` and ``rho_minus`` with the ``combine`` mixer.  Any other
-    count or pair, or a trace-free null vector, raises
-    ``DegenerateSpectrumError``.
+    |0><1| block at omega0 = k = 0), so ``kernel_dim`` counts states.  On a
+    chain generator (see ``_chain_grids``) whose two m = 0 chains have a
+    real diagonal and a span within ``_SPAN_MAX``, these blocks are those
+    chains: one batched ``eigh`` of their symmetric forms gives the null
+    vectors, which the similarity turns into exactly diagonal states.  Any
+    other generator takes its population blocks, the labels of those
+    indices, from one gather (see ``_gather_blocks``) and gives each a dense
+    SVD.  A null vector has an eigen- or singular value at most
+    ``_NULL_RTOL`` times the block's largest, and is scaled to unit trace
+    and symmetrized.  One state is the unique result; two states must be an
+    even- and an odd-supported pair, returned as ``rho_plus`` and
+    ``rho_minus`` with the ``combine`` mixer.  Any other count or pair, or a
+    trace-free null vector, raises ``DegenerateSpectrumError``.
     """
     L = L.tocsr()
     n = L.shape[0]
     dim = math.isqrt(n)
     if dim * dim != n:
         raise FockError(f"superoperator size {n} is not a perfect square")
-    _, labels = _block_labels(L)
-    null_vecs = []
-    for idx, block in _gather_blocks(L, labels, np.unique(labels[::dim + 1])):
-        _, s, vh = np.linalg.svd(block)
-        for v in vh[s <= _NULL_RTOL * s[0]].conj():
-            vec = np.zeros(n, dtype=complex)
-            vec[idx] = v
-            null_vecs.append(vec)
-    count = len(null_vecs)
+    null_states = _chain_null_states(L, dim)
+    if null_states is None:
+        _, labels = _block_labels(L)
+        null_states = []
+        for idx, block in _gather_blocks(L, labels, np.unique(labels[::dim + 1])):
+            _, s, vh = np.linalg.svd(block)
+            for v in vh[s <= _NULL_RTOL * s[0]].conj():
+                vec = np.zeros(n, dtype=complex)
+                vec[idx] = v
+                null_states.append(devectorize(vec))
+    count = len(null_states)
     if count not in (1, 2):
         raise DegenerateSpectrumError(count)
 
     states = []
-    for vec in null_vecs:
-        rho = devectorize(vec)
+    for rho in null_states:
         tr = np.trace(rho)
         if abs(tr) <= _NULL_RTOL:
             raise DegenerateSpectrumError(count)
@@ -296,6 +437,28 @@ def steady_states(L: sp.spmatrix) -> SteadyStateResult:
     return SteadyStateResult(kernel_dim=2, states=[plus, minus], rho_plus=plus, rho_minus=minus)
 
 
+def _chain_null_states(L: sp.csr_matrix, dim: int) -> list[np.ndarray] | None:
+    """Unit-norm diagonal null states of the m = 0 chains, or None off the chain path."""
+    grids = _chain_grids(L, dim)
+    if grids is None:
+        return None
+    chains = _chains(grids, np.zeros(2, dtype=int), np.arange(2))
+    if not chains.within_span() or chains.diag.imag.any():
+        return None
+    states = []
+    for group, length in chains.groups():
+        lam, vecs = eigh(chains.symmetric(group, length))
+        null = np.abs(lam) <= _NULL_RTOL * np.abs(lam).max(axis=1, keepdims=True)
+        for chain, which in zip(*np.nonzero(null)):
+            chain_at = group.start + chain
+            x = vecs[chain, :, which] * np.exp(-chains.log_scale[chain_at, :length])
+            rho = np.zeros((dim, dim), dtype=complex)
+            rho[chains.rows[chain_at, :length], chains.rows[chain_at, :length]] = (
+                x / np.linalg.norm(x))
+            states.append(rho)
+    return states
+
+
 # ---------------------------------------------------------------------------
 # time evolution
 # ---------------------------------------------------------------------------
@@ -307,26 +470,84 @@ _HERMITIAN_ATOL = 1e-12
 def evolve(rho0: np.ndarray, L: sp.spmatrix, t: float) -> np.ndarray:
     """Propagate rho0 to time t under the generator L.
 
-    rho0 must be Hermitian (``ValueError`` past 1e-12 entrywise) and L is
-    assumed to preserve Hermiticity, as every Lindblad generator does.  The
+    t must be finite and nonnegative and rho0 Hermitian (``ValueError``,
+    past 1e-12 entrywise for rho0, before any work), and L is assumed to
+    preserve Hermiticity, as every Lindblad generator does.  Under both
+    assumptions the entry at the transposed index is the conjugate, so only
+    the entries with q >= p are propagated and the others are their
+    conjugates; what vec(rho0) leaves zero stays zero.
+
+    On a chain generator (see ``_chain_grids``), the chains of orders
+    m = q - p >= 0 that rho0 touches are propagated by one batched ``eigh``
+    per chain length (see ``_chains``): x(t) = e^{i theta t} D^-1 V
+    e^{t lam} V^T D x(0), with theta the midpoint of the range of the
+    imaginary parts of the chain's diagonal.  Those vary along a chain by
+    rounding only, and t times the width of their range, the spread, bounds
+    the phase error, so the chain path needs that product at most
+    ``_PHASE_ATOL`` and every span within ``_SPAN_MAX``.
+
+    Any other generator, or a call past a bound, takes the dense path: the
     invariant blocks (see ``_block_labels``) that vec(rho0) touches come out
     of one gather (see ``_gather_blocks``), and each is propagated by its
-    dense exponential; a block vec(rho0) leaves zero stays zero.  Under
-    both assumptions the entry at the transposed vec index is the conjugate,
-    so the block holding those indices, the mirror, is never exponentiated
-    twice: a block is exponentiated when its mirror's label is at least its
-    own (orders m and -m cost one), and the others are filled with the
-    conjugates of their mirror's entries.  Population blocks, and the single
-    block of a generator without phase symmetry, are their own mirrors.
+    dense exponential.  The block holding the transposed vec indices of
+    another, its mirror, is never exponentiated twice: a block is
+    exponentiated when its mirror's label is at least its own (orders m and
+    -m cost one), and the others are filled with the conjugates of their
+    mirror's entries.
+    Population blocks, and the single block of a generator without phase
+    symmetry, are their own mirrors.
     """
-    if t < 0:
-        raise ValueError("evolution time must be nonnegative")
+    if not 0.0 <= t < math.inf:  # NaN fails too
+        raise ValueError(f"evolution time must be finite and nonnegative, got {t!r}")
     skew = float(np.abs(rho0 - rho0.conj().T).max())
     if skew > _HERMITIAN_ATOL:
         raise ValueError(f"initial state is not Hermitian: max|rho0 - rho0^dag| = {skew:.3e}")
     if t == 0:
         return rho0.copy()
     L = L.tocsr()
+    rho_t = _evolve_chains(rho0, L, t)
+    if rho_t is None:
+        rho_t = _evolve_blocks(rho0, L, t)
+    if not np.all(np.isfinite(rho_t)):
+        raise StiffnessError(
+            "propagation diverged; enlarge the truncation or reduce rate * time"
+        )
+    return (rho_t + rho_t.conj().T) / 2
+
+
+def _evolve_chains(rho0: np.ndarray, L: sp.csr_matrix, t: float) -> np.ndarray | None:
+    """rho(t) on the chain path (see ``evolve``), or None when it does not apply."""
+    dim = rho0.shape[0]
+    grids = _chain_grids(L, dim)
+    if grids is None:
+        return None
+    p, q = np.nonzero(np.triu(rho0))
+    touched = np.zeros((dim, 2), dtype=bool)
+    touched[q - p, p % 2] = True
+    chains = _chains(grids, *np.nonzero(touched))
+    # a padded entry repeats the chain's last one, so the range is the chain's
+    low, high = chains.diag.imag.min(axis=1), chains.diag.imag.max(axis=1)
+    if not chains.within_span() or t * (high - low).max(initial=0.0) > _PHASE_ATOL:
+        return None
+    scale = np.exp(chains.log_scale)
+    start = rho0[chains.rows, chains.cols] * scale  # D x(0)
+    x = np.zeros_like(start)
+    for group, length in chains.groups():
+        lam, vecs = eigh(chains.symmetric(group, length))
+        y = start[group, :length]
+        # V^T D x(0), the real and imaginary parts as two columns
+        coef = vecs.transpose(0, 2, 1) @ np.stack((y.real, y.imag), axis=-1)
+        y = vecs @ (coef * np.exp(t * lam)[..., None])
+        x[group, :length] = y[..., 0] + 1j * y[..., 1]
+    x *= np.exp(0.5j * t * (low + high))[:, None] / scale
+    inside = np.arange(scale.shape[1]) < chains.lengths[:, None]
+    rho_t = np.zeros((dim, dim), dtype=complex)
+    rho_t[chains.rows[inside], chains.cols[inside]] = x[inside]
+    return rho_t + np.triu(rho_t, 1).conj().T
+
+
+def _evolve_blocks(rho0: np.ndarray, L: sp.csr_matrix, t: float) -> np.ndarray:
+    """rho(t) from the dense exponentials of the touched invariant blocks (see ``evolve``)."""
     vec0 = vectorize(rho0).astype(complex)
     n_blocks, labels = _block_labels(L)
     # vec index of each entry's transpose, and the block label found there
@@ -344,12 +565,7 @@ def evolve(rho0: np.ndarray, L: sp.spmatrix, t: float) -> np.ndarray:
         vec_t[idx] = expm(t * block) @ vec0[idx]
     filled = (touched & (mirror < own))[labels]
     vec_t[filled] = vec_t[transposed[filled]].conj()
-    rho_t = devectorize(vec_t)
-    if not np.all(np.isfinite(rho_t)):
-        raise StiffnessError(
-            "propagation diverged; enlarge the truncation or reduce rate * time"
-        )
-    return (rho_t + rho_t.conj().T) / 2
+    return devectorize(vec_t)
 
 
 # ---------------------------------------------------------------------------

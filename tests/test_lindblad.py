@@ -117,6 +117,14 @@ def test_combine_unavailable_for_unique_state():
         result.combine(0.5)
 
 
+@pytest.mark.parametrize("wp", [1.5, -0.1, math.nan])
+def test_combine_rejects_weight_outside_unit_interval(wp):
+    # at wp = 1.5 the mixture's smallest eigenvalue would be -0.35
+    result = steady_states(liouvillian(NI, 20))
+    with pytest.raises(NormalizationError, match="outside"):
+        result.combine(wp)
+
+
 def test_degenerate_kernel_raises_with_dimension():
     # pure dephasing conserves every population: the null space is huge
     gen = dissipator(number_op(6)).tocsr()
@@ -168,6 +176,22 @@ def test_steady_state_near_saturated_ratio_default_dim():
     assert dim >= 400
     result = steady_states(liouvillian(params, dim))
     assert trace_distance(result.combine(0.55), rho_ss_analytic(0.9, 0.55, dim)) < 1e-8
+
+
+def test_chain_steady_states_at_tail_dim_match_closed_form(monkeypatch):
+    # the tail-rule dim of k = 0.95, past the default's clamp; the chain path
+    # takes neither the block split nor an SVD
+    def no_dense_path(*args):
+        raise AssertionError("dense path taken")
+
+    monkeypatch.setattr(lindblad, "_block_labels", no_dense_path)
+    dim = 1078
+    result = steady_states(liouvillian(ModelParams(omega0=1.0, kappa_down=1.0, kappa_up2=0.95),
+                                       dim))
+    assert result.kernel_dim == 2
+    assert lindblad._is_diagonal(result.rho_plus) and lindblad._is_diagonal(result.rho_minus)
+    for wp in (0.0, 0.55, 1.0):
+        assert trace_distance(result.combine(wp), rho_ss_analytic(0.95, wp, dim)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +279,26 @@ def test_evolve_rejects_negative_time():
         evolve(fock_state(10, 0), liouvillian(NI, 10), -1.0)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_evolve_rejects_time_that_is_not_finite(monkeypatch, t):
+    # rejected before either path looks at the generator
+    def no_path(*args):
+        raise AssertionError("a propagation path was taken")
+
+    monkeypatch.setattr(lindblad, "_evolve_chains", no_path)
+    monkeypatch.setattr(lindblad, "_evolve_blocks", no_path)
+    with pytest.raises(ValueError, match="finite"):
+        evolve(fock_state(10, 0), liouvillian(NI, 10), t)
+
+
+@pytest.mark.parametrize("make_gen", [make for make, _ in GENERATORS.values()],
+                         ids=list(GENERATORS))
+def test_evolve_keeps_zero_at_zero(make_gen):
+    # no chain and no block is touched
+    zero = np.zeros((12, 12), dtype=complex)
+    assert np.array_equal(evolve(zero, make_gen(12), 1.0), zero)
+
+
 def test_evolve_rejects_non_hermitian_state():
     rho0 = fock_state(20, 0)
     rho0[0, 1] = 0.1
@@ -277,21 +321,36 @@ def test_gathered_blocks_equal_slices(make_gen):
         assert block.tobytes() == reference.tobytes()
 
 
+def count_solves(monkeypatch):
+    """Dense exponentials and chain solves made from here on, by kind."""
+    solves = {"expm": 0, "chains": 0}
+
+    def counting_expm(a):
+        solves["expm"] += 1
+        return expm(a)
+
+    def counting_eigh(a):
+        solves["chains"] += a.shape[0]
+        return np.linalg.eigh(a)
+
+    monkeypatch.setattr(lindblad, "expm", counting_expm)
+    monkeypatch.setattr(lindblad, "eigh", counting_eigh)
+    return solves
+
+
 @pytest.mark.parametrize("name", ["noise-induced-k0.4", "conventional", "no-phase-symmetry"])
 def test_evolve_exponentiates_each_mirror_pair_once(monkeypatch, name):
+    # a block is solved by a dense exponential, or, on the chain path of the
+    # noise-induced model, as one chain of a batched eigh
     make_gen, phase_symmetric = GENERATORS[name]
     dim = 24
     gen = make_gen(dim)
-    calls = []
-
-    def counting_expm(a):
-        calls.append(a.shape)
-        return expm(a)
-
-    monkeypatch.setattr(lindblad, "expm", counting_expm)
+    solves = count_solves(monkeypatch)
     rho0 = coherent_state(dim, 1.1 + 0.4j)
     rho_t = evolve(rho0, gen, 0.3)
     assert np.array_equal(rho_t, rho_t.conj().T)
+    assert not (solves["expm"] and solves["chains"])
+    assert bool(solves["chains"]) == (name == "noise-induced-k0.4")
 
     # the mirror of a block holds the transposed vec indices of its members
     _, labels = connected_components(gen.astype(bool), connection="weak")
@@ -299,11 +358,140 @@ def test_evolve_exponentiates_each_mirror_pair_once(monkeypatch, name):
     mirror = dict(zip(labels, labels[(index % dim) * dim + index // dim]))
     touched = set(labels[vectorize(rho0) != 0])
     expected = sum(mirror[label] >= label for label in touched)
-    assert len(calls) == expected
+    assert solves["expm"] + solves["chains"] == expected
     if phase_symmetric:
         assert expected < len(touched)
     else:
         assert expected == len(touched) == 1
+
+
+def dense_block_evolve(gen, states, t, orders):
+    """The states propagated by the dense exponentials of the blocks of orders m = q - p.
+
+    The reference for the chain path: the dense path's block split and
+    gather, with one ``expm`` per block for all states at once.  Only the
+    entries of the given orders m >= 0 are propagated, with their
+    conjugates at -m; all others are left 0.
+    """
+    gen = gen.tocsr()
+    dim = states[0].shape[0]
+    _, labels = connected_components(gen.astype(bool), connection="weak")
+    p, q = np.indices((dim, dim))
+    chosen = np.unique(labels[vectorize(np.isin(q - p, orders))])
+    vecs = np.stack([vectorize(rho) for rho in states], axis=1).astype(complex)
+    out = np.zeros_like(vecs)
+    for idx, block in lindblad._gather_blocks(gen, labels, chosen):
+        out[idx] = expm(t * block) @ vecs[idx]
+    results = []
+    for vec in out.T:
+        rho = np.triu(devectorize(vec))
+        rho += np.triu(rho, 1).conj().T
+        results.append((rho + rho.conj().T) / 2)
+    return results
+
+
+@pytest.mark.parametrize("omega0", [0.0, 1.0, -2.7])
+@pytest.mark.parametrize("k_ratio", [0.05, 0.3, 0.6, 0.8])
+def test_chain_path_matches_dense_blocks(monkeypatch, k_ratio, omega0):
+    # default dims 20, 46, 110 and 248.  Compared are the orders with the
+    # longest chains, whose spans are largest (9.1e5 at k = 0.8), the
+    # shortest, and the order whose phases spread most (1.0e-12 times
+    # t = 3 at k = 0.8 and omega0 = -2.7).
+    def no_expm(a):
+        raise AssertionError("dense path taken")
+
+    params = ModelParams(omega0=omega0, kappa_down=1.0, kappa_up2=k_ratio)
+    dim = default_dim(params)
+    gen = liouvillian(params, dim)
+    phases = devectorize(gen.diagonal()).imag
+
+    def spread(m):
+        chain = np.diagonal(phases, m)
+        return max(np.ptp(chain[s::2]) for s in (0, 1) if chain[s::2].size)
+
+    orders = [0, 1, 2, dim - 2, dim - 1, max(range(dim), key=spread)]
+    p, q = np.indices((dim, dim))
+    compared = np.isin(np.abs(q - p), orders)
+    states = [coherent_state(dim, 1.5 + 0.7j),
+              random_density_matrix(dim, rng=np.random.default_rng(3))]
+    for t in (0.01, 0.3, 3.0):
+        references = dense_block_evolve(gen, states, t, orders)
+        with monkeypatch.context() as patch:
+            patch.setattr(lindblad, "expm", no_expm)
+            for rho0, reference in zip(states, references):
+                gap = np.abs(evolve(rho0, gen, t) - reference)[compared].max()
+                assert gap < 1e-11
+
+
+def with_entry(gen, row, col, value):
+    gen = gen.tolil()
+    gen[row, col] = value
+    return gen.tocsr()
+
+
+def chain_link(dim, p, q):
+    """Vec row and column of the link from rho[p + 2, q + 2] down to rho[p, q]."""
+    row = p + q * dim
+    return row, row + 2 * (dim + 1)
+
+
+@pytest.mark.parametrize("make_gen,is_chain", [
+    pytest.param(lambda dim: liouvillian(NI, dim), True, id="noise-induced"),
+    pytest.param(lambda dim: liouvillian(ModelParams(omega0=1.0, kappa_down=1.0), dim), False,
+                 id="k0-no-up-links"),
+    pytest.param(lambda dim: liouvillian(CONV, dim), False, id="conventional"),
+    pytest.param(lambda dim: with_entry(liouvillian(NI, dim), *chain_link(dim, 3, 5), 1j),
+                 False, id="complex-link"),
+    pytest.param(lambda dim: with_entry(liouvillian(NI, dim), *chain_link(dim, 3, 5), -1.0),
+                 False, id="negative-link"),
+    # on the vec diagonal 2(dim + 1), but taking rho[1, 7] to rho[dim - 1, 4]: no chain link
+    pytest.param(lambda dim: with_entry(liouvillian(NI, dim), *chain_link(dim, dim - 1, 4), 1.0),
+                 False, id="wrapped-entry"),
+    pytest.param(lambda dim: with_entry(liouvillian(NI, dim), 0, dim + 1, 0.1), False,
+                 id="entry-off-the-chain-diagonals"),
+])
+def test_chain_path_needs_positive_links_on_three_vec_diagonals(make_gen, is_chain):
+    dim = 12
+    gen = make_gen(dim)
+    grids = lindblad._chain_grids(gen, dim)
+    assert (grids is not None) == is_chain
+    if is_chain:
+        diag, down, up = grids
+        params_gen = fock.generator(NI, dim)
+        assert np.array_equal(diag, params_gen.diag)
+        assert np.array_equal(down, params_gen.jumps[2].real)
+        # up[p, q] takes rho[p, q] to rho[p + 2, q + 2]
+        assert np.array_equal(up[:-2, :-2], params_gen.jumps[-2][2:, 2:].real)
+
+
+def test_chains_past_the_span_bound_take_the_dense_path(monkeypatch):
+    # at k = 0.3 the m = 0 chains of dim 92 span 0.3^(-45/2) = 5.8e11, past
+    # the bound of 1e8, where a chain solve misses the dense one by 2e-11
+    dim = 92
+    gen = liouvillian(ModelParams(omega0=1.0, kappa_down=1.0, kappa_up2=0.3), dim)
+    solves = count_solves(monkeypatch)
+    rho0 = coherent_state(dim, 1.1 + 0.4j)
+    rho_t = evolve(rho0, gen, 0.01)
+    assert solves["chains"] == 0 and solves["expm"] > 0
+    assert np.abs(rho_t - reference_evolve(rho0, gen, 0.01)).max() < 1e-11
+    result = steady_states(gen)
+    assert solves["chains"] == 0
+    assert trace_distance(result.combine(0.55), rho_ss_analytic(0.3, 0.55, dim)) < 1e-8
+
+
+def test_long_time_past_the_phase_bound_takes_the_dense_path(monkeypatch):
+    # the imaginary diagonal -omega0 (N_p - N_q) varies along a chain by
+    # rounding only, 6.8e-14 at dim 46 and omega0 = -2.7; t = 200 puts t
+    # times that spread past the bound of 1e-11
+    dim = 46
+    gen = liouvillian(ModelParams(omega0=-2.7, kappa_down=1.0, kappa_up2=0.3), dim)
+    rho0 = random_density_matrix(dim, rng=np.random.default_rng(5))
+    solves = count_solves(monkeypatch)
+    dense = evolve(rho0, gen, 200.0)
+    assert solves["chains"] == 0 and solves["expm"] > 0
+    monkeypatch.setattr(lindblad, "_PHASE_ATOL", math.inf)
+    assert np.abs(evolve(rho0, gen, 200.0) - dense).max() < 1e-11
+    assert solves["chains"] > 0
 
 
 # ---------------------------------------------------------------------------
