@@ -1,9 +1,10 @@
 """Classical multiplicative-noise oscillator: the macroscopic comparison model.
 
-Ito ensembles in polar and Cartesian coordinates, simulated in the frame
-that rotates with omega0 (the rotation commutes with the rest of the
-generator, so every path ends as quadratures (x, y) rotated once at one
-shared site, and the polar phase is one normal draw per path); the
+Ito ensembles in polar and Cartesian coordinates by the simplified weak
+Euler scheme (two-point increments, one random bit each, weak order 1),
+simulated in the frame that rotates with omega0 (the rotation commutes with
+the rest of the generator, so every path ends as quadratures (x, y) rotated
+once at one shared site, and the polar phase is one normal draw per path); the
 closed-form stationary densities (Rayleigh radius, uniform phase, Gaussian
 plane), grid Fokker-Planck residuals, classical circulation, the
 Stratonovich/Ito drift conversion check (a closed form in three sample
@@ -26,6 +27,7 @@ from .wignerflux import (divergence, dx, dxx, interior, make_grid, max_flux_norm
 
 THREADS_ENV = "NOISECYCLE_THREADS"
 _BLOCK_PATHS = 4096
+_DRAW_VALUES = 1 << 15  # increments per draw: 256 KiB of float64, small enough to stay in cache
 
 
 class SdeError(RuntimeError):
@@ -93,7 +95,11 @@ class SdeConfig:
 
 @dataclass(frozen=True)
 class SdeEnsembleResult:
-    """Post-burn-in samples with radius nonnegative and phase wrapped to [0, 2pi)."""
+    """Post-burn-in samples with radius nonnegative and phase wrapped to [0, 2pi).
+
+    ``increment_words`` counts the raw 64-bit random words drawn for the
+    increments; the polar phase draws one normal per path on top.
+    """
 
     r: np.ndarray
     phi: np.ndarray
@@ -104,6 +110,7 @@ class SdeEnsembleResult:
     mean_x2_plus_y2: float
     n_diverged: int
     n_total: int
+    increment_words: int
 
 
 @dataclass(frozen=True)
@@ -168,7 +175,11 @@ def analytic_pdfs(cfg: SdeConfig) -> AnalyticPdfs:
 # ---------------------------------------------------------------------------
 
 def step_polar(state, cfg: SdeConfig, noise):
-    """Euler-Maruyama update of (r, phi); tiny negative excursions reflect."""
+    """Euler update of (r, phi) by the increments (dW_r, dW_phi); a negative radius reflects.
+
+    Gaussian increments make it Euler-Maruyama; ``simulate_ensemble`` feeds it
+    two-point ones, +-sqrt(8 kappa dt), the simplified weak Euler scheme.
+    """
     r, phi = state
     d_r, d_phi = noise
     r_new = r + (3.0 * cfg.kappa * r - cfg.delta * r ** 3) * cfg.dt + 0.5 * r * d_r
@@ -189,7 +200,11 @@ def _cartesian_noise(x, y, d_x, d_y):
 
 
 def step_cartesian(state, cfg: SdeConfig, noise):
-    """Euler-Maruyama update of (x, y) with the mixed multiplicative noise."""
+    """Euler update of (x, y) by the increments (dX, dY) of the mixed multiplicative noise.
+
+    Gaussian increments make it Euler-Maruyama; ``simulate_ensemble`` feeds it
+    two-point ones, +-sqrt(8 kappa dt), the simplified weak Euler scheme.
+    """
     x, y = state
     a_x, a_y = _cartesian_drift(x, y, cfg)
     n_x, n_y = _cartesian_noise(x, y, *noise)
@@ -204,76 +219,115 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
 
 
-def _run_block(cfg: SdeConfig, block: int, size: int):
-    """Quadratures (x, y) of one block of paths (see ``simulate_ensemble``).
+def _two_point_increments(rng: np.random.Generator, shape, half_std: float,
+                          offset: float = 0.0) -> np.ndarray:
+    """offset +- half_std with equal odds, one random bit per value (bit 1 gives +).
 
-    The omega0 = 0 steps run in place on preallocated buffers.  A polar path
-    ends at (2 r cos psi, 2 r sin psi), psi = sqrt(2 kappa T) z drawn from the
-    block's own stream, and both coordinate systems share one rotation.
+    The bits are the first n = prod(shape) bits of ceil(n / 64) raw 64-bit words
+    of ``rng``'s bit generator, read as little-endian bytes and unpacked least
+    significant bit first, so a seed gives the same values on every platform.
+    At offset 0 every value is exactly +-half_std.
+    """
+    n = math.prod(shape)
+    words = rng.bit_generator.random_raw(-(-n // 64)).astype("<u8", copy=False)
+    bits = np.unpackbits(words.view(np.uint8), count=n, bitorder="little")
+    values = bits.reshape(shape).astype(np.float64)  # a plain cast beats a mixed-type product
+    values *= 2.0 * half_std
+    values += offset - half_std
+    return values
+
+
+def _draw_steps(total: int, values_per_step: int) -> list[int]:
+    """Steps of each increment draw: as many as fit in ``_DRAW_VALUES``, at least one."""
+    steps = max(1, _DRAW_VALUES // values_per_step)
+    return [min(steps, total - s) for s in range(0, total, steps)]
+
+
+def _run_block(cfg: SdeConfig, block: int, size: int):
+    """Quadratures (x, y) of one block of paths and the random words it drew.
+
+    Simplified weak Euler scheme (see ``simulate_ensemble``): each step draws
+    dW = +-sqrt(8 kappa dt) with equal odds, one raw bit per increment, at
+    most ``_DRAW_VALUES`` increments per draw.  The omega0 = 0 steps run in place
+    on preallocated buffers, on coordinates scaled so that the factor's
+    nonlinear term is a plain square.  A polar path ends at
+    (2 r cos psi, 2 r sin psi), psi = sqrt(2 kappa T) z, one normal drawn
+    from the block's own stream after the loop, and both coordinate systems
+    share one rotation.
     """
     rng = _block_rng(cfg.seed, block)
     total = cfg.burn_in + cfg.n_steps
     half_std = 0.5 * cfg.noise_std
+    words = 0
     # diverged paths run to inf/nan and are counted afterwards
     with np.errstate(over="ignore", invalid="ignore"):
         if cfg.coordinates == "polar":
-            r = np.full(size, math.sqrt(2.0 * cfg.kappa / cfg.delta))
-            z, g = np.empty(size), np.empty(size)
-            for _ in range(total):
-                # r <- r (1 + 3 kappa dt - delta dt r^2 + dW / 2); the factor sees only r^2
-                # and |a b| = |a| |b| exactly, so taking |r| once below equals step_polar's
-                # per-step reflection bit for bit
-                rng.standard_normal(size, out=z)
-                np.multiply(r, r, out=g)
-                g *= -cfg.delta * cfg.dt
-                g += 1.0 + 3.0 * cfg.kappa * cfg.dt
-                z *= half_std
-                g += z
-                r *= g
-            np.abs(r, out=r)
+            # q = r sqrt(delta dt): r <- r (1 + 3 kappa dt - delta dt r^2 + dW / 2) is
+            # q <- q (f - q^2), where the draw gives f = 1 + 3 kappa dt + dW / 2 whole;
+            # the factor sees only q^2 and |a b| = |a| |b| exactly, so taking |q| once
+            # below equals step_polar's per-step reflection
+            scale = math.sqrt(cfg.delta * cfg.dt)
+            q = np.full(size, math.sqrt(2.0 * cfg.kappa / cfg.delta) * scale)
+            g = np.empty(size)
+            for steps in _draw_steps(total, size):
+                f = _two_point_increments(rng, (steps, size), half_std,
+                                          1.0 + 3.0 * cfg.kappa * cfg.dt)
+                words += -(-f.size // 64)
+                for f_step in f:
+                    np.multiply(q, q, out=g)
+                    np.subtract(f_step, g, out=g)
+                    q *= g
+            r = np.abs(q, out=q)
+            r /= scale
             psi = math.sqrt(2.0 * cfg.kappa * total * cfg.dt) * rng.standard_normal(size)
             x, y = 2.0 * r * np.cos(psi), 2.0 * r * np.sin(psi)
         else:
-            x = np.full(size, 2.0 * math.sqrt(cfg.kappa / cfg.delta))
+            # (x, y) scaled by sqrt(delta dt) / 2; with g = 1 + 2 kappa dt - (x^2 + y^2)
+            # and (a, b) = (dX, dY) / 2:  x <- x (g + a) + y b,  y <- y (g - a) + x b
+            scale = 0.5 * math.sqrt(cfg.delta * cfg.dt)
+            x = np.full(size, 2.0 * math.sqrt(cfg.kappa / cfg.delta) * scale)
             y = np.zeros(size)
-            z = np.empty((2, size))
-            a, b = z
             g, u, v = np.empty(size), np.empty(size), np.empty(size)
-            for _ in range(total):
-                # with g = 1 + 2 kappa dt - delta dt (x^2 + y^2) / 4 and (a, b) = (dX, dY) / 2:
-                # x <- x (g + a) + y b,  y <- y (g - a) + x b
-                rng.standard_normal((2, size), out=z)
-                z *= half_std
-                np.multiply(x, x, out=g)
-                np.multiply(y, y, out=u)
-                g += u
-                g *= -0.25 * cfg.delta * cfg.dt
-                g += 1.0 + 2.0 * cfg.kappa * cfg.dt
-                np.add(g, a, out=u)
-                u *= x
-                np.multiply(y, b, out=v)
-                u += v
-                np.subtract(g, a, out=v)
-                v *= y
-                np.multiply(x, b, out=g)
-                v += g
-                x, u = u, x
-                y, v = v, y
+            c = 1.0 + 2.0 * cfg.kappa * cfg.dt
+            for steps in _draw_steps(total, 2 * size):
+                ab = _two_point_increments(rng, (steps, 2, size), half_std)
+                words += -(-ab.size // 64)
+                for a, b in ab:
+                    np.multiply(x, x, out=g)
+                    np.multiply(y, y, out=u)
+                    g += u
+                    np.subtract(c, g, out=g)
+                    np.add(g, a, out=u)
+                    u *= x
+                    np.multiply(y, b, out=v)
+                    u += v
+                    np.subtract(g, a, out=v)
+                    v *= y
+                    np.multiply(x, b, out=g)
+                    v += g
+                    x, u = u, x
+                    y, v = v, y
+            x /= scale
+            y /= scale
         angle = cfg.omega0 * total * cfg.dt
         cos, sin = math.cos(angle), math.sin(angle)
-        return cos * x + sin * y, cos * y - sin * x
+        return cos * x + sin * y, cos * y - sin * x, words
 
 
 def simulate_ensemble(cfg: SdeConfig) -> SdeEnsembleResult:
     """Independent paths, burn-in discarded, one sample per path.
 
     Each path takes the omega0 = 0 Euler step of ``step_polar`` or
-    ``step_cartesian`` for burn_in + n_steps steps of dt and is then rotated
-    by -omega0 T, T = (burn_in + n_steps) dt, which is exact because the
-    rotation commutes with the rest of the generator.  The polar phase is
-    drawn once per path, sqrt(2 kappa T) z before that rotation, the law of
-    its Euler sum.  Diverged paths are excluded and counted; above 1% the run
-    fails.  Blocks run on ``NOISECYCLE_THREADS`` threads (unset or empty: 1);
+    ``step_cartesian`` for burn_in + n_steps steps of dt, fed two-point
+    increments dW = +-sqrt(8 kappa dt), one random bit each: the simplified
+    weak Euler scheme, of weak order 1 like Euler-Maruyama (Kloeden & Platen,
+    Numerical Solution of SDEs, 1992, sec. 14.1; Talay & Tubaro 1990).  It
+    samples the stationary law, not Gaussian paths.  Each path is then
+    rotated by -omega0 T, T = (burn_in + n_steps) dt, which is exact because
+    the rotation commutes with the rest of the generator.  The polar phase is
+    drawn once per path, sqrt(2 kappa T) z before that rotation, its exact
+    law.  Diverged paths are excluded and counted; above 1% the run fails.
+    Blocks run on ``NOISECYCLE_THREADS`` threads (unset or empty: 1);
     identical configs give bit-identical results for any thread count.
     """
     raw = os.environ.get(THREADS_ENV) or "1"
@@ -288,6 +342,7 @@ def simulate_ensemble(cfg: SdeConfig) -> SdeEnsembleResult:
         blocks = list(pool.map(lambda b: _run_block(cfg, *b), enumerate(sizes)))
     x = np.concatenate([b[0] for b in blocks])
     y = np.concatenate([b[1] for b in blocks])
+    increment_words = sum(b[2] for b in blocks)
 
     finite = np.isfinite(x) & np.isfinite(y)
     n_diverged = int((~finite).sum())
@@ -308,6 +363,7 @@ def simulate_ensemble(cfg: SdeConfig) -> SdeEnsembleResult:
         mean_x2_plus_y2=float(np.mean(x ** 2 + y ** 2)),
         n_diverged=n_diverged,
         n_total=cfg.n_paths,
+        increment_words=increment_words,
     )
 
 

@@ -155,7 +155,10 @@ def steady_report(params: ModelParams, dim: int, wp_plus: float) -> dict:
 
 
 def ensemble_report(cfg: sde.SdeConfig, result: sde.SdeEnsembleResult) -> dict:
-    """Ensemble moments and KS p-values against the Rayleigh/uniform closed forms."""
+    """Ensemble moments and KS p-values against the Rayleigh/uniform closed forms.
+
+    Also the work done: path steps and the raw 64-bit words of the increments.
+    """
     from scipy.stats import kstest
 
     empirical, formula = sde.circulation_classical(cfg, result)
@@ -173,6 +176,8 @@ def ensemble_report(cfg: sde.SdeConfig, result: sde.SdeEnsembleResult) -> dict:
         "circulation_formula": formula,
         "n_diverged": result.n_diverged,
         "n_total": result.n_total,
+        "path_steps": cfg.n_paths * (cfg.burn_in + cfg.n_steps),
+        "increment_words": result.increment_words,
     }
 
 

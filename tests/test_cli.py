@@ -363,6 +363,9 @@ def test_sde_summary_and_reproducibility(tmp_path):
     s2 = json.loads((out2 / "summary.json").read_text())
     assert s1 == s2
     assert abs(s1["mean_r"] - s1["mean_r_expected"]) < 0.05
+    # one bit per path step; each draw of 4000 paths fills whole words
+    assert s1["path_steps"] == 4000 * 1550
+    assert s1["increment_words"] == 4000 * 1550 // 64
     _, header, rows = read_csv(out1 / "samples.csv")
     assert header == ["r", "phi", "x", "y"]
     assert len(rows) == 100

@@ -17,6 +17,8 @@ from noisecycle.sde import (
     SdeError,
     THREADS_ENV,
     _block_rng,
+    _draw_steps,
+    _two_point_increments,
     analytic_pdfs,
     circulation_classical,
     classical_detailed_balance,
@@ -26,6 +28,7 @@ from noisecycle.sde import (
     step_cartesian,
     step_polar,
 )
+from noisecycle.wignerflux import observed_order
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +159,7 @@ def test_bad_thread_count_is_rejected(value, monkeypatch):
 def test_phi_of_a_tiny_negative_angle_is_zero(monkeypatch):
     # mod(arctan2(-1e-20, 1), 2 pi) rounds up to exactly 2 pi, outside [0, 2 pi)
     monkeypatch.setattr(sde_module, "_run_block",
-                        lambda cfg, block, size: (np.array([1.0]), np.array([-1e-20])))
+                        lambda cfg, block, size: (np.array([1.0]), np.array([-1e-20]), 0))
     result = simulate_ensemble(SdeConfig(kappa=1.0, delta=1.0, n_paths=1, seed=0))
     assert result.phi.tolist() == [0.0]
 
@@ -175,8 +178,8 @@ def test_thread_count_does_not_change_results(coordinates, monkeypatch):
 
 
 def _reference_paths(cfg):
-    """The block's own stream fed through the public Euler step at omega0 = 0,
-    then rotated by -omega0 T; in polar the phase is one draw after the loop.
+    """The block's own two-point increments fed through the public Euler step at
+    omega0 = 0, then rotated by -omega0 T; in polar the phase is one draw after the loop.
 
     Also returns how many polar factors 1 + (3 kappa - delta r^2) dt + dW / 2
     were negative, i.e. how often ``step_polar`` reflected a radius.
@@ -184,27 +187,28 @@ def _reference_paths(cfg):
     still = replace(cfg, omega0=0.0)
     rng = _block_rng(cfg.seed, 0)
     n, total = cfg.n_paths, cfg.burn_in + cfg.n_steps
+    half_std = 0.5 * cfg.noise_std
     angle = cfg.omega0 * total * cfg.dt
     negative_factors = 0
     if cfg.coordinates == "polar":
         r = np.full(n, math.sqrt(2.0 * cfg.kappa / cfg.delta))
-        for _ in range(total):
-            d_r = cfg.noise_std * rng.standard_normal(n)
-            factor = 1.0 + (3.0 * cfg.kappa - cfg.delta * r ** 2) * cfg.dt + 0.5 * d_r
-            negative_factors += int(np.count_nonzero(factor < 0.0))
-            r, _ = step_polar((r, 0.0), still, (d_r, 0.0))
+        for steps in _draw_steps(total, n):
+            for half_d_r in _two_point_increments(rng, (steps, n), half_std):
+                factor = 1.0 + (3.0 * cfg.kappa - cfg.delta * r ** 2) * cfg.dt + half_d_r
+                negative_factors += int(np.count_nonzero(factor < 0.0))
+                r, _ = step_polar((r, 0.0), still, (2.0 * half_d_r, 0.0))
         phi = math.sqrt(2.0 * cfg.kappa * total * cfg.dt) * rng.standard_normal(n) - angle
         return 2.0 * r * np.cos(phi), 2.0 * r * np.sin(phi), negative_factors
     x, y = np.full(n, 2.0 * math.sqrt(cfg.kappa / cfg.delta)), np.zeros(n)
-    for _ in range(total):
-        x, y = step_cartesian((x, y), still, cfg.noise_std * rng.standard_normal((2, n)))
+    for steps in _draw_steps(total, 2 * n):
+        for half_d in _two_point_increments(rng, (steps, 2, n), half_std):
+            x, y = step_cartesian((x, y), still, 2.0 * half_d)
     return (math.cos(angle) * x + math.sin(angle) * y,
             math.cos(angle) * y - math.sin(angle) * x, negative_factors)
 
 
-@pytest.mark.parametrize("coordinates", ["polar", "cartesian"])
-def test_ensemble_matches_reference_step(coordinates):
-    cfg = SdeConfig(kappa=0.7, delta=1.3, omega0=3.0, dt=2e-3, n_steps=5, burn_in=20,
+def _assert_matches_reference(burn_in, coordinates):
+    cfg = SdeConfig(kappa=0.7, delta=1.3, omega0=3.0, dt=2e-3, n_steps=5, burn_in=burn_in,
                     n_paths=300, seed=5, coordinates=coordinates)
     x, y, _ = _reference_paths(cfg)
     result = simulate_ensemble(cfg)
@@ -212,12 +216,24 @@ def test_ensemble_matches_reference_step(coordinates):
     assert np.all(np.hypot(result.x - x, result.y - y) <= 1e-12 * np.hypot(x, y))
 
 
+@pytest.mark.parametrize("coordinates", ["polar", "cartesian"])
+def test_ensemble_matches_reference_step(coordinates):
+    _assert_matches_reference(20, coordinates)
+
+
+@pytest.mark.parametrize("coordinates", ["polar", "cartesian"])
+def test_ensemble_matches_reference_step_across_draws(coordinates):
+    # 300 paths of 135 steps take draws of 109 and 26 steps in polar and of
+    # 54, 54 and 27 in cartesian; a draw that ends mid-word skips the bits left
+    _assert_matches_reference(130, coordinates)
+
+
 def test_polar_radius_sign_dropped_once_matches_per_step_reflection():
     # the ensemble takes |r| once after the loop; at this coarse step the
-    # reference reflects a radius several times along the way (the reference
-    # rebuilds the config, which warns again)
+    # reference reflects a radius along the way: after an up-step the second
+    # factor is -7.0 or -4.8 (the reference rebuilds the config, which warns again)
     with pytest.warns(UserWarning, match="time step is large"):
-        cfg = SdeConfig(kappa=1.0, delta=1.0, omega0=3.0, dt=0.05, n_steps=5, burn_in=20,
+        cfg = SdeConfig(kappa=1.0, delta=1.0, omega0=3.0, dt=0.6, n_steps=1, burn_in=1,
                         n_paths=300, seed=5, coordinates="polar")
         x, y, negative_factors = _reference_paths(cfg)
     assert negative_factors > 0
@@ -225,6 +241,67 @@ def test_polar_radius_sign_dropped_once_matches_per_step_reflection():
     assert result.n_diverged == 0
     assert np.all(np.hypot(result.x - x, result.y - y) <= 1e-12 * np.hypot(x, y))
     assert result.r.min() >= 0.0
+
+
+def test_two_point_increments_are_the_stream_bits():
+    half_std = 0.5 * math.sqrt(8.0 * 0.7 * 2e-3)
+    shape = (5, 2, 777)
+    n = math.prod(shape)
+    values = _two_point_increments(_block_rng(11, 0), shape, half_std)
+    assert values.shape == shape
+    assert set(np.unique(values).tolist()) == {-half_std, half_std}
+    plus = int(np.count_nonzero(values > 0.0))
+    assert abs(plus - n / 2) < 5.0 * math.sqrt(n / 4)
+    # least significant bit first: the first 64 values spell the first raw word
+    word = int(_block_rng(11, 0).bit_generator.random_raw())
+    first = values.reshape(-1)[:64]
+    assert [int(v > 0.0) for v in first] == [(word >> i) & 1 for i in range(64)]
+    again = _two_point_increments(_block_rng(11, 0), shape, half_std)
+    assert np.array_equal(values, again)
+
+
+def test_two_point_increments_take_the_offset():
+    values = _two_point_increments(_block_rng(3, 1), (4, 100), 0.25, offset=1.0)
+    assert set(np.unique(values).tolist()) == {0.75, 1.25}
+
+
+@pytest.mark.parametrize("coordinates", ["polar", "cartesian"])
+def test_increment_words_are_the_words_the_stream_gave(coordinates, monkeypatch):
+    # one block of 101 paths, 400 steps: draws of 324 and 76 steps in polar and of
+    # 162, 162 and 76 in cartesian, each ending mid-word
+    streams = []
+
+    def recording_rng(seed, block):
+        streams.append(_block_rng(seed, block))
+        return streams[-1]
+
+    monkeypatch.setattr(sde_module, "_block_rng", recording_rng)
+    cfg = SdeConfig(kappa=1.0, delta=1.0, dt=2e-3, n_steps=10, burn_in=390, n_paths=101,
+                    seed=2, coordinates=coordinates)
+    result = simulate_ensemble(cfg)
+    assert result.increment_words == {"polar": 512 + 120, "cartesian": 512 + 512 + 240}[coordinates]
+    fresh = _block_rng(cfg.seed, 0)
+    fresh.bit_generator.advance(result.increment_words)
+    if coordinates == "polar":
+        fresh.standard_normal(101)  # the phase, after the increments
+    assert fresh.bit_generator.state == streams[0].bit_generator.state
+
+
+@pytest.mark.parametrize("coordinates", ["polar", "cartesian"])
+def test_weak_order_of_the_stationary_second_moment(coordinates):
+    # the bias of <r^2> at T = 6.4 against its stationary value 2 kappa / delta
+    # must shrink at first order as dt halves (Talay & Tubaro 1990)
+    biases = []
+    for dt in (0.04, 0.02):
+        with pytest.warns(UserWarning, match="time step is large"):
+            cfg = SdeConfig(kappa=1.0, delta=1.0, dt=dt, n_steps=1,
+                            burn_in=round(6.4 / dt) - 1, n_paths=400_000, seed=5,
+                            coordinates=coordinates)
+        result = simulate_ensemble(cfg)
+        assert result.n_diverged == 0
+        biases.append(float(np.mean(result.r ** 2)) / 2.0 - 1.0)
+    assert biases[0] * biases[1] > 0.0
+    assert 0.7 <= observed_order(*biases) <= 1.6
 
 
 def test_cartesian_fast_rotation_leaves_radius_unbiased():
