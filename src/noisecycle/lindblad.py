@@ -1,26 +1,30 @@
 """Numerical dynamics of the truncated generators.
 
-Steady states and time evolution take one of two paths, chosen from the
-exact structure of the CSR generator they are given.  The noise-induced
-model at k > 0 is a chain generator: phase covariance and conserved parity
-split it into birth-death chains rho[p, q] -> rho[p + 2, q + 2], one per
-coherence order m = q - p and parity of p, each tridiagonal with positive
-links and so symmetrized by a diagonal similarity D (Gardiner, *Handbook of
-Stochastic Methods*; Simaan & Loudon, J. Phys. A 8, 539, 1975).  Its
+Steady states and time evolution read the model's grids (``fock.generator``)
+back off the CSR generator they are given and solve it block by block.  Both
+models are phase covariant: jump k takes rho[p + k, q + k] to rho[p, q], so
+the generator never mixes coherence orders m = q - p, and it keeps p modulo
+s, the gcd of its jump shifts (2 for the noise-induced model and for the
+conventional one without gain, 1 with one-photon gain).  Block (m, p0)
+holds rho[p0 + s j, p0 + s j + m], j = 0, 1, ...  A generator that is not
+phase covariant raises ``LindbladError`` before any solve.
+
+The blocks take one of two paths.  The noise-induced model at k > 0 is a
+chain generator: its jumps are exactly +/-2, with real positive links, so
+each block is a birth-death chain rho[p, q] -> rho[p + 2, q + 2],
+tridiagonal and symmetrized by a diagonal similarity D (Gardiner, *Handbook
+of Stochastic Methods*; Simaan & Loudon, J. Phys. A 8, 539, 1975).  Its
 chains are solved by batched real ``eigh``, one call per chain length, with
-no scipy.linalg and no block search.  The chain path needs every chain it
-solves to have a span max D / min D within ``_SPAN_MAX`` (1e8; rounding
-grows with the span), and, for evolution, t times the spread of a chain's
-imaginary diagonal, which bounds the error of its one phase, within
-``_PHASE_ATOL`` (1e-11).  Every other generator (the conventional model,
-k = 0, a generator without phase symmetry), and a call that would solve a
-chain past a bound, takes the dense path: the exponentials, or the SVDs,
-of the generator's invariant blocks (the weakly connected components of
-its sparsity pattern), taken from one gather that scatters the
-generator's stored entries into dense arrays.  Evolution assumes a Hermitian initial state and
-a Hermiticity-preserving generator, so on both paths only orders m >= 0
-(or one block of two Hermitian mirrors) are solved and the rest is filled
-by conjugation.
+no scipy.linalg.  The chain path needs every chain it solves to have a span
+max D / min D within ``_SPAN_MAX`` (1e8; rounding grows with the span),
+and, for evolution, t times the spread of a chain's imaginary diagonal,
+which bounds the error of its one phase, within ``_PHASE_ATOL`` (1e-11).
+Every other model generator (the conventional model, k = 0), and a call
+that would solve a chain past a bound, takes the dense path: each block's
+dense matrix, written straight from the grids, gets an SVD or an
+exponential.  Evolution assumes a Hermitian initial state and a
+Hermiticity-preserving generator, so on both paths only orders m >= 0 are
+solved and the rest is filled by conjugation.
 
 The steady-report quantities work on the generator's grids over the
 density-matrix entries (``fock.generator``) and on the structure of the
@@ -45,13 +49,12 @@ import numpy as np
 from .analytic import mean_n_ss
 from .fock import (
     FockError,
+    Generator,
     ModelKind,
     ModelParams,
     build_ladder,
-    devectorize,
     generator,
     parity_op,
-    vectorize,
 )
 
 # scipy is imported inside the routines that use it, so that importing the
@@ -210,54 +213,71 @@ def random_density_matrix(dim: int, rank: int | None = None, support: int | None
 
 
 # ---------------------------------------------------------------------------
-# invariant blocks
+# the model's grids and their invariant blocks
 # ---------------------------------------------------------------------------
 
-def _block_labels(L: sp.csr_matrix) -> tuple[int, np.ndarray]:
-    """Block count and the block label of every vec index.
+def _grids(L: sp.csr_matrix) -> Generator:
+    """The grids of a CSR generator (see ``fock.generator``), read off its vec diagonals.
 
-    The blocks are the weakly connected components of L's sparsity pattern,
-    and L is exactly block-diagonal on them.  Both models commute with the
-    phase rotation, so each coherence order m = n' - n is one block, split
-    further by the parity of n under two-photon exchange.  The split reads
-    only the pattern, so a generator without the symmetry gives fewer,
-    larger blocks (at worst one).
+    With column stacking, rho[p, q] sits at r = p + q dim, and jump k lies on
+    the vec diagonal whose column is r + k (dim + 1).  A jump with a nonzero
+    is kept, as a real grid when its imaginary part is zero.
+    ``LindbladError`` when L is not dim^2 x dim^2, or stores a nonzero off
+    the diagonals k (dim + 1), |k| <= 2 (L is then not phase covariant), or
+    one that would wrap to another column of rho.
     """
-    from scipy.sparse.csgraph import connected_components
+    n = L.shape[0]
+    dim = math.isqrt(n)
+    if L.shape != (dim * dim, dim * dim):
+        raise LindbladError(f"generator of shape {L.shape} is not dim^2 x dim^2")
 
-    return connected_components(L.astype(bool), connection="weak")
+    def grid(offset: int, values: np.ndarray) -> np.ndarray:
+        flat = np.zeros(n, dtype=values.dtype)
+        flat[max(-offset, 0):max(n - offset, 0)] = values
+        return flat.reshape(dim, dim, order="F")
+
+    # counts each nonzero once, summing duplicate entries
+    total = L.count_nonzero()
+    gen = Generator(grid(0, L.diagonal().astype(complex, copy=False)), {})
+    stored = np.count_nonzero(gen.diag)
+    # the diagonals hold at most the nonzeros of L: once they hold all, the rest are empty
+    for k in (2, -2, -1, 1):
+        if stored == total:
+            break
+        offset = k * (dim + 1)
+        values = L.diagonal(offset)
+        count = np.count_nonzero(values)
+        if not count:
+            continue
+        jump = grid(offset, values if values.imag.any() else values.real)
+        # an entry whose p + k falls off the truncation wraps to another
+        # column of rho; one whose q + k does has no column
+        to, _ = gen.reach(k)
+        if jump[:to.start].any() or jump[to.stop:].any():
+            raise LindbladError(f"an entry of jump {k} wraps to another column of rho")
+        gen.jumps[k] = jump
+        stored += count
+    if stored != total:
+        raise LindbladError("the generator is not phase covariant: it stores entries off "
+                            "the vec diagonals k (dim + 1), |k| <= 2")
+    return gen
 
 
-def _gather_blocks(L: sp.csr_matrix, labels: np.ndarray,
-                   chosen: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Vec indices (ascending) and dense block of each chosen label, in one scatter.
+def _step(gen: Generator) -> int:
+    """The gcd s of the jump shifts (dim without jumps): block (m, p0) is rho[p0 + s j, ...]."""
+    return math.gcd(*gen.jumps) or gen.diag.shape[0]
 
-    Each index gets its position inside its block, each chosen block one
-    square slab of a flat buffer, and the rows of the canonical CSR that lie
-    in chosen blocks are taken in one row gather and written into their
-    slabs at once.  Every stored entry, an explicit zero too, joins its row
-    and column into one component, so both lie in the row's block.
-    """
-    if not L.has_canonical_format:
-        L = L.copy()
-        L.sum_duplicates()
-    sizes = np.bincount(labels)
-    members = np.argsort(labels, kind="stable")
-    starts = np.cumsum(sizes) - sizes
-    position = np.empty_like(members)
-    position[members] = np.arange(labels.size) - np.repeat(starts, sizes)
-    area = np.zeros_like(sizes)
-    area[chosen] = sizes[chosen] ** 2
-    offset = np.cumsum(area) - area
-    rows = np.flatnonzero(area[labels])
-    picked = L[rows]
-    rows = np.repeat(rows, np.diff(picked.indptr))
-    owner = labels[rows]
-    flat = np.zeros(area.sum(), dtype=L.dtype)
-    flat[offset[owner] + position[rows] * sizes[owner] + position[picked.indices]] = picked.data
-    return [(members[starts[b]:starts[b] + sizes[b]],
-             flat[offset[b]:offset[b] + area[b]].reshape(sizes[b], sizes[b]))
-            for b in chosen]
+
+def _block(gen: Generator, step: int, m: int, p0: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows p of block (m, p0), m >= 0, and its dense matrix on the entries rho[p, p + m]."""
+    rows = np.arange(p0, gen.diag.shape[0] - m, step)
+    cols = rows + m
+    block = np.diag(gen.diag[rows, cols])
+    for k, jump in gen.jumps.items():
+        shift = k // step
+        j = np.arange(max(-shift, 0), rows.size - max(shift, 0))
+        block[j, j + shift] = jump[rows[j], cols[j]]
+    return rows, block
 
 
 # ---------------------------------------------------------------------------
@@ -278,37 +298,15 @@ _SPAN_MAX = 1e8
 _PHASE_ATOL = 1e-11
 
 
-def _chain_grids(L: sp.csr_matrix, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """The diagonal, down and up grids of a chain generator, or None for any other L.
-
-    A chain generator has its nonzero entries only on the vec diagonals 0
-    and +/-2(dim + 1), and there only on the links of the chains
-    rho[p, q] -> rho[p + 2, q + 2], each of them real and positive:
-
-        L(rho)[p, q] = diag[p, q] rho[p, q] + down[p, q] rho[p + 2, q + 2]
-                       + up[p - 2, q - 2] rho[p - 2, q - 2].
-
-    With column stacking, rho[p, q] sits at p + q dim, so down[p, q] is
-    L[r, r + 2(dim + 1)] and up[p, q] is L[r + 2(dim + 1), r] at r = p + q dim.
-    An entry of those diagonals at p >= dim - 2 would wrap to another
-    column of rho and is no link.  Every stored nonzero must be one of the
-    grids' nonzeros, so a CSR with duplicate entries takes the dense path.
-    """
-    n = dim * dim
-
-    def grid(k: int) -> np.ndarray:
-        flat = np.zeros(n, dtype=complex)
-        flat[:max(n - abs(k), 0)] = L.diagonal(k)
-        return flat.reshape(dim, dim, order="F")
-
-    diag, down, up = grid(0), grid(2 * (dim + 1)), grid(-2 * (dim + 1))
-    if np.count_nonzero(L.data) != sum(map(np.count_nonzero, (diag, down, up))):
-        return None
-    for links in (down, up):
-        inside = links[:dim - 2, :dim - 2]
-        if links[dim - 2:].any() or inside.imag.any() or not np.all(inside.real > 0):
-            return None
-    return diag, down.real, up.real
+def _is_chain(gen: Generator) -> bool:
+    """Whether the jumps are +/-2 with real positive links: chains rho[p, q] -> rho[p + 2, ...]."""
+    if gen.jumps.keys() != {2, -2}:
+        return False
+    for k, links in gen.jumps.items():
+        to, _ = gen.reach(k)
+        if np.iscomplexobj(links) or not np.all(links[to, to] > 0):
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -345,18 +343,18 @@ class _Chains:
         return np.ptp(self.log_scale, axis=1).max(initial=0.0) <= math.log(_SPAN_MAX)
 
 
-def _chains(grids: tuple[np.ndarray, np.ndarray, np.ndarray], orders: np.ndarray,
-            starts: np.ndarray) -> _Chains:
-    """The chains of orders m >= 0 starting at p0 in {0, 1}.
+def _chains(gen: Generator, orders: np.ndarray, starts: np.ndarray) -> _Chains:
+    """The chains of orders m >= 0 starting at p0 in {0, 1} of a chain generator.
 
-    On a chain the generator is a tridiagonal T with T[j, j + 1] = down and
-    T[j + 1, j] = up at entry j.  D with D[j + 1] / D[j] = sqrt(down / up)
-    makes D T D^-1 symmetric, with off-diagonals sqrt(down up); its real part
-    then has an orthogonal eigenbasis, and the imaginary part of the
-    diagonal, omega0 m for the models, adds a phase.  Undoing D multiplies
-    rounding by up to max D / min D, the span.
+    On a chain the generator is a tridiagonal T with T[j, j + 1] = down,
+    jumps[2] at entry j, and T[j + 1, j] = up, jumps[-2] at entry j + 1.
+    D with D[j + 1] / D[j] = sqrt(down / up) makes D T D^-1 symmetric, with
+    off-diagonals sqrt(down up); its real part then has an orthogonal
+    eigenbasis, and the imaginary part of the diagonal, omega0 m for the
+    models, adds a phase.  Undoing D multiplies rounding by up to
+    max D / min D, the span.
     """
-    diag, down, up = grids
+    diag, down, up = gen.diag, gen.jumps[2], gen.jumps[-2]
     lengths = (diag.shape[0] - orders - starts + 1) // 2
     order = np.argsort(lengths, kind="stable")
     order = order[lengths[order] > 0]
@@ -367,7 +365,7 @@ def _chains(grids: tuple[np.ndarray, np.ndarray, np.ndarray], orders: np.ndarray
     cols = rows + orders[order, None]
     inside = np.arange(width - 1) < lengths[:, None] - 1
     link_down = np.where(inside, down[rows[:, :-1], cols[:, :-1]], 1.0)
-    link_up = np.where(inside, up[rows[:, :-1], cols[:, :-1]], 1.0)
+    link_up = np.where(inside, up[rows[:, 1:], cols[:, 1:]], 1.0)
     log_scale = np.zeros(rows.shape)
     np.cumsum(0.5 * (np.log(link_down) - np.log(link_up)), axis=1, out=log_scale[:, 1:])
     link = np.where(inside, np.sqrt(link_down * link_up), 0.0)
@@ -384,39 +382,36 @@ _NULL_RTOL = 1e-10
 
 
 def steady_states(L: sp.spmatrix) -> SteadyStateResult:
-    """Steady states of a generator from the null spaces of its invariant blocks.
+    """Steady states of a phase-covariant generator from the null spaces of its m = 0 blocks.
 
-    Only blocks that hold a population index i (dim + 1) can carry a state; a
-    block of coherences alone is skipped even when it has a kernel (the
-    |0><1| block at omega0 = k = 0), so ``kernel_dim`` counts states.  On a
-    chain generator (see ``_chain_grids``) whose two m = 0 chains have a
-    real diagonal and a span within ``_SPAN_MAX``, these blocks are those
-    chains: one batched ``eigh`` of their symmetric forms gives the null
-    vectors, which the similarity turns into exactly diagonal states.  Any
-    other generator takes its population blocks, the labels of those
-    indices, from one gather (see ``_gather_blocks``) and gives each a dense
-    SVD.  A null vector has an eigen- or singular value at most
+    ``LindbladError`` for a generator that is not phase covariant (see
+    ``_grids``).  Only the blocks of order m = 0 hold populations and can
+    carry a state; a block of coherences is skipped even when it has a
+    kernel (the |0><1| block at omega0 = k = 0), so ``kernel_dim`` counts
+    states.  On a chain generator whose two m = 0 chains have a real
+    diagonal and a span within ``_SPAN_MAX``, one batched ``eigh`` of their
+    symmetric forms gives the null vectors, which the similarity turns into
+    exactly diagonal states; any other generator gives each m = 0 block a
+    dense SVD.  A null vector has an eigen- or singular value at most
     ``_NULL_RTOL`` times the block's largest, and is scaled to unit trace
     and symmetrized.  One state is the unique result; two states must be an
     even- and an odd-supported pair, returned as ``rho_plus`` and
     ``rho_minus`` with the ``combine`` mixer.  Any other count or pair, or a
     trace-free null vector, raises ``DegenerateSpectrumError``.
     """
-    L = L.tocsr()
-    n = L.shape[0]
-    dim = math.isqrt(n)
-    if dim * dim != n:
-        raise FockError(f"superoperator size {n} is not a perfect square")
-    null_states = _chain_null_states(L, dim)
+    gen = _grids(L.tocsr())
+    dim = gen.diag.shape[0]
+    null_states = _chain_null_states(gen) if _is_chain(gen) else None
     if null_states is None:
-        _, labels = _block_labels(L)
+        step = _step(gen)
         null_states = []
-        for idx, block in _gather_blocks(L, labels, np.unique(labels[::dim + 1])):
+        for p0 in range(step):
+            rows, block = _block(gen, step, 0, p0)
             _, s, vh = np.linalg.svd(block)
             for v in vh[s <= _NULL_RTOL * s[0]].conj():
-                vec = np.zeros(n, dtype=complex)
-                vec[idx] = v
-                null_states.append(devectorize(vec))
+                rho = np.zeros((dim, dim), dtype=complex)
+                rho[rows, rows] = v
+                null_states.append(rho)
     count = len(null_states)
     if count not in (1, 2):
         raise DegenerateSpectrumError(count)
@@ -437,12 +432,10 @@ def steady_states(L: sp.spmatrix) -> SteadyStateResult:
     return SteadyStateResult(kernel_dim=2, states=[plus, minus], rho_plus=plus, rho_minus=minus)
 
 
-def _chain_null_states(L: sp.csr_matrix, dim: int) -> list[np.ndarray] | None:
-    """Unit-norm diagonal null states of the m = 0 chains, or None off the chain path."""
-    grids = _chain_grids(L, dim)
-    if grids is None:
-        return None
-    chains = _chains(grids, np.zeros(2, dtype=int), np.arange(2))
+def _chain_null_states(gen: Generator) -> list[np.ndarray] | None:
+    """Unit-norm diagonal null states of the m = 0 chains, or None past a bound."""
+    dim = gen.diag.shape[0]
+    chains = _chains(gen, np.zeros(2, dtype=int), np.arange(2))
     if not chains.within_span() or chains.diag.imag.any():
         return None
     states = []
@@ -468,46 +461,50 @@ _HERMITIAN_ATOL = 1e-12
 
 
 def evolve(rho0: np.ndarray, L: sp.spmatrix, t: float) -> np.ndarray:
-    """Propagate rho0 to time t under the generator L.
+    """Propagate rho0 to time t under the phase-covariant generator L.
 
     t must be finite and nonnegative and rho0 Hermitian (``ValueError``,
-    past 1e-12 entrywise for rho0, before any work), and L is assumed to
-    preserve Hermiticity, as every Lindblad generator does.  Under both
+    past 1e-12 entrywise for rho0), and rho0 must be dim x dim for the dim
+    of L (``FockError``), all before any work; ``LindbladError`` for a
+    generator that is not phase covariant (see ``_grids``).  L is assumed
+    to preserve Hermiticity, as every Lindblad generator does.  Under both
     assumptions the entry at the transposed index is the conjugate, so only
-    the entries with q >= p are propagated and the others are their
-    conjugates; what vec(rho0) leaves zero stays zero.
+    the blocks of orders m = q - p >= 0 that the upper triangle of rho0
+    touches are propagated and the entries of order -m are their
+    conjugates; what rho0 leaves zero stays zero.
 
-    On a chain generator (see ``_chain_grids``), the chains of orders
-    m = q - p >= 0 that rho0 touches are propagated by one batched ``eigh``
-    per chain length (see ``_chains``): x(t) = e^{i theta t} D^-1 V
-    e^{t lam} V^T D x(0), with theta the midpoint of the range of the
-    imaginary parts of the chain's diagonal.  Those vary along a chain by
-    rounding only, and t times the width of their range, the spread, bounds
-    the phase error, so the chain path needs that product at most
-    ``_PHASE_ATOL`` and every span within ``_SPAN_MAX``.
-
-    Any other generator, or a call past a bound, takes the dense path: the
-    invariant blocks (see ``_block_labels``) that vec(rho0) touches come out
-    of one gather (see ``_gather_blocks``), and each is propagated by its
-    dense exponential.  The block holding the transposed vec indices of
-    another, its mirror, is never exponentiated twice: a block is
-    exponentiated when its mirror's label is at least its own (orders m and
-    -m cost one), and the others are filled with the conjugates of their
-    mirror's entries.
-    Population blocks, and the single block of a generator without phase
-    symmetry, are their own mirrors.
+    On a chain generator, the touched chains are propagated by one batched
+    ``eigh`` per chain length (see ``_chains``):
+    x(t) = e^{i theta t} D^-1 V e^{t lam} V^T D x(0), with theta the
+    midpoint of the range of the imaginary parts of the chain's diagonal.
+    Those vary along a chain by rounding only, and t times the width of
+    their range, the spread, bounds the phase error, so the chain path
+    needs that product at most ``_PHASE_ATOL`` and every span within
+    ``_SPAN_MAX``.  Any other generator, or a call past a bound, takes the
+    dense path: each touched block, written from the grids, is propagated
+    by its dense exponential.
     """
     if not 0.0 <= t < math.inf:  # NaN fails too
         raise ValueError(f"evolution time must be finite and nonnegative, got {t!r}")
+    dim = math.isqrt(L.shape[0])
+    if np.shape(rho0) != (dim, dim):
+        raise FockError(f"initial state of shape {np.shape(rho0)} does not match the "
+                        f"generator's dim {dim}")
     skew = float(np.abs(rho0 - rho0.conj().T).max())
     if skew > _HERMITIAN_ATOL:
         raise ValueError(f"initial state is not Hermitian: max|rho0 - rho0^dag| = {skew:.3e}")
+    gen = _grids(L.tocsr())
     if t == 0:
         return rho0.copy()
-    L = L.tocsr()
-    rho_t = _evolve_chains(rho0, L, t)
+    step = _step(gen)
+    p, q = np.nonzero(np.triu(rho0))
+    touched = np.zeros((dim, step), dtype=bool)
+    touched[q - p, p % step] = True
+    orders, starts = np.nonzero(touched)
+    rho_t = _evolve_chains(rho0, gen, t, orders, starts) if _is_chain(gen) else None
     if rho_t is None:
-        rho_t = _evolve_blocks(rho0, L, t)
+        rho_t = _evolve_dense(rho0, gen, t, step, orders, starts)
+    rho_t = rho_t + np.triu(rho_t, 1).conj().T
     if not np.all(np.isfinite(rho_t)):
         raise StiffnessError(
             "propagation diverged; enlarge the truncation or reduce rate * time"
@@ -515,16 +512,10 @@ def evolve(rho0: np.ndarray, L: sp.spmatrix, t: float) -> np.ndarray:
     return (rho_t + rho_t.conj().T) / 2
 
 
-def _evolve_chains(rho0: np.ndarray, L: sp.csr_matrix, t: float) -> np.ndarray | None:
-    """rho(t) on the chain path (see ``evolve``), or None when it does not apply."""
-    dim = rho0.shape[0]
-    grids = _chain_grids(L, dim)
-    if grids is None:
-        return None
-    p, q = np.nonzero(np.triu(rho0))
-    touched = np.zeros((dim, 2), dtype=bool)
-    touched[q - p, p % 2] = True
-    chains = _chains(grids, *np.nonzero(touched))
+def _evolve_chains(rho0: np.ndarray, gen: Generator, t: float, orders: np.ndarray,
+                   starts: np.ndarray) -> np.ndarray | None:
+    """The upper triangle of rho(t) on the chain path (see ``evolve``), or None past a bound."""
+    chains = _chains(gen, orders, starts)
     # a padded entry repeats the chain's last one, so the range is the chain's
     low, high = chains.diag.imag.min(axis=1), chains.diag.imag.max(axis=1)
     if not chains.within_span() or t * (high - low).max(initial=0.0) > _PHASE_ATOL:
@@ -541,31 +532,19 @@ def _evolve_chains(rho0: np.ndarray, L: sp.csr_matrix, t: float) -> np.ndarray |
         x[group, :length] = y[..., 0] + 1j * y[..., 1]
     x *= np.exp(0.5j * t * (low + high))[:, None] / scale
     inside = np.arange(scale.shape[1]) < chains.lengths[:, None]
-    rho_t = np.zeros((dim, dim), dtype=complex)
+    rho_t = np.zeros(rho0.shape, dtype=complex)
     rho_t[chains.rows[inside], chains.cols[inside]] = x[inside]
-    return rho_t + np.triu(rho_t, 1).conj().T
+    return rho_t
 
 
-def _evolve_blocks(rho0: np.ndarray, L: sp.csr_matrix, t: float) -> np.ndarray:
-    """rho(t) from the dense exponentials of the touched invariant blocks (see ``evolve``)."""
-    vec0 = vectorize(rho0).astype(complex)
-    n_blocks, labels = _block_labels(L)
-    # vec index of each entry's transpose, and the block label found there
-    transposed = vectorize(devectorize(np.arange(vec0.size)).T)
-    mirror = np.empty(n_blocks, dtype=labels.dtype)
-    mirror[labels] = labels[transposed]
-    touched = np.zeros(n_blocks, dtype=bool)
-    touched[labels[vec0 != 0]] = True
-    # rho0 is Hermitian only to within the tolerance: a zero entry may face a
-    # tiny nonzero one, and the pair of blocks must still be propagated
-    touched |= touched[mirror]
-    own = np.arange(n_blocks)
-    vec_t = np.zeros_like(vec0)
-    for idx, block in _gather_blocks(L, labels, np.flatnonzero(touched & (mirror >= own))):
-        vec_t[idx] = expm(t * block) @ vec0[idx]
-    filled = (touched & (mirror < own))[labels]
-    vec_t[filled] = vec_t[transposed[filled]].conj()
-    return devectorize(vec_t)
+def _evolve_dense(rho0: np.ndarray, gen: Generator, t: float, step: int, orders: np.ndarray,
+                  starts: np.ndarray) -> np.ndarray:
+    """The upper triangle of rho(t) from the dense exponentials of the touched blocks."""
+    rho_t = np.zeros(rho0.shape, dtype=complex)
+    for m, p0 in zip(orders.tolist(), starts.tolist()):
+        rows, block = _block(gen, step, m, p0)
+        rho_t[rows, rows + m] = expm(t * block) @ rho0[rows, rows + m]
+    return rho_t
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,10 @@ its tables from plain ints, on first use.  Each case runs in a fresh
 interpreter, because this process may already hold these modules.  A case
 that loads a module it should not is run again under ``-X importtime``, and
 the failure names the import chain that reached it and the line of the
-package that made the import.  A command that builds a generator of the
-noise-induced model solves it on its chains, without ``scipy.linalg`` or
-``scipy.sparse.csgraph``, which only the dense block path loads.
+package that made the import.  No command loads ``scipy.sparse.csgraph``.
+A command that builds a generator of the noise-induced model at k > 0
+solves it on its chains, and the conventional steady states take dense
+SVDs, both without ``scipy.linalg``, which only the dense exponentials load.
 """
 
 import json
@@ -21,8 +22,6 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src"
 HEAVY = ("scipy.sparse", "scipy.linalg", "scipy.sparse.csgraph", "scipy.stats", "fractions",
          "decimal")
-# what only the dense block path of lindblad needs: the exponential and the block split
-DENSE_PATH = {"scipy.linalg", "scipy.sparse.csgraph"}
 HEAVY_PACKAGES = {name.split(".")[0] for name in HEAVY}
 
 # imports the package and its CLI, runs the command in argv (if any) with its
@@ -113,12 +112,14 @@ def test_steady_loads_scipy_sparse(tmp_path):
 
 @pytest.mark.parametrize("argv,dense", [
     pytest.param(["evolve", "--out", "run"], False, id="evolve-noise-induced"),
-    # positive control: the conventional model has no chains, so its steady
-    # states come from the block split and dense solves
+    # positive control: at k = 0 the chains cannot be symmetrized, so the
+    # evolution takes the dense exponentials
+    pytest.param(["evolve", "--k-ratio", "0", "--out", "run"], True, id="evolve-k0"),
+    # the conventional model has no chains; its steady states take dense SVDs
     pytest.param(["steady", "--kind", "conventional", "--kappa-up1", "0.3", "--out", "run"],
-                 True, id="steady-conventional"),
+                 False, id="steady-conventional"),
 ])
 def test_dense_path_modules_load_only_off_the_chain_path(tmp_path, argv, dense):
     loaded = set(json.loads(_run(argv, tmp_path).stdout))
-    assert "scipy.sparse" in loaded
-    assert (DENSE_PATH <= loaded) if dense else not (DENSE_PATH & loaded), sorted(loaded)
+    assert "scipy.sparse" in loaded and "scipy.sparse.csgraph" not in loaded, sorted(loaded)
+    assert ("scipy.linalg" in loaded) == dense, sorted(loaded)

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.linalg import expm, null_space
-from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import expm_multiply
 from scipy.sparse.linalg import norm as sparse_norm
 
@@ -30,6 +29,7 @@ from noisecycle.fock import (
 from noisecycle.lindblad import (
     DegenerateSpectrumError,
     DisplacementRangeError,
+    LindbladError,
     NormalizationError,
     OffDiagonalStateError,
     StationarityError,
@@ -133,22 +133,25 @@ def test_degenerate_kernel_raises_with_dimension():
     assert err.value.kernel_dim > 2
 
 
-@pytest.mark.parametrize("make_gen", [
+@pytest.mark.parametrize("make_gen,phase_symmetric", [
     pytest.param(lambda: liouvillian(ModelParams(omega0=1.0, kappa_down=1.0, kappa_up2=0.4), 12),
-                 id="noise-induced"),
-    pytest.param(lambda: liouvillian(CONV, 12), id="conventional"),
+                 True, id="noise-induced"),
+    pytest.param(lambda: liouvillian(CONV, 12), True, id="conventional"),
     pytest.param(lambda: liouvillian(ModelParams(omega0=1.0, kappa_down=1.0,
                                                  kind=ModelKind.CONVENTIONAL), 12),
-                 id="conventional-without-gain"),
+                 True, id="conventional-without-gain"),
     # x-quadrature loss couples coherence orders m and m +/- 2
     pytest.param(lambda: liouvillian(CONV, 12) + 0.2 * dissipator(quadrature_x(12)),
-                 id="without-phase-symmetry"),
-    # the y-quadrature drive also couples m and m +/- 1: one block
-    pytest.param(lambda: phase_breaking_generator(12), id="single-block"),
+                 False, id="without-phase-symmetry"),
+    # the y-quadrature drive also couples m and m +/- 1
+    pytest.param(lambda: phase_breaking_generator(12), False, id="single-block"),
 ])
-def test_steady_states_span_dense_null_space(make_gen):
-    # reference independent of the block split: the dense kernel of the whole generator
+def test_steady_states_span_dense_null_space(monkeypatch, make_gen, phase_symmetric):
     gen = make_gen()
+    if not phase_symmetric:
+        assert_rejected_before_any_solve(monkeypatch, lambda: steady_states(gen))
+        return
+    # reference independent of the block split: the dense kernel of the whole generator
     kernel = null_space(gen.toarray())
     result = steady_states(gen)
     assert result.kernel_dim == len(result.states) == kernel.shape[1]
@@ -180,11 +183,11 @@ def test_steady_state_near_saturated_ratio_default_dim():
 
 def test_chain_steady_states_at_tail_dim_match_closed_form(monkeypatch):
     # the tail-rule dim of k = 0.95, past the default's clamp; the chain path
-    # takes neither the block split nor an SVD
+    # builds no dense block
     def no_dense_path(*args):
         raise AssertionError("dense path taken")
 
-    monkeypatch.setattr(lindblad, "_block_labels", no_dense_path)
+    monkeypatch.setattr(lindblad, "_block", no_dense_path)
     dim = 1078
     result = steady_states(liouvillian(ModelParams(omega0=1.0, kappa_down=1.0, kappa_up2=0.95),
                                        dim))
@@ -234,6 +237,17 @@ def reference_evolve(rho0, gen, t):
     return (rho_t + rho_t.conj().T) / 2
 
 
+def assert_rejected_before_any_solve(monkeypatch, call):
+    """The call raises ``LindbladError``, with no dense block built and no chain solved."""
+    def no_solve(*args):
+        raise AssertionError("a block was solved")
+
+    monkeypatch.setattr(lindblad, "_block", no_solve)
+    monkeypatch.setattr(lindblad, "eigh", no_solve)
+    with pytest.raises(LindbladError, match="not phase covariant"):
+        call()
+
+
 def phase_breaking_generator(dim):
     """Two-photon loss plus an x-quadrature channel and drive: no phase symmetry."""
     a, _ = build_ladder(dim)
@@ -256,18 +270,21 @@ GENERATORS = {
 
 @pytest.mark.parametrize("make_gen,phase_symmetric", list(GENERATORS.values()),
                          ids=list(GENERATORS))
-def test_evolve_matches_full_exponential_action(make_gen, phase_symmetric):
+def test_evolve_matches_full_exponential_action(monkeypatch, make_gen, phase_symmetric):
     dim = 24
     gen = make_gen(dim)
-    # without the symmetry the sparsity pattern is one block
-    n_blocks, _ = connected_components(gen.astype(bool), connection="weak")
-    assert (n_blocks > 1) == phase_symmetric
     seeds = [
         fock_state(dim, 0),
         fock_state(dim, 3),
         coherent_state(dim, 1.1 + 0.4j),
         random_density_matrix(dim, rng=np.random.default_rng(7)),
     ]
+    if not phase_symmetric:
+        # at t = 0 too, where no block would be solved
+        for rho0 in seeds:
+            for t in (0.0, 0.3):
+                assert_rejected_before_any_solve(monkeypatch, lambda: evolve(rho0, gen, t))
+        return
     for rho0 in seeds:
         for t in (0.3, 2.0):
             gap = np.abs(evolve(rho0, gen, t) - reference_evolve(rho0, gen, t)).max()
@@ -281,22 +298,35 @@ def test_evolve_rejects_negative_time():
 
 @pytest.mark.parametrize("t", [math.nan, math.inf])
 def test_evolve_rejects_time_that_is_not_finite(monkeypatch, t):
-    # rejected before either path looks at the generator
+    # rejected before the generator's grids are read
     def no_path(*args):
-        raise AssertionError("a propagation path was taken")
+        raise AssertionError("the generator was read")
 
-    monkeypatch.setattr(lindblad, "_evolve_chains", no_path)
-    monkeypatch.setattr(lindblad, "_evolve_blocks", no_path)
+    monkeypatch.setattr(lindblad, "_grids", no_path)
     with pytest.raises(ValueError, match="finite"):
         evolve(fock_state(10, 0), liouvillian(NI, 10), t)
 
 
-@pytest.mark.parametrize("make_gen", [make for make, _ in GENERATORS.values()],
+@pytest.mark.parametrize("make_gen,phase_symmetric", list(GENERATORS.values()),
                          ids=list(GENERATORS))
-def test_evolve_keeps_zero_at_zero(make_gen):
+def test_evolve_keeps_zero_at_zero(monkeypatch, make_gen, phase_symmetric):
     # no chain and no block is touched
     zero = np.zeros((12, 12), dtype=complex)
+    if not phase_symmetric:
+        assert_rejected_before_any_solve(monkeypatch, lambda: evolve(zero, make_gen(12), 1.0))
+        return
     assert np.array_equal(evolve(zero, make_gen(12), 1.0), zero)
+
+
+@pytest.mark.parametrize("params", [NI, CONV], ids=["noise-induced", "conventional"])
+@pytest.mark.parametrize("state_dim,gen_dim", [(10, 12), (12, 10)])
+def test_evolve_rejects_state_of_another_dim(monkeypatch, params, state_dim, gen_dim):
+    def no_path(*args):
+        raise AssertionError("the generator was read")
+
+    monkeypatch.setattr(lindblad, "_grids", no_path)
+    with pytest.raises(FockError, match=rf"\({state_dim}, {state_dim}\).* dim {gen_dim}"):
+        evolve(fock_state(state_dim, 0), liouvillian(params, gen_dim), 1.0)
 
 
 def test_evolve_rejects_non_hermitian_state():
@@ -307,18 +337,25 @@ def test_evolve_rejects_non_hermitian_state():
             evolve(rho0, liouvillian(NI, 20), t)
 
 
-@pytest.mark.parametrize("make_gen", [make for make, _ in GENERATORS.values()],
-                         ids=list(GENERATORS))
-def test_gathered_blocks_equal_slices(make_gen):
-    gen = make_gen(24).tocsr()
-    n_blocks, labels = connected_components(gen.astype(bool), connection="weak")
-    blocks = lindblad._gather_blocks(gen, labels, np.arange(n_blocks))
-    assert len(blocks) == n_blocks
-    for label, (idx, block) in enumerate(blocks):
-        assert np.array_equal(idx, np.flatnonzero(labels == label))
-        reference = gen[idx][:, idx].toarray()
-        assert block.dtype == reference.dtype
-        assert block.tobytes() == reference.tobytes()
+# the gcd s of each model generator's jump shifts: block (m, p0) holds rho[p0 + s j, p0 + s j + m]
+STEPS = {"noise-induced-k0": 2, "noise-induced-k0.4": 2, "conventional": 1}
+
+
+@pytest.mark.parametrize("name", list(STEPS))
+def test_dense_blocks_equal_csr_slices(name):
+    dim = 24
+    gen = GENERATORS[name][0](dim).tocsr()
+    step = STEPS[name]
+    grids = lindblad._grids(gen)
+    assert lindblad._step(grids) == step
+    for m in range(dim):
+        for p0 in range(step):
+            rows, block = lindblad._block(grids, step, m, p0)
+            assert np.array_equal(rows, np.arange(p0, dim - m, step))
+            idx = rows + (rows + m) * dim
+            reference = gen[idx][:, idx].toarray()
+            assert block.dtype == reference.dtype
+            assert block.tobytes() == reference.tobytes()
 
 
 def count_solves(monkeypatch):
@@ -345,49 +382,46 @@ def test_evolve_exponentiates_each_mirror_pair_once(monkeypatch, name):
     make_gen, phase_symmetric = GENERATORS[name]
     dim = 24
     gen = make_gen(dim)
-    solves = count_solves(monkeypatch)
     rho0 = coherent_state(dim, 1.1 + 0.4j)
+    if not phase_symmetric:
+        assert_rejected_before_any_solve(monkeypatch, lambda: evolve(rho0, gen, 0.3))
+        return
+    solves = count_solves(monkeypatch)
     rho_t = evolve(rho0, gen, 0.3)
     assert np.array_equal(rho_t, rho_t.conj().T)
     assert not (solves["expm"] and solves["chains"])
     assert bool(solves["chains"]) == (name == "noise-induced-k0.4")
 
-    # the mirror of a block holds the transposed vec indices of its members
-    _, labels = connected_components(gen.astype(bool), connection="weak")
-    index = np.arange(dim * dim)
-    mirror = dict(zip(labels, labels[(index % dim) * dim + index // dim]))
-    touched = set(labels[vectorize(rho0) != 0])
-    expected = sum(mirror[label] >= label for label in touched)
-    assert solves["expm"] + solves["chains"] == expected
-    if phase_symmetric:
-        assert expected < len(touched)
-    else:
-        assert expected == len(touched) == 1
+    # one solve per touched block (m, p0) of order m >= 0, none for its mirror at -m
+    step = STEPS[name]
+    p, q = np.nonzero(rho0)
+    touched = set(zip((q - p).tolist(), (p % step).tolist()))
+    expected = sum(m >= 0 for m, _ in touched)
+    assert solves["expm"] + solves["chains"] == expected < len(touched)
 
 
 def dense_block_evolve(gen, states, t, orders):
-    """The states propagated by the dense exponentials of the blocks of orders m = q - p.
+    """The states propagated by the dense exponentials of their (order, parity) blocks.
 
-    The reference for the chain path: the dense path's block split and
-    gather, with one ``expm`` per block for all states at once.  Only the
-    entries of the given orders m >= 0 are propagated, with their
-    conjugates at -m; all others are left 0.
+    The reference for the chain path: each block rho[p0 + 2 j, p0 + 2 j + m],
+    p0 in {0, 1}, of a given order m >= 0 is sliced out of the CSR and
+    propagated by one ``expm`` for all states at once, and the entries at
+    -m are their conjugates; all others are left 0.
     """
     gen = gen.tocsr()
     dim = states[0].shape[0]
-    _, labels = connected_components(gen.astype(bool), connection="weak")
-    p, q = np.indices((dim, dim))
-    chosen = np.unique(labels[vectorize(np.isin(q - p, orders))])
-    vecs = np.stack([vectorize(rho) for rho in states], axis=1).astype(complex)
-    out = np.zeros_like(vecs)
-    for idx, block in lindblad._gather_blocks(gen, labels, chosen):
-        out[idx] = expm(t * block) @ vecs[idx]
-    results = []
-    for vec in out.T:
-        rho = np.triu(devectorize(vec))
+    results = [np.zeros((dim, dim), dtype=complex) for _ in states]
+    for m in orders:
+        for p0 in range(min(2, dim - m)):
+            rows = np.arange(p0, dim - m, 2)
+            idx = rows + (rows + m) * dim
+            propagated = expm(t * gen[idx][:, idx].toarray()) @ np.stack(
+                [rho[rows, rows + m] for rho in states], axis=1)
+            for rho, column in zip(results, propagated.T):
+                rho[rows, rows + m] = column
+    for rho in results:
         rho += np.triu(rho, 1).conj().T
-        results.append((rho + rho.conj().T) / 2)
-    return results
+    return [(rho + rho.conj().T) / 2 for rho in results]
 
 
 @pytest.mark.parametrize("omega0", [0.0, 1.0, -2.7])
@@ -435,33 +469,66 @@ def chain_link(dim, p, q):
     return row, row + 2 * (dim + 1)
 
 
-@pytest.mark.parametrize("make_gen,is_chain", [
-    pytest.param(lambda dim: liouvillian(NI, dim), True, id="noise-induced"),
-    pytest.param(lambda dim: liouvillian(ModelParams(omega0=1.0, kappa_down=1.0), dim), False,
+@pytest.mark.parametrize("params", [
+    NI, ModelParams(omega0=1.0, kappa_down=1.0), CONV,
+    ModelParams(omega0=-2.7, kappa_down=1.0, kind=ModelKind.CONVENTIONAL),
+], ids=["noise-induced", "noise-induced-k0", "conventional", "conventional-without-gain"])
+@pytest.mark.parametrize("dim", [12, 21])
+def test_grids_read_off_the_csr_are_the_model_grids(params, dim):
+    got = lindblad._grids(liouvillian(params, dim))
+    reference = fock.generator(params, dim)
+    assert got.jumps.keys() == reference.jumps.keys()
+    for grid, ref in [(got.diag, reference.diag),
+                      *((got.jumps[k], ref) for k, ref in reference.jumps.items())]:
+        assert grid.dtype == ref.dtype
+        assert grid.tobytes() == ref.tobytes()
+
+
+def test_grids_of_pure_dephasing_have_no_jump():
+    # every entry is then its own block
+    dim = 6
+    grids = lindblad._grids(dissipator(number_op(dim)).tocsr())
+    p, q = np.indices((dim, dim))
+    assert grids.jumps == {}
+    assert np.array_equal(grids.diag, -0.5 * (p - q) ** 2)
+    assert lindblad._step(grids) == dim
+
+
+@pytest.mark.parametrize("make_gen,is_chain,step", [
+    pytest.param(lambda dim: liouvillian(NI, dim), True, 2, id="noise-induced"),
+    pytest.param(lambda dim: liouvillian(ModelParams(omega0=1.0, kappa_down=1.0), dim), False, 2,
                  id="k0-no-up-links"),
-    pytest.param(lambda dim: liouvillian(CONV, dim), False, id="conventional"),
+    pytest.param(lambda dim: liouvillian(CONV, dim), False, 1, id="conventional"),
     pytest.param(lambda dim: with_entry(liouvillian(NI, dim), *chain_link(dim, 3, 5), 1j),
-                 False, id="complex-link"),
+                 False, 2, id="complex-link"),
     pytest.param(lambda dim: with_entry(liouvillian(NI, dim), *chain_link(dim, 3, 5), -1.0),
-                 False, id="negative-link"),
-    # on the vec diagonal 2(dim + 1), but taking rho[1, 7] to rho[dim - 1, 4]: no chain link
+                 False, 2, id="negative-link"),
+    # on the vec diagonal 2(dim + 1), but taking rho[1, 7] to rho[dim - 1, 4]: rejected
     pytest.param(lambda dim: with_entry(liouvillian(NI, dim), *chain_link(dim, dim - 1, 4), 1.0),
-                 False, id="wrapped-entry"),
-    pytest.param(lambda dim: with_entry(liouvillian(NI, dim), 0, dim + 1, 0.1), False,
+                 None, None, id="wrapped-entry"),
+    # jump k = +1, taking rho[1, 1] to rho[0, 0]: the blocks are the orders, s = 1
+    pytest.param(lambda dim: with_entry(liouvillian(NI, dim), 0, dim + 1, 0.1), False, 1,
                  id="entry-off-the-chain-diagonals"),
 ])
-def test_chain_path_needs_positive_links_on_three_vec_diagonals(make_gen, is_chain):
+def test_chain_path_needs_positive_links_on_three_vec_diagonals(monkeypatch, make_gen, is_chain,
+                                                                step):
     dim = 12
     gen = make_gen(dim)
-    grids = lindblad._chain_grids(gen, dim)
-    assert (grids is not None) == is_chain
-    if is_chain:
-        diag, down, up = grids
-        params_gen = fock.generator(NI, dim)
-        assert np.array_equal(diag, params_gen.diag)
-        assert np.array_equal(down, params_gen.jumps[2].real)
-        # up[p, q] takes rho[p, q] to rho[p + 2, q + 2]
-        assert np.array_equal(up[:-2, :-2], params_gen.jumps[-2][2:, 2:].real)
+    if is_chain is None:
+        with pytest.raises(LindbladError, match="wraps"):
+            lindblad._grids(gen)
+        return
+    grids = lindblad._grids(gen)
+    assert lindblad._is_chain(grids) == is_chain
+    assert lindblad._step(grids) == step
+    # every touched block of order m >= 0 is solved on the path taken, and only there
+    solves = count_solves(monkeypatch)
+    rho0 = coherent_state(dim, 0.8)
+    evolve(rho0, gen, 0.3)
+    p, q = np.nonzero(np.triu(rho0))
+    touched = len(set(zip((q - p).tolist(), (p % step).tolist())))
+    assert solves == ({"expm": 0, "chains": touched} if is_chain
+                      else {"expm": touched, "chains": 0})
 
 
 def test_chains_past_the_span_bound_take_the_dense_path(monkeypatch):
