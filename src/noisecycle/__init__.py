@@ -38,14 +38,12 @@ from .fock import (
     build_ladder,
     coherent_state,
     default_dim,
-    devectorize,
     dim_for_tail,
     fock_state,
     generator,
     liouvillian,
     number_op,
     parity_op,
-    vectorize,
 )
 from .lindblad import (
     CirculationResult,

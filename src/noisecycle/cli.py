@@ -20,7 +20,7 @@ import numpy as np
 
 from . import analytic, csvio, sde, verify, wignerflux
 from .fock import (FockError, ModelKind, ModelParams, coherent_state, default_dim, fock_state,
-                   liouvillian)
+                   generator)
 from .lindblad import evolve, parity_expectation, parity_weights, trace_distance
 
 # Each command's fields and their defaults.  The flags, the config-file keys
@@ -206,7 +206,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         raise SystemExit(f"config error at initial: bad state {spec!r} ({exc})") from None
     out = _prepare_out(args, cfg)
 
-    rho_t = evolve(rho0, liouvillian(params, dim), cfg["t"])
+    rho_t = evolve(rho0, generator(params, dim), cfg["t"])
     wp0, _ = parity_weights(rho0)
     target = analytic.rho_ss_analytic(params.k_ratio, wp0, dim)
     summary = {

@@ -7,10 +7,9 @@ the generator maps rho to
     L(rho)[p, q] = diag[p, q] rho[p, q] + sum over k of jumps[k][p, q] rho[p + k, q + k].
 
 ``generator`` returns these grids as a ``Generator``, which applies itself to
-a density matrix and writes itself as a CSR matrix (``liouvillian``) on
-column-stacked (Fortran-order) vectorizations, vec(A rho B) = kron(B.T, A) vec(rho).
-Only the forward generator is built: an adjoint action enters through the
-Hilbert-Schmidt duality Tr[A^dag L'(B)] = Tr[(L A)^dag B].
+a density matrix and is what the solvers of ``lindblad`` take; no dim^2 x dim^2
+matrix is built.  Only the forward generator is built: an adjoint action
+enters through the Hilbert-Schmidt duality Tr[A^dag L'(B)] = Tr[(L A)^dag B].
 """
 
 from __future__ import annotations
@@ -18,14 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-# scipy is imported inside the routines that build sparse matrices, so the
-# commands that never build one (phase-diagram, wigner, sde) start without it
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 MIN_DIM = 20
 MAX_DIM = 400
@@ -169,25 +162,6 @@ def coherent_state(dim: int, alpha: complex) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# vectorization (column stacking)
-# ---------------------------------------------------------------------------
-
-def vectorize(mat: np.ndarray) -> np.ndarray:
-    mat = np.asarray(mat)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise FockError(f"expected a square matrix, got shape {mat.shape}")
-    return mat.reshape(-1, order="F")
-
-
-def devectorize(vec: np.ndarray) -> np.ndarray:
-    vec = np.asarray(vec).reshape(-1)
-    dim = math.isqrt(vec.size)
-    if dim * dim != vec.size:
-        raise FockError(f"vector length {vec.size} is not a perfect square")
-    return vec.reshape((dim, dim), order="F")
-
-
-# ---------------------------------------------------------------------------
 # generators
 # ---------------------------------------------------------------------------
 
@@ -214,34 +188,10 @@ class Generator:
             out[to, to] += jump[to, to] * rho[src, src]
         return out
 
-    def tocsr(self) -> sp.csr_matrix:
-        """CSR on column-stacked vectors, written diagonal by diagonal; zeros are not stored.
-
-        Vec row r = p + q dim holds grid entry [p, q], so a transposed grid
-        read in C order runs over the rows, and jump k lies on the vec
-        diagonal whose column is r + k (dim + 1).  Visiting the jumps in
-        ascending k, with the diagonal as k = 0, leaves every row's columns
-        sorted, without a sort.
-        """
-        import scipy.sparse as sp
-
-        dim = self.diag.shape[0]
-        n = dim * dim
-        bands = [(k, grid.T) for k, grid in sorted({0: self.diag, **self.jumps}.items())]
-        stored = [(grid != 0).reshape(-1) for _, grid in bands]
-        # nnz is at most one entry per row and band
-        index = np.int32 if len(bands) * n < 2 ** 31 else np.int64
-        indptr = np.zeros(n + 1, dtype=index)
-        np.cumsum(sum(stored), out=indptr[1:])
-        data = np.empty(indptr[-1], dtype=complex)
-        indices = np.empty(indptr[-1], dtype=index)
-        fill = indptr[:-1].copy()  # next free slot of each row
-        for (k, grid), mask in zip(bands, stored):
-            at = fill[mask]
-            data[at] = grid[mask.reshape(grid.shape)]
-            indices[at] = np.flatnonzero(mask) + k * (dim + 1)
-            fill += mask
-        return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+    @property
+    def nnz(self) -> int:
+        """Nonzero entries of the grids: those a sparse dim^2 x dim^2 form would store."""
+        return sum(np.count_nonzero(grid) for grid in (self.diag, *self.jumps.values()))
 
 
 def generator(params: ModelParams, dim: int | None = None) -> Generator:
@@ -278,10 +228,6 @@ def generator(params: ModelParams, dim: int | None = None) -> Generator:
     return Generator(diag, jumps)
 
 
-def liouvillian(params: ModelParams, dim: int | None = None) -> sp.csr_matrix:
-    """Generator of the selected model as a CSR matrix: ``generator(params, dim).tocsr()``.
-
-    With finite rates the result equals the sparse sum of Kronecker-product
-    terms byte for byte.
-    """
-    return generator(params, dim).tocsr()
+def liouvillian(params: ModelParams, dim: int | None = None) -> Generator:
+    """The model generator under its older name: ``generator(params, dim)``."""
+    return generator(params, dim)

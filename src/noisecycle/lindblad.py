@@ -1,13 +1,12 @@
 """Numerical dynamics of the truncated generators.
 
-Steady states and time evolution read the model's grids (``fock.generator``)
-back off the CSR generator they are given and solve it block by block.  Both
-models are phase covariant: jump k takes rho[p + k, q + k] to rho[p, q], so
-the generator never mixes coherence orders m = q - p, and it keeps p modulo
-s, the gcd of its jump shifts (2 for the noise-induced model and for the
-conventional one without gain, 1 with one-photon gain).  Block (m, p0)
-holds rho[p0 + s j, p0 + s j + m], j = 0, 1, ...  A generator that is not
-phase covariant raises ``LindbladError`` before any solve.
+Steady states and time evolution take the model's grids, a ``fock.Generator``
+(``fock.generator``), and solve them block by block; anything else raises
+``TypeError`` before any work.  Both models are phase covariant: jump k takes
+rho[p + k, q + k] to rho[p, q], so the generator never mixes coherence orders
+m = q - p, and it keeps p modulo s, the gcd of its jump shifts (2 for the
+noise-induced model and for the conventional one without gain, 1 with
+one-photon gain).  Block (m, p0) holds rho[p0 + s j, p0 + s j + m], j = 0, 1, ...
 
 The blocks take one of two paths.  The noise-induced model at k > 0 is a
 chain generator: its jumps are exactly +/-2, with real positive links, so
@@ -42,7 +41,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -57,14 +55,13 @@ from .fock import (
     parity_op,
 )
 
-# scipy is imported inside the routines that use it, so that importing the
-# package (and the commands without a generator) does not load it
-if TYPE_CHECKING:
-    import scipy.sparse as sp
-
 
 def expm(a: np.ndarray) -> np.ndarray:
-    """``scipy.linalg.expm``, imported when called; a module-level name tests can replace."""
+    """``scipy.linalg.expm``, imported when called; a module-level name tests can replace.
+
+    Only the dense path needs it, so the package and the chain path start
+    without scipy.
+    """
     from scipy.linalg import expm as scipy_expm
 
     return scipy_expm(a)
@@ -216,51 +213,11 @@ def random_density_matrix(dim: int, rank: int | None = None, support: int | None
 # the model's grids and their invariant blocks
 # ---------------------------------------------------------------------------
 
-def _grids(L: sp.csr_matrix) -> Generator:
-    """The grids of a CSR generator (see ``fock.generator``), read off its vec diagonals.
-
-    With column stacking, rho[p, q] sits at r = p + q dim, and jump k lies on
-    the vec diagonal whose column is r + k (dim + 1).  A jump with a nonzero
-    is kept, as a real grid when its imaginary part is zero.
-    ``LindbladError`` when L is not dim^2 x dim^2, or stores a nonzero off
-    the diagonals k (dim + 1), |k| <= 2 (L is then not phase covariant), or
-    one that would wrap to another column of rho.
-    """
-    n = L.shape[0]
-    dim = math.isqrt(n)
-    if L.shape != (dim * dim, dim * dim):
-        raise LindbladError(f"generator of shape {L.shape} is not dim^2 x dim^2")
-
-    def grid(offset: int, values: np.ndarray) -> np.ndarray:
-        flat = np.zeros(n, dtype=values.dtype)
-        flat[max(-offset, 0):max(n - offset, 0)] = values
-        return flat.reshape(dim, dim, order="F")
-
-    # counts each nonzero once, summing duplicate entries
-    total = L.count_nonzero()
-    gen = Generator(grid(0, L.diagonal().astype(complex, copy=False)), {})
-    stored = np.count_nonzero(gen.diag)
-    # the diagonals hold at most the nonzeros of L: once they hold all, the rest are empty
-    for k in (2, -2, -1, 1):
-        if stored == total:
-            break
-        offset = k * (dim + 1)
-        values = L.diagonal(offset)
-        count = np.count_nonzero(values)
-        if not count:
-            continue
-        jump = grid(offset, values if values.imag.any() else values.real)
-        # an entry whose p + k falls off the truncation wraps to another
-        # column of rho; one whose q + k does has no column
-        to, _ = gen.reach(k)
-        if jump[:to.start].any() or jump[to.stop:].any():
-            raise LindbladError(f"an entry of jump {k} wraps to another column of rho")
-        gen.jumps[k] = jump
-        stored += count
-    if stored != total:
-        raise LindbladError("the generator is not phase covariant: it stores entries off "
-                            "the vec diagonals k (dim + 1), |k| <= 2")
-    return gen
+def _require_generator(gen) -> None:
+    """``TypeError`` unless gen is the model's grids, as ``fock.generator`` builds them."""
+    if not isinstance(gen, Generator):
+        raise TypeError(f"expected a fock.Generator, as fock.generator builds it, "
+                        f"got {type(gen).__name__}")
 
 
 def _step(gen: Generator) -> int:
@@ -381,25 +338,25 @@ def _chains(gen: Generator, orders: np.ndarray, starts: np.ndarray) -> _Chains:
 _NULL_RTOL = 1e-10
 
 
-def steady_states(L: sp.spmatrix) -> SteadyStateResult:
-    """Steady states of a phase-covariant generator from the null spaces of its m = 0 blocks.
+def steady_states(gen: Generator) -> SteadyStateResult:
+    """Steady states of a model generator from the null spaces of its m = 0 blocks.
 
-    ``LindbladError`` for a generator that is not phase covariant (see
-    ``_grids``).  Only the blocks of order m = 0 hold populations and can
-    carry a state; a block of coherences is skipped even when it has a
-    kernel (the |0><1| block at omega0 = k = 0), so ``kernel_dim`` counts
-    states.  On a chain generator whose two m = 0 chains have a real
-    diagonal and a span within ``_SPAN_MAX``, one batched ``eigh`` of their
-    symmetric forms gives the null vectors, which the similarity turns into
-    exactly diagonal states; any other generator gives each m = 0 block a
-    dense SVD.  A null vector has an eigen- or singular value at most
-    ``_NULL_RTOL`` times the block's largest, and is scaled to unit trace
-    and symmetrized.  One state is the unique result; two states must be an
-    even- and an odd-supported pair, returned as ``rho_plus`` and
-    ``rho_minus`` with the ``combine`` mixer.  Any other count or pair, or a
-    trace-free null vector, raises ``DegenerateSpectrumError``.
+    ``TypeError`` for anything but a ``fock.Generator``.  Only the blocks of
+    order m = 0 hold populations and can carry a state; a block of
+    coherences is skipped even when it has a kernel (the |0><1| block at
+    omega0 = k = 0), so ``kernel_dim`` counts states.  On a chain generator
+    whose two m = 0 chains have a real diagonal and a span within
+    ``_SPAN_MAX``, one batched ``eigh`` of their symmetric forms gives the
+    null vectors, which the similarity turns into exactly diagonal states;
+    any other generator gives each m = 0 block a dense SVD.  A null vector
+    has an eigen- or singular value at most ``_NULL_RTOL`` times the block's
+    largest, and is scaled to unit trace and symmetrized.  One state is the
+    unique result; two states must be an even- and an odd-supported pair,
+    returned as ``rho_plus`` and ``rho_minus`` with the ``combine`` mixer.
+    Any other count or pair, or a trace-free null vector, raises
+    ``DegenerateSpectrumError``.
     """
-    gen = _grids(L.tocsr())
+    _require_generator(gen)
     dim = gen.diag.shape[0]
     null_states = _chain_null_states(gen) if _is_chain(gen) else None
     if null_states is None:
@@ -460,18 +417,17 @@ def _chain_null_states(gen: Generator) -> list[np.ndarray] | None:
 _HERMITIAN_ATOL = 1e-12
 
 
-def evolve(rho0: np.ndarray, L: sp.spmatrix, t: float) -> np.ndarray:
-    """Propagate rho0 to time t under the phase-covariant generator L.
+def evolve(rho0: np.ndarray, gen: Generator, t: float) -> np.ndarray:
+    """Propagate rho0 to time t under the model generator gen.
 
-    t must be finite and nonnegative and rho0 Hermitian (``ValueError``,
-    past 1e-12 entrywise for rho0), and rho0 must be dim x dim for the dim
-    of L (``FockError``), all before any work; ``LindbladError`` for a
-    generator that is not phase covariant (see ``_grids``).  L is assumed
-    to preserve Hermiticity, as every Lindblad generator does.  Under both
-    assumptions the entry at the transposed index is the conjugate, so only
-    the blocks of orders m = q - p >= 0 that the upper triangle of rho0
-    touches are propagated and the entries of order -m are their
-    conjugates; what rho0 leaves zero stays zero.
+    gen must be a ``fock.Generator`` (``TypeError``), t finite and
+    nonnegative and rho0 Hermitian (``ValueError``, past 1e-12 entrywise for
+    rho0), and rho0 dim x dim for the dim of gen (``FockError``), all before
+    any work.  gen is assumed to preserve Hermiticity, as every Lindblad
+    generator does.  Under both assumptions the entry at the transposed
+    index is the conjugate, so only the blocks of orders m = q - p >= 0 that
+    the upper triangle of rho0 touches are propagated and the entries of
+    order -m are their conjugates; what rho0 leaves zero stays zero.
 
     On a chain generator, the touched chains are propagated by one batched
     ``eigh`` per chain length (see ``_chains``):
@@ -484,16 +440,16 @@ def evolve(rho0: np.ndarray, L: sp.spmatrix, t: float) -> np.ndarray:
     dense path: each touched block, written from the grids, is propagated
     by its dense exponential.
     """
+    _require_generator(gen)
     if not 0.0 <= t < math.inf:  # NaN fails too
         raise ValueError(f"evolution time must be finite and nonnegative, got {t!r}")
-    dim = math.isqrt(L.shape[0])
+    dim = gen.diag.shape[0]
     if np.shape(rho0) != (dim, dim):
         raise FockError(f"initial state of shape {np.shape(rho0)} does not match the "
                         f"generator's dim {dim}")
     skew = float(np.abs(rho0 - rho0.conj().T).max())
     if skew > _HERMITIAN_ATOL:
         raise ValueError(f"initial state is not Hermitian: max|rho0 - rho0^dag| = {skew:.3e}")
-    gen = _grids(L.tocsr())
     if t == 0:
         return rho0.copy()
     step = _step(gen)

@@ -24,7 +24,7 @@ from .fock import (
     coherent_state,
     dim_for_tail,
     fock_state,
-    liouvillian,
+    generator,
     number_op,
 )
 from .lindblad import (
@@ -122,7 +122,7 @@ def steady_report(params: ModelParams, dim: int, wp_plus: float) -> dict:
 
     The conventional model must break detailed balance.
     """
-    solved = steady_states(liouvillian(params, dim))
+    solved = steady_states(generator(params, dim))
     checks = {}
     if params.kind is ModelKind.NOISE_INDUCED:
         k = params.k_ratio
@@ -193,7 +193,7 @@ def check_steady_state_oracle(mutations=()) -> dict:
     for k_ratio in (0.1, 0.5, 0.8):
         dim = dim_for_tail(k_ratio)
         params = ModelParams(omega0=1.0, kappa_down=kappa_down, kappa_up2=k_ratio)
-        result = steady_states(liouvillian(params, dim))
+        result = steady_states(generator(params, dim))
         distances += [closed_form_row(result.combine(wp), k_ratio, wp)["value"]
                       for wp in (0.3, 0.55, 0.9)]
     # np.max, unlike max, carries a NaN distance into the row, which then fails
@@ -201,7 +201,12 @@ def check_steady_state_oracle(mutations=()) -> dict:
 
 
 def check_wigner_oracle(mutations=()) -> dict:
-    """Closed-form quasiprobability vs displaced parity, 41x41 grid (< 1e-6)."""
+    """Closed-form quasiprobability vs displaced parity (< 1e-6).
+
+    The steady state, diagonal, on a 41x41 grid, and a coherent state, whose
+    coherences take the per-radius path of ``wigner_numeric``, on a 5x5 grid:
+    W = exp(-|(x, y) - 2 (Re alpha, Im alpha)|^2 / 2) / (2 pi).
+    """
     k_ratio, wp = 0.2, 0.4
     dim = 128  # corner displacements reach |alpha| ~ 4.6 and need the headroom
     extent = wignerflux.default_extent(k_ratio, wp)
@@ -211,7 +216,15 @@ def check_wigner_oracle(mutations=()) -> dict:
     xs, ys = np.meshgrid(axis, axis, indexing="ij")
     closed = analytic.wigner_ss(xs, ys, k_ratio, wp)
     gap = float(np.abs(numeric - closed).max())
-    return {"max_abs_gap": _below(gap, 1e-6), "grid": "41x41"}
+
+    alpha = 1.0 + 0.5j
+    axis = np.linspace(-3.0, 3.0, 5)
+    numeric = wigner_numeric_grid(coherent_state(dim, alpha), axis, axis)
+    xs, ys = np.meshgrid(axis, axis, indexing="ij")
+    closed = np.exp(-0.5 * ((xs - 2.0 * alpha.real) ** 2 + (ys - 2.0 * alpha.imag) ** 2))
+    coherent_gap = float(np.abs(numeric - closed / (2.0 * math.pi)).max())
+    return {"max_abs_gap": _below(gap, 1e-6), "grid": "41x41",
+            "coherent_max_abs_gap": _below(coherent_gap, 1e-6)}
 
 
 def check_phase_classification(mutations=()) -> dict:
@@ -322,7 +335,7 @@ def check_detailed_balance(mutations=()) -> dict:
         omega0=1.0, kappa_down=1.0, kappa_up1=0.3, kind=ModelKind.CONVENTIONAL
     )
     conv_dim = 20
-    conv = balance_row(conv_params, steady_states(liouvillian(conv_params, conv_dim)).states[0])
+    conv = balance_row(conv_params, steady_states(generator(conv_params, conv_dim)).states[0])
     return {
         "noise_induced_residual": ni,
         "conventional_residual": conv,
@@ -335,7 +348,7 @@ def check_parity(mutations=()) -> dict:
     k_ratio = 0.3
     dim = dim_for_tail(k_ratio)
     params = ModelParams(omega0=1.0, kappa_down=1.0, kappa_up2=k_ratio)
-    gen = liouvillian(params, dim)
+    gen = generator(params, dim)
 
     rho0 = coherent_state(dim, 1.0)
     reference = parity_expectation(rho0)

@@ -5,10 +5,11 @@ its tables from plain ints, on first use.  Each case runs in a fresh
 interpreter, because this process may already hold these modules.  A case
 that loads a module it should not is run again under ``-X importtime``, and
 the failure names the import chain that reached it and the line of the
-package that made the import.  No command loads ``scipy.sparse.csgraph``.
-A command that builds a generator of the noise-induced model at k > 0
-solves it on its chains, and the conventional steady states take dense
-SVDs, both without ``scipy.linalg``, which only the dense exponentials load.
+package that made the import.  No command loads ``scipy.sparse``: the
+solvers take the model's grids.  A command that builds a generator of the
+noise-induced model at k > 0 solves it on its chains, and the conventional
+steady states take dense SVDs, both without ``scipy.linalg``, which only the
+dense exponentials load.
 """
 
 import json
@@ -104,10 +105,10 @@ def test_scipy_free_start_loads_no_scipy(tmp_path, argv):
                     f"{', '.join(loaded)}; import chain: {import_chain(log)}; {site}")
 
 
-def test_steady_loads_scipy_sparse(tmp_path):
-    # positive control: the generator is a scipy.sparse matrix
+def test_steady_loads_no_scipy_sparse(tmp_path):
+    # the generator is the model's grids, not a scipy.sparse matrix
     argv = ["steady", "--dim", "20", "--out", "run"]
-    assert "scipy.sparse" in json.loads(_run(argv, tmp_path).stdout)
+    assert "scipy.sparse" not in json.loads(_run(argv, tmp_path).stdout)
 
 
 @pytest.mark.parametrize("argv,dense", [
@@ -121,5 +122,5 @@ def test_steady_loads_scipy_sparse(tmp_path):
 ])
 def test_dense_path_modules_load_only_off_the_chain_path(tmp_path, argv, dense):
     loaded = set(json.loads(_run(argv, tmp_path).stdout))
-    assert "scipy.sparse" in loaded and "scipy.sparse.csgraph" not in loaded, sorted(loaded)
+    assert "scipy.sparse" not in loaded, sorted(loaded)
     assert ("scipy.linalg" in loaded) == dense, sorted(loaded)

@@ -16,15 +16,14 @@ from noisecycle.fock import (
     NoStationaryStateError,
     build_ladder,
     coherent_state,
+    Generator,
     default_dim,
-    devectorize,
     dim_for_tail,
     fock_state,
     generator,
     liouvillian,
     number_op,
     parity_op,
-    vectorize,
 )
 from noisecycle.analytic import rho_ss_analytic
 
@@ -93,7 +92,7 @@ def test_params_reject_saturated_gain():
 @pytest.mark.parametrize("base", [pytest.param(NI, id="noise-induced"),
                                   pytest.param(CONV, id="conventional")])
 def test_params_reject_non_finite_rates(base, field, value):
-    # liouvillian's per-diagonal arithmetic is exact only for finite rates
+    # the generator's per-grid arithmetic is exact only for finite rates
     with pytest.raises(FockError) as err:
         replace(base, **{field: value})
     assert err.value.field == field
@@ -178,6 +177,108 @@ def test_sandwich_identity():
         direct = vectorize(a @ rho @ b)
         via_kron = sandwich(a, b) @ vectorize(rho)
         assert np.allclose(direct, via_kron, atol=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# the CSR bridge: the grids as a dim^2 x dim^2 matrix and back
+# ---------------------------------------------------------------------------
+
+# The references (the Kronecker-product terms, expm_multiply, dense null
+# spaces) act on column-stacked (Fortran-order) vectorizations,
+# vec(A rho B) = kron(B.T, A) vec(rho), so rho[p, q] sits at vec row
+# r = p + q dim, and jump k lies on the vec diagonal whose column is
+# r + k (dim + 1).
+
+def vectorize(mat: np.ndarray) -> np.ndarray:
+    mat = np.asarray(mat)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise FockError(f"expected a square matrix, got shape {mat.shape}")
+    return mat.reshape(-1, order="F")
+
+
+def devectorize(vec: np.ndarray) -> np.ndarray:
+    vec = np.asarray(vec).reshape(-1)
+    dim = math.isqrt(vec.size)
+    if dim * dim != vec.size:
+        raise FockError(f"vector length {vec.size} is not a perfect square")
+    return vec.reshape((dim, dim), order="F")
+
+
+def tocsr(gen: Generator) -> sp.csr_matrix:
+    """The grids as a CSR matrix, written diagonal by diagonal; zeros are not stored.
+
+    A transposed grid read in C order runs over the vec rows.  Visiting the
+    jumps in ascending k, with the diagonal as k = 0, leaves every row's
+    columns sorted, without a sort.
+    """
+    dim = gen.diag.shape[0]
+    n = dim * dim
+    bands = [(k, grid.T) for k, grid in sorted({0: gen.diag, **gen.jumps}.items())]
+    stored = [(grid != 0).reshape(-1) for _, grid in bands]
+    # nnz is at most one entry per row and band
+    index = np.int32 if len(bands) * n < 2 ** 31 else np.int64
+    indptr = np.zeros(n + 1, dtype=index)
+    np.cumsum(sum(stored), out=indptr[1:])
+    data = np.empty(indptr[-1], dtype=complex)
+    indices = np.empty(indptr[-1], dtype=index)
+    fill = indptr[:-1].copy()  # next free slot of each row
+    for (k, grid), mask in zip(bands, stored):
+        at = fill[mask]
+        data[at] = grid[mask.reshape(grid.shape)]
+        indices[at] = np.flatnonzero(mask) + k * (dim + 1)
+        fill += mask
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+
+
+def liouvillian_csr(params: ModelParams, dim: int) -> sp.csr_matrix:
+    """The model generator as a CSR matrix; byte for byte ``reference_liouvillian``."""
+    return tocsr(generator(params, dim))
+
+
+def grids(L: sp.spmatrix) -> Generator:
+    """The grids of a CSR generator, read off its vec diagonals; ``tocsr`` undone.
+
+    A jump with a nonzero is kept, as a real grid when its imaginary part is
+    zero.  ``ValueError`` when L is not dim^2 x dim^2, or stores a nonzero
+    off the diagonals k (dim + 1), |k| <= 2 (L is then not phase covariant),
+    or one that would wrap to another column of rho.
+    """
+    L = L.tocsr()
+    n = L.shape[0]
+    dim = math.isqrt(n)
+    if L.shape != (dim * dim, dim * dim):
+        raise ValueError(f"generator of shape {L.shape} is not dim^2 x dim^2")
+
+    def grid(offset: int, values: np.ndarray) -> np.ndarray:
+        flat = np.zeros(n, dtype=values.dtype)
+        flat[max(-offset, 0):max(n - offset, 0)] = values
+        return flat.reshape(dim, dim, order="F")
+
+    # counts each nonzero once, summing duplicate entries
+    total = L.count_nonzero()
+    gen = Generator(grid(0, L.diagonal().astype(complex, copy=False)), {})
+    stored = np.count_nonzero(gen.diag)
+    # the diagonals hold at most the nonzeros of L: once they hold all, the rest are empty
+    for k in (2, -2, -1, 1):
+        if stored == total:
+            break
+        offset = k * (dim + 1)
+        values = L.diagonal(offset)
+        count = np.count_nonzero(values)
+        if not count:
+            continue
+        jump = grid(offset, values if values.imag.any() else values.real)
+        # an entry whose p + k falls off the truncation wraps to another
+        # column of rho; one whose q + k does has no column
+        to, _ = gen.reach(k)
+        if jump[:to.start].any() or jump[to.stop:].any():
+            raise ValueError(f"an entry of jump {k} wraps to another column of rho")
+        gen.jumps[k] = jump
+        stored += count
+    if stored != total:
+        raise ValueError("the generator is not phase covariant: it stores entries off "
+                         "the vec diagonals k (dim + 1), |k| <= 2")
+    return gen
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +417,7 @@ def reference_liouvillian(params: ModelParams, dim: int) -> sp.csr_matrix:
 ])
 def test_liouvillian_equals_dense_product_reference(params, omega0, dim):
     params = replace(params, omega0=omega0)
-    got = liouvillian(params, dim).sorted_indices()
+    got = liouvillian_csr(params, dim).sorted_indices()
     ref = reference_liouvillian(params, dim).sorted_indices()
     assert np.array_equal(got.indptr, ref.indptr)
     assert np.array_equal(got.indices, ref.indices)
@@ -333,7 +434,7 @@ def test_liouvillian_equals_dense_product_reference(params, omega0, dim):
 ])
 def test_generator_diagonals_apply_as_the_csr_generator(params, omega0, dim):
     params = replace(params, omega0=omega0)
-    gen = liouvillian(params, dim)
+    gen = liouvillian_csr(params, dim)
     rng = np.random.default_rng(dim)
     rho = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     got = vectorize(generator(params, dim).apply(rho))
@@ -390,16 +491,31 @@ def test_generator_grids_match_the_closed_form(params, omega0, dim):
         np.testing.assert_allclose(gen.jumps[k], jump, rtol=1e-14, atol=0)
 
 
+@pytest.mark.parametrize("params", [
+    pytest.param(NI, id="noise-induced"),
+    pytest.param(replace(NI, kappa_up2=0.0), id="noise-induced-k0"),
+    pytest.param(CONV, id="conventional"),
+    pytest.param(replace(CONV, kappa_up1=0.0), id="conventional-no-gain"),
+])
+@pytest.mark.parametrize("dim", [3, 20])
+def test_nnz_counts_the_entries_the_csr_stores(params, dim):
+    gen = generator(params, dim)
+    assert gen.nnz == liouvillian_csr(params, dim).nnz
+    # the older name builds the same grids
+    old = liouvillian(params, dim)
+    assert old.nnz == gen.nnz and old.diag.tobytes() == gen.diag.tobytes()
+
+
 def test_pure_rotation_annihilates_vacuum():
     p = ModelParams(omega0=2.0, kappa_down=1e-300)  # loss must be positive; make it negligible
-    gen = liouvillian(p, 12)
+    gen = liouvillian_csr(p, 12)
     out = gen @ vectorize(fock_state(12, 0))
     assert np.abs(out).max() < 1e-250
 
 
 @pytest.mark.parametrize("params,dim", [(NI, 40), (CONV, 40)])
 def test_trace_functional_is_left_null(params, dim):
-    gen = liouvillian(params, dim)
+    gen = liouvillian_csr(params, dim)
     row = vectorize(np.eye(dim)).conj() @ gen
     assert np.abs(row).max() < 1e-12
 
@@ -407,13 +523,13 @@ def test_trace_functional_is_left_null(params, dim):
 def test_parity_left_null_noise_induced_only():
     dim = 40
     pi = vectorize(parity_op(dim)).conj()
-    assert np.abs(pi @ liouvillian(NI, dim)).max() < 1e-12
-    assert np.abs(pi @ liouvillian(CONV, dim)).max() > 1.0
+    assert np.abs(pi @ liouvillian_csr(NI, dim)).max() < 1e-12
+    assert np.abs(pi @ liouvillian_csr(CONV, dim)).max() > 1.0
 
 
 def test_hermiticity_preservation():
     rng = np.random.default_rng(3)
-    gen = liouvillian(NI, 24)
+    gen = liouvillian_csr(NI, 24)
     g = rng.standard_normal((24, 24)) + 1j * rng.standard_normal((24, 24))
     herm = g + g.conj().T
     out = apply_super(gen, herm)
@@ -438,7 +554,7 @@ def rotation_super(phi: float, dim: int) -> sp.csr_matrix:
 def test_weak_rotation_symmetry(params):
     rng = np.random.default_rng(4)
     dim = 24
-    gen = liouvillian(params, dim)
+    gen = liouvillian_csr(params, dim)
     for phi in rng.uniform(0, 2 * np.pi, size=3):
         rot = rotation_super(phi, dim)
         comm = rot @ gen - gen @ rot
@@ -458,7 +574,7 @@ def cross_order_nonzeros(gen: sp.spmatrix, dim: int) -> int:
 ])
 def test_liouvillian_block_diagonal_in_coherence_order(params):
     dim = 12
-    assert cross_order_nonzeros(liouvillian(params, dim), dim) == 0
+    assert cross_order_nonzeros(liouvillian_csr(params, dim), dim) == 0
     # a phase-breaking channel does couple orders, so the count can see it
     assert cross_order_nonzeros(dissipator(quadrature_x(dim)), dim) > 0
 
@@ -468,14 +584,14 @@ def test_liouvillian_block_diagonal_in_coherence_order(params):
 # ---------------------------------------------------------------------------
 
 def adjoint(params, dim):
-    return liouvillian(params, dim).conj().T
+    return liouvillian_csr(params, dim).conj().T
 
 
 @pytest.mark.parametrize("params", [NI, CONV])
 def test_adjoint_duality_random_pairs(params):
     rng = np.random.default_rng(5)
     dim = 16
-    gen = liouvillian(params, dim)
+    gen = liouvillian_csr(params, dim)
     adj = adjoint(params, dim)
     for _ in range(20):
         a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))

@@ -11,9 +11,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noisecycle.fock import ModelKind, ModelParams, liouvillian, parity_op
+from noisecycle.fock import ModelKind, ModelParams, generator, parity_op
 from noisecycle.lindblad import evolve, random_density_matrix
-from test_fock import apply_super, reference_liouvillian
+from test_fock import apply_super, liouvillian_csr, reference_liouvillian
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=25)
 
@@ -46,7 +46,7 @@ def scale(params, dim):
 @given(models())
 def test_trace_preserved(model):
     params, dim, seed = model
-    out = apply_super(liouvillian(params, dim), random_matrix(dim, seed))
+    out = apply_super(liouvillian_csr(params, dim), random_matrix(dim, seed))
     assert abs(np.trace(out)) < 1e-12 * scale(params, dim)
 
 
@@ -54,7 +54,7 @@ def test_trace_preserved(model):
 @given(models())
 def test_hermiticity_preserved(model):
     params, dim, seed = model
-    gen = liouvillian(params, dim)
+    gen = liouvillian_csr(params, dim)
     rho = random_matrix(dim, seed)
     gap = apply_super(gen, rho.conj().T) - apply_super(gen, rho).conj().T
     assert np.abs(gap).max() < 1e-12 * scale(params, dim)
@@ -64,7 +64,7 @@ def test_hermiticity_preserved(model):
 @given(models(kinds=(ModelKind.NOISE_INDUCED,)))
 def test_parity_commutes_with_noise_induced_generator(model):
     params, dim, seed = model
-    gen = liouvillian(params, dim)
+    gen = liouvillian_csr(params, dim)
     parity = parity_op(dim)
     rho = random_matrix(dim, seed)
     gap = (parity @ apply_super(gen, rho) @ parity
@@ -76,7 +76,7 @@ def test_parity_commutes_with_noise_induced_generator(model):
 @given(models())
 def test_no_entry_couples_coherence_orders(model):
     params, dim, _ = model
-    gen = liouvillian(params, dim).tocoo()
+    gen = liouvillian_csr(params, dim).tocoo()
     # column stacking: vec index m + n dim holds rho[m, n], of coherence order m - n
     order = np.arange(dim * dim) % dim - np.arange(dim * dim) // dim
     coupled = order[gen.row] != order[gen.col]
@@ -88,7 +88,7 @@ def test_no_entry_couples_coherence_orders(model):
 def test_evolve_keeps_states_positive(model, t):
     params, dim, seed = model
     rho0 = random_density_matrix(dim, rng=np.random.default_rng(seed))
-    rho_t = evolve(rho0, liouvillian(params, dim), t)
+    rho_t = evolve(rho0, generator(params, dim), t)
     assert np.linalg.eigvalsh(rho_t).min() >= -1e-10
     assert abs(np.trace(rho_t) - 1.0) < 1e-10
 
@@ -118,7 +118,7 @@ def extreme_models(draw):
 @given(extreme_models())
 def test_liouvillian_equals_reference_bytes_for_any_finite_rates(model):
     params, dim = model
-    got = liouvillian(params, dim).sorted_indices()
+    got = liouvillian_csr(params, dim).sorted_indices()
     ref = reference_liouvillian(params, dim).sorted_indices()
     assert np.array_equal(got.indptr, ref.indptr)
     assert np.array_equal(got.indices, ref.indices)
