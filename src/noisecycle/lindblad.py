@@ -8,22 +8,21 @@ m = q - p, and it keeps p modulo s, the gcd of its jump shifts (2 for the
 noise-induced model and for the conventional one without gain, 1 with
 one-photon gain).  Block (m, p0) holds rho[p0 + s j, p0 + s j + m], j = 0, 1, ...
 
-The blocks take one of two paths.  The noise-induced model at k > 0 is a
-chain generator: its jumps are exactly +/-2, with real positive links, so
-each block is a birth-death chain rho[p, q] -> rho[p + 2, q + 2],
-tridiagonal and symmetrized by a diagonal similarity D (Gardiner, *Handbook
-of Stochastic Methods*; Simaan & Loudon, J. Phys. A 8, 539, 1975).  Its
-chains are solved by batched real ``eigh``, one call per chain length, with
-no scipy.linalg.  The chain path needs every chain it solves to have a span
-max D / min D within ``_SPAN_MAX`` (1e8; rounding grows with the span),
-and, for evolution, t times the spread of a chain's imaginary diagonal,
-which bounds the error of its one phase, within ``_PHASE_ATOL`` (1e-11).
-Every other model generator (the conventional model, k = 0), and a call
-that would solve a chain past a bound, takes the dense path: each block's
-dense matrix, written straight from the grids, gets an SVD or an
-exponential.  Evolution assumes a Hermitian initial state and a
-Hermiticity-preserving generator, so on both paths only orders m >= 0 are
-solved and the rest is filled by conjugation.
+Steady states live on the m = 0 blocks.  When the jumps are +2 and at most
+-2 (the noise-induced model at any k >= 0, the conventional one without
+gain) these are two birth-death chains, the even and the odd levels, and
+each steady state is a detailed-balance product (Gardiner, *Handbook of
+Stochastic Methods*); otherwise they get a dense SVD.  Evolution of the
+noise-induced model at k > 0 takes the chain path: with jumps exactly +/-2
+and real positive links, each block is a tridiagonal chain, symmetrized by
+a diagonal similarity D (Simaan & Loudon, J. Phys. A 8, 539, 1975) and
+solved by batched real ``eigh``, one call per chain length.  It needs each
+chain's span max D / min D within ``_SPAN_MAX`` (1e8) and t times the
+spread of a chain's imaginary diagonal, which bounds its phase error,
+within ``_PHASE_ATOL`` (1e-11).  Any other generator, or a call past a
+bound, takes the dense path: the exponential of each block's dense matrix.
+Evolution assumes a Hermitian initial state and a Hermiticity-preserving
+generator, so only orders m >= 0 are solved; the rest is their conjugate.
 
 The steady-report quantities work on the generator's grids over the
 density-matrix entries (``fock.generator``) and on the structure of the
@@ -81,7 +80,7 @@ class DegenerateSpectrumError(LindbladError):
 
     def __init__(self, kernel_dim: int):
         self.kernel_dim = kernel_dim
-        super().__init__(f"null space has dimension {kernel_dim}, expected 1 or 2")
+        super().__init__(f"null space has dimension {kernel_dim}, expected 1")
 
 
 class StationarityError(LindbladError):
@@ -296,9 +295,6 @@ class _Chains:
         flat[:, 1::length + 1] = flat[:, length::length + 1] = self.link[chains, :length - 1]
         return out
 
-    def within_span(self) -> bool:
-        return np.ptp(self.log_scale, axis=1).max(initial=0.0) <= math.log(_SPAN_MAX)
-
 
 def _chains(gen: Generator, orders: np.ndarray, starts: np.ndarray) -> _Chains:
     """The chains of orders m >= 0 starting at p0 in {0, 1} of a chain generator.
@@ -333,79 +329,78 @@ def _chains(gen: Generator, orders: np.ndarray, starts: np.ndarray) -> _Chains:
 # steady states
 # ---------------------------------------------------------------------------
 
-# an eigen- or singular value at most this fraction of its block's largest,
-# or the trace of a unit null vector at most this size, counts as zero
+# a singular value at most this fraction of its block's largest, or the
+# trace of a unit null vector at most this size, counts as zero
 _NULL_RTOL = 1e-10
+# a detailed-balance state pi passes when ||L(pi)||_F is at most this fraction
+# of ||diag o pi||_F, the size of the terms that cancel in L(pi): the model
+# gives at most 3.1e-16 up to dim 2200, a diagonal off by 1e-9 gives 1e-9
+_STATIONARY_RTOL = 1e-12
 
 
 def steady_states(gen: Generator) -> SteadyStateResult:
-    """Steady states of a model generator from the null spaces of its m = 0 blocks.
+    """Steady states of a model generator, from its blocks of order m = 0.
 
-    ``TypeError`` for anything but a ``fock.Generator``.  Only the blocks of
-    order m = 0 hold populations and can carry a state; a block of
-    coherences is skipped even when it has a kernel (the |0><1| block at
-    omega0 = k = 0), so ``kernel_dim`` counts states.  On a chain generator
-    whose two m = 0 chains have a real diagonal and a span within
-    ``_SPAN_MAX``, one batched ``eigh`` of their symmetric forms gives the
-    null vectors, which the similarity turns into exactly diagonal states;
-    any other generator gives each m = 0 block a dense SVD.  A null vector
-    has an eigen- or singular value at most ``_NULL_RTOL`` times the block's
-    largest, and is scaled to unit trace and symmetrized.  One state is the
-    unique result; two states must be an even- and an odd-supported pair,
-    returned as ``rho_plus`` and ``rho_minus`` with the ``combine`` mixer.
-    Any other count or pair, or a trace-free null vector, raises
-    ``DegenerateSpectrumError``.
+    ``TypeError`` for anything but a ``fock.Generator``.  Only m = 0 blocks
+    hold populations, so ``kernel_dim`` counts states (the |0><1| block is
+    stationary too at omega0 = k = 0).  Jumps +2 and at most -2 give
+    ``rho_plus`` and ``rho_minus``, the detailed-balance products of the even
+    and odd levels (``_balanced_states``).  Otherwise the SVDs of the m = 0
+    blocks must give exactly one null vector (``DegenerateSpectrumError``),
+    a singular value at most ``_NULL_RTOL`` times its block's largest, with
+    a trace (``LindbladError``); it is scaled to unit trace and symmetrized.
     """
     _require_generator(gen)
+    if 2 in gen.jumps and gen.jumps.keys() <= {2, -2}:
+        plus, minus = _balanced_states(gen)
+        return SteadyStateResult(kernel_dim=2, states=[plus, minus], rho_plus=plus, rho_minus=minus)
+    step = _step(gen)
+    null = []
+    for p0 in range(step):
+        rows, block = _block(gen, step, 0, p0)
+        _, s, vh = np.linalg.svd(block)
+        null += [(rows, v) for v in vh[s <= _NULL_RTOL * s[0]].conj()]
+    if len(null) != 1:
+        raise DegenerateSpectrumError(len(null))
+    rows, v = null[0]
+    if abs(v.sum()) <= _NULL_RTOL:
+        raise LindbladError("the null vector is trace free: it carries no state")
+    rho = np.zeros(gen.diag.shape, dtype=complex)
+    rho[rows, rows] = (v / v.sum()).real  # the Hermitian part
+    return SteadyStateResult(kernel_dim=1, states=[rho])
+
+
+def _balanced_states(gen: Generator) -> list[np.ndarray]:
+    """The even and the odd steady state of a generator with jumps +2 and at most -2.
+
+    On the levels p0, p0 + 2, ... jump 2 moves population down from p + 2 to
+    p at rate down_p = jumps[2][p, p], and jump -2 up at up_{p + 2} =
+    jumps[-2][p + 2, p + 2] (0 without it).  Detailed balance, pi_p up_{p + 2}
+    = pi_{p + 2} down_p, makes pi the product of their ratios, summed in
+    logarithms; log 0 = -inf gives |0><0| and |1><1| exactly.  The product
+    reads the links only, so each state must pass the full generator,
+    diagonal included: ``StationarityError`` unless ||L(pi)||_F <=
+    ``_STATIONARY_RTOL`` ||diag o pi||_F, which a NaN fails.
+    """
     dim = gen.diag.shape[0]
-    null_states = _chain_null_states(gen) if _is_chain(gen) else None
-    if null_states is None:
-        step = _step(gen)
-        null_states = []
-        for p0 in range(step):
-            rows, block = _block(gen, step, 0, p0)
-            _, s, vh = np.linalg.svd(block)
-            for v in vh[s <= _NULL_RTOL * s[0]].conj():
-                rho = np.zeros((dim, dim), dtype=complex)
-                rho[rows, rows] = v
-                null_states.append(rho)
-    count = len(null_states)
-    if count not in (1, 2):
-        raise DegenerateSpectrumError(count)
-
+    down = np.diagonal(gen.jumps[2]).real
+    up = np.diagonal(gen.jumps[-2]).real if -2 in gen.jumps else np.zeros(dim)
+    log_pops = np.zeros(dim)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_pops[2:] = np.log(up[2:] / down[:-2])
     states = []
-    for rho in null_states:
-        tr = np.trace(rho)
-        if abs(tr) <= _NULL_RTOL:
-            raise DegenerateSpectrumError(count)
-        rho = rho / tr
-        states.append((rho + rho.conj().T) / 2)
-    if count == 1:
-        return SteadyStateResult(kernel_dim=1, states=states)
-
-    plus, minus = states if not states[0][1::2].any() else states[::-1]
-    if plus[1::2].any() or minus[::2].any():
-        raise DegenerateSpectrumError(count)
-    return SteadyStateResult(kernel_dim=2, states=[plus, minus], rho_plus=plus, rho_minus=minus)
-
-
-def _chain_null_states(gen: Generator) -> list[np.ndarray] | None:
-    """Unit-norm diagonal null states of the m = 0 chains, or None past a bound."""
-    dim = gen.diag.shape[0]
-    chains = _chains(gen, np.zeros(2, dtype=int), np.arange(2))
-    if not chains.within_span() or chains.diag.imag.any():
-        return None
-    states = []
-    for group, length in chains.groups():
-        lam, vecs = eigh(chains.symmetric(group, length))
-        null = np.abs(lam) <= _NULL_RTOL * np.abs(lam).max(axis=1, keepdims=True)
-        for chain, which in zip(*np.nonzero(null)):
-            chain_at = group.start + chain
-            x = vecs[chain, :, which] * np.exp(-chains.log_scale[chain_at, :length])
-            rho = np.zeros((dim, dim), dtype=complex)
-            rho[chains.rows[chain_at, :length], chains.rows[chain_at, :length]] = (
-                x / np.linalg.norm(x))
-            states.append(rho)
+    for p0 in (0, 1):
+        levels = np.arange(p0, dim, 2)
+        log_chain = np.cumsum(log_pops[levels])
+        pops = np.exp(log_chain - log_chain.max())
+        rho = np.zeros((dim, dim), dtype=complex)
+        rho[levels, levels] = pops / pops.sum()
+        residual = np.linalg.norm(gen.apply(rho))
+        scale = np.linalg.norm(gen.diag * rho)
+        if not residual <= _STATIONARY_RTOL * scale:
+            raise StationarityError(f"detailed-balance state {p0} is not stationary: ||L(pi)||_F "
+                                    f"= {residual:.3e}, ||diag o pi||_F = {scale:.3e}")
+        states.append(rho)
     return states
 
 
@@ -474,7 +469,8 @@ def _evolve_chains(rho0: np.ndarray, gen: Generator, t: float, orders: np.ndarra
     chains = _chains(gen, orders, starts)
     # a padded entry repeats the chain's last one, so the range is the chain's
     low, high = chains.diag.imag.min(axis=1), chains.diag.imag.max(axis=1)
-    if not chains.within_span() or t * (high - low).max(initial=0.0) > _PHASE_ATOL:
+    span = np.ptp(chains.log_scale, axis=1).max(initial=0.0)
+    if not span <= math.log(_SPAN_MAX) or t * (high - low).max(initial=0.0) > _PHASE_ATOL:
         return None
     scale = np.exp(chains.log_scale)
     start = rho0[chains.rows, chains.cols] * scale  # D x(0)

@@ -219,6 +219,21 @@ def test_steady_report_zero_ratio_skips_reconstruction(tmp_path):
     assert "skipped" in report["checks"]["conserved_reconstruction_gap"]
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["--k-ratio", "0"], id="zero-ratio"),
+    # the vacuum then fills the top two levels, and circulation warns of it
+    pytest.param(["--k-ratio", "0.3", "--dim", "2"], id="two-levels",
+                 marks=pytest.mark.filterwarnings("ignore:top Fock levels")),
+])
+def test_steady_report_of_the_vacuum_skips_mandel_q(tmp_path, argv):
+    # the even state is |0><0|: mean photon number 0, so Q is not defined
+    out = tmp_path / "steady"
+    main(["steady", "--out", str(out), "--wp-plus", "1", *argv])
+    checks = json.loads((out / "summary.json").read_text())["checks"]
+    assert "skipped" in checks["mandel_q_gap"]
+    assert checks["steady_trace_distance"]["value"] == 0.0
+
+
 @pytest.mark.parametrize("k_ratio", ["0.3", "0"])
 def test_steady_report_without_rotation(tmp_path, k_ratio):
     # the circulation closed form is exactly zero at omega0 = 0

@@ -89,11 +89,23 @@ def test_steady_state_matches_geometric_form():
         assert trace_distance(combined, rho_ss_analytic(0.3, wp, dim)) < 1e-8
 
 
-def test_steady_state_zero_ratio_sectors():
-    result = steady_states(generator(ModelParams(omega0=1.0, kappa_down=1.0), 20))
+def no_eigenproblem(monkeypatch):
+    """Make a chain eigensolve or a dense SVD from here on fail the test."""
+    def fail(*args, **kwargs):
+        raise AssertionError("an eigenproblem was solved")
+
+    monkeypatch.setattr(lindblad, "eigh", fail)
+    monkeypatch.setattr(np.linalg, "svd", fail)
+
+
+def test_steady_state_zero_ratio_sectors(monkeypatch):
+    # no up links: the detailed-balance product is the pure-death pair, exactly
+    gen = generator(ModelParams(omega0=1.0, kappa_down=1.0), 20)
+    no_eigenproblem(monkeypatch)
+    result = steady_states(gen)
     assert result.kernel_dim == 2
-    assert np.allclose(result.rho_plus, fock_state(20, 0), atol=1e-10)
-    assert np.allclose(result.rho_minus, fock_state(20, 1), atol=1e-10)
+    assert np.array_equal(result.rho_plus, fock_state(20, 0))
+    assert np.array_equal(result.rho_minus, fock_state(20, 1))
 
 
 def test_conventional_unique_full_rank():
@@ -114,8 +126,8 @@ def test_conventional_without_gain_two_sectors():
     params = ModelParams(omega0=1.0, kappa_down=1.0, kind=ModelKind.CONVENTIONAL)
     result = steady_states(generator(params, 20))
     assert result.kernel_dim == 2
-    assert np.allclose(result.states[0], fock_state(20, 0), atol=1e-10)
-    assert np.allclose(result.states[1], fock_state(20, 1), atol=1e-10)
+    assert np.array_equal(result.states[0], fock_state(20, 0))
+    assert np.array_equal(result.states[1], fock_state(20, 1))
 
 
 def test_combine_unavailable_for_unique_state():
@@ -177,8 +189,8 @@ def test_steady_state_zero_rotation_zero_ratio_counts_states():
     assert null_space(liouvillian_csr(params, 20).toarray()).shape[1] == 4
     result = steady_states(generator(params, 20))
     assert result.kernel_dim == 2
-    assert np.allclose(result.rho_plus, fock_state(20, 0), atol=1e-10)
-    assert np.allclose(result.rho_minus, fock_state(20, 1), atol=1e-10)
+    assert np.array_equal(result.rho_plus, fock_state(20, 0))
+    assert np.array_equal(result.rho_minus, fock_state(20, 1))
 
 
 def test_steady_state_near_saturated_ratio_default_dim():
@@ -189,20 +201,48 @@ def test_steady_state_near_saturated_ratio_default_dim():
     assert trace_distance(result.combine(0.55), rho_ss_analytic(0.9, 0.55, dim)) < 1e-8
 
 
-def test_chain_steady_states_at_tail_dim_match_closed_form(monkeypatch):
-    # the tail-rule dim of k = 0.95, past the default's clamp; the chain path
-    # builds no dense block
-    def no_dense_path(*args):
-        raise AssertionError("dense path taken")
-
-    monkeypatch.setattr(lindblad, "_block", no_dense_path)
-    dim = 1078
-    result = steady_states(generator(ModelParams(omega0=1.0, kappa_down=1.0, kappa_up2=0.95),
-                                     dim))
+@pytest.mark.parametrize("k_ratio,dim", [
+    # the m = 0 chains span 0.3^(-45/2) = 5.8e11, past the chain path's bound for evolution
+    (0.3, 92),
+    # the tail-rule dims of k = 0.95 and 0.99, past the default's clamp
+    (0.95, 1078),
+    (0.99, 2200),
+])
+def test_chain_steady_states_at_tail_dim_match_closed_form(monkeypatch, k_ratio, dim):
+    with monkeypatch.context() as patch:
+        no_eigenproblem(patch)
+        result = steady_states(generator(ModelParams(omega0=1.0, kappa_down=1.0,
+                                                     kappa_up2=k_ratio), dim))
     assert result.kernel_dim == 2
     assert lindblad._is_diagonal(result.rho_plus) and lindblad._is_diagonal(result.rho_minus)
     for wp in (0.0, 0.55, 1.0):
-        assert trace_distance(result.combine(wp), rho_ss_analytic(0.95, wp, dim)) < 1e-12
+        assert trace_distance(result.combine(wp), rho_ss_analytic(k_ratio, wp, dim)) < 1e-14
+
+
+def perturbed(gen, jump, p, factor):
+    """gen with the m = 0 entry [p, p] of one grid (0 for the diagonal) scaled by factor."""
+    grid = gen.diag if jump == 0 else gen.jumps[jump]
+    grid = grid.astype(np.result_type(grid, factor))
+    grid[p, p] *= factor
+    if jump == 0:
+        return fock.Generator(grid, gen.jumps)
+    return fock.Generator(gen.diag, {**gen.jumps, jump: grid})
+
+
+@pytest.mark.parametrize("make_gen", [
+    # the product reads only the links: a diagonal off by 1e-9 gives ||L(pi)|| = 1e-9 ||diag pi||
+    pytest.param(lambda gen: fock.Generator(gen.diag * (1 + 1e-9), gen.jumps), id="diagonal"),
+    pytest.param(lambda gen: perturbed(gen, 0, 6, 1 + 1e-9), id="one-diagonal-entry"),
+    # a negative up link has no logarithm: the NaN state fails the bound
+    pytest.param(lambda gen: perturbed(gen, -2, 6, -1.0), id="negative-up-link"),
+    # a down link with an imaginary part the product does not read
+    pytest.param(lambda gen: perturbed(gen, 2, 4, 1 + 1e-6j), id="complex-down-link"),
+])
+def test_balanced_states_must_be_stationary(monkeypatch, make_gen):
+    gen = make_gen(generator(NI, 20))
+    no_eigenproblem(monkeypatch)
+    with pytest.raises(StationarityError, match="not stationary"):
+        steady_states(gen)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +260,7 @@ def test_solvers_take_only_a_generator(monkeypatch, given):
     def no_work(*args):
         raise AssertionError("the argument was used")
 
-    for name in ("_step", "_is_chain", "_block", "eigh", "expm"):
+    for name in ("_step", "_is_chain", "_block", "_balanced_states", "eigh", "expm"):
         monkeypatch.setattr(lindblad, name, no_work)
     with pytest.raises(TypeError, match="fock.generator"):
         steady_states(given())
@@ -579,9 +619,6 @@ def test_chains_past_the_span_bound_take_the_dense_path(monkeypatch):
     rho_t = evolve(rho0, gen, 0.01)
     assert solves["chains"] == 0 and solves["expm"] > 0
     assert np.abs(rho_t - reference_evolve(rho0, tocsr(gen), 0.01)).max() < 1e-11
-    result = steady_states(gen)
-    assert solves["chains"] == 0
-    assert trace_distance(result.combine(0.55), rho_ss_analytic(0.3, 0.55, dim)) < 1e-8
 
 
 def test_long_time_past_the_phase_bound_takes_the_dense_path(monkeypatch):
