@@ -71,8 +71,6 @@ from .sde import (
     fokker_planck_residual,
     noise_induced_drift_check,
     simulate_ensemble,
-    step_cartesian,
-    step_polar,
 )
 from .wignerflux import (
     FluxDecomposition,

@@ -8,7 +8,8 @@ once at one shared site, and the polar phase is one normal draw per path); the
 closed-form stationary densities (Rayleigh radius, uniform phase, Gaussian
 plane), grid Fokker-Planck residuals, classical circulation, the
 Stratonovich/Ito drift conversion check (a closed form in three sample
-moments of its draws), and the classical detailed-balance flux decomposition.
+moments, drawn from their exact law), and the classical detailed-balance flux
+decomposition; the two-dimensional grid checks run in row blocks of 32 KiB.
 """
 
 from __future__ import annotations
@@ -22,12 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .wignerflux import (divergence, dx, dxx, interior, make_grid, max_flux_norm,
-                         observed_order, refine)
+from .wignerflux import divergence, dx, dxx, interior, make_grid, observed_order, refine
 
 THREADS_ENV = "NOISECYCLE_THREADS"
 _BLOCK_PATHS = 4096
 _DRAW_VALUES = 1 << 15  # increments per draw: 256 KiB of float64, small enough to stay in cache
+_GRID_BLOCK_VALUES = 1 << 12  # 32 KiB a block array: a block stays under the heap trim threshold
 
 
 class SdeError(RuntimeError):
@@ -44,6 +45,13 @@ class DivergenceError(SdeError):
 
 class GridRefinementError(SdeError):
     """Observed convergence order outside the trusted band; refine the grid."""
+
+
+def _require_integer(name: str, value, least: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise SdeError(f"{name} must be an integer, got {value!r}", name)
+    if value < least:
+        raise SdeError(f"{name} must be at least {least}, got {value}", name)
 
 
 @dataclass(frozen=True)
@@ -75,11 +83,7 @@ class SdeConfig:
         # a JSON config can give a float or a bool, which the ensemble loop and
         # numpy's seeding reject only once the run has started
         for name, least in (("n_steps", 1), ("n_paths", 1), ("burn_in", 0), ("seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise SdeError(f"{name} must be an integer, got {value!r}", name)
-            if value < least:
-                raise SdeError(f"{name} must be at least {least}, got {value}", name)
+            _require_integer(name, getattr(self, name), least)
         if self.coordinates not in ("polar", "cartesian"):
             raise SdeError(f"unknown coordinates {self.coordinates!r}", "coordinates")
         # explicit-scheme guard: drift stiffness over the bulk of the radial range
@@ -171,21 +175,8 @@ def analytic_pdfs(cfg: SdeConfig) -> AnalyticPdfs:
 
 
 # ---------------------------------------------------------------------------
-# single steps
+# drift and noise of the cartesian step
 # ---------------------------------------------------------------------------
-
-def step_polar(state, cfg: SdeConfig, noise):
-    """Euler update of (r, phi) by the increments (dW_r, dW_phi); a negative radius reflects.
-
-    Gaussian increments make it Euler-Maruyama; ``simulate_ensemble`` feeds it
-    two-point ones, +-sqrt(8 kappa dt), the simplified weak Euler scheme.
-    """
-    r, phi = state
-    d_r, d_phi = noise
-    r_new = r + (3.0 * cfg.kappa * r - cfg.delta * r ** 3) * cfg.dt + 0.5 * r * d_r
-    phi_new = phi - cfg.omega0 * cfg.dt + 0.5 * d_phi
-    return np.abs(r_new), phi_new
-
 
 def _cartesian_drift(x, y, cfg: SdeConfig):
     s = x ** 2 + y ** 2
@@ -197,18 +188,6 @@ def _cartesian_drift(x, y, cfg: SdeConfig):
 
 def _cartesian_noise(x, y, d_x, d_y):
     return 0.5 * (x * d_x + y * d_y), 0.5 * (x * d_y - y * d_x)
-
-
-def step_cartesian(state, cfg: SdeConfig, noise):
-    """Euler update of (x, y) by the increments (dX, dY) of the mixed multiplicative noise.
-
-    Gaussian increments make it Euler-Maruyama; ``simulate_ensemble`` feeds it
-    two-point ones, +-sqrt(8 kappa dt), the simplified weak Euler scheme.
-    """
-    x, y = state
-    a_x, a_y = _cartesian_drift(x, y, cfg)
-    n_x, n_y = _cartesian_noise(x, y, *noise)
-    return x + a_x * cfg.dt + n_x, y + a_y * cfg.dt + n_y
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +244,7 @@ def _run_block(cfg: SdeConfig, block: int, size: int):
             # q = r sqrt(delta dt): r <- r (1 + 3 kappa dt - delta dt r^2 + dW / 2) is
             # q <- q (f - q^2), where the draw gives f = 1 + 3 kappa dt + dW / 2 whole;
             # the factor sees only q^2 and |a b| = |a| |b| exactly, so taking |q| once
-            # below equals step_polar's per-step reflection
+            # below equals reflecting a negative radius at every step
             scale = math.sqrt(cfg.delta * cfg.dt)
             q = np.full(size, math.sqrt(2.0 * cfg.kappa / cfg.delta) * scale)
             g = np.empty(size)
@@ -317,10 +296,10 @@ def _run_block(cfg: SdeConfig, block: int, size: int):
 def simulate_ensemble(cfg: SdeConfig) -> SdeEnsembleResult:
     """Independent paths, burn-in discarded, one sample per path.
 
-    Each path takes the omega0 = 0 Euler step of ``step_polar`` or
-    ``step_cartesian`` for burn_in + n_steps steps of dt, fed two-point
-    increments dW = +-sqrt(8 kappa dt), one random bit each: the simplified
-    weak Euler scheme, of weak order 1 like Euler-Maruyama (Kloeden & Platen,
+    Each path takes the omega0 = 0 Euler step, in (r, phi) with a negative
+    radius reflected or in (x, y), for burn_in + n_steps steps of dt, fed
+    two-point increments dW = +-sqrt(8 kappa dt), one random bit each: the
+    simplified weak Euler scheme, of weak order 1 like Euler-Maruyama (Kloeden & Platen,
     Numerical Solution of SDEs, 1992, sec. 14.1; Talay & Tubaro 1990).  It
     samples the stationary law, not Gaussian paths.  Each path is then
     rotated by -omega0 T, T = (burn_in + n_steps) dt, which is exact because
@@ -396,18 +375,34 @@ def _phase_residual(cfg: SdeConfig, phi: np.ndarray) -> np.ndarray:
     return cfg.omega0 * dx(p, h, 0) + cfg.kappa * dxx(p, h, 0)
 
 
-def _cartesian_residual(cfg: SdeConfig, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    hx, hy = xs[1] - xs[0], ys[1] - ys[0]
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
+def _cartesian_residual(cfg: SdeConfig, xs: np.ndarray, ys: np.ndarray,
+                        hx: float, hy: float) -> np.ndarray:
+    """Residual field on rows ``xs`` of the grid xs x ys, whose spacings are (hx, hy)."""
+    X, Y = xs[:, None], ys[None, :]
     p = analytic_pdfs(cfg).plane(X, Y)
     a_x, a_y = _cartesian_drift(X, Y, cfg)
     diff = cfg.kappa * (X ** 2 + Y ** 2) * p
     return -dx(a_x * p, hx, 0) - dx(a_y * p, hy, 1) + dxx(diff, hx, 0) + dxx(diff, hy, 1)
 
 
-# each operator and its residual field on grid axes (one axis, or the pair for cartesian)
-_RESIDUALS = {"radial": _radial_residual, "phase": _phase_residual,
-              "cartesian": _cartesian_residual}
+def _interior_maxima(fields, xs: np.ndarray, row_values: int) -> list[float]:
+    """Largest |value| off the two-cell grid edge of each field ``fields(rows of xs)`` returns,
+    taken on row blocks of at most ``_GRID_BLOCK_VALUES`` values, ``row_values`` a row; the
+    one halo row at either end of a block takes the stencils' zeros and is cut."""
+    step = max(1, _GRID_BLOCK_VALUES // row_values - 2)
+    return np.max([[np.abs(f[1:-1, 2:-2]).max()
+                    for f in fields(xs[start - 1:min(start + step, xs.size - 2) + 1])]
+                   for start in range(2, xs.size - 2, step)], axis=0).tolist()
+
+
+# each operator's largest |residual| off the grid edge, on one axis or the cartesian pair
+_MAX_RESIDUALS = {
+    "radial": lambda cfg, r: float(np.abs(interior(_radial_residual(cfg, r), 2)).max()),
+    "phase": lambda cfg, phi: float(np.abs(interior(_phase_residual(cfg, phi), 2)).max()),
+    "cartesian": lambda cfg, xs, ys: _interior_maxima(
+        lambda rows: [_cartesian_residual(cfg, rows, ys, xs[1] - xs[0], ys[1] - ys[0])],
+        xs, ys.size)[0],
+}
 
 
 def fokker_planck_residual(which: str, cfg: SdeConfig, grid) -> float:
@@ -417,13 +412,11 @@ def fokker_planck_residual(which: str, cfg: SdeConfig, grid) -> float:
     convergence order must land in [1.7, 2.3] (a residual at rounding level on
     both grids, e.g. the phase operator on the uniform density, also passes).
     """
-    if which not in _RESIDUALS:
+    if which not in _MAX_RESIDUALS:
         raise SdeError(f"unknown operator {which!r}")
     axes = [np.asarray(a, dtype=float) for a in (grid if which == "cartesian" else [grid])]
-    coarse_res, fine_res = (
-        float(np.abs(interior(_RESIDUALS[which](cfg, *g), 2)).max())
-        for g in (axes, [refine(a) for a in axes])
-    )
+    coarse_res, fine_res = (_MAX_RESIDUALS[which](cfg, *g)
+                            for g in (axes, [refine(a) for a in axes]))
     scale = cfg.kappa + cfg.delta
     if coarse_res < 1e-13 * scale and fine_res < 1e-13 * scale:
         return coarse_res
@@ -439,6 +432,25 @@ def fokker_planck_residual(which: str, cfg: SdeConfig, grid) -> float:
 # Stratonovich vs Ito drift conversion
 # ---------------------------------------------------------------------------
 
+def _drift_moments(rng: np.random.Generator, n: int) -> tuple[float, float, float]:
+    """m0 = <z0>, m1 = <z1> and m2 = <z0^2 + z1^2> of n standard normal pairs, from their law:
+    by Cochran's theorem n m0 and n m1 are N(0, n) and n m2 - n (m0^2 + m1^2) is an independent
+    chi-square with 2n - 2 degrees of freedom, zero at n = 1; three draws in place of 2n."""
+    s0, s1 = math.sqrt(n) * rng.standard_normal(2)
+    c = rng.chisquare(2 * n - 2) if n > 1 else 0.0
+    return float(s0 / n), float(s1 / n), float((s0 * s0 / n + s1 * s1 / n + c) / n)
+
+
+def _drift_gaps(cfg: SdeConfig, state: tuple[float, float], dts: np.ndarray,
+                m0: float, m1: float, m2: float) -> np.ndarray:
+    """Mean gap per unit time at each dt, shape (len(dts), 2), from the draws' three moments."""
+    x0, y0 = state
+    ax0, ay0 = _cartesian_drift(x0, y0, cfg)
+    quarter_std = 0.25 * np.sqrt(8.0 * cfg.kappa * dts)
+    return np.column_stack([cfg.kappa * x0 * m2 + quarter_std * (ax0 * m0 + ay0 * m1),
+                            cfg.kappa * y0 * m2 + quarter_std * (ax0 * m1 - ay0 * m0)])
+
+
 def noise_induced_drift_check(cfg: SdeConfig, state: tuple[float, float] = (1.0, 0.0),
                               n_draws: int = 400_000) -> DriftGapReport:
     """Mean one-step gap between midpoint-noise (Stratonovich) and Ito updates.
@@ -446,36 +458,22 @@ def noise_induced_drift_check(cfg: SdeConfig, state: tuple[float, float] = (1.0,
     Both updates consume the same draws and share the Euler drift; only the
     noise coefficient is averaged over the Euler predictor.  It is linear in
     the state, so the gap is half the noise at the Ito increment (the b b'/2
-    term, Kloeden & Platen 1992), and zero at zero noise.  That noise is
-    bilinear in the predictor and the draws, so its mean is a closed form in
-    three sample moments of the draws z: m0 = <z0>, m1 = <z1> and
-    m2 = <z0^2 + z1^2>; the draws are reduced once and no per-draw value is
-    formed.  Per unit time the gap converges to 2 kappa (x, y) as dt halves
-    from 4e-3 to 1e-3, the drift the multiplicative noise induces.
+    term, Kloeden & Platen 1992), and zero at zero noise.  Over n_draws normal
+    pairs z its mean is a closed form (``_drift_gaps``) in m0 = <z0>, m1 = <z1>
+    and m2 = <z0^2 + z1^2>, drawn in O(1) from their exact law (``_drift_moments``).
+    Per unit time the x gap, kappa x m2 + sqrt(8 kappa dt) (a_x m0 + a_y m1) / 4
+    with (a_x, a_y) the drift at the state, has mean 2 kappa x at every dt (the
+    drift the noise induces) and variance (4 kappa^2 x^2 + kappa dt (a_x^2 + a_y^2)
+    / 2) / n_draws; the y gap likewise, with y m2 and a_x m1 - a_y m0.
     """
-    if n_draws < 1:
-        raise SdeError(f"n_draws must be at least 1, got {n_draws}")
-    x0, y0 = state
+    _require_integer("n_draws", n_draws, 1)
     dts = np.array([4e-3, 2e-3, 1e-3])
-    rng = np.random.default_rng(cfg.seed)
-    z = rng.standard_normal((2, n_draws))
-    m0, m1 = z.mean(axis=1)
-    # einsum, unlike a BLAS dot, sums in one order whatever the thread count
-    m2 = float(np.einsum("ij,ij->", z, z)) / n_draws
-    gaps = np.empty((dts.size, 2))
-    ax0, ay0 = _cartesian_drift(x0, y0, cfg)
-    for i, dt in enumerate(dts):
-        std = math.sqrt(8.0 * cfg.kappa * dt)
-        # mean noise at the Ito increment, d = std z: the drift part pairs with
-        # the first moments; the noise part's cross terms cancel, leaving m2
-        gap_x = 0.5 * (dt * std * (ax0 * m0 + ay0 * m1) + 0.5 * x0 * std ** 2 * m2)
-        gap_y = 0.5 * (dt * std * (ax0 * m1 - ay0 * m0) + 0.5 * y0 * std ** 2 * m2)
-        gaps[i] = [0.5 * gap_x / dt, 0.5 * gap_y / dt]
+    moments = _drift_moments(np.random.default_rng(cfg.seed), n_draws)
     return DriftGapReport(
         state=state,
         dts=dts,
-        gaps=gaps,
-        target=(2.0 * cfg.kappa * x0, 2.0 * cfg.kappa * y0),
+        gaps=_drift_gaps(cfg, state, dts, *moments),
+        target=(2.0 * cfg.kappa * state[0], 2.0 * cfg.kappa * state[1]),
     )
 
 
@@ -483,16 +481,16 @@ def noise_induced_drift_check(cfg: SdeConfig, state: tuple[float, float] = (1.0,
 # classical detailed balance
 # ---------------------------------------------------------------------------
 
-def _balance_fields(cfg: SdeConfig, xs: np.ndarray):
-    h = xs[1] - xs[0]
-    X, Y = np.meshgrid(xs, xs, indexing="ij")
+def _balance_fields(cfg: SdeConfig, xs: np.ndarray, ys: np.ndarray, h: float):
+    """Irreversible flux norm and rotational-flux divergence on rows ``xs`` of the grid xs x ys."""
+    X, Y = xs[:, None], ys[None, :]
     s = X ** 2 + Y ** 2
     p = analytic_pdfs(cfg).plane(X, Y)
+    sp = s * p
     # irreversible drift: the time-reversal-even part (position even, momentum odd)
-    irr_x = (2.0 * cfg.kappa * X - 0.25 * cfg.delta * s * X) * p - cfg.kappa * dx(s * p, h, 0)
-    irr_y = (2.0 * cfg.kappa * Y - 0.25 * cfg.delta * s * Y) * p - cfg.kappa * dx(s * p, h, 1)
-    div_rev = divergence(cfg.omega0 * Y * p, -cfg.omega0 * X * p, h)
-    return max_flux_norm(irr_x, irr_y, 2), float(np.abs(interior(div_rev, 2)).max())
+    irr_x = (2.0 * cfg.kappa * X - 0.25 * cfg.delta * s * X) * p - cfg.kappa * dx(sp, h, 0)
+    irr_y = (2.0 * cfg.kappa * Y - 0.25 * cfg.delta * s * Y) * p - cfg.kappa * dx(sp, h, 1)
+    return np.hypot(irr_x, irr_y), divergence(cfg.omega0 * Y * p, -cfg.omega0 * X * p, h)
 
 
 def _diffusion_matrix(x, y) -> np.ndarray:
@@ -516,13 +514,16 @@ def classical_detailed_balance(cfg: SdeConfig) -> DetailedBalanceReport:
     """
     h = 0.1
     xs = make_grid(8.0 * math.sqrt(cfg.kappa / cfg.delta), h)
-    irr_c, div_c = _balance_fields(cfg, xs)
-    irr_f, div_f = _balance_fields(cfg, refine(xs))
 
-    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    def maxima(g):
+        return _interior_maxima(lambda rows: _balance_fields(cfg, rows, g, g[1] - g[0]), g, g.size)
+
+    (irr_c, div_c), (irr_f, div_f) = maxima(xs), maxima(refine(xs))
     eps = np.diag([1.0, -1.0])
-    d_reversed = np.einsum("ij,jk...,kl->il...", eps, _diffusion_matrix(X, -Y), eps)
-    exact = bool(np.array_equal(_diffusion_matrix(X, Y), d_reversed))
+    step = max(1, _GRID_BLOCK_VALUES // (4 * xs.size))  # D holds four values a point
+    blocks = ((xs[i:i + step, None], xs[None, :]) for i in range(0, xs.size, step))
+    exact = all(np.array_equal(_diffusion_matrix(X, Y), np.einsum(
+        "ij,jk...,kl->il...", eps, _diffusion_matrix(X, -Y), eps)) for X, Y in blocks)
     return DetailedBalanceReport(
         max_irreversible_flux=irr_c,
         max_reversible_divergence=div_c,

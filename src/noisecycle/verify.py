@@ -392,7 +392,7 @@ def check_classical_sde(mutations=()) -> dict:
 
 
 def check_noise_drift(mutations=()) -> dict:
-    """Midpoint-minus-Ito drift gap per unit time converges to 2 kappa (x, y)."""
+    """Midpoint-minus-Ito drift gap per unit time matches 2 kappa (x, y)."""
     cfg = sde.SdeConfig(kappa=0.5, delta=1.0, omega0=3.0, seed=11)
     report = sde.noise_induced_drift_check(cfg)
     gx, gy = report.gaps[-1]

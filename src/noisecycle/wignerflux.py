@@ -106,7 +106,7 @@ def interior(values: np.ndarray, cells: int = EDGE_CELLS) -> np.ndarray:
 def _stencil(f: np.ndarray, axis: int, width: int, formula) -> np.ndarray:
     """``formula`` along ``axis`` at cells ``width`` or more from either end; zero elsewhere."""
     out = np.zeros_like(f)
-    np.moveaxis(out, axis, 0)[width:-width] = formula(np.moveaxis(f, axis, 0))
+    out.swapaxes(axis, 0)[width:-width] = formula(f.swapaxes(axis, 0))
     return out
 
 

@@ -1,6 +1,7 @@
 """Classical ensemble statistics, grid operators, drift conversion, detailed balance."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -25,10 +26,33 @@ from noisecycle.sde import (
     fokker_planck_residual,
     noise_induced_drift_check,
     simulate_ensemble,
-    step_cartesian,
-    step_polar,
 )
-from noisecycle.wignerflux import observed_order
+from noisecycle.wignerflux import divergence, dx, dxx, interior, make_grid, observed_order, refine
+
+
+# ---------------------------------------------------------------------------
+# per-step references, which ``sde._run_block`` inlines
+# ---------------------------------------------------------------------------
+
+def step_polar(state, cfg, noise):
+    """Euler update of (r, phi) by the increments (dW_r, dW_phi); a negative radius reflects.
+
+    Gaussian increments make it Euler-Maruyama; ``simulate_ensemble`` feeds
+    two-point ones, +-sqrt(8 kappa dt), the simplified weak Euler scheme.
+    """
+    r, phi = state
+    d_r, d_phi = noise
+    r_new = r + (3.0 * cfg.kappa * r - cfg.delta * r ** 3) * cfg.dt + 0.5 * r * d_r
+    phi_new = phi - cfg.omega0 * cfg.dt + 0.5 * d_phi
+    return np.abs(r_new), phi_new
+
+
+def step_cartesian(state, cfg, noise):
+    """Euler update of (x, y) by the increments (dX, dY) of the mixed multiplicative noise."""
+    x, y = state
+    a_x, a_y = sde_module._cartesian_drift(x, y, cfg)
+    n_x, n_y = sde_module._cartesian_noise(x, y, *noise)
+    return x + a_x * cfg.dt + n_x, y + a_y * cfg.dt + n_y
 
 
 # ---------------------------------------------------------------------------
@@ -413,19 +437,113 @@ def test_too_coarse_grid_raises():
         fokker_planck_residual("radial", cfg, np.linspace(0, 5, 7))
 
 
+def _whole_grid_residual(cfg, xs, ys):
+    """Largest |cartesian residual| off the grid edge, on whole-grid arrays."""
+    hx, hy = xs[1] - xs[0], ys[1] - ys[0]
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    p = analytic_pdfs(cfg).plane(X, Y)
+    a_x, a_y = sde_module._cartesian_drift(X, Y, cfg)
+    diff = cfg.kappa * (X ** 2 + Y ** 2) * p
+    res = -dx(a_x * p, hx, 0) - dx(a_y * p, hy, 1) + dxx(diff, hx, 0) + dxx(diff, hy, 1)
+    return float(np.abs(interior(res, 2)).max())
+
+
+def _whole_grid_balance(cfg):
+    """``classical_detailed_balance`` on whole-grid arrays."""
+    xs = make_grid(8.0 * math.sqrt(cfg.kappa / cfg.delta), 0.1)
+    maxima = []
+    for g in (xs, refine(xs)):
+        h = g[1] - g[0]
+        X, Y = np.meshgrid(g, g, indexing="ij")
+        s = X ** 2 + Y ** 2
+        p = analytic_pdfs(cfg).plane(X, Y)
+        irr_x = (2.0 * cfg.kappa * X - 0.25 * cfg.delta * s * X) * p - cfg.kappa * dx(s * p, h, 0)
+        irr_y = (2.0 * cfg.kappa * Y - 0.25 * cfg.delta * s * Y) * p - cfg.kappa * dx(s * p, h, 1)
+        div_rev = divergence(cfg.omega0 * Y * p, -cfg.omega0 * X * p, h)
+        maxima.append((float(np.hypot(interior(irr_x, 2), interior(irr_y, 2)).max()),
+                       float(np.abs(interior(div_rev, 2)).max())))
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    eps = np.diag([1.0, -1.0])
+    d_reversed = np.einsum("ij,jk...,kl->il...", eps, sde_module._diffusion_matrix(X, -Y), eps)
+    (irr_c, div_c), (irr_f, div_f) = maxima
+    return sde_module.DetailedBalanceReport(
+        max_irreversible_flux=irr_c,
+        max_reversible_divergence=div_c,
+        order_irreversible=observed_order(irr_c, irr_f),
+        order_divergence=observed_order(div_c, div_f),
+        diffusion_time_reversal_exact=bool(np.array_equal(sde_module._diffusion_matrix(X, Y),
+                                                          d_reversed)),
+        spacing=0.1,
+    )
+
+
+@pytest.mark.parametrize("kappa, delta, omega0, rows, cols", [
+    (1.0, 1.0, 2.0, 161, 161),   # blocks of 48 inner rows and one of 13; balance grid 161
+    (0.7, 1.3, 0.0, 203, 121),   # omega0 = 0: no divergence order
+    (2.0, 0.5, 6.5, 321, 77),    # balance grids of 321 and 641 rows
+    (0.5, 2.0, 1.5, 41, 41),     # one block; the balance grid of 81 rows is one block too
+])
+def test_grid_checks_in_row_blocks_match_the_whole_grid(kappa, delta, omega0, rows, cols):
+    cfg = SdeConfig(kappa=kappa, delta=delta, omega0=omega0)
+    half_width = 8.0 * math.sqrt(kappa / delta)
+    xs, ys = np.linspace(-half_width, half_width, rows), np.linspace(-half_width, half_width, cols)
+    assert sde_module._MAX_RESIDUALS["cartesian"](cfg, xs, ys) == _whole_grid_residual(cfg, xs, ys)
+    fine = [refine(xs), refine(ys)]
+    assert sde_module._MAX_RESIDUALS["cartesian"](cfg, *fine) == _whole_grid_residual(cfg, *fine)
+    report = classical_detailed_balance(cfg)
+    assert report == _whole_grid_balance(cfg)
+    assert (report.order_divergence is None) == (omega0 == 0.0)
+
+
+@pytest.mark.parametrize("rows, cols", [(161, 161), (203, 121), (41, 41), (6, 9000)])
+def test_row_blocks_partition_the_grid_interior(rows, cols):
+    # every row off the two-cell edge is an inner row of exactly one block, and a
+    # block holds at most 32 KiB a field, or three rows when one row is wider
+    inner = []
+
+    def fields(block):
+        assert block.size * cols <= sde_module._GRID_BLOCK_VALUES or block.size == 3
+        inner.extend(block[1:-1].tolist())
+        return [np.ones((block.size, cols))]
+
+    assert sde_module._interior_maxima(fields, np.arange(rows, dtype=float), cols)[0] == 1.0
+    assert inner == list(range(2, rows - 2))
+
+
+def test_grid_checks_hold_no_whole_grid_temporaries():
+    # at kappa 2, delta 0.5 a whole refined grid of the balance check is 3.3 MB an array
+    cfg = SdeConfig(kappa=2.0, delta=0.5, omega0=3.0)
+    grid = np.linspace(-16.0, 16.0, 161)
+    for check in (lambda: fokker_planck_residual("cartesian", cfg, (grid, grid)),
+                  lambda: classical_detailed_balance(cfg)):
+        tracemalloc.start()
+        try:
+            check()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1 << 20
+
+
 # ---------------------------------------------------------------------------
 # Stratonovich vs Ito
 # ---------------------------------------------------------------------------
 
 def test_drift_gap_converges():
     cfg = SdeConfig(kappa=0.5, delta=1.0, omega0=3.0, seed=11)
-    report = noise_induced_drift_check(cfg, state=(1.0, 0.0), n_draws=200_000)
+    n_draws, (x0, y0) = 200_000, (1.0, 0.0)
+    report = noise_induced_drift_check(cfg, state=(x0, y0), n_draws=n_draws)
     gx, gy = report.gaps[-1]
     assert gx == pytest.approx(1.0, abs=0.05)
     assert gy == pytest.approx(0.0, abs=0.05)
-    # gap shrinks toward the target as dt halves
-    errors = np.abs(report.gaps[:, 0] - 1.0)
-    assert errors[-1] < errors[0]
+    # the gap's mean is the target 2 kappa (x0, y0) at every dt; only its
+    # first-moment term, of variance kappa dt (a_x^2 + a_y^2) / 2 / n, depends on dt
+    a_x, a_y = sde_module._cartesian_drift(x0, y0, cfg)
+    for dt, gap in zip(report.dts, report.gaps):
+        first = 0.5 * cfg.kappa * dt * (a_x ** 2 + a_y ** 2)
+        for g, target, state in zip(gap, report.target, (x0, y0)):
+            sigma = math.sqrt((4.0 * cfg.kappa ** 2 * state ** 2 + first) / n_draws)
+            assert abs(g - target) < 5.0 * sigma
 
 
 def test_drift_gap_vanishes_without_noise():
@@ -436,10 +554,9 @@ def test_drift_gap_vanishes_without_noise():
     assert np.abs(report.gaps).max() < 1e-8
 
 
-def _drift_gaps_per_draw(cfg, state, n_draws):
+def _drift_gaps_per_draw(cfg, state, z):
     """The drift check evaluated draw by draw: noise at the Ito increment, averaged."""
     x0, y0 = state
-    z = np.random.default_rng(cfg.seed).standard_normal((2, n_draws))
     a_x, a_y = sde_module._cartesian_drift(x0, y0, cfg)
     gaps = []
     for dt in (4e-3, 2e-3, 1e-3):
@@ -450,6 +567,12 @@ def _drift_gaps_per_draw(cfg, state, n_draws):
     return np.array(gaps)
 
 
+def _explicit_moments(z):
+    """m0, m1 and m2 of explicit normal pairs z, shape (..., 2, n)."""
+    m0, m1 = np.moveaxis(z.mean(axis=-1), -1, 0)
+    return m0, m1, np.einsum("...ij,...ij->...", z, z) / z.shape[-1]
+
+
 @pytest.mark.parametrize("kappa, delta, omega0, seed, state", [
     (0.5, 1.0, 3.0, 11, (1.0, 0.5)),
     (1e-12, 1.0, 3.0, 4, (1.0, 0.5)),
@@ -458,19 +581,77 @@ def _drift_gaps_per_draw(cfg, state, n_draws):
 ])
 def test_drift_gap_moments_match_per_draw_evaluation(kappa, delta, omega0, seed, state):
     cfg = SdeConfig(kappa=kappa, delta=delta, omega0=omega0, seed=seed)
-    report = noise_induced_drift_check(cfg, state=state, n_draws=50_000)
-    np.testing.assert_allclose(report.gaps, _drift_gaps_per_draw(cfg, state, 50_000),
-                               rtol=1e-12, atol=0.0)
+    z = np.random.default_rng(seed).standard_normal((2, 50_000))
+    dts = np.array([4e-3, 2e-3, 1e-3])
+    gaps = sde_module._drift_gaps(cfg, state, dts, *map(float, _explicit_moments(z)))
+    np.testing.assert_allclose(gaps, _drift_gaps_per_draw(cfg, state, z), rtol=1e-12, atol=0.0)
 
 
-@pytest.mark.parametrize("n_draws", [0, -3])
+@pytest.mark.parametrize("n_draws", [0, -3, 2.5, 3.0, True])
 def test_drift_check_needs_a_draw(n_draws, monkeypatch):
     def no_rng(*args, **kwargs):
         raise AssertionError("a generator was built")
 
     monkeypatch.setattr(np.random, "default_rng", no_rng)
-    with pytest.raises(SdeError, match=f"n_draws.*{n_draws}"):
+    with pytest.raises(SdeError, match=f"n_draws.*{n_draws}") as err:
         noise_induced_drift_check(SdeConfig(kappa=1.0, delta=1.0), n_draws=n_draws)
+    assert err.value.field == "n_draws"
+
+
+@pytest.mark.parametrize("n", [1, 2, 50])
+def test_drift_moments_follow_their_exact_law(n):
+    # sqrt(n) m0 and sqrt(n) m1 are standard normal, c = n m2 - n (m0^2 + m1^2) is
+    # chi-square with 2n - 2 degrees of freedom, and the three are independent
+    reps = 20_000
+    rng = np.random.default_rng(17)
+    m0, m1, m2 = np.array([sde_module._drift_moments(rng, n) for _ in range(reps)]).T
+    c = n * m2 - n * (m0 ** 2 + m1 ** 2)
+    if n == 1:
+        assert np.array_equal(m2, m0 * m0 + m1 * m1)
+    k = 2 * n - 2
+    # (sample, mean, variance, fourth central moment)
+    laws = [(math.sqrt(n) * m0, 0.0, 1.0, 3.0), (math.sqrt(n) * m1, 0.0, 1.0, 3.0)]
+    if n > 1:
+        laws.append((c, k, 2.0 * k, 12.0 * k ** 2 + 48.0 * k))
+    for sample, mean, var, fourth in laws:
+        assert abs(sample.mean() - mean) < 5.0 * math.sqrt(var / reps)
+        assert abs(sample.var() - var) < 5.0 * math.sqrt((fourth - var ** 2) / reps)
+    corr = np.corrcoef([sample for sample, *_ in laws])
+    assert np.abs(corr[np.triu_indices(len(laws), 1)]).max() < 5.0 / math.sqrt(reps)
+
+
+def test_drift_moments_match_explicit_draws_in_distribution():
+    n, reps = 50, 10_000
+    rng = np.random.default_rng(23)
+    drawn = np.array([sde_module._drift_moments(rng, n) for _ in range(reps)]).T
+    explicit = _explicit_moments(rng.standard_normal((reps, 2, n)))
+    for a, b in zip(drawn, explicit):
+        assert ks_2samp(a, b).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("n_draws", [1, 400_000, 40_000_000])
+def test_drift_check_draws_a_fixed_number_of_values(n_draws, monkeypatch):
+    made = []
+    real_rng = np.random.default_rng
+
+    def recording_rng(seed):
+        made.append(real_rng(seed))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", recording_rng)
+    cfg = SdeConfig(kappa=0.5, delta=1.0, omega0=3.0, seed=11)
+    report = noise_induced_drift_check(cfg, state=(1.0, 0.5), n_draws=n_draws)
+    # the raw 64-bit words its one generator gave: two normals and a chi-square
+    fresh = real_rng(cfg.seed)
+    words = 0
+    while fresh.bit_generator.state != made[0].bit_generator.state:
+        fresh.bit_generator.advance(1)
+        words += 1
+        assert words <= 16
+    assert len(made) == 1
+    moments = sde_module._drift_moments(real_rng(cfg.seed), n_draws)
+    assert np.array_equal(report.gaps,
+                          sde_module._drift_gaps(cfg, (1.0, 0.5), report.dts, *moments))
 
 
 def test_drift_gap_independent_of_nonlinearity():
@@ -512,5 +693,18 @@ def test_diffusion_time_reversal_check_can_fail(monkeypatch):
         return n_x + 0.3 * y * d_x, n_y
 
     monkeypatch.setattr(sde_module, "_cartesian_noise", skewed)
+    report = classical_detailed_balance(SdeConfig(kappa=1.0, delta=1.0, omega0=2.0))
+    assert not report.diffusion_time_reversal_exact
+
+
+def test_diffusion_time_reversal_check_reaches_the_last_row(monkeypatch):
+    # the skew of the test above, only on the grid's last row x = 8
+    noise = sde_module._cartesian_noise
+
+    def skewed_at_the_edge(x, y, d_x, d_y):
+        n_x, n_y = noise(x, y, d_x, d_y)
+        return n_x + np.where(x >= 7.95, 0.3 * y * d_x, 0.0), n_y
+
+    monkeypatch.setattr(sde_module, "_cartesian_noise", skewed_at_the_edge)
     report = classical_detailed_balance(SdeConfig(kappa=1.0, delta=1.0, omega0=2.0))
     assert not report.diffusion_time_reversal_exact
