@@ -151,13 +151,16 @@ def coherent_state(dim: int, alpha: complex) -> np.ndarray:
     """Projector onto the truncated coherent state of amplitude alpha, renormalized.
 
     The amplitudes alpha^n / sqrt(n!) come from one cumulative product; the
-    normalization absorbs the exp(-|alpha|^2 / 2) factor.
+    normalization absorbs the exp(-|alpha|^2 / 2) factor.  ``FockError`` when
+    alpha, an amplitude or their norm is not finite.
     """
-    if not np.isfinite(alpha):
-        raise FockError(f"coherent amplitude must be finite, got {alpha}")
     amp = np.ones(dim, dtype=complex)
-    amp[1:] = np.cumprod(complex(alpha) / np.sqrt(np.arange(1, dim)))
-    amp /= np.linalg.norm(amp)
+    with np.errstate(over="ignore", invalid="ignore"):
+        amp[1:] = np.cumprod(complex(alpha) / np.sqrt(np.arange(1, dim)))
+        norm = np.linalg.norm(amp)  # not finite if an amplitude is not
+    if not (np.isfinite(alpha) and np.isfinite(norm)):
+        raise FockError(f"coherent state of amplitude {alpha} at dim {dim} is not finite")
+    amp /= norm
     return np.outer(amp, amp.conj())
 
 
@@ -199,10 +202,10 @@ def generator(params: ModelParams, dim: int | None = None) -> Generator:
 
     A channel c with c[n, n + k] = A_n gives the jump grid rate A_p A_q and
     the diagonal -rate (N_p + N_q) / 2 with N_n = (c^dag c)[n, n] = A_{n - k}^2;
-    the free rotation adds -i omega0 (p - q).  The ladder values and the
-    terms combine in the order of the sum of Kronecker-product terms (the
-    rotation, then kappa_down D[a^2], then the gain channel), so the grids
-    hold its values bit for bit.
+    the free rotation adds -i omega0 (p - q) in exact photon numbers (order m
+    turns at exactly omega0 m).  The ladder values and the terms combine in the
+    order of the sum of Kronecker-product terms (the rotation, then kappa_down
+    D[a^2], then the gain channel), so the grids hold its values bit for bit.
     """
     if dim is None:
         dim = default_dim(params)
@@ -215,7 +218,7 @@ def generator(params: ModelParams, dim: int | None = None) -> Generator:
     channels = [(params.kappa_down, 2, lower * np.append(lower[1:], 0.0)),
                 (params.kappa_up2, -2, root * np.append(0.0, root[:-1])),
                 (params.kappa_up1, -1, root)]
-    number = root * root
+    number = np.arange(dim, dtype=float)
     diag = params.omega0 * (-1j * (number[:, None] - number))
     jumps = {}
     for rate, k, amp in (channel for channel in channels if channel[0] > 0):

@@ -13,14 +13,13 @@ Steady states live on the m = 0 blocks.  When the jumps are +2 and at most
 gain) these are two birth-death chains, the even and the odd levels, and
 each steady state is a detailed-balance product (Gardiner, *Handbook of
 Stochastic Methods*); otherwise they get a dense SVD.  Evolution of the
-noise-induced model at k > 0 takes the chain path: with jumps exactly +/-2
-and real positive links, each block is a tridiagonal chain, symmetrized by
-a diagonal similarity D (Simaan & Loudon, J. Phys. A 8, 539, 1975) and
-solved by batched real ``eigh``, one call per chain length.  It needs each
-chain's span max D / min D within ``_SPAN_MAX`` (1e8) and t times the
-spread of a chain's imaginary diagonal, which bounds its phase error,
-within ``_PHASE_ATOL`` (1e-11).  Any other generator, or a call past a
-bound, takes the dense path: the exponential of each block's dense matrix.
+noise-induced model at k > 0 takes the chain path: with jumps exactly +/-2,
+real positive links and one phase along each chain (the free rotation
+omega0 m of its order), each block is a tridiagonal chain, symmetrized by a
+diagonal similarity D (Simaan & Loudon, J. Phys. A 8, 539, 1975) and solved
+by batched real ``eigh``, one call per chain length, while each chain's span
+max D / min D stays within ``_SPAN_MAX`` (1e8).  Any other generator, or a
+call past that bound, takes the dense path: each block's dense exponential.
 Evolution assumes a Hermitian initial state and a Hermiticity-preserving
 generator, so only orders m >= 0 are solved; the rest is their conjugate.
 
@@ -246,17 +245,13 @@ def _block(gen: Generator, step: int, m: int, p0: int) -> tuple[np.ndarray, np.n
 # 2.1e-11 at 5.8e11.  A call that would solve a chain past this span takes
 # the dense path; the tail-rule dims keep spans near 1e6.
 _SPAN_MAX = 1e8
-# evolution takes the chain path only while t times the largest spread of a
-# chain's imaginary diagonal, which bounds the error of applying one phase
-# per chain, stays at most this.  At k = 0.8, dim 248 and omega0 = -2.7 the
-# spread is 3.4e-13, and the largest entry gap to the dense exponentials is
-# 9.2e-13 at t = 3 and 4.6e-12 at t = 30, where t times the spread is 1.0e-11.
-_PHASE_ATOL = 1e-11
 
 
 def _is_chain(gen: Generator) -> bool:
-    """Whether the jumps are +/-2 with real positive links: chains rho[p, q] -> rho[p + 2, ...]."""
-    if gen.jumps.keys() != {2, -2}:
+    """Whether the jumps are +/-2 with real positive links, making chains rho[p, q] -> rho[p + 2,
+    q + 2], and each chain holds one imaginary diagonal value, its phase, exactly."""
+    phases = gen.diag.imag
+    if gen.jumps.keys() != {2, -2} or not np.array_equal(phases[2:, 2:], phases[:-2, :-2]):
         return False
     for k, links in gen.jumps.items():
         to, _ = gen.reach(k)
@@ -303,9 +298,9 @@ def _chains(gen: Generator, orders: np.ndarray, starts: np.ndarray) -> _Chains:
     jumps[2] at entry j, and T[j + 1, j] = up, jumps[-2] at entry j + 1.
     D with D[j + 1] / D[j] = sqrt(down / up) makes D T D^-1 symmetric, with
     off-diagonals sqrt(down up); its real part then has an orthogonal
-    eigenbasis, and the imaginary part of the diagonal, omega0 m for the
-    models, adds a phase.  Undoing D multiplies rounding by up to
-    max D / min D, the span.
+    eigenbasis, and the imaginary part of the diagonal, one value along the
+    chain (``_is_chain``), adds a phase.  Undoing D multiplies rounding by
+    up to max D / min D, the span.
     """
     diag, down, up = gen.diag, gen.jumps[2], gen.jumps[-2]
     lengths = (diag.shape[0] - orders - starts + 1) // 2
@@ -380,9 +375,11 @@ def _balanced_states(gen: Generator) -> list[np.ndarray]:
     logarithms; log 0 = -inf gives |0><0| and |1><1| exactly.  The product
     reads the links only, so each state must pass the full generator,
     diagonal included: ``StationarityError`` unless ||L(pi)||_F <=
-    ``_STATIONARY_RTOL`` ||diag o pi||_F, which a NaN fails.
+    ``_STATIONARY_RTOL`` ||diag o pi||_F, which a NaN fails.  L(pi) is
+    diagonal, so both norms read the grids' main diagonals only.
     """
     dim = gen.diag.shape[0]
+    diag = np.diagonal(gen.diag)
     down = np.diagonal(gen.jumps[2]).real
     up = np.diagonal(gen.jumps[-2]).real if -2 in gen.jumps else np.zeros(dim)
     log_pops = np.zeros(dim)
@@ -393,14 +390,17 @@ def _balanced_states(gen: Generator) -> list[np.ndarray]:
         levels = np.arange(p0, dim, 2)
         log_chain = np.cumsum(log_pops[levels])
         pops = np.exp(log_chain - log_chain.max())
-        rho = np.zeros((dim, dim), dtype=complex)
-        rho[levels, levels] = pops / pops.sum()
-        residual = np.linalg.norm(gen.apply(rho))
-        scale = np.linalg.norm(gen.diag * rho)
+        pi = np.zeros(dim)
+        pi[levels] = pops / pops.sum()
+        moved = diag * pi  # L(pi)[p, p], as ``Generator.apply`` sums it
+        for k, jump in gen.jumps.items():
+            to, src = gen.reach(k)
+            moved[to] += np.diagonal(jump)[to] * pi[src]
+        residual, scale = np.linalg.norm(moved), np.linalg.norm(diag * pi)
         if not residual <= _STATIONARY_RTOL * scale:
             raise StationarityError(f"detailed-balance state {p0} is not stationary: ||L(pi)||_F "
                                     f"= {residual:.3e}, ||diag o pi||_F = {scale:.3e}")
-        states.append(rho)
+        states.append(np.diag(pi.astype(complex)))
     return states
 
 
@@ -416,24 +416,22 @@ def evolve(rho0: np.ndarray, gen: Generator, t: float) -> np.ndarray:
     """Propagate rho0 to time t under the model generator gen.
 
     gen must be a ``fock.Generator`` (``TypeError``), t finite and
-    nonnegative and rho0 Hermitian (``ValueError``, past 1e-12 entrywise for
-    rho0), and rho0 dim x dim for the dim of gen (``FockError``), all before
-    any work.  gen is assumed to preserve Hermiticity, as every Lindblad
-    generator does.  Under both assumptions the entry at the transposed
-    index is the conjugate, so only the blocks of orders m = q - p >= 0 that
-    the upper triangle of rho0 touches are propagated and the entries of
+    nonnegative and rho0 finite and Hermitian (``ValueError``, past 1e-12
+    entrywise for rho0), and rho0 dim x dim for the dim of gen (``FockError``),
+    all before any work.  gen is assumed to preserve Hermiticity, as every
+    Lindblad generator does.  Under both assumptions the entry at the
+    transposed index is the conjugate, so only the blocks of orders m = q - p
+    >= 0 that the upper triangle of rho0 touches are propagated and those of
     order -m are their conjugates; what rho0 leaves zero stays zero.
 
     On a chain generator, the touched chains are propagated by one batched
     ``eigh`` per chain length (see ``_chains``):
     x(t) = e^{i theta t} D^-1 V e^{t lam} V^T D x(0), with theta the
-    midpoint of the range of the imaginary parts of the chain's diagonal.
-    Those vary along a chain by rounding only, and t times the width of
-    their range, the spread, bounds the phase error, so the chain path
-    needs that product at most ``_PHASE_ATOL`` and every span within
-    ``_SPAN_MAX``.  Any other generator, or a call past a bound, takes the
-    dense path: each touched block, written from the grids, is propagated
-    by its dense exponential.
+    imaginary part of the chain's diagonal, one value along the chain, at
+    every t.  The chain path needs every span within ``_SPAN_MAX``.  Any
+    other generator, or a call past that bound, takes the dense path: each
+    touched block, written from the grids, is propagated by its dense
+    exponential.
     """
     _require_generator(gen)
     if not 0.0 <= t < math.inf:  # NaN fails too
@@ -442,9 +440,10 @@ def evolve(rho0: np.ndarray, gen: Generator, t: float) -> np.ndarray:
     if np.shape(rho0) != (dim, dim):
         raise FockError(f"initial state of shape {np.shape(rho0)} does not match the "
                         f"generator's dim {dim}")
-    skew = float(np.abs(rho0 - rho0.conj().T).max())
-    if skew > _HERMITIAN_ATOL:
-        raise ValueError(f"initial state is not Hermitian: max|rho0 - rho0^dag| = {skew:.3e}")
+    skew = float(np.abs(rho0 - rho0.conj().T).max()) if np.isfinite(rho0).all() else math.nan
+    if not skew <= _HERMITIAN_ATOL:  # a rho0 that is not finite gives NaN, which fails
+        raise ValueError(f"initial state is not Hermitian or not finite: "
+                         f"max|rho0 - rho0^dag| = {skew:.3e}")
     if t == 0:
         return rho0.copy()
     step = _step(gen)
@@ -465,12 +464,9 @@ def evolve(rho0: np.ndarray, gen: Generator, t: float) -> np.ndarray:
 
 def _evolve_chains(rho0: np.ndarray, gen: Generator, t: float, orders: np.ndarray,
                    starts: np.ndarray) -> np.ndarray | None:
-    """The upper triangle of rho(t) on the chain path (see ``evolve``), or None past a bound."""
+    """The upper triangle of rho(t) on the chain path (see ``evolve``), or None past a span."""
     chains = _chains(gen, orders, starts)
-    # a padded entry repeats the chain's last one, so the range is the chain's
-    low, high = chains.diag.imag.min(axis=1), chains.diag.imag.max(axis=1)
-    span = np.ptp(chains.log_scale, axis=1).max(initial=0.0)
-    if not span <= math.log(_SPAN_MAX) or t * (high - low).max(initial=0.0) > _PHASE_ATOL:
+    if not np.ptp(chains.log_scale, axis=1).max(initial=0.0) <= math.log(_SPAN_MAX):
         return None
     scale = np.exp(chains.log_scale)
     start = rho0[chains.rows, chains.cols] * scale  # D x(0)
@@ -482,7 +478,7 @@ def _evolve_chains(rho0: np.ndarray, gen: Generator, t: float, orders: np.ndarra
         coef = vecs.transpose(0, 2, 1) @ np.stack((y.real, y.imag), axis=-1)
         y = vecs @ (coef * np.exp(t * lam)[..., None])
         x[group, :length] = y[..., 0] + 1j * y[..., 1]
-    x *= np.exp(0.5j * t * (low + high))[:, None] / scale
+    x *= np.exp(1j * t * chains.diag.imag[:, :1]) / scale
     inside = np.arange(scale.shape[1]) < chains.lengths[:, None]
     rho_t = np.zeros(rho0.shape, dtype=complex)
     rho_t[chains.rows[inside], chains.cols[inside]] = x[inside]

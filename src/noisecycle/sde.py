@@ -519,11 +519,11 @@ def classical_detailed_balance(cfg: SdeConfig) -> DetailedBalanceReport:
         return _interior_maxima(lambda rows: _balance_fields(cfg, rows, g, g[1] - g[0]), g, g.size)
 
     (irr_c, div_c), (irr_f, div_f) = maxima(xs), maxima(refine(xs))
-    eps = np.diag([1.0, -1.0])
+    signs = np.array([[1.0, -1.0], [-1.0, 1.0]])[:, :, None, None]  # eps D eps = D o eps eps^T
     step = max(1, _GRID_BLOCK_VALUES // (4 * xs.size))  # D holds four values a point
     blocks = ((xs[i:i + step, None], xs[None, :]) for i in range(0, xs.size, step))
-    exact = all(np.array_equal(_diffusion_matrix(X, Y), np.einsum(
-        "ij,jk...,kl->il...", eps, _diffusion_matrix(X, -Y), eps)) for X, Y in blocks)
+    exact = all(np.array_equal(_diffusion_matrix(X, Y), signs * _diffusion_matrix(X, -Y))
+                for X, Y in blocks)
     return DetailedBalanceReport(
         max_irreversible_flux=irr_c,
         max_reversible_divergence=div_c,

@@ -271,7 +271,8 @@ def test_evolve_near_saturated_ratio_default_dim(tmp_path):
     assert abs(report["parity_final"] - report["parity_initial"]) < 1e-9
 
 
-@pytest.mark.parametrize("spec", ["coherent:abc", "fock:x", "fock:99"])
+# coherent:1e200 is well formed, but its amplitudes overflow
+@pytest.mark.parametrize("spec", ["coherent:abc", "fock:x", "fock:99", "coherent:1e200"])
 def test_evolve_rejects_malformed_initial_state(tmp_path, spec):
     with pytest.raises(SystemExit) as err:
         main(["evolve", "--out", str(tmp_path / "ev"), "--dim", "20", "--initial", spec])

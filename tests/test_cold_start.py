@@ -113,6 +113,10 @@ def test_steady_loads_no_scipy_sparse(tmp_path):
 
 @pytest.mark.parametrize("argv,dense", [
     pytest.param(["evolve", "--out", "run"], False, id="evolve-noise-induced"),
+    # one exact phase per chain: a long time stays on the chain path, on
+    # every order a coherent state touches
+    pytest.param(["evolve", "--k-ratio", "0.8", "--omega0", "-2.7", "--t", "60",
+                  "--initial", "coherent:1.5", "--out", "run"], False, id="evolve-long-time"),
     # positive control: at k = 0 the chains cannot be symmetrized, so the
     # evolution takes the dense exponentials
     pytest.param(["evolve", "--k-ratio", "0", "--out", "run"], True, id="evolve-k0"),

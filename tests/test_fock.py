@@ -1,6 +1,7 @@
 """Operator algebra, superoperator assembly, and generator symmetries."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -128,6 +129,22 @@ def test_non_finite_ratio_and_amplitude_are_rejected(value):
         coherent_state(12, complex(value, 0.0))
     with pytest.raises(FockError):
         coherent_state(12, complex(0.0, value))
+
+
+@pytest.mark.parametrize("dim,alpha", [
+    (20, 1e200),   # the cumulative product overflows at its second factor
+    (1600, 30.0),  # every amplitude is finite, the sum of their squares is not
+    (1500, 40.0),  # the cumulative product overflows on its way to the largest amplitude
+])
+def test_coherent_state_past_the_float_range_is_rejected(dim, alpha):
+    with pytest.raises(FockError, match=re.escape(f"amplitude {alpha} ") + f".*dim {dim}"):
+        coherent_state(dim, alpha)
+
+
+def test_coherent_state_below_the_float_range_is_a_state():
+    # the largest amplitude, near n = 400, is 1e87
+    rho = coherent_state(1000, 20.0)
+    assert np.all(np.isfinite(rho)) and abs(np.trace(rho).real - 1.0) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +413,7 @@ def reference_liouvillian(params: ModelParams, dim: int) -> sp.csr_matrix:
         both = sp.kron(sp.csr_matrix(c.conj().T).T, sp.csr_matrix(c), format="csr")
         return (both - 0.5 * left(cdc) - 0.5 * right(cdc)).tocsr()
 
-    rotation = (-1j * (left(ad @ a) - right(ad @ a))).tocsr()
+    rotation = (-1j * (left(number_op(dim)) - right(number_op(dim)))).tocsr()
     gen = params.omega0 * rotation + params.kappa_down * dense_dissipator(a @ a)
     if params.kappa_up2 > 0:
         gen = gen + params.kappa_up2 * dense_dissipator(ad @ ad)
@@ -422,6 +439,18 @@ def test_liouvillian_equals_dense_product_reference(params, omega0, dim):
     assert np.array_equal(got.indptr, ref.indptr)
     assert np.array_equal(got.indices, ref.indices)
     assert got.data.tobytes() == ref.data.tobytes()
+
+
+@pytest.mark.parametrize("dim", [6, 21, 46, 248])
+@pytest.mark.parametrize("omega0", [0.0, -2.7, 1e3])
+@pytest.mark.parametrize("k_ratio", [0.3, 0.8])
+def test_rotation_turns_each_chain_at_one_phase(k_ratio, omega0, dim):
+    # the photon numbers are exact, so the imaginary diagonal of every entry
+    # of order m = q - p is omega0 m, and each chain rho[p + 2 j, q + 2 j]
+    # repeats it bit for bit
+    gen = generator(ModelParams(omega0=omega0, kappa_down=1.0, kappa_up2=k_ratio), dim)
+    p, q = np.indices((dim, dim))
+    assert np.array_equal(gen.diag.imag, omega0 * (q - p))
 
 
 # dims 2 and 3 also put the two-photon diagonals outside the vec space here

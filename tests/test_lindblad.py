@@ -415,6 +415,21 @@ def test_evolve_rejects_non_hermitian_state():
             evolve(rho0, generator(NI, 20), t)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, complex(0.0, math.nan)])
+def test_evolve_rejects_state_that_is_not_finite(monkeypatch, value):
+    # rejected before any work, at t = 0 too
+    def no_work(*args):
+        raise AssertionError("the state was propagated")
+
+    for name in ("_step", "_is_chain", "eigh", "expm"):
+        monkeypatch.setattr(lindblad, name, no_work)
+    rho0 = fock_state(20, 0)
+    rho0[3, 3] = value
+    for t in (0.0, 1.0):
+        with pytest.raises(ValueError, match="not finite"):
+            evolve(rho0, generator(NI, 20), t)
+
+
 # the gcd s of each model generator's jump shifts: block (m, p0) holds rho[p0 + s j, p0 + s j + m]
 STEPS = {"noise-induced-k0": 2, "noise-induced-k0.4": 2, "conventional": 1}
 
@@ -505,22 +520,18 @@ def dense_block_evolve(gen, states, t, orders):
 @pytest.mark.parametrize("k_ratio", [0.05, 0.3, 0.6, 0.8])
 def test_chain_path_matches_dense_blocks(monkeypatch, k_ratio, omega0):
     # default dims 20, 46, 110 and 248.  Compared are the orders with the
-    # longest chains, whose spans are largest (9.1e5 at k = 0.8), the
-    # shortest, and the order whose phases spread most (1.0e-12 times
-    # t = 3 at k = 0.8 and omega0 = -2.7).
+    # longest chains, whose spans are largest (9.1e5 at k = 0.8), and the
+    # shortest.  No chain's phase spreads: one phase per chain is exact.
     def no_expm(a):
         raise AssertionError("dense path taken")
 
     params = ModelParams(omega0=omega0, kappa_down=1.0, kappa_up2=k_ratio)
     dim = default_dim(params)
     gen = generator(params, dim)
-    phases = gen.diag.imag
-
-    def spread(m):
-        chain = np.diagonal(phases, m)
-        return max(np.ptp(chain[s::2]) for s in (0, 1) if chain[s::2].size)
-
-    orders = [0, 1, 2, dim - 2, dim - 1, max(range(dim), key=spread)]
+    for m in range(dim):
+        chain = np.diagonal(gen.diag.imag, m)
+        assert all(np.ptp(chain[s::2]) == 0 for s in (0, 1) if chain[s::2].size)
+    orders = [0, 1, 2, dim - 2, dim - 1]
     p, q = np.indices((dim, dim))
     compared = np.isin(np.abs(q - p), orders)
     states = [coherent_state(dim, 1.5 + 0.7j),
@@ -538,6 +549,11 @@ def with_entry(gen, row, col, value):
     gen = gen.tolil()
     gen[row, col] = value
     return gen.tocsr()
+
+
+def with_phase_kick(gen, row, phase):
+    """gen with the imaginary part of its vec diagonal entry at row moved by phase."""
+    return with_entry(gen, row, row, gen[row, row] + 1j * phase)
 
 
 def chain_link(dim, p, q):
@@ -580,6 +596,9 @@ def test_grids_of_pure_dephasing_have_no_jump():
                  False, 2, id="complex-link"),
     pytest.param(lambda dim: with_entry(liouvillian_csr(NI, dim), *chain_link(dim, 3, 5), -1.0),
                  False, 2, id="negative-link"),
+    # the imaginary diagonal of rho[3, 5] off by 1e-13 from the rest of its chain
+    pytest.param(lambda dim: with_phase_kick(liouvillian_csr(NI, dim), 3 + 5 * dim, 1e-13),
+                 False, 2, id="phase-varies-along-a-chain"),
     # on the vec diagonal 2(dim + 1), but taking rho[1, 7] to rho[dim - 1, 4]: rejected
     pytest.param(lambda dim: with_entry(liouvillian_csr(NI, dim), *chain_link(dim, dim - 1, 4),
                                         1.0),
@@ -621,19 +640,20 @@ def test_chains_past_the_span_bound_take_the_dense_path(monkeypatch):
     assert np.abs(rho_t - reference_evolve(rho0, tocsr(gen), 0.01)).max() < 1e-11
 
 
-def test_long_time_past_the_phase_bound_takes_the_dense_path(monkeypatch):
-    # the imaginary diagonal -omega0 (N_p - N_q) varies along a chain by
-    # rounding only, 6.8e-14 at dim 46 and omega0 = -2.7; t = 200 puts t
-    # times that spread past the bound of 1e-11
+def test_long_time_stays_on_the_chain_path(monkeypatch):
+    # one exact phase per chain holds at every t: at t = 200 the chains stay
+    # within 1e-11 of the dense exponentials and closer than they are to the
+    # steady state they relax to
     dim = 46
     gen = generator(ModelParams(omega0=-2.7, kappa_down=1.0, kappa_up2=0.3), dim)
     rho0 = random_density_matrix(dim, rng=np.random.default_rng(5))
     solves = count_solves(monkeypatch)
-    dense = evolve(rho0, gen, 200.0)
-    assert solves["chains"] == 0 and solves["expm"] > 0
-    monkeypatch.setattr(lindblad, "_PHASE_ATOL", math.inf)
-    assert np.abs(evolve(rho0, gen, 200.0) - dense).max() < 1e-11
-    assert solves["chains"] > 0
+    chains = evolve(rho0, gen, 200.0)
+    assert solves["expm"] == 0 and solves["chains"] > 0
+    dense = dense_block_evolve(tocsr(gen), [rho0], 200.0, range(dim))[0]
+    assert np.abs(chains - dense).max() < 1e-11
+    closed_form = rho_ss_analytic(0.3, parity_weights(rho0)[0], dim)
+    assert np.abs(chains - closed_form).max() < np.abs(dense - closed_form).max()
 
 
 # ---------------------------------------------------------------------------
