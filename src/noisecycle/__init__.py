@@ -48,7 +48,6 @@ from .fock import (
 from .lindblad import (
     CirculationResult,
     ConservedDecomposition,
-    DegenerateSpectrumError,
     SteadyStateResult,
     circulation,
     conserved_decomposition,

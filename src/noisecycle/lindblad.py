@@ -8,11 +8,11 @@ m = q - p, and it keeps p modulo s, the gcd of its jump shifts (2 for the
 noise-induced model and for the conventional one without gain, 1 with
 one-photon gain).  Block (m, p0) holds rho[p0 + s j, p0 + s j + m], j = 0, 1, ...
 
-Steady states live on the m = 0 blocks.  When the jumps are +2 and at most
--2 (the noise-induced model at any k >= 0, the conventional one without
-gain) these are two birth-death chains, the even and the odd levels, and
-each steady state is a detailed-balance product (Gardiner, *Handbook of
-Stochastic Methods*); otherwise they get a dense SVD.  Evolution of the
+Steady states live on the m = 0 blocks, one per class of levels p0 < s.
+Both models move population up by exactly s and down by 2, so a stationary
+state has zero net flow across every cut between two levels of a class
+(Kelly, *Reversibility and Stochastic Networks*, 1979); that one equation,
+run down each class, gives both models' states.  Evolution of the
 noise-induced model at k > 0 takes the chain path: with jumps exactly +/-2,
 real positive links and one phase along each chain (the free rotation
 omega0 m of its order), each block is a tridiagonal chain, symmetrized by a
@@ -72,14 +72,6 @@ def eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 class LindbladError(RuntimeError):
     """Numerical failure in a generator-level routine."""
-
-
-class DegenerateSpectrumError(LindbladError):
-    """Null space of unexpected dimension."""
-
-    def __init__(self, kernel_dim: int):
-        self.kernel_dim = kernel_dim
-        super().__init__(f"null space has dimension {kernel_dim}, expected 1")
 
 
 class StationarityError(LindbladError):
@@ -324,55 +316,48 @@ def _chains(gen: Generator, orders: np.ndarray, starts: np.ndarray) -> _Chains:
 # steady states
 # ---------------------------------------------------------------------------
 
-# a singular value at most this fraction of its block's largest, or the
-# trace of a unit null vector at most this size, counts as zero
-_NULL_RTOL = 1e-10
-# a detailed-balance state pi passes when ||L(pi)||_F is at most this fraction
-# of ||diag o pi||_F, the size of the terms that cancel in L(pi): the model
-# gives at most 3.1e-16 up to dim 2200, a diagonal off by 1e-9 gives 1e-9
+# a steady state pi passes when ||L(pi)||_F is at most this fraction of
+# ||diag o pi||_F, the size of the terms that cancel in L(pi): both models give
+# at most 2.5e-16 up to dim 2200, a diagonal off by 1e-9 gives 1e-9
 _STATIONARY_RTOL = 1e-12
+# the cut recursion divides its running values by the latest once that passes
+# this, so that none overflows
+_RESCALE_AT = 1e150
 
 
 def steady_states(gen: Generator) -> SteadyStateResult:
-    """Steady states of a model generator, from its blocks of order m = 0.
+    """Steady states of a model generator, one for each class of levels p0 < s.
 
-    ``TypeError`` for anything but a ``fock.Generator``.  Only m = 0 blocks
-    hold populations, so ``kernel_dim`` counts states (the |0><1| block is
-    stationary too at omega0 = k = 0).  Jumps +2 and at most -2 give
-    ``rho_plus`` and ``rho_minus``, the detailed-balance products of the even
-    and odd levels (``_balanced_states``).  Otherwise the SVDs of the m = 0
-    blocks must give exactly one null vector (``DegenerateSpectrumError``),
-    a singular value at most ``_NULL_RTOL`` times its block's largest, with
-    a trace (``LindbladError``); it is scaled to unit trace and symmetrized.
+    ``TypeError`` for anything but a ``fock.Generator``.  The jumps must be 2
+    and at most one gain jump -s, s being their gcd (``_step``): -2 for the
+    noise-induced model, -1 for the conventional one, none without gain.  Any
+    other set, no jumps included, raises ``LindbladError`` naming the shifts
+    before any grid is read.  Each class holds one state (``_cut_states``), so
+    ``kernel_dim`` is s (the |0><1| block is stationary too at omega0 = k = 0,
+    but carries no state); s = 2 sets ``rho_plus`` and ``rho_minus``, the even
+    and the odd state.
     """
     _require_generator(gen)
-    if 2 in gen.jumps and gen.jumps.keys() <= {2, -2}:
-        plus, minus = _balanced_states(gen)
-        return SteadyStateResult(kernel_dim=2, states=[plus, minus], rho_plus=plus, rho_minus=minus)
+    if gen.jumps.keys() not in ({2}, {2, -2}, {2, -1}):
+        raise LindbladError(f"steady states need jump 2 plus at most one gain jump -1 or -2, "
+                            f"got jump shifts {sorted(gen.jumps)}")
     step = _step(gen)
-    null = []
-    for p0 in range(step):
-        rows, block = _block(gen, step, 0, p0)
-        _, s, vh = np.linalg.svd(block)
-        null += [(rows, v) for v in vh[s <= _NULL_RTOL * s[0]].conj()]
-    if len(null) != 1:
-        raise DegenerateSpectrumError(len(null))
-    rows, v = null[0]
-    if abs(v.sum()) <= _NULL_RTOL:
-        raise LindbladError("the null vector is trace free: it carries no state")
-    rho = np.zeros(gen.diag.shape, dtype=complex)
-    rho[rows, rows] = (v / v.sum()).real  # the Hermitian part
-    return SteadyStateResult(kernel_dim=1, states=[rho])
+    states = _cut_states(gen, step)
+    plus, minus = states if step == 2 else (None, None)
+    return SteadyStateResult(kernel_dim=step, states=states, rho_plus=plus, rho_minus=minus)
 
 
-def _balanced_states(gen: Generator) -> list[np.ndarray]:
-    """The even and the odd steady state of a generator with jumps +2 and at most -2.
+def _cut_states(gen: Generator, step: int) -> list[np.ndarray]:
+    """The steady state of each class of levels p0, p0 + s, ... for p0 < s = step.
 
-    On the levels p0, p0 + 2, ... jump 2 moves population down from p + 2 to
-    p at rate down_p = jumps[2][p, p], and jump -2 up at up_{p + 2} =
-    jumps[-2][p + 2, p + 2] (0 without it).  Detailed balance, pi_p up_{p + 2}
-    = pi_{p + 2} down_p, makes pi the product of their ratios, summed in
-    logarithms; log 0 = -inf gives |0><0| and |1><1| exactly.  The product
+    Population moves up n -> n + s at u_n = jumps[-s][n + s, n + s] (0
+    without gain) and down j -> j - 2 at d_j = jumps[2][j - 2, j - 2].  In a
+    stationary state the net flow across the cut above level n vanishes:
+    pi_n u_n = pi_{n + 1} d_{n + 1} + pi_{n + 2} d_{n + 2}, the down jumps
+    that cross it (a level of another class holds 0).  Run down from the
+    class's lowest level with u_n = 0, where pi is set to 1 (the levels above
+    it only drain into it and carry no mass), every term is positive and
+    nothing cancels; k = 0 gives |0><0| and |1><1| exactly.  The recursion
     reads the links only, so each state must pass the full generator,
     diagonal included: ``StationarityError`` unless ||L(pi)||_F <=
     ``_STATIONARY_RTOL`` ||diag o pi||_F, which a NaN fails.  L(pi) is
@@ -380,25 +365,31 @@ def _balanced_states(gen: Generator) -> list[np.ndarray]:
     """
     dim = gen.diag.shape[0]
     diag = np.diagonal(gen.diag)
-    down = np.diagonal(gen.jumps[2]).real
-    up = np.diagonal(gen.jumps[-2]).real if -2 in gen.jumps else np.zeros(dim)
-    log_pops = np.zeros(dim)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_pops[2:] = np.log(up[2:] / down[:-2])
+    up = np.zeros(dim)
+    if -step in gen.jumps:
+        up[:-step] = np.diagonal(gen.jumps[-step]).real[step:]
+    down = np.zeros(dim + 2)  # two zeros past the top, read by the cuts near it
+    down[2:dim] = np.diagonal(gen.jumps[2]).real[:-2]
+    ups, downs = up.tolist(), down.tolist()
     states = []
-    for p0 in (0, 1):
-        levels = np.arange(p0, dim, 2)
-        log_chain = np.cumsum(log_pops[levels])
-        pops = np.exp(log_chain - log_chain.max())
-        pi = np.zeros(dim)
-        pi[levels] = pops / pops.sum()
+    for p0 in range(step):
+        levels = np.arange(p0, dim, step)
+        top = int(levels[np.argmax(up[levels] == 0)])  # the class's top level has none
+        pi = [0.0] * (dim + 2)
+        pi[top] = 1.0
+        for n in range(top - step, p0 - 1, -step):
+            pi[n] = value = (pi[n + 1] * downs[n + 1] + pi[n + 2] * downs[n + 2]) / ups[n]
+            if value > _RESCALE_AT:
+                pi[n:top + 1] = [other / value for other in pi[n:top + 1]]
+        pi = np.array(pi[:dim])
+        pi /= pi.sum()
         moved = diag * pi  # L(pi)[p, p], as ``Generator.apply`` sums it
         for k, jump in gen.jumps.items():
             to, src = gen.reach(k)
             moved[to] += np.diagonal(jump)[to] * pi[src]
         residual, scale = np.linalg.norm(moved), np.linalg.norm(diag * pi)
         if not residual <= _STATIONARY_RTOL * scale:
-            raise StationarityError(f"detailed-balance state {p0} is not stationary: ||L(pi)||_F "
+            raise StationarityError(f"steady state {p0} is not stationary: ||L(pi)||_F "
                                     f"= {residual:.3e}, ||diag o pi||_F = {scale:.3e}")
         states.append(np.diag(pi.astype(complex)))
     return states

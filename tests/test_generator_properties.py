@@ -3,17 +3,21 @@
 Both models, any rotation rate, loss rate and gain ratio k in [0, 0.9), and
 dimensions 6-16: the generator preserves trace and Hermiticity, the
 noise-induced one commutes with parity, no entry couples different coherence
-orders m - n, and ``evolve`` keeps states positive.  Over finite rates from
-1e-300 to 1e300 the generator equals the dense-product reference byte for byte.
+orders m - n, ``evolve`` keeps states positive, and each of the s steady
+states (s the gcd of the jump shifts) is a state in the dense null space.
+Over finite rates from 1e-300 to 1e300 the generator equals the dense-product
+reference byte for byte.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import null_space
 
 from noisecycle.fock import ModelKind, ModelParams, generator, parity_op
-from noisecycle.lindblad import evolve, random_density_matrix
-from test_fock import apply_super, liouvillian_csr, reference_liouvillian
+from noisecycle import lindblad
+from noisecycle.lindblad import evolve, random_density_matrix, steady_states
+from test_fock import apply_super, liouvillian_csr, reference_liouvillian, vectorize
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=25)
 
@@ -91,6 +95,23 @@ def test_evolve_keeps_states_positive(model, t):
     rho_t = evolve(rho0, generator(params, dim), t)
     assert np.linalg.eigvalsh(rho_t).min() >= -1e-10
     assert abs(np.trace(rho_t) - 1.0) < 1e-10
+
+
+@SETTINGS
+@given(models())
+def test_steady_states_are_states_in_the_dense_null_space(model):
+    params, dim, _ = model
+    gen = generator(params, dim)
+    result = steady_states(gen)
+    assert result.kernel_dim == len(result.states) == lindblad._step(gen)
+    kernel = null_space(liouvillian_csr(params, dim).toarray())
+    for rho in result.states:
+        pops = np.diagonal(rho).real
+        assert pops.min() >= 0.0
+        assert abs(np.trace(rho) - 1.0) < 1e-12
+        vec = vectorize(rho)
+        residual = np.linalg.norm(vec - kernel @ (kernel.conj().T @ vec)) / np.linalg.norm(vec)
+        assert residual < 1e-10
 
 
 def log_uniform(low=-300.0, high=300.0):

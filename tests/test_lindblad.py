@@ -1,6 +1,7 @@
 """Steady-state solver, propagation, circulation, time reversal, detailed balance."""
 
 import math
+import re
 import sys
 from dataclasses import replace
 
@@ -26,8 +27,8 @@ from noisecycle.fock import (
     parity_op,
 )
 from noisecycle.lindblad import (
-    DegenerateSpectrumError,
     DisplacementRangeError,
+    LindbladError,
     NormalizationError,
     OffDiagonalStateError,
     StationarityError,
@@ -132,7 +133,7 @@ def test_conventional_without_gain_two_sectors():
 
 def test_combine_unavailable_for_unique_state():
     result = steady_states(generator(CONV, 20))
-    with pytest.raises(Exception):
+    with pytest.raises(LindbladError, match="no parity-sector basis"):
         result.combine(0.5)
 
 
@@ -144,12 +145,25 @@ def test_combine_rejects_weight_outside_unit_interval(wp):
         result.combine(wp)
 
 
-def test_degenerate_kernel_raises_with_dimension():
-    # pure dephasing conserves every population: the null space is huge
-    gen = grids(dissipator(number_op(6)))
-    with pytest.raises(DegenerateSpectrumError) as err:
+@pytest.mark.parametrize("make_gen,shifts", [
+    # pure dephasing conserves every population: it has no jumps at all
+    pytest.param(lambda: grids(dissipator(number_op(6))), [], id="pure-dephasing"),
+    # two gain jumps: the levels no longer move up by one step
+    pytest.param(lambda: fock.Generator(generator(NI, 8).diag, {
+        **generator(NI, 8).jumps, -1: generator(CONV, 8).jumps[-1]}), [-2, -1, 2],
+        id="jumps-2-minus2-minus1"),
+])
+def test_steady_states_reject_unsupported_jumps(monkeypatch, make_gen, shifts):
+    gen = make_gen()
+    assert sorted(gen.jumps) == shifts
+
+    def no_work(*args):
+        raise AssertionError("a grid was read")
+
+    for name in ("_step", "_block", "_cut_states", "eigh", "expm"):
+        monkeypatch.setattr(lindblad, name, no_work)
+    with pytest.raises(LindbladError, match=re.escape(f"got jump shifts {shifts}")):
         steady_states(gen)
-    assert err.value.kernel_dim > 2
 
 
 @pytest.mark.parametrize("make_gen,phase_symmetric", [
@@ -204,6 +218,8 @@ def test_steady_state_near_saturated_ratio_default_dim():
 @pytest.mark.parametrize("k_ratio,dim", [
     # the m = 0 chains span 0.3^(-45/2) = 5.8e11, past the chain path's bound for evolution
     (0.3, 92),
+    # the even chain spans 0.3^(-650) = 1e340: the recursion must rescale as it goes
+    (0.3, 1300),
     # the tail-rule dims of k = 0.95 and 0.99, past the default's clamp
     (0.95, 1078),
     (0.99, 2200),
@@ -217,6 +233,23 @@ def test_chain_steady_states_at_tail_dim_match_closed_form(monkeypatch, k_ratio,
     assert lindblad._is_diagonal(result.rho_plus) and lindblad._is_diagonal(result.rho_minus)
     for wp in (0.0, 0.55, 1.0):
         assert trace_distance(result.combine(wp), rho_ss_analytic(k_ratio, wp, dim)) < 1e-14
+
+
+@pytest.mark.parametrize("dim", ["default", 400])
+@pytest.mark.parametrize("kappa_up1", [0.05, 0.3, 1.0, 3.0, 10.0])
+def test_conventional_steady_state_is_stationary(monkeypatch, kappa_up1, dim):
+    # at dim 400 the populations span more than 1e308: a plain product overflows
+    params = replace(CONV, kappa_up1=kappa_up1)
+    gen = generator(params, default_dim(params) if dim == "default" else dim)
+    no_eigenproblem(monkeypatch)
+    result = steady_states(gen)
+    assert result.kernel_dim == len(result.states) == 1
+    rho = result.states[0]
+    assert lindblad._is_diagonal(rho)
+    pops = np.diagonal(rho).real
+    assert pops.min() >= 0 and abs(pops.sum() - 1.0) < 1e-14
+    residual = np.linalg.norm(gen.apply(rho)) / np.linalg.norm(gen.diag * rho)
+    assert residual <= lindblad._STATIONARY_RTOL
 
 
 def perturbed(gen, jump, p, factor):
@@ -260,7 +293,7 @@ def test_solvers_take_only_a_generator(monkeypatch, given):
     def no_work(*args):
         raise AssertionError("the argument was used")
 
-    for name in ("_step", "_is_chain", "_block", "_balanced_states", "eigh", "expm"):
+    for name in ("_step", "_is_chain", "_block", "_cut_states", "eigh", "expm"):
         monkeypatch.setattr(lindblad, name, no_work)
     with pytest.raises(TypeError, match="fock.generator"):
         steady_states(given())
