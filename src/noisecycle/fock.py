@@ -4,18 +4,20 @@ Both models are phase covariant: each channel (two-photon loss a a, two-photon
 gain a^dag a^dag, one-photon gain a^dag) moves a fixed number k of photons, so
 the generator maps rho to
 
-    L(rho)[p, q] = diag[p, q] rho[p, q] + sum over k of jumps[k][p, q] rho[p + k, q + k].
+    L(rho)[p, q] = diag[p, q] rho[p, q] + sum over k of jump_k[p, q] rho[p + k, q + k].
 
-``generator`` returns these grids as a ``Generator``, which applies itself to
-a density matrix and is what the solvers of ``lindblad`` take; no dim^2 x dim^2
-matrix is built.  Only the forward generator is built: an adjoint action
-enters through the Hilbert-Schmidt duality Tr[A^dag L'(B)] = Tr[(L A)^dag B].
+Each jump grid is rank one and the diagonal grid an outer sum, so a
+``Generator`` (``generator``) holds (params, dim) and O(dim) factors and reads
+grid entries on demand; the solvers of ``lindblad`` take it.  Only the forward
+generator is built: an adjoint action enters through the Hilbert-Schmidt
+duality Tr[A^dag L'(B)] = Tr[(L A)^dag B].
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from enum import Enum
 
 import numpy as np
@@ -170,65 +172,75 @@ def coherent_state(dim: int, alpha: complex) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Generator:
-    """A model generator as its grids over the density-matrix entries (see the module).
+    """A model's generator on a dim-level Fock space, as its rank-one factors (see the module).
 
-    ``jumps[k]`` is 0 wherever p + k or q + k falls off the truncation.
+    A channel c with c[n, n + k] = A_n gives the jump grid rate A_p A_q and
+    adds -rate (N_p + N_q) / 2, N_n = (c^dag c)[n, n] = A_{n - k}^2, to the
+    diagonal; the rotation adds -i omega0 (p - q) in exact photon numbers, so
+    order m turns at exactly omega0 m.  ``diag`` and ``jump`` read entries at
+    index arrays in the order of the sum of Kronecker-product terms (rotation,
+    kappa_down D[a^2], gain), so each holds its value bit for bit.
+    ``FockError`` unless params is a ``ModelParams`` and dim >= 2.
     """
 
-    diag: np.ndarray
-    jumps: dict[int, np.ndarray]
+    params: ModelParams
+    dim: int
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.params, ModelParams):
+            raise FockError(f"a generator needs ModelParams, got {type(self.params).__name__}")
+        if not (isinstance(self.dim, (int, np.integer)) and self.dim >= 2):
+            raise FockError(f"Fock dimension must be an integer >= 2, got {self.dim!r}")
+
+    @cached_property
+    def channels(self) -> dict[int, tuple[float, np.ndarray]]:
+        """k -> (rate, A) of a a, a^dag a^dag and a^dag, those with a rate; A_n = 0 off the grid."""
+        root = np.sqrt(np.arange(self.dim, dtype=float))  # a[n - 1, n] = sqrt(n)
+        lower = np.append(root[1:], 0.0)  # a[n, n + 1]
+        channels = [(2, self.params.kappa_down, lower * np.append(lower[1:], 0.0)),
+                    (-2, self.params.kappa_up2, root * np.append(0.0, root[:-1])),
+                    (-1, self.params.kappa_up1, root)]
+        return {k: (rate, amp) for k, rate, amp in channels if rate > 0}
+
+    def diag(self, p, q) -> np.ndarray:
+        """The diagonal grid at the entries [p, q] of the (broadcast) index arrays p and q."""
+        out = self.params.omega0 * (-1j * np.subtract(p, q, dtype=float))
+        for k, (rate, amp) in self.channels.items():
+            count = np.roll(amp * amp, k)  # A is 0 where n + k falls off: the roll wraps in zeros
+            # 0j - x, not -x: the reference subtracts from an empty diagonal, and
+            # the signs of zeros must agree too
+            out = out + rate * ((0j - 0.5 * count[p]) - 0.5 * count[q])
+        return out
+
+    def jump(self, k: int, p, q) -> np.ndarray:
+        """Jump k's grid, rate A_p A_q, at the entries [p, q]."""
+        rate, amp = self.channels[k]
+        return rate * (amp[p] * amp[q])
 
     def reach(self, k: int) -> tuple[slice, slice]:
         """The rows (and columns) that jump k writes, and the ones k above that it reads."""
-        dim = self.diag.shape[0]
-        return slice(max(-k, 0), dim - max(k, 0)), slice(max(k, 0), dim + min(k, 0))
+        return slice(max(-k, 0), self.dim - max(k, 0)), slice(max(k, 0), self.dim + min(k, 0))
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        """L(rho) from the grids, one shifted product per jump."""
-        out = self.diag * rho
-        for k, jump in self.jumps.items():
+        """L(rho), one shifted product per jump."""
+        p, q = np.arange(self.dim)[:, None], np.arange(self.dim)
+        out = self.diag(p, q) * rho
+        for k in self.channels:
             to, src = self.reach(k)
-            out[to, to] += jump[to, to] * rho[src, src]
+            out[to, to] += self.jump(k, p[to], q[to]) * rho[src, src]
         return out
 
     @property
     def nnz(self) -> int:
-        """Nonzero entries of the grids: those a sparse dim^2 x dim^2 form would store."""
-        return sum(np.count_nonzero(grid) for grid in (self.diag, *self.jumps.values()))
+        """Nonzero grid entries: those a sparse dim^2 x dim^2 form would store."""
+        p, q = np.arange(self.dim)[:, None], np.arange(self.dim)
+        grids = [self.diag(p, q), *(self.jump(k, p, q) for k in self.channels)]
+        return sum(np.count_nonzero(grid) for grid in grids)
 
 
 def generator(params: ModelParams, dim: int | None = None) -> Generator:
-    """Generator of the selected model on a dim-level Fock space, as grids.
-
-    A channel c with c[n, n + k] = A_n gives the jump grid rate A_p A_q and
-    the diagonal -rate (N_p + N_q) / 2 with N_n = (c^dag c)[n, n] = A_{n - k}^2;
-    the free rotation adds -i omega0 (p - q) in exact photon numbers (order m
-    turns at exactly omega0 m).  The ladder values and the terms combine in the
-    order of the sum of Kronecker-product terms (the rotation, then kappa_down
-    D[a^2], then the gain channel), so the grids hold its values bit for bit.
-    """
-    if dim is None:
-        dim = default_dim(params)
-    if dim < 2:
-        raise FockError(f"Fock dimension must be >= 2, got {dim}")
-    root = np.sqrt(np.arange(dim, dtype=float))  # a[n - 1, n] = sqrt(n)
-    lower = np.append(root[1:], 0.0)  # a[n, n + 1]
-    # rate, k and c[n, n + k] of a a, a^dag a^dag and a^dag; ModelParams leaves
-    # at most one gain rate nonzero, and a channel without rate adds no term
-    channels = [(params.kappa_down, 2, lower * np.append(lower[1:], 0.0)),
-                (params.kappa_up2, -2, root * np.append(0.0, root[:-1])),
-                (params.kappa_up1, -1, root)]
-    number = np.arange(dim, dtype=float)
-    diag = params.omega0 * (-1j * (number[:, None] - number))
-    jumps = {}
-    for rate, k, amp in (channel for channel in channels if channel[0] > 0):
-        # amp vanishes where n + k falls off, so the roll wraps in zeros only
-        cdc = np.roll(amp * amp, k)
-        # 0j - x, not -x: the reference subtracts from an empty diagonal, and
-        # the signs of zeros must agree too
-        diag += rate * ((0j - 0.5 * cdc[:, None]) - 0.5 * cdc)
-        jumps[k] = rate * np.multiply.outer(amp, amp)
-    return Generator(diag, jumps)
+    """Generator of the selected model on a dim-level Fock space (``default_dim`` if None)."""
+    return Generator(params, default_dim(params) if dim is None else dim)
 
 
 def liouvillian(params: ModelParams, dim: int | None = None) -> Generator:

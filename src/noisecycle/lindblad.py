@@ -1,7 +1,7 @@
 """Numerical dynamics of the truncated generators.
 
-Steady states and time evolution take the model's grids, a ``fock.Generator``
-(``fock.generator``), and solve them block by block; anything else raises
+Steady states and time evolution take a model generator, a ``fock.Generator``
+(``fock.generator``), and solve it block by block; anything else raises
 ``TypeError`` before any work.  Both models are phase covariant: jump k takes
 rho[p + k, q + k] to rho[p, q], so the generator never mixes coherence orders
 m = q - p, and it keeps p modulo s, the gcd of its jump shifts (2 for the
@@ -12,14 +12,13 @@ Steady states live on the m = 0 blocks, one per class of levels p0 < s.
 Both models move population up by exactly s and down by 2, so a stationary
 state has zero net flow across every cut between two levels of a class
 (Kelly, *Reversibility and Stochastic Networks*, 1979); that one equation,
-run down each class, gives both models' states.  Evolution of the
-noise-induced model at k > 0 takes the chain path: with jumps exactly +/-2,
-real positive links and one phase along each chain (the free rotation
-omega0 m of its order), each block is a tridiagonal chain, symmetrized by a
-diagonal similarity D (Simaan & Loudon, J. Phys. A 8, 539, 1975) and solved
-by batched real ``eigh``, one call per chain length, while each chain's span
-max D / min D stays within ``_SPAN_MAX`` (1e8).  Any other generator, or a
-call past that bound, takes the dense path: each block's dense exponential.
+run down each class, gives both models' states.  The noise-induced model at
+k > 0 evolves on the chain path: its jumps are +/-2 with real positive links
+and one phase along each chain (omega0 m), so each block is a tridiagonal
+chain, symmetrized by a diagonal similarity D (Simaan & Loudon, J. Phys. A 8,
+539, 1975) and solved by batched real ``eigh``, one call per chain length,
+while each chain's span max D / min D stays within ``_SPAN_MAX`` (1e8).  The
+other models, and a call past that bound, take each block's dense exponential.
 Evolution assumes a Hermitian initial state and a Hermiticity-preserving
 generator, so only orders m >= 0 are solved; the rest is their conjugate.
 
@@ -204,26 +203,26 @@ def random_density_matrix(dim: int, rank: int | None = None, support: int | None
 # ---------------------------------------------------------------------------
 
 def _require_generator(gen) -> None:
-    """``TypeError`` unless gen is the model's grids, as ``fock.generator`` builds them."""
+    """``TypeError`` unless gen is a model generator, as ``fock.generator`` builds it."""
     if not isinstance(gen, Generator):
         raise TypeError(f"expected a fock.Generator, as fock.generator builds it, "
                         f"got {type(gen).__name__}")
 
 
 def _step(gen: Generator) -> int:
-    """The gcd s of the jump shifts (dim without jumps): block (m, p0) is rho[p0 + s j, ...]."""
-    return math.gcd(*gen.jumps) or gen.diag.shape[0]
+    """The gcd s of the jump shifts: block (m, p0) is rho[p0 + s j, ...]."""
+    return math.gcd(*gen.channels)
 
 
 def _block(gen: Generator, step: int, m: int, p0: int) -> tuple[np.ndarray, np.ndarray]:
     """The rows p of block (m, p0), m >= 0, and its dense matrix on the entries rho[p, p + m]."""
-    rows = np.arange(p0, gen.diag.shape[0] - m, step)
+    rows = np.arange(p0, gen.dim - m, step)
     cols = rows + m
-    block = np.diag(gen.diag[rows, cols])
-    for k, jump in gen.jumps.items():
+    block = np.diag(gen.diag(rows, cols))
+    for k in gen.channels:
         shift = k // step
         j = np.arange(max(-shift, 0), rows.size - max(shift, 0))
-        block[j, j + shift] = jump[rows[j], cols[j]]
+        block[j, j + shift] = gen.jump(k, rows[j], cols[j])
     return rows, block
 
 
@@ -240,16 +239,9 @@ _SPAN_MAX = 1e8
 
 
 def _is_chain(gen: Generator) -> bool:
-    """Whether the jumps are +/-2 with real positive links, making chains rho[p, q] -> rho[p + 2,
-    q + 2], and each chain holds one imaginary diagonal value, its phase, exactly."""
-    phases = gen.diag.imag
-    if gen.jumps.keys() != {2, -2} or not np.array_equal(phases[2:, 2:], phases[:-2, :-2]):
-        return False
-    for k, links in gen.jumps.items():
-        to, _ = gen.reach(k)
-        if np.iscomplexobj(links) or not np.all(links[to, to] > 0):
-            return False
-    return True
+    """Whether the jumps are +/-2, chains rho[p, q] -> rho[p + 2, q + 2] with positive links
+    and one imaginary diagonal value each, omega0 m: the noise-induced model at k > 0."""
+    return gen.channels.keys() == {2, -2}
 
 
 @dataclass(frozen=True)
@@ -287,15 +279,14 @@ def _chains(gen: Generator, orders: np.ndarray, starts: np.ndarray) -> _Chains:
     """The chains of orders m >= 0 starting at p0 in {0, 1} of a chain generator.
 
     On a chain the generator is a tridiagonal T with T[j, j + 1] = down,
-    jumps[2] at entry j, and T[j + 1, j] = up, jumps[-2] at entry j + 1.
+    jump 2 at entry j, and T[j + 1, j] = up, jump -2 at entry j + 1.
     D with D[j + 1] / D[j] = sqrt(down / up) makes D T D^-1 symmetric, with
     off-diagonals sqrt(down up); its real part then has an orthogonal
     eigenbasis, and the imaginary part of the diagonal, one value along the
-    chain (``_is_chain``), adds a phase.  Undoing D multiplies rounding by
-    up to max D / min D, the span.
+    chain, adds a phase.  Undoing D multiplies rounding by up to max D / min
+    D, the span.
     """
-    diag, down, up = gen.diag, gen.jumps[2], gen.jumps[-2]
-    lengths = (diag.shape[0] - orders - starts + 1) // 2
+    lengths = (gen.dim - orders - starts + 1) // 2
     order = np.argsort(lengths, kind="stable")
     order = order[lengths[order] > 0]
     lengths = lengths[order]
@@ -304,12 +295,12 @@ def _chains(gen: Generator, orders: np.ndarray, starts: np.ndarray) -> _Chains:
     rows = starts[order, None] + 2 * entry
     cols = rows + orders[order, None]
     inside = np.arange(width - 1) < lengths[:, None] - 1
-    link_down = np.where(inside, down[rows[:, :-1], cols[:, :-1]], 1.0)
-    link_up = np.where(inside, up[rows[:, 1:], cols[:, 1:]], 1.0)
+    link_down = np.where(inside, gen.jump(2, rows[:, :-1], cols[:, :-1]), 1.0)
+    link_up = np.where(inside, gen.jump(-2, rows[:, 1:], cols[:, 1:]), 1.0)
     log_scale = np.zeros(rows.shape)
     np.cumsum(0.5 * (np.log(link_down) - np.log(link_up)), axis=1, out=log_scale[:, 1:])
     link = np.where(inside, np.sqrt(link_down * link_up), 0.0)
-    return _Chains(lengths, rows, cols, diag[rows, cols], link, log_scale)
+    return _Chains(lengths, rows, cols, gen.diag(rows, cols), link, log_scale)
 
 
 # ---------------------------------------------------------------------------
@@ -328,19 +319,14 @@ _RESCALE_AT = 1e150
 def steady_states(gen: Generator) -> SteadyStateResult:
     """Steady states of a model generator, one for each class of levels p0 < s.
 
-    ``TypeError`` for anything but a ``fock.Generator``.  The jumps must be 2
-    and at most one gain jump -s, s being their gcd (``_step``): -2 for the
-    noise-induced model, -1 for the conventional one, none without gain.  Any
-    other set, no jumps included, raises ``LindbladError`` naming the shifts
-    before any grid is read.  Each class holds one state (``_cut_states``), so
-    ``kernel_dim`` is s (the |0><1| block is stationary too at omega0 = k = 0,
-    but carries no state); s = 2 sets ``rho_plus`` and ``rho_minus``, the even
-    and the odd state.
+    ``TypeError`` for anything but a ``fock.Generator``.  The jumps are 2 and
+    at most one gain jump -s, s being their gcd (``_step``): -2 for the
+    noise-induced model, -1 for the conventional one, none without gain.
+    Each class holds one state (``_cut_states``), so ``kernel_dim`` is s (the
+    |0><1| block is stationary too at omega0 = k = 0, but carries no state);
+    s = 2 sets ``rho_plus`` and ``rho_minus``, the even and the odd state.
     """
     _require_generator(gen)
-    if gen.jumps.keys() not in ({2}, {2, -2}, {2, -1}):
-        raise LindbladError(f"steady states need jump 2 plus at most one gain jump -1 or -2, "
-                            f"got jump shifts {sorted(gen.jumps)}")
     step = _step(gen)
     states = _cut_states(gen, step)
     plus, minus = states if step == 2 else (None, None)
@@ -350,8 +336,8 @@ def steady_states(gen: Generator) -> SteadyStateResult:
 def _cut_states(gen: Generator, step: int) -> list[np.ndarray]:
     """The steady state of each class of levels p0, p0 + s, ... for p0 < s = step.
 
-    Population moves up n -> n + s at u_n = jumps[-s][n + s, n + s] (0
-    without gain) and down j -> j - 2 at d_j = jumps[2][j - 2, j - 2].  In a
+    Population moves up n -> n + s at u_n = jump(-s) at [n + s, n + s] (0
+    without gain) and down j -> j - 2 at d_j = jump(2) at [j - 2, j - 2].  In a
     stationary state the net flow across the cut above level n vanishes:
     pi_n u_n = pi_{n + 1} d_{n + 1} + pi_{n + 2} d_{n + 2}, the down jumps
     that cross it (a level of another class holds 0).  Run down from the
@@ -359,17 +345,17 @@ def _cut_states(gen: Generator, step: int) -> list[np.ndarray]:
     it only drain into it and carry no mass), every term is positive and
     nothing cancels; k = 0 gives |0><0| and |1><1| exactly.  The recursion
     reads the links only, so each state must pass the full generator,
-    diagonal included: ``StationarityError`` unless ||L(pi)||_F <=
-    ``_STATIONARY_RTOL`` ||diag o pi||_F, which a NaN fails.  L(pi) is
-    diagonal, so both norms read the grids' main diagonals only.
+    diagonal included (``_require_stationary``); L(pi) is diagonal, so the
+    check reads main diagonals only.
     """
-    dim = gen.diag.shape[0]
-    diag = np.diagonal(gen.diag)
+    dim, n = gen.dim, np.arange(gen.dim)
+    diag = gen.diag(n, n)
+    links = {k: gen.jump(k, n, n) for k in gen.channels}
     up = np.zeros(dim)
-    if -step in gen.jumps:
-        up[:-step] = np.diagonal(gen.jumps[-step]).real[step:]
+    if -step in links:
+        up[:-step] = links[-step][step:]
     down = np.zeros(dim + 2)  # two zeros past the top, read by the cuts near it
-    down[2:dim] = np.diagonal(gen.jumps[2]).real[:-2]
+    down[2:dim] = links[2][:-2]
     ups, downs = up.tolist(), down.tolist()
     states = []
     for p0 in range(step):
@@ -384,15 +370,21 @@ def _cut_states(gen: Generator, step: int) -> list[np.ndarray]:
         pi = np.array(pi[:dim])
         pi /= pi.sum()
         moved = diag * pi  # L(pi)[p, p], as ``Generator.apply`` sums it
-        for k, jump in gen.jumps.items():
+        for k, link in links.items():
             to, src = gen.reach(k)
-            moved[to] += np.diagonal(jump)[to] * pi[src]
-        residual, scale = np.linalg.norm(moved), np.linalg.norm(diag * pi)
-        if not residual <= _STATIONARY_RTOL * scale:
-            raise StationarityError(f"steady state {p0} is not stationary: ||L(pi)||_F "
-                                    f"= {residual:.3e}, ||diag o pi||_F = {scale:.3e}")
+            moved[to] += link[to] * pi[src]
+        _require_stationary(moved, diag * pi, f"steady state {p0}")
         states.append(np.diag(pi.astype(complex)))
     return states
+
+
+def _require_stationary(moved: np.ndarray, weighted: np.ndarray, what: str) -> None:
+    """``StationarityError`` unless ||moved||_F <= ``_STATIONARY_RTOL`` ||weighted||_F, for
+    moved = L(rho) and weighted = diag o rho (or their main diagonals); a NaN fails."""
+    residual, scale = np.linalg.norm(moved), np.linalg.norm(weighted)
+    if not residual <= _STATIONARY_RTOL * scale:
+        raise StationarityError(f"{what} is not stationary: ||L(rho)||_F = {residual:.3e}, "
+                                f"||diag o rho||_F = {scale:.3e}")
 
 
 # ---------------------------------------------------------------------------
@@ -409,25 +401,24 @@ def evolve(rho0: np.ndarray, gen: Generator, t: float) -> np.ndarray:
     gen must be a ``fock.Generator`` (``TypeError``), t finite and
     nonnegative and rho0 finite and Hermitian (``ValueError``, past 1e-12
     entrywise for rho0), and rho0 dim x dim for the dim of gen (``FockError``),
-    all before any work.  gen is assumed to preserve Hermiticity, as every
-    Lindblad generator does.  Under both assumptions the entry at the
-    transposed index is the conjugate, so only the blocks of orders m = q - p
+    all before any work.  Both models preserve Hermiticity, so the entry at
+    the transposed index is the conjugate: only the blocks of orders m = q - p
     >= 0 that the upper triangle of rho0 touches are propagated and those of
     order -m are their conjugates; what rho0 leaves zero stays zero.
 
-    On a chain generator, the touched chains are propagated by one batched
-    ``eigh`` per chain length (see ``_chains``):
-    x(t) = e^{i theta t} D^-1 V e^{t lam} V^T D x(0), with theta the
-    imaginary part of the chain's diagonal, one value along the chain, at
-    every t.  The chain path needs every span within ``_SPAN_MAX``.  Any
-    other generator, or a call past that bound, takes the dense path: each
-    touched block, written from the grids, is propagated by its dense
-    exponential.
+    On a chain generator (the noise-induced model at k > 0), the touched
+    chains are propagated by one batched ``eigh`` per chain length (see
+    ``_chains``): x(t) = e^{i theta t} D^-1 V e^{t lam} V^T D x(0), with
+    theta the imaginary part of the chain's diagonal, one value along the
+    chain, at every t.  The chain path needs every span within
+    ``_SPAN_MAX``.  The other model generators, and a call past that bound,
+    take the dense path: each touched block, written from the grids, is
+    propagated by its dense exponential.
     """
     _require_generator(gen)
     if not 0.0 <= t < math.inf:  # NaN fails too
         raise ValueError(f"evolution time must be finite and nonnegative, got {t!r}")
-    dim = gen.diag.shape[0]
+    dim = gen.dim
     if np.shape(rho0) != (dim, dim):
         raise FockError(f"initial state of shape {np.shape(rho0)} does not match the "
                         f"generator's dim {dim}")
@@ -546,39 +537,35 @@ def detailed_balance_residual(params: ModelParams, rho_ss: np.ndarray) -> float:
     generator is conj(L) and the adjoint is its transpose.
 
     Everything comes from the generator's grids (``fock.generator``).
-    First ||L(rho_ss)||_F past 1e-8 raises ``StationarityError``.  Then
+    First rho_ss must be stationary (``_require_stationary``).  Then
     rho_ss must be diagonal, as the steady states of both phase-symmetric
     models are: a stationary state with any nonzero coherence raises
     ``OffDiagonalStateError`` rather than losing that mass.  M then scales
     entry [p, q] by pi_p = rho_ss[p, p], so the diagonal grid cancels
     exactly, and jump k, which takes entry [p + k, q + k] to [p, q], leaves
-    pi_p conj(J_{-k}[p + k, q + k]) - conj(J_k[p, q]) pi_{p + k} against
-    its mirror jump -k.  The squares are summed over every jump and every
-    mirror, a missing jump being 0.
+    pi_p J_{-k}[p + k, q + k] - J_k[p, q] pi_{p + k} against its mirror
+    jump -k, the jump grids being real.  The squares are summed over every
+    jump and every mirror, a missing jump being 0.
     Zero is detailed balance; the conventional model violates it by orders
     of magnitude.
     """
     dim = rho_ss.shape[0]
     gen = generator(params, dim)
-    stationarity = np.linalg.norm(gen.apply(rho_ss))
-    if stationarity > 1e-8:
-        raise StationarityError(
-            f"state is not stationary: ||L(rho)||_F = {stationarity:.3e}"
-        )
+    p, q = np.arange(dim)[:, None], np.arange(dim)
+    diag = gen.diag(p, q)
+    _require_stationary(gen.apply(rho_ss), diag * rho_ss, "state")
     if not _is_diagonal(rho_ss):
-        raise OffDiagonalStateError(
-            "the detailed-balance residual takes a diagonal steady state; "
-            "this one has nonzero coherences"
-        )
+        raise OffDiagonalStateError("the detailed-balance residual takes a diagonal steady "
+                                    "state; this one has nonzero coherences")
+    jumps = {k: gen.jump(k, p, q) for k in gen.channels}
     pops = np.diagonal(rho_ss)[:, None]
     absent = np.zeros((dim, dim))
     residual_sq = 0.0
-    for k in gen.jumps.keys() | {-k for k in gen.jumps}:
+    for k in jumps.keys() | {-k for k in jumps}:
         to, src = gen.reach(k)
-        term = (pops[to] * gen.jumps.get(-k, absent)[src, src].conj()
-                - gen.jumps.get(k, absent)[to, to].conj() * pops[src])
+        term = pops[to] * jumps.get(-k, absent)[src, src] - jumps.get(k, absent)[to, to] * pops[src]
         residual_sq += np.vdot(term, term).real
-    gen_sq = np.vdot(gen.diag, gen.diag).real + sum(np.vdot(j, j).real for j in gen.jumps.values())
+    gen_sq = np.vdot(diag, diag).real + sum(np.vdot(grid, grid) for grid in jumps.values())
     return math.sqrt(residual_sq / gen_sq)
 
 

@@ -245,6 +245,13 @@ def test_steady_report_without_rotation(tmp_path, k_ratio):
     assert report["kernel_dim"] == 2
 
 
+def test_steady_report_at_large_rates(tmp_path):
+    # the stationarity gate is relative to the size of the generator's terms
+    out = tmp_path / "steady"
+    assert main(["steady", "--out", str(out), "--omega0", "1e9", "--kappa-down", "1e9"]) == 0
+    assert json.loads((out / "summary.json").read_text())["all_pass"]
+
+
 # ---------------------------------------------------------------------------
 # evolve
 # ---------------------------------------------------------------------------

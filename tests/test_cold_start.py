@@ -8,8 +8,8 @@ the failure names the import chain that reached it and the line of the
 package that made the import.  No command loads ``scipy.sparse``: the
 solvers take the model's grids.  A command that builds a generator of the
 noise-induced model at k > 0 solves it on its chains, and the conventional
-steady states take dense SVDs, both without ``scipy.linalg``, which only the
-dense exponentials load.
+steady states come from the cut recursion, both without ``scipy.linalg``,
+which only the dense exponentials load.
 """
 
 import json
@@ -120,7 +120,7 @@ def test_steady_loads_no_scipy_sparse(tmp_path):
     # positive control: at k = 0 the chains cannot be symmetrized, so the
     # evolution takes the dense exponentials
     pytest.param(["evolve", "--k-ratio", "0", "--out", "run"], True, id="evolve-k0"),
-    # the conventional model has no chains; its steady states take dense SVDs
+    # the conventional model has no chains; its steady states take no eigensolve
     pytest.param(["steady", "--kind", "conventional", "--kappa-up1", "0.3", "--out", "run"],
                  False, id="steady-conventional"),
 ])

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -197,7 +198,7 @@ def test_sandwich_identity():
 
 
 # ---------------------------------------------------------------------------
-# the CSR bridge: the grids as a dim^2 x dim^2 matrix and back
+# the CSR bridge: the grids as a dim^2 x dim^2 matrix
 # ---------------------------------------------------------------------------
 
 # The references (the Kronecker-product terms, expm_multiply, dense null
@@ -228,9 +229,10 @@ def tocsr(gen: Generator) -> sp.csr_matrix:
     jumps in ascending k, with the diagonal as k = 0, leaves every row's
     columns sorted, without a sort.
     """
-    dim = gen.diag.shape[0]
+    dim = gen.dim
     n = dim * dim
-    bands = [(k, grid.T) for k, grid in sorted({0: gen.diag, **gen.jumps}.items())]
+    diag, jumps = dense_grids(gen)
+    bands = [(k, grid.T) for k, grid in sorted({0: diag, **jumps}.items())]
     stored = [(grid != 0).reshape(-1) for _, grid in bands]
     # nnz is at most one entry per row and band
     index = np.int32 if len(bands) * n < 2 ** 31 else np.int64
@@ -250,52 +252,6 @@ def tocsr(gen: Generator) -> sp.csr_matrix:
 def liouvillian_csr(params: ModelParams, dim: int) -> sp.csr_matrix:
     """The model generator as a CSR matrix; byte for byte ``reference_liouvillian``."""
     return tocsr(generator(params, dim))
-
-
-def grids(L: sp.spmatrix) -> Generator:
-    """The grids of a CSR generator, read off its vec diagonals; ``tocsr`` undone.
-
-    A jump with a nonzero is kept, as a real grid when its imaginary part is
-    zero.  ``ValueError`` when L is not dim^2 x dim^2, or stores a nonzero
-    off the diagonals k (dim + 1), |k| <= 2 (L is then not phase covariant),
-    or one that would wrap to another column of rho.
-    """
-    L = L.tocsr()
-    n = L.shape[0]
-    dim = math.isqrt(n)
-    if L.shape != (dim * dim, dim * dim):
-        raise ValueError(f"generator of shape {L.shape} is not dim^2 x dim^2")
-
-    def grid(offset: int, values: np.ndarray) -> np.ndarray:
-        flat = np.zeros(n, dtype=values.dtype)
-        flat[max(-offset, 0):max(n - offset, 0)] = values
-        return flat.reshape(dim, dim, order="F")
-
-    # counts each nonzero once, summing duplicate entries
-    total = L.count_nonzero()
-    gen = Generator(grid(0, L.diagonal().astype(complex, copy=False)), {})
-    stored = np.count_nonzero(gen.diag)
-    # the diagonals hold at most the nonzeros of L: once they hold all, the rest are empty
-    for k in (2, -2, -1, 1):
-        if stored == total:
-            break
-        offset = k * (dim + 1)
-        values = L.diagonal(offset)
-        count = np.count_nonzero(values)
-        if not count:
-            continue
-        jump = grid(offset, values if values.imag.any() else values.real)
-        # an entry whose p + k falls off the truncation wraps to another
-        # column of rho; one whose q + k does has no column
-        to, _ = gen.reach(k)
-        if jump[:to.start].any() or jump[to.stop:].any():
-            raise ValueError(f"an entry of jump {k} wraps to another column of rho")
-        gen.jumps[k] = jump
-        stored += count
-    if stored != total:
-        raise ValueError("the generator is not phase covariant: it stores entries off "
-                         "the vec diagonals k (dim + 1), |k| <= 2")
-    return gen
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +353,12 @@ def dissipator(c) -> sp.csr_matrix:
     return (sandwich(c, cd) - 0.5 * sandwich(cdc, eye) - 0.5 * sandwich(eye, cdc)).tocsr()
 
 
+def dense_grids(gen: Generator) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+    """The generator's dim x dim grids, the diagonal and {k: jump k}, read at every entry."""
+    p, q = np.indices((gen.dim, gen.dim))
+    return gen.diag(p, q), {k: gen.jump(k, p, q) for k in gen.channels}
+
+
 def reference_liouvillian(params: ModelParams, dim: int) -> sp.csr_matrix:
     """The generator from dense ladder products and one sp.kron per term."""
     a, ad = build_ladder(dim)
@@ -450,7 +412,7 @@ def test_rotation_turns_each_chain_at_one_phase(k_ratio, omega0, dim):
     # repeats it bit for bit
     gen = generator(ModelParams(omega0=omega0, kappa_down=1.0, kappa_up2=k_ratio), dim)
     p, q = np.indices((dim, dim))
-    assert np.array_equal(gen.diag.imag, omega0 * (q - p))
+    assert np.array_equal(gen.diag(p, q).imag, omega0 * (q - p))
 
 
 # dims 2 and 3 also put the two-photon diagonals outside the vec space here
@@ -512,12 +474,12 @@ def closed_form_grids(params: ModelParams, dim: int):
 ])
 def test_generator_grids_match_the_closed_form(params, omega0, dim):
     params = replace(params, omega0=omega0)
-    gen = generator(params, dim)
+    got_diag, got_jumps = dense_grids(generator(params, dim))
     diag, jumps = closed_form_grids(params, dim)
-    assert gen.jumps.keys() == jumps.keys()
-    np.testing.assert_allclose(gen.diag, diag, rtol=1e-14, atol=0)
+    assert got_jumps.keys() == jumps.keys()
+    np.testing.assert_allclose(got_diag, diag, rtol=1e-14, atol=0)
     for k, jump in jumps.items():
-        np.testing.assert_allclose(gen.jumps[k], jump, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(got_jumps[k], jump, rtol=1e-14, atol=0)
 
 
 @pytest.mark.parametrize("params", [
@@ -530,9 +492,39 @@ def test_generator_grids_match_the_closed_form(params, omega0, dim):
 def test_nnz_counts_the_entries_the_csr_stores(params, dim):
     gen = generator(params, dim)
     assert gen.nnz == liouvillian_csr(params, dim).nnz
-    # the older name builds the same grids
+    # the older name builds the same generator
     old = liouvillian(params, dim)
-    assert old.nnz == gen.nnz and old.diag.tobytes() == gen.diag.tobytes()
+    assert old == gen and old.nnz == gen.nnz
+
+
+def test_generator_is_one_of_the_two_models():
+    # ModelParams checks the rates, so params and dim make a model
+    with pytest.raises(FockError, match="ModelParams"):
+        Generator(None, 12)
+    for dim in (1, 2.5):
+        with pytest.raises(FockError, match="dimension"):
+            Generator(NI, dim)
+
+
+def test_generator_stores_its_factors_only():
+    # the dense grids, a complex diagonal and two real jumps, would take
+    # 32 dim^2 bytes, about 98 GB at dim 55236
+    dim = 55236
+    tracemalloc.start()
+    try:
+        gen = generator(ModelParams(omega0=1.0, kappa_down=1.0, kappa_up2=0.999), dim)
+        n = np.arange(dim - 2)
+        down, up = gen.jump(2, n, n), gen.jump(-2, n + 2, n + 2)  # the links of the m = 0 chains
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+    for k, links, p in ((2, down, n), (-2, up, n + 2)):
+        rate, amp = gen.channels[k]
+        assert links.tobytes() == (rate * (amp[p] * amp[p])).tobytes()
+    # a a and a^dag a^dag link rho[p + 2, p + 2] and rho[p, p] at (p + 1)(p + 2)
+    np.testing.assert_allclose(down, (n + 1) * (n + 2), rtol=1e-14)
+    np.testing.assert_allclose(up, 0.999 * (n + 1) * (n + 2), rtol=1e-14)
 
 
 def test_pure_rotation_annihilates_vacuum():

@@ -1,7 +1,6 @@
 """Steady-state solver, propagation, circulation, time reversal, detailed balance."""
 
 import math
-import re
 import sys
 from dataclasses import replace
 
@@ -47,9 +46,9 @@ from noisecycle.lindblad import (
 )
 from noisecycle.analytic import wigner_ss
 from test_fock import (
+    dense_grids,
     devectorize,
     dissipator,
-    grids,
     liouvillian_csr,
     quadrature_x,
     sandwich,
@@ -145,49 +144,24 @@ def test_combine_rejects_weight_outside_unit_interval(wp):
         result.combine(wp)
 
 
-@pytest.mark.parametrize("make_gen,shifts", [
-    # pure dephasing conserves every population: it has no jumps at all
-    pytest.param(lambda: grids(dissipator(number_op(6))), [], id="pure-dephasing"),
-    # two gain jumps: the levels no longer move up by one step
-    pytest.param(lambda: fock.Generator(generator(NI, 8).diag, {
-        **generator(NI, 8).jumps, -1: generator(CONV, 8).jumps[-1]}), [-2, -1, 2],
-        id="jumps-2-minus2-minus1"),
-])
-def test_steady_states_reject_unsupported_jumps(monkeypatch, make_gen, shifts):
-    gen = make_gen()
-    assert sorted(gen.jumps) == shifts
-
-    def no_work(*args):
-        raise AssertionError("a grid was read")
-
-    for name in ("_step", "_block", "_cut_states", "eigh", "expm"):
-        monkeypatch.setattr(lindblad, name, no_work)
-    with pytest.raises(LindbladError, match=re.escape(f"got jump shifts {shifts}")):
-        steady_states(gen)
-
-
-@pytest.mark.parametrize("make_gen,phase_symmetric", [
-    pytest.param(lambda: liouvillian_csr(ModelParams(omega0=1.0, kappa_down=1.0, kappa_up2=0.4),
-                                         12),
-                 True, id="noise-induced"),
-    pytest.param(lambda: liouvillian_csr(CONV, 12), True, id="conventional"),
-    pytest.param(lambda: liouvillian_csr(ModelParams(omega0=1.0, kappa_down=1.0,
-                                                     kind=ModelKind.CONVENTIONAL), 12),
-                 True, id="conventional-without-gain"),
+@pytest.mark.parametrize("model", [
+    pytest.param(ModelParams(omega0=1.0, kappa_down=1.0, kappa_up2=0.4), id="noise-induced"),
+    pytest.param(CONV, id="conventional"),
+    pytest.param(ModelParams(omega0=1.0, kappa_down=1.0, kind=ModelKind.CONVENTIONAL),
+                 id="conventional-without-gain"),
     # x-quadrature loss couples coherence orders m and m +/- 2
     pytest.param(lambda: liouvillian_csr(CONV, 12) + 0.2 * dissipator(quadrature_x(12)),
-                 False, id="without-phase-symmetry"),
+                 id="without-phase-symmetry"),
     # the y-quadrature drive also couples m and m +/- 1
-    pytest.param(lambda: phase_breaking_generator(12), False, id="single-block"),
+    pytest.param(lambda: phase_breaking_generator(12), id="single-block"),
 ])
-def test_steady_states_span_dense_null_space(monkeypatch, make_gen, phase_symmetric):
-    gen = make_gen()
-    if not phase_symmetric:
-        assert_rejected_before_any_solve(monkeypatch, gen, steady_states)
+def test_steady_states_span_dense_null_space(monkeypatch, model):
+    if not isinstance(model, ModelParams):
+        assert_rejected_before_any_solve(monkeypatch, model(), steady_states)
         return
     # reference independent of the block split: the dense kernel of the whole generator
-    kernel = null_space(gen.toarray())
-    result = steady_states(grids(gen))
+    kernel = null_space(liouvillian_csr(model, 12).toarray())
+    result = steady_states(generator(model, 12))
     assert result.kernel_dim == len(result.states) == kernel.shape[1]
     for rho in result.states:
         vec = vectorize(rho)
@@ -248,31 +222,36 @@ def test_conventional_steady_state_is_stationary(monkeypatch, kappa_up1, dim):
     assert lindblad._is_diagonal(rho)
     pops = np.diagonal(rho).real
     assert pops.min() >= 0 and abs(pops.sum() - 1.0) < 1e-14
-    residual = np.linalg.norm(gen.apply(rho)) / np.linalg.norm(gen.diag * rho)
+    residual = np.linalg.norm(gen.apply(rho)) / np.linalg.norm(dense_grids(gen)[0] * rho)
     assert residual <= lindblad._STATIONARY_RTOL
 
 
-def perturbed(gen, jump, p, factor):
-    """gen with the m = 0 entry [p, p] of one grid (0 for the diagonal) scaled by factor."""
-    grid = gen.diag if jump == 0 else gen.jumps[jump]
-    grid = grid.astype(np.result_type(grid, factor))
-    grid[p, p] *= factor
+def perturb(monkeypatch, jump, fault):
+    """Make the generator read one grid (jump 0 for the diagonal) as fault(value, p, q)."""
+    diag, read = fock.Generator.diag, fock.Generator.jump
     if jump == 0:
-        return fock.Generator(grid, gen.jumps)
-    return fock.Generator(gen.diag, {**gen.jumps, jump: grid})
+        monkeypatch.setattr(fock.Generator, "diag",
+                            lambda gen, p, q: fault(diag(gen, p, q), p, q))
+    else:
+        monkeypatch.setattr(fock.Generator, "jump", lambda gen, k, p, q: (
+            fault(read(gen, k, p, q), p, q) if k == jump else read(gen, k, p, q)))
 
 
-@pytest.mark.parametrize("make_gen", [
+def scaled_at(level, factor):
+    """A fault that scales the m = 0 entry [level, level] by factor."""
+    return lambda value, p, q: np.where((p == level) & (q == level), factor * value, value)
+
+
+@pytest.mark.parametrize("jump,fault", [
     # the product reads only the links: a diagonal off by 1e-9 gives ||L(pi)|| = 1e-9 ||diag pi||
-    pytest.param(lambda gen: fock.Generator(gen.diag * (1 + 1e-9), gen.jumps), id="diagonal"),
-    pytest.param(lambda gen: perturbed(gen, 0, 6, 1 + 1e-9), id="one-diagonal-entry"),
+    pytest.param(0, lambda value, p, q: value * (1 + 1e-9), id="diagonal"),
+    pytest.param(0, scaled_at(6, 1 + 1e-9), id="one-diagonal-entry"),
     # a negative up link has no logarithm: the NaN state fails the bound
-    pytest.param(lambda gen: perturbed(gen, -2, 6, -1.0), id="negative-up-link"),
-    # a down link with an imaginary part the product does not read
-    pytest.param(lambda gen: perturbed(gen, 2, 4, 1 + 1e-6j), id="complex-down-link"),
+    pytest.param(-2, scaled_at(6, -1.0), id="negative-up-link"),
 ])
-def test_balanced_states_must_be_stationary(monkeypatch, make_gen):
-    gen = make_gen(generator(NI, 20))
+def test_balanced_states_must_be_stationary(monkeypatch, jump, fault):
+    gen = generator(NI, 20)
+    perturb(monkeypatch, jump, fault)
     no_eigenproblem(monkeypatch)
     with pytest.raises(StationarityError, match="not stationary"):
         steady_states(gen)
@@ -340,14 +319,11 @@ def reference_evolve(rho0, gen, t):
 
 
 def assert_rejected_before_any_solve(monkeypatch, csr, solve):
-    """A generator without phase symmetry has no grids, and its CSR is no generator.
+    """A generator without phase symmetry is no model generator.
 
-    The CSR reader rejects it as not phase covariant, and ``solve`` handed
-    the CSR raises ``TypeError``, with no dense block built and no chain solved.
+    ``solve`` handed its CSR raises ``TypeError``, with no dense block built
+    and no chain solved.
     """
-    with pytest.raises(ValueError, match="not phase covariant"):
-        grids(csr)
-
     def no_solve(*args):
         raise AssertionError("a block was solved")
 
@@ -366,38 +342,42 @@ def phase_breaking_generator(dim):
             - 1j * (sandwich(h, eye) - sandwich(eye, h))).tocsr()
 
 
-# CSR generator makers by dim, each with whether its model has phase symmetry
+# the models by name, None for a generator without phase symmetry
 GENERATORS = {
-    "noise-induced-k0": (lambda dim: liouvillian_csr(ModelParams(omega0=1.0, kappa_down=1.0), dim),
-                         True),
-    "noise-induced-k0.4": (lambda dim: liouvillian_csr(
-        ModelParams(omega0=1.0, kappa_down=1.0, kappa_up2=0.4), dim), True),
-    "conventional": (lambda dim: liouvillian_csr(CONV, dim), True),
-    "no-phase-symmetry": (phase_breaking_generator, False),
+    "noise-induced-k0": ModelParams(omega0=1.0, kappa_down=1.0),
+    "noise-induced-k0.4": ModelParams(omega0=1.0, kappa_down=1.0, kappa_up2=0.4),
+    "conventional": CONV,
+    "no-phase-symmetry": None,
 }
 
 
-@pytest.mark.parametrize("make_gen,phase_symmetric", list(GENERATORS.values()),
-                         ids=list(GENERATORS))
-def test_evolve_matches_full_exponential_action(monkeypatch, make_gen, phase_symmetric):
+def csr_generator(name, dim):
+    """The CSR generator of a ``GENERATORS`` entry."""
+    params = GENERATORS[name]
+    return phase_breaking_generator(dim) if params is None else liouvillian_csr(params, dim)
+
+
+@pytest.mark.parametrize("name", list(GENERATORS))
+def test_evolve_matches_full_exponential_action(monkeypatch, name):
     dim = 24
-    gen = make_gen(dim)
+    gen = csr_generator(name, dim)
     seeds = [
         fock_state(dim, 0),
         fock_state(dim, 3),
         coherent_state(dim, 1.1 + 0.4j),
         random_density_matrix(dim, rng=np.random.default_rng(7)),
     ]
-    if not phase_symmetric:
+    if GENERATORS[name] is None:
         # at t = 0 too, where no block would be solved
         for rho0 in seeds:
             for t in (0.0, 0.3):
                 assert_rejected_before_any_solve(monkeypatch, gen,
                                                  lambda csr: evolve(rho0, csr, t))
         return
+    model = generator(GENERATORS[name], dim)
     for rho0 in seeds:
         for t in (0.3, 2.0):
-            gap = np.abs(evolve(rho0, grids(gen), t) - reference_evolve(rho0, gen, t)).max()
+            gap = np.abs(evolve(rho0, model, t) - reference_evolve(rho0, gen, t)).max()
             assert gap < 1e-11
 
 
@@ -417,16 +397,15 @@ def test_evolve_rejects_time_that_is_not_finite(monkeypatch, t):
         evolve(fock_state(10, 0), generator(NI, 10), t)
 
 
-@pytest.mark.parametrize("make_gen,phase_symmetric", list(GENERATORS.values()),
-                         ids=list(GENERATORS))
-def test_evolve_keeps_zero_at_zero(monkeypatch, make_gen, phase_symmetric):
+@pytest.mark.parametrize("name", list(GENERATORS))
+def test_evolve_keeps_zero_at_zero(monkeypatch, name):
     # no chain and no block is touched
     zero = np.zeros((12, 12), dtype=complex)
-    if not phase_symmetric:
-        assert_rejected_before_any_solve(monkeypatch, make_gen(12),
+    if GENERATORS[name] is None:
+        assert_rejected_before_any_solve(monkeypatch, csr_generator(name, 12),
                                          lambda csr: evolve(zero, csr, 1.0))
         return
-    assert np.array_equal(evolve(zero, grids(make_gen(12)), 1.0), zero)
+    assert np.array_equal(evolve(zero, generator(GENERATORS[name], 12), 1.0), zero)
 
 
 @pytest.mark.parametrize("params", [NI, CONV], ids=["noise-induced", "conventional"])
@@ -470,9 +449,9 @@ STEPS = {"noise-induced-k0": 2, "noise-induced-k0.4": 2, "conventional": 1}
 @pytest.mark.parametrize("name", list(STEPS))
 def test_dense_blocks_equal_csr_slices(name):
     dim = 24
-    gen = GENERATORS[name][0](dim)
+    gen = csr_generator(name, dim)
     step = STEPS[name]
-    model = grids(gen)
+    model = generator(GENERATORS[name], dim)
     assert lindblad._step(model) == step
     for m in range(dim):
         for p0 in range(step):
@@ -505,15 +484,14 @@ def count_solves(monkeypatch):
 def test_evolve_exponentiates_each_mirror_pair_once(monkeypatch, name):
     # a block is solved by a dense exponential, or, on the chain path of the
     # noise-induced model, as one chain of a batched eigh
-    make_gen, phase_symmetric = GENERATORS[name]
     dim = 24
-    gen = make_gen(dim)
     rho0 = coherent_state(dim, 1.1 + 0.4j)
-    if not phase_symmetric:
-        assert_rejected_before_any_solve(monkeypatch, gen, lambda csr: evolve(rho0, csr, 0.3))
+    if GENERATORS[name] is None:
+        assert_rejected_before_any_solve(monkeypatch, csr_generator(name, dim),
+                                         lambda csr: evolve(rho0, csr, 0.3))
         return
     solves = count_solves(monkeypatch)
-    rho_t = evolve(rho0, grids(gen), 0.3)
+    rho_t = evolve(rho0, generator(GENERATORS[name], dim), 0.3)
     assert np.array_equal(rho_t, rho_t.conj().T)
     assert not (solves["expm"] and solves["chains"])
     assert bool(solves["chains"]) == (name == "noise-induced-k0.4")
@@ -561,8 +539,9 @@ def test_chain_path_matches_dense_blocks(monkeypatch, k_ratio, omega0):
     params = ModelParams(omega0=omega0, kappa_down=1.0, kappa_up2=k_ratio)
     dim = default_dim(params)
     gen = generator(params, dim)
+    diag, _ = dense_grids(gen)
     for m in range(dim):
-        chain = np.diagonal(gen.diag.imag, m)
+        chain = np.diagonal(diag.imag, m)
         assert all(np.ptp(chain[s::2]) == 0 for s in (0, 1) if chain[s::2].size)
     orders = [0, 1, 2, dim - 2, dim - 1]
     p, q = np.indices((dim, dim))
@@ -578,77 +557,15 @@ def test_chain_path_matches_dense_blocks(monkeypatch, k_ratio, omega0):
                 assert gap < 1e-11
 
 
-def with_entry(gen, row, col, value):
-    gen = gen.tolil()
-    gen[row, col] = value
-    return gen.tocsr()
-
-
-def with_phase_kick(gen, row, phase):
-    """gen with the imaginary part of its vec diagonal entry at row moved by phase."""
-    return with_entry(gen, row, row, gen[row, row] + 1j * phase)
-
-
-def chain_link(dim, p, q):
-    """Vec row and column of the link from rho[p + 2, q + 2] down to rho[p, q]."""
-    row = p + q * dim
-    return row, row + 2 * (dim + 1)
-
-
-@pytest.mark.parametrize("params", [
-    NI, ModelParams(omega0=1.0, kappa_down=1.0), CONV,
-    ModelParams(omega0=-2.7, kappa_down=1.0, kind=ModelKind.CONVENTIONAL),
-], ids=["noise-induced", "noise-induced-k0", "conventional", "conventional-without-gain"])
-@pytest.mark.parametrize("dim", [12, 21])
-def test_grids_read_off_the_csr_are_the_model_grids(params, dim):
-    got = grids(liouvillian_csr(params, dim))
-    reference = fock.generator(params, dim)
-    assert got.jumps.keys() == reference.jumps.keys()
-    for grid, ref in [(got.diag, reference.diag),
-                      *((got.jumps[k], ref) for k, ref in reference.jumps.items())]:
-        assert grid.dtype == ref.dtype
-        assert grid.tobytes() == ref.tobytes()
-
-
-def test_grids_of_pure_dephasing_have_no_jump():
-    # every entry is then its own block
-    dim = 6
-    model = grids(dissipator(number_op(dim)))
-    p, q = np.indices((dim, dim))
-    assert model.jumps == {}
-    assert np.array_equal(model.diag, -0.5 * (p - q) ** 2)
-    assert lindblad._step(model) == dim
-
-
-@pytest.mark.parametrize("make_gen,is_chain,step", [
-    pytest.param(lambda dim: liouvillian_csr(NI, dim), True, 2, id="noise-induced"),
-    pytest.param(lambda dim: liouvillian_csr(ModelParams(omega0=1.0, kappa_down=1.0), dim),
-                 False, 2, id="k0-no-up-links"),
-    pytest.param(lambda dim: liouvillian_csr(CONV, dim), False, 1, id="conventional"),
-    pytest.param(lambda dim: with_entry(liouvillian_csr(NI, dim), *chain_link(dim, 3, 5), 1j),
-                 False, 2, id="complex-link"),
-    pytest.param(lambda dim: with_entry(liouvillian_csr(NI, dim), *chain_link(dim, 3, 5), -1.0),
-                 False, 2, id="negative-link"),
-    # the imaginary diagonal of rho[3, 5] off by 1e-13 from the rest of its chain
-    pytest.param(lambda dim: with_phase_kick(liouvillian_csr(NI, dim), 3 + 5 * dim, 1e-13),
-                 False, 2, id="phase-varies-along-a-chain"),
-    # on the vec diagonal 2(dim + 1), but taking rho[1, 7] to rho[dim - 1, 4]: rejected
-    pytest.param(lambda dim: with_entry(liouvillian_csr(NI, dim), *chain_link(dim, dim - 1, 4),
-                                        1.0),
-                 None, None, id="wrapped-entry"),
-    # jump k = +1, taking rho[1, 1] to rho[0, 0]: the blocks are the orders, s = 1
-    pytest.param(lambda dim: with_entry(liouvillian_csr(NI, dim), 0, dim + 1, 0.1), False, 1,
-                 id="entry-off-the-chain-diagonals"),
+@pytest.mark.parametrize("params,is_chain,step", [
+    pytest.param(NI, True, 2, id="noise-induced"),
+    pytest.param(ModelParams(omega0=1.0, kappa_down=1.0), False, 2, id="k0-no-up-links"),
+    pytest.param(CONV, False, 1, id="conventional"),
 ])
-def test_chain_path_needs_positive_links_on_three_vec_diagonals(monkeypatch, make_gen, is_chain,
+def test_chain_path_needs_positive_links_on_three_vec_diagonals(monkeypatch, params, is_chain,
                                                                 step):
     dim = 12
-    gen = make_gen(dim)
-    if is_chain is None:
-        with pytest.raises(ValueError, match="wraps"):
-            grids(gen)
-        return
-    model = grids(gen)
+    model = generator(params, dim)
     assert lindblad._is_chain(model) == is_chain
     assert lindblad._step(model) == step
     # every touched block of order m >= 0 is solved on the path taken, and only there
@@ -846,6 +763,25 @@ def test_detailed_balance_fails_conventional():
 def test_detailed_balance_requires_stationary_state():
     with pytest.raises(StationarityError):
         detailed_balance_residual(NI, coherent_state(40, 1.0))
+
+
+@pytest.mark.parametrize("params", [NI, CONV], ids=["noise-induced", "conventional"])
+def test_detailed_balance_residual_is_free_of_the_rate_scale(params):
+    # the stationarity gate and the residual are both relative to the
+    # generator, so rates x1e9 leave the residual as it is; ||L(rho)||_F of
+    # the stationary states is then 5e-8 to 3e-7, past an absolute bound of 1e-8
+    dim = default_dim(params)
+    scaled = replace(params, **{name: 1e9 * getattr(params, name)
+                                for name in ("omega0", "kappa_down", "kappa_up2", "kappa_up1")})
+    residuals = []
+    for model in (params, scaled):
+        solved = steady_states(generator(model, dim))
+        rho = solved.combine(0.55) if model.kind is ModelKind.NOISE_INDUCED else solved.states[0]
+        residuals.append(detailed_balance_residual(model, rho))
+    if params.kind is ModelKind.NOISE_INDUCED:
+        assert max(residuals) < 1e-10
+    else:
+        assert residuals[0] > 1e-3 and abs(residuals[1] - residuals[0]) <= 1e-12 * residuals[0]
 
 
 def reference_detailed_balance_residual(params, rho_ss):
