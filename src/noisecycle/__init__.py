@@ -21,6 +21,7 @@ from .analytic import (
     nonclassical_region,
     phase_boundary,
     phase_classify,
+    populations_ss,
     rho_ss_analytic,
     scan_radius,
     sigmoid,
@@ -47,15 +48,14 @@ from .fock import (
 )
 from .lindblad import (
     CirculationResult,
-    ConservedDecomposition,
     SteadyStateResult,
     circulation,
-    conserved_decomposition,
     conserved_reconstruction,
     detailed_balance_residual,
     evolve,
     parity_expectation,
     parity_weights,
+    steady_populations,
     steady_states,
     trace_distance,
     wigner_numeric,

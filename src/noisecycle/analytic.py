@@ -102,8 +102,8 @@ class TailGaussian:
 # steady state and moments
 # ---------------------------------------------------------------------------
 
-def rho_ss_analytic(k_ratio: float, wp_plus: float, dim: int) -> np.ndarray:
-    """Diagonal steady state: geometric ladders on even and odd levels.
+def populations_ss(k_ratio: float, wp_plus: float, dim: int) -> np.ndarray:
+    """Steady populations: geometric ladders on even and odd levels.
 
     Truncated to ``dim`` levels and renormalized; the trace deficit before
     renormalization is below k_ratio**(dim/2).
@@ -112,8 +112,12 @@ def rho_ss_analytic(k_ratio: float, wp_plus: float, dim: int) -> np.ndarray:
     n = np.arange(dim)
     geom = (1.0 - k_ratio) * k_ratio ** (n // 2).astype(float)
     pops = np.where(n % 2 == 0, wp_plus * geom, (1.0 - wp_plus) * geom)
-    pops = pops / pops.sum()
-    return np.diag(pops).astype(complex)
+    return pops / pops.sum()
+
+
+def rho_ss_analytic(k_ratio: float, wp_plus: float, dim: int) -> np.ndarray:
+    """The diagonal steady state of ``populations_ss`` as a density matrix."""
+    return np.diag(populations_ss(k_ratio, wp_plus, dim)).astype(complex)
 
 
 def mean_n_ss(k_ratio: float, wp_plus: float) -> float:

@@ -202,14 +202,18 @@ class Generator:
                     (-1, self.params.kappa_up1, root)]
         return {k: (rate, amp) for k, rate, amp in channels if rate > 0}
 
+    @cached_property
+    def counts(self) -> dict[int, np.ndarray]:
+        """k -> N_n = A_{n - k}^2; A is 0 where n + k falls off, so the roll wraps in zeros."""
+        return {k: np.roll(amp * amp, k) for k, (_, amp) in self.channels.items()}
+
     def diag(self, p, q) -> np.ndarray:
         """The diagonal grid at the entries [p, q] of the (broadcast) index arrays p and q."""
         out = self.params.omega0 * (-1j * np.subtract(p, q, dtype=float))
-        for k, (rate, amp) in self.channels.items():
-            count = np.roll(amp * amp, k)  # A is 0 where n + k falls off: the roll wraps in zeros
+        for k, (rate, _) in self.channels.items():
             # 0j - x, not -x: the reference subtracts from an empty diagonal, and
             # the signs of zeros must agree too
-            out = out + rate * ((0j - 0.5 * count[p]) - 0.5 * count[q])
+            out = out + rate * ((0j - 0.5 * self.counts[k][p]) - 0.5 * self.counts[k][q])
         return out
 
     def jump(self, k: int, p, q) -> np.ndarray:
@@ -217,25 +221,28 @@ class Generator:
         rate, amp = self.channels[k]
         return rate * (amp[p] * amp[q])
 
-    def reach(self, k: int) -> tuple[slice, slice]:
-        """The rows (and columns) that jump k writes, and the ones k above that it reads."""
-        return slice(max(-k, 0), self.dim - max(k, 0)), slice(max(k, 0), self.dim + min(k, 0))
+    def reach(self, k: int, size: int) -> tuple[slice, slice]:
+        """Entries of a diagonal of ``size`` that jump k writes, and those k on that it reads."""
+        return slice(max(-k, 0), size - max(k, 0)), slice(max(k, 0), size + min(k, 0))
 
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        """L(rho), one shifted product per jump."""
-        p, q = np.arange(self.dim)[:, None], np.arange(self.dim)
-        out = self.diag(p, q) * rho
+    def apply_order(self, m: int, values: np.ndarray) -> np.ndarray:
+        """L(rho) on the entries rho[p, p + m], in p order, from rho's there (L keeps order m)."""
+        p = np.arange(max(-m, 0), self.dim - max(m, 0))
+        out = self.diag(p, p + m) * values
         for k in self.channels:
-            to, src = self.reach(k)
-            out[to, to] += self.jump(k, p[to], q[to]) * rho[src, src]
+            to, src = self.reach(k, p.size)
+            out[to] += self.jump(k, p[to], p[to] + m) * values[src]
         return out
 
     @property
     def nnz(self) -> int:
-        """Nonzero grid entries: those a sparse dim^2 x dim^2 form would store."""
-        p, q = np.arange(self.dim)[:, None], np.arange(self.dim)
-        grids = [self.diag(p, q), *(self.jump(k, p, q) for k in self.channels)]
-        return sum(np.count_nonzero(grid) for grid in grids)
+        """Nonzero grid entries, those a sparse dim^2 x dim^2 form would store: a jump's where
+        both factors are, the diagonal's unless no channel counts p or q and, at omega0 != 0,
+        p = q."""
+        idle = np.count_nonzero(sum(self.counts.values(), np.zeros(self.dim)) == 0)
+        diag_zeros = idle if self.params.omega0 else idle ** 2
+        jumps = sum(np.count_nonzero(amp) ** 2 for _, amp in self.channels.values())
+        return self.dim ** 2 - diag_zeros + jumps
 
 
 def generator(params: ModelParams, dim: int | None = None) -> Generator:

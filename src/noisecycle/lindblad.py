@@ -22,15 +22,16 @@ other models, and a call past that bound, take each block's dense exponential.
 Evolution assumes a Hermitian initial state and a Hermiticity-preserving
 generator, so only orders m >= 0 are solved; the rest is their conjugate.
 
-The steady-report quantities work on the generator's grids over the
-density-matrix entries (``fock.generator``) and on the structure of the
-states, never on a dim^2 x dim^2 product: phase-space circulation applies
-the grids to the two quadrature products; the detailed-balance residual of a
-diagonal steady state sums each jump grid against its mirror; the trace
-distance of a diagonal difference is read off the diagonal; and the
-displaced-parity quasiprobability evaluator, the oracle against the closed
-forms, needs one matrix product per radius, none for a diagonal state.
-Also here: steady-state reconstruction from conserved quantities.
+A diagonal state, as both models' steady states are, may be handed around
+as its populations, a 1-D array (``steady_populations``).  The steady-report
+quantities take either form and work in O(dim) on the diagonals they need
+and the generator's factors: circulation applies the generator
+(``Generator.apply_order``) to x rho and y rho on orders +/-1, formed from
+rho's diagonals 0 and +/-2; the detailed-balance residual sums each rank-one
+jump term against its mirror as a product of vector norms; the trace
+distance of a diagonal difference and the reconstruction from conserved
+quantities read the diagonal.  Dense matrices are built only for
+``steady_states``, ``evolve`` and the displaced-parity oracle.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from .fock import (
     ModelParams,
     build_ladder,
     generator,
-    parity_op,
 )
 
 
@@ -95,7 +95,7 @@ class DisplacementRangeError(LindbladError):
 
 @dataclass(frozen=True)
 class SteadyStateResult:
-    """Extremal steady states of a generator."""
+    """Extremal steady states of a generator, as density matrices or as populations."""
 
     kernel_dim: int
     states: list[np.ndarray]
@@ -112,24 +112,6 @@ class SteadyStateResult:
 
 
 @dataclass(frozen=True)
-class ConservedDecomposition:
-    """Conserved quantities and the operator basis reconstructing the steady state."""
-
-    c0: np.ndarray
-    c1: np.ndarray
-    m0: np.ndarray
-    m1: np.ndarray
-
-    def weights(self, rho0: np.ndarray) -> tuple[float, float]:
-        # Tr[c^dag rho0] is the entrywise sum of conj(c) rho0
-        return float(np.vdot(self.c0, rho0).real), float(np.vdot(self.c1, rho0).real)
-
-    def reconstruct(self, rho0: np.ndarray) -> np.ndarray:
-        w0, w1 = self.weights(rho0)
-        return w0 * self.m0 + w1 * self.m1
-
-
-@dataclass(frozen=True)
 class CirculationResult:
     """Phase-space angular-momentum magnitude and its steady closed form."""
 
@@ -142,9 +124,16 @@ class CirculationResult:
 # density-matrix helpers
 # ---------------------------------------------------------------------------
 
-def _is_diagonal(mat: np.ndarray) -> bool:
-    """Whether every entry off the main diagonal is exactly zero."""
-    return np.count_nonzero(mat) == np.count_nonzero(np.diagonal(mat))
+def _diagonal(state: np.ndarray, m: int = 0) -> np.ndarray:
+    """The entries state[p, p + m]; a 1-D state is a diagonal state's populations."""
+    if state.ndim == 2:
+        return np.diagonal(state, m)
+    return state if m == 0 else np.zeros(state.size - abs(m))
+
+
+def _is_diagonal(state: np.ndarray) -> bool:
+    """Whether every entry off the main diagonal is exactly zero; populations always are."""
+    return state.ndim == 1 or np.count_nonzero(state) == np.count_nonzero(np.diagonal(state))
 
 
 def trace_distance(rho1: np.ndarray, rho2: np.ndarray) -> float:
@@ -157,7 +146,7 @@ def trace_distance(rho1: np.ndarray, rho2: np.ndarray) -> float:
     """
     diff = rho1 - rho2
     if _is_diagonal(diff):
-        return 0.5 * float(np.abs(np.diagonal(diff).real).sum())
+        return 0.5 * float(np.abs(_diagonal(diff).real).sum())
     diff = (diff + diff.conj().T) / 2
     return 0.5 * float(np.abs(np.linalg.eigvalsh(diff)).sum())
 
@@ -169,7 +158,7 @@ def parity_weights(rho0: np.ndarray) -> tuple[float, float]:
     more than 1e-10 or the even weight leaves [0, 1] by more than 1e-12; an
     excursion within 1e-12 is rounding and is clipped.
     """
-    pops = np.diag(rho0).real
+    pops = _diagonal(rho0).real
     total = float(pops.sum())
     if abs(total - 1.0) > 1e-10:
         raise NormalizationError(f"populations sum to {total!r}, not 1")
@@ -181,7 +170,7 @@ def parity_weights(rho0: np.ndarray) -> tuple[float, float]:
 
 
 def parity_expectation(rho: np.ndarray) -> float:
-    pops = np.diag(rho).real
+    pops = _diagonal(rho).real
     return float((pops * (-1.0) ** np.arange(pops.size)).sum())
 
 
@@ -316,8 +305,8 @@ _STATIONARY_RTOL = 1e-12
 _RESCALE_AT = 1e150
 
 
-def steady_states(gen: Generator) -> SteadyStateResult:
-    """Steady states of a model generator, one for each class of levels p0 < s.
+def steady_populations(gen: Generator) -> SteadyStateResult:
+    """Steady states of a model generator, one for each class of levels p0 < s, as populations.
 
     ``TypeError`` for anything but a ``fock.Generator``.  The jumps are 2 and
     at most one gain jump -s, s being their gcd (``_step``): -2 for the
@@ -327,14 +316,22 @@ def steady_states(gen: Generator) -> SteadyStateResult:
     s = 2 sets ``rho_plus`` and ``rho_minus``, the even and the odd state.
     """
     _require_generator(gen)
-    step = _step(gen)
-    states = _cut_states(gen, step)
-    plus, minus = states if step == 2 else (None, None)
-    return SteadyStateResult(kernel_dim=step, states=states, rho_plus=plus, rho_minus=minus)
+    return _steady_result(_cut_states(gen, _step(gen)))
+
+
+def steady_states(gen: Generator) -> SteadyStateResult:
+    """The states of ``steady_populations`` as density matrices."""
+    return _steady_result([np.diag(pi.astype(complex))
+                           for pi in steady_populations(gen).states])
+
+
+def _steady_result(states: list[np.ndarray]) -> SteadyStateResult:
+    plus, minus = states if len(states) == 2 else (None, None)
+    return SteadyStateResult(len(states), states, plus, minus)
 
 
 def _cut_states(gen: Generator, step: int) -> list[np.ndarray]:
-    """The steady state of each class of levels p0, p0 + s, ... for p0 < s = step.
+    """The populations of the steady state of each class of levels p0, p0 + s, ... for p0 < s.
 
     Population moves up n -> n + s at u_n = jump(-s) at [n + s, n + s] (0
     without gain) and down j -> j - 2 at d_j = jump(2) at [j - 2, j - 2].  In a
@@ -345,17 +342,14 @@ def _cut_states(gen: Generator, step: int) -> list[np.ndarray]:
     it only drain into it and carry no mass), every term is positive and
     nothing cancels; k = 0 gives |0><0| and |1><1| exactly.  The recursion
     reads the links only, so each state must pass the full generator,
-    diagonal included (``_require_stationary``); L(pi) is diagonal, so the
-    check reads main diagonals only.
+    diagonal included (``_require_stationary``).
     """
     dim, n = gen.dim, np.arange(gen.dim)
-    diag = gen.diag(n, n)
-    links = {k: gen.jump(k, n, n) for k in gen.channels}
     up = np.zeros(dim)
-    if -step in links:
-        up[:-step] = links[-step][step:]
+    if -step in gen.channels:
+        up[:-step] = gen.jump(-step, n[step:], n[step:])
     down = np.zeros(dim + 2)  # two zeros past the top, read by the cuts near it
-    down[2:dim] = links[2][:-2]
+    down[2:dim] = gen.jump(2, n[:-2], n[:-2])
     ups, downs = up.tolist(), down.tolist()
     states = []
     for p0 in range(step):
@@ -369,19 +363,17 @@ def _cut_states(gen: Generator, step: int) -> list[np.ndarray]:
                 pi[n:top + 1] = [other / value for other in pi[n:top + 1]]
         pi = np.array(pi[:dim])
         pi /= pi.sum()
-        moved = diag * pi  # L(pi)[p, p], as ``Generator.apply`` sums it
-        for k, link in links.items():
-            to, src = gen.reach(k)
-            moved[to] += link[to] * pi[src]
-        _require_stationary(moved, diag * pi, f"steady state {p0}")
-        states.append(np.diag(pi.astype(complex)))
+        _require_stationary(gen, pi, f"steady state {p0}")
+        states.append(pi)
     return states
 
 
-def _require_stationary(moved: np.ndarray, weighted: np.ndarray, what: str) -> None:
-    """``StationarityError`` unless ||moved||_F <= ``_STATIONARY_RTOL`` ||weighted||_F, for
-    moved = L(rho) and weighted = diag o rho (or their main diagonals); a NaN fails."""
-    residual, scale = np.linalg.norm(moved), np.linalg.norm(weighted)
+def _require_stationary(gen: Generator, pops: np.ndarray, what: str) -> None:
+    """``StationarityError`` unless ||L(pi)||_F <= ``_STATIONARY_RTOL`` ||diag o pi||_F for the
+    populations pi = pops, read on the main diagonal, where L(pi) lives; a NaN fails."""
+    n = np.arange(gen.dim)
+    residual = np.linalg.norm(gen.apply_order(0, pops))
+    scale = np.linalg.norm(gen.diag(n, n) * pops)
     if not residual <= _STATIONARY_RTOL * scale:
         raise StationarityError(f"{what} is not stationary: ||L(rho)||_F = {residual:.3e}, "
                                 f"||diag o rho||_F = {scale:.3e}")
@@ -487,16 +479,17 @@ def circulation(rho: np.ndarray, params: ModelParams) -> CirculationResult:
     The adjoint L' is never built: for Hermitian rho, x and y, duality gives
     Tr[rho x L'(y)] = conj Tr[y L(x rho)], so the magnitude is
     |Re(Tr[y L(x rho)] - Tr[x L(y rho)])|.  The quadratures x = a + a^dag
-    and y = -i(a - a^dag) enter through the ladder's one diagonal: x rho and
-    y rho are two row shifts of rho, the generator's grids
-    (``fock.generator``) act on them, and each trace reads the two diagonals
-    next to the main one.  For the noise-induced model this equals
-    omega0 <x^2 + y^2>; at steady state the closed form
+    and y = -i(a - a^dag) lie on orders +/-1, so each trace reads L(x rho)
+    and L(y rho) there only; the generator keeps the order, so it needs
+    x rho and y rho there only, which the ladder forms from the diagonals 0
+    and +/-2 of rho (zero for populations).  For the noise-induced model this
+    equals omega0 <x^2 + y^2>; at steady state the closed form
     4 omega0 (<n>_ss + 1/2), with <n>_ss from ``analytic.mean_n_ss``,
     applies and is reported alongside (None for the conventional model).
     """
-    dim = rho.shape[0]
-    edge = np.diag(rho).real[-2:].sum()
+    main = _diagonal(rho)
+    dim, pops = main.size, main.real
+    edge = pops[-2:].sum()
     if edge > 1e-8:
         warnings.warn(
             f"top Fock levels carry population {edge:.2e}; circulation may be unreliable",
@@ -504,17 +497,20 @@ def circulation(rho: np.ndarray, params: ModelParams) -> CirculationResult:
         )
     gen = generator(params, dim)
     root = np.sqrt(np.arange(1.0, dim))  # a[n - 1, n] = sqrt(n)
-    lowered = np.zeros(rho.shape, dtype=np.result_type(rho, complex))  # a rho
-    lowered[:-1] = root[:, None] * rho[1:]
-    raised = np.zeros_like(lowered)  # a^dag rho
-    raised[1:] = root[:, None] * rho[:-1]
-    moved_x = gen.apply(lowered + raised)
-    moved_y = gen.apply(-1j * (lowered - raised))
+    # a rho and a^dag rho on the entries [i, i + 1] (row 0) and [i + 1, i] (row 1)
+    lowered = np.zeros((2, dim - 1), dtype=complex)
+    raised = np.zeros_like(lowered)
+    lowered[0] = root * main[1:]
+    lowered[1, :-1] = root[1:] * _diagonal(rho, -2)
+    raised[0, 1:] = root[:-1] * _diagonal(rho, 2)
+    raised[1] = root * main[:-1]
+    moved_x = [gen.apply_order(m, x) for m, x in zip((1, -1), lowered + raised)]
+    moved_y = [gen.apply_order(m, y) for m, y in zip((1, -1), -1j * (lowered - raised))]
     # Tr[q M] = sum_ij q_ij M_ji with q on the first off-diagonals
-    trace_y = 1j * (root @ (np.diagonal(moved_x, 1) - np.diagonal(moved_x, -1)))
-    trace_x = root @ (np.diagonal(moved_y, 1) + np.diagonal(moved_y, -1))
+    trace_y = 1j * (root @ (moved_x[0] - moved_x[1]))
+    trace_x = root @ (moved_y[0] + moved_y[1])
     phi = abs(float((trace_y - trace_x).real))
-    mean_n = float(np.arange(dim) @ np.diag(rho).real)
+    mean_n = float(np.arange(dim) @ pops)
     phi_formula = None
     if params.kind is ModelKind.NOISE_INDUCED:
         wp_plus, _ = parity_weights(rho)
@@ -536,36 +532,38 @@ def detailed_balance_residual(params: ModelParams, rho_ss: np.ndarray) -> float:
     real and even, only the free rotation flips sign), so the time-reversed
     generator is conj(L) and the adjoint is its transpose.
 
-    Everything comes from the generator's grids (``fock.generator``).
-    First rho_ss must be stationary (``_require_stationary``).  Then
-    rho_ss must be diagonal, as the steady states of both phase-symmetric
-    models are: a stationary state with any nonzero coherence raises
-    ``OffDiagonalStateError`` rather than losing that mass.  M then scales
-    entry [p, q] by pi_p = rho_ss[p, p], so the diagonal grid cancels
-    exactly, and jump k, which takes entry [p + k, q + k] to [p, q], leaves
-    pi_p J_{-k}[p + k, q + k] - J_k[p, q] pi_{p + k} against its mirror
-    jump -k, the jump grids being real.  The squares are summed over every
-    jump and every mirror, a missing jump being 0.
-    Zero is detailed balance; the conventional model violates it by orders
-    of magnitude.
+    First the populations of rho_ss must be stationary
+    (``_require_stationary``); then rho_ss must be diagonal, as the steady
+    states of both models are, else ``OffDiagonalStateError`` rather than
+    losing that mass.  M scales entry [p, q] by pi_p, so the diagonal grid
+    cancels exactly, and jump k leaves pi_p J_{-k}[p + k, q + k] -
+    J_k[p, q] pi_{p + k} against its mirror -k, a missing jump being 0.  Both
+    are rank one with the same q-factor, A_k[q] = A_{-k}[q + k] bit for bit,
+    so the term is (u_p - v_p) a_q, of squared norm ||u - v||^2 ||a||^2.
+    ||L||_F^2 comes from the factors (``fock.Generator``): rate^2 ||A||^4 per
+    jump grid, and the diagonal grid -i omega0 (p - q) - (c_p + c_q) / 2,
+    c = sum of rate N, is an outer sum.  Zero is detailed balance; the
+    conventional model violates it by orders of magnitude.
     """
-    dim = rho_ss.shape[0]
-    gen = generator(params, dim)
-    p, q = np.arange(dim)[:, None], np.arange(dim)
-    diag = gen.diag(p, q)
-    _require_stationary(gen.apply(rho_ss), diag * rho_ss, "state")
+    pops = _diagonal(rho_ss).real
+    gen, dim = generator(params, pops.size), pops.size
+    _require_stationary(gen, pops, "state")
     if not _is_diagonal(rho_ss):
         raise OffDiagonalStateError("the detailed-balance residual takes a diagonal steady "
                                     "state; this one has nonzero coherences")
-    jumps = {k: gen.jump(k, p, q) for k in gen.channels}
-    pops = np.diagonal(rho_ss)[:, None]
-    absent = np.zeros((dim, dim))
+    absent = (0.0, np.zeros(dim))
     residual_sq = 0.0
-    for k in jumps.keys() | {-k for k in jumps}:
-        to, src = gen.reach(k)
-        term = pops[to] * jumps.get(-k, absent)[src, src] - jumps.get(k, absent)[to, to] * pops[src]
-        residual_sq += np.vdot(term, term).real
-    gen_sq = np.vdot(diag, diag).real + sum(np.vdot(grid, grid) for grid in jumps.values())
+    for k in gen.channels.keys() | {-k for k in gen.channels}:
+        to, src = gen.reach(k, dim)
+        (rate, amp), (mirror_rate, mirror_amp) = (gen.channels.get(j, absent) for j in (k, -k))
+        gap = pops[to] * (mirror_rate * mirror_amp[src]) - (rate * amp[to]) * pops[src]
+        shared = amp[to] if k in gen.channels else mirror_amp[src]
+        residual_sq += (gap @ gap) * (shared @ shared)
+    levels = np.arange(dim) - (dim - 1) / 2
+    decay = sum(rate * gen.counts[k] for k, (rate, _) in gen.channels.items())
+    gen_sq = (2 * dim * params.omega0 ** 2 * (levels @ levels)
+              + 0.5 * (dim * (decay @ decay) + decay.sum() ** 2)
+              + sum(rate ** 2 * (amp @ amp) ** 2 for rate, amp in gen.channels.values()))
     return math.sqrt(residual_sq / gen_sq)
 
 
@@ -573,35 +571,24 @@ def detailed_balance_residual(params: ModelParams, rho_ss: np.ndarray) -> float:
 # conserved-quantity reconstruction
 # ---------------------------------------------------------------------------
 
-def conserved_decomposition(k_ratio: float, dim: int) -> ConservedDecomposition:
-    """Parity-built conserved pair and the operator basis it weighs.
+def conserved_reconstruction(rho0: np.ndarray, k_ratio: float) -> np.ndarray:
+    """Steady state reached from rho0, assembled purely from conserved quantities.
 
-    The two conserved quantities are sqrt(1-k)/2 (1 +/- parity); the basis
-    operators are sqrt(1-k) times the even and odd geometric ladders.  They
-    are mutually orthogonal and biorthogonal to the conserved pair
-    (Tr[c_j^dag m_k] = delta_jk); reconstruction weights come from the
-    initial state.
+    The two conserved quantities are sqrt(1-k)/2 (1 +/- parity), so their
+    weights Tr[c^dag rho0] are sqrt(1-k) times the even and the odd
+    population sums of rho0; they weigh sqrt(1-k) times the even and the odd
+    geometric ladder, biorthogonal to them (Tr[c_j^dag m_k] = delta_jk).
+    Populations in, populations out; a density matrix gives a density matrix.
     """
     if not 0.0 < k_ratio < 1.0:
-        raise FockError(
-            f"reconstruction needs ratio in (0, 1), got {k_ratio} "
-            "(the zero-ratio generator conserves an additional coherence)"
-        )
+        raise FockError(f"reconstruction needs ratio in (0, 1), got {k_ratio} (the zero-ratio "
+                        "generator conserves an additional coherence)")
+    pops = _diagonal(rho0).real
     root = math.sqrt(1.0 - k_ratio)
-    identity = np.eye(dim, dtype=complex)
-    parity = parity_op(dim)
-    c0 = root / 2.0 * (identity + parity)
-    c1 = root / 2.0 * (identity - parity)
-    n = np.arange(dim)
-    geom = k_ratio ** (n // 2).astype(float)
-    m0 = root * np.diag(np.where(n % 2 == 0, geom, 0.0)).astype(complex)
-    m1 = root * np.diag(np.where(n % 2 == 1, geom, 0.0)).astype(complex)
-    return ConservedDecomposition(c0=c0, c1=c1, m0=m0, m1=m1)
-
-
-def conserved_reconstruction(rho0: np.ndarray, k_ratio: float) -> np.ndarray:
-    """Steady state reached from rho0, assembled purely from conserved quantities."""
-    return conserved_decomposition(k_ratio, rho0.shape[0]).reconstruct(rho0)
+    n = np.arange(pops.size)
+    weights = root * np.where(n % 2 == 0, pops[::2].sum(), pops[1::2].sum())
+    rebuilt = weights * (root * k_ratio ** (n // 2).astype(float))
+    return rebuilt if rho0.ndim == 1 else np.diag(rebuilt.astype(complex))
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from .lindblad import (
     evolve,
     parity_expectation,
     random_density_matrix,
-    steady_states,
+    steady_populations,
     trace_distance,
     wigner_numeric_grid,
 )
@@ -88,10 +88,10 @@ def _all_pass(details: dict) -> bool:
                if isinstance(row, dict) and "skipped" not in row)
 
 
-def closed_form_row(rho: np.ndarray, k_ratio: float, wp_plus: float) -> dict:
-    """Trace distance to the closed-form steady state at the same dimension."""
-    target = analytic.rho_ss_analytic(k_ratio, wp_plus, rho.shape[0])
-    return _below(trace_distance(rho, target), CLOSED_FORM_TOL)
+def closed_form_row(pops: np.ndarray, k_ratio: float, wp_plus: float) -> dict:
+    """Trace distance of the populations of a diagonal state to the closed form at their dim."""
+    target = analytic.populations_ss(k_ratio, wp_plus, pops.size)
+    return _below(trace_distance(pops, target), CLOSED_FORM_TOL)
 
 
 def circulation_row(measured: float, formula: float) -> dict:
@@ -120,34 +120,35 @@ def mandel_moments(pops: np.ndarray) -> tuple[float, float]:
 def steady_report(params: ModelParams, dim: int, wp_plus: float) -> dict:
     """Steady state of one model cross-checked against closed forms and detailed balance.
 
-    The conventional model must break detailed balance.
+    The conventional model must break detailed balance.  Every row reads
+    the steady populations: no dim x dim array is built.
     """
-    solved = steady_states(generator(params, dim))
+    solved = steady_populations(generator(params, dim))
     checks = {}
     if params.kind is ModelKind.NOISE_INDUCED:
         k = params.k_ratio
-        rho = solved.combine(wp_plus)
-        checks["steady_trace_distance"] = closed_form_row(rho, k, wp_plus)
-        circ = circulation(rho, params)
+        pops = solved.combine(wp_plus)
+        checks["steady_trace_distance"] = closed_form_row(pops, k, wp_plus)
+        circ = circulation(pops, params)
         checks["circulation_rel_gap"] = circulation_row(circ.phi, circ.phi_formula)
-        mean, q_moments = mandel_moments(np.diag(rho).real)
+        mean, q_moments = mandel_moments(pops)
         # the truncated tail biases the second moment; allow for it explicitly
         q_tol = MANDEL_TOL + 4.0 * dim ** 2 * k ** (dim / 2) / max(mean, 0.1)
         checks["mandel_q_gap"] = (
             _below(abs(q_moments - analytic.mandel_q(k, wp_plus)), q_tol) if mean
             else {"skipped": "the state is vacuum: mean photon number 0, Mandel Q not defined"})
-        checks["detailed_balance_residual"] = balance_row(params, rho)
+        checks["detailed_balance_residual"] = balance_row(params, pops)
         if k > 0:
-            gap = float(np.abs(conserved_reconstruction(rho, k) - rho).max())
+            gap = float(np.abs(conserved_reconstruction(pops, k) - pops).max())
             checks["conserved_reconstruction_gap"] = _below(gap, 1e-10)
         else:
             checks["conserved_reconstruction_gap"] = {
                 "skipped": "zero gain ratio conserves an extra coherence; reconstruction not defined"
             }
     else:
-        rho = solved.states[0]
-        checks["detailed_balance_residual"] = balance_row(params, rho)
-        circ = circulation(rho, params)
+        pops = solved.states[0]
+        checks["detailed_balance_residual"] = balance_row(params, pops)
+        circ = circulation(pops, params)
         checks["circulation"] = {"value": circ.phi, "mean_n": circ.mean_n, "pass": True}
     return {
         "kernel_dim": solved.kernel_dim,
@@ -195,7 +196,7 @@ def check_steady_state_oracle(mutations=()) -> dict:
     for k_ratio in (0.1, 0.5, 0.8):
         dim = dim_for_tail(k_ratio)
         params = ModelParams(omega0=1.0, kappa_down=kappa_down, kappa_up2=k_ratio)
-        result = steady_states(generator(params, dim))
+        result = steady_populations(generator(params, dim))
         distances += [closed_form_row(result.combine(wp), k_ratio, wp)["value"]
                       for wp in (0.3, 0.55, 0.9)]
     # np.max, unlike max, carries a NaN distance into the row, which then fails
@@ -288,8 +289,7 @@ def check_mandel_q(mutations=()) -> dict:
     for k_ratio in np.linspace(0.04, 0.8, 20):
         dim = dim_for_tail(k_ratio, decades=16.0)
         for wp in np.linspace(0.0, 1.0, 20):
-            pops = np.diag(analytic.rho_ss_analytic(k_ratio, wp, dim)).real
-            _, q_moments = mandel_moments(pops)
+            _, q_moments = mandel_moments(analytic.populations_ss(k_ratio, wp, dim))
             q_formula = analytic.mandel_q(k_ratio, wp)
             worst = max(worst, abs(q_formula - q_moments))
             if (q_formula < 0) != analytic.nonclassical_region(k_ratio, wp):
@@ -315,7 +315,7 @@ def check_circulation(mutations=()) -> dict:
         reference = abs(params.omega0) * mean_sq
         worst_rel = max(worst_rel, abs(result.phi - reference) / reference)
 
-    steady = analytic.rho_ss_analytic(0.5, 0.55, 100)
+    steady = analytic.populations_ss(0.5, 0.55, 100)
     steady_params = ModelParams(omega0=1.0, kappa_down=1.0, kappa_up2=0.5)
     steady_result = circulation(steady, steady_params)
     formula = 4.0 * 1.0 * (2.0 * 0.5 / 0.5 + 0.45 + 0.5)
@@ -332,12 +332,12 @@ def check_circulation(mutations=()) -> dict:
 def check_detailed_balance(mutations=()) -> dict:
     """Residual dichotomy: noise-induced < 1e-10, conventional above a gain-scaled floor."""
     ni_params = ModelParams(omega0=1.0, kappa_down=1.0, kappa_up2=0.5)
-    ni = balance_row(ni_params, analytic.rho_ss_analytic(0.5, 0.55, dim_for_tail(0.5)))
+    ni = balance_row(ni_params, analytic.populations_ss(0.5, 0.55, dim_for_tail(0.5)))
     conv_params = ModelParams(
         omega0=1.0, kappa_down=1.0, kappa_up1=0.3, kind=ModelKind.CONVENTIONAL
     )
     conv_dim = 20
-    conv = balance_row(conv_params, steady_states(generator(conv_params, conv_dim)).states[0])
+    conv = balance_row(conv_params, steady_populations(generator(conv_params, conv_dim)).states[0])
     return {
         "noise_induced_residual": ni,
         "conventional_residual": conv,

@@ -8,13 +8,16 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import noisecycle
+from noisecycle import verify
 from noisecycle.cli import FIELDS, RULES, main
+from noisecycle.fock import ModelParams
 
 
 def read_csv(path):
@@ -243,6 +246,20 @@ def test_steady_report_without_rotation(tmp_path, k_ratio):
     report = json.loads((out / "summary.json").read_text())
     assert report["all_pass"]
     assert report["kernel_dim"] == 2
+
+
+def test_steady_report_at_the_tail_dim_of_k099_holds_no_dense_state():
+    # 5500 = 2 ceil(12 / -log10 0.99), the tail rule's dim before its clamp to 400;
+    # one dense complex state there takes 484 MB, and the whole dense report peaked at 5.1 GB
+    params = ModelParams(omega0=1.0, kappa_down=1.0, kappa_up2=0.99)
+    tracemalloc.start()
+    try:
+        report = verify.steady_report(params, 5500, 0.55)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["all_pass"] and len(report["checks"]) == 5
+    assert peak < 16 * 2 ** 20
 
 
 def test_steady_report_at_large_rates(tmp_path):

@@ -359,6 +359,25 @@ def dense_grids(gen: Generator) -> tuple[np.ndarray, dict[int, np.ndarray]]:
     return gen.diag(p, q), {k: gen.jump(k, p, q) for k in gen.channels}
 
 
+def dense_apply(gen: Generator, rho: np.ndarray) -> np.ndarray:
+    """L(rho) on the whole matrix: the dense grids, one shifted product per jump."""
+    diag, jumps = dense_grids(gen)
+    out = diag * rho
+    for k, grid in jumps.items():
+        to, src = gen.reach(k, gen.dim)
+        out[to, to] += grid[to, to] * rho[src, src]
+    return out
+
+
+def apply_by_order(gen: Generator, rho: np.ndarray) -> np.ndarray:
+    """L(rho) assembled from ``Generator.apply_order`` on every diagonal of rho."""
+    out = np.zeros(rho.shape, dtype=complex)
+    for m in range(1 - gen.dim, gen.dim):
+        p = np.arange(max(-m, 0), gen.dim - max(m, 0))
+        out[p, p + m] = gen.apply_order(m, np.diagonal(rho, m))
+    return out
+
+
 def reference_liouvillian(params: ModelParams, dim: int) -> sp.csr_matrix:
     """The generator from dense ladder products and one sp.kron per term."""
     a, ad = build_ladder(dim)
@@ -428,11 +447,14 @@ def test_generator_diagonals_apply_as_the_csr_generator(params, omega0, dim):
     gen = liouvillian_csr(params, dim)
     rng = np.random.default_rng(dim)
     rho = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    got = vectorize(generator(params, dim).apply(rho))
+    model = generator(params, dim)
+    got = vectorize(apply_by_order(model, rho))
     # the same products summed in another order; a fused multiply-add in
     # either one can move a complex product by an ulp
     bound = 1e-15 * (abs(gen) @ np.abs(vectorize(rho)))
     assert np.all(np.abs(got - gen @ vectorize(rho)) <= bound)
+    # along each diagonal the products and sums are those of the whole-matrix form
+    assert np.array_equal(got, vectorize(dense_apply(model, rho)))
 
 
 def closed_form_grids(params: ModelParams, dim: int):
@@ -495,6 +517,27 @@ def test_nnz_counts_the_entries_the_csr_stores(params, dim):
     # the older name builds the same generator
     old = liouvillian(params, dim)
     assert old == gen and old.nnz == gen.nnz
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 7, 20, 46])
+@pytest.mark.parametrize("omega0", [0.0, 1.3, -0.3])
+@pytest.mark.parametrize("params", [
+    pytest.param(NI, id="noise-induced"),
+    pytest.param(replace(NI, kappa_up2=0.0), id="noise-induced-k0"),
+    pytest.param(CONV, id="conventional"),
+    pytest.param(replace(CONV, kappa_up1=0.0), id="conventional-no-gain"),
+])
+def test_nnz_from_the_factors_counts_the_dense_grids(params, omega0, dim):
+    gen = generator(replace(params, omega0=omega0), dim)
+    diag, jumps = dense_grids(gen)
+    assert gen.nnz == sum(np.count_nonzero(grid) for grid in (diag, *jumps.values()))
+
+
+def test_generator_counts_are_the_rolled_squares():
+    gen = generator(CONV, 12)
+    for k, (_, amp) in gen.channels.items():
+        assert gen.counts[k].tobytes() == np.roll(amp * amp, k).tobytes()
+    assert gen.counts is gen.counts  # computed once
 
 
 def test_generator_is_one_of_the_two_models():
