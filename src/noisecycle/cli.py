@@ -21,7 +21,7 @@ import numpy as np
 from . import analytic, csvio, sde, verify, wignerflux
 from .fock import (FockError, ModelKind, ModelParams, coherent_state, default_dim, fock_state,
                    generator)
-from .lindblad import evolve, parity_expectation, parity_weights, trace_distance
+from .lindblad import edge_population, evolve, parity_expectation, parity_weights, trace_distance
 
 # Each command's fields and their defaults.  The flags, the config-file keys
 # and the echoed config all come from this table; a ``dim`` or ``extent`` of
@@ -49,7 +49,8 @@ RULES = {
     "wp_plus": (lambda v: 0.0 <= v <= 1.0, "an even-parity weight in [0, 1]"),
     "kind": (lambda v: v in [k.value for k in ModelKind], " | ".join(k.value for k in ModelKind)),
     "coordinates": (lambda v: v in ("polar", "cartesian"), "polar | cartesian"),
-    "dim": (lambda v: v == 0 or v >= 2, "0 (the default) or at least 2"),
+    "dim": (lambda v: v == 0 or v >= 2, "at least 2, or 0 (the default) for the model's tail "
+            "rule (< 1e-12 of the steady mass above); refused where the arrays pass 2 GiB"),
     "t": (lambda v: 0.0 <= v < math.inf, "a finite time >= 0"),
     "h": (lambda v: 0.0 < v < math.inf, "a finite grid step > 0"),
     "extent": (lambda v: 0.0 <= v < math.inf, "a finite half-width > 0, or 0 (the default)"),
@@ -57,6 +58,9 @@ RULES = {
     "initial": (lambda v: v == "vacuum" or v.startswith(("fock:", "coherent:")),
                 "vacuum | fock:n | coherent:alpha"),
 }
+
+# The most bytes one run's arrays may take (see ``_fock_dim``).
+BYTE_BUDGET = 2 ** 31
 
 # The fields a model kind does not read.  Setting one is a config error, and
 # the echoed config leaves it out.
@@ -126,12 +130,21 @@ def _config_error(exc: FockError) -> SystemExit:
     return SystemExit(f"config error at {field}: {exc}")
 
 
-def _fock_dim(cfg: dict, params: ModelParams) -> int:
-    """The ``dim`` field, or the model's default truncation where it is 0."""
+def _fock_dim(command: str, cfg: dict, params: ModelParams) -> int:
+    """The ``dim`` field, or where it is 0 the model's default; past ``BYTE_BUDGET`` a config
+    error at ``dim`` when given, else at the field the model's tail rule read."""
     try:
-        return cfg["dim"] or default_dim(params)
+        dim = cfg["dim"] or default_dim(params)
     except FockError as exc:
         raise _config_error(exc) from None
+    # evolve holds about five dim x dim complex arrays (288 MiB at dim 2000), steady
+    # O(dim) ones (14 MiB at dim 55236)
+    if (need := 80 * dim ** 2 if command == "evolve" else 320 * dim) > BYTE_BUDGET:
+        rule = "k_ratio" if params.kind is ModelKind.NOISE_INDUCED else "kappa_up1"
+        raise SystemExit(f"config error at {'dim' if cfg['dim'] else rule}: {command} at dim "
+                         f"{dim:.6g} holds about {need / 2 ** 30:.3g} GiB, past the "
+                         f"{BYTE_BUDGET / 2 ** 30:g} GiB budget")
+    return dim
 
 
 def _model_from_cfg(cfg: dict) -> ModelParams:
@@ -180,7 +193,7 @@ def cmd_phase_diagram(args: argparse.Namespace) -> int:
 def cmd_steady(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
     params = _model_from_cfg(cfg)
-    cfg["dim"] = _fock_dim(cfg, params)
+    cfg["dim"] = _fock_dim(args.command, cfg, params)
     out = _prepare_out(args, cfg)
     summary = verify.steady_report(params, cfg["dim"], cfg["wp_plus"])
     _write_summary(out, summary)
@@ -193,7 +206,7 @@ def cmd_steady(args: argparse.Namespace) -> int:
 def cmd_evolve(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
     params = _model_from_cfg(cfg)
-    dim = cfg["dim"] = _fock_dim(cfg, params)
+    dim = cfg["dim"] = _fock_dim(args.command, cfg, params)
     spec = cfg["initial"]
     try:
         if spec == "vacuum":
@@ -214,6 +227,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         "parity_initial": parity_expectation(rho0),
         "parity_final": parity_expectation(rho_t),
         "trace_final": float(np.trace(rho_t).real),
+        "edge_population": edge_population(rho_t),
         "distance_to_predicted_steady": trace_distance(rho_t, target),
     }
     _write_summary(out, summary)

@@ -23,7 +23,6 @@ from enum import Enum
 import numpy as np
 
 MIN_DIM = 20
-MAX_DIM = 400
 
 
 class FockError(ValueError):
@@ -87,13 +86,12 @@ class ModelParams:
 
 
 def default_dim(params: ModelParams) -> int:
-    """Truncation large enough that the neglected steady-state tail is negligible.
+    """Truncation leaving < 1e-12 of the steady mass above it: at least MIN_DIM, no ceiling.
 
-    Even-parity populations decay geometrically with the gain/loss ratio, so an
-    even dimension with ratio**(dim/2) < 1e-12 bounds the dropped mass; clamped
-    to [MIN_DIM, MAX_DIM].  The conventional model relaxes to within a few
-    photons of vacuum, so its default scales with sqrt(gain/loss); a ratio
-    that overflows raises ``FockError`` at ``kappa_up1``.
+    Noise-induced: ``dim_for_tail`` (populations decay as k**(n/2)).  Conventional,
+    r = kappa_up1 / kappa_down: mean about (r + 1) / 2 and variance about 3r / 4, so
+    the even dim at or above r/2 + 7 sqrt(r) + 8, checked by solves at twice the dim
+    for r in [1e-3, 2e4].  A ratio that overflows raises ``FockError`` at ``kappa_up1``.
     """
     if params.kind is ModelKind.NOISE_INDUCED:
         return dim_for_tail(params.k_ratio)
@@ -101,20 +99,18 @@ def default_dim(params: ModelParams) -> int:
     if not math.isfinite(ratio):
         raise FockError(f"gain/loss ratio kappa_up1/kappa_down = {params.kappa_up1}/"
                         f"{params.kappa_down} overflows", "kappa_up1")
-    n = 2 * math.ceil(4.0 * math.sqrt(ratio) + 6.0)
-    return min(max(n, MIN_DIM), MAX_DIM)
+    return max(2 * math.ceil((ratio / 2 + 7.0 * math.sqrt(ratio) + 8.0) / 2), MIN_DIM)
 
 
 def dim_for_tail(k_ratio: float, decades: float = 12.0) -> int:
-    """Smallest even dimension with k_ratio**(dim/2) below 10**-decades."""
+    """Smallest even dimension with k_ratio**(dim/2) below 10**-decades, at least MIN_DIM."""
     if not math.isfinite(k_ratio):
         raise FockError(f"gain/loss ratio must be finite, got {k_ratio}")
     if k_ratio <= 0.0:
         return MIN_DIM
     if k_ratio >= 1.0:
         raise NoStationaryStateError("gain/loss ratio must lie below 1")
-    n = 2 * math.ceil(decades / (-math.log10(k_ratio)))
-    return min(max(n, MIN_DIM), MAX_DIM)
+    return max(2 * math.ceil(decades / (-math.log10(k_ratio))), MIN_DIM)
 
 
 # ---------------------------------------------------------------------------

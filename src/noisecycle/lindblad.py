@@ -136,6 +136,11 @@ def _is_diagonal(state: np.ndarray) -> bool:
     return state.ndim == 1 or np.count_nonzero(state) == np.count_nonzero(np.diagonal(state))
 
 
+def edge_population(state: np.ndarray) -> float:
+    """Population of the top two Fock levels, where a too-small truncation piles up mass."""
+    return float(_diagonal(state)[-2:].real.sum())
+
+
 def trace_distance(rho1: np.ndarray, rho2: np.ndarray) -> float:
     """Half the trace norm of the Hermitian part of rho1 - rho2.
 
@@ -489,7 +494,7 @@ def circulation(rho: np.ndarray, params: ModelParams) -> CirculationResult:
     """
     main = _diagonal(rho)
     dim, pops = main.size, main.real
-    edge = pops[-2:].sum()
+    edge = edge_population(rho)
     if edge > 1e-8:
         warnings.warn(
             f"top Fock levels carry population {edge:.2e}; circulation may be unreliable",

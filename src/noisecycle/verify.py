@@ -31,6 +31,7 @@ from .lindblad import (
     circulation,
     conserved_reconstruction,
     detailed_balance_residual,
+    edge_population,
     evolve,
     parity_expectation,
     random_density_matrix,
@@ -152,6 +153,7 @@ def steady_report(params: ModelParams, dim: int, wp_plus: float) -> dict:
         checks["circulation"] = {"value": circ.phi, "mean_n": circ.mean_n, "pass": True}
     return {
         "kernel_dim": solved.kernel_dim,
+        "edge_population": edge_population(pops),
         "checks": checks,
         "all_pass": _all_pass(checks),
     }

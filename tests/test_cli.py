@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,8 @@ import pytest
 import noisecycle
 from noisecycle import verify
 from noisecycle.cli import FIELDS, RULES, main
-from noisecycle.fock import ModelParams
+from noisecycle.fock import ModelKind, ModelParams, generator
+from noisecycle.lindblad import steady_populations
 
 
 def read_csv(path):
@@ -249,8 +251,8 @@ def test_steady_report_without_rotation(tmp_path, k_ratio):
 
 
 def test_steady_report_at_the_tail_dim_of_k099_holds_no_dense_state():
-    # 5500 = 2 ceil(12 / -log10 0.99), the tail rule's dim before its clamp to 400;
-    # one dense complex state there takes 484 MB, and the whole dense report peaked at 5.1 GB
+    # 5500 = 2 ceil(12 / -log10 0.99), the tail rule's dim; one dense complex
+    # state there takes 484 MB, and the whole dense report peaked at 5.1 GB
     params = ModelParams(omega0=1.0, kappa_down=1.0, kappa_up2=0.99)
     tracemalloc.start()
     try:
@@ -260,6 +262,34 @@ def test_steady_report_at_the_tail_dim_of_k099_holds_no_dense_state():
         tracemalloc.stop()
     assert report["all_pass"] and len(report["checks"]) == 5
     assert peak < 16 * 2 ** 20
+
+
+def test_steady_at_k099_takes_the_tail_dim_and_passes_every_row(tmp_path):
+    out = tmp_path / "steady"
+    assert main(["steady", "--out", str(out), "--k-ratio", "0.99"]) == 0
+    assert json.loads((out / "config.json").read_text())["dim"] == 5500
+    report = json.loads((out / "summary.json").read_text())
+    assert len(report["checks"]) == 5 and report["all_pass"]
+    assert report["edge_population"] <= 1e-12
+
+
+def test_conventional_steady_at_large_gain_holds_its_mass(tmp_path):
+    # mean photon number about (300 + 1) / 2: the default dim must hold it
+    out = tmp_path / "steady"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # circulation warns of mass in the top Fock levels
+        assert main(["steady", "--out", str(out), "--kind", "conventional",
+                     "--kappa-up1", "300"]) == 0
+    dim = json.loads((out / "config.json").read_text())["dim"]
+    report = json.loads((out / "summary.json").read_text())
+    assert report["edge_population"] <= 1e-12
+    params = ModelParams(omega0=1.0, kappa_down=1.0, kappa_up1=300.0,
+                         kind=ModelKind.CONVENTIONAL)
+    wide = steady_populations(generator(params, 2 * dim)).states[0]
+    assert wide[dim:].sum() < 1e-12
+    wide_mean = np.arange(2 * dim) @ wide
+    assert abs(report["checks"]["circulation"]["mean_n"] - wide_mean) <= 1e-9 * wide_mean
+    assert abs(wide_mean - 150.5) < 0.1
 
 
 def test_steady_report_at_large_rates(tmp_path):
@@ -293,6 +323,43 @@ def test_evolve_near_saturated_ratio_default_dim(tmp_path):
     assert report["distance_to_predicted_steady"] < 1e-9
     assert abs(report["trace_final"] - 1.0) < 1e-10
     assert abs(report["parity_final"] - report["parity_initial"]) < 1e-9
+
+
+def test_evolve_takes_the_tail_dim_and_reports_its_edge(tmp_path):
+    out = tmp_path / "ev"
+    assert main(["evolve", "--out", str(out), "--k-ratio", "0.95", "--t", "1"]) == 0
+    assert json.loads((out / "config.json").read_text())["dim"] == 1078
+    report = json.loads((out / "summary.json").read_text())
+    assert 0.0 <= report["edge_population"] <= 1e-12
+
+
+@pytest.mark.parametrize("argv, field, dim", [
+    pytest.param(["evolve", "--k-ratio", "0.999"], "k_ratio", "55236", id="evolve-tail-rule"),
+    pytest.param(["evolve", "--dim", "100000"], "dim", "100000", id="evolve-given-dim"),
+    pytest.param(["evolve", {"dim": 100000}], "dim", "100000", id="evolve-dim-in-config"),
+    pytest.param(["steady", "--k-ratio", "0.9999999"], "k_ratio", "5.5262e+08",
+                 id="steady-tail-rule"),
+    pytest.param(["steady", "--kind", "conventional", "--kappa-up1", "1e12"], "kappa_up1",
+                 "5.00007e+11", id="steady-conventional-tail-rule"),
+    pytest.param(["steady", "--dim", "10000000"], "dim", "1e+07", id="steady-given-dim"),
+])
+def test_dim_past_the_byte_budget_is_refused_before_any_output(tmp_path, argv, field, dim):
+    # the refusal allocates nothing: one dense state at dim 55236 would take 49 GB
+    if isinstance(argv[-1], dict):
+        (tmp_path / "run.json").write_text(json.dumps(argv[-1]))
+        argv = [*argv[:-1], "--config", str(tmp_path / "run.json")]
+    run = tmp_path / "run"
+    tracemalloc.start()
+    try:
+        with pytest.raises(SystemExit) as err:
+            main([*argv, "--out", str(run)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value).startswith(f"config error at {field}: ")
+    assert f"at dim {dim} " in str(err.value) and "GiB budget" in str(err.value)
+    assert not run.exists()
+    assert peak < 4 * 2 ** 20
 
 
 # coherent:1e200 is well formed, but its amplitudes overflow

@@ -11,7 +11,6 @@ import scipy.sparse as sp
 
 from noisecycle.fock import (
     FockError,
-    MAX_DIM,
     MIN_DIM,
     ModelKind,
     ModelParams,
@@ -103,7 +102,7 @@ def test_params_reject_non_finite_rates(base, field, value):
 def test_truncation_rule():
     assert dim_for_tail(0.5) == 80
     assert dim_for_tail(0.0) == MIN_DIM
-    assert dim_for_tail(0.9) == MAX_DIM
+    assert dim_for_tail(0.9) == 526  # no ceiling: the rule's own dim
     assert default_dim(NI) == 80
     assert default_dim(CONV) >= MIN_DIM
     # dropped tail mass is bounded as designed
@@ -118,8 +117,39 @@ def test_default_dim_of_an_overflowing_gain_ratio_is_a_fock_error():
     with pytest.raises(FockError) as err:
         default_dim(params)
     assert err.value.field == "kappa_up1"
-    # a large finite ratio still takes the documented clamp
-    assert default_dim(replace(params, kappa_down=1.0)) == MAX_DIM
+    # a large finite ratio takes the rule, which has no ceiling: its mean is 5e299
+    assert default_dim(replace(params, kappa_down=1.0)) >= 5e299
+
+
+@pytest.mark.parametrize("k_ratio, dim", [(0.9, 526), (0.95, 1078), (0.99, 5500),
+                                          (0.999, 55236)])
+def test_tail_rule_has_no_ceiling(k_ratio, dim):
+    # the smallest even dim with k^(dim/2) < 1e-12
+    assert dim_for_tail(k_ratio) == dim
+    assert k_ratio ** (dim / 2) < 1e-12 <= k_ratio ** (dim / 2 - 1)
+    assert default_dim(replace(NI, kappa_up2=k_ratio)) == dim
+
+
+def clamped_rule(params):
+    """The old default dims, clamped to [20, 400], with the conventional sqrt rule."""
+    if params.kind is ModelKind.NOISE_INDUCED:
+        n = 2 * math.ceil(12.0 / -math.log10(params.k_ratio)) if params.k_ratio else 0
+    else:
+        n = 2 * math.ceil(4.0 * math.sqrt(params.kappa_up1 / params.kappa_down) + 6.0)
+    return min(max(n, 20), 400)
+
+
+def test_default_dims_in_use_keep_their_values():
+    models = [
+        # the benchmark's steady requests, k in [0.05, 0.5] (dims 20-80); its evolve
+        # requests, k in [0.1, 0.3]; and the verify checks' tail-rule ratios, up to 0.8
+        *(replace(NI, kappa_up2=float(k)) for k in np.linspace(0.0, 0.8, 161)),
+        # the benchmark's conventional steady requests, kappa_up1 / kappa_down in [0.12, 1]
+        *(replace(CONV, kappa_up1=float(r)) for r in np.linspace(0.12, 1.0, 45)),
+    ]
+    assert [p for p in models if default_dim(p) != clamped_rule(p)] == []
+    assert [dim_for_tail(k) for k in (0.05, 0.1, 0.3, 0.5, 0.8)] == [20, 24, 46, 80, 248]
+    assert dim_for_tail(0.8, decades=16.0) == 332
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

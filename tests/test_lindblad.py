@@ -185,7 +185,7 @@ def test_steady_state_zero_rotation_zero_ratio_counts_states():
 def test_steady_state_near_saturated_ratio_default_dim():
     params = ModelParams(omega0=1.0, kappa_down=1.0, kappa_up2=0.9)
     dim = default_dim(params)
-    assert dim >= 400
+    assert dim == 526
     result = steady_states(generator(params, dim))
     assert trace_distance(result.combine(0.55), rho_ss_analytic(0.9, 0.55, dim)) < 1e-8
 
@@ -225,6 +225,22 @@ def test_conventional_steady_state_is_stationary(monkeypatch, kappa_up1, dim):
     assert pops.min() >= 0 and abs(pops.sum() - 1.0) < 1e-14
     residual = np.linalg.norm(dense_apply(gen, rho)) / np.linalg.norm(dense_grids(gen)[0] * rho)
     assert residual <= lindblad._STATIONARY_RTOL
+
+
+@pytest.mark.parametrize("ratio", np.logspace(-3, math.log10(2e4), 25).tolist(),
+                         ids="{:.3g}".format)
+def test_conventional_default_dim_leaves_under_1e_12_above_it(ratio):
+    # the mean photon number is about (r + 1) / 2 and the variance about 3r / 4;
+    # a solve at twice the default dim holds what the default leaves out
+    params = replace(CONV, kappa_up1=ratio)
+    dim = default_dim(params)
+    wide = steady_populations(generator(params, 2 * dim)).states[0]
+    assert wide[dim:].sum() < 1e-12
+    pops = steady_populations(generator(params, dim)).states[0]
+    mean, wide_mean = np.arange(dim) @ pops, np.arange(2 * dim) @ wide
+    assert abs(mean - wide_mean) <= 1e-9 * wide_mean
+    if ratio >= 10:
+        assert abs(wide_mean - (ratio + 1) / 2) < 0.01 * wide_mean
 
 
 def perturb(monkeypatch, jump, fault):
