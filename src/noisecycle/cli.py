@@ -40,6 +40,9 @@ FIELDS = {
                "h": 0.05, "extent": 0.0, "boundary_tol": 1e-2},
 }
 
+# The most bytes one run's arrays may take (see ``_fock_dim``).
+BYTE_BUDGET = 2 ** 31
+
 # The rule of each field that has one: a test of its typed value and the text
 # of what it needs, which is also the flag's --help.  NaN fails every
 # comparison, so each range rule rejects it.
@@ -50,7 +53,8 @@ RULES = {
     "kind": (lambda v: v in [k.value for k in ModelKind], " | ".join(k.value for k in ModelKind)),
     "coordinates": (lambda v: v in ("polar", "cartesian"), "polar | cartesian"),
     "dim": (lambda v: v == 0 or v >= 2, "at least 2, or 0 (the default) for the model's tail "
-            "rule (< 1e-12 of the steady mass above); refused where the arrays pass 2 GiB"),
+            "rule (< 1e-12 of the steady mass above); refused where the arrays pass "
+            f"{BYTE_BUDGET / 2 ** 30:g} GiB"),
     "t": (lambda v: 0.0 <= v < math.inf, "a finite time >= 0"),
     "h": (lambda v: 0.0 < v < math.inf, "a finite grid step > 0"),
     "extent": (lambda v: 0.0 <= v < math.inf, "a finite half-width > 0, or 0 (the default)"),
@@ -58,9 +62,6 @@ RULES = {
     "initial": (lambda v: v == "vacuum" or v.startswith(("fock:", "coherent:")),
                 "vacuum | fock:n | coherent:alpha"),
 }
-
-# The most bytes one run's arrays may take (see ``_fock_dim``).
-BYTE_BUDGET = 2 ** 31
 
 # The fields a model kind does not read.  Setting one is a config error, and
 # the echoed config leaves it out.
@@ -130,20 +131,21 @@ def _config_error(exc: FockError) -> SystemExit:
     return SystemExit(f"config error at {field}: {exc}")
 
 
-def _fock_dim(command: str, cfg: dict, params: ModelParams) -> int:
-    """The ``dim`` field, or where it is 0 the model's default; past ``BYTE_BUDGET`` a config
-    error at ``dim`` when given, else at the field the model's tail rule read."""
+def _fock_dim(cfg: dict, params: ModelParams, bytes_at) -> int:
+    """The ``dim`` field, or where it is 0 the model's default; where ``bytes_at(dim)``, the
+    command's arrays, would pass ``BYTE_BUDGET``, a config error at ``dim`` when given, else
+    at the field the model's tail rule read."""
     try:
         dim = cfg["dim"] or default_dim(params)
     except FockError as exc:
         raise _config_error(exc) from None
-    # evolve holds about five dim x dim complex arrays (288 MiB at dim 2000), steady
-    # O(dim) ones (14 MiB at dim 55236)
-    if (need := 80 * dim ** 2 if command == "evolve" else 320 * dim) > BYTE_BUDGET:
+    if (need := bytes_at(dim)) > BYTE_BUDGET:  # exact in ints
+        from decimal import Decimal  # prints past float range; kept off the start-up path
+
         rule = "k_ratio" if params.kind is ModelKind.NOISE_INDUCED else "kappa_up1"
-        raise SystemExit(f"config error at {'dim' if cfg['dim'] else rule}: {command} at dim "
-                         f"{dim:.6g} holds about {need / 2 ** 30:.3g} GiB, past the "
-                         f"{BYTE_BUDGET / 2 ** 30:g} GiB budget")
+        raise SystemExit(f"config error at {'dim' if cfg['dim'] else rule}: the arrays at dim "
+                         f"{Decimal(dim):.6g} take about {Decimal(need) / 2 ** 30:.3g} GiB, "
+                         f"past the {BYTE_BUDGET / 2 ** 30:g} GiB budget")
     return dim
 
 
@@ -193,7 +195,8 @@ def cmd_phase_diagram(args: argparse.Namespace) -> int:
 def cmd_steady(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
     params = _model_from_cfg(cfg)
-    cfg["dim"] = _fock_dim(args.command, cfg, params)
+    # O(dim) arrays: 14 MiB at dim 55236
+    cfg["dim"] = _fock_dim(cfg, params, lambda dim: 320 * dim)
     out = _prepare_out(args, cfg)
     summary = verify.steady_report(params, cfg["dim"], cfg["wp_plus"])
     _write_summary(out, summary)
@@ -206,7 +209,9 @@ def cmd_steady(args: argparse.Namespace) -> int:
 def cmd_evolve(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
     params = _model_from_cfg(cfg)
-    dim = cfg["dim"] = _fock_dim(args.command, cfg, params)
+    # seven complex dim x dim arrays; the tracemalloc peak per dim^2 is 96 bytes for a start
+    # touching every order (coherent:1), 72 for vacuum on the dense path, 64 on the chains
+    dim = cfg["dim"] = _fock_dim(cfg, params, lambda dim: 112 * dim ** 2)
     spec = cfg["initial"]
     try:
         if spec == "vacuum":

@@ -227,7 +227,7 @@ def test_conventional_steady_state_is_stationary(monkeypatch, kappa_up1, dim):
     assert residual <= lindblad._STATIONARY_RTOL
 
 
-@pytest.mark.parametrize("ratio", np.logspace(-3, math.log10(2e4), 25).tolist(),
+@pytest.mark.parametrize("ratio", [*np.logspace(-3, math.log10(2e4), 25).tolist(), 300.0],
                          ids="{:.3g}".format)
 def test_conventional_default_dim_leaves_under_1e_12_above_it(ratio):
     # the mean photon number is about (r + 1) / 2 and the variance about 3r / 4;
