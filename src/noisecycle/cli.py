@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import analytic, csvio, sde, verify, wignerflux
-from .fock import (FockError, ModelKind, ModelParams, coherent_state, default_dim, fock_state,
-                   generator)
+from .fock import (FockError, ModelKind, ModelParams, coherent_state, coherent_tail, default_dim,
+                   fock_state, generator)
 from .lindblad import edge_population, evolve, parity_expectation, parity_weights, trace_distance
 
 # Each command's fields and their defaults.  The flags, the config-file keys
@@ -210,16 +210,19 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
     params = _model_from_cfg(cfg)
     # seven complex dim x dim arrays; the tracemalloc peak per dim^2 is 96 bytes for a start
-    # touching every order (coherent:1), 72 for vacuum on the dense path, 64 on the chains
+    # touching every order (coherent:1), 72 for vacuum at k = 0 (dense), 64 on the chains
     dim = cfg["dim"] = _fock_dim(cfg, params, lambda dim: 112 * dim ** 2)
     spec = cfg["initial"]
+    dropped = 0.0  # the mass of the start above the truncation
     try:
         if spec == "vacuum":
             rho0 = fock_state(dim, 0)
         elif spec.startswith("fock:"):
             rho0 = fock_state(dim, int(spec.split(":", 1)[1]))
         else:
-            rho0 = coherent_state(dim, complex(spec.split(":", 1)[1]))
+            alpha = complex(spec.split(":", 1)[1])
+            rho0 = coherent_state(dim, alpha)
+            dropped = coherent_tail(dim, alpha)
     except ValueError as exc:  # a malformed number, or a level outside the truncation
         raise SystemExit(f"config error at initial: bad state {spec!r} ({exc})") from None
     out = _prepare_out(args, cfg)
@@ -229,6 +232,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     target = analytic.rho_ss_analytic(params.k_ratio, wp0, dim)
     summary = {
         "t": cfg["t"],
+        "initial_dropped_mass": dropped,
         "parity_initial": parity_expectation(rho0),
         "parity_final": parity_expectation(rho_t),
         "trace_final": float(np.trace(rho_t).real),

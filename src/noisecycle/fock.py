@@ -162,6 +162,25 @@ def coherent_state(dim: int, alpha: complex) -> np.ndarray:
     return np.outer(amp, amp.conj())
 
 
+def coherent_tail(dim: int, alpha: complex) -> float:
+    """Mass of the coherent state of finite amplitude alpha on the levels >= dim.
+
+    ``coherent_state`` drops that mass and renormalizes.  The photon number
+    is Poisson of mean |alpha|^2.  For dim >= mean the terms from dim on are
+    summed up to 20 standard deviations and 40 levels past dim, where they
+    have fallen below e^-170 of the first; below the mean the tail is 1
+    minus the dim terms under it.
+    """
+    mean = abs(complex(alpha)) ** 2
+    if mean == 0.0:
+        return 0.0
+    upper = dim >= mean
+    n = np.arange(dim, math.ceil(dim + 20.0 * math.sqrt(mean) + 40.0)) if upper else np.arange(dim)
+    log_factorial = np.array([math.lgamma(j + 1.0) for j in n.tolist()])
+    terms = float(np.exp(n * math.log(mean) - mean - log_factorial).sum())
+    return terms if upper else max(0.0, 1.0 - terms)
+
+
 # ---------------------------------------------------------------------------
 # generators
 # ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@ k > 0 evolves on the chain path: its jumps are +/-2 with real positive links
 and one phase along each chain (omega0 m), so each block is a tridiagonal
 chain, symmetrized by a diagonal similarity D (Simaan & Loudon, J. Phys. A 8,
 539, 1975) and solved by batched real ``eigh``, one call per chain length,
-while each chain's span max D / min D stays within ``_SPAN_MAX`` (1e8).  The
-other models, and a call past that bound, take each block's dense exponential.
+unless the start weighted by D passes ``_SPAN_MAX``.  The other models, and
+such a start, take each block's dense exponential.
 Evolution assumes a Hermitian initial state and a Hermiticity-preserving
 generator, so only orders m >= 0 are solved; the rest is their conjugate.
 
@@ -54,11 +54,8 @@ from .fock import (
 
 
 def expm(a: np.ndarray) -> np.ndarray:
-    """``scipy.linalg.expm``, imported when called; a module-level name tests can replace.
-
-    Only the dense path needs it, so the package and the chain path start
-    without scipy.
-    """
+    """``scipy.linalg.expm``, imported when called, so that only the dense path loads scipy;
+    a module-level name tests can replace."""
     from scipy.linalg import expm as scipy_expm
 
     return scipy_expm(a)
@@ -224,11 +221,10 @@ def _block(gen: Generator, step: int, m: int, p0: int) -> tuple[np.ndarray, np.n
 # (order, parity) chains
 # ---------------------------------------------------------------------------
 
-# The rounding of a chain solve grows with the span of its similarity, max D
-# / min D (see ``_chains``): against the dense exponentials at k = 0.3,
-# the largest entry gap is 4.5e-13 at a span of 7.0e7, 2.0e-12 at 7.7e8 and
-# 2.1e-11 at 5.8e11.  A call that would solve a chain past this span takes
-# the dense path; the tail-rule dims keep spans near 1e6.
+# Undoing D divides the rounding of D x(0) by D, so the start adds about eps max
+# D |x(0)| / max |x(0)| to a chain solve's error, D = 1 at each chain's first
+# entry.  A start weighed past this takes the dense path: the vacuum weighs 1 at
+# every dim, a random full-support state at k = 0.3 and dim 90 about 2.6e11.
 _SPAN_MAX = 1e8
 
 
@@ -277,8 +273,7 @@ def _chains(gen: Generator, orders: np.ndarray, starts: np.ndarray) -> _Chains:
     D with D[j + 1] / D[j] = sqrt(down / up) makes D T D^-1 symmetric, with
     off-diagonals sqrt(down up); its real part then has an orthogonal
     eigenbasis, and the imaginary part of the diagonal, one value along the
-    chain, adds a phase.  Undoing D multiplies rounding by up to max D / min
-    D, the span.
+    chain, adds a phase.
     """
     lengths = (gen.dim - orders - starts + 1) // 2
     order = np.argsort(lengths, kind="stable")
@@ -406,11 +401,9 @@ def evolve(rho0: np.ndarray, gen: Generator, t: float) -> np.ndarray:
     On a chain generator (the noise-induced model at k > 0), the touched
     chains are propagated by one batched ``eigh`` per chain length (see
     ``_chains``): x(t) = e^{i theta t} D^-1 V e^{t lam} V^T D x(0), with
-    theta the imaginary part of the chain's diagonal, one value along the
-    chain, at every t.  The chain path needs every span within
-    ``_SPAN_MAX``.  The other model generators, and a call past that bound,
-    take the dense path: each touched block, written from the grids, is
-    propagated by its dense exponential.
+    theta the chain's one imaginary diagonal value, while max |D x(0)| <=
+    ``_SPAN_MAX`` max |x(0)|.  Other generators, and a start past that,
+    take each touched block's dense exponential, written from the grids.
     """
     _require_generator(gen)
     if not 0.0 <= t < math.inf:  # NaN fails too
@@ -443,12 +436,19 @@ def evolve(rho0: np.ndarray, gen: Generator, t: float) -> np.ndarray:
 
 def _evolve_chains(rho0: np.ndarray, gen: Generator, t: float, orders: np.ndarray,
                    starts: np.ndarray) -> np.ndarray | None:
-    """The upper triangle of rho(t) on the chain path (see ``evolve``), or None past a span."""
+    """The upper triangle of rho(t) on the chain path (see ``evolve``), or None past the bound."""
     chains = _chains(gen, orders, starts)
-    if not np.ptp(chains.log_scale, axis=1).max(initial=0.0) <= math.log(_SPAN_MAX):
-        return None
-    scale = np.exp(chains.log_scale)
-    start = rho0[chains.rows, chains.cols] * scale  # D x(0)
+    start = rho0[chains.rows, chains.cols]  # x(0), then D x(0)
+    with np.errstate(divide="ignore", over="ignore"):  # log 0 = -inf; D past the float range
+        weight = np.log(np.abs(start))
+        weight -= weight.max(initial=-math.inf)
+        weight += chains.log_scale  # log(D |x(0)| / max |x(0)|)
+        if not weight.max(initial=-math.inf) <= math.log(_SPAN_MAX):
+            return None
+        scale = np.exp(chains.log_scale, out=weight)
+    # where D overflows, the bound holds |x(0)| below 1e-300 max |x(0)|; left unscaled,
+    # it moves x(t) by as little, and x(t) = D^-1 y is 0 there
+    np.multiply(start, scale, out=start, where=scale < math.inf)
     x = np.zeros_like(start)
     for group, length in chains.groups():
         lam, vecs = eigh(chains.symmetric(group, length))

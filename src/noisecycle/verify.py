@@ -348,7 +348,14 @@ def check_detailed_balance(mutations=()) -> dict:
 
 
 def check_parity(mutations=()) -> dict:
-    """Parity expectation frozen along evolution; vacuum seeds no odd population."""
+    """Parity frozen along evolution, and the outcome it selects.
+
+    The vacuum seeds no odd population.  A coherent start of mean photon
+    number |alpha|^2 relaxes to the steady state of its even weight
+    ``analytic.coherent_even_weight(|alpha|^2)`` (trace distance below
+    ``CLOSED_FORM_TOL`` at t = 100), and that state is a limit cycle exactly
+    when |alpha|^2 passes ``analytic.coherent_cycle_threshold``.
+    """
     k_ratio = 0.3
     dim = dim_for_tail(k_ratio)
     params = ModelParams(omega0=1.0, kappa_down=1.0, kappa_up2=k_ratio)
@@ -362,9 +369,23 @@ def check_parity(mutations=()) -> dict:
 
     vacuum_end = evolve(fock_state(dim, 0), gen, 20.0)
     odd_max = float(np.abs(np.diag(vacuum_end).real[1::2]).max())
+
+    threshold = analytic.coherent_cycle_threshold(k_ratio)
+    distances, label_mismatches = [], 0
+    for alpha_sq in (0.2, 1.0):  # one on each side of the threshold, 0.656 at k = 0.3
+        wp = analytic.coherent_even_weight(alpha_sq)
+        if "parity-outcome-weight" in mutations:  # the odd weight taken for the even one
+            wp = 1.0 - wp
+        end = evolve(coherent_state(dim, math.sqrt(alpha_sq)), gen, 100.0)
+        distances.append(trace_distance(end, analytic.rho_ss_analytic(k_ratio, wp, dim)))
+        cycle = analytic.phase_classify(k_ratio, wp).phase is not analytic.Phase.STABLE_ORIGIN
+        label_mismatches += cycle != (alpha_sq > threshold)
     return {
         "parity_drift": _below(drift, 1e-9),
         "vacuum_odd_population": _below(odd_max, 1e-10),
+        "outcome_trace_distance": _below(float(np.max(distances)), CLOSED_FORM_TOL),
+        "outcome_label_mismatches": _within(label_mismatches, 0, 0),
+        "cycle_threshold": threshold,
         "dim": dim,
     }
 
@@ -451,7 +472,8 @@ def check_classical_mode(mutations=()) -> dict:
 
 
 # each fault injection and the check it must make fail; `noisecycle verify` rejects any other name
-MUTATIONS = {"circulation-sign": "circulation", "generator-loss-rate": "steady-state-oracle"}
+MUTATIONS = {"circulation-sign": "circulation", "generator-loss-rate": "steady-state-oracle",
+             "parity-outcome-weight": "parity"}
 
 # wall-time budget of the checks that have one, in seconds
 RUNTIME_BUDGETS_S = {"steady-state-oracle": 30.0, "wigner-oracle": 120.0, "classical-sde": 300.0}

@@ -60,7 +60,8 @@ def test_criterion_07_detailed_balance():
 
 
 def test_criterion_08_parity():
-    """Parity frozen within 1e-9 over time 10; vacuum seeds odd mass < 1e-10."""
+    """Parity frozen within 1e-9 over time 10; vacuum seeds odd mass < 1e-10; coherent
+    starts relax to the steady state of their even weight, a cycle past the threshold."""
     _drive("parity")
 
 

@@ -324,6 +324,21 @@ def test_evolve_takes_the_tail_dim_and_reports_its_edge(tmp_path):
     assert 0.0 <= report["edge_population"] <= 1e-12
 
 
+@pytest.mark.parametrize("initial, low, high", [
+    ("coherent:8", 2.96e-2, 2.97e-2),
+    ("coherent:5", 0.0, 1e-14),
+    ("fock:3", 0.0, 0.0),
+    ("vacuum", 0.0, 0.0),
+])
+def test_evolve_reports_the_mass_its_start_drops(tmp_path, initial, low, high):
+    # the default dim at k = 0.5 is 80; a coherent start's Poisson mass on the
+    # levels >= 80 is renormalized away, and the summary says how much
+    out = tmp_path / "ev"
+    assert main(["evolve", "--out", str(out), "--initial", initial, "--t", "1"]) == 0
+    assert json.loads((out / "config.json").read_text())["dim"] == 80
+    assert low <= json.loads((out / "summary.json").read_text())["initial_dropped_mass"] <= high
+
+
 @pytest.mark.parametrize("argv, field, dim", [
     pytest.param(["evolve", "--k-ratio", "0.999"], "k_ratio", "55236", id="evolve-tail-rule"),
     pytest.param(["evolve", "--dim", "100000"], "dim", "100000", id="evolve-given-dim"),

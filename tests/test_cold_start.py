@@ -117,6 +117,10 @@ def test_steady_loads_no_scipy_sparse(tmp_path):
     # every order a coherent state touches
     pytest.param(["evolve", "--k-ratio", "0.8", "--omega0", "-2.7", "--t", "60",
                   "--initial", "coherent:1.5", "--out", "run"], False, id="evolve-long-time"),
+    # past the tail dim the m = 0 chains span 7.9e8, but the vacuum weighted
+    # by the similarity stays near 1: the dims a user gives stay on the chains
+    pytest.param(["evolve", "--k-ratio", "0.95", "--dim", "1600", "--out", "run"], False,
+                 id="evolve-past-the-tail-dim"),
     # positive control: at k = 0 the chains cannot be symmetrized, so the
     # evolution takes the dense exponentials
     pytest.param(["evolve", "--k-ratio", "0", "--out", "run"], True, id="evolve-k0"),

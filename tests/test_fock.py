@@ -17,6 +17,7 @@ from noisecycle.fock import (
     NoStationaryStateError,
     build_ladder,
     coherent_state,
+    coherent_tail,
     Generator,
     default_dim,
     dim_for_tail,
@@ -200,6 +201,19 @@ def test_coherent_state_matches_poisson_amplitudes():
     # phases: rho_{n0} = |c_n| |c_0| e^{i 0.7 n}
     expected = np.sqrt(pops * pops[0]) * np.exp(0.7j * n)
     assert np.abs(rho[:, 0] - expected).max() < 1e-14
+
+
+@pytest.mark.parametrize("dim, alpha", [(80, 8.0), (80, 5.0), (20, 3j), (46, 1.0 + 0.5j),
+                                        (100, 10.0), (60, 10.0), (12, 0.0)])
+def test_coherent_tail_is_the_mass_above_the_truncation(dim, alpha):
+    # the populations of the state truncated at dim 400, where less than 1e-90
+    # of it is left out, summed from dim on; (60, 10) lies below the mean
+    wide = np.diag(coherent_state(400, alpha)).real
+    assert coherent_tail(dim, alpha) == pytest.approx(wide[dim:].sum(), rel=1e-12, abs=1e-300)
+
+
+def test_coherent_tail_of_an_amplitude_far_past_the_dim_is_everything():
+    assert coherent_tail(2, 1e100) == 1.0
 
 
 def test_vectorize_identity_column_stacking():

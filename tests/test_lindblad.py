@@ -2,6 +2,7 @@
 
 import math
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -628,16 +629,46 @@ def test_chain_path_needs_positive_links_on_three_vec_diagonals(monkeypatch, par
                       else {"expm": touched, "chains": 0})
 
 
-def test_chains_past_the_span_bound_take_the_dense_path(monkeypatch):
-    # at k = 0.3 the m = 0 chains of dim 92 span 0.3^(-45/2) = 5.8e11, past
-    # the bound of 1e8, where a chain solve misses the dense one by 2e-11
+def test_coherent_start_past_the_chain_span_stays_on_the_chains(monkeypatch):
+    # at k = 0.3 the m = 0 chains of dim 92 span 0.3^(-45/2) = 5.8e11, but
+    # the start weighted by D, max D |x(0)| / max |x(0)|, stays near 1
     dim = 92
     gen = generator(ModelParams(omega0=1.0, kappa_down=1.0, kappa_up2=0.3), dim)
     solves = count_solves(monkeypatch)
     rho0 = coherent_state(dim, 1.1 + 0.4j)
     rho_t = evolve(rho0, gen, 0.01)
-    assert solves["chains"] == 0 and solves["expm"] > 0
+    assert solves["expm"] == 0 and solves["chains"] > 0
     assert np.abs(rho_t - reference_evolve(rho0, tocsr(gen), 0.01)).max() < 1e-11
+
+
+@pytest.mark.parametrize("dim", [90, 150])
+def test_full_support_start_past_the_weighted_span_takes_the_dense_path(monkeypatch, dim):
+    # this random state weighs 2.6e11 at dim 90 and 1.8e19 at dim 150; the
+    # chains forced on it at t = 1 miss the trace by 3.2e-13 at dim 90,
+    # 3.8e-9 at dim 150 and 0.51 at dim 250
+    gen = generator(ModelParams(omega0=1.0, kappa_down=1.0, kappa_up2=0.3), dim)
+    rho0 = random_density_matrix(dim, rng=np.random.default_rng(11))
+    solves = count_solves(monkeypatch)
+    rho_t = evolve(rho0, gen, 1.0)
+    assert solves["chains"] == 0 and solves["expm"] > 0
+    assert abs(np.trace(rho_t).real - 1.0) < 1e-12
+
+
+def test_vacuum_past_the_float_range_of_the_similarity_stays_on_the_chains(monkeypatch):
+    # at k = 0.1, dim 1400, log D reaches 805 on the m = 0 chains, past the
+    # float range: D is inf there, where the start is 0 and so is D^-1 y
+    dim = 1400
+    gen = generator(ModelParams(omega0=1.0, kappa_down=1.0, kappa_up2=0.1), dim)
+    log_scale = lindblad._chains(gen, np.array([0]), np.array([0])).log_scale
+    assert log_scale.max() > math.log(sys.float_info.max)
+    rho0 = fock_state(dim, 0)
+    solves = count_solves(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rho_t = evolve(rho0, gen, 10.0)
+    assert solves["expm"] == 0 and solves["chains"] > 0
+    assert abs(np.trace(rho_t).real - 1.0) < 1e-14
+    assert abs(parity_expectation(rho_t) - 1.0) < 1e-14
 
 
 def test_long_time_stays_on_the_chain_path(monkeypatch):
