@@ -145,7 +145,13 @@ def sigmoid(q):
 
 
 def nonclassical_region(k_ratio: float, wp_plus: float) -> bool:
-    """Sub-Poissonian region of the phase diagram (equivalent to mandel_q < 0)."""
+    """Sub-Poissonian region of the phase diagram (equivalent to mandel_q < 0).
+
+    It is not the region where the Wigner function goes negative: W(0, 0) < 0
+    iff wp_plus < 1/2 (``wigner_origin``).  (0.3, 0.3) lies outside it
+    (Q = +0.708), yet its least W is W(0, 0) = -0.0637; (0.05, 0.6) lies
+    inside it (Q = -0.086), yet W >= 0 for r in [0, 12], with W(0, 0) = +0.0318.
+    """
     if not 0.0 <= wp_plus < 1.0:
         return False
     bound = (math.sqrt(5.0 - 4.0 * wp_plus * (2.0 - wp_plus)) - 3.0) / (

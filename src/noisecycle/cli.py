@@ -65,7 +65,7 @@ RULES = {
 
 # The fields a model kind does not read.  Setting one is a config error, and
 # the echoed config leaves it out.
-UNUSED = {ModelKind.CONVENTIONAL.value: ("k_ratio",)}
+UNUSED = {ModelKind.CONVENTIONAL.value: ("k_ratio", "wp_plus")}
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
@@ -198,7 +198,7 @@ def cmd_steady(args: argparse.Namespace) -> int:
     # O(dim) arrays: 14 MiB at dim 55236
     cfg["dim"] = _fock_dim(cfg, params, lambda dim: 320 * dim)
     out = _prepare_out(args, cfg)
-    summary = verify.steady_report(params, cfg["dim"], cfg["wp_plus"])
+    summary = verify.steady_report(params, cfg["dim"], cfg.get("wp_plus"))
     _write_summary(out, summary)
     for name, c in summary["checks"].items():
         status = "SKIP" if "skipped" in c else ("PASS" if c.get("pass") else "FAIL")
@@ -289,7 +289,9 @@ def cmd_wigner(args: argparse.Namespace) -> int:
         "max_irr_flux": wignerflux.max_flux_norm(decomp.j_irr_x, decomp.j_irr_y),
         "max_rev_flux": wignerflux.max_flux_norm(decomp.j_rev_x, decomp.j_rev_y),
     }
-    summary["irr_over_rev"] = summary["max_irr_flux"] / summary["max_rev_flux"]
+    # without rotation the reversible flux is exactly 0 and the ratio has no value
+    rev = summary["max_rev_flux"]
+    summary["irr_over_rev"] = summary["max_irr_flux"] / rev if rev else None
     _write_summary(out, summary)
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0

@@ -16,16 +16,13 @@ from __future__ import annotations
 
 import math
 import numbers
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .wignerflux import divergence, dx, dxx, interior, make_grid, observed_order, refine
 
-THREADS_ENV = "NOISECYCLE_THREADS"
 _BLOCK_PATHS = 4096
 _DRAW_VALUES = 1 << 15  # increments per draw: 256 KiB of float64, small enough to stay in cache
 _GRID_BLOCK_VALUES = 1 << 12  # 32 KiB a block array: a block stays under the heap trim threshold
@@ -60,7 +57,7 @@ class SdeConfig:
 
     ``n_steps`` counts post-burn-in steps; each path contributes its final
     state as one sample.  Per-block random streams are derived from the seed
-    so ensembles are reproducible and block-parallel.
+    so ensembles are reproducible.
     """
 
     kappa: float
@@ -306,19 +303,11 @@ def simulate_ensemble(cfg: SdeConfig) -> SdeEnsembleResult:
     the rotation commutes with the rest of the generator.  The polar phase is
     drawn once per path, sqrt(2 kappa T) z before that rotation, its exact
     law.  Diverged paths are excluded and counted; above 1% the run fails.
-    Blocks run on ``NOISECYCLE_THREADS`` threads (unset or empty: 1);
-    identical configs give bit-identical results for any thread count.
+    Each block of ``_BLOCK_PATHS`` paths draws from its own stream, derived
+    from the seed and the block index.
     """
-    raw = os.environ.get(THREADS_ENV) or "1"
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise SdeError(f"{THREADS_ENV} must be an integer >= 1, got {raw!r}")
     sizes = [min(_BLOCK_PATHS, cfg.n_paths - s) for s in range(0, cfg.n_paths, _BLOCK_PATHS)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        blocks = list(pool.map(lambda b: _run_block(cfg, *b), enumerate(sizes)))
+    blocks = [_run_block(cfg, block, size) for block, size in enumerate(sizes)]
     x = np.concatenate([b[0] for b in blocks])
     y = np.concatenate([b[1] for b in blocks])
     increment_words = sum(b[2] for b in blocks)

@@ -118,11 +118,12 @@ def mandel_moments(pops: np.ndarray) -> tuple[float, float]:
     return mean, (float(n ** 2 @ pops) - mean ** 2) / mean - 1.0 if mean else math.nan
 
 
-def steady_report(params: ModelParams, dim: int, wp_plus: float) -> dict:
+def steady_report(params: ModelParams, dim: int, wp_plus: float | None) -> dict:
     """Steady state of one model cross-checked against closed forms and detailed balance.
 
-    The conventional model must break detailed balance.  Every row reads
-    the steady populations: no dim x dim array is built.
+    The conventional model must break detailed balance; it has one steady
+    state, so it reads no even weight ``wp_plus``.  Every row reads the
+    steady populations: no dim x dim array is built.
     """
     solved = steady_populations(generator(params, dim))
     checks = {}
@@ -292,7 +293,9 @@ def check_mandel_q(mutations=()) -> dict:
         dim = dim_for_tail(k_ratio, decades=16.0)
         for wp in np.linspace(0.0, 1.0, 20):
             _, q_moments = mandel_moments(analytic.populations_ss(k_ratio, wp, dim))
-            q_formula = analytic.mandel_q(k_ratio, wp)
+            # a closed form read at the odd weight in place of the even one
+            q_formula = analytic.mandel_q(
+                k_ratio, 1.0 - wp if "mandel-parity-weight" in mutations else wp)
             worst = max(worst, abs(q_formula - q_moments))
             if (q_formula < 0) != analytic.nonclassical_region(k_ratio, wp):
                 sign_mismatches += 1
@@ -420,6 +423,8 @@ def check_noise_drift(mutations=()) -> dict:
     report = sde.noise_induced_drift_check(cfg)
     gx, gy = report.gaps[-1]
     tx, ty = report.target
+    if "drift-target-halved" in mutations:  # the induced drift taken as kappa (x, y)
+        tx, ty = 0.5 * tx, 0.5 * ty
     scale = math.hypot(tx, ty)
     return {
         "rel_gap_x": _below(abs(gx - tx) / scale, 0.05),
@@ -473,7 +478,8 @@ def check_classical_mode(mutations=()) -> dict:
 
 # each fault injection and the check it must make fail; `noisecycle verify` rejects any other name
 MUTATIONS = {"circulation-sign": "circulation", "generator-loss-rate": "steady-state-oracle",
-             "parity-outcome-weight": "parity"}
+             "parity-outcome-weight": "parity", "mandel-parity-weight": "mandel-q",
+             "drift-target-halved": "noise-drift"}
 
 # wall-time budget of the checks that have one, in seconds
 RUNTIME_BUDGETS_S = {"steady-state-oracle": 30.0, "wigner-oracle": 120.0, "classical-sde": 300.0}

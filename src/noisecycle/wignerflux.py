@@ -49,9 +49,6 @@ class WignerField:
     def h(self) -> float:
         return float(self.x[1] - self.x[0])
 
-    def mesh(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.meshgrid(self.x, self.y, indexing="ij")
-
     def mass(self) -> float:
         return float(self.w.sum() * self.h ** 2)
 
@@ -91,8 +88,7 @@ def sample_steady_field(k_ratio: float, wp_plus: float, extent: float | None = N
     if extent is None:
         extent = default_extent(k_ratio, wp_plus)
     grid = make_grid(extent, h)
-    X, Y = np.meshgrid(grid, grid, indexing="ij")
-    return WignerField(x=grid, y=grid, w=wigner_ss(X, Y, k_ratio, wp_plus))
+    return WignerField(x=grid, y=grid, w=wigner_ss(grid[:, None], grid[None, :], k_ratio, wp_plus))
 
 
 def interior(values: np.ndarray, cells: int = EDGE_CELLS) -> np.ndarray:
@@ -157,7 +153,7 @@ def _weighted_terms(field: WignerField, params: ModelParams, boundary_tol: float
     if params.kind is not ModelKind.NOISE_INDUCED:
         raise WignerGridError("the phase-space generator is built for the noise-induced model")
     kd, ku = params.kappa_down, params.kappa_up2
-    X, Y = field.mesh()
+    X, Y = field.x[:, None], field.y[None, :]
     s = X ** 2 + Y ** 2
     drift_x = -params.omega0 * Y - (ku + kd) * X + 0.25 * (kd - ku) * s * X
     drift_y = params.omega0 * X - (ku + kd) * Y + 0.25 * (kd - ku) * s * Y
@@ -217,7 +213,7 @@ def divergence(jx: np.ndarray, jy: np.ndarray, h: float) -> np.ndarray:
 def flux_decompose(field: WignerField, jx: np.ndarray, jy: np.ndarray,
                    params: ModelParams) -> FluxDecomposition:
     """Split the current into the rotational part and the irreversible remainder."""
-    X, Y = field.mesh()
+    X, Y = field.x[:, None], field.y[None, :]
     rev_x = _zero_edges(params.omega0 * Y * field.w, EDGE_CELLS)
     rev_y = _zero_edges(-params.omega0 * X * field.w, EDGE_CELLS)
     return FluxDecomposition(

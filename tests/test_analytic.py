@@ -291,6 +291,16 @@ def test_region_matches_q_sign():
             assert nonclassical_region(k, wp) == (q < 0)
 
 
+@pytest.mark.parametrize("k, wp, sub_poissonian, least_w", [
+    (0.3, 0.3, False, -0.0637),  # Wigner-negative, yet super-Poissonian
+    (0.05, 0.6, True, 0.0),      # sub-Poissonian, yet W >= 0
+])
+def test_region_is_not_where_the_wigner_function_is_negative(k, wp, sub_poissonian, least_w):
+    r = np.linspace(0.0, 12.0, 1201)
+    assert nonclassical_region(k, wp) == sub_poissonian
+    assert wigner_ss(r, 0.0, k, wp).min() == pytest.approx(least_w, abs=1e-4)
+
+
 def test_region_boundary_is_q_zero_level_set():
     for wp in np.linspace(0.0, 0.95, 20):
         bound = (math.sqrt(5 - 4 * wp * (2 - wp)) - 3) / (1 + wp * (2 - wp)) + 1

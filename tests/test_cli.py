@@ -200,7 +200,8 @@ def test_steady_report_conventional_expected_failure(tmp_path):
     db = report["checks"]["detailed_balance_residual"]
     assert db["pass"] and db["value"] > 1e-3
     assert "fail" in db["expected"]
-    assert "k_ratio" not in json.loads((out / "config.json").read_text())  # a field it ignores
+    echoed = json.loads((out / "config.json").read_text())
+    assert "k_ratio" not in echoed and "wp_plus" not in echoed  # fields it ignores
 
 
 @pytest.mark.parametrize("kappa_up1, code", [("0.05", 0), ("0", 1)])
@@ -442,6 +443,10 @@ def test_evolve_rejects_malformed_initial_state(tmp_path, spec):
                   "--k-ratio", "0.9"], "k_ratio", id="steady-conventional-ratio-flag"),
     pytest.param(["steady", {"kind": "conventional", "kappa_up1": 0.3, "dim": 20,
                              "k_ratio": 0.9}], "k_ratio", id="steady-conventional-ratio-in-config"),
+    pytest.param(["steady", "--kind", "conventional", "--kappa-up1", "0.3", "--wp-plus", "0.2"],
+                 "wp_plus", id="steady-conventional-weight-flag"),
+    pytest.param(["steady", {"kind": "conventional", "kappa_up1": 0.3, "wp_plus": 0.2}],
+                 "wp_plus", id="steady-conventional-weight-in-config"),
 ])
 def test_invalid_dim_or_time_is_a_config_error(tmp_path, argv, field):
     if not isinstance(argv[-1], str):  # the config file's JSON, raw bytes, or None for no file
@@ -504,6 +509,15 @@ def test_wigner_field_dump(tmp_path):
     comments, header, rows = read_csv(out / "field.csv")
     assert header == ["x", "y", "w", "jx", "jy", "j_irr_x", "j_irr_y"]
     assert len(rows) == 81 * 81
+
+
+def test_wigner_without_rotation_has_no_flux_ratio(tmp_path):
+    # the reversible flux is omega0 times a field, exactly 0 here
+    out = tmp_path / "wf"
+    assert main(["wigner", "--out", str(out), "--omega0", "0", "--h", "0.2"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["max_rev_flux"] == 0.0
+    assert summary["irr_over_rev"] is None
 
 
 # ---------------------------------------------------------------------------

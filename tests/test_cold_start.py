@@ -9,7 +9,9 @@ package that made the import.  No command loads ``scipy.sparse``: the
 solvers take the model's grids.  A command that builds a generator of the
 noise-induced model at k > 0 solves it on its chains, and the conventional
 steady states come from the cut recursion, both without ``scipy.linalg``,
-which only the dense exponentials load.
+which only the dense exponentials load.  The scipy-free starts also leave
+``concurrent.futures`` unloaded: the classical ensemble runs its blocks in
+one loop.
 """
 
 import json
@@ -22,7 +24,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 HEAVY = ("scipy.sparse", "scipy.linalg", "scipy.sparse.csgraph", "scipy.stats", "fractions",
-         "decimal")
+         "decimal", "concurrent.futures")
 HEAVY_PACKAGES = {name.split(".")[0] for name in HEAVY}
 
 # imports the package and its CLI, runs the command in argv (if any) with its
@@ -70,8 +72,8 @@ def import_chain(importtime_log: str) -> str:
     ``-X importtime`` logs a module once its import finishes, indented two
     spaces per level of nesting, so the modules that imported it are the
     next lines at each smaller depth.  The chain stops at the first module
-    of a package in HEAVY (scipy, fractions, decimal); one that starts there
-    was imported by a call at run time.
+    of a package in HEAVY (scipy, fractions, decimal, concurrent); one that
+    starts there was imported by a call at run time.
     """
     entries = []
     for line in importtime_log.splitlines():

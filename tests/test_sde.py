@@ -16,9 +16,9 @@ from noisecycle.sde import (
     GridRefinementError,
     SdeConfig,
     SdeError,
-    THREADS_ENV,
     _block_rng,
     _draw_steps,
+    _run_block,
     _two_point_increments,
     analytic_pdfs,
     circulation_classical,
@@ -169,17 +169,6 @@ def test_diverging_ensemble_is_quiet(coordinates):
             simulate_ensemble(cfg)
 
 
-@pytest.mark.parametrize("value", ["0", "-3", "two"])
-def test_bad_thread_count_is_rejected(value, monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("an executor was built")
-
-    monkeypatch.setattr(sde_module, "ThreadPoolExecutor", no_pool)
-    monkeypatch.setenv(THREADS_ENV, value)
-    with pytest.raises(SdeError, match=f"{THREADS_ENV}.*{value!r}"):
-        simulate_ensemble(SdeConfig(kappa=1.0, delta=1.0, n_paths=10, burn_in=1))
-
-
 def test_phi_of_a_tiny_negative_angle_is_zero(monkeypatch):
     # mod(arctan2(-1e-20, 1), 2 pi) rounds up to exactly 2 pi, outside [0, 2 pi)
     monkeypatch.setattr(sde_module, "_run_block",
@@ -189,16 +178,16 @@ def test_phi_of_a_tiny_negative_angle_is_zero(monkeypatch):
 
 
 @pytest.mark.parametrize("coordinates", ["polar", "cartesian"])
-def test_thread_count_does_not_change_results(coordinates, monkeypatch):
-    # two full blocks and a one-path remainder
+def test_ensemble_is_its_blocks_in_order(coordinates):
+    # two full blocks and a one-path remainder, each block on its own stream
     cfg = SdeConfig(kappa=1.0, delta=1.0, omega0=10.0, dt=0.002, n_steps=10,
                     burn_in=100, n_paths=2 * 4096 + 1, seed=7, coordinates=coordinates)
-    monkeypatch.setenv(THREADS_ENV, "1")
-    serial = simulate_ensemble(cfg)
-    monkeypatch.setenv(THREADS_ENV, "4")
-    threaded = simulate_ensemble(cfg)
-    for name in ("r", "phi", "x", "y"):
-        assert np.array_equal(getattr(serial, name), getattr(threaded, name))
+    result = simulate_ensemble(cfg)
+    blocks = [_run_block(cfg, block, size) for block, size in enumerate([4096, 4096, 1])]
+    assert result.n_diverged == 0
+    assert np.array_equal(result.x, np.concatenate([b[0] for b in blocks]))
+    assert np.array_equal(result.y, np.concatenate([b[1] for b in blocks]))
+    assert result.increment_words == sum(b[2] for b in blocks)
 
 
 def _reference_paths(cfg):

@@ -181,7 +181,7 @@ def test_divergence_identity_on_smooth_field():
 def test_steady_current_is_rotational():
     field = sample_steady_field(0.5, 0.55, extent=16.0, h=0.05)
     jx, jy = wigner_current(field, NI)
-    X, Y = field.mesh()
+    X, Y = np.meshgrid(field.x, field.y, indexing="ij")
     expected_x = NI.omega0 * Y * field.w
     expected_y = -NI.omega0 * X * field.w
     scale = np.hypot(expected_x, expected_y).max()
@@ -226,7 +226,7 @@ def test_displaced_state_has_irreversible_flux():
 
 def test_reversible_divergence_vanishes_on_radial_fields():
     field = sample_steady_field(0.4, 0.6, extent=14.0, h=0.05)
-    X, Y = field.mesh()
+    X, Y = np.meshgrid(field.x, field.y, indexing="ij")
     div = divergence(NI.omega0 * Y * field.w, -NI.omega0 * X * field.w, field.h)
     assert np.abs(interior(div)).max() < 1e-3 * np.abs(field.w).max()
 
