@@ -27,8 +27,8 @@ as its populations, a 1-D array (``steady_populations``).  The steady-report
 quantities take either form and work in O(dim) on the diagonals they need
 and the generator's factors: circulation applies the generator
 (``Generator.apply_order``) to x rho and y rho on orders +/-1, formed from
-rho's diagonals 0 and +/-2; the detailed-balance residual sums each rank-one
-jump term against its mirror as a product of vector norms; the trace
+rho's diagonals 0 and +/-2; the detailed-balance residual compares each
+jump's population flow with its mirror's; the trace
 distance of a diagonal difference and the reconstruction from conserved
 quantities read the diagonal.  Dense matrices are built only for
 ``steady_states``, ``evolve`` and the displaced-parity oracle.
@@ -528,27 +528,21 @@ def circulation(rho: np.ndarray, params: ModelParams) -> CirculationResult:
 # ---------------------------------------------------------------------------
 
 def detailed_balance_residual(params: ModelParams, rho_ss: np.ndarray) -> float:
-    """Norm gap of the stationary time-reversal condition, relative to the generator.
+    """Relative mirror gap of the steady state's population flows; zero is detailed balance.
 
-    The condition compares left-multiplication by the steady state, M,
-    composed with the adjoint generator against the time-reversed generator
-    composed the other way round: R = M conj(L)^T - conj(L) M.  In the real
-    Fock basis time reversal is complex conjugation (both dissipators are
-    real and even, only the free rotation flips sign), so the time-reversed
-    generator is conj(L) and the adjoint is its transpose.
-
-    First the populations of rho_ss must be stationary
+    First the populations pi of rho_ss must be stationary
     (``_require_stationary``); then rho_ss must be diagonal, as the steady
     states of both models are, else ``OffDiagonalStateError`` rather than
-    losing that mass.  M scales entry [p, q] by pi_p, so the diagonal grid
-    cancels exactly, and jump k leaves pi_p J_{-k}[p + k, q + k] -
-    J_k[p, q] pi_{p + k} against its mirror -k, a missing jump being 0.  Both
-    are rank one with the same q-factor, A_k[q] = A_{-k}[q + k] bit for bit,
-    so the term is (u_p - v_p) a_q, of squared norm ||u - v||^2 ||a||^2.
-    ||L||_F^2 comes from the factors (``fock.Generator``): rate^2 ||A||^4 per
-    jump grid, and the diagonal grid -i omega0 (p - q) - (c_p + c_q) / 2,
-    c = sum of rate N, is an outer sum.  Zero is detailed balance; the
-    conventional model violates it by orders of magnitude.
+    losing that mass.  Jump k carries back_p = J_k[p, p] pi_{p + k} from
+    level p + k down to p, and its mirror -k carries forth_p =
+    J_{-k}[p + k, p + k] pi_p up again, a missing jump carrying 0.  The value
+    is ||back - forth|| / ||back + forth|| over all pairs, 0 where nothing
+    flows: Kolmogorov's criterion for the population chain (Kelly, 1979).
+    It vanishes with the time-reversal condition M conj(L)^T = conj(L) M (M
+    scales entry [p, q] by pi_p), whose jump terms are rank one, (forth_p -
+    back_p) / A_k[p] times A_k[q], but it reads no level the state leaves
+    empty, so it does not depend on the truncation.  Neither conventional
+    jump has a mirror, so that model's gap is exactly 1.
     """
     pops = _diagonal(rho_ss).real
     gen, dim = generator(params, pops.size), pops.size
@@ -556,20 +550,18 @@ def detailed_balance_residual(params: ModelParams, rho_ss: np.ndarray) -> float:
     if not _is_diagonal(rho_ss):
         raise OffDiagonalStateError("the detailed-balance residual takes a diagonal steady "
                                     "state; this one has nonzero coherences")
-    absent = (0.0, np.zeros(dim))
-    residual_sq = 0.0
-    for k in gen.channels.keys() | {-k for k in gen.channels}:
-        to, src = gen.reach(k, dim)
-        (rate, amp), (mirror_rate, mirror_amp) = (gen.channels.get(j, absent) for j in (k, -k))
-        gap = pops[to] * (mirror_rate * mirror_amp[src]) - (rate * amp[to]) * pops[src]
-        shared = amp[to] if k in gen.channels else mirror_amp[src]
-        residual_sq += (gap @ gap) * (shared @ shared)
-    levels = np.arange(dim) - (dim - 1) / 2
-    decay = sum(rate * gen.counts[k] for k, (rate, _) in gen.channels.items())
-    gen_sq = (2 * dim * params.omega0 ** 2 * (levels @ levels)
-              + 0.5 * (dim * (decay @ decay) + decay.sum() ** 2)
-              + sum(rate ** 2 * (amp @ amp) ** 2 for rate, amp in gen.channels.values()))
-    return math.sqrt(residual_sq / gen_sq)
+    n = np.arange(dim)
+
+    def flow(j, at, start):  # jump j's flow from the levels start into the levels at
+        return gen.jump(j, n[at], n[at]) * pops[start] if j in gen.channels else 0.0
+
+    gap_sq = total_sq = 0.0
+    for k in {abs(j) for j in gen.channels}:
+        low, high = gen.reach(k, dim)  # levels p and p + k
+        back, forth = flow(k, low, high), flow(-k, high, low)
+        gap, total = back - forth, back + forth
+        gap_sq, total_sq = gap_sq + gap @ gap, total_sq + total @ total
+    return math.sqrt(gap_sq / total_sq) if total_sq else 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -67,7 +67,7 @@ def _fmt(v):
 # ---------------------------------------------------------------------------
 
 CLOSED_FORM_TOL = 1e-8      # trace distance of a steady state to the closed form
-CONVENTIONAL_FLOOR = 1e-3   # conventional balance floor, times min(1, kappa_up1 / kappa_down)
+CONVENTIONAL_FLOOR = 0.5    # conventional flow gap floor; with gain the gap is exactly 1
 MANDEL_TOL = 1e-10          # Mandel Q from moments vs the closed form
 
 
@@ -100,14 +100,12 @@ def circulation_row(measured: float, formula: float) -> dict:
     return _below(abs(measured - formula) / (abs(formula) or 1.0), 1e-8)
 
 
-def balance_row(params: ModelParams, rho: np.ndarray) -> dict:
-    """Detailed-balance residual: vanishes for the noise-induced model only."""
-    residual = detailed_balance_residual(params, rho)
-    if params.kind is ModelKind.NOISE_INDUCED:
+def balance_row(kind: ModelKind, residual: float) -> dict:
+    """Row for a detailed-balance residual of a model of this kind: zero for noise-induced only."""
+    if kind is ModelKind.NOISE_INDUCED:
         return _below(residual, 1e-10)
-    # the residual scales with the one-photon gain (about 1e-2 of kappa_up1 / kappa_down)
-    floor = CONVENTIONAL_FLOOR * min(1.0, params.kappa_up1 / params.kappa_down)
-    return {**_above(residual, floor),
+    # neither conventional jump has a mirror, so its flow gap is 1; without gain nothing flows
+    return {**_above(residual, CONVENTIONAL_FLOOR),
             "expected": "fail: the one-photon-gain model breaks detailed balance"}
 
 
@@ -139,7 +137,8 @@ def steady_report(params: ModelParams, dim: int, wp_plus: float | None) -> dict:
         checks["mandel_q_gap"] = (
             _below(abs(q_moments - analytic.mandel_q(k, wp_plus)), q_tol) if mean
             else {"skipped": "the state is vacuum: mean photon number 0, Mandel Q not defined"})
-        checks["detailed_balance_residual"] = balance_row(params, pops)
+        checks["detailed_balance_residual"] = balance_row(
+            params.kind, detailed_balance_residual(params, pops))
         if k > 0:
             gap = float(np.abs(conserved_reconstruction(pops, k) - pops).max())
             checks["conserved_reconstruction_gap"] = _below(gap, 1e-10)
@@ -149,7 +148,8 @@ def steady_report(params: ModelParams, dim: int, wp_plus: float | None) -> dict:
             }
     else:
         pops = solved.states[0]
-        checks["detailed_balance_residual"] = balance_row(params, pops)
+        checks["detailed_balance_residual"] = balance_row(
+            params.kind, detailed_balance_residual(params, pops))
         circ = circulation(pops, params)
         checks["circulation"] = {"value": circ.phi, "mean_n": circ.mean_n, "pass": True}
     return {
@@ -227,7 +227,8 @@ def check_wigner_oracle(mutations=()) -> dict:
     axis = np.linspace(-3.0, 3.0, 5)
     numeric = wigner_numeric_grid(coherent_state(dim, alpha), axis, axis)
     xs, ys = np.meshgrid(axis, axis, indexing="ij")
-    closed = np.exp(-0.5 * ((xs - 2.0 * alpha.real) ** 2 + (ys - 2.0 * alpha.imag) ** 2))
+    scale = 1.0 if "coherent-centre-halved" in mutations else 2.0  # alpha = (x + iy) / 2
+    closed = np.exp(-0.5 * ((xs - scale * alpha.real) ** 2 + (ys - scale * alpha.imag) ** 2))
     coherent_gap = float(np.abs(numeric - closed / (2.0 * math.pi)).max())
     return {"max_abs_gap": _below(gap, 1e-6), "grid": "41x41",
             "coherent_max_abs_gap": _below(coherent_gap, 1e-6)}
@@ -335,17 +336,21 @@ def check_circulation(mutations=()) -> dict:
 
 
 def check_detailed_balance(mutations=()) -> dict:
-    """Residual dichotomy: noise-induced < 1e-10, conventional above a gain-scaled floor."""
+    """Residual dichotomy: noise-induced < 1e-10, conventional above ``CONVENTIONAL_FLOOR``."""
     ni_params = ModelParams(omega0=1.0, kappa_down=1.0, kappa_up2=0.5)
-    ni = balance_row(ni_params, analytic.populations_ss(0.5, 0.55, dim_for_tail(0.5)))
+    ni = detailed_balance_residual(
+        ni_params, analytic.populations_ss(0.5, 0.55, dim_for_tail(0.5)))
     conv_params = ModelParams(
         omega0=1.0, kappa_down=1.0, kappa_up1=0.3, kind=ModelKind.CONVENTIONAL
     )
     conv_dim = 20
-    conv = balance_row(conv_params, steady_populations(generator(conv_params, conv_dim)).states[0])
+    conv = detailed_balance_residual(
+        conv_params, steady_populations(generator(conv_params, conv_dim)).states[0])
+    if "balance-models-swapped" in mutations:  # each row reads the other model
+        ni, conv = conv, ni
     return {
-        "noise_induced_residual": ni,
-        "conventional_residual": conv,
+        "noise_induced_residual": balance_row(ModelKind.NOISE_INDUCED, ni),
+        "conventional_residual": balance_row(ModelKind.CONVENTIONAL, conv),
         "conventional_dim": conv_dim,
     }
 
@@ -479,7 +484,8 @@ def check_classical_mode(mutations=()) -> dict:
 # each fault injection and the check it must make fail; `noisecycle verify` rejects any other name
 MUTATIONS = {"circulation-sign": "circulation", "generator-loss-rate": "steady-state-oracle",
              "parity-outcome-weight": "parity", "mandel-parity-weight": "mandel-q",
-             "drift-target-halved": "noise-drift"}
+             "drift-target-halved": "noise-drift", "balance-models-swapped": "detailed-balance",
+             "coherent-centre-halved": "wigner-oracle"}
 
 # wall-time budget of the checks that have one, in seconds
 RUNTIME_BUDGETS_S = {"steady-state-oracle": 30.0, "wigner-oracle": 120.0, "classical-sde": 300.0}

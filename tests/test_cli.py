@@ -204,15 +204,17 @@ def test_steady_report_conventional_expected_failure(tmp_path):
     assert "k_ratio" not in echoed and "wp_plus" not in echoed  # fields it ignores
 
 
-@pytest.mark.parametrize("kappa_up1, code", [("0.05", 0), ("0", 1)])
-def test_conventional_balance_floor_scales_with_gain(tmp_path, kappa_up1, code):
-    # the conventional residual is about 1e-2 kappa_up1 / kappa_down; without
-    # gain it is exactly zero and the model must fail the row
+@pytest.mark.parametrize("kappa_up1, dim, code", [("0.05", "20", 0), ("0.05", "400", 0),
+                                                  ("0", "20", 1)])
+def test_conventional_balance_floor_is_one_constant(tmp_path, kappa_up1, dim, code):
+    # with gain the conventional flow gap is exactly 1 at any dim; without gain
+    # nothing flows, the gap is exactly zero and the model must fail the row
     out = tmp_path / "steady"
     assert main(["steady", "--out", str(out), "--kind", "conventional",
-                 "--kappa-up1", kappa_up1, "--dim", "20"]) == code
+                 "--kappa-up1", kappa_up1, "--dim", dim]) == code
     db = json.loads((out / "summary.json").read_text())["checks"]["detailed_balance_residual"]
-    assert db["floor"] == 1e-3 * float(kappa_up1)
+    assert db["floor"] == 0.5
+    assert db["value"] == (1.0 if code == 0 else 0.0)
     assert db["pass"] == (code == 0)
 
 

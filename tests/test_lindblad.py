@@ -10,7 +10,6 @@ import pytest
 import scipy.sparse as sp
 from scipy.linalg import expm, null_space
 from scipy.sparse.linalg import expm_multiply
-from scipy.sparse.linalg import norm as sparse_norm
 
 from noisecycle import fock, lindblad
 from noisecycle.analytic import rho_ss_analytic
@@ -53,6 +52,7 @@ from test_fock import (
     dissipator,
     liouvillian_csr,
     quadrature_x,
+    reference_liouvillian,
     sandwich,
     tocsr,
     vectorize,
@@ -809,7 +809,7 @@ def test_circulation_on_three_diagonals_equals_the_dense_form(params, dim):
 
 # ---------------------------------------------------------------------------
 # time reversal: T|n> = |n> transposes operators and conjugates the generator,
-# which flips only the free rotation (``detailed_balance_residual`` relies on it)
+# which flips only the free rotation (detailed balance, M conj(L)^T = conj(L) M, rests on it)
 # ---------------------------------------------------------------------------
 
 def test_time_reversal_swaps_ladder_operators():
@@ -870,6 +870,25 @@ def test_detailed_balance_fails_conventional():
     assert detailed_balance_residual(CONV, rho) > 1e-3
 
 
+@pytest.mark.parametrize("params,dim,expected", [
+    pytest.param(replace(CONV, kappa_up1=0.05), 20, 1.0, id="conventional-0.05-dim20"),
+    pytest.param(replace(CONV, kappa_up1=0.05), 400, 1.0, id="conventional-0.05-dim400"),
+    pytest.param(replace(CONV, kappa_up1=1e4), None, 1.0, id="conventional-1e4-default-dim"),
+    pytest.param(replace(NI, kappa_up2=0.95), 80, 0.0, id="noise-induced-k0.95-dim80"),
+    pytest.param(replace(NI, kappa_up2=0.95), 1078, 0.0, id="noise-induced-k0.95-dim1078"),
+])
+def test_detailed_balance_verdict_is_free_of_the_truncation(params, dim, expected):
+    # the flow gap reads the occupied levels only: the conventional model's is
+    # exactly 1 at any dim (default 5708 at kappa_up1 1e4), the noise-induced one's rounding
+    solved = steady_populations(generator(params, dim))
+    pops = solved.combine(0.55) if params.kind is ModelKind.NOISE_INDUCED else solved.states[0]
+    residual = detailed_balance_residual(params, pops)
+    if expected:
+        assert residual == expected
+    else:
+        assert residual < 1e-15
+
+
 def test_detailed_balance_requires_stationary_state():
     with pytest.raises(StationarityError):
         detailed_balance_residual(NI, coherent_state(40, 1.0))
@@ -877,8 +896,8 @@ def test_detailed_balance_requires_stationary_state():
 
 @pytest.mark.parametrize("params", [NI, CONV], ids=["noise-induced", "conventional"])
 def test_detailed_balance_residual_is_free_of_the_rate_scale(params):
-    # the stationarity gate and the residual are both relative to the
-    # generator, so rates x1e9 leave the residual as it is; ||L(rho)||_F of
+    # the stationarity gate is relative to the generator and the residual to
+    # the flows, so rates x1e9 leave the residual as it is; ||L(rho)||_F of
     # the stationary states is then 5e-8 to 3e-7, past an absolute bound of 1e-8
     dim = default_dim(params)
     scaled = replace(params, **{name: 1e9 * getattr(params, name)
@@ -895,13 +914,17 @@ def test_detailed_balance_residual_is_free_of_the_rate_scale(params):
 
 
 def reference_detailed_balance_residual(params, rho_ss):
-    """The sparse composition M conj(L)^T - conj(L) M, with M = sandwich(rho_ss, eye)."""
+    """Kolmogorov's criterion on the Kronecker build: the rates W[n, m] = L[n(dim + 1),
+    m(dim + 1)] off the diagonal, the flows F = W diag(pi), and ||F - F^T|| / ||F + F^T||,
+    0 where nothing flows."""
     dim = rho_ss.shape[0]
-    gen = liouvillian_csr(params, dim)
-    reversed_gen = gen.conj()
-    mult_left = sandwich(rho_ss, sp.identity(dim, dtype=complex, format="csr"))
-    residual = mult_left @ reversed_gen.T - reversed_gen @ mult_left
-    return float(sparse_norm(residual) / sparse_norm(gen))
+    pops = np.diag(rho_ss).real
+    on_diagonal = np.arange(dim) * (dim + 1)
+    rates = reference_liouvillian(params, dim)[on_diagonal][:, on_diagonal].toarray().real
+    np.fill_diagonal(rates, 0.0)
+    flows = rates * pops
+    total = np.linalg.norm(flows + flows.T)
+    return float(np.linalg.norm(flows - flows.T) / total) if total else 0.0
 
 
 def balance_cases():
@@ -912,8 +935,6 @@ def balance_cases():
             yield (f"noise-induced-w{omega0}-k{k}", params,
                    lambda params=params, dim=dim: steady_states(
                        generator(params, dim)).combine(0.55))
-    # at 0.1216 the residual, 1.1e-3, sits just above the 1e-3 floor; leaving
-    # out the negations of the one-sided diagonals would drop it below
     for gain in (0.05, 0.1216, 3.0):
         params = replace(CONV, kappa_up1=gain)
         yield (f"conventional-{gain}", params,
@@ -929,11 +950,11 @@ def test_detailed_balance_matches_sparse_composition(params, make_state):
     got = detailed_balance_residual(params, rho)
     reference = reference_detailed_balance_residual(params, rho)
     if params.kind is ModelKind.NOISE_INDUCED:
-        # the exact residual is 0, so both are rounding, each summed in its own order
-        # (up to 6.2e-19 here); the check's bound is 1e-10
-        assert max(got, reference) < 1e-16
+        # the exact residual is 0, so both are rounding of a gap relative to the flows,
+        # each summed in its own order (up to 1.2e-16 here); the check's bound is 1e-10
+        assert max(got, reference) < 1e-15
     else:
-        assert abs(got - reference) <= 1e-12 * reference
+        assert got == 1.0 and abs(got - reference) <= 1e-12
 
 
 def test_detailed_balance_rejects_stationary_coherence():
