@@ -164,38 +164,40 @@ def nonclassical_region(k_ratio: float, wp_plus: float) -> bool:
 # quasiprobability in three coordinate systems
 # ---------------------------------------------------------------------------
 
-def wigner_plus(x, y, k_ratio: float):
-    """Even-sector quasiprobability in Cartesian quadratures."""
-    form = WignerClosedForm(k_ratio, 1.0)
+def _sectors(x, y, k_ratio: float):
+    """(even, odd) sector quasiprobabilities in Cartesian quadratures.
+
+    Both sectors are built from the same two exponentials, each formed once.
+    The odd closed form is a 0/0 expression at zero ratio; below k_ratio ~ 1e-8
+    it takes its limit, the single-excitation quasiprobability
+    (s - 1) e^{-s/2} / (2 pi).
+    """
+    form = WignerClosedForm(k_ratio, 0.0)  # validates the ratio
     u = math.sqrt(k_ratio)
     s = np.asarray(x) ** 2 + np.asarray(y) ** 2
     t_narrow = np.exp(-(0.5 + form.eta) * s) / (1.0 - u)
     t_wide = np.exp(-(0.5 - form.lam) * s) / (1.0 + u)
-    return form.gamma * (t_narrow + t_wide)
+    even = form.gamma * (t_narrow + t_wide)
+    if k_ratio < _SMALL_RATIO:
+        return even, 2.0 * form.gamma * (s - 1.0) * np.exp(-0.5 * s)
+    return even, form.gamma / u * (t_wide - t_narrow)
+
+
+def wigner_plus(x, y, k_ratio: float):
+    """Even-sector quasiprobability in Cartesian quadratures."""
+    return _sectors(x, y, k_ratio)[0]
 
 
 def wigner_minus(x, y, k_ratio: float):
-    """Odd-sector quasiprobability; series limit below k_ratio ~ 1e-8.
-
-    The closed form is a 0/0 expression at zero ratio; its limit is the
-    single-excitation quasiprobability (s - 1) e^{-s/2} / (2 pi).
-    """
-    form = WignerClosedForm(k_ratio, 0.0)
-    s = np.asarray(x) ** 2 + np.asarray(y) ** 2
-    if k_ratio < _SMALL_RATIO:
-        return 2.0 * form.gamma * (s - 1.0) * np.exp(-0.5 * s)
-    u = math.sqrt(k_ratio)
-    t_narrow = np.exp(-(0.5 + form.eta) * s) / (1.0 - u)
-    t_wide = np.exp(-(0.5 - form.lam) * s) / (1.0 + u)
-    return form.gamma / u * (t_wide - t_narrow)
+    """Odd-sector quasiprobability; series limit below k_ratio ~ 1e-8."""
+    return _sectors(x, y, k_ratio)[1]
 
 
 def wigner_ss(x, y, k_ratio: float, wp_plus: float):
     """Steady quasiprobability W(x, y), normalized to unit integral over the plane."""
     WignerClosedForm(k_ratio, wp_plus)  # validates both arguments
-    return wp_plus * wigner_plus(x, y, k_ratio) + (1.0 - wp_plus) * wigner_minus(
-        x, y, k_ratio
-    )
+    even, odd = _sectors(x, y, k_ratio)
+    return wp_plus * even + (1.0 - wp_plus) * odd
 
 
 def wigner_radial(r, k_ratio: float, wp_plus: float):

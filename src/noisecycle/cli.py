@@ -355,8 +355,9 @@ def build_parser() -> argparse.ArgumentParser:
     subcommand("sde", cmd_sde, "classical ensemble with summary statistics")
     subcommand("wigner", cmd_wigner, "steady field, current, and flux decomposition")
     p = subcommand("verify", cmd_verify, "run the acceptance checks")
-    p.add_argument("--only", help="comma-separated check names")
-    p.add_argument("--mutate", help="comma-separated fault injections (self-test)")
+    p.add_argument("--only", help="comma-separated check names: " + ", ".join(verify.CHECKS))
+    p.add_argument("--mutate", help="comma-separated fault injections (self-test): "
+                   + ", ".join(verify.MUTATIONS))
     return parser
 
 

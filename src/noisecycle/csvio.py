@@ -13,12 +13,15 @@ row.  Write |v| = m 2^q with m in [2^52, 2^53), and its 17 digits as
 D 10^(E-16) with D in [10^16, 10^17).  A table holds, per q, the
 double-double of 2^q 10^(16-E) at the two exponents E a binade can take, so
 X = m 2^q 10^(16-E) is formed by Dekker's exact product with an error near
-1e-14, and D = round(X).  Subnormals, infinities, NaNs and the values whose
-X lies within ``_TIE_BAND`` of a half-integer (the exact ties, which round
-half to even, among them) are formatted by ``%.17g`` itself.  A cell is four
-little-endian 64-bit words: sign, ``0.000`` prefix, lead digit and point; 8
-digits; 8 digits; exponent suffix and separator.  A dropped byte is NUL, and
-one ``bytes.translate`` pass deletes the NULs of a whole chunk.
+1e-14, and D = round(X).  A cell is four little-endian 64-bit words: sign,
+``0.000`` prefix, lead digit and point; 8 digits; 8 digits; exponent suffix
+and separator.  ±0 has a cell of its own, ``0`` or ``-0``.  ``%.17g`` itself
+formats the values that layout does not fit: subnormals, infinities, NaNs,
+the values whose X lies within ``_TIE_BAND`` of a half-integer (the exact
+ties, which round half to even, among them), those whose last 4 digits are
+zeros, and those of 10 <= |v| < 10^17, whose fixed-notation point falls
+among the digits.  A dropped byte is NUL, and one ``bytes.translate`` pass
+deletes the NULs of a whole chunk.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ _FRACTION = (1 << 52) - 1
 _VELTKAMP = 2.0 ** 27 + 1.0
 _SMALLEST_E = -308  # decimal exponent of the smallest normal float64
 _WORDS, _WORD = 4, np.dtype("<u8")  # a number cell is 4 little-endian 64-bit words
-_LEAD, _POINT = 48, 56  # bit offsets of the lead digit and its point in the first word
+_LEAD = 48  # bit offset of the lead digit in the first word
 
 
 def _words(texts: Iterable[bytes]) -> np.ndarray:
@@ -79,20 +82,12 @@ def _tables() -> SimpleNamespace:
     exps = range(_SMALLEST_E, -_SMALLEST_E + 1)
     tables = SimpleNamespace(
         # per 4-digit group i: "%04d" % i as the low half of a word, the high half,
-        # and the high half without its trailing zeros; and its trailing zeros
+        # and the high half without its trailing zeros
         low=_words(text),
         high=_words(b"\0" * 4 + t for t in text),
         last=_words(b"\0" * 4 + t.rstrip(b"0") for t in text),
-        trailing=np.array([4] + [4 - len(t.rstrip(b"0")) for t in text[1:]], dtype=np.intp),
         # per top 12 bits of a float64: its exponent field is 0 or 0x7FF
         abnormal=np.isin(np.arange(4096) & _EXPONENT, [0, _EXPONENT]),
-        # per 2 digits shown + (no point shown): the bytes the first three words keep
-        keep=np.array([[(1 << _POINT) - 1 | (0xFF << _POINT if shown > 1 and not no_point else 0),
-                        (1 << 8 * min(max(shown - 1, 0), 8)) - 1,
-                        (1 << 8 * min(max(shown - 9, 0), 8)) - 1]
-                       for shown in range(18) for no_point in (0, 1)], dtype=np.uint64),
-        # per E: the byte order that moves the point E digits on
-        rotation=np.array([[*range(7), *range(8, 8 + e), 7, *range(8 + e, 32)] for e in range(17)]),
         # per exponent field: m >= m_cut puts |v| a decade above the binade's low end
         m_cut=np.array(m_cut, dtype=np.int64),
         # per row 2 field + k: E = e0 + k, and 2^q 10^(16-E) as c_hi + c_lo with
@@ -149,11 +144,6 @@ def _number_cells(values: np.ndarray, separators) -> np.ndarray:
     t = _tables()
     bits = values.view(np.int64)
     sig, exp10, exact = _significands(bits, t)
-    top = bits.view(np.uint64) >> 52
-    rare = np.flatnonzero(np.take(t.abnormal, top) | ~exact)
-    exp10[rare] = 0  # no suffix, no point to move
-    is_zero = (bits[rare] << 1) == 0
-    sig[rare[is_zero]] = 0  # ±0 shows the one digit 0
     # D = lead g1 g2 g3 g4 in 4-digit groups
     upper = sig // 10 ** 8
     g34 = sig - upper * 10 ** 8
@@ -162,6 +152,11 @@ def _number_cells(values: np.ndarray, separators) -> np.ndarray:
     g1, g2 = g01 - lead * 10 ** 4, upper - g01 * 10 ** 4
     g3 = g34 // 10 ** 4
     g4 = g34 - g3 * 10 ** 4
+    top = bits.view(np.uint64) >> 52
+    # the layout strips zeros from g4 alone and puts the point after the lead digit
+    rare = np.flatnonzero(np.take(t.abnormal, top) | ~exact | (g4 == 0)
+                          | np.take(t.moves, exp10 - _SMALLEST_E))
+    exp10[rare] = 0  # no suffix
     frame = exp10 - _SMALLEST_E
     cells = np.empty((values.size, _WORDS), dtype=_WORD)
     lead = lead.astype(np.uint64) << _LEAD
@@ -169,19 +164,10 @@ def _number_cells(values: np.ndarray, separators) -> np.ndarray:
     cells[:, 1] = np.take(t.low, g1) | np.take(t.high, g2)
     cells[:, 2] = np.take(t.low, g3) | np.take(t.last, g4)
     cells[:, 3] = np.take(t.suffix, frame) | separators
-    # redo the cells whose zeros reach past g4, or whose point falls among the digits
-    if (redo := np.flatnonzero((g4 == 0) | np.take(t.moves, frame))).size:
-        g1, g2, g3, g4, e = g1[redo], g2[redo], g3[redo], g4[redo], exp10[redo]
-        shown = 17 - np.where(g4, t.trailing[g4], np.where(g3, 4 + t.trailing[g3], np.where(
-            g2, 8 + t.trailing[g2], np.where(g1, 12 + t.trailing[g1], 16))))
-        # fixed notation keeps its integer part of E + 1 digits in full
-        before = np.where(t.moves[frame[redo]], e + 1, 0)
-        cells[redo, 2] = t.low[g3] | t.high[g4]
-        cells[redo, :3] &= t.keep[2 * np.maximum(shown, before) + (shown <= before)]
-        if (moved := redo[before > 0]).size:
-            octets = cells[moved].view(np.uint8)
-            cells[moved] = np.take_along_axis(octets, t.rotation[exp10[moved]], 1).view(_WORD)
-    slow = rare[~is_zero]
+    is_zero = (bits[rare] << 1) == 0
+    zero, slow = rare[is_zero], rare[~is_zero]
+    cells[zero, 0] = (top[zero] >> 11) * ord("-") | ord("0") << _LEAD  # ±0 shows the one digit 0
+    cells[zero, 1:3] = 0
     cells[slow, :3] = np.array(_formatted(values[slow]), dtype="S24").view(_WORD).reshape(-1, 3)
     return cells
 

@@ -244,10 +244,11 @@ def check_phase_classification(mutations=()) -> dict:
     k_grid = np.linspace(0.02, 0.98, 50)
     wp_grid = np.linspace(0.0, 1.0, 50)
     disagreements = 0
+    odd_weight = "phase-scan-odd-weight" in mutations  # the scan run at 1 - wp
     for k in k_grid:
         for wp in wp_grid:
             formula_positive = analytic.limit_cycle_radius(k, wp) > 0
-            scan_positive = analytic.scan_radius(k, wp) > 0
+            scan_positive = analytic.scan_radius(k, 1.0 - wp if odd_weight else wp) > 0
             if formula_positive != scan_positive:
                 disagreements += 1
     return {
@@ -474,7 +475,10 @@ def check_classical_mode(mutations=()) -> dict:
             extent = 5.0 * math.sqrt(pdfs.coordinate_variance)
             axis = np.linspace(-extent, extent, 101)
             X, Y = np.meshgrid(axis, axis, indexing="ij")
-            density = pdfs.plane(X, Y)
+            if "plane-as-radial" in mutations:  # the radial marginal taken for the plane density
+                density = pdfs.radial(np.hypot(X, Y))
+            else:
+                density = pdfs.plane(X, Y)
             idx = np.unravel_index(np.argmax(density), density.shape)
             if idx != (50, 50):
                 off_origin += 1
@@ -485,7 +489,8 @@ def check_classical_mode(mutations=()) -> dict:
 MUTATIONS = {"circulation-sign": "circulation", "generator-loss-rate": "steady-state-oracle",
              "parity-outcome-weight": "parity", "mandel-parity-weight": "mandel-q",
              "drift-target-halved": "noise-drift", "balance-models-swapped": "detailed-balance",
-             "coherent-centre-halved": "wigner-oracle"}
+             "coherent-centre-halved": "wigner-oracle",
+             "phase-scan-odd-weight": "phase-classification", "plane-as-radial": "classical-mode"}
 
 # wall-time budget of the checks that have one, in seconds
 RUNTIME_BUDGETS_S = {"steady-state-oracle": 30.0, "wigner-oracle": 120.0, "classical-sde": 300.0}

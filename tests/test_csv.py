@@ -197,6 +197,20 @@ def test_encoder_matches_percent_17g_on_edge_values():
     assert encoded([560639462230231.875]) == b"560639462230231.88\r\n"
 
 
+def test_zeros_have_their_own_cell_and_the_rare_layouts_go_to_percent_17g(monkeypatch):
+    # ±0 is written by the encoder itself; the values whose last 4 digits are
+    # zeros (1e15, 0.5, 120.0) or whose point falls among the digits (12.5, 120.0)
+    # are formatted by "%.17g"
+    sent = []
+    fallback = csvio._formatted
+    monkeypatch.setattr(csvio, "_formatted", lambda values: sent.extend(values) or fallback(values))
+    values = [0.0, -0.0, 12.5, 1e15, 0.5, 120.0, 0.1, -0.0, 0.0]
+    got = encoded(values)
+    monkeypatch.undo()
+    assert_same_bytes(got, formatted(values))
+    assert sorted(sent) == [0.5, 12.5, 120.0, 1e15]
+
+
 def test_tables_longer_than_one_chunk_match_reference(tmp_path):
     rng = np.random.default_rng(5)
     n = 3 * csvio.CHUNK_ROWS + 7
@@ -246,7 +260,7 @@ def test_tables_longer_than_one_chunk_match_reference(tmp_path):
 
 def test_field_encoding_sorts_nothing_and_formats_few_values_itself(tmp_path, monkeypatch):
     # x and y are encoded once per axis and gathered, not deduplicated per
-    # chunk; 0 and -0 are encoded like any number; only near-ties reach "%.17g"
+    # chunk; 0 and -0 have a cell of their own; few values reach "%.17g"
     k, wp = 0.3, 0.5
     field = wignerflux.sample_steady_field(k, wp, h=0.1)
     assert field.w.shape == (137, 137)
