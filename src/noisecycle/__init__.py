@@ -10,7 +10,6 @@ from .analytic import (
     HopfFit,
     Phase,
     PhasePoint,
-    TailGaussian,
     WignerClosedForm,
     coherent_cycle_threshold,
     coherent_even_weight,
@@ -25,7 +24,6 @@ from .analytic import (
     rho_ss_analytic,
     scan_radius,
     sigmoid,
-    tail_gaussian,
     wigner_origin,
     wigner_radial,
     wigner_ss,

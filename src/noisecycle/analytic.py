@@ -4,8 +4,7 @@ Everything here is a function of the gain/loss ratio ``k_ratio`` in [0, 1) and
 the conserved even-parity weight ``wp_plus`` in [0, 1]: the diagonal steady
 state, its phase-space quasiprobability in Cartesian/complex/polar
 coordinates, the limit-cycle radius and phase diagram, amplitude scaling at
-the cycle birth, photon statistics, coherent-state thresholds, and the
-Gaussian tail.
+the cycle birth, photon statistics, and coherent-state thresholds.
 """
 
 from __future__ import annotations
@@ -85,19 +84,6 @@ class HopfFit:
     coefficient: float  # prefactor of the sqrt(offset) law (fit through origin)
 
 
-@dataclass(frozen=True)
-class TailGaussian:
-    """Unnormalized Gaussian the steady quasiprobability approaches far out."""
-
-    amplitude: float
-    decay_rate: float
-    area: float
-
-    def value(self, x, y):
-        s = np.asarray(x) ** 2 + np.asarray(y) ** 2
-        return self.amplitude * np.exp(-self.decay_rate * s)
-
-
 # ---------------------------------------------------------------------------
 # steady state and moments
 # ---------------------------------------------------------------------------
@@ -164,39 +150,24 @@ def nonclassical_region(k_ratio: float, wp_plus: float) -> bool:
 # quasiprobability in three coordinate systems
 # ---------------------------------------------------------------------------
 
-def _sectors(x, y, k_ratio: float):
-    """(even, odd) sector quasiprobabilities in Cartesian quadratures.
+def wigner_ss(x, y, k_ratio: float, wp_plus: float):
+    """Steady quasiprobability W(x, y), normalized to unit integral over the plane.
 
-    Both sectors are built from the same two exponentials, each formed once.
-    The odd closed form is a 0/0 expression at zero ratio; below k_ratio ~ 1e-8
-    it takes its limit, the single-excitation quasiprobability
+    The even and odd sectors are built from the same two exponentials, each
+    formed once.  The odd closed form is a 0/0 expression at zero ratio; below
+    k_ratio ~ 1e-8 it takes its limit, the single-excitation quasiprobability
     (s - 1) e^{-s/2} / (2 pi).
     """
-    form = WignerClosedForm(k_ratio, 0.0)  # validates the ratio
+    form = WignerClosedForm(k_ratio, wp_plus)  # validates both arguments
     u = math.sqrt(k_ratio)
     s = np.asarray(x) ** 2 + np.asarray(y) ** 2
     t_narrow = np.exp(-(0.5 + form.eta) * s) / (1.0 - u)
     t_wide = np.exp(-(0.5 - form.lam) * s) / (1.0 + u)
     even = form.gamma * (t_narrow + t_wide)
     if k_ratio < _SMALL_RATIO:
-        return even, 2.0 * form.gamma * (s - 1.0) * np.exp(-0.5 * s)
-    return even, form.gamma / u * (t_wide - t_narrow)
-
-
-def wigner_plus(x, y, k_ratio: float):
-    """Even-sector quasiprobability in Cartesian quadratures."""
-    return _sectors(x, y, k_ratio)[0]
-
-
-def wigner_minus(x, y, k_ratio: float):
-    """Odd-sector quasiprobability; series limit below k_ratio ~ 1e-8."""
-    return _sectors(x, y, k_ratio)[1]
-
-
-def wigner_ss(x, y, k_ratio: float, wp_plus: float):
-    """Steady quasiprobability W(x, y), normalized to unit integral over the plane."""
-    WignerClosedForm(k_ratio, wp_plus)  # validates both arguments
-    even, odd = _sectors(x, y, k_ratio)
+        odd = 2.0 * form.gamma * (s - 1.0) * np.exp(-0.5 * s)
+    else:
+        odd = form.gamma / u * (t_wide - t_narrow)
     return wp_plus * even + (1.0 - wp_plus) * odd
 
 
@@ -228,8 +199,7 @@ def limit_cycle_radius(k_ratio: float, wp_plus: float) -> float:
     """
     if not 0.0 < k_ratio < 1.0:
         raise AnalyticError(f"closed-form radius needs ratio in (0, 1), got {k_ratio}")
-    if not 0.0 <= wp_plus <= 1.0:
-        raise AnalyticError(f"even weight must lie in [0, 1], got {wp_plus}")
+    WignerClosedForm(k_ratio, wp_plus)  # validates the weight
     if wp_plus >= phase_boundary(k_ratio):
         # at or past the cycle-birth boundary the origin is the only mode;
         # clamping keeps the radius and the classification exactly consistent
@@ -305,7 +275,7 @@ def hopf_scaling(
 
 
 # ---------------------------------------------------------------------------
-# coherent-state thresholds and tail
+# coherent-state thresholds
 # ---------------------------------------------------------------------------
 
 def coherent_even_weight(alpha_sq: float) -> float:
@@ -321,14 +291,3 @@ def coherent_cycle_threshold(k_ratio: float) -> float:
         raise AnalyticError(f"ratio must lie in (0, 1), got {k_ratio}")
     return 0.5 * math.log(2.0 * (1.0 + k_ratio) / (1.0 - k_ratio))
 
-
-def tail_gaussian(k_ratio: float, wp_plus: float) -> TailGaussian:
-    """Gaussian asymptote of the steady quasiprobability and its total area."""
-    WignerClosedForm(k_ratio, wp_plus)  # validates both arguments
-    if k_ratio == 0.0:
-        raise AnalyticError(f"ratio must lie in (0, 1), got {k_ratio}")
-    u = math.sqrt(k_ratio)
-    amplitude = (1.0 - u) * (1.0 - (1.0 - u) * wp_plus) / (4.0 * math.pi * u)
-    decay_rate = (1.0 - u) / (2.0 * (1.0 + u))
-    area = (1.0 + u) * (1.0 - (1.0 - u) * wp_plus) / (2.0 * u)
-    return TailGaussian(amplitude, decay_rate, area)

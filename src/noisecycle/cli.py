@@ -52,6 +52,7 @@ RULES = {
     "wp_plus": (lambda v: 0.0 <= v <= 1.0, "an even-parity weight in [0, 1]"),
     "kind": (lambda v: v in [k.value for k in ModelKind], " | ".join(k.value for k in ModelKind)),
     "coordinates": (lambda v: v in ("polar", "cartesian"), "polar | cartesian"),
+    "dump_samples": (lambda v: v >= 0, "an integer >= 0"),
     "dim": (lambda v: v == 0 or v >= 2, "at least 2, or 0 (the default) for the model's tail "
             "rule (< 1e-12 of the steady mass above); refused where the arrays pass "
             f"{BYTE_BUDGET / 2 ** 30:g} GiB"),

@@ -16,7 +16,7 @@ duality Tr[A^dag L'(B)] = Tr[(L A)^dag B].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from enum import Enum
 
@@ -79,10 +79,6 @@ class ModelParams:
     def k_ratio(self) -> float:
         """Two-photon gain over two-photon loss (0 at zero temperature)."""
         return self.kappa_up2 / self.kappa_down
-
-    def rotation_reversed(self) -> "ModelParams":
-        """Same rates with the sign of the free rotation flipped."""
-        return replace(self, omega0=-self.omega0)
 
 
 def default_dim(params: ModelParams) -> int:
@@ -260,11 +256,11 @@ class Generator:
         return self.dim ** 2 - diag_zeros + jumps
 
 
-def generator(params: ModelParams, dim: int | None = None) -> Generator:
-    """Generator of the selected model on a dim-level Fock space (``default_dim`` if None)."""
-    return Generator(params, default_dim(params) if dim is None else dim)
+def generator(params: ModelParams, dim: int) -> Generator:
+    """Generator of the selected model on a dim-level Fock space."""
+    return Generator(params, dim)
 
 
-def liouvillian(params: ModelParams, dim: int | None = None) -> Generator:
+def liouvillian(params: ModelParams, dim: int) -> Generator:
     """The model generator under its older name: ``generator(params, dim)``."""
     return generator(params, dim)

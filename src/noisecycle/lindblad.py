@@ -176,13 +176,12 @@ def parity_expectation(rho: np.ndarray) -> float:
     return float((pops * (-1.0) ** np.arange(pops.size)).sum())
 
 
-def random_density_matrix(dim: int, rank: int | None = None, support: int | None = None,
+def random_density_matrix(dim: int, support: int | None = None,
                           rng: np.random.Generator | None = None) -> np.ndarray:
     """Random full-trace state; ``support`` confines it to the lowest levels."""
     rng = rng if rng is not None else np.random.default_rng()
-    rank = rank if rank is not None else dim
     support = support if support is not None else dim
-    g = rng.standard_normal((support, rank)) + 1j * rng.standard_normal((support, rank))
+    g = rng.standard_normal((support, dim)) + 1j * rng.standard_normal((support, dim))
     block = g @ g.conj().T
     rho = np.zeros((dim, dim), dtype=complex)
     rho[:support, :support] = block / np.trace(block).real

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from .fock import (
     dim_for_tail,
     fock_state,
     generator,
-    number_op,
 )
 from .lindblad import (
     circulation,
@@ -269,6 +268,7 @@ def check_hopf_scaling(mutations=()) -> dict:
     k_c = 0.25
     wp_c = analytic.phase_boundary(k_c)
     offsets = np.geomspace(1e-5, 1e-3, 9)
+    exponent = 1.0 if "hopf-linear-law" in mutations else 0.5  # a linear law as the reference
     targets = {
         "wp": ("wp_plus", 2.0 * math.sqrt(2.0) / (2.0 * wp_c - 1.0)),
         "k": ("k_ratio", 4.0 / (1.0 - k_c)),
@@ -277,7 +277,7 @@ def check_hopf_scaling(mutations=()) -> dict:
     for name, (direction, target) in targets.items():
         fit = analytic.hopf_scaling(k_c, wp_c, direction, offsets)
         details[f"slope_{name}"] = fit.slope
-        details[f"slope_{name}_gap"] = _within(abs(fit.slope - 0.5), 0.0, 0.02)
+        details[f"slope_{name}_gap"] = _within(abs(fit.slope - exponent), 0.0, 0.02)
         details[f"coefficient_{name}"] = fit.coefficient
         details[f"coefficient_{name}_target"] = target
         details[f"coefficient_{name}_gap"] = _within(
@@ -314,11 +314,10 @@ def check_circulation(mutations=()) -> dict:
     params = ModelParams(omega0=0.9, kappa_down=1.0, kappa_up2=0.5)
     dim = 64
     worst_rel = 0.0
-    n_op = number_op(dim)
     for _ in range(50):
         rho = random_density_matrix(dim, support=dim - 12, rng=rng)
         result = circulation(rho, params)
-        mean_sq = 4.0 * float(np.trace(rho @ n_op).real) + 2.0
+        mean_sq = 4.0 * float(np.arange(dim) @ np.diagonal(rho).real) + 2.0
         reference = abs(params.omega0) * mean_sq
         worst_rel = max(worst_rel, abs(result.phi - reference) / reference)
 
@@ -408,8 +407,10 @@ def check_classical_sde(mutations=()) -> dict:
     report = ensemble_report(cfg, sde.simulate_ensemble(cfg))
     mean_rel = abs(report["mean_r"] - report["mean_r_expected"]) / report["mean_r_expected"]
     var_rel = abs(report["var_r"] - report["var_r_expected"]) / report["var_r_expected"]
-    circ_rel = (abs(report["circulation_empirical"] - report["circulation_formula"])
-                / report["circulation_formula"])
+    formula = report["circulation_formula"]
+    if "classical-circulation-halved" in mutations:  # the closed form halved after the ensemble
+        formula = 0.5 * formula
+    circ_rel = abs(report["circulation_empirical"] - formula) / formula
     return {
         "mean_r_rel": _below(mean_rel, 0.01),
         "var_r_rel": _below(var_rel, 0.02),
@@ -445,12 +446,15 @@ def check_noise_drift(mutations=()) -> dict:
 def check_wigner_flux(mutations=()) -> dict:
     """Steady current is rotational: irreversible remainder small and order ~2."""
     params = ModelParams(omega0=1.0, kappa_down=1.0, kappa_up2=0.5)
+    rotation = params  # whose free rotation the decomposition takes out
+    if "rotational-flux-reversed" in mutations:  # taken out at -omega0: twice it remains
+        rotation = replace(params, omega0=-params.omega0)
     stats = {}
     for h in (0.05, 0.025):
         fld = wignerflux.sample_steady_field(0.5, 0.55, extent=16.0, h=h)
         residual = wignerflux.wigner_generator_apply(fld, params)
         jx, jy = wignerflux.wigner_current(fld, params)
-        decomp = wignerflux.flux_decompose(fld, jx, jy, params)
+        decomp = wignerflux.flux_decompose(fld, jx, jy, rotation)
         stats[h] = {
             "irr": wignerflux.max_flux_norm(decomp.j_irr_x, decomp.j_irr_y),
             "rev": wignerflux.max_flux_norm(decomp.j_rev_x, decomp.j_rev_y),
@@ -490,7 +494,9 @@ MUTATIONS = {"circulation-sign": "circulation", "generator-loss-rate": "steady-s
              "parity-outcome-weight": "parity", "mandel-parity-weight": "mandel-q",
              "drift-target-halved": "noise-drift", "balance-models-swapped": "detailed-balance",
              "coherent-centre-halved": "wigner-oracle",
-             "phase-scan-odd-weight": "phase-classification", "plane-as-radial": "classical-mode"}
+             "phase-scan-odd-weight": "phase-classification", "plane-as-radial": "classical-mode",
+             "hopf-linear-law": "hopf-scaling", "classical-circulation-halved": "classical-sde",
+             "rotational-flux-reversed": "wigner-flux"}
 
 # wall-time budget of the checks that have one, in seconds
 RUNTIME_BUDGETS_S = {"steady-state-oracle": 30.0, "wigner-oracle": 120.0, "classical-sde": 300.0}

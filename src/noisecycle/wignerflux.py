@@ -224,8 +224,8 @@ def flux_decompose(field: WignerField, jx: np.ndarray, jy: np.ndarray,
     )
 
 
-def max_flux_norm(jx: np.ndarray, jy: np.ndarray, cells: int = EDGE_CELLS) -> float:
-    return float(np.hypot(interior(jx, cells), interior(jy, cells)).max())
+def max_flux_norm(jx: np.ndarray, jy: np.ndarray) -> float:
+    return float(np.hypot(interior(jx), interior(jy)).max())
 
 
 def field_to_csv(path, field: WignerField, jx: np.ndarray, jy: np.ndarray,

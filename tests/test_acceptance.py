@@ -102,6 +102,17 @@ def test_mutation_fails_its_check(mutation, check):
     assert not result.passed
 
 
+def test_every_check_has_a_named_mutation():
+    assert set(verify.MUTATIONS.values()) == set(verify.CHECKS)
+
+
+def test_hopf_mutation_fails_both_slope_rows():
+    """The prefactor rows fail unmutated, so the mutation must fail rows that pass without it."""
+    assert not {"slope_wp_gap", "slope_k_gap"} & set(_failing_rows(run_check("hopf-scaling")))
+    result = run_check("hopf-scaling", mutations=("hopf-linear-law",))
+    assert {"slope_wp_gap", "slope_k_gap"} <= set(_failing_rows(result)), result.summary()
+
+
 def test_runtime_budget_fails_a_slow_check(monkeypatch):
     monkeypatch.setitem(verify.RUNTIME_BUDGETS_S, "wigner-oracle", 0.0)
     result = run_check("wigner-oracle")

@@ -22,8 +22,6 @@ from noisecycle.analytic import (
     rho_ss_analytic,
     scan_radius,
     sigmoid,
-    tail_gaussian,
-    wigner_minus,
     wigner_origin,
     wigner_radial,
     wigner_ss,
@@ -91,8 +89,7 @@ def test_closed_forms_validate_before_computing():
     calls = [
         lambda: wigner_ss(0.0, 0.0, 0.5, 1.2),
         lambda: wigner_ss(0.0, 0.0, 0.5, -3.0),
-        lambda: wigner_minus(0.5, 0.0, -0.5),  # below the series-limit threshold
-        lambda: tail_gaussian(0.5, 2.0),
+        lambda: wigner_ss(0.5, 0.0, -0.5, 0.0),  # below the series-limit threshold
     ]
     for call in calls:
         with pytest.raises(AnalyticError):
@@ -339,35 +336,3 @@ def test_coherent_threshold_consistent_with_boundary():
     k = 0.4
     v = coherent_cycle_threshold(k)
     assert coherent_even_weight(v) == pytest.approx(phase_boundary(k), rel=1e-12)
-
-
-def test_tail_area_formula_and_bounds():
-    u = 0.5
-    assert tail_gaussian(0.25, 0.0).area == pytest.approx(1.5)
-    assert tail_gaussian(0.25, 0.0).area == pytest.approx((1 + u) / (2 * u))  # upper bound
-    assert tail_gaussian(0.25, 1.0).area == pytest.approx((1 + u) / 2)        # lower bound
-    for wp in np.linspace(0, 1, 7):  # monotone linear in the even weight
-        area = tail_gaussian(0.25, wp).area
-        assert (1 + u) / 2 - 1e-12 <= area <= (1 + u) / (2 * u) + 1e-12
-
-
-def test_tail_area_unit_limit():
-    assert tail_gaussian(1 - 1e-10, 0.5).area == pytest.approx(1.0, abs=1e-4)
-
-
-def test_tail_ratio_approaches_one():
-    k, wp = 0.25, 0.3
-    tail = tail_gaussian(k, wp)
-    # radius where the subdominant exponential is below 1e-8 of the dominant
-    form = WignerClosedForm(k, wp)
-    s = math.log(1e8) / (form.eta + form.lam)
-    r = math.sqrt(s)
-    ratio = wigner_ss(r, 0.0, k, wp) / tail.value(r, 0.0)
-    assert ratio == pytest.approx(1.0, abs=1e-7)
-
-
-def test_tail_matches_far_field():
-    k, wp = 0.5, 0.55
-    tail = tail_gaussian(k, wp)
-    xs = np.linspace(10.0, 14.0, 5)
-    assert np.allclose(wigner_ss(xs, 0.0, k, wp), tail.value(xs, 0.0), rtol=1e-12)

@@ -429,6 +429,7 @@ def test_evolve_rejects_malformed_initial_state(tmp_path, spec):
     pytest.param(["steady", {"wp_plus": None}], "wp_plus", id="steady-config-null-weight"),
     pytest.param(["phase-diagram", {"k_min": "0.1"}], "k_min", id="phase-diagram-config-string-k"),
     pytest.param(["sde", {"dump_samples": "all"}], "dump_samples", id="sde-config-string-dump"),
+    pytest.param(["sde", "--dump-samples", "-3"], "dump_samples", id="sde-negative-dump"),
     pytest.param(["steady", "--kind", "bogus"], "kind", id="steady-unknown-kind"),
     pytest.param(["steady", {"command": "evolve"}], "command", id="steady-config-of-evolve"),
     pytest.param(["steady", None], "config", id="steady-missing-config"),

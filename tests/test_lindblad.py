@@ -821,7 +821,7 @@ def test_time_reversal_swaps_ladder_operators():
 def test_time_reversal_is_involution():
     for params in (ModelParams(omega0=0.7, kappa_down=1.3, kappa_up2=0.4),
                    replace(CONV, omega0=0.7)):
-        reversed_params = params.rotation_reversed()
+        reversed_params = replace(params, omega0=-params.omega0)
         gen, reversed_gen = liouvillian_csr(params, 18), liouvillian_csr(reversed_params, 18)
         assert abs(gen.conj() - reversed_gen).max() == 0.0
         assert abs(reversed_gen.conj() - gen).max() == 0.0
@@ -873,7 +873,8 @@ def test_detailed_balance_fails_conventional():
 @pytest.mark.parametrize("params,dim,expected", [
     pytest.param(replace(CONV, kappa_up1=0.05), 20, 1.0, id="conventional-0.05-dim20"),
     pytest.param(replace(CONV, kappa_up1=0.05), 400, 1.0, id="conventional-0.05-dim400"),
-    pytest.param(replace(CONV, kappa_up1=1e4), None, 1.0, id="conventional-1e4-default-dim"),
+    pytest.param(replace(CONV, kappa_up1=1e4), default_dim(replace(CONV, kappa_up1=1e4)), 1.0,
+                 id="conventional-1e4-default-dim"),
     pytest.param(replace(NI, kappa_up2=0.95), 80, 0.0, id="noise-induced-k0.95-dim80"),
     pytest.param(replace(NI, kappa_up2=0.95), 1078, 0.0, id="noise-induced-k0.95-dim1078"),
 ])
