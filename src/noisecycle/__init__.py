@@ -39,10 +39,6 @@ from .fock import (
     default_dim,
     dim_for_tail,
     fock_state,
-    generator,
-    liouvillian,
-    number_op,
-    parity_op,
 )
 from .lindblad import (
     CirculationResult,
@@ -60,9 +56,9 @@ from .lindblad import (
     wigner_numeric_grid,
 )
 from .sde import (
+    AnalyticPdfs,
     SdeConfig,
     SdeEnsembleResult,
-    analytic_pdfs,
     circulation_classical,
     classical_detailed_balance,
     fokker_planck_residual,

@@ -3,8 +3,9 @@
 Every run takes an optional JSON config (flags override its fields) and
 writes one output directory holding the echoed config, CSV data, and a JSON
 summary.  CSV numbers carry 17 significant digits.  Flag and file values pass
-one check, ``_merge_config`` against ``FIELDS``, ``RULES`` and ``UNUSED``,
-before any output; a bad input exits with ``config error at <field>: …``.
+one check, ``_merge_config`` against ``FIELDS``, ``RULES`` and ``UNUSED``, and
+the arrays a run will build one byte budget, ``_require_budget``, before any
+output; a bad input exits with ``config error at <field>: …``.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import analytic, csvio, sde, verify, wignerflux
-from .fock import (FockError, ModelKind, ModelParams, coherent_state, coherent_tail, default_dim,
-                   fock_state, generator)
+from .fock import (FockError, Generator, ModelKind, ModelParams, coherent_state, coherent_tail,
+                   default_dim, fock_state)
 from .lindblad import edge_population, evolve, parity_expectation, parity_weights, trace_distance
 
 # Each command's fields and their defaults.  The flags, the config-file keys
@@ -40,7 +41,7 @@ FIELDS = {
                "h": 0.05, "extent": 0.0, "boundary_tol": 1e-2},
 }
 
-# The most bytes one run's arrays may take (see ``_fock_dim``).
+# The most bytes one run's arrays may take (see ``_require_budget``).
 BYTE_BUDGET = 2 ** 31
 
 # The rule of each field that has one: a test of its typed value and the text
@@ -132,6 +133,19 @@ def _config_error(exc: FockError) -> SystemExit:
     return SystemExit(f"config error at {field}: {exc}")
 
 
+def _require_budget(field: str, need: int, at: str, size: int) -> None:
+    """A config error at ``field`` where ``need`` bytes, the arrays a command builds at ``size``
+    (its place in ``at``, as in "dim {}"), pass ``BYTE_BUDGET``; every command checks once,
+    before any output."""
+    if need > BYTE_BUDGET:  # exact in ints
+        from decimal import Decimal  # prints past float range; kept off the start-up path
+
+        where = at.format(f"{Decimal(size):.6g}")
+        raise SystemExit(f"config error at {field}: the arrays at {where} take about "
+                         f"{Decimal(need) / 2 ** 30:.3g} GiB, past the "
+                         f"{BYTE_BUDGET / 2 ** 30:g} GiB budget")
+
+
 def _fock_dim(cfg: dict, params: ModelParams, bytes_at) -> int:
     """The ``dim`` field, or where it is 0 the model's default; where ``bytes_at(dim)``, the
     command's arrays, would pass ``BYTE_BUDGET``, a config error at ``dim`` when given, else
@@ -140,13 +154,8 @@ def _fock_dim(cfg: dict, params: ModelParams, bytes_at) -> int:
         dim = cfg["dim"] or default_dim(params)
     except FockError as exc:
         raise _config_error(exc) from None
-    if (need := bytes_at(dim)) > BYTE_BUDGET:  # exact in ints
-        from decimal import Decimal  # prints past float range; kept off the start-up path
-
-        rule = "k_ratio" if params.kind is ModelKind.NOISE_INDUCED else "kappa_up1"
-        raise SystemExit(f"config error at {'dim' if cfg['dim'] else rule}: the arrays at dim "
-                         f"{Decimal(dim):.6g} take about {Decimal(need) / 2 ** 30:.3g} GiB, "
-                         f"past the {BYTE_BUDGET / 2 ** 30:g} GiB budget")
+    rule = "k_ratio" if params.kind is ModelKind.NOISE_INDUCED else "kappa_up1"
+    _require_budget("dim" if cfg["dim"] else rule, bytes_at(dim), "dim {}", dim)
     return dim
 
 
@@ -174,6 +183,8 @@ def cmd_phase_diagram(args: argparse.Namespace) -> int:
         raise SystemExit(f"config error at k_min/k_max: need 0 < k_min <= k_max < 1, got {cfg}")
     if not (0.0 <= cfg["wp_min"] <= cfg["wp_max"] <= 1.0):
         raise SystemExit(f"config error at wp_min/wp_max: need range inside [0, 1], got {cfg}")
+    n_rows = cfg["k_count"] * cfg["wp_count"]  # the tracemalloc peak is 350-400 bytes a row
+    _require_budget("k_count/wp_count", 400 * n_rows, "{} rows", n_rows)
     out = _prepare_out(args, cfg)
     rows = []
     for k in np.linspace(cfg["k_min"], cfg["k_max"], cfg["k_count"]):
@@ -228,7 +239,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         raise SystemExit(f"config error at initial: bad state {spec!r} ({exc})") from None
     out = _prepare_out(args, cfg)
 
-    rho_t = evolve(rho0, generator(params, dim), cfg["t"])
+    rho_t = evolve(rho0, Generator(params, dim), cfg["t"])
     wp0, _ = parity_weights(rho0)
     target = analytic.rho_ss_analytic(params.k_ratio, wp0, dim)
     summary = {
@@ -251,6 +262,8 @@ def cmd_sde(args: argparse.Namespace) -> int:
         run_cfg = sde.SdeConfig(**{k: v for k, v in cfg.items() if k != "dump_samples"})
     except sde.SdeError as exc:
         raise SystemExit(f"config error at {exc.field}: {exc}") from None
+    # the samples (x, y, r, phi) and their temporaries: a tracemalloc peak of 99 bytes a path
+    _require_budget("n_paths", 100 * cfg["n_paths"], "{} paths", cfg["n_paths"])
     out = _prepare_out(args, cfg)
     result = sde.simulate_ensemble(run_cfg)
     summary = verify.ensemble_report(run_cfg, result)
@@ -267,11 +280,20 @@ def cmd_sde(args: argparse.Namespace) -> int:
 def cmd_wigner(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
     params = _model_from_cfg(cfg)
+    given_extent = cfg["extent"] > 0
     cfg["extent"] = cfg["extent"] or wignerflux.default_extent(cfg["k_ratio"], cfg["wp_plus"])
-    points = wignerflux.make_grid(cfg["extent"], cfg["h"]).size
+    steps = 2.0 * cfg["extent"] / cfg["h"]  # make_grid's count, without building the axis
+    if math.isinf(steps):  # past float range: count exactly
+        from fractions import Fraction
+
+        steps = 2 * Fraction(cfg["extent"]) / Fraction(cfg["h"])
+    points = round(steps) + 1
     if points <= 2 * wignerflux.EDGE_CELLS:  # the stencils would leave no interior cell
         raise SystemExit(f"config error at h: need more than {2 * wignerflux.EDGE_CELLS} "
                          f"grid points across 2 * extent = {2 * cfg['extent']}, got {points}")
+    # twelve float64 grid arrays at the tracemalloc peak: the field, current, residual and flux
+    _require_budget("extent" if given_extent else "h", 96 * points ** 2, "{} grid cells",
+                    points ** 2)
     field = wignerflux.sample_steady_field(cfg["k_ratio"], cfg["wp_plus"],
                                            extent=cfg["extent"], h=cfg["h"])
     try:

@@ -7,10 +7,10 @@ the generator maps rho to
     L(rho)[p, q] = diag[p, q] rho[p, q] + sum over k of jump_k[p, q] rho[p + k, q + k].
 
 Each jump grid is rank one and the diagonal grid an outer sum, so a
-``Generator`` (``generator``) holds (params, dim) and O(dim) factors and reads
-grid entries on demand; the solvers of ``lindblad`` take it.  Only the forward
-generator is built: an adjoint action enters through the Hilbert-Schmidt
-duality Tr[A^dag L'(B)] = Tr[(L A)^dag B].
+``Generator(params, dim)`` holds O(dim) factors and reads grid entries on
+demand; the solvers of ``lindblad`` take it.  Only the forward generator is
+built: an adjoint action enters through the Hilbert-Schmidt duality
+Tr[A^dag L'(B)] = Tr[(L A)^dag B].
 """
 
 from __future__ import annotations
@@ -121,15 +121,6 @@ def build_ladder(dim: int) -> tuple[np.ndarray, np.ndarray]:
     for n in range(1, dim):
         a[n - 1, n] = math.sqrt(n)
     return a, a.conj().T
-
-
-def number_op(dim: int) -> np.ndarray:
-    return np.diag(np.arange(dim, dtype=float)).astype(complex)
-
-
-def parity_op(dim: int) -> np.ndarray:
-    """Photon-number parity (-1)**n, diagonal and involutive."""
-    return np.diag((-1.0) ** np.arange(dim)).astype(complex)
 
 
 def fock_state(dim: int, n: int) -> np.ndarray:
@@ -256,11 +247,6 @@ class Generator:
         return self.dim ** 2 - diag_zeros + jumps
 
 
-def generator(params: ModelParams, dim: int) -> Generator:
-    """Generator of the selected model on a dim-level Fock space."""
-    return Generator(params, dim)
-
-
-def liouvillian(params: ModelParams, dim: int) -> Generator:
-    """The model generator under its older name: ``generator(params, dim)``."""
-    return generator(params, dim)
+# The generator's older name.  It stays only because perfbench/workloads.py calls it, and it
+# goes when the benchmark workloads are rewritten (ROADMAP item 1).
+liouvillian = Generator

@@ -1,12 +1,13 @@
 """Numerical dynamics of the truncated generators.
 
-Steady states and time evolution take a model generator, a ``fock.Generator``
-(``fock.generator``), and solve it block by block; anything else raises
-``TypeError`` before any work.  Both models are phase covariant: jump k takes
-rho[p + k, q + k] to rho[p, q], so the generator never mixes coherence orders
-m = q - p, and it keeps p modulo s, the gcd of its jump shifts (2 for the
-noise-induced model and for the conventional one without gain, 1 with
-one-photon gain).  Block (m, p0) holds rho[p0 + s j, p0 + s j + m], j = 0, 1, ...
+Steady states and time evolution take a model generator,
+``fock.Generator(params, dim)``, and solve it block by block; anything else
+raises ``TypeError`` before any work.  Both models are phase covariant: jump
+k takes rho[p + k, q + k] to rho[p, q], so the generator never mixes
+coherence orders m = q - p, and it keeps p modulo s, the gcd of its jump
+shifts (2 for the noise-induced model and for the conventional one without
+gain, 1 with one-photon gain).  Block (m, p0) holds
+rho[p0 + s j, p0 + s j + m], j = 0, 1, ...
 
 Steady states live on the m = 0 blocks, one per class of levels p0 < s.
 Both models move population up by exactly s and down by 2, so a stationary
@@ -49,7 +50,6 @@ from .fock import (
     ModelKind,
     ModelParams,
     build_ladder,
-    generator,
 )
 
 
@@ -193,10 +193,9 @@ def random_density_matrix(dim: int, support: int | None = None,
 # ---------------------------------------------------------------------------
 
 def _require_generator(gen) -> None:
-    """``TypeError`` unless gen is a model generator, as ``fock.generator`` builds it."""
+    """``TypeError`` unless gen is a model generator, a ``fock.Generator``."""
     if not isinstance(gen, Generator):
-        raise TypeError(f"expected a fock.Generator, as fock.generator builds it, "
-                        f"got {type(gen).__name__}")
+        raise TypeError(f"expected a fock.Generator, got {type(gen).__name__}")
 
 
 def _step(gen: Generator) -> int:
@@ -359,7 +358,11 @@ def _cut_states(gen: Generator, step: int) -> list[np.ndarray]:
         for n in range(top - step, p0 - 1, -step):
             pi[n] = value = (pi[n + 1] * downs[n + 1] + pi[n + 2] * downs[n + 2]) / ups[n]
             if value > _RESCALE_AT:
-                pi[n:top + 1] = [other / value for other in pi[n:top + 1]]
+                if value < math.inf:
+                    pi[n:top + 1] = [other / value for other in pi[n:top + 1]]
+                else:  # the flow over ups[n] passed float range: a gain below ~1e-308 of the loss
+                    flow = pi[n + 1] * downs[n + 1] + pi[n + 2] * downs[n + 2]
+                    pi[n:top + 1] = [1.0] + [other / flow * ups[n] for other in pi[n + 1:top + 1]]
         pi = np.array(pi[:dim])
         pi /= pi.sum()
         _require_stationary(gen, pi, f"steady state {p0}")
@@ -499,7 +502,7 @@ def circulation(rho: np.ndarray, params: ModelParams) -> CirculationResult:
             f"top Fock levels carry population {edge:.2e}; circulation may be unreliable",
             stacklevel=2,
         )
-    gen = generator(params, dim)
+    gen = Generator(params, dim)
     root = np.sqrt(np.arange(1.0, dim))  # a[n - 1, n] = sqrt(n)
     # a rho and a^dag rho on the entries [i, i + 1] (row 0) and [i + 1, i] (row 1)
     lowered = np.zeros((2, dim - 1), dtype=complex)
@@ -544,7 +547,7 @@ def detailed_balance_residual(params: ModelParams, rho_ss: np.ndarray) -> float:
     jump has a mirror, so that model's gap is exactly 1.
     """
     pops = _diagonal(rho_ss).real
-    gen, dim = generator(params, pops.size), pops.size
+    gen, dim = Generator(params, pops.size), pops.size
     _require_stationary(gen, pops, "state")
     if not _is_diagonal(rho_ss):
         raise OffDiagonalStateError("the detailed-balance residual takes a diagonal steady "

@@ -5,8 +5,8 @@ Euler scheme (two-point increments, one random bit each, weak order 1),
 simulated in the frame that rotates with omega0 (the rotation commutes with
 the rest of the generator, so every path ends as quadratures (x, y) rotated
 once at one shared site, and the polar phase is one normal draw per path); the
-closed-form stationary densities (Rayleigh radius, uniform phase, Gaussian
-plane), grid Fokker-Planck residuals, classical circulation, the
+closed-form stationary densities (Rayleigh radius, Gaussian plane), grid
+Fokker-Planck residuals, classical circulation, the
 Stratonovich/Ito drift conversion check (a closed form in three sample
 moments, drawn from their exact law), and the classical detailed-balance flux
 decomposition; the two-dimensional grid checks run in row blocks of 32 KiB.
@@ -116,7 +116,7 @@ class SdeEnsembleResult:
 
 @dataclass(frozen=True)
 class AnalyticPdfs:
-    """Stationary densities: Rayleigh radius, uniform phase, Gaussian plane."""
+    """Stationary densities: Rayleigh radius and Gaussian plane; the phase is uniform."""
 
     kappa: float
     delta: float
@@ -124,9 +124,6 @@ class AnalyticPdfs:
     def radial(self, r):
         r = np.asarray(r, dtype=float)
         return (self.delta / self.kappa) * r * np.exp(-self.delta * r ** 2 / (2.0 * self.kappa))
-
-    def phase(self, phi):
-        return np.full_like(np.asarray(phi, dtype=float), 1.0 / (2.0 * math.pi))
 
     def plane(self, x, y):
         s = np.asarray(x) ** 2 + np.asarray(y) ** 2
@@ -165,10 +162,6 @@ class DetailedBalanceReport:
     order_divergence: float | None
     diffusion_time_reversal_exact: bool
     spacing: float
-
-
-def analytic_pdfs(cfg: SdeConfig) -> AnalyticPdfs:
-    return AnalyticPdfs(kappa=cfg.kappa, delta=cfg.delta)
 
 
 # ---------------------------------------------------------------------------
@@ -352,23 +345,17 @@ def circulation_classical(cfg: SdeConfig, result: SdeEnsembleResult) -> tuple[fl
 
 def _radial_residual(cfg: SdeConfig, r: np.ndarray) -> np.ndarray:
     h = r[1] - r[0]
-    p = analytic_pdfs(cfg).radial(r)
+    p = AnalyticPdfs(cfg.kappa, cfg.delta).radial(r)
     drift = (3.0 * cfg.kappa * r - cfg.delta * r ** 3) * p
     diff = cfg.kappa * r ** 2 * p
     return -dx(drift, h, 0) + dxx(diff, h, 0)
-
-
-def _phase_residual(cfg: SdeConfig, phi: np.ndarray) -> np.ndarray:
-    h = phi[1] - phi[0]
-    p = analytic_pdfs(cfg).phase(phi)
-    return cfg.omega0 * dx(p, h, 0) + cfg.kappa * dxx(p, h, 0)
 
 
 def _cartesian_residual(cfg: SdeConfig, xs: np.ndarray, ys: np.ndarray,
                         hx: float, hy: float) -> np.ndarray:
     """Residual field on rows ``xs`` of the grid xs x ys, whose spacings are (hx, hy)."""
     X, Y = xs[:, None], ys[None, :]
-    p = analytic_pdfs(cfg).plane(X, Y)
+    p = AnalyticPdfs(cfg.kappa, cfg.delta).plane(X, Y)
     a_x, a_y = _cartesian_drift(X, Y, cfg)
     diff = cfg.kappa * (X ** 2 + Y ** 2) * p
     return -dx(a_x * p, hx, 0) - dx(a_y * p, hy, 1) + dxx(diff, hx, 0) + dxx(diff, hy, 1)
@@ -387,7 +374,6 @@ def _interior_maxima(fields, xs: np.ndarray, row_values: int) -> list[float]:
 # each operator's largest |residual| off the grid edge, on one axis or the cartesian pair
 _MAX_RESIDUALS = {
     "radial": lambda cfg, r: float(np.abs(interior(_radial_residual(cfg, r), 2)).max()),
-    "phase": lambda cfg, phi: float(np.abs(interior(_phase_residual(cfg, phi), 2)).max()),
     "cartesian": lambda cfg, xs, ys: _interior_maxima(
         lambda rows: [_cartesian_residual(cfg, rows, ys, xs[1] - xs[0], ys[1] - ys[0])],
         xs, ys.size)[0],
@@ -399,7 +385,7 @@ def fokker_planck_residual(which: str, cfg: SdeConfig, grid) -> float:
 
     The residual is recomputed on a once-refined grid and the observed
     convergence order must land in [1.7, 2.3] (a residual at rounding level on
-    both grids, e.g. the phase operator on the uniform density, also passes).
+    both grids also passes).
     """
     if which not in _MAX_RESIDUALS:
         raise SdeError(f"unknown operator {which!r}")
@@ -474,7 +460,7 @@ def _balance_fields(cfg: SdeConfig, xs: np.ndarray, ys: np.ndarray, h: float):
     """Irreversible flux norm and rotational-flux divergence on rows ``xs`` of the grid xs x ys."""
     X, Y = xs[:, None], ys[None, :]
     s = X ** 2 + Y ** 2
-    p = analytic_pdfs(cfg).plane(X, Y)
+    p = AnalyticPdfs(cfg.kappa, cfg.delta).plane(X, Y)
     sp = s * p
     # irreversible drift: the time-reversal-even part (position even, momentum odd)
     irr_x = (2.0 * cfg.kappa * X - 0.25 * cfg.delta * s * X) * p - cfg.kappa * dx(sp, h, 0)

@@ -19,12 +19,12 @@ import numpy as np
 
 from . import analytic, sde, wignerflux
 from .fock import (
+    Generator,
     ModelKind,
     ModelParams,
     coherent_state,
     dim_for_tail,
     fock_state,
-    generator,
 )
 from .lindblad import (
     circulation,
@@ -122,7 +122,7 @@ def steady_report(params: ModelParams, dim: int, wp_plus: float | None) -> dict:
     state, so it reads no even weight ``wp_plus``.  Every row reads the
     steady populations: no dim x dim array is built.
     """
-    solved = steady_populations(generator(params, dim))
+    solved = steady_populations(Generator(params, dim))
     checks = {}
     if params.kind is ModelKind.NOISE_INDUCED:
         k = params.k_ratio
@@ -174,7 +174,7 @@ def ensemble_report(cfg: sde.SdeConfig, result: sde.SdeEnsembleResult) -> dict:
         "mean_r_expected": math.sqrt(math.pi * cfg.kappa / (2.0 * cfg.delta)),
         "var_r": result.var_r,
         "var_r_expected": (4.0 - math.pi) * cfg.kappa / (2.0 * cfg.delta),
-        "radial_mode_expected": sde.analytic_pdfs(cfg).radial_mode,
+        "radial_mode_expected": sde.AnalyticPdfs(cfg.kappa, cfg.delta).radial_mode,
         "ks_r_pvalue": float(ks_r.pvalue),
         "ks_phi_pvalue": float(ks_phi.pvalue),
         "circulation_empirical": empirical,
@@ -198,7 +198,7 @@ def check_steady_state_oracle(mutations=()) -> dict:
     for k_ratio in (0.1, 0.5, 0.8):
         dim = dim_for_tail(k_ratio)
         params = ModelParams(omega0=1.0, kappa_down=kappa_down, kappa_up2=k_ratio)
-        result = steady_populations(generator(params, dim))
+        result = steady_populations(Generator(params, dim))
         distances += [closed_form_row(result.combine(wp), k_ratio, wp)["value"]
                       for wp in (0.3, 0.55, 0.9)]
     # np.max, unlike max, carries a NaN distance into the row, which then fails
@@ -324,7 +324,7 @@ def check_circulation(mutations=()) -> dict:
     steady = analytic.populations_ss(0.5, 0.55, 100)
     steady_params = ModelParams(omega0=1.0, kappa_down=1.0, kappa_up2=0.5)
     steady_result = circulation(steady, steady_params)
-    formula = 4.0 * 1.0 * (2.0 * 0.5 / 0.5 + 0.45 + 0.5)
+    formula = 4.0 * abs(steady_params.omega0) * (analytic.mean_n_ss(0.5, 0.55) + 0.5)
     if "circulation-sign" in mutations:
         formula = -formula
     return {
@@ -345,7 +345,7 @@ def check_detailed_balance(mutations=()) -> dict:
     )
     conv_dim = 20
     conv = detailed_balance_residual(
-        conv_params, steady_populations(generator(conv_params, conv_dim)).states[0])
+        conv_params, steady_populations(Generator(conv_params, conv_dim)).states[0])
     if "balance-models-swapped" in mutations:  # each row reads the other model
         ni, conv = conv, ni
     return {
@@ -367,7 +367,7 @@ def check_parity(mutations=()) -> dict:
     k_ratio = 0.3
     dim = dim_for_tail(k_ratio)
     params = ModelParams(omega0=1.0, kappa_down=1.0, kappa_up2=k_ratio)
-    gen = generator(params, dim)
+    gen = Generator(params, dim)
 
     rho0 = coherent_state(dim, 1.0)
     reference = parity_expectation(rho0)

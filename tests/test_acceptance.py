@@ -10,7 +10,7 @@ half of that check passes and is asserted separately in the analytic tests.
 
 import pytest
 
-from noisecycle import verify
+from noisecycle import analytic, verify
 from noisecycle.verify import run_check
 
 
@@ -119,3 +119,12 @@ def test_runtime_budget_fails_a_slow_check(monkeypatch):
     assert _failing_rows(result) == ["runtime"], result.summary()
     assert result.details["runtime"]["value"] == result.duration
     assert not result.passed
+
+
+def test_circulation_check_reads_the_mean_photon_number(monkeypatch):
+    """The steady row's closed form comes from ``analytic.mean_n_ss``, not a copy of it."""
+    true_mean_n = analytic.mean_n_ss
+    monkeypatch.setattr(analytic, "mean_n_ss", lambda k, wp: true_mean_n(k, wp) + 1.0)
+    result = run_check("circulation")
+    assert _failing_rows(result) == ["steady_rel_gap"], result.summary()
+    assert result.details["steady_formula"] == pytest.approx(4.0 * (2.45 + 1.0 + 0.5))

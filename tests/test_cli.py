@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import noisecycle
-from noisecycle import verify
+from noisecycle import cli, verify
 from noisecycle.cli import FIELDS, RULES, main
 from noisecycle.fock import ModelParams
 
@@ -375,6 +375,54 @@ def test_dim_past_the_byte_budget_is_refused_before_any_output(tmp_path, argv, f
     assert f"at dim {dim} " in str(err.value) and "GiB budget" in str(err.value)
     assert not run.exists()
     assert peak < 4 * 2 ** 20
+
+
+@pytest.mark.parametrize("argv, field, at", [
+    # the default extent at k 0.5 is 7.62, so 15244 points a side, about 20.8 GiB
+    pytest.param(["wigner", "--h", "0.001"], "h", "2.32380e+8 grid cells", id="wigner-fine-step"),
+    pytest.param(["wigner", "--extent", "500"], "extent", "4.00040e+8 grid cells",
+                 id="wigner-wide-extent"),
+    # 2 * extent / h passes float range; the count is exact all the same
+    pytest.param(["wigner", "--extent", "1e300", "--h", "1e-10"], "extent",
+                 "4.00000e+620 grid cells", id="wigner-count-past-float-range"),
+    pytest.param(["sde", "--n-paths", "100000000"], "n_paths", "1.00000e+8 paths", id="sde"),
+    pytest.param(["phase-diagram", "--k-count", "10000", "--wp-count", "10000"],
+                 "k_count/wp_count", "1.00000e+8 rows", id="phase-diagram"),
+])
+def test_grid_paths_or_rows_past_the_byte_budget_are_refused_before_any_output(
+        tmp_path, argv, field, at):
+    run = tmp_path / "run"
+    tracemalloc.start()
+    try:
+        with pytest.raises(SystemExit) as err:
+            main([*argv, "--out", str(run)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value).startswith(f"config error at {field}: the arrays at {at} take about ")
+    assert str(err.value).endswith(" GiB budget")
+    assert not run.exists()
+    assert peak < 4 * 2 ** 20
+
+
+@pytest.mark.parametrize("argv, field", [
+    pytest.param(["phase-diagram", "--k-count", "3", "--wp-count", "2"], "k_count/wp_count",
+                 id="phase-diagram"),
+    pytest.param(["steady"], "k_ratio", id="steady"),
+    pytest.param(["evolve", "--dim", "20"], "dim", id="evolve"),
+    pytest.param(["sde", "--n-paths", "50", "--burn-in", "0", "--n-steps", "1"], "n_paths",
+                 id="sde"),
+    pytest.param(["wigner", "--h", "0.5"], "h", id="wigner"),
+    pytest.param(["wigner", "--h", "0.5", "--extent", "8"], "extent", id="wigner-given-extent"),
+])
+def test_every_command_checks_the_byte_budget(monkeypatch, tmp_path, argv, field):
+    monkeypatch.setattr(cli, "BYTE_BUDGET", 64)  # less than any run's arrays take
+    run = tmp_path / "run"
+    with pytest.raises(SystemExit) as err:
+        main([*argv, "--out", str(run)])
+    assert str(err.value).startswith(f"config error at {field}: the arrays at ")
+    assert str(err.value).endswith("past the 5.96046e-08 GiB budget")
+    assert not run.exists()
 
 
 # coherent:1e200 is well formed, but its amplitudes overflow

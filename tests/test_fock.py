@@ -22,10 +22,7 @@ from noisecycle.fock import (
     default_dim,
     dim_for_tail,
     fock_state,
-    generator,
     liouvillian,
-    number_op,
-    parity_op,
 )
 from noisecycle.analytic import rho_ss_analytic
 
@@ -36,6 +33,15 @@ CONV = ModelParams(omega0=1.0, kappa_down=1.0, kappa_up1=0.3, kind=ModelKind.CON
 def quadrature_x(dim: int) -> np.ndarray:
     a, ad = build_ladder(dim)
     return a + ad
+
+
+def number_op(dim: int) -> np.ndarray:
+    return np.diag(np.arange(dim, dtype=float)).astype(complex)
+
+
+def parity_op(dim: int) -> np.ndarray:
+    """Photon-number parity (-1)**n, diagonal and involutive."""
+    return np.diag((-1.0) ** np.arange(dim)).astype(complex)
 
 
 def test_ladder_two_levels():
@@ -64,7 +70,7 @@ def test_ladder_rejects_tiny_dimension():
     with pytest.raises(FockError):
         build_ladder(1)
     with pytest.raises(FockError):
-        liouvillian(NI, 1)
+        Generator(NI, 1)
 
 
 def test_parity_is_involutive():
@@ -295,7 +301,7 @@ def tocsr(gen: Generator) -> sp.csr_matrix:
 
 def liouvillian_csr(params: ModelParams, dim: int) -> sp.csr_matrix:
     """The model generator as a CSR matrix; byte for byte ``reference_liouvillian``."""
-    return tocsr(generator(params, dim))
+    return tocsr(Generator(params, dim))
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +479,7 @@ def test_rotation_turns_each_chain_at_one_phase(k_ratio, omega0, dim):
     # the photon numbers are exact, so the imaginary diagonal of every entry
     # of order m = q - p is omega0 m, and each chain rho[p + 2 j, q + 2 j]
     # repeats it bit for bit
-    gen = generator(ModelParams(omega0=omega0, kappa_down=1.0, kappa_up2=k_ratio), dim)
+    gen = Generator(ModelParams(omega0=omega0, kappa_down=1.0, kappa_up2=k_ratio), dim)
     p, q = np.indices((dim, dim))
     assert np.array_equal(gen.diag(p, q).imag, omega0 * (q - p))
 
@@ -491,7 +497,7 @@ def test_generator_diagonals_apply_as_the_csr_generator(params, omega0, dim):
     gen = liouvillian_csr(params, dim)
     rng = np.random.default_rng(dim)
     rho = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    model = generator(params, dim)
+    model = Generator(params, dim)
     got = vectorize(apply_by_order(model, rho))
     # the same products summed in another order; a fused multiply-add in
     # either one can move a complex product by an ulp
@@ -540,7 +546,7 @@ def closed_form_grids(params: ModelParams, dim: int):
 ])
 def test_generator_grids_match_the_closed_form(params, omega0, dim):
     params = replace(params, omega0=omega0)
-    got_diag, got_jumps = dense_grids(generator(params, dim))
+    got_diag, got_jumps = dense_grids(Generator(params, dim))
     diag, jumps = closed_form_grids(params, dim)
     assert got_jumps.keys() == jumps.keys()
     np.testing.assert_allclose(got_diag, diag, rtol=1e-14, atol=0)
@@ -556,11 +562,12 @@ def test_generator_grids_match_the_closed_form(params, omega0, dim):
 ])
 @pytest.mark.parametrize("dim", [3, 20])
 def test_nnz_counts_the_entries_the_csr_stores(params, dim):
-    gen = generator(params, dim)
+    gen = Generator(params, dim)
     assert gen.nnz == liouvillian_csr(params, dim).nnz
-    # the older name builds the same generator
-    old = liouvillian(params, dim)
-    assert old == gen and old.nnz == gen.nnz
+
+
+def test_the_older_name_is_the_generator_class():
+    assert liouvillian is Generator
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 7, 20, 46])
@@ -572,13 +579,13 @@ def test_nnz_counts_the_entries_the_csr_stores(params, dim):
     pytest.param(replace(CONV, kappa_up1=0.0), id="conventional-no-gain"),
 ])
 def test_nnz_from_the_factors_counts_the_dense_grids(params, omega0, dim):
-    gen = generator(replace(params, omega0=omega0), dim)
+    gen = Generator(replace(params, omega0=omega0), dim)
     diag, jumps = dense_grids(gen)
     assert gen.nnz == sum(np.count_nonzero(grid) for grid in (diag, *jumps.values()))
 
 
 def test_generator_counts_are_the_rolled_squares():
-    gen = generator(CONV, 12)
+    gen = Generator(CONV, 12)
     for k, (_, amp) in gen.channels.items():
         assert gen.counts[k].tobytes() == np.roll(amp * amp, k).tobytes()
     assert gen.counts is gen.counts  # computed once
@@ -599,7 +606,7 @@ def test_generator_stores_its_factors_only():
     dim = 55236
     tracemalloc.start()
     try:
-        gen = generator(ModelParams(omega0=1.0, kappa_down=1.0, kappa_up2=0.999), dim)
+        gen = Generator(ModelParams(omega0=1.0, kappa_down=1.0, kappa_up2=0.999), dim)
         n = np.arange(dim - 2)
         down, up = gen.jump(2, n, n), gen.jump(-2, n + 2, n + 2)  # the links of the m = 0 chains
         peak = tracemalloc.get_traced_memory()[1]

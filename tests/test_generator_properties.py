@@ -14,10 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import null_space
 
-from noisecycle.fock import ModelKind, ModelParams, generator, parity_op
+from noisecycle.fock import Generator, ModelKind, ModelParams
 from noisecycle import lindblad
 from noisecycle.lindblad import evolve, random_density_matrix, steady_states
-from test_fock import apply_super, liouvillian_csr, reference_liouvillian, vectorize
+from test_fock import apply_super, liouvillian_csr, parity_op, reference_liouvillian, vectorize
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=25)
 
@@ -92,7 +92,7 @@ def test_no_entry_couples_coherence_orders(model):
 def test_evolve_keeps_states_positive(model, t):
     params, dim, seed = model
     rho0 = random_density_matrix(dim, rng=np.random.default_rng(seed))
-    rho_t = evolve(rho0, generator(params, dim), t)
+    rho_t = evolve(rho0, Generator(params, dim), t)
     assert np.linalg.eigvalsh(rho_t).min() >= -1e-10
     assert abs(np.trace(rho_t) - 1.0) < 1e-10
 
@@ -101,7 +101,7 @@ def test_evolve_keeps_states_positive(model, t):
 @given(models())
 def test_steady_states_are_states_in_the_dense_null_space(model):
     params, dim, _ = model
-    gen = generator(params, dim)
+    gen = Generator(params, dim)
     result = steady_states(gen)
     assert result.kernel_dim == len(result.states) == lindblad._step(gen)
     kernel = null_space(liouvillian_csr(params, dim).toarray())

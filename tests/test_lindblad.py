@@ -15,15 +15,13 @@ from noisecycle import fock, lindblad
 from noisecycle.analytic import rho_ss_analytic
 from noisecycle.fock import (
     FockError,
+    Generator,
     ModelKind,
     ModelParams,
     build_ladder,
     coherent_state,
     default_dim,
     fock_state,
-    generator,
-    number_op,
-    parity_op,
 )
 from noisecycle.lindblad import (
     DisplacementRangeError,
@@ -51,6 +49,8 @@ from test_fock import (
     devectorize,
     dissipator,
     liouvillian_csr,
+    number_op,
+    parity_op,
     quadrature_x,
     reference_liouvillian,
     sandwich,
@@ -83,7 +83,7 @@ def check_density_matrix(rho: np.ndarray, herm_tol=1e-12, trace_tol=1e-12, eig_f
 def test_steady_state_matches_geometric_form():
     dim = 46
     params = ModelParams(omega0=1.0, kappa_down=1.0, kappa_up2=0.3)
-    result = steady_states(generator(params, dim))
+    result = steady_states(Generator(params, dim))
     assert result.kernel_dim == 2
     for wp in (0.0, 0.3, 1.0):
         combined = result.combine(wp)
@@ -102,7 +102,7 @@ def no_eigenproblem(monkeypatch):
 
 def test_steady_state_zero_ratio_sectors(monkeypatch):
     # no up links: the detailed-balance product is the pure-death pair, exactly
-    gen = generator(ModelParams(omega0=1.0, kappa_down=1.0), 20)
+    gen = Generator(ModelParams(omega0=1.0, kappa_down=1.0), 20)
     no_eigenproblem(monkeypatch)
     result = steady_states(gen)
     assert result.kernel_dim == 2
@@ -111,7 +111,7 @@ def test_steady_state_zero_ratio_sectors(monkeypatch):
 
 
 def test_conventional_unique_full_rank():
-    result = steady_states(generator(CONV, 24))
+    result = steady_states(Generator(CONV, 24))
     assert result.kernel_dim == 1
     assert result.rho_plus is None
     rho = result.states[0]
@@ -126,14 +126,14 @@ def test_conventional_unique_full_rank():
 def test_conventional_without_gain_two_sectors():
     # pure two-photon loss: vacuum plus an odd remnant
     params = ModelParams(omega0=1.0, kappa_down=1.0, kind=ModelKind.CONVENTIONAL)
-    result = steady_states(generator(params, 20))
+    result = steady_states(Generator(params, 20))
     assert result.kernel_dim == 2
     assert np.array_equal(result.states[0], fock_state(20, 0))
     assert np.array_equal(result.states[1], fock_state(20, 1))
 
 
 def test_combine_unavailable_for_unique_state():
-    result = steady_states(generator(CONV, 20))
+    result = steady_states(Generator(CONV, 20))
     with pytest.raises(LindbladError, match="no parity-sector basis"):
         result.combine(0.5)
 
@@ -141,7 +141,7 @@ def test_combine_unavailable_for_unique_state():
 @pytest.mark.parametrize("wp", [1.5, -0.1, math.nan])
 def test_combine_rejects_weight_outside_unit_interval(wp):
     # at wp = 1.5 the mixture's smallest eigenvalue would be -0.35
-    result = steady_states(generator(NI, 20))
+    result = steady_states(Generator(NI, 20))
     with pytest.raises(NormalizationError, match="outside"):
         result.combine(wp)
 
@@ -163,7 +163,7 @@ def test_steady_states_span_dense_null_space(monkeypatch, model):
         return
     # reference independent of the block split: the dense kernel of the whole generator
     kernel = null_space(liouvillian_csr(model, 12).toarray())
-    result = steady_states(generator(model, 12))
+    result = steady_states(Generator(model, 12))
     assert result.kernel_dim == len(result.states) == kernel.shape[1]
     for rho in result.states:
         vec = vectorize(rho)
@@ -177,17 +177,27 @@ def test_steady_state_zero_rotation_zero_ratio_counts_states():
     # the |0><1| coherence is stationary as well, but its block carries no state
     params = ModelParams(omega0=0.0, kappa_down=1.0)
     assert null_space(liouvillian_csr(params, 20).toarray()).shape[1] == 4
-    result = steady_states(generator(params, 20))
+    result = steady_states(Generator(params, 20))
     assert result.kernel_dim == 2
     assert np.array_equal(result.rho_plus, fock_state(20, 0))
     assert np.array_equal(result.rho_minus, fock_state(20, 1))
+
+
+@pytest.mark.parametrize("gain", [1e-300, 1e-308, 2.2250738585e-313, 5e-324])
+def test_steady_states_at_a_gain_below_float_range_of_the_loss(gain):
+    # below a gain of about 1e-308 of the loss one step of the cut recursion, the flow over
+    # the gain, passes float range; each class's second level still holds k of the first
+    params = ModelParams(omega0=0.0, kappa_down=1.0, kappa_up2=gain)
+    even, odd = steady_populations(Generator(params, 6)).states
+    assert even.tolist() == [1.0, 0.0, gain, 0.0, 0.0, 0.0]
+    assert odd.tolist() == [0.0, 1.0, 0.0, gain, 0.0, 0.0]
 
 
 def test_steady_state_near_saturated_ratio_default_dim():
     params = ModelParams(omega0=1.0, kappa_down=1.0, kappa_up2=0.9)
     dim = default_dim(params)
     assert dim == 526
-    result = steady_states(generator(params, dim))
+    result = steady_states(Generator(params, dim))
     assert trace_distance(result.combine(0.55), rho_ss_analytic(0.9, 0.55, dim)) < 1e-8
 
 
@@ -203,7 +213,7 @@ def test_steady_state_near_saturated_ratio_default_dim():
 def test_chain_steady_states_at_tail_dim_match_closed_form(monkeypatch, k_ratio, dim):
     with monkeypatch.context() as patch:
         no_eigenproblem(patch)
-        result = steady_states(generator(ModelParams(omega0=1.0, kappa_down=1.0,
+        result = steady_states(Generator(ModelParams(omega0=1.0, kappa_down=1.0,
                                                      kappa_up2=k_ratio), dim))
     assert result.kernel_dim == 2
     assert lindblad._is_diagonal(result.rho_plus) and lindblad._is_diagonal(result.rho_minus)
@@ -216,7 +226,7 @@ def test_chain_steady_states_at_tail_dim_match_closed_form(monkeypatch, k_ratio,
 def test_conventional_steady_state_is_stationary(monkeypatch, kappa_up1, dim):
     # at dim 400 the populations span more than 1e308: a plain product overflows
     params = replace(CONV, kappa_up1=kappa_up1)
-    gen = generator(params, default_dim(params) if dim == "default" else dim)
+    gen = Generator(params, default_dim(params) if dim == "default" else dim)
     no_eigenproblem(monkeypatch)
     result = steady_states(gen)
     assert result.kernel_dim == len(result.states) == 1
@@ -235,9 +245,9 @@ def test_conventional_default_dim_leaves_under_1e_12_above_it(ratio):
     # a solve at twice the default dim holds what the default leaves out
     params = replace(CONV, kappa_up1=ratio)
     dim = default_dim(params)
-    wide = steady_populations(generator(params, 2 * dim)).states[0]
+    wide = steady_populations(Generator(params, 2 * dim)).states[0]
     assert wide[dim:].sum() < 1e-12
-    pops = steady_populations(generator(params, dim)).states[0]
+    pops = steady_populations(Generator(params, dim)).states[0]
     mean, wide_mean = np.arange(dim) @ pops, np.arange(2 * dim) @ wide
     assert abs(mean - wide_mean) <= 1e-9 * wide_mean
     if ratio >= 10:
@@ -268,7 +278,7 @@ def scaled_at(level, factor):
     pytest.param(-2, scaled_at(6, -1.0), id="negative-up-link"),
 ])
 def test_balanced_states_must_be_stationary(monkeypatch, jump, fault):
-    gen = generator(NI, 20)
+    gen = Generator(NI, 20)
     perturb(monkeypatch, jump, fault)
     no_eigenproblem(monkeypatch)
     with pytest.raises(StationarityError, match="not stationary"):
@@ -282,7 +292,7 @@ def test_balanced_states_must_be_stationary(monkeypatch, jump, fault):
 ])
 def test_steady_quantities_of_populations_equal_those_of_the_dense_states(params, dim):
     # a 1-D state is the diagonal state of those populations, to the bit
-    gen = generator(params, dim)
+    gen = Generator(params, dim)
     solved, dense = steady_populations(gen), steady_states(gen)
     assert solved.kernel_dim == dense.kernel_dim == len(solved.states)
     for pops, rho in zip(solved.states, dense.states):
@@ -302,7 +312,7 @@ def test_steady_quantities_of_populations_equal_those_of_the_dense_states(params
 
 
 def test_detailed_balance_rejects_populations_that_are_not_stationary():
-    pops = steady_populations(generator(NI, 30)).combine(0.55)
+    pops = steady_populations(Generator(NI, 30)).combine(0.55)
     pops[[0, 2]] += [-1e-6, 1e-6]
     with pytest.raises(StationarityError):
         detailed_balance_residual(NI, pops)
@@ -315,7 +325,7 @@ def test_detailed_balance_rejects_populations_that_are_not_stationary():
 @pytest.mark.parametrize("given", [
     pytest.param(lambda: liouvillian_csr(NI, 12), id="csr"),
     pytest.param(lambda: liouvillian_csr(NI, 12).toarray(), id="dense-array"),
-    pytest.param(lambda: generator(NI, 12).diag, id="diagonal-grid"),
+    pytest.param(lambda: Generator(NI, 12).diag, id="diagonal-grid"),
     pytest.param(lambda: None, id="none"),
 ])
 def test_solvers_take_only_a_generator(monkeypatch, given):
@@ -325,23 +335,23 @@ def test_solvers_take_only_a_generator(monkeypatch, given):
 
     for name in ("_step", "_is_chain", "_block", "_cut_states", "eigh", "expm"):
         monkeypatch.setattr(lindblad, name, no_work)
-    with pytest.raises(TypeError, match="fock.generator"):
+    with pytest.raises(TypeError, match="fock.Generator"):
         steady_states(given())
     # ahead of the time and state checks too
     for t in (0.3, math.nan):
-        with pytest.raises(TypeError, match="fock.generator"):
+        with pytest.raises(TypeError, match="fock.Generator"):
             evolve(fock_state(12, 0), given(), t)
 
 
 def test_evolve_zero_time_is_identity():
     rho = coherent_state(20, 0.7)
-    out = evolve(rho, generator(NI, 20), 0.0)
+    out = evolve(rho, Generator(NI, 20), 0.0)
     assert np.array_equal(out, rho)
 
 
 def test_evolve_reaches_steady_state():
     dim = 48
-    gen = generator(NI, dim)
+    gen = Generator(NI, dim)
     rho_t = evolve(fock_state(dim, 0), gen, 25.0)
     assert trace_distance(rho_t, rho_ss_analytic(0.5, 1.0, dim)) < 1e-6
     assert abs(np.trace(rho_t).real - 1.0) < 1e-9
@@ -349,7 +359,7 @@ def test_evolve_reaches_steady_state():
 
 def test_evolve_conserves_parity_noise_induced():
     dim = 40
-    gen = generator(ModelParams(omega0=1.0, kappa_down=1.0, kappa_up2=0.3), dim)
+    gen = Generator(ModelParams(omega0=1.0, kappa_down=1.0, kappa_up2=0.3), dim)
     rho0 = coherent_state(dim, 0.8)
     start = parity_expectation(rho0)
     for t in (0.5, 2.0):
@@ -359,7 +369,7 @@ def test_evolve_conserves_parity_noise_induced():
 def test_evolve_parity_drifts_conventional():
     dim = 30
     rho0 = fock_state(dim, 1)
-    out = evolve(rho0, generator(CONV, dim), 3.0)
+    out = evolve(rho0, Generator(CONV, dim), 3.0)
     assert abs(parity_expectation(out) - parity_expectation(rho0)) > 0.1
 
 
@@ -380,7 +390,7 @@ def assert_rejected_before_any_solve(monkeypatch, csr, solve):
 
     monkeypatch.setattr(lindblad, "_block", no_solve)
     monkeypatch.setattr(lindblad, "eigh", no_solve)
-    with pytest.raises(TypeError, match="fock.generator"):
+    with pytest.raises(TypeError, match="fock.Generator"):
         solve(csr)
 
 
@@ -425,7 +435,7 @@ def test_evolve_matches_full_exponential_action(monkeypatch, name):
                 assert_rejected_before_any_solve(monkeypatch, gen,
                                                  lambda csr: evolve(rho0, csr, t))
         return
-    model = generator(GENERATORS[name], dim)
+    model = Generator(GENERATORS[name], dim)
     for rho0 in seeds:
         for t in (0.3, 2.0):
             gap = np.abs(evolve(rho0, model, t) - reference_evolve(rho0, gen, t)).max()
@@ -434,7 +444,7 @@ def test_evolve_matches_full_exponential_action(monkeypatch, name):
 
 def test_evolve_rejects_negative_time():
     with pytest.raises(ValueError):
-        evolve(fock_state(10, 0), generator(NI, 10), -1.0)
+        evolve(fock_state(10, 0), Generator(NI, 10), -1.0)
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf])
@@ -445,7 +455,7 @@ def test_evolve_rejects_time_that_is_not_finite(monkeypatch, t):
 
     monkeypatch.setattr(lindblad, "_step", no_path)
     with pytest.raises(ValueError, match="finite"):
-        evolve(fock_state(10, 0), generator(NI, 10), t)
+        evolve(fock_state(10, 0), Generator(NI, 10), t)
 
 
 @pytest.mark.parametrize("name", list(GENERATORS))
@@ -456,7 +466,7 @@ def test_evolve_keeps_zero_at_zero(monkeypatch, name):
         assert_rejected_before_any_solve(monkeypatch, csr_generator(name, 12),
                                          lambda csr: evolve(zero, csr, 1.0))
         return
-    assert np.array_equal(evolve(zero, generator(GENERATORS[name], 12), 1.0), zero)
+    assert np.array_equal(evolve(zero, Generator(GENERATORS[name], 12), 1.0), zero)
 
 
 @pytest.mark.parametrize("params", [NI, CONV], ids=["noise-induced", "conventional"])
@@ -467,7 +477,7 @@ def test_evolve_rejects_state_of_another_dim(monkeypatch, params, state_dim, gen
 
     monkeypatch.setattr(lindblad, "_step", no_path)
     with pytest.raises(FockError, match=rf"\({state_dim}, {state_dim}\).* dim {gen_dim}"):
-        evolve(fock_state(state_dim, 0), generator(params, gen_dim), 1.0)
+        evolve(fock_state(state_dim, 0), Generator(params, gen_dim), 1.0)
 
 
 def test_evolve_rejects_non_hermitian_state():
@@ -475,7 +485,7 @@ def test_evolve_rejects_non_hermitian_state():
     rho0[0, 1] = 0.1
     for t in (0.0, 1.0):
         with pytest.raises(ValueError, match="not Hermitian"):
-            evolve(rho0, generator(NI, 20), t)
+            evolve(rho0, Generator(NI, 20), t)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, complex(0.0, math.nan)])
@@ -490,7 +500,7 @@ def test_evolve_rejects_state_that_is_not_finite(monkeypatch, value):
     rho0[3, 3] = value
     for t in (0.0, 1.0):
         with pytest.raises(ValueError, match="not finite"):
-            evolve(rho0, generator(NI, 20), t)
+            evolve(rho0, Generator(NI, 20), t)
 
 
 # the gcd s of each model generator's jump shifts: block (m, p0) holds rho[p0 + s j, p0 + s j + m]
@@ -502,7 +512,7 @@ def test_dense_blocks_equal_csr_slices(name):
     dim = 24
     gen = csr_generator(name, dim)
     step = STEPS[name]
-    model = generator(GENERATORS[name], dim)
+    model = Generator(GENERATORS[name], dim)
     assert lindblad._step(model) == step
     for m in range(dim):
         for p0 in range(step):
@@ -542,7 +552,7 @@ def test_evolve_exponentiates_each_mirror_pair_once(monkeypatch, name):
                                          lambda csr: evolve(rho0, csr, 0.3))
         return
     solves = count_solves(monkeypatch)
-    rho_t = evolve(rho0, generator(GENERATORS[name], dim), 0.3)
+    rho_t = evolve(rho0, Generator(GENERATORS[name], dim), 0.3)
     assert np.array_equal(rho_t, rho_t.conj().T)
     assert not (solves["expm"] and solves["chains"])
     assert bool(solves["chains"]) == (name == "noise-induced-k0.4")
@@ -589,7 +599,7 @@ def test_chain_path_matches_dense_blocks(monkeypatch, k_ratio, omega0):
 
     params = ModelParams(omega0=omega0, kappa_down=1.0, kappa_up2=k_ratio)
     dim = default_dim(params)
-    gen = generator(params, dim)
+    gen = Generator(params, dim)
     diag, _ = dense_grids(gen)
     for m in range(dim):
         chain = np.diagonal(diag.imag, m)
@@ -616,7 +626,7 @@ def test_chain_path_matches_dense_blocks(monkeypatch, k_ratio, omega0):
 def test_chain_path_needs_positive_links_on_three_vec_diagonals(monkeypatch, params, is_chain,
                                                                 step):
     dim = 12
-    model = generator(params, dim)
+    model = Generator(params, dim)
     assert lindblad._is_chain(model) == is_chain
     assert lindblad._step(model) == step
     # every touched block of order m >= 0 is solved on the path taken, and only there
@@ -633,7 +643,7 @@ def test_coherent_start_past_the_chain_span_stays_on_the_chains(monkeypatch):
     # at k = 0.3 the m = 0 chains of dim 92 span 0.3^(-45/2) = 5.8e11, but
     # the start weighted by D, max D |x(0)| / max |x(0)|, stays near 1
     dim = 92
-    gen = generator(ModelParams(omega0=1.0, kappa_down=1.0, kappa_up2=0.3), dim)
+    gen = Generator(ModelParams(omega0=1.0, kappa_down=1.0, kappa_up2=0.3), dim)
     solves = count_solves(monkeypatch)
     rho0 = coherent_state(dim, 1.1 + 0.4j)
     rho_t = evolve(rho0, gen, 0.01)
@@ -646,7 +656,7 @@ def test_full_support_start_past_the_weighted_span_takes_the_dense_path(monkeypa
     # this random state weighs 2.6e11 at dim 90 and 1.8e19 at dim 150; the
     # chains forced on it at t = 1 miss the trace by 3.2e-13 at dim 90,
     # 3.8e-9 at dim 150 and 0.51 at dim 250
-    gen = generator(ModelParams(omega0=1.0, kappa_down=1.0, kappa_up2=0.3), dim)
+    gen = Generator(ModelParams(omega0=1.0, kappa_down=1.0, kappa_up2=0.3), dim)
     rho0 = random_density_matrix(dim, rng=np.random.default_rng(11))
     solves = count_solves(monkeypatch)
     rho_t = evolve(rho0, gen, 1.0)
@@ -658,7 +668,7 @@ def test_vacuum_past_the_float_range_of_the_similarity_stays_on_the_chains(monke
     # at k = 0.1, dim 1400, log D reaches 805 on the m = 0 chains, past the
     # float range: D is inf there, where the start is 0 and so is D^-1 y
     dim = 1400
-    gen = generator(ModelParams(omega0=1.0, kappa_down=1.0, kappa_up2=0.1), dim)
+    gen = Generator(ModelParams(omega0=1.0, kappa_down=1.0, kappa_up2=0.1), dim)
     log_scale = lindblad._chains(gen, np.array([0]), np.array([0])).log_scale
     assert log_scale.max() > math.log(sys.float_info.max)
     rho0 = fock_state(dim, 0)
@@ -676,7 +686,7 @@ def test_long_time_stays_on_the_chain_path(monkeypatch):
     # within 1e-11 of the dense exponentials and closer than they are to the
     # steady state they relax to
     dim = 46
-    gen = generator(ModelParams(omega0=-2.7, kappa_down=1.0, kappa_up2=0.3), dim)
+    gen = Generator(ModelParams(omega0=-2.7, kappa_down=1.0, kappa_up2=0.3), dim)
     rho0 = random_density_matrix(dim, rng=np.random.default_rng(5))
     solves = count_solves(monkeypatch)
     chains = evolve(rho0, gen, 200.0)
@@ -782,7 +792,7 @@ def dense_circulation(rho, params):
     """phi from the whole matrices: a rho and a^dag rho as row shifts of rho, and the
     generator applied to all of x rho and y rho."""
     dim = rho.shape[0]
-    gen = generator(params, dim)
+    gen = Generator(params, dim)
     root = np.sqrt(np.arange(1.0, dim))  # a[n - 1, n] = sqrt(n)
     lowered = np.zeros(rho.shape, dtype=complex)  # a rho
     lowered[:-1] = root[:, None] * rho[1:]
@@ -866,7 +876,7 @@ def test_detailed_balance_independent_of_rotation():
 
 
 def test_detailed_balance_fails_conventional():
-    rho = steady_states(generator(CONV, 20)).states[0]
+    rho = steady_states(Generator(CONV, 20)).states[0]
     assert detailed_balance_residual(CONV, rho) > 1e-3
 
 
@@ -881,7 +891,7 @@ def test_detailed_balance_fails_conventional():
 def test_detailed_balance_verdict_is_free_of_the_truncation(params, dim, expected):
     # the flow gap reads the occupied levels only: the conventional model's is
     # exactly 1 at any dim (default 5708 at kappa_up1 1e4), the noise-induced one's rounding
-    solved = steady_populations(generator(params, dim))
+    solved = steady_populations(Generator(params, dim))
     pops = solved.combine(0.55) if params.kind is ModelKind.NOISE_INDUCED else solved.states[0]
     residual = detailed_balance_residual(params, pops)
     if expected:
@@ -905,7 +915,7 @@ def test_detailed_balance_residual_is_free_of_the_rate_scale(params):
                                 for name in ("omega0", "kappa_down", "kappa_up2", "kappa_up1")})
     residuals = []
     for model in (params, scaled):
-        solved = steady_states(generator(model, dim))
+        solved = steady_states(Generator(model, dim))
         rho = solved.combine(0.55) if model.kind is ModelKind.NOISE_INDUCED else solved.states[0]
         residuals.append(detailed_balance_residual(model, rho))
     if params.kind is ModelKind.NOISE_INDUCED:
@@ -935,12 +945,12 @@ def balance_cases():
             params = ModelParams(omega0=omega0, kappa_down=1.0, kappa_up2=k)
             yield (f"noise-induced-w{omega0}-k{k}", params,
                    lambda params=params, dim=dim: steady_states(
-                       generator(params, dim)).combine(0.55))
+                       Generator(params, dim)).combine(0.55))
     for gain in (0.05, 0.1216, 3.0):
         params = replace(CONV, kappa_up1=gain)
         yield (f"conventional-{gain}", params,
                lambda params=params: steady_states(
-                   generator(params, default_dim(params))).states[0])
+                   Generator(params, default_dim(params))).states[0])
 
 
 @pytest.mark.parametrize("params,make_state", [case[1:] for case in balance_cases()],
@@ -1134,7 +1144,7 @@ def test_wigner_numeric_radial_path_matches_general_path(monkeypatch, make_state
 def test_trace_distance_of_diagonal_states_matches_eigvalsh(monkeypatch):
     pairs = [(rho_ss_analytic(0.3, 0.55, 46), rho_ss_analytic(0.3, 0.2, 46)),
              (fock_state(30, 0), fock_state(30, 3)),
-             (steady_states(generator(CONV, 24)).states[0], fock_state(24, 0))]
+             (steady_states(Generator(CONV, 24)).states[0], fock_state(24, 0))]
     diagonal = [trace_distance(r1, r2) for r1, r2 in pairs]
     monkeypatch.setattr(lindblad, "_is_diagonal", lambda mat: False)
     for (r1, r2), value in zip(pairs, diagonal):

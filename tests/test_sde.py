@@ -20,7 +20,6 @@ from noisecycle.sde import (
     _draw_steps,
     _run_block,
     _two_point_increments,
-    analytic_pdfs,
     circulation_classical,
     classical_detailed_balance,
     fokker_planck_residual,
@@ -371,8 +370,6 @@ def test_pdf_normalizations():
     pdfs = AnalyticPdfs(kappa=0.7, delta=1.3)
     radial_total, _ = quad(pdfs.radial, 0, 30)
     assert abs(radial_total - 1.0) < 1e-10
-    phase_total, _ = quad(pdfs.phase, 0, 2 * math.pi)
-    assert abs(phase_total - 1.0) < 1e-10
     plane_total, _ = dblquad(lambda y, x: pdfs.plane(x, y), -15, 15, -15, 15)
     assert abs(plane_total - 1.0) < 1e-8
 
@@ -399,11 +396,6 @@ def test_radial_residual_second_order():
     assert 3.0 < coarse / fine < 5.3  # order 2 +- 0.3 between the two grids
 
 
-def test_phase_residual_exactly_zero():
-    cfg = SdeConfig(kappa=1.0, delta=1.0, omega0=3.0, seed=0)
-    assert fokker_planck_residual("phase", cfg, np.linspace(0, 2 * math.pi, 101)) == 0.0
-
-
 def test_cartesian_residual_second_order():
     cfg = SdeConfig(kappa=1.0, delta=1.0, omega0=2.0, seed=0)
     xs = np.linspace(-8, 8, 161)
@@ -426,11 +418,17 @@ def test_too_coarse_grid_raises():
         fokker_planck_residual("radial", cfg, np.linspace(0, 5, 7))
 
 
+def test_unknown_operator_is_refused():
+    cfg = SdeConfig(kappa=1.0, delta=1.0, seed=0)
+    with pytest.raises(SdeError, match="unknown operator 'phase'"):
+        fokker_planck_residual("phase", cfg, np.linspace(0, 2 * math.pi, 101))
+
+
 def _whole_grid_residual(cfg, xs, ys):
     """Largest |cartesian residual| off the grid edge, on whole-grid arrays."""
     hx, hy = xs[1] - xs[0], ys[1] - ys[0]
     X, Y = np.meshgrid(xs, ys, indexing="ij")
-    p = analytic_pdfs(cfg).plane(X, Y)
+    p = AnalyticPdfs(cfg.kappa, cfg.delta).plane(X, Y)
     a_x, a_y = sde_module._cartesian_drift(X, Y, cfg)
     diff = cfg.kappa * (X ** 2 + Y ** 2) * p
     res = -dx(a_x * p, hx, 0) - dx(a_y * p, hy, 1) + dxx(diff, hx, 0) + dxx(diff, hy, 1)
@@ -445,7 +443,7 @@ def _whole_grid_balance(cfg):
         h = g[1] - g[0]
         X, Y = np.meshgrid(g, g, indexing="ij")
         s = X ** 2 + Y ** 2
-        p = analytic_pdfs(cfg).plane(X, Y)
+        p = AnalyticPdfs(cfg.kappa, cfg.delta).plane(X, Y)
         irr_x = (2.0 * cfg.kappa * X - 0.25 * cfg.delta * s * X) * p - cfg.kappa * dx(s * p, h, 0)
         irr_y = (2.0 * cfg.kappa * Y - 0.25 * cfg.delta * s * Y) * p - cfg.kappa * dx(s * p, h, 1)
         div_rev = divergence(cfg.omega0 * Y * p, -cfg.omega0 * X * p, h)

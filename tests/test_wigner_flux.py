@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from noisecycle.analytic import rho_ss_analytic, wigner_ss
-from noisecycle.fock import ModelKind, ModelParams, fock_state, generator
+from noisecycle.fock import Generator, ModelKind, ModelParams, fock_state
 from noisecycle.lindblad import evolve, wigner_numeric
 from noisecycle.wignerflux import (
     BoundaryContaminationError,
@@ -137,7 +137,7 @@ def test_generator_matches_matrix_side_time_derivative():
     # time derivative of the displaced-parity values under matrix evolution
     params = ModelParams(omega0=0.6, kappa_down=1.0, kappa_up2=0.0)
     dim = 24
-    gen = generator(params, dim)
+    gen = Generator(params, dim)
     rho0 = fock_state(dim, 0)
 
     h = 0.025
