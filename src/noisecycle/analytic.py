@@ -17,6 +17,7 @@ import numpy as np
 
 # below this ratio the odd-sector quasiprobability switches to its series limit
 _SMALL_RATIO = 1e-8
+SCAN_POINTS = 2048  # radii of the brute-force scan of ``scan_radius``
 
 
 class AnalyticError(ValueError):
@@ -232,10 +233,10 @@ def phase_classify(k_ratio: float, wp_plus: float) -> PhasePoint:
     return PhasePoint(k_ratio, wp_plus, r_star, w0, q, phase)
 
 
-def scan_radius(k_ratio: float, wp_plus: float, n_points: int = 2048) -> float:
-    """Brute-force mode of W(r) on a fine grid covering the Gaussian tail support."""
+def scan_radius(k_ratio: float, wp_plus: float) -> float:
+    """Brute-force mode of W(r) on ``SCAN_POINTS`` radii covering the Gaussian tail support."""
     r_max = 2.0 * math.sqrt(mean_n_ss(k_ratio, wp_plus) + 3.0)
-    grid = np.linspace(0.0, r_max, n_points)
+    grid = np.linspace(0.0, r_max, SCAN_POINTS)
     return float(grid[int(np.argmax(wigner_radial(grid, k_ratio, wp_plus)))])
 
 

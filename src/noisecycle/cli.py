@@ -221,8 +221,8 @@ def cmd_steady(args: argparse.Namespace) -> int:
 def cmd_evolve(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
     params = _model_from_cfg(cfg)
-    # seven complex dim x dim arrays; the tracemalloc peak per dim^2 is 96 bytes for a start
-    # touching every order (coherent:1), 72 for vacuum at k = 0 (dense), 64 on the chains
+    # seven complex dim x dim arrays; the tracemalloc peak per dim^2 at dim 1078 is 96 bytes for
+    # a start touching every order (coherent:1), 77 for vacuum at k = 0 (dense), 64 on the chains
     dim = cfg["dim"] = _fock_dim(cfg, params, lambda dim: 112 * dim ** 2)
     spec = cfg["initial"]
     dropped = 0.0  # the mass of the start above the truncation
@@ -282,12 +282,7 @@ def cmd_wigner(args: argparse.Namespace) -> int:
     params = _model_from_cfg(cfg)
     given_extent = cfg["extent"] > 0
     cfg["extent"] = cfg["extent"] or wignerflux.default_extent(cfg["k_ratio"], cfg["wp_plus"])
-    steps = 2.0 * cfg["extent"] / cfg["h"]  # make_grid's count, without building the axis
-    if math.isinf(steps):  # past float range: count exactly
-        from fractions import Fraction
-
-        steps = 2 * Fraction(cfg["extent"]) / Fraction(cfg["h"])
-    points = round(steps) + 1
+    points = wignerflux.grid_points(cfg["extent"], cfg["h"])  # without building the axis
     if points <= 2 * wignerflux.EDGE_CELLS:  # the stencils would leave no interior cell
         raise SystemExit(f"config error at h: need more than {2 * wignerflux.EDGE_CELLS} "
                          f"grid points across 2 * extent = {2 * cfg['extent']}, got {points}")

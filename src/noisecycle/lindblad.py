@@ -319,8 +319,7 @@ def steady_populations(gen: Generator) -> SteadyStateResult:
 
 def steady_states(gen: Generator) -> SteadyStateResult:
     """The states of ``steady_populations`` as density matrices."""
-    return _steady_result([np.diag(pi.astype(complex))
-                           for pi in steady_populations(gen).states])
+    return _steady_result([np.diag(pi.astype(complex)) for pi in steady_populations(gen).states])
 
 
 def _steady_result(states: list[np.ndarray]) -> SteadyStateResult:
@@ -374,8 +373,8 @@ def _require_stationary(gen: Generator, pops: np.ndarray, what: str) -> None:
     """``StationarityError`` unless ||L(pi)||_F <= ``_STATIONARY_RTOL`` ||diag o pi||_F for the
     populations pi = pops, read on the main diagonal, where L(pi) lives; a NaN fails."""
     n = np.arange(gen.dim)
-    residual = np.linalg.norm(gen.apply_order(0, pops))
-    scale = np.linalg.norm(gen.diag(n, n) * pops)
+    residual = np.hypot.reduce(np.abs(gen.apply_order(0, pops)))  # hypot scales: no overflow
+    scale = np.hypot.reduce(np.abs(gen.diag(n, n) * pops))
     if not residual <= _STATIONARY_RTOL * scale:
         raise StationarityError(f"{what} is not stationary: ||L(rho)||_F = {residual:.3e}, "
                                 f"||diag o rho||_F = {scale:.3e}")
@@ -395,17 +394,16 @@ def evolve(rho0: np.ndarray, gen: Generator, t: float) -> np.ndarray:
     gen must be a ``fock.Generator`` (``TypeError``), t finite and
     nonnegative and rho0 finite and Hermitian (``ValueError``, past 1e-12
     entrywise for rho0), and rho0 dim x dim for the dim of gen (``FockError``),
-    all before any work.  Both models preserve Hermiticity, so the entry at
-    the transposed index is the conjugate: only the blocks of orders m = q - p
-    >= 0 that the upper triangle of rho0 touches are propagated and those of
-    order -m are their conjugates; what rho0 leaves zero stays zero.
+    all before any work.  Only the blocks of orders m = q - p >= 0 that rho0
+    touches are solved; rho(t) is built once from their entries, which must be
+    finite (``StiffnessError``), and, both models preserving Hermiticity, their
+    conjugates fill in the Hermitian half.  The diagonal is real; what rho0 leaves 0 stays 0.
 
-    On a chain generator (the noise-induced model at k > 0), the touched
-    chains are propagated by one batched ``eigh`` per chain length (see
-    ``_chains``): x(t) = e^{i theta t} D^-1 V e^{t lam} V^T D x(0), with
-    theta the chain's one imaginary diagonal value, while max |D x(0)| <=
-    ``_SPAN_MAX`` max |x(0)|.  Other generators, and a start past that,
-    take each touched block's dense exponential, written from the grids.
+    On a chain generator (the noise-induced model at k > 0) the touched chains
+    take one batched ``eigh`` per chain length (see ``_chains``), x(t) =
+    e^{i theta t} D^-1 V e^{t lam} V^T D x(0), theta the chain's one imaginary
+    diagonal value, while max |D x(0)| <= ``_SPAN_MAX`` max |x(0)|; other
+    generators, and a start past that, take each touched block's dense exponential.
     """
     _require_generator(gen)
     if not 0.0 <= t < math.inf:  # NaN fails too
@@ -421,24 +419,24 @@ def evolve(rho0: np.ndarray, gen: Generator, t: float) -> np.ndarray:
     if t == 0:
         return rho0.copy()
     step = _step(gen)
-    p, q = np.nonzero(np.triu(rho0))
+    p, q = np.nonzero(rho0)
     touched = np.zeros((dim, step), dtype=bool)
-    touched[q - p, p % step] = True
+    touched[(q - p)[q >= p], p[q >= p] % step] = True
     orders, starts = np.nonzero(touched)
-    rho_t = _evolve_chains(rho0, gen, t, orders, starts) if _is_chain(gen) else None
-    if rho_t is None:
-        rho_t = _evolve_dense(rho0, gen, t, step, orders, starts)
-    rho_t = rho_t + np.triu(rho_t, 1).conj().T
-    if not np.all(np.isfinite(rho_t)):
-        raise StiffnessError(
-            "propagation diverged; enlarge the truncation or reduce rate * time"
-        )
-    return (rho_t + rho_t.conj().T) / 2
+    solved = _evolve_chains(rho0, gen, t, orders, starts) if _is_chain(gen) else None
+    rows, cols, values = solved or _evolve_dense(rho0, gen, t, step, orders, starts)
+    if not np.isfinite(values).all():
+        raise StiffnessError("propagation diverged; enlarge the truncation or reduce rate * time")
+    rho_t = np.zeros((dim, dim), dtype=complex)
+    rho_t[cols, rows] = values.conj()
+    rho_t[rows, cols] = values
+    np.fill_diagonal(rho_t, rho_t.diagonal().real)
+    return rho_t
 
 
 def _evolve_chains(rho0: np.ndarray, gen: Generator, t: float, orders: np.ndarray,
-                   starts: np.ndarray) -> np.ndarray | None:
-    """The upper triangle of rho(t) on the chain path (see ``evolve``), or None past the bound."""
+                   starts: np.ndarray) -> tuple[np.ndarray, ...] | None:
+    """(rows, cols, values) of the touched entries on the chains, or None past the bound."""
     chains = _chains(gen, orders, starts)
     start = rho0[chains.rows, chains.cols]  # x(0), then D x(0)
     with np.errstate(divide="ignore", over="ignore"):  # log 0 = -inf; D past the float range
@@ -461,19 +459,17 @@ def _evolve_chains(rho0: np.ndarray, gen: Generator, t: float, orders: np.ndarra
         x[group, :length] = y[..., 0] + 1j * y[..., 1]
     x *= np.exp(1j * t * chains.diag.imag[:, :1]) / scale
     inside = np.arange(scale.shape[1]) < chains.lengths[:, None]
-    rho_t = np.zeros(rho0.shape, dtype=complex)
-    rho_t[chains.rows[inside], chains.cols[inside]] = x[inside]
-    return rho_t
+    return chains.rows[inside], chains.cols[inside], x[inside]
 
 
 def _evolve_dense(rho0: np.ndarray, gen: Generator, t: float, step: int, orders: np.ndarray,
-                  starts: np.ndarray) -> np.ndarray:
-    """The upper triangle of rho(t) from the dense exponentials of the touched blocks."""
-    rho_t = np.zeros(rho0.shape, dtype=complex)
+                  starts: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(rows, cols, values) of the touched entries from their blocks' dense exponentials."""
+    solved = [(np.empty(0, int), np.empty(0, int), np.empty(0, complex))]
     for m, p0 in zip(orders.tolist(), starts.tolist()):
         rows, block = _block(gen, step, m, p0)
-        rho_t[rows, rows + m] = expm(t * block) @ rho0[rows, rows + m]
-    return rho_t
+        solved.append((rows, rows + m, expm(t * block) @ rho0[rows, rows + m]))
+    return tuple(np.concatenate(part) for part in zip(*solved))
 
 
 # ---------------------------------------------------------------------------

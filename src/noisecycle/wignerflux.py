@@ -66,9 +66,17 @@ def default_extent(k_ratio: float, wp_plus: float) -> float:
     return 2.0 * math.sqrt(2.0 * mean_n_ss(k_ratio, wp_plus) + 3.0) + 2.0
 
 
+def grid_points(extent: float, h: float) -> int:
+    """round(2 extent / h) + 1, the points of ``make_grid``, counted exactly past float range."""
+    steps = 2.0 * extent / h
+    if math.isinf(steps):
+        from fractions import Fraction  # kept off the start-up path
+        steps = 2 * Fraction(extent) / Fraction(h)
+    return round(steps) + 1
+
+
 def make_grid(extent: float, h: float) -> np.ndarray:
-    n = int(round(2.0 * extent / h)) + 1
-    return np.linspace(-extent, extent, n)
+    return np.linspace(-extent, extent, grid_points(extent, h))
 
 
 def refine(grid: np.ndarray) -> np.ndarray:

@@ -6,5 +6,15 @@ before any test module imports numpy.
 
 import os
 
+import pytest
+
 for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_name, "1")
+
+
+@pytest.fixture(scope="session")
+def verify_results():
+    """Every ``verify`` check, run once per session, by name."""
+    from noisecycle import verify
+
+    return {r.name: r for r in verify.run_checks()}

@@ -1,7 +1,9 @@
 """Acceptance gate: every verification check at its pinned tolerance.
 
-Each test drives the corresponding check from ``noisecycle.verify`` (the same
-code path as ``noisecycle verify``) and prints one summary line.  The
+Each test reads the corresponding check from one session-wide run of
+``noisecycle.verify`` (the ``verify_results`` fixture, the same code path as
+``noisecycle verify``, whose rows ``test_golden.py`` compares too) and prints
+one summary line.  The
 amplitude-scaling prefactor comparison is expected to fail: the measured
 prefactors follow from the closed-form radius and sit at exactly
 1/(2 sqrt 2) of the quoted reference constants (see README); the exponent
@@ -14,75 +16,74 @@ from noisecycle import analytic, verify
 from noisecycle.verify import run_check
 
 
-def _drive(name: str):
-    result = run_check(name)
+def _drive(result):
     print(result.summary())
     assert result.passed, result.summary()
 
 
-def test_criterion_01_steady_state_oracle():
+def test_criterion_01_steady_state_oracle(verify_results):
     """Null-space steady states match the closed form within 1e-8 in < 30 s."""
-    _drive("steady-state-oracle")
+    _drive(verify_results["steady-state-oracle"])
 
 
-def test_criterion_02_wigner_oracle():
+def test_criterion_02_wigner_oracle(verify_results):
     """Closed-form quasiprobability matches displaced parity within 1e-6."""
-    _drive("wigner-oracle")
+    _drive(verify_results["wigner-oracle"])
 
 
-def test_criterion_03_phase_classification():
+def test_criterion_03_phase_classification(verify_results):
     """Reference points classify I/II/III; radius sign agrees with brute force."""
-    _drive("phase-classification")
+    _drive(verify_results["phase-classification"])
 
 
-def test_criterion_04_hopf_scaling():
+def test_criterion_04_hopf_scaling(verify_results):
     """Square-root exponent and quoted prefactors at the cycle birth.
 
     Expected to fail on the prefactors (factor 2 sqrt 2, see module docstring
     and README); the measured values are reported in the failure message.
     """
-    _drive("hopf-scaling")
+    _drive(verify_results["hopf-scaling"])
 
 
-def test_criterion_05_mandel_q():
+def test_criterion_05_mandel_q(verify_results):
     """Closed-form Q equals moments within 1e-10; region matches the Q sign."""
-    _drive("mandel-q")
+    _drive(verify_results["mandel-q"])
 
 
-def test_criterion_06_circulation():
+def test_criterion_06_circulation(verify_results):
     """Angular momentum identity within 1e-9; steady closed form within 1e-8."""
-    _drive("circulation")
+    _drive(verify_results["circulation"])
 
 
-def test_criterion_07_detailed_balance():
+def test_criterion_07_detailed_balance(verify_results):
     """Residual dichotomy: < 1e-10 noise-induced, conventional above a gain-scaled floor."""
-    _drive("detailed-balance")
+    _drive(verify_results["detailed-balance"])
 
 
-def test_criterion_08_parity():
+def test_criterion_08_parity(verify_results):
     """Parity frozen within 1e-9 over time 10; vacuum seeds odd mass < 1e-10; coherent
     starts relax to the steady state of their even weight, a cycle past the threshold."""
-    _drive("parity")
+    _drive(verify_results["parity"])
 
 
-def test_criterion_09_classical_sde():
+def test_criterion_09_classical_sde(verify_results):
     """Rayleigh moments, uniform phase, grid residual order, circulation."""
-    _drive("classical-sde")
+    _drive(verify_results["classical-sde"])
 
 
-def test_criterion_10_noise_drift():
+def test_criterion_10_noise_drift(verify_results):
     """Stratonovich-minus-Ito drift gap converges to 2 kappa (x, y) within 5%."""
-    _drive("noise-drift")
+    _drive(verify_results["noise-drift"])
 
 
-def test_criterion_11_wigner_flux():
+def test_criterion_11_wigner_flux(verify_results):
     """Irreversible/reversible flux ratio < 1e-3 at h = 0.05, order 2 +- 0.3."""
-    _drive("wigner-flux")
+    _drive(verify_results["wigner-flux"])
 
 
-def test_criterion_12_classical_mode():
+def test_criterion_12_classical_mode(verify_results):
     """Classical stationary density peaks at the origin for every rate pair."""
-    _drive("classical-mode")
+    _drive(verify_results["classical-mode"])
 
 
 # ---------------------------------------------------------------------------

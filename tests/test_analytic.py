@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from noisecycle import analytic
 from noisecycle.analytic import (
     AnalyticError,
     Phase,
@@ -164,10 +165,11 @@ def test_radius_zero_in_stable_phase():
     assert limit_cycle_radius(0.6, 0.9) == 0.0
 
 
-def test_radius_matches_scan():
+def test_radius_matches_scan(monkeypatch):
+    monkeypatch.setattr(analytic, "SCAN_POINTS", 1 << 17)
     for k, wp in [(0.1, 0.55), (0.2, 0.4), (0.5, 0.55), (0.6, 0.53), (0.9, 0.1)]:
         r_formula = limit_cycle_radius(k, wp)
-        r_scan = scan_radius(k, wp, n_points=1 << 17)
+        r_scan = scan_radius(k, wp)
         spacing = 2.0 * math.sqrt(mean_n_ss(k, wp) + 3.0) / ((1 << 17) - 1)
         assert abs(r_formula - r_scan) <= spacing
         if k == 0.1 and wp == 0.55:
@@ -215,14 +217,15 @@ def test_hopf_slope_is_square_root():
         assert abs(fit.slope - 0.5) < 0.02
 
 
-def test_hopf_coefficient_consistent_with_brute_force():
+def test_hopf_coefficient_consistent_with_brute_force(monkeypatch):
     # the fitted prefactor must agree with a scan-based fit, closing the loop
     # on the closed-form radius independently of any quoted constant
     k_c = 0.25
     wp_c = phase_boundary(k_c)
     offsets = np.geomspace(1e-4, 1e-3, 5)
     fit = hopf_scaling(k_c, wp_c, "wp_plus", offsets)
-    scan_radii = np.array([scan_radius(k_c, wp_c - d, n_points=1 << 16) for d in offsets])
+    monkeypatch.setattr(analytic, "SCAN_POINTS", 1 << 16)
+    scan_radii = np.array([scan_radius(k_c, wp_c - d) for d in offsets])
     root = np.sqrt(offsets)
     scan_coeff = float(root @ scan_radii / (root @ root))
     assert fit.coefficient == pytest.approx(scan_coeff, rel=2e-3)

@@ -1,0 +1,40 @@
+"""Same bytes: every default command output and every ``verify`` row against ``golden.json``.
+
+``tools/golden.py`` recorded the digests and rewrites them; a change that
+moves bytes on purpose reruns it and says in CHANGES.md what moved.
+"""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+TESTS = Path(__file__).resolve().parent
+
+
+@pytest.fixture(scope="module")
+def golden():
+    spec = importlib.util.spec_from_file_location("golden", TESTS.parent / "tools" / "golden.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_default_outputs_and_verify_rows_hold_their_bytes(golden, tmp_path, verify_results):
+    """In another environment the digests promise nothing, so that alone fails, named first."""
+    recorded = json.loads((TESTS / "golden.json").read_text())
+    moved = golden.differences(recorded, golden.collect(tmp_path, verify_results.values()))
+    assert not moved, "\n".join(moved)
+
+
+def test_a_moved_cell_is_named_by_file_column_and_rows(golden, tmp_path):
+    """A one-cell change in a CSV names its file, its column and its block of rows."""
+    rows = ["0.5,1", "0.25,2", "0.125,3"]
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"# comment\nx,n\r\n" + "\r\n".join(rows).encode() + b"\r\n")
+    old = golden.file_record(path)
+    rows[2] = "0.125,4"
+    path.write_bytes(b"# comment\nx,n\r\n" + "\r\n".join(rows).encode() + b"\r\n")
+    moved = golden._file_differences("t.csv", old, golden.file_record(path))
+    assert moved[1] == "t.csv: first moved block in column 'n', data rows 1-3"

@@ -541,28 +541,44 @@ def count_solves(monkeypatch):
     return solves
 
 
-@pytest.mark.parametrize("name", ["noise-induced-k0.4", "conventional", "no-phase-symmetry"])
+# GENERATORS and the noise-induced model at k 0.3, 0.8 and 0.95; random full-support
+# starts at dim 90 weigh past _SPAN_MAX at k <= 0.4 and take the dense path
+EVOLVE_MODELS = {**GENERATORS, **{f"noise-induced-k{k}": ModelParams(omega0=1.0, kappa_down=1.0,
+                                                                      kappa_up2=k)
+                                  for k in (0.3, 0.8, 0.95)}}
+PAST_SPAN = {("noise-induced-k0.3", "random"), ("noise-induced-k0.4", "random")}
+
+
+@pytest.mark.parametrize("name", list(EVOLVE_MODELS))
 def test_evolve_exponentiates_each_mirror_pair_once(monkeypatch, name):
     # a block is solved by a dense exponential, or, on the chain path of the
-    # noise-induced model, as one chain of a batched eigh
-    dim = 24
-    rho0 = coherent_state(dim, 1.1 + 0.4j)
-    if GENERATORS[name] is None:
+    # noise-induced model at k > 0, as one chain of a batched eigh
+    dim = 90
+    starts = {"vacuum": fock_state(dim, 0), "fock:3": fock_state(dim, 3),
+              "coherent": coherent_state(dim, 1.1 + 0.4j),
+              "random": random_density_matrix(dim, rng=np.random.default_rng(5))}
+    if EVOLVE_MODELS[name] is None:
         assert_rejected_before_any_solve(monkeypatch, csr_generator(name, dim),
-                                         lambda csr: evolve(rho0, csr, 0.3))
+                                         lambda csr: evolve(starts["coherent"], csr, 0.3))
         return
+    gen = Generator(EVOLVE_MODELS[name], dim)
+    step = lindblad._step(gen)
     solves = count_solves(monkeypatch)
-    rho_t = evolve(rho0, Generator(GENERATORS[name], dim), 0.3)
-    assert np.array_equal(rho_t, rho_t.conj().T)
-    assert not (solves["expm"] and solves["chains"])
-    assert bool(solves["chains"]) == (name == "noise-induced-k0.4")
-
-    # one solve per touched block (m, p0) of order m >= 0, none for its mirror at -m
-    step = STEPS[name]
-    p, q = np.nonzero(rho0)
-    touched = set(zip((q - p).tolist(), (p % step).tolist()))
-    expected = sum(m >= 0 for m, _ in touched)
-    assert solves["expm"] + solves["chains"] == expected < len(touched)
+    for start, rho0 in starts.items():
+        # one solve per touched block (m, p0) of order m >= 0, none for its mirror at -m
+        p, q = np.nonzero(rho0)
+        expected = len({(m, p0) for m, p0 in zip((q - p).tolist(), (p % step).tolist()) if m >= 0})
+        chain = lindblad._is_chain(gen) and (name, start) not in PAST_SPAN
+        for t in (0.01, 1.0, 10.0):
+            solves.update(expm=0, chains=0)
+            rho_t = evolve(rho0, gen, t)
+            assert solves == {"expm": 0 if chain else expected, "chains": expected if chain else 0}
+            # each solved entry is written once with its conjugate, the diagonal real
+            assert np.array_equal(rho_t, rho_t.conj().T)
+            assert not rho_t.diagonal().imag.any()
+            # so a dense mirror of the upper triangle and a re-symmetrization move nothing
+            mirrored = np.triu(rho_t) + np.triu(rho_t, 1).conj().T
+            assert np.array_equal(rho_t, (mirrored + mirrored.conj().T) / 2)
 
 
 def dense_block_evolve(gen, states, t, orders):
@@ -903,6 +919,19 @@ def test_detailed_balance_verdict_is_free_of_the_truncation(params, dim, expecte
 def test_detailed_balance_requires_stationary_state():
     with pytest.raises(StationarityError):
         detailed_balance_residual(NI, coherent_state(40, 1.0))
+
+
+@pytest.mark.parametrize("dim", [12, 46])
+def test_stationarity_is_judged_at_rates_near_the_float_range(dim):
+    # ||diag o pi||_F at kappa_down 1e300 passes the float range, where an overflowing norm
+    # (a RuntimeWarning, an error here) would let any state pass as stationary
+    huge = ModelParams(omega0=1.0, kappa_down=1e300, kappa_up2=0.5e300)
+    unit = ModelParams(omega0=1.0, kappa_down=1.0, kappa_up2=0.5)
+    for got, expected in zip(steady_populations(Generator(huge, dim)).states,
+                             steady_populations(Generator(unit, dim)).states, strict=True):
+        assert np.array_equal(got, expected)
+    with pytest.raises(StationarityError, match="not stationary"):
+        detailed_balance_residual(huge, fock_state(dim, 0))
 
 
 @pytest.mark.parametrize("params", [NI, CONV], ids=["noise-induced", "conventional"])
