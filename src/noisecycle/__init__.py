@@ -10,7 +10,6 @@ from .analytic import (
     HopfFit,
     Phase,
     PhasePoint,
-    WignerClosedForm,
     coherent_cycle_threshold,
     coherent_even_weight,
     hopf_scaling,

@@ -37,34 +37,6 @@ class Phase(Enum):
 
 
 @dataclass(frozen=True)
-class WignerClosedForm:
-    """Derived constants of the closed-form quasiprobability."""
-
-    k_ratio: float
-    wp_plus: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.k_ratio < 1.0:
-            raise AnalyticError(f"gain/loss ratio must lie in [0, 1), got {self.k_ratio}")
-        if not 0.0 <= self.wp_plus <= 1.0:
-            raise AnalyticError(f"even weight must lie in [0, 1], got {self.wp_plus}")
-
-    @property
-    def gamma(self) -> float:
-        return (1.0 - self.k_ratio) / (4.0 * math.pi)
-
-    @property
-    def eta(self) -> float:
-        u = math.sqrt(self.k_ratio)
-        return u / (1.0 - u)
-
-    @property
-    def lam(self) -> float:
-        u = math.sqrt(self.k_ratio)
-        return u / (1.0 + u)
-
-
-@dataclass(frozen=True)
 class PhasePoint:
     k_ratio: float
     wp_plus: float
@@ -89,13 +61,21 @@ class HopfFit:
 # steady state and moments
 # ---------------------------------------------------------------------------
 
+def _require_state(k_ratio: float, wp_plus: float) -> None:
+    """``AnalyticError`` off the square 0 <= k_ratio < 1, 0 <= wp_plus <= 1; a NaN is off it."""
+    if not 0.0 <= k_ratio < 1.0:
+        raise AnalyticError(f"gain/loss ratio must lie in [0, 1), got {k_ratio}")
+    if not 0.0 <= wp_plus <= 1.0:
+        raise AnalyticError(f"even weight must lie in [0, 1], got {wp_plus}")
+
+
 def populations_ss(k_ratio: float, wp_plus: float, dim: int) -> np.ndarray:
     """Steady populations: geometric ladders on even and odd levels.
 
     Truncated to ``dim`` levels and renormalized; the trace deficit before
     renormalization is below k_ratio**(dim/2).
     """
-    WignerClosedForm(k_ratio, wp_plus)  # validates both arguments
+    _require_state(k_ratio, wp_plus)
     n = np.arange(dim)
     geom = (1.0 - k_ratio) * k_ratio ** (n // 2).astype(float)
     pops = np.where(n % 2 == 0, wp_plus * geom, (1.0 - wp_plus) * geom)
@@ -109,6 +89,7 @@ def rho_ss_analytic(k_ratio: float, wp_plus: float, dim: int) -> np.ndarray:
 
 def mean_n_ss(k_ratio: float, wp_plus: float) -> float:
     """Steady mean photon number: 2 k/(1-k) plus the odd weight."""
+    _require_state(k_ratio, wp_plus)
     return 2.0 * k_ratio / (1.0 - k_ratio) + (1.0 - wp_plus)
 
 
@@ -117,6 +98,7 @@ def mandel_q(k_ratio: float, wp_plus: float) -> float:
 
     Undefined at (0, 1), where the steady state is vacuum: returns NaN.
     """
+    _require_state(k_ratio, wp_plus)
     if k_ratio == 0.0 and wp_plus == 1.0:
         return math.nan
     return (
@@ -159,16 +141,17 @@ def wigner_ss(x, y, k_ratio: float, wp_plus: float):
     k_ratio ~ 1e-8 it takes its limit, the single-excitation quasiprobability
     (s - 1) e^{-s/2} / (2 pi).
     """
-    form = WignerClosedForm(k_ratio, wp_plus)  # validates both arguments
+    _require_state(k_ratio, wp_plus)
     u = math.sqrt(k_ratio)
+    gamma = (1.0 - k_ratio) / (4.0 * math.pi)
     s = np.asarray(x) ** 2 + np.asarray(y) ** 2
-    t_narrow = np.exp(-(0.5 + form.eta) * s) / (1.0 - u)
-    t_wide = np.exp(-(0.5 - form.lam) * s) / (1.0 + u)
-    even = form.gamma * (t_narrow + t_wide)
+    t_narrow = np.exp(-(0.5 + u / (1.0 - u)) * s) / (1.0 - u)
+    t_wide = np.exp(-(0.5 - u / (1.0 + u)) * s) / (1.0 + u)
+    even = gamma * (t_narrow + t_wide)
     if k_ratio < _SMALL_RATIO:
-        odd = 2.0 * form.gamma * (s - 1.0) * np.exp(-0.5 * s)
+        odd = 2.0 * gamma * (s - 1.0) * np.exp(-0.5 * s)
     else:
-        odd = form.gamma / u * (t_wide - t_narrow)
+        odd = gamma / u * (t_wide - t_narrow)
     return wp_plus * even + (1.0 - wp_plus) * odd
 
 
@@ -180,6 +163,7 @@ def wigner_radial(r, k_ratio: float, wp_plus: float):
 
 def wigner_origin(k_ratio: float, wp_plus: float) -> float:
     """W(0, 0) = (even weight - odd weight) / (2 pi); negative iff wp_plus < 1/2."""
+    _require_state(k_ratio, wp_plus)
     return (2.0 * wp_plus - 1.0) / (2.0 * math.pi)
 
 
@@ -200,7 +184,7 @@ def limit_cycle_radius(k_ratio: float, wp_plus: float) -> float:
     """
     if not 0.0 < k_ratio < 1.0:
         raise AnalyticError(f"closed-form radius needs ratio in (0, 1), got {k_ratio}")
-    WignerClosedForm(k_ratio, wp_plus)  # validates the weight
+    _require_state(k_ratio, wp_plus)
     if wp_plus >= phase_boundary(k_ratio):
         # at or past the cycle-birth boundary the origin is the only mode;
         # clamping keeps the radius and the classification exactly consistent
@@ -283,7 +267,7 @@ def coherent_even_weight(alpha_sq: float) -> float:
     """Even-parity weight of a coherent state of mean photon number alpha_sq."""
     if alpha_sq < 0:
         raise AnalyticError("mean photon number must be nonnegative")
-    return math.exp(-alpha_sq) * math.cosh(alpha_sq)
+    return 0.5 * (1.0 + math.exp(-2.0 * alpha_sq))
 
 
 def coherent_cycle_threshold(k_ratio: float) -> float:

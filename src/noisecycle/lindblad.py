@@ -301,6 +301,9 @@ _STATIONARY_RTOL = 1e-12
 # the cut recursion divides its running values by the latest once that passes
 # this, so that none overflows
 _RESCALE_AT = 1e150
+# a flow of the cut recursion stays below the largest rate times 2 * _RESCALE_AT;
+# rates above this could carry it past float range and are first scaled down
+_RATE_LIMIT = np.finfo(float).max / 4 / _RESCALE_AT
 
 
 def steady_populations(gen: Generator) -> SteadyStateResult:
@@ -347,6 +350,10 @@ def _cut_states(gen: Generator, step: int) -> list[np.ndarray]:
         up[:-step] = gen.jump(-step, n[step:], n[step:])
     down = np.zeros(dim + 2)  # two zeros past the top, read by the cuts near it
     down[2:dim] = gen.jump(2, n[:-2], n[:-2])
+    fastest = max(up.max(), down.max())
+    if fastest > _RATE_LIMIT:  # by a power of two: exact, and each state stays as it is
+        shift = -math.frexp(fastest / _RATE_LIMIT)[1]
+        up, down = np.ldexp(up, shift), np.ldexp(down, shift)
     ups, downs = up.tolist(), down.tolist()
     states = []
     for p0 in range(step):
@@ -485,10 +492,14 @@ def circulation(rho: np.ndarray, params: ModelParams) -> CirculationResult:
     and y = -i(a - a^dag) lie on orders +/-1, so each trace reads L(x rho)
     and L(y rho) there only; the generator keeps the order, so it needs
     x rho and y rho there only, which the ladder forms from the diagonals 0
-    and +/-2 of rho (zero for populations).  For the noise-induced model this
-    equals omega0 <x^2 + y^2>; at steady state the closed form
-    4 omega0 (<n>_ss + 1/2), with <n>_ss from ``analytic.mean_n_ss``,
-    applies and is reported alongside (None for the conventional model).
+    and +/-2 of rho (zero for populations).  Both models are phase covariant
+    with real jump amplitudes, so the dissipators add only i times a real
+    diagonal: at any rates the magnitude is |omega0| <x^2 + y^2>, that is
+    |omega0| sum_n p_n w_n with w_n = 4n + 2 below the top level and
+    2(dim - 1) on it, and it cannot see a wrong jump rate.  For the
+    noise-induced model at steady state the closed form
+    4 |omega0| (<n>_ss + 1/2), with <n>_ss from ``analytic.mean_n_ss``, is
+    reported alongside (None for the conventional model).
     """
     main = _diagonal(rho)
     dim, pops = main.size, main.real

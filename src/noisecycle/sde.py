@@ -55,9 +55,9 @@ def _require_integer(name: str, value, least: int) -> None:
 class SdeConfig:
     """Ensemble parameters; noise increments carry variance 8 kappa dt.
 
-    ``n_steps`` counts post-burn-in steps; each path contributes its final
-    state as one sample.  Per-block random streams are derived from the seed
-    so ensembles are reproducible.
+    ``burn_in`` and ``n_steps`` enter only as their sum, the steps each path
+    takes; each path gives one sample, its state at the end.  Per-block
+    random streams are derived from the seed so ensembles are reproducible.
     """
 
     kappa: float

@@ -10,7 +10,6 @@ from noisecycle import analytic
 from noisecycle.analytic import (
     AnalyticError,
     Phase,
-    WignerClosedForm,
     coherent_cycle_threshold,
     coherent_even_weight,
     hopf_scaling,
@@ -95,14 +94,20 @@ def test_closed_forms_validate_before_computing():
     for call in calls:
         with pytest.raises(AnalyticError):
             call()
-
-
-def test_closed_form_constants_positive():
-    form = WignerClosedForm(0.36, 0.5)
-    assert form.gamma == pytest.approx((1 - 0.36) / (4 * math.pi))
-    assert form.eta == pytest.approx(0.6 / 0.4)
-    assert form.lam == pytest.approx(0.6 / 1.6)
-    assert form.lam < 0.5
+    closed_forms = [mean_n_ss, mandel_q, wigner_origin,
+                    lambda k, wp: analytic.populations_ss(k, wp, 8),
+                    lambda k, wp: wigner_ss(0.0, 0.0, k, wp)]
+    # points off the square 0 <= k < 1, 0 <= wp <= 1: past each edge, on the open one, and NaN
+    off_square = [(1.5, 0.5), (1.0, 0.5), (-0.1, 0.5), (math.nan, 0.5),
+                  (0.3, 2.0), (0.3, -0.1), (0.3, math.nan)]
+    for k, wp in off_square:
+        on_ratio = 0.0 < k < 1.0
+        for closed_form in closed_forms:
+            with pytest.raises(AnalyticError, match="even weight" if on_ratio else "gain/loss"):
+                closed_form(k, wp)
+        # the radius reads its own ratio rule, k > 0 included, first
+        with pytest.raises(AnalyticError, match="even weight" if on_ratio else "radius needs"):
+            limit_cycle_radius(k, wp)
 
 
 def test_wigner_origin_value():
@@ -330,8 +335,9 @@ def test_coherent_threshold_diverges():
 def test_coherent_never_reaches_negative_phase():
     for v in np.linspace(0.0, 15.0, 100):
         assert coherent_even_weight(v) > 0.5
-    # saturates the bound from above at high energy
+    # saturates the bound from above at high energy, past the float range of cosh too
     assert coherent_even_weight(200.0) >= 0.5
+    assert coherent_even_weight(800.0) == coherent_even_weight(1000.0) == 0.5
 
 
 def test_coherent_threshold_consistent_with_boundary():

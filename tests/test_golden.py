@@ -29,7 +29,8 @@ def test_default_outputs_and_verify_rows_hold_their_bytes(golden, tmp_path, veri
 
 
 def test_a_moved_cell_is_named_by_file_column_and_rows(golden, tmp_path):
-    """A one-cell change in a CSV names its file, its column and its block of rows."""
+    """A one-cell change in a CSV names its file, its column and its block of rows; a change
+    in a JSON file names each moved key with both values."""
     rows = ["0.5,1", "0.25,2", "0.125,3"]
     path = tmp_path / "t.csv"
     path.write_bytes(b"# comment\nx,n\r\n" + "\r\n".join(rows).encode() + b"\r\n")
@@ -38,3 +39,10 @@ def test_a_moved_cell_is_named_by_file_column_and_rows(golden, tmp_path):
     path.write_bytes(b"# comment\nx,n\r\n" + "\r\n".join(rows).encode() + b"\r\n")
     moved = golden._file_differences("t.csv", old, golden.file_record(path))
     assert moved[1] == "t.csv: first moved block in column 'n', data rows 1-3"
+    # a JSON file names every moved key, not only the first
+    path = tmp_path / "t.json"
+    path.write_text('{"a": 1, "b": {"c": 2.5, "d": 3}, "e": 4}')
+    old = golden.file_record(path)
+    path.write_text('{"a": 1, "b": {"c": 2.25, "d": 3}, "e": 5}')
+    moved = golden._file_differences("t.json", old, golden.file_record(path))
+    assert moved[1:] == ["t.json: /b/c = 2.5 recorded, 2.25 now", "t.json: /e = 4 recorded, 5 now"]

@@ -833,6 +833,26 @@ def test_circulation_on_three_diagonals_equals_the_dense_form(params, dim):
         assert circulation(rho, params).phi == dense_circulation(rho, params)
 
 
+@pytest.mark.parametrize("scale", [0.1, 7.0])
+@pytest.mark.parametrize("params", [NI, replace(CONV, omega0=-0.7)],
+                         ids=["noise-induced", "conventional"])
+def test_circulation_does_not_read_the_jump_rates(params, scale):
+    # both models are phase covariant with real jump amplitudes, so each dissipator D has
+    # D'(a) = h(n) a with h real, and its part of x D'(y) - y D'(x) is i times a real
+    # diagonal: only the rotation is left, phi = |omega0| sum_n p_n w_n with
+    # w_n = 4n + 2 below the top level and 2(dim - 1) on it
+    dim = 30
+    scaled = replace(params, **{name: scale * getattr(params, name)
+                                for name in ("kappa_down", "kappa_up2", "kappa_up1")})
+    rho = random_density_matrix(dim, rng=np.random.default_rng(dim))  # the top level occupied
+    weights = 4.0 * np.arange(dim) + 2.0
+    weights[-1] = 2.0 * (dim - 1)
+    expected = abs(params.omega0) * float(weights @ np.diag(rho).real)
+    with pytest.warns(UserWarning, match="top Fock levels"):
+        phi = circulation(rho, scaled).phi
+    assert phi == pytest.approx(expected, rel=1e-13)
+
+
 # ---------------------------------------------------------------------------
 # time reversal: T|n> = |n> transposes operators and conjugates the generator,
 # which flips only the free rotation (detailed balance, M conj(L)^T = conj(L) M, rests on it)
@@ -932,6 +952,13 @@ def test_stationarity_is_judged_at_rates_near_the_float_range(dim):
         assert np.array_equal(got, expected)
     with pytest.raises(StationarityError, match="not stationary"):
         detailed_balance_residual(huge, fock_state(dim, 0))
+    # at k 1e-10 the cut recursion's flow, the loss 1e300 times a running value up to
+    # 1e150, would pass the float range unless the rates are scaled first
+    huge = ModelParams(omega0=1.0, kappa_down=1e300, kappa_up2=1e290)
+    unit = ModelParams(omega0=1.0, kappa_down=1.0, kappa_up2=1e-10)
+    for got, expected in zip(steady_populations(Generator(huge, dim)).states,
+                             steady_populations(Generator(unit, dim)).states, strict=True):
+        assert trace_distance(got, expected) < 1e-15
 
 
 @pytest.mark.parametrize("params", [NI, CONV], ids=["noise-induced", "conventional"])

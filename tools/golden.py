@@ -8,7 +8,7 @@ every ``verify`` check, and records:
 - the environment the digests hold in: the Python, numpy and scipy
   versions, the machine and the BLAS thread count;
 - each command's exit code, and the sha256 of each file it wrote;
-- for a JSON file, its values, so that a mismatch names the key;
+- for a JSON file, its values, so that a mismatch names every moved key;
 - for a CSV file, its header and a short digest of each column over each
   block of ``BLOCK_ROWS`` data rows, so that a mismatch names the column
   and the rows;
@@ -122,7 +122,6 @@ def _file_differences(where: str, old: dict, new: dict) -> list[str]:
             a, b = old["values"].get(key, "<missing>"), new["values"].get(key, "<missing>")
             if not _same(a, b):
                 found.append(f"{where}: {key} = {a!r} recorded, {b!r} now")
-                break
     elif (old["header"], old["rows"]) != (new["header"], new["rows"]):
         found.append(f"{where}: header {old['header']!r} and {old['rows']} rows recorded, "
                      f"{new['header']!r} and {new['rows']} rows now")
