@@ -33,7 +33,6 @@ from .fock import (
     ModelKind,
     ModelParams,
     NoStationaryStateError,
-    build_ladder,
     coherent_state,
     default_dim,
     dim_for_tail,
@@ -52,7 +51,6 @@ from .lindblad import (
     steady_states,
     trace_distance,
     wigner_numeric,
-    wigner_numeric_grid,
 )
 from .sde import (
     AnalyticPdfs,

@@ -280,15 +280,14 @@ def cmd_sde(args: argparse.Namespace) -> int:
 def cmd_wigner(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
     params = _model_from_cfg(cfg)
-    given_extent = cfg["extent"] > 0
+    sizing = "extent" if cfg["extent"] > 0 else "h"  # the field that sets the grid count
     cfg["extent"] = cfg["extent"] or wignerflux.default_extent(cfg["k_ratio"], cfg["wp_plus"])
     points = wignerflux.grid_points(cfg["extent"], cfg["h"])  # without building the axis
     if points <= 2 * wignerflux.EDGE_CELLS:  # the stencils would leave no interior cell
-        raise SystemExit(f"config error at h: need more than {2 * wignerflux.EDGE_CELLS} "
+        raise SystemExit(f"config error at {sizing}: need more than {2 * wignerflux.EDGE_CELLS} "
                          f"grid points across 2 * extent = {2 * cfg['extent']}, got {points}")
     # twelve float64 grid arrays at the tracemalloc peak: the field, current, residual and flux
-    _require_budget("extent" if given_extent else "h", 96 * points ** 2, "{} grid cells",
-                    points ** 2)
+    _require_budget(sizing, 96 * points ** 2, "{} grid cells", points ** 2)
     field = wignerflux.sample_steady_field(cfg["k_ratio"], cfg["wp_plus"],
                                            extent=cfg["extent"], h=cfg["h"])
     try:

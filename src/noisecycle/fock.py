@@ -110,18 +110,8 @@ def dim_for_tail(k_ratio: float, decades: float = 12.0) -> int:
 
 
 # ---------------------------------------------------------------------------
-# operators
+# states
 # ---------------------------------------------------------------------------
-
-def build_ladder(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Annihilation and creation operators on a dim-level Fock space."""
-    if dim < 2:
-        raise FockError(f"Fock dimension must be >= 2, got {dim}")
-    a = np.zeros((dim, dim), dtype=complex)
-    for n in range(1, dim):
-        a[n - 1, n] = math.sqrt(n)
-    return a, a.conj().T
-
 
 def fock_state(dim: int, n: int) -> np.ndarray:
     """Projector |n><n|."""

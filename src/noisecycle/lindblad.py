@@ -44,13 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import mean_n_ss
-from .fock import (
-    FockError,
-    Generator,
-    ModelKind,
-    ModelParams,
-    build_ladder,
-)
+from .fock import FockError, Generator, ModelKind, ModelParams
 
 
 def expm(a: np.ndarray) -> np.ndarray:
@@ -94,10 +88,15 @@ class DisplacementRangeError(LindbladError):
 class SteadyStateResult:
     """Extremal steady states of a generator, as density matrices or as populations."""
 
-    kernel_dim: int
     states: list[np.ndarray]
+    # with two states, states[0] and states[1]; fields, so that dataclasses.replace can
+    # swap in a corrupted sector for a check to catch
     rho_plus: np.ndarray | None = None
     rho_minus: np.ndarray | None = None
+
+    @property
+    def kernel_dim(self) -> int:
+        return len(self.states)
 
     def combine(self, wp_plus: float) -> np.ndarray:
         """The steady state of even-parity weight wp_plus; ``NormalizationError`` outside [0, 1]."""
@@ -141,11 +140,16 @@ def edge_population(state: np.ndarray) -> float:
 def trace_distance(rho1: np.ndarray, rho2: np.ndarray) -> float:
     """Half the trace norm of the Hermitian part of rho1 - rho2.
 
-    A diagonal difference, as two diagonal states (the steady states of
-    both models) give, has the real parts of its diagonal as eigenvalues,
-    so the value is half their l1 norm, exactly; any other difference goes
-    to ``eigvalsh``.
+    Both states take one form, two density matrices or two populations
+    vectors of one size; else ``ValueError``, as a matrix less a vector
+    would broadcast the vector across the rows.  A diagonal difference, as
+    two diagonal states (the steady states of both models) give, has the
+    real parts of its diagonal as eigenvalues, so the value is half their l1
+    norm, exactly; any other difference goes to ``eigvalsh``.
     """
+    if np.shape(rho1) != np.shape(rho2):
+        raise ValueError(f"trace distance of states of shapes {np.shape(rho1)} and "
+                         f"{np.shape(rho2)}; both must take one form and size")
     diff = rho1 - rho2
     if _is_diagonal(diff):
         return 0.5 * float(np.abs(_diagonal(diff).real).sum())
@@ -326,8 +330,7 @@ def steady_states(gen: Generator) -> SteadyStateResult:
 
 
 def _steady_result(states: list[np.ndarray]) -> SteadyStateResult:
-    plus, minus = states if len(states) == 2 else (None, None)
-    return SteadyStateResult(len(states), states, plus, minus)
+    return SteadyStateResult(states, *(states if len(states) == 2 else ()))
 
 
 def _cut_states(gen: Generator, step: int) -> list[np.ndarray]:
@@ -404,7 +407,8 @@ def evolve(rho0: np.ndarray, gen: Generator, t: float) -> np.ndarray:
     all before any work.  Only the blocks of orders m = q - p >= 0 that rho0
     touches are solved; rho(t) is built once from their entries, which must be
     finite (``StiffnessError``), and, both models preserving Hermiticity, their
-    conjugates fill in the Hermitian half.  The diagonal is real; what rho0 leaves 0 stays 0.
+    conjugates fill in the Hermitian half.  rho(t) is complex at every t, whatever the dtype
+    of rho0; its diagonal is real, and what rho0 leaves 0 stays 0.
 
     On a chain generator (the noise-induced model at k > 0) the touched chains
     take one batched ``eigh`` per chain length (see ``_chains``), x(t) =
@@ -424,7 +428,7 @@ def evolve(rho0: np.ndarray, gen: Generator, t: float) -> np.ndarray:
         raise ValueError(f"initial state is not Hermitian or not finite: "
                          f"max|rho0 - rho0^dag| = {skew:.3e}")
     if t == 0:
-        return rho0.copy()
+        return rho0.astype(complex)
     step = _step(gen)
     p, q = np.nonzero(rho0)
     touched = np.zeros((dim, step), dtype=bool)
@@ -445,7 +449,7 @@ def _evolve_chains(rho0: np.ndarray, gen: Generator, t: float, orders: np.ndarra
                    starts: np.ndarray) -> tuple[np.ndarray, ...] | None:
     """(rows, cols, values) of the touched entries on the chains, or None past the bound."""
     chains = _chains(gen, orders, starts)
-    start = rho0[chains.rows, chains.cols]  # x(0), then D x(0)
+    start = rho0[chains.rows, chains.cols].astype(complex, copy=False)  # x(0), then D x(0)
     with np.errstate(divide="ignore", over="ignore"):  # log 0 = -inf; D past the float range
         weight = np.log(np.abs(start))
         weight -= weight.max(initial=-math.inf)
@@ -606,55 +610,44 @@ def wigner_numeric(rho: np.ndarray, points: np.ndarray) -> np.ndarray:
 
     ``points`` is an (m, 2) array of quadrature coordinates; the displacement
     amplitude is alpha = (x + iy)/2 = r e^{i theta}, and the value is
-    Tr[rho D(alpha) P D(alpha)^dag] with P the parity (Royer, Phys. Rev. A
-    15, 449, 1977).  One eigendecomposition G = i(a^dag - a) = V diag(lam) V^dag
-    per call gives D(r) = V e^{-i r lam} V^dag on the real axis, and the
-    rotation R = diag(e^{i theta n}) turns it into D(alpha) = R D(r) R^dag;
-    no closed form enters.  The truncated G has P G P = -G exactly, so
-    D(r) P D(r)^dag = D(2r) P = (V e^{-2i r lam}) (V^dag P), one product per
-    distinct radius, and the value at angle theta is
-    sum_jk rho_jk (R D(2r) P R^dag)_kj, one product with the diagonal rotation
-    per point.  A diagonal rho gives a radial W,
-    sum_n rho_nn (-1)^n sum_k |V_nk|^2 e^{-2i r lam_k}, so all radii come from
-    one product with the phases and no rotation enters.  Raises
-    ``DisplacementRangeError``, before either path, when the grid reaches
-    past the radius the truncation resolves for the occupied levels.
+    Re Tr[rho D(alpha) P D(alpha)^dag] with P the parity (Royer, Phys. Rev. A
+    15, 449, 1977), the W of rho's Hermitian part; no closed form enters.
+    G = i(a^dag - a) = S J S^dag with S = diag(i^n) and J real symmetric
+    tridiagonal, J[n, n + 1] = sqrt(n + 1), so one real eigendecomposition
+    J = Q diag(lam) Q^T per call gives D(r) = S Q e^{-i r lam} Q^T S^dag on
+    the real axis.  The truncated G has P G P = -G exactly, so
+    D(r) P D(r)^dag = D(2r) P, and the rotation R = diag(e^{i theta n}) turns
+    it to angle theta: the entry [j + m, j] of R D(2r) P R^dag is
+    (i e^{i theta})^m (-1)^j sum_l Q[j + m, l] Q[j, l] e^{-2i r lam_l}, and
+    its entry [j, j + m] the conjugate.  So rho is read on the orders
+    m = |q - p| that hold an entry, W = (1/2 pi) sum_m Re[(i e^{i theta})^m
+    radial_m(r)], with radial_m one product of rho[j, j + m] +
+    conj(rho[j + m, j]) (rho[j, j] at m = 0) with the phases of all radii; a
+    diagonal rho is order 0 alone.  Raises ``DisplacementRangeError``, before
+    any of this, when the points reach past the radius the truncation
+    resolves for the occupied levels; no points give an empty array.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     dim = rho.shape[0]
-    a, ad = build_ladder(dim)
-    n = np.arange(dim)
-    signs = (-1.0) ** n
-
     pops = np.diag(rho).real
     tail = np.cumsum(pops[::-1])[::-1]
     occupied = np.nonzero(tail > 1e-9)[0]
     n_cov = int(occupied[-1]) if occupied.size else 0
     radii, group = np.unique(0.5 * np.hypot(points[:, 0], points[:, 1]), return_inverse=True)
-    if (radii[-1] + math.sqrt(n_cov + 1.0)) ** 2 > dim - 2:
+    if radii.size and (radii[-1] + math.sqrt(n_cov + 1.0)) ** 2 > dim - 2:
         raise DisplacementRangeError(
             f"grid radius {radii[-1]:.3g} reaches beyond the safe displacement radius "
             f"for dim {dim} with levels up to {n_cov} occupied"
         )
 
-    evals, vecs = np.linalg.eigh(1j * (ad - a))
-    phases = np.exp(-2j * np.multiply.outer(evals, radii))  # e^{-2i r lam_k}, one column per radius
-    if _is_diagonal(rho):
-        weights = (np.diagonal(rho) * signs) @ (vecs.real ** 2 + vecs.imag ** 2)
-        return (weights @ phases).real[group] / (2.0 * math.pi)
-    parity_rows = vecs.conj().T * signs  # V^dag P
-    angles = np.arctan2(points[:, 1], points[:, 0])
-    values = np.empty(points.shape[0])
-    for j in range(radii.size):
-        # rho_jk (D(2r) P)_kj: the value at angle theta is rot^dag kernel rot
-        kernel = rho * ((vecs * phases[:, j]) @ parity_rows).T
-        members = np.flatnonzero(group == j)
-        rot = np.exp(1j * np.outer(angles[members], n))
-        values[members] = ((rot.conj() @ kernel) * rot).sum(axis=1).real / (2.0 * math.pi)
-    return values
-
-
-def wigner_numeric_grid(rho: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Displaced-parity values on the tensor grid xs x ys, indexed [ix, iy]."""
-    pts = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
-    return wigner_numeric(rho, pts).reshape(len(xs), len(ys))
+    lam, q = np.linalg.eigh(np.diag(np.sqrt(np.arange(1.0, dim)), -1))  # reads the lower triangle
+    phases = np.exp(-2j * np.multiply.outer(lam, radii))  # e^{-2i r lam_l}, one column per radius
+    signs = (-1.0) ** np.arange(dim)
+    turn = 1j * np.exp(1j * np.arctan2(points[:, 1], points[:, 0]))  # i e^{i theta}
+    rows, cols = np.nonzero(rho)
+    values = np.zeros(points.shape[0])
+    for m in np.unique(np.abs(cols - rows)).tolist():
+        pair = np.diagonal(rho, m) + np.diagonal(rho, -m).conj() if m else np.diagonal(rho)
+        radial = ((pair * signs[:dim - m]) @ (q[:dim - m] * q[m:])) @ phases
+        values += (turn ** m * radial[group]).real
+    return values / (2.0 * math.pi)

@@ -36,7 +36,7 @@ from .lindblad import (
     random_density_matrix,
     steady_populations,
     trace_distance,
-    wigner_numeric_grid,
+    wigner_numeric,
 )
 
 
@@ -209,7 +209,7 @@ def check_wigner_oracle(mutations=()) -> dict:
     """Closed-form quasiprobability vs displaced parity (< 1e-6).
 
     The steady state, diagonal, on a 41x41 grid, and a coherent state, whose
-    coherences take the per-radius path of ``wigner_numeric``, on a 5x5 grid:
+    coherences ``wigner_numeric`` reads order by order, on a 5x5 grid:
     W = exp(-|(x, y) - 2 (Re alpha, Im alpha)|^2 / 2) / (2 pi).
     """
     k_ratio, wp = 0.2, 0.4
@@ -217,15 +217,17 @@ def check_wigner_oracle(mutations=()) -> dict:
     extent = wignerflux.default_extent(k_ratio, wp)
     axis = np.linspace(-extent, extent, 41)
     rho = analytic.rho_ss_analytic(k_ratio, wp, dim)
-    numeric = wigner_numeric_grid(rho, axis, axis)
     xs, ys = np.meshgrid(axis, axis, indexing="ij")
+    points = np.column_stack((xs.ravel(), ys.ravel()))
+    numeric = wigner_numeric(rho, points).reshape(xs.shape)
     closed = analytic.wigner_ss(xs, ys, k_ratio, wp)
     gap = float(np.abs(numeric - closed).max())
 
     alpha = 1.0 + 0.5j
     axis = np.linspace(-3.0, 3.0, 5)
-    numeric = wigner_numeric_grid(coherent_state(dim, alpha), axis, axis)
     xs, ys = np.meshgrid(axis, axis, indexing="ij")
+    points = np.column_stack((xs.ravel(), ys.ravel()))
+    numeric = wigner_numeric(coherent_state(dim, alpha), points).reshape(xs.shape)
     scale = 1.0 if "coherent-centre-halved" in mutations else 2.0  # alpha = (x + iy) / 2
     closed = np.exp(-0.5 * ((xs - scale * alpha.real) ** 2 + (ys - scale * alpha.imag) ** 2))
     coherent_gap = float(np.abs(numeric - closed / (2.0 * math.pi)).max())

@@ -22,7 +22,7 @@ def _drive(result):
 
 
 def test_criterion_01_steady_state_oracle(verify_results):
-    """Null-space steady states match the closed form within 1e-8 in < 30 s."""
+    """Steady states from the cut recursion match the closed form within 1e-8 in < 30 s."""
     _drive(verify_results["steady-state-oracle"])
 
 
@@ -56,7 +56,7 @@ def test_criterion_06_circulation(verify_results):
 
 
 def test_criterion_07_detailed_balance(verify_results):
-    """Residual dichotomy: < 1e-10 noise-induced, conventional above a gain-scaled floor."""
+    """Residual dichotomy: < 1e-10 noise-induced, conventional above the floor 0.5."""
     _drive(verify_results["detailed-balance"])
 
 

@@ -487,6 +487,8 @@ def test_evolve_rejects_malformed_initial_state(tmp_path, spec):
     pytest.param(["steady", "--kappa-up1", "0.3"], "kappa_up1",
                  id="steady-one-photon-gain-without-kind"),
     pytest.param(["wigner", "--h", "100"], "h", id="wigner-one-point-grid"),
+    pytest.param(["wigner", "--extent", "0.1"], "extent",
+                 id="wigner-extent-leaves-no-interior-cell"),
     pytest.param(["wigner", "--h", "3"], "h", id="wigner-no-interior-cell"),
     pytest.param(["wigner", "--k-ratio", "0.55", "--wp-plus", "0.545"], "extent",
                  id="wigner-field-cut-by-the-grid-edge"),

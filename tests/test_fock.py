@@ -15,7 +15,6 @@ from noisecycle.fock import (
     ModelKind,
     ModelParams,
     NoStationaryStateError,
-    build_ladder,
     coherent_state,
     coherent_tail,
     Generator,
@@ -28,6 +27,14 @@ from noisecycle.analytic import rho_ss_analytic
 
 NI = ModelParams(omega0=1.0, kappa_down=1.0, kappa_up2=0.5)
 CONV = ModelParams(omega0=1.0, kappa_down=1.0, kappa_up1=0.3, kind=ModelKind.CONVENTIONAL)
+
+
+def build_ladder(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Annihilation and creation operators on a dim-level Fock space, as dense matrices."""
+    if dim < 2:
+        raise FockError(f"Fock dimension must be >= 2, got {dim}")
+    a = np.diag(np.sqrt(np.arange(1.0, dim)), 1).astype(complex)
+    return a, a.conj().T
 
 
 def quadrature_x(dim: int) -> np.ndarray:

@@ -18,7 +18,6 @@ from noisecycle.fock import (
     Generator,
     ModelKind,
     ModelParams,
-    build_ladder,
     coherent_state,
     default_dim,
     fock_state,
@@ -40,10 +39,10 @@ from noisecycle.lindblad import (
     steady_states,
     trace_distance,
     wigner_numeric,
-    wigner_numeric_grid,
 )
 from noisecycle.analytic import wigner_ss
 from test_fock import (
+    build_ladder,
     dense_apply,
     dense_grids,
     devectorize,
@@ -347,6 +346,18 @@ def test_evolve_zero_time_is_identity():
     rho = coherent_state(20, 0.7)
     out = evolve(rho, Generator(NI, 20), 0.0)
     assert np.array_equal(out, rho)
+
+
+@pytest.mark.parametrize("params", [NI, CONV], ids=["chain", "dense"])
+@pytest.mark.parametrize("t", [0.0, 1.0])
+def test_evolve_takes_a_real_or_integer_start(params, t):
+    """A start of any numeric dtype evolves as its complex copy does, into a complex rho(t)."""
+    gen = Generator(params, 24)
+    vacuum = np.diag(np.eye(24, dtype=int)[0])
+    for start in (vacuum, vacuum.astype(float), coherent_state(24, 1.0).real):
+        out = evolve(start, gen, t)
+        assert out.dtype == complex
+        assert np.array_equal(out, evolve(start.astype(complex), gen, t))
 
 
 def test_evolve_reaches_steady_state():
@@ -1134,8 +1145,8 @@ def test_wigner_numeric_matches_closed_form_grid():
     k, wp = 0.2, 0.4
     rho = rho_ss_analytic(k, wp, 80)
     axis = np.linspace(-4.0, 4.0, 9)
-    numeric = wigner_numeric_grid(rho, axis, axis)
     X, Y = np.meshgrid(axis, axis, indexing="ij")
+    numeric = wigner_numeric(rho, np.column_stack((X.ravel(), Y.ravel()))).reshape(X.shape)
     assert np.abs(numeric - wigner_ss(X, Y, k, wp)).max() < 1e-6
 
 
@@ -1169,6 +1180,34 @@ def test_wigner_numeric_matches_per_point_reference():
     assert np.abs(wigner_numeric(rho, pts) - reference_wigner_numeric(rho, pts)).max() < 1e-12
 
 
+def cat_0_3():
+    cat = np.zeros((40, 40))
+    cat[np.ix_([0, 3], [0, 3])] = 0.5
+    return cat
+
+
+# diagonal states are order 0 alone; the cat state holds orders 0 and 3 only; the
+# coherent state is real, so its coherences enter through the rotation alone; a lower
+# triangle is read as its Hermitian part, as the reference reads it
+@pytest.mark.parametrize("make_state", [
+    pytest.param(lambda: fock_state(40, 0), id="fock-0"),
+    pytest.param(lambda: fock_state(40, 1), id="fock-1"),
+    pytest.param(lambda: fock_state(40, 4), id="fock-4"),
+    pytest.param(lambda: rho_ss_analytic(0.0, 0.55, 40), id="steady-k0"),
+    pytest.param(lambda: rho_ss_analytic(0.3, 0.55, 60), id="steady-k0.3"),
+    pytest.param(lambda: rho_ss_analytic(0.5, 0.3, 100), id="steady-k0.5"),
+    pytest.param(cat_0_3, id="cat-0-3"),
+    pytest.param(lambda: coherent_state(40, 0.7).real, id="coherent-real"),
+    pytest.param(lambda: np.tril(random_density_matrix(24, support=8, rng=np.random.default_rng(5))),
+                 id="lower-triangle"),
+])
+def test_wigner_numeric_state_matches_per_point_reference(make_state):
+    state = make_state()
+    xs = np.linspace(-2.0, 2.0, 9)
+    pts = np.array([(x, y) for x in xs for y in xs])
+    assert np.abs(wigner_numeric(state, pts) - reference_wigner_numeric(state, pts)).max() < 1e-13
+
+
 def test_wigner_numeric_square_grid_matches_per_point_reference():
     # the mirror images of each point share its radius
     rng = np.random.default_rng(6)
@@ -1177,24 +1216,6 @@ def test_wigner_numeric_square_grid_matches_per_point_reference():
     pts = np.array([(x, y) for x in xs for y in xs])
     assert np.unique(np.hypot(pts[:, 0], pts[:, 1])).size < len(pts) // 4
     assert np.abs(wigner_numeric(rho, pts) - reference_wigner_numeric(rho, pts)).max() < 1e-12
-
-
-@pytest.mark.parametrize("make_state", [
-    pytest.param(lambda: fock_state(40, 0), id="fock-0"),
-    pytest.param(lambda: fock_state(40, 1), id="fock-1"),
-    pytest.param(lambda: fock_state(40, 4), id="fock-4"),
-    pytest.param(lambda: rho_ss_analytic(0.0, 0.55, 40), id="steady-k0"),
-    pytest.param(lambda: rho_ss_analytic(0.3, 0.55, 60), id="steady-k0.3"),
-    pytest.param(lambda: rho_ss_analytic(0.5, 0.3, 100), id="steady-k0.5"),
-])
-def test_wigner_numeric_radial_path_matches_general_path(monkeypatch, make_state):
-    rho = make_state()
-    xs = np.linspace(-2.0, 2.0, 9)
-    pts = np.array([(x, y) for x in xs for y in xs])
-    radial = wigner_numeric(rho, pts)
-    monkeypatch.setattr(lindblad, "_is_diagonal", lambda mat: False)
-    general = wigner_numeric(rho, pts)
-    assert np.abs(radial - general).max() < 1e-13
 
 
 def test_trace_distance_of_diagonal_states_matches_eigvalsh(monkeypatch):
@@ -1208,6 +1229,18 @@ def test_trace_distance_of_diagonal_states_matches_eigvalsh(monkeypatch):
     assert diagonal[1] == 1.0
 
 
+def test_trace_distance_rejects_states_of_two_forms():
+    # a populations vector less a matrix would broadcast across the rows
+    with pytest.raises(ValueError, match=r"\(4, 4\) and \(4,\)"):
+        trace_distance(fock_state(4, 0), np.array([1.0, 0.0, 0.0, 0.0]))
+    with pytest.raises(ValueError, match=r"\(4,\) and \(5,\)"):
+        trace_distance(np.eye(4)[0], np.eye(5)[0])
+
+
 def test_wigner_numeric_raises_beyond_safe_radius():
     with pytest.raises(DisplacementRangeError):
         wigner_numeric(coherent_state(16, 2.0), np.array([[6.0, 0.0]]))
+
+
+def test_wigner_numeric_of_no_points_is_empty():
+    assert wigner_numeric(coherent_state(16, 2.0), np.empty((0, 2))).shape == (0,)

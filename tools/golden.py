@@ -1,7 +1,8 @@
 """Golden digests of every default command output and every ``verify`` row.
 
 Run ``python tools/golden.py`` from the repository root to rewrite
-``tests/golden.json``.  It runs ``steady``, ``evolve``, ``wigner``,
+``tests/golden.json``; it first prints each difference from the record it
+replaces (``differences``), for the change log.  It runs ``steady``, ``evolve``, ``wigner``,
 ``phase-diagram`` and ``sde`` at their defaults in a temporary directory and
 every ``verify`` check, and records:
 
@@ -170,8 +171,11 @@ def main() -> int:
 
     with tempfile.TemporaryDirectory() as root:
         record = collect(Path(root), verify.run_checks())
+    moved = differences(json.loads(GOLDEN.read_text()), record) if GOLDEN.exists() else []
+    for line in moved:
+        print(f"moved: {line}")
     GOLDEN.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {GOLDEN}")
+    print(f"wrote {GOLDEN} ({len(moved)} moved)")
     return 0
 
 
