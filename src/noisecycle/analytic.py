@@ -72,12 +72,12 @@ def _require_state(k_ratio: float, wp_plus: float) -> None:
 def populations_ss(k_ratio: float, wp_plus: float, dim: int) -> np.ndarray:
     """Steady populations: geometric ladders on even and odd levels.
 
-    Truncated to ``dim`` levels and renormalized; the trace deficit before
-    renormalization is below k_ratio**(dim/2).
+    Truncated to ``dim`` levels and normalized; the untruncated ladders put
+    at most k_ratio**(dim // 2) of their weight on the levels from ``dim`` up.
     """
     _require_state(k_ratio, wp_plus)
     n = np.arange(dim)
-    geom = (1.0 - k_ratio) * k_ratio ** (n // 2).astype(float)
+    geom = k_ratio ** (n // 2).astype(float)
     pops = np.where(n % 2 == 0, wp_plus * geom, (1.0 - wp_plus) * geom)
     return pops / pops.sum()
 

@@ -10,17 +10,20 @@ comma, a quote or a line break.
 Numbers are encoded by numpy, ``CHUNK_ROWS`` rows at a time; a column
 broadcast along an axis (``x[:, None]``) is encoded once and gathered per
 row.  Write |v| = m 2^q with m in [2^52, 2^53), and its 17 digits as
-D 10^(E-16) with D in [10^16, 10^17).  A table holds, per q, the
-double-double of 2^q 10^(16-E) at the two exponents E a binade can take, so
-X = m 2^q 10^(16-E) is formed by Dekker's exact product with an error near
-1e-14, and D = round(X).  A cell is four little-endian 64-bit words: sign,
-``0.000`` prefix, lead digit and point; 8 digits; 8 digits; exponent suffix
-and separator.  ±0 has a cell of its own, ``0`` or ``-0``.  ``%.17g`` itself
-formats the values that layout does not fit: subnormals, infinities, NaNs,
-the values whose X lies within ``_TIE_BAND`` of a half-integer (the exact
-ties, which round half to even, among them), those whose last 4 digits are
-zeros, and those of 10 <= |v| < 10^17, whose fixed-notation point falls
-among the digits.  A dropped byte is NUL, and one ``bytes.translate`` pass
+D 10^(E-16) with D in [10^16, 10^17).  Each value has one key, twice its top
+12 bits (sign and exponent field) plus whether m passes the binade's decade
+cut, and the key fixes the sign and E: every table is read at it.  A table
+holds, per key, the double-double of 2^q 10^(16-E), so X = m 2^q 10^(16-E)
+is formed by Dekker's exact product with an error near 1e-14, and
+D = round(X).  A cell is four little-endian 64-bit words: sign, ``0.000``
+prefix, lead digit and point; 8 digits; 8 digits; exponent suffix and
+separator.  ±0 has a cell of its own, ``0`` or ``-0``.  ``%.17g`` itself
+formats the values that layout does not fit: the keys the ``rare`` table
+flags (subnormals, infinities, NaNs, and 10 <= |v| < 10^17, whose
+fixed-notation point falls among the digits), the values whose X lies within
+``_TIE_BAND`` of a half-integer (the exact ties, which round half to even,
+among them), and those whose last 4 digits are zeros, a D rounded up to
+10^17 among them.  A dropped byte is NUL, and one ``bytes.translate`` pass
 deletes the NULs of a whole chunk.
 """
 
@@ -43,7 +46,6 @@ _TIE_BAND = 1e-6
 _EXPONENT = 0x7FF
 _FRACTION = (1 << 52) - 1
 _VELTKAMP = 2.0 ** 27 + 1.0
-_SMALLEST_E = -308  # decimal exponent of the smallest normal float64
 _WORDS, _WORD = 4, np.dtype("<u8")  # a number cell is 4 little-endian 64-bit words
 _LEAD = 48  # bit offset of the lead digit in the first word
 
@@ -59,17 +61,18 @@ def _tables() -> SimpleNamespace:
     is correctly rounded, so each c_hi and the residual c_lo below it are exact to the bit.
     """
     text = [b"%04d" % i for i in range(10000)]
-    e0, m_cut, hi, lo = [], [], [], []
+    cut, exps, rare, hi, lo = [], [], [], [], []
     for field in range(_EXPONENT + 1):
-        # fields 0 and 0x7FF never reach the output; they copy their neighbours
+        # fields 0 and 0x7FF are rare; their other entries copy their neighbours
         q = min(max(field, 1), _EXPONENT - 1) - 1075
         p = 52 + q  # 10^e0 <= 2^p < 10^(e0+1), and 2^-k = 5^k / 10^k
         e = len(str(2 ** p)) - 1 if p >= 0 else len(str(5 ** -p)) - 1 + p
-        e0.append(e)
-        # ceil(10^(e0+1) / 2^q), below 2^56 since 10^(e0+1) <= 10 2^p
-        m_cut.append(-(-10 ** max(e + 1, 0) * 2 ** max(-q, 0)
-                       // (10 ** max(-e - 1, 0) * 2 ** max(q, 0))))
+        # ceil(10^(e0+1) / 2^q) - 2^52, below 2^56 since 10^(e0+1) <= 10 2^p
+        cut.append(-(-10 ** max(e + 1, 0) * 2 ** max(-q, 0)
+                     // (10 ** max(-e - 1, 0) * 2 ** max(q, 0))) - 2 ** 52)
         for k in (0, 1):
+            exps.append(e + k)
+            rare.append(field in (0, _EXPONENT) or 1 <= e + k <= 16)
             num = 2 ** max(q, 0) * 10 ** max(16 - e - k, 0)
             den = 2 ** max(-q, 0) * 10 ** max(e + k - 16, 0)
             c = num / den
@@ -79,59 +82,31 @@ def _tables() -> SimpleNamespace:
     c_hi = np.array(hi)
     spread = c_hi * _VELTKAMP
     c_top = spread - (spread - c_hi)
-    exps = range(_SMALLEST_E, -_SMALLEST_E + 1)
+    head = _words(b"\0" + (b"0." + b"0" * (-e - 1) if -4 <= e < 0 else b"").ljust(5, b"\0")
+                  + (b"0" if -4 <= e < 0 else b"0.") for e in exps)
     tables = SimpleNamespace(
         # per 4-digit group i: "%04d" % i as the low half of a word, the high half,
         # and the high half without its trailing zeros
         low=_words(text),
         high=_words(b"\0" * 4 + t for t in text),
         last=_words(b"\0" * 4 + t.rstrip(b"0") for t in text),
-        # per top 12 bits of a float64: its exponent field is 0 or 0x7FF
-        abnormal=np.isin(np.arange(4096) & _EXPONENT, [0, _EXPONENT]),
-        # per exponent field: m >= m_cut puts |v| a decade above the binade's low end
-        m_cut=np.array(m_cut, dtype=np.int64),
-        # per row 2 field + k: E = e0 + k, and 2^q 10^(16-E) as c_hi + c_lo with
-        # c_hi = c_top + c_bottom split in halves
-        exp10=np.repeat(e0, 2) + np.tile([0, 1], len(e0)),
-        c_hi=c_hi, c_top=c_top, c_bottom=c_hi - c_top, c_lo=np.array(lo),
-        # per E - _SMALLEST_E: the first word without sign and digits, the
-        # suffix, and whether fixed notation puts the point among the digits
-        head=_words(b"\0" + (b"0." + b"0" * (-e - 1) if -4 <= e < 0 else b"").ljust(5, b"\0")
-                    + (b"0" if -4 <= e < 0 else b"0.") for e in exps),
-        suffix=_words(b"" if -4 <= e < 17 else b"e%+03d" % e for e in exps),
-        moves=np.array([1 <= e <= 16 for e in exps]),
+        # per top 12 bits: a fraction of m at least this puts |v| a decade
+        # above the binade's low end, E = e0 + 1
+        cut=np.tile(np.array(cut, dtype=np.int64), 2),
+        # per key 2 top + k, in which E = e0 + k: 2^q 10^(16-E) as c_hi + c_lo
+        # with c_hi = c_top + c_bottom split in halves ...
+        c_hi=np.tile(c_hi, 2), c_top=np.tile(c_top, 2), c_bottom=np.tile(c_hi - c_top, 2),
+        c_lo=np.tile(lo, 2),
+        # ... the first word without digits, the sign's "-" in it, the suffix,
+        # and whether the layout cannot hold the value: its exponent field is
+        # 0 or 0x7FF, or fixed notation puts the point among the digits
+        head=np.concatenate([head, head | ord("-")]),
+        suffix=np.tile(_words(b"" if -4 <= e < 17 else b"e%+03d" % e for e in exps), 2),
+        rare=np.tile(rare, 2),
     )
     for table in vars(tables).values():  # shared by every call
         table.flags.writeable = False
     return tables
-
-
-def _significands(bits: np.ndarray, t: SimpleNamespace):
-    """(D, E, exact) of float64 bit patterns: a normal |v| rounds to D 10^(E-16).
-
-    ``exact`` is False where X sits too near a half-integer to round safely.
-    The result holds no meaning for zeros, subnormals, infinities and NaNs.
-    """
-    field = (bits >> 52) & _EXPONENT
-    m = (bits & _FRACTION) | (1 << 52)
-    row = 2 * field + (m >= t.m_cut[field])
-    exp10 = t.exp10[row]
-    # Dekker's exact product m c_hi = x_hi + err, m split into 26 and 27 bits
-    m_all = m.astype(np.float64)
-    m_top = (m >> 27 << 27).astype(np.float64)
-    m_bottom = (m & ((1 << 27) - 1)).astype(np.float64)
-    c_top, c_bottom = t.c_top[row], t.c_bottom[row]
-    x_hi = m_all * t.c_hi[row]
-    err = ((m_top * c_top - x_hi) + m_top * c_bottom + m_bottom * c_top) + m_bottom * c_bottom
-    x_lo = err + m_all * t.c_lo[row]
-    # x_hi >= 1e16 > 2^53 is an integer, so frac(X) = frac(x_lo)
-    floor = np.floor(x_lo)
-    frac = x_lo - floor
-    sig = x_hi.astype(np.int64) + floor.astype(np.int64) + (frac >= 0.5)
-    carry = sig == 10 ** 17
-    sig[carry] = 10 ** 16
-    exp10[carry] += 1
-    return sig, exp10, np.abs(frac - 0.5) >= _TIE_BAND
 
 
 def _formatted(values: np.ndarray) -> list[bytes]:
@@ -139,11 +114,25 @@ def _formatted(values: np.ndarray) -> list[bytes]:
     return [b"%.17g" % v for v in values.tolist()]
 
 
-def _number_cells(values: np.ndarray, separators) -> np.ndarray:
+def _number_cells(values: np.ndarray, separators: np.ndarray) -> np.ndarray:
     """The (n, 4) cells of the 1-D float64 ``values``, each closed by its word of ``separators``."""
     t = _tables()
     bits = values.view(np.int64)
-    sig, exp10, exact = _significands(bits, t)
+    fraction = bits & _FRACTION
+    top = bits >> 52 & 0xFFF
+    key = 2 * top + (fraction >= np.take(t.cut, top))
+    # Dekker's exact product m c_hi = x_hi + err, m split into 26 and 27 bits
+    m = fraction | (1 << 52)
+    m_all = m.astype(np.float64)
+    m_top = (m >> 27 << 27).astype(np.float64)
+    m_bottom = (m & ((1 << 27) - 1)).astype(np.float64)
+    c_top, c_bottom = np.take(t.c_top, key), np.take(t.c_bottom, key)
+    x_hi = m_all * np.take(t.c_hi, key)
+    err = ((m_top * c_top - x_hi) + m_top * c_bottom + m_bottom * c_top) + m_bottom * c_bottom
+    x_lo = err + m_all * np.take(t.c_lo, key)
+    # x_hi >= 1e16 > 2^53 is an integer, so D = x_hi + rint(x_lo)
+    rounded = np.rint(x_lo)
+    sig = x_hi.astype(np.int64) + rounded.astype(np.int64)
     # D = lead g1 g2 g3 g4 in 4-digit groups
     upper = sig // 10 ** 8
     g34 = sig - upper * 10 ** 8
@@ -152,21 +141,19 @@ def _number_cells(values: np.ndarray, separators) -> np.ndarray:
     g1, g2 = g01 - lead * 10 ** 4, upper - g01 * 10 ** 4
     g3 = g34 // 10 ** 4
     g4 = g34 - g3 * 10 ** 4
-    top = bits.view(np.uint64) >> 52
-    # the layout strips zeros from g4 alone and puts the point after the lead digit
-    rare = np.flatnonzero(np.take(t.abnormal, top) | ~exact | (g4 == 0)
-                          | np.take(t.moves, exp10 - _SMALLEST_E))
-    exp10[rare] = 0  # no suffix
-    frame = exp10 - _SMALLEST_E
+    # the layout strips zeros from g4 alone and puts the point after the lead
+    # digit; a D rounded up to 10^17 has g4 = 0, so it needs no carry step
+    rare = np.flatnonzero(np.take(t.rare, key) | (g4 == 0)
+                          | (np.abs(x_lo - rounded) > 0.5 - _TIE_BAND))
     cells = np.empty((values.size, _WORDS), dtype=_WORD)
-    lead = lead.astype(np.uint64) << _LEAD
-    cells[:, 0] = np.take(t.head, frame) | (top >> 11) * ord("-") | lead
+    cells[:, 0] = np.take(t.head, key) | lead.astype(np.uint64) << _LEAD
     cells[:, 1] = np.take(t.low, g1) | np.take(t.high, g2)
     cells[:, 2] = np.take(t.low, g3) | np.take(t.last, g4)
-    cells[:, 3] = np.take(t.suffix, frame) | separators
+    cells[:, 3] = np.take(t.suffix, key) | separators
+    cells[rare, 3] = separators[rare]  # no suffix
     is_zero = (bits[rare] << 1) == 0
     zero, slow = rare[is_zero], rare[~is_zero]
-    cells[zero, 0] = (top[zero] >> 11) * ord("-") | ord("0") << _LEAD  # ±0 shows the one digit 0
+    cells[zero, 0] = (key[zero] >> 12) * ord("-") | ord("0") << _LEAD  # ±0 shows the one digit 0
     cells[zero, 1:3] = 0
     cells[slow, :3] = np.array(_formatted(values[slow]), dtype="S24").view(_WORD).reshape(-1, 3)
     return cells
@@ -175,7 +162,8 @@ def _number_cells(values: np.ndarray, separators) -> np.ndarray:
 def _whole_cells(column: np.ndarray, end: bytes, separator: np.uint64) -> np.ndarray:
     """The cells of a whole column, each closed by ``end``: shape ``column.shape + (words,)``."""
     if column.dtype.kind != "S":
-        return _number_cells(column.reshape(-1), separator).reshape(*column.shape, _WORDS)
+        cells = _number_cells(column.reshape(-1), np.repeat(separator, column.size))
+        return cells.reshape(*column.shape, _WORDS)
     text = np.char.add(column, end)  # its NUL padding is deleted with the rest
     return text.astype(f"S{-(-text.itemsize // 8) * 8}").view(_WORD).reshape(*column.shape, -1)
 

@@ -364,7 +364,8 @@ def check_parity(mutations=()) -> dict:
     number |alpha|^2 relaxes to the steady state of its even weight
     ``analytic.coherent_even_weight(|alpha|^2)`` (trace distance below
     ``CLOSED_FORM_TOL`` at t = 100), and that state is a limit cycle exactly
-    when |alpha|^2 passes ``analytic.coherent_cycle_threshold``.
+    when |alpha|^2 passes ``analytic.coherent_cycle_threshold``: two starts
+    lie far from it and two within 5% of it, one on each side.
     """
     k_ratio = 0.3
     dim = dim_for_tail(k_ratio)
@@ -380,9 +381,11 @@ def check_parity(mutations=()) -> dict:
     vacuum_end = evolve(fock_state(dim, 0), gen, 20.0)
     odd_max = float(np.abs(np.diag(vacuum_end).real[1::2]).max())
 
-    threshold = analytic.coherent_cycle_threshold(k_ratio)
+    threshold = analytic.coherent_cycle_threshold(k_ratio)  # 0.656 at k = 0.3
+    if "cycle-threshold-halved" in mutations:
+        threshold /= 2.0
     distances, label_mismatches = [], 0
-    for alpha_sq in (0.2, 1.0):  # one on each side of the threshold, 0.656 at k = 0.3
+    for alpha_sq in (0.2, 0.95 * threshold, 1.05 * threshold, 1.0):
         wp = analytic.coherent_even_weight(alpha_sq)
         if "parity-outcome-weight" in mutations:  # the odd weight taken for the even one
             wp = 1.0 - wp
@@ -493,7 +496,8 @@ def check_classical_mode(mutations=()) -> dict:
 
 # each fault injection and the check it must make fail; `noisecycle verify` rejects any other name
 MUTATIONS = {"circulation-sign": "circulation", "generator-loss-rate": "steady-state-oracle",
-             "parity-outcome-weight": "parity", "mandel-parity-weight": "mandel-q",
+             "parity-outcome-weight": "parity", "cycle-threshold-halved": "parity",
+             "mandel-parity-weight": "mandel-q",
              "drift-target-halved": "noise-drift", "balance-models-swapped": "detailed-balance",
              "coherent-centre-halved": "wigner-oracle",
              "phase-scan-odd-weight": "phase-classification", "plane-as-radial": "classical-mode",

@@ -68,6 +68,17 @@ def test_rho_ss_geometric_populations():
     assert np.all(pops[1::2] == 0)
 
 
+@pytest.mark.parametrize("k, wp, dim", [(0.3, 0.2, 7), (0.5, 0.9, 8), (0.9, 0.0, 9), (0.0, 0.4, 3)])
+def test_populations_are_the_normalized_ladders_cut_at_dim(k, wp, dim):
+    """Weight wp or 1 - wp, by parity, times (1 - k) k^(n // 2) sums to 1 over every
+    level; the levels from dim up hold at most k^(dim // 2) of it."""
+    n = np.arange(dim)
+    ladders = np.where(n % 2 == 0, wp, 1.0 - wp) * (1.0 - k) * k ** (n // 2)
+    dropped = 1.0 - ladders.sum()
+    assert -1e-15 <= dropped <= k ** (dim // 2) + 1e-15
+    assert analytic.populations_ss(k, wp, dim) == pytest.approx(ladders / ladders.sum(), rel=1e-14)
+
+
 def test_rho_ss_mean_photon_number():
     rho = rho_ss_analytic(0.5, 1.0, 200)
     n = np.arange(200)

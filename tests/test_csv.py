@@ -181,6 +181,17 @@ def exact_ties():
     return ties
 
 
+def binade_ends():
+    """The smallest and the largest double of every normal exponent field, both signs.
+
+    Each pins one half of the encoder's key: the low end lies below the
+    binade's decade cut, the high end at or above it, when the binade holds one.
+    """
+    low = np.arange(1, 0x7FF, dtype=np.uint64) << np.uint64(52)
+    ends = np.concatenate([low, low | np.uint64((1 << 52) - 1)]).view(np.float64)
+    return [*ends, *-ends]
+
+
 def test_encoder_matches_percent_17g_on_edge_values():
     powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
     values = [
@@ -190,7 +201,7 @@ def test_encoder_matches_percent_17g_on_edge_values():
         # fixed notation whose trailing zeros reach the integer part
         10.0, 120.0, 1e15, 1234.5, 12345678901234568.0, 99999999999999984.0,
         *powers, *np.nextafter(powers, 0.0), *np.nextafter(powers, np.inf), *-powers,
-        *exact_ties(),
+        *exact_ties(), *binade_ends(),
     ]
     assert_same_bytes(encoded(values), formatted(values))
     assert encoded([-np.nan, -0.0]) == b"nan\r\n-0\r\n"
@@ -200,15 +211,16 @@ def test_encoder_matches_percent_17g_on_edge_values():
 def test_zeros_have_their_own_cell_and_the_rare_layouts_go_to_percent_17g(monkeypatch):
     # ±0 is written by the encoder itself; the values whose last 4 digits are
     # zeros (1e15, 0.5, 120.0) or whose point falls among the digits (12.5, 120.0)
-    # are formatted by "%.17g"
+    # are formatted by "%.17g", and so are 1e-305 and 1e-243: each double lies
+    # just below its power of ten, and its 17 digits carry to D = 10^17
     sent = []
     fallback = csvio._formatted
     monkeypatch.setattr(csvio, "_formatted", lambda values: sent.extend(values) or fallback(values))
-    values = [0.0, -0.0, 12.5, 1e15, 0.5, 120.0, 0.1, -0.0, 0.0]
+    values = [0.0, -0.0, 12.5, 1e15, 0.5, 120.0, 0.1, -0.0, 0.0, 1e-305, -1e-243]
     got = encoded(values)
     monkeypatch.undo()
     assert_same_bytes(got, formatted(values))
-    assert sorted(sent) == [0.5, 12.5, 120.0, 1e15]
+    assert sorted(sent) == [-1e-243, 1e-305, 0.5, 12.5, 120.0, 1e15]
 
 
 def test_tables_longer_than_one_chunk_match_reference(tmp_path):

@@ -45,11 +45,15 @@ def test_a_moved_cell_is_named_by_file_column_and_rows(golden, tmp_path):
     old = golden.file_record(path)
     path.write_text('{"a": 1, "b": {"c": 2.25, "d": 3}, "e": 5}')
     moved = golden._file_differences("t.json", old, golden.file_record(path))
-    assert moved[1:] == ["t.json: /b/c = 2.5 recorded, 2.25 now", "t.json: /e = 4 recorded, 5 now"]
+    assert moved[1:] == ["t.json: /b/c = 2.5 recorded, 2.25 now, relative change -1.00e-01",
+                         "t.json: /e = 4 recorded, 5 now, relative change +2.50e-01"]
 
 
 def test_rewriting_prints_what_moved(golden, tmp_path, monkeypatch, capsys):
-    """``main`` names each moved value before it rewrites the record."""
+    """``main`` names each moved value before it rewrites the record, as a plain float
+    with its relative change, as the checks' numpy floats are recorded."""
+    import numpy as np
+
     from noisecycle import verify
 
     record = {"environment": golden.environment(), "commands": {},
@@ -57,12 +61,13 @@ def test_rewriting_prints_what_moved(golden, tmp_path, monkeypatch, capsys):
     path = tmp_path / "golden.json"
     path.write_text(json.dumps(record))
     moved = json.loads(json.dumps(record))
-    moved["verify"]["check"]["gap"]["value"] = 2.0
+    moved["verify"]["check"]["gap"]["value"] = np.float64(2.5)
     monkeypatch.setattr(golden, "GOLDEN", path)
     monkeypatch.setattr(golden, "collect", lambda root, results: moved)
     monkeypatch.setattr(verify, "run_checks", lambda: [])
     assert golden.main() == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines == ["moved: verify check/gap: {'value': 1.0, 'pass': True} recorded, "
-                     "{'value': 2.0, 'pass': True} now", f"wrote {path} (1 moved)"]
+    assert lines == ["moved: verify check/gap: {'pass': True, 'value': 1.0} recorded, "
+                     "{'pass': True, 'value': 2.5} now, relative change +1.50e+00",
+                     f"wrote {path} (1 moved)"]
     assert json.loads(path.read_text()) == moved

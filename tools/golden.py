@@ -114,6 +114,17 @@ def _same(a, b) -> bool:
     return json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
+def _moved(old, new) -> str:
+    """``old recorded, new now``, numbers as plain floats, and the relative
+    change of a moved number or row value."""
+    old, new = (json.loads(json.dumps(v, sort_keys=True)) for v in (old, new))  # plain floats
+    a, b = (v.get("value") if isinstance(v, dict) else v for v in (old, new))
+    text = f"{old!r} recorded, {new!r} now"
+    if all(type(v) in (int, float) for v in (a, b)) and a:
+        text += f", relative change {(b - a) / abs(a):+.2e}"
+    return text
+
+
 def _file_differences(where: str, old: dict, new: dict) -> list[str]:
     if old["sha256"] == new["sha256"]:
         return []
@@ -122,7 +133,7 @@ def _file_differences(where: str, old: dict, new: dict) -> list[str]:
         for key in sorted(old["values"].keys() | new["values"].keys()):
             a, b = old["values"].get(key, "<missing>"), new["values"].get(key, "<missing>")
             if not _same(a, b):
-                found.append(f"{where}: {key} = {a!r} recorded, {b!r} now")
+                found.append(f"{where}: {key} = {_moved(a, b)}")
     elif (old["header"], old["rows"]) != (new["header"], new["rows"]):
         found.append(f"{where}: header {old['header']!r} and {old['rows']} rows recorded, "
                      f"{new['header']!r} and {new['rows']} rows now")
@@ -160,8 +171,7 @@ def differences(recorded: dict, current: dict) -> list[str]:
         old, new = recorded["verify"].get(check, {}), current["verify"].get(check, {})
         for row in sorted(old.keys() | new.keys()):
             if not _same(old.get(row), new.get(row)):
-                found.append(f"verify {check}/{row}: {old.get(row)!r} recorded, "
-                             f"{new.get(row)!r} now")
+                found.append(f"verify {check}/{row}: {_moved(old.get(row), new.get(row))}")
     return found
 
 
