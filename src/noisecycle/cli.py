@@ -300,15 +300,7 @@ def cmd_wigner(args: argparse.Namespace) -> int:
     decomp = wignerflux.flux_decompose(field, jx, jy, params)
     wignerflux.field_to_csv(out / "field.csv", field, jx, jy, decomp,
                             header_lines=[_config_comment(args, cfg)])
-    summary = {
-        "mass": field.mass(),
-        "max_generator_residual": float(np.abs(wignerflux.interior(residual)).max()),
-        "max_irr_flux": wignerflux.max_flux_norm(decomp.j_irr_x, decomp.j_irr_y),
-        "max_rev_flux": wignerflux.max_flux_norm(decomp.j_rev_x, decomp.j_rev_y),
-    }
-    # without rotation the reversible flux is exactly 0 and the ratio has no value
-    rev = summary["max_rev_flux"]
-    summary["irr_over_rev"] = summary["max_irr_flux"] / rev if rev else None
+    summary = verify.wigner_report(field, residual, decomp)
     _write_summary(out, summary)
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0
@@ -323,11 +315,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
             raise SystemExit(f"config error at {field}: need names from {', '.join(known)}, "
                              f"got {', '.join(unknown)}")
     out = _prepare_out(args, {"only": only, "mutations": list(mutations)})
-    start = time.time()
+    start = time.perf_counter()
     results = verify.run_checks(only=only, mutations=mutations)
     report = {
         "all_pass": all(r.passed for r in results),
-        "runtime_s": time.time() - start,
+        "runtime_s": time.perf_counter() - start,
         "checks": {
             r.name: {"passed": r.passed, "duration_s": r.duration, **r.details}
             for r in results

@@ -646,7 +646,7 @@ def wigner_numeric(rho: np.ndarray, points: np.ndarray) -> np.ndarray:
     turn = 1j * np.exp(1j * np.arctan2(points[:, 1], points[:, 0]))  # i e^{i theta}
     rows, cols = np.nonzero(rho)
     values = np.zeros(points.shape[0])
-    for m in np.unique(np.abs(cols - rows)).tolist():
+    for m in np.flatnonzero(np.bincount(np.abs(cols - rows))).tolist():
         pair = np.diagonal(rho, m) + np.diagonal(rho, -m).conj() if m else np.diagonal(rho)
         radial = ((pair * signs[:dim - m]) @ (q[:dim - m] * q[m:])) @ phases
         values += (turn ** m * radial[group]).real

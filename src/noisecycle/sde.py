@@ -5,8 +5,8 @@ Euler scheme (two-point increments, one random bit each, weak order 1),
 simulated in the frame that rotates with omega0 (the rotation commutes with
 the rest of the generator, so every path ends as quadratures (x, y) rotated
 once at one shared site, and the polar phase is one normal draw per path); the
-closed-form stationary densities (Rayleigh radius, Gaussian plane), grid
-Fokker-Planck residuals, classical circulation, the
+closed-form stationary densities (Rayleigh radius, Gaussian plane), the
+cartesian Fokker-Planck grid residual, classical circulation, the
 Stratonovich/Ito drift conversion check (a closed form in three sample
 moments, drawn from their exact law), and the classical detailed-balance flux
 decomposition; the two-dimensional grid checks run in row blocks of 32 KiB.
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .wignerflux import divergence, dx, dxx, interior, make_grid, observed_order, refine
+from .wignerflux import divergence, dx, dxx, make_grid, observed_order, refine
 
 _BLOCK_PATHS = 4096
 _DRAW_VALUES = 1 << 15  # increments per draw: 256 KiB of float64, small enough to stay in cache
@@ -343,14 +343,6 @@ def circulation_classical(cfg: SdeConfig, result: SdeEnsembleResult) -> tuple[fl
 # Fokker-Planck grid residuals
 # ---------------------------------------------------------------------------
 
-def _radial_residual(cfg: SdeConfig, r: np.ndarray) -> np.ndarray:
-    h = r[1] - r[0]
-    p = AnalyticPdfs(cfg.kappa, cfg.delta).radial(r)
-    drift = (3.0 * cfg.kappa * r - cfg.delta * r ** 3) * p
-    diff = cfg.kappa * r ** 2 * p
-    return -dx(drift, h, 0) + dxx(diff, h, 0)
-
-
 def _cartesian_residual(cfg: SdeConfig, xs: np.ndarray, ys: np.ndarray,
                         hx: float, hy: float) -> np.ndarray:
     """Residual field on rows ``xs`` of the grid xs x ys, whose spacings are (hx, hy)."""
@@ -371,27 +363,27 @@ def _interior_maxima(fields, xs: np.ndarray, row_values: int) -> list[float]:
                    for start in range(2, xs.size - 2, step)], axis=0).tolist()
 
 
-# each operator's largest |residual| off the grid edge, on one axis or the cartesian pair
-_MAX_RESIDUALS = {
-    "radial": lambda cfg, r: float(np.abs(interior(_radial_residual(cfg, r), 2)).max()),
-    "cartesian": lambda cfg, xs, ys: _interior_maxima(
-        lambda rows: [_cartesian_residual(cfg, rows, ys, xs[1] - xs[0], ys[1] - ys[0])],
-        xs, ys.size)[0],
-}
+def _max_residual(cfg: SdeConfig, xs: np.ndarray, ys: np.ndarray) -> float:
+    """Largest |cartesian residual| off the two-cell edge of the grid xs x ys."""
+    hx, hy = xs[1] - xs[0], ys[1] - ys[0]
+    return _interior_maxima(lambda rows: [_cartesian_residual(cfg, rows, ys, hx, hy)],
+                            xs, ys.size)[0]
 
 
 def fokker_planck_residual(which: str, cfg: SdeConfig, grid) -> float:
-    """Max |generator applied to the stationary density| on a uniform grid.
+    """Max |generator applied to the stationary density| on a uniform grid ``(xs, ys)``.
 
     The residual is recomputed on a once-refined grid and the observed
     convergence order must land in [1.7, 2.3] (a residual at rounding level on
-    both grids also passes).
+    both grids also passes).  "cartesian" is the one operator; ``which`` stays
+    because its callers, ``verify.check_classical_sde`` and perfbench's
+    ``classical-ensemble`` workload, name it, and any other name raises
+    ``SdeError``.
     """
-    if which not in _MAX_RESIDUALS:
+    if which != "cartesian":
         raise SdeError(f"unknown operator {which!r}")
-    axes = [np.asarray(a, dtype=float) for a in (grid if which == "cartesian" else [grid])]
-    coarse_res, fine_res = (_MAX_RESIDUALS[which](cfg, *g)
-                            for g in (axes, [refine(a) for a in axes]))
+    xs, ys = (np.asarray(a, dtype=float) for a in grid)
+    coarse_res, fine_res = _max_residual(cfg, xs, ys), _max_residual(cfg, refine(xs), refine(ys))
     scale = cfg.kappa + cfg.delta
     if coarse_res < 1e-13 * scale and fine_res < 1e-13 * scale:
         return coarse_res

@@ -5,8 +5,8 @@ rows ``{"value", <bound>, "pass"}`` beside plain context values; it passes
 when every row does.  ``mutations`` deliberately corrupts a formula so the
 check ``MUTATIONS`` maps it to must fail, to prove the checks have teeth.
 
-The reports of ``noisecycle steady`` and ``noisecycle sde`` are built here from
-the comparisons the checks make, so each tolerance is written once.
+The reports of ``noisecycle steady``, ``sde`` and ``wigner`` are built here from
+the comparisons and maxima the checks read, so each tolerance is written once.
 """
 
 from __future__ import annotations
@@ -184,6 +184,21 @@ def ensemble_report(cfg: sde.SdeConfig, result: sde.SdeEnsembleResult) -> dict:
         "path_steps": cfg.n_paths * (cfg.burn_in + cfg.n_steps),
         "increment_words": result.increment_words,
     }
+
+
+def wigner_report(field: wignerflux.WignerField, residual: np.ndarray,
+                  decomp: wignerflux.FluxDecomposition) -> dict:
+    """The summary ``noisecycle wigner`` writes: the field's mass and its largest values.
+
+    Those are the |generator residual| off the grid edge and the irreversible
+    and reversible flux norms; ``irr_over_rev`` is None without rotation,
+    where the reversible flux is exactly 0 and the ratio has no value.
+    """
+    irr = wignerflux.max_flux_norm(decomp.j_irr_x, decomp.j_irr_y)
+    rev = wignerflux.max_flux_norm(decomp.j_rev_x, decomp.j_rev_y)
+    return {"mass": field.mass(),
+            "max_generator_residual": float(np.abs(wignerflux.interior(residual)).max()),
+            "max_irr_flux": irr, "max_rev_flux": rev, "irr_over_rev": irr / rev if rev else None}
 
 
 # ---------------------------------------------------------------------------
@@ -454,22 +469,19 @@ def check_wigner_flux(mutations=()) -> dict:
     rotation = params  # whose free rotation the decomposition takes out
     if "rotational-flux-reversed" in mutations:  # taken out at -omega0: twice it remains
         rotation = replace(params, omega0=-params.omega0)
-    stats = {}
-    for h in (0.05, 0.025):
+
+    def report(h):  # what ``noisecycle wigner`` reports at grid step h
         fld = wignerflux.sample_steady_field(0.5, 0.55, extent=16.0, h=h)
-        residual = wignerflux.wigner_generator_apply(fld, params)
         jx, jy = wignerflux.wigner_current(fld, params)
-        decomp = wignerflux.flux_decompose(fld, jx, jy, rotation)
-        stats[h] = {
-            "irr": wignerflux.max_flux_norm(decomp.j_irr_x, decomp.j_irr_y),
-            "rev": wignerflux.max_flux_norm(decomp.j_rev_x, decomp.j_rev_y),
-            "res": float(np.abs(wignerflux.interior(residual)).max()),
-        }
-    ratio = stats[0.05]["irr"] / stats[0.05]["rev"]
-    flux_order = wignerflux.observed_order(stats[0.05]["irr"], stats[0.025]["irr"])
-    residual_order = wignerflux.observed_order(stats[0.05]["res"], stats[0.025]["res"])
+        return wigner_report(fld, wignerflux.wigner_generator_apply(fld, params),
+                             wignerflux.flux_decompose(fld, jx, jy, rotation))
+
+    coarse, fine = report(0.05), report(0.025)
+    flux_order = wignerflux.observed_order(coarse["max_irr_flux"], fine["max_irr_flux"])
+    residual_order = wignerflux.observed_order(coarse["max_generator_residual"],
+                                               fine["max_generator_residual"])
     return {
-        "irr_over_rev_at_h05": _below(ratio, 1e-3),
+        "irr_over_rev_at_h05": _below(coarse["irr_over_rev"], 1e-3),
         "flux_order": _within(flux_order, 1.7, 2.3),
         "residual_order": _within(residual_order, 1.7, 2.3),
     }
@@ -524,12 +536,12 @@ CHECKS = {
 
 
 def run_check(name: str, mutations=()) -> CheckResult:
-    start = time.time()
+    start = time.perf_counter()
     try:
         details = CHECKS[name](mutations=tuple(mutations))
     except Exception as exc:  # a crashed check is a failed check, with the reason
         details = {"error": {"value": f"{type(exc).__name__}: {exc}", "pass": False}}
-    duration = time.time() - start
+    duration = time.perf_counter() - start
     if name in RUNTIME_BUDGETS_S:
         details["runtime"] = _below(duration, RUNTIME_BUDGETS_S[name])
     return CheckResult(name=name, passed=_all_pass(details), details=details, duration=duration)

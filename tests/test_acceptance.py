@@ -12,7 +12,7 @@ half of that check passes and is asserted separately in the analytic tests.
 
 import pytest
 
-from noisecycle import analytic, verify
+from noisecycle import analytic, verify, wignerflux
 from noisecycle.verify import run_check
 
 
@@ -129,3 +129,18 @@ def test_circulation_check_reads_the_mean_photon_number(monkeypatch):
     result = run_check("circulation")
     assert _failing_rows(result) == ["steady_rel_gap"], result.summary()
     assert result.details["steady_formula"] == pytest.approx(4.0 * (2.45 + 1.0 + 0.5))
+
+
+def test_wigner_flux_check_reads_the_wigner_report(monkeypatch):
+    """The rows come from ``verify.wigner_report``, the summary ``noisecycle wigner`` writes,
+    at h 0.05 and 0.025, not from maxima of the check's own."""
+    reports, true_report = [], verify.wigner_report
+    monkeypatch.setattr(verify, "wigner_report", lambda field, residual, decomp: reports.append(
+        (field.h, true_report(field, residual, decomp))) or reports[-1][1])
+    result = run_check("wigner-flux")
+    assert result.passed, result.summary()
+    (h_coarse, coarse), (h_fine, fine) = reports
+    assert (h_coarse, h_fine) == pytest.approx((0.05, 0.025))
+    assert result.details["irr_over_rev_at_h05"]["value"] == coarse["irr_over_rev"]
+    for row, key in (("flux_order", "max_irr_flux"), ("residual_order", "max_generator_residual")):
+        assert result.details[row]["value"] == wignerflux.observed_order(coarse[key], fine[key])

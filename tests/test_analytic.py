@@ -9,6 +9,7 @@ from scipy.integrate import quad
 from noisecycle import analytic
 from noisecycle.analytic import (
     AnalyticError,
+    BoundaryCrossError,
     Phase,
     coherent_cycle_threshold,
     coherent_even_weight,
@@ -267,6 +268,14 @@ def test_hopf_rejects_bad_offsets():
         hopf_scaling(k_c, wp_c, "wp_plus", np.array([1e-4, 5e-2]))  # too large
     with pytest.raises(AnalyticError):
         hopf_scaling(k_c, wp_c, "wp_plus", np.array([-1e-3, 1e-3]))  # signed
+
+
+def test_hopf_offset_below_the_float_spacing_crosses_the_boundary():
+    # wp_c - 1e-18 == wp_c: the step stays on the boundary, where the radius is 0
+    wp_c = phase_boundary(0.25)
+    assert wp_c - 1e-18 == wp_c
+    with pytest.raises(BoundaryCrossError, match="crossed to the stable-origin side"):
+        hopf_scaling(0.25, wp_c, "wp_plus", [1e-18, 1e-3])
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ noise-induced model at k > 0 solves it on its chains, and the conventional
 steady states come from the cut recursion, both without ``scipy.linalg``,
 which only the dense exponentials load.  The scipy-free starts also leave
 ``concurrent.futures`` unloaded: the classical ensemble runs its blocks in
-one loop.
+one loop; and ``numpy.ma``, which ``np.unique`` without indices loads: the
+displaced-parity oracle counts its coherence orders with ``np.bincount``.
 """
 
 import json
@@ -24,8 +25,10 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 HEAVY = ("scipy.sparse", "scipy.linalg", "scipy.sparse.csgraph", "scipy.stats", "fractions",
-         "decimal", "concurrent.futures")
-HEAVY_PACKAGES = {name.split(".")[0] for name in HEAVY}
+         "decimal", "concurrent.futures", "numpy.ma")
+# the packages any of whose modules ends an import chain; numpy loads with the package, so
+# only its modules in HEAVY do
+HEAVY_PACKAGES = {name.split(".")[0] for name in HEAVY} - {"numpy"}
 
 # imports the package and its CLI, runs the command in argv (if any) with its
 # output sent to stderr, and prints which of HEAVY are loaded
@@ -72,8 +75,9 @@ def import_chain(importtime_log: str) -> str:
     ``-X importtime`` logs a module once its import finishes, indented two
     spaces per level of nesting, so the modules that imported it are the
     next lines at each smaller depth.  The chain stops at the first module
-    of a package in HEAVY (scipy, fractions, decimal, concurrent); one that
-    starts there was imported by a call at run time.
+    of HEAVY or of a package in ``HEAVY_PACKAGES`` (scipy, fractions,
+    decimal, concurrent); one that starts there was imported by a call at
+    run time.
     """
     entries = []
     for line in importtime_log.splitlines():
@@ -88,7 +92,8 @@ def import_chain(importtime_log: str) -> str:
         if level < depth:
             depth = level
             chain.insert(0, name)
-    top = next(i for i, name in enumerate(chain) if name.split(".")[0] in HEAVY_PACKAGES)
+    top = next(i for i, name in enumerate(chain)
+               if _is_heavy(name) or name.split(".")[0] in HEAVY_PACKAGES)
     return " -> ".join(chain[:top + 1])
 
 
@@ -97,6 +102,7 @@ def import_chain(importtime_log: str) -> str:
     pytest.param(["wigner", "--h", "0.2", "--out", "run"], id="wigner"),
     pytest.param(["phase-diagram", "--k-count", "3", "--wp-count", "3", "--out", "run"],
                  id="phase-diagram"),
+    pytest.param(["verify", "--only", "wigner-oracle", "--out", "run"], id="verify-wigner-oracle"),
 ])
 def test_scipy_free_start_loads_no_scipy(tmp_path, argv):
     loaded = json.loads(_run(argv, tmp_path).stdout)

@@ -389,10 +389,21 @@ def test_pdf_modes_and_variance():
 # Fokker-Planck residuals
 # ---------------------------------------------------------------------------
 
+def radial_residual(cfg, r):
+    """Largest |radial Fokker-Planck operator applied to the Rayleigh law| off the two-cell
+    edge of the uniform grid r: the identity that ties the polar drift 3 kappa r - delta r^3
+    and diffusion 2 kappa r^2 to ``AnalyticPdfs.radial``."""
+    h = r[1] - r[0]
+    p = AnalyticPdfs(cfg.kappa, cfg.delta).radial(r)
+    drift = (3.0 * cfg.kappa * r - cfg.delta * r ** 3) * p
+    diff = cfg.kappa * r ** 2 * p
+    return float(np.abs(interior(-dx(drift, h, 0) + dxx(diff, h, 0), 2)).max())
+
+
 def test_radial_residual_second_order():
     cfg = SdeConfig(kappa=1.0, delta=1.0, seed=0)
-    coarse = fokker_planck_residual("radial", cfg, np.linspace(0, 5, 501))
-    fine = fokker_planck_residual("radial", cfg, np.linspace(0, 5, 1001))
+    coarse = radial_residual(cfg, np.linspace(0, 5, 501))
+    fine = radial_residual(cfg, np.linspace(0, 5, 1001))
     assert 3.0 < coarse / fine < 5.3  # order 2 +- 0.3 between the two grids
 
 
@@ -414,14 +425,16 @@ def test_cartesian_residual_on_unequal_spacings():
 
 def test_too_coarse_grid_raises():
     cfg = SdeConfig(kappa=1.0, delta=1.0, seed=0)
-    with pytest.raises(GridRefinementError):
-        fokker_planck_residual("radial", cfg, np.linspace(0, 5, 7))
+    xs = np.linspace(-5, 5, 7)  # observed order 1.62 against this grid's refinement
+    with pytest.raises(GridRefinementError, match="observed order 1.62"):
+        fokker_planck_residual("cartesian", cfg, (xs, xs))
 
 
 def test_unknown_operator_is_refused():
     cfg = SdeConfig(kappa=1.0, delta=1.0, seed=0)
-    with pytest.raises(SdeError, match="unknown operator 'phase'"):
-        fokker_planck_residual("phase", cfg, np.linspace(0, 2 * math.pi, 101))
+    for which in ("phase", "radial"):  # the radial identity is a test of this file
+        with pytest.raises(SdeError, match=f"unknown operator '{which}'"):
+            fokker_planck_residual(which, cfg, np.linspace(0, 2 * math.pi, 101))
 
 
 def _whole_grid_residual(cfg, xs, ys):
@@ -474,9 +487,9 @@ def test_grid_checks_in_row_blocks_match_the_whole_grid(kappa, delta, omega0, ro
     cfg = SdeConfig(kappa=kappa, delta=delta, omega0=omega0)
     half_width = 8.0 * math.sqrt(kappa / delta)
     xs, ys = np.linspace(-half_width, half_width, rows), np.linspace(-half_width, half_width, cols)
-    assert sde_module._MAX_RESIDUALS["cartesian"](cfg, xs, ys) == _whole_grid_residual(cfg, xs, ys)
+    assert sde_module._max_residual(cfg, xs, ys) == _whole_grid_residual(cfg, xs, ys)
     fine = [refine(xs), refine(ys)]
-    assert sde_module._MAX_RESIDUALS["cartesian"](cfg, *fine) == _whole_grid_residual(cfg, *fine)
+    assert sde_module._max_residual(cfg, *fine) == _whole_grid_residual(cfg, *fine)
     report = classical_detailed_balance(cfg)
     assert report == _whole_grid_balance(cfg)
     assert (report.order_divergence is None) == (omega0 == 0.0)
