@@ -38,8 +38,6 @@ class Phase(Enum):
 
 @dataclass(frozen=True)
 class PhasePoint:
-    k_ratio: float
-    wp_plus: float
     r_star: float
     w0: float
     q_ss: float
@@ -50,8 +48,6 @@ class PhasePoint:
 class HopfFit:
     """Least-squares amplitude scaling near the cycle-birth boundary."""
 
-    direction: str
-    offsets: np.ndarray
     radii: np.ndarray
     slope: float        # log-log exponent of r_star vs offset
     coefficient: float  # prefactor of the sqrt(offset) law (fit through origin)
@@ -200,10 +196,11 @@ def limit_cycle_radius(k_ratio: float, wp_plus: float) -> float:
 
 
 def phase_classify(k_ratio: float, wp_plus: float) -> PhasePoint:
-    """Classify a parameter point; exact boundary values resolve to the closed side.
+    """Radius, W(0, 0), Mandel Q and phase of a parameter point, which the caller holds.
 
-    Even weight exactly at the cycle-birth boundary counts as a stable origin
-    (zero radius); exactly 1/2 counts as a positive cycle (negativity strict).
+    Exact boundary values resolve to the closed side: even weight exactly at
+    the cycle-birth boundary counts as a stable origin (zero radius); exactly
+    1/2 counts as a positive cycle (negativity strict).
     """
     r_star = limit_cycle_radius(k_ratio, wp_plus)
     w0 = wigner_origin(k_ratio, wp_plus)
@@ -214,7 +211,7 @@ def phase_classify(k_ratio: float, wp_plus: float) -> PhasePoint:
         phase = Phase.POSITIVE_CYCLE
     else:
         phase = Phase.NEGATIVE_CYCLE
-    return PhasePoint(k_ratio, wp_plus, r_star, w0, q, phase)
+    return PhasePoint(r_star, w0, q, phase)
 
 
 def scan_radius(k_ratio: float, wp_plus: float) -> float:
@@ -234,29 +231,35 @@ def hopf_scaling(
 
     ``direction`` selects which parameter steps off the critical point
     ('wp_plus' decreases the even weight, 'k_ratio' decreases the ratio).
-    Returns the free log-log slope and the prefactor of the constrained
-    sqrt-law fit.
+    Returns the radius at each offset, in the caller's order, the free
+    log-log slope and the prefactor of the constrained sqrt-law fit.  An
+    offset that leaves its parameter unchanged is an ``AnalyticError``; one
+    that moves it but leaves the radius 0 is a ``BoundaryCrossError``.
     """
     if abs(wp_c - phase_boundary(k_c)) > 1e-9:
         raise AnalyticError(
             f"({k_c}, {wp_c}) is not on the cycle-birth boundary "
             f"(expected even weight {phase_boundary(k_c)})"
         )
+    if direction not in ("wp_plus", "k_ratio"):
+        raise AnalyticError(f"unknown direction {direction!r}")
     offsets = np.asarray(offsets, dtype=float)
     if offsets.size < 2 or np.any(offsets <= 0) or np.any(offsets > 1e-2):
         raise AnalyticError("offsets must be positive, at most 1e-2, and at least two")
-    if direction == "wp_plus":
-        radii = np.array([limit_cycle_radius(k_c, wp_c - d) for d in offsets])
-    elif direction == "k_ratio":
-        radii = np.array([limit_cycle_radius(k_c - d, wp_c) for d in offsets])
-    else:
-        raise AnalyticError(f"unknown direction {direction!r}")
-    if np.any(radii <= 0.0):
-        raise BoundaryCrossError("an offset crossed to the stable-origin side")
+    points = [(k_c, wp_c - d) if direction == "wp_plus" else (k_c - d, wp_c) for d in offsets]
+    for d, point in zip(offsets, points):
+        if point == (k_c, wp_c):
+            raise AnalyticError(f"offset {d} leaves {direction} unchanged at ({k_c}, {wp_c})")
+    radii = np.array([limit_cycle_radius(*point) for point in points])
+    for d, (k, wp), r in zip(offsets, points, radii):
+        if r <= 0.0:
+            raise BoundaryCrossError(f"offset {d} moves the point to ({float(k)}, {float(wp)}), "
+                                     "but the radius there rounds to 0: in floating point the "
+                                     "step does not pass the cycle-birth boundary")
     slope, _ = np.polyfit(np.log(offsets), np.log(radii), 1)
     root = np.sqrt(offsets)
     coefficient = float(root @ radii / (root @ root))
-    return HopfFit(direction, offsets, radii, float(slope), coefficient)
+    return HopfFit(radii, float(slope), coefficient)
 
 
 # ---------------------------------------------------------------------------

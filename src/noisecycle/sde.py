@@ -26,6 +26,8 @@ from .wignerflux import divergence, dx, dxx, make_grid, observed_order, refine
 _BLOCK_PATHS = 4096
 _DRAW_VALUES = 1 << 15  # increments per draw: 256 KiB of float64, small enough to stay in cache
 _GRID_BLOCK_VALUES = 1 << 12  # 32 KiB a block array: a block stays under the heap trim threshold
+DRIFT_STATE = (1.0, 0.0)  # where ``noise_induced_drift_check`` measures the gap
+DRIFT_DRAWS = 400_000  # normal pairs of its sample mean
 
 
 class SdeError(RuntimeError):
@@ -42,13 +44,6 @@ class DivergenceError(SdeError):
 
 class GridRefinementError(SdeError):
     """Observed convergence order outside the trusted band; refine the grid."""
-
-
-def _require_integer(name: str, value, least: int) -> None:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise SdeError(f"{name} must be an integer, got {value!r}", name)
-    if value < least:
-        raise SdeError(f"{name} must be at least {least}, got {value}", name)
 
 
 @dataclass(frozen=True)
@@ -80,7 +75,11 @@ class SdeConfig:
         # a JSON config can give a float or a bool, which the ensemble loop and
         # numpy's seeding reject only once the run has started
         for name, least in (("n_steps", 1), ("n_paths", 1), ("burn_in", 0), ("seed", 0)):
-            _require_integer(name, getattr(self, name), least)
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise SdeError(f"{name} must be an integer, got {value!r}", name)
+            if value < least:
+                raise SdeError(f"{name} must be at least {least}, got {value}", name)
         if self.coordinates not in ("polar", "cartesian"):
             raise SdeError(f"unknown coordinates {self.coordinates!r}", "coordinates")
         # explicit-scheme guard: drift stiffness over the bulk of the radial range
@@ -140,9 +139,8 @@ class AnalyticPdfs:
 
 @dataclass(frozen=True)
 class DriftGapReport:
-    """Stratonovich-minus-Ito mean drift per unit time at a fixed state."""
+    """Stratonovich-minus-Ito mean drift per unit time at ``DRIFT_STATE``."""
 
-    state: tuple[float, float]
     dts: np.ndarray
     gaps: np.ndarray          # shape (len(dts), 2)
     target: tuple[float, float]
@@ -418,30 +416,26 @@ def _drift_gaps(cfg: SdeConfig, state: tuple[float, float], dts: np.ndarray,
                             cfg.kappa * y0 * m2 + quarter_std * (ax0 * m1 - ay0 * m0)])
 
 
-def noise_induced_drift_check(cfg: SdeConfig, state: tuple[float, float] = (1.0, 0.0),
-                              n_draws: int = 400_000) -> DriftGapReport:
+def noise_induced_drift_check(cfg: SdeConfig) -> DriftGapReport:
     """Mean one-step gap between midpoint-noise (Stratonovich) and Ito updates.
 
     Both updates consume the same draws and share the Euler drift; only the
     noise coefficient is averaged over the Euler predictor.  It is linear in
     the state, so the gap is half the noise at the Ito increment (the b b'/2
-    term, Kloeden & Platen 1992), and zero at zero noise.  Over n_draws normal
-    pairs z its mean is a closed form (``_drift_gaps``) in m0 = <z0>, m1 = <z1>
-    and m2 = <z0^2 + z1^2>, drawn in O(1) from their exact law (``_drift_moments``).
-    Per unit time the x gap, kappa x m2 + sqrt(8 kappa dt) (a_x m0 + a_y m1) / 4
-    with (a_x, a_y) the drift at the state, has mean 2 kappa x at every dt (the
-    drift the noise induces) and variance (4 kappa^2 x^2 + kappa dt (a_x^2 + a_y^2)
-    / 2) / n_draws; the y gap likewise, with y m2 and a_x m1 - a_y m0.
+    term, Kloeden & Platen 1992), and zero at zero noise.  Over ``DRIFT_DRAWS``
+    normal pairs z at ``DRIFT_STATE`` its mean is a closed form (``_drift_gaps``)
+    in m0 = <z0>, m1 = <z1> and m2 = <z0^2 + z1^2>, drawn in O(1) from their
+    exact law (``_drift_moments``).  Per unit time the x gap,
+    kappa x m2 + sqrt(8 kappa dt) (a_x m0 + a_y m1) / 4 with (a_x, a_y) the
+    drift at the state, has mean 2 kappa x at every dt (the drift the noise
+    induces) and variance (4 kappa^2 x^2 + kappa dt (a_x^2 + a_y^2) / 2) / n
+    over n draws; the y gap likewise, with y m2 and a_x m1 - a_y m0.
     """
-    _require_integer("n_draws", n_draws, 1)
     dts = np.array([4e-3, 2e-3, 1e-3])
-    moments = _drift_moments(np.random.default_rng(cfg.seed), n_draws)
-    return DriftGapReport(
-        state=state,
-        dts=dts,
-        gaps=_drift_gaps(cfg, state, dts, *moments),
-        target=(2.0 * cfg.kappa * state[0], 2.0 * cfg.kappa * state[1]),
-    )
+    moments = _drift_moments(np.random.default_rng(cfg.seed), DRIFT_DRAWS)
+    x0, y0 = DRIFT_STATE
+    return DriftGapReport(dts=dts, gaps=_drift_gaps(cfg, DRIFT_STATE, dts, *moments),
+                          target=(2.0 * cfg.kappa * x0, 2.0 * cfg.kappa * y0))
 
 
 # ---------------------------------------------------------------------------

@@ -99,8 +99,9 @@ def sample_steady_field(k_ratio: float, wp_plus: float, extent: float | None = N
     return WignerField(x=grid, y=grid, w=wigner_ss(grid[:, None], grid[None, :], k_ratio, wp_plus))
 
 
-def interior(values: np.ndarray, cells: int = EDGE_CELLS) -> np.ndarray:
-    return values[(slice(cells, -cells),) * values.ndim]
+def interior(values: np.ndarray) -> np.ndarray:
+    """``values`` without the outer ``EDGE_CELLS`` ring, where the stencils are not applied."""
+    return values[(slice(EDGE_CELLS, -EDGE_CELLS),) * values.ndim]
 
 
 # ---------------------------------------------------------------------------

@@ -270,12 +270,25 @@ def test_hopf_rejects_bad_offsets():
         hopf_scaling(k_c, wp_c, "wp_plus", np.array([-1e-3, 1e-3]))  # signed
 
 
-def test_hopf_offset_below_the_float_spacing_crosses_the_boundary():
-    # wp_c - 1e-18 == wp_c: the step stays on the boundary, where the radius is 0
+def test_hopf_offset_that_leaves_its_parameter_unchanged_is_refused():
+    # wp_c - 1e-18 == wp_c: the step stays on the boundary, and crosses nothing
     wp_c = phase_boundary(0.25)
     assert wp_c - 1e-18 == wp_c
-    with pytest.raises(BoundaryCrossError, match="crossed to the stable-origin side"):
+    with pytest.raises(AnalyticError, match="offset 1e-18 leaves wp_plus unchanged") as err:
         hopf_scaling(0.25, wp_c, "wp_plus", [1e-18, 1e-3])
+    assert not isinstance(err.value, BoundaryCrossError)
+
+
+def test_hopf_offset_that_rounds_the_radius_to_zero_crosses_the_boundary():
+    # two float spacings below k_c the ratio moves, but phase_boundary(k) still rounds to wp_c
+    wp_c = phase_boundary(0.25)
+    assert limit_cycle_radius(0.25 - 2 * np.spacing(0.25), wp_c) == 0.0
+    with pytest.raises(BoundaryCrossError,
+                       match=r"to \(0.2499999999999999, 0.65\), but the radius there rounds to 0"):
+        hopf_scaling(0.25, wp_c, "k_ratio", [2 * np.spacing(0.25), 1e-3])
+    # a start inside the 1e-9 tolerance but above the boundary: the step does not leave it
+    with pytest.raises(BoundaryCrossError, match=r"0.6500000004\), but the radius there rounds"):
+        hopf_scaling(0.25, wp_c + 5e-10, "wp_plus", [1e-10, 1e-3])
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from noisecycle.sde import (
     noise_induced_drift_check,
     simulate_ensemble,
 )
-from noisecycle.wignerflux import divergence, dx, dxx, interior, make_grid, observed_order, refine
+from noisecycle.wignerflux import divergence, dx, dxx, make_grid, observed_order, refine
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +397,7 @@ def radial_residual(cfg, r):
     p = AnalyticPdfs(cfg.kappa, cfg.delta).radial(r)
     drift = (3.0 * cfg.kappa * r - cfg.delta * r ** 3) * p
     diff = cfg.kappa * r ** 2 * p
-    return float(np.abs(interior(-dx(drift, h, 0) + dxx(diff, h, 0), 2)).max())
+    return float(np.abs((-dx(drift, h, 0) + dxx(diff, h, 0))[2:-2]).max())
 
 
 def test_radial_residual_second_order():
@@ -445,7 +445,7 @@ def _whole_grid_residual(cfg, xs, ys):
     a_x, a_y = sde_module._cartesian_drift(X, Y, cfg)
     diff = cfg.kappa * (X ** 2 + Y ** 2) * p
     res = -dx(a_x * p, hx, 0) - dx(a_y * p, hy, 1) + dxx(diff, hx, 0) + dxx(diff, hy, 1)
-    return float(np.abs(interior(res, 2)).max())
+    return float(np.abs(res[2:-2, 2:-2]).max())
 
 
 def _whole_grid_balance(cfg):
@@ -460,8 +460,8 @@ def _whole_grid_balance(cfg):
         irr_x = (2.0 * cfg.kappa * X - 0.25 * cfg.delta * s * X) * p - cfg.kappa * dx(s * p, h, 0)
         irr_y = (2.0 * cfg.kappa * Y - 0.25 * cfg.delta * s * Y) * p - cfg.kappa * dx(s * p, h, 1)
         div_rev = divergence(cfg.omega0 * Y * p, -cfg.omega0 * X * p, h)
-        maxima.append((float(np.hypot(interior(irr_x, 2), interior(irr_y, 2)).max()),
-                       float(np.abs(interior(div_rev, 2)).max())))
+        maxima.append((float(np.hypot(irr_x[2:-2, 2:-2], irr_y[2:-2, 2:-2]).max()),
+                       float(np.abs(div_rev[2:-2, 2:-2]).max())))
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     eps = np.diag([1.0, -1.0])
     d_reversed = np.einsum("ij,jk...,kl->il...", eps, sde_module._diffusion_matrix(X, -Y), eps)
@@ -529,20 +529,28 @@ def test_grid_checks_hold_no_whole_grid_temporaries():
 # Stratonovich vs Ito
 # ---------------------------------------------------------------------------
 
+DRIFT_DTS = np.array([4e-3, 2e-3, 1e-3])
+
+
+def drift_gaps_at(cfg, state, n_draws):
+    """The drift check's gaps at another state and draw count, from the same closed form."""
+    moments = sde_module._drift_moments(np.random.default_rng(cfg.seed), n_draws)
+    return sde_module._drift_gaps(cfg, state, DRIFT_DTS, *moments)
+
+
 def test_drift_gap_converges():
     cfg = SdeConfig(kappa=0.5, delta=1.0, omega0=3.0, seed=11)
-    n_draws, (x0, y0) = 200_000, (1.0, 0.0)
-    report = noise_induced_drift_check(cfg, state=(x0, y0), n_draws=n_draws)
+    report = noise_induced_drift_check(cfg)
     gx, gy = report.gaps[-1]
     assert gx == pytest.approx(1.0, abs=0.05)
     assert gy == pytest.approx(0.0, abs=0.05)
     # the gap's mean is the target 2 kappa (x0, y0) at every dt; only its
     # first-moment term, of variance kappa dt (a_x^2 + a_y^2) / 2 / n, depends on dt
-    a_x, a_y = sde_module._cartesian_drift(x0, y0, cfg)
+    a_x, a_y = sde_module._cartesian_drift(*sde_module.DRIFT_STATE, cfg)
     for dt, gap in zip(report.dts, report.gaps):
         first = 0.5 * cfg.kappa * dt * (a_x ** 2 + a_y ** 2)
-        for g, target, state in zip(gap, report.target, (x0, y0)):
-            sigma = math.sqrt((4.0 * cfg.kappa ** 2 * state ** 2 + first) / n_draws)
+        for g, target, state in zip(gap, report.target, sde_module.DRIFT_STATE):
+            sigma = math.sqrt((4.0 * cfg.kappa ** 2 * state ** 2 + first) / sde_module.DRIFT_DRAWS)
             assert abs(g - target) < 5.0 * sigma
 
 
@@ -550,8 +558,8 @@ def test_drift_gap_vanishes_without_noise():
     # kappa -> 0 shrinks the increments; the discretizations share the drift,
     # so the gap collapses to the sampling floor, far below the rate scale
     cfg = SdeConfig(kappa=1e-12, delta=1.0, omega0=3.0, seed=4)
-    report = noise_induced_drift_check(cfg, state=(1.0, 0.5), n_draws=2_000)
-    assert np.abs(report.gaps).max() < 1e-8
+    assert np.abs(noise_induced_drift_check(cfg).gaps).max() < 1e-8
+    assert np.abs(drift_gaps_at(cfg, (1.0, 0.5), 2_000)).max() < 1e-8
 
 
 def _drift_gaps_per_draw(cfg, state, z):
@@ -582,20 +590,8 @@ def _explicit_moments(z):
 def test_drift_gap_moments_match_per_draw_evaluation(kappa, delta, omega0, seed, state):
     cfg = SdeConfig(kappa=kappa, delta=delta, omega0=omega0, seed=seed)
     z = np.random.default_rng(seed).standard_normal((2, 50_000))
-    dts = np.array([4e-3, 2e-3, 1e-3])
-    gaps = sde_module._drift_gaps(cfg, state, dts, *map(float, _explicit_moments(z)))
+    gaps = sde_module._drift_gaps(cfg, state, DRIFT_DTS, *map(float, _explicit_moments(z)))
     np.testing.assert_allclose(gaps, _drift_gaps_per_draw(cfg, state, z), rtol=1e-12, atol=0.0)
-
-
-@pytest.mark.parametrize("n_draws", [0, -3, 2.5, 3.0, True])
-def test_drift_check_needs_a_draw(n_draws, monkeypatch):
-    def no_rng(*args, **kwargs):
-        raise AssertionError("a generator was built")
-
-    monkeypatch.setattr(np.random, "default_rng", no_rng)
-    with pytest.raises(SdeError, match=f"n_draws.*{n_draws}") as err:
-        noise_induced_drift_check(SdeConfig(kappa=1.0, delta=1.0), n_draws=n_draws)
-    assert err.value.field == "n_draws"
 
 
 @pytest.mark.parametrize("n", [1, 2, 50])
@@ -640,23 +636,25 @@ def test_drift_check_draws_a_fixed_number_of_values(n_draws, monkeypatch):
 
     monkeypatch.setattr(np.random, "default_rng", recording_rng)
     cfg = SdeConfig(kappa=0.5, delta=1.0, omega0=3.0, seed=11)
-    report = noise_induced_drift_check(cfg, state=(1.0, 0.5), n_draws=n_draws)
-    # the raw 64-bit words its one generator gave: two normals and a chi-square
+    report = noise_induced_drift_check(cfg)
+    assert len(made) == 1
+    moments = sde_module._drift_moments(real_rng(cfg.seed), sde_module.DRIFT_DRAWS)
+    assert np.array_equal(report.gaps, sde_module._drift_gaps(cfg, sde_module.DRIFT_STATE,
+                                                              report.dts, *moments))
+    # the raw 64-bit words the moments of any number of pairs take: two normals and a chi-square
+    drawn = real_rng(cfg.seed)
+    sde_module._drift_moments(drawn, n_draws)
     fresh = real_rng(cfg.seed)
     words = 0
-    while fresh.bit_generator.state != made[0].bit_generator.state:
+    while fresh.bit_generator.state != drawn.bit_generator.state:
         fresh.bit_generator.advance(1)
         words += 1
         assert words <= 16
-    assert len(made) == 1
-    moments = sde_module._drift_moments(real_rng(cfg.seed), n_draws)
-    assert np.array_equal(report.gaps,
-                          sde_module._drift_gaps(cfg, (1.0, 0.5), report.dts, *moments))
 
 
 def test_drift_gap_independent_of_nonlinearity():
-    a = noise_induced_drift_check(SdeConfig(kappa=0.5, delta=1.0, seed=3), n_draws=100_000)
-    b = noise_induced_drift_check(SdeConfig(kappa=0.5, delta=3.0, seed=3), n_draws=100_000)
+    a = noise_induced_drift_check(SdeConfig(kappa=0.5, delta=1.0, seed=3))
+    b = noise_induced_drift_check(SdeConfig(kappa=0.5, delta=3.0, seed=3))
     # conversion term involves only the noise coefficients
     assert np.abs(a.gaps[-1] - b.gaps[-1]).max() < 5e-3
 

@@ -168,12 +168,12 @@ def test_divergence_identity_on_smooth_field():
     gen = wigner_generator_apply(field, NI, boundary_tol=1e-4)
     jx, jy = wigner_current(field, NI, boundary_tol=1e-4)
     div = divergence(jx, jy, field.h)
-    mismatch = np.abs(interior(div + gen, cells=6)).max()
-    assert mismatch < 2e-2 * np.abs(interior(gen, cells=6)).max()
+    mismatch = np.abs((div + gen)[6:-6, 6:-6]).max()
+    assert mismatch < 2e-2 * np.abs(gen[6:-6, 6:-6]).max()
     fine = gaussian_field(extent=6.0, h=0.025, width=3.0)
     gen_f = wigner_generator_apply(fine, NI, boundary_tol=1e-4)
     jx_f, jy_f = wigner_current(fine, NI, boundary_tol=1e-4)
-    mismatch_f = np.abs(interior(divergence(jx_f, jy_f, fine.h) + gen_f, cells=12)).max()
+    mismatch_f = np.abs((divergence(jx_f, jy_f, fine.h) + gen_f)[12:-12, 12:-12]).max()
     order = math.log2(mismatch / mismatch_f)
     assert 1.5 <= order <= 2.5
 
